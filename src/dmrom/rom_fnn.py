@@ -71,7 +71,6 @@ class TrainConfig:
     max_epochs: int = 2000
     learning_rate: float = 0.05
     seed: int = 0
-    tol: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -166,33 +165,63 @@ def cv_partitions(n_pairs: int, folds: int, repeats: int, seed: int):
     return partitions
 
 
-def _train_once(z, y, hidden, decay, rng, cfg: TrainConfig):
-    """Full-batch gradient descent from a seeded uniform initialization."""
-    n, dim = z.shape
-    w1 = rng.uniform(-0.5, 0.5, size=(dim, hidden))
-    b1 = rng.uniform(-0.5, 0.5, size=hidden)
-    w_out = rng.uniform(-0.5, 0.5, size=hidden)
-    b_out = rng.uniform(-0.5, 0.5)
-    lr = cfg.learning_rate
-    prev = np.inf
-    for _ in range(cfg.max_epochs):
-        out, s = _forward_batch(w1, b1, w_out, b_out, z)
-        resid = out - y
-        loss = float(np.mean(resid**2)) + decay * (
-            np.sum(w1**2) + np.sum(b1**2) + np.sum(w_out**2) + b_out**2
+def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
+    """Full-batch gradient descent on a stack of independent fits.
+
+    Slice i of `z` (b, n, dim) and `y` (b, n) is one fit with weight decay
+    `decays[i]`, initialized uniformly from `rngs[i]` (w1, b1, w_out, b_out
+    in that order). Every slice runs exactly `cfg.max_epochs` steps. Each
+    slice's arithmetic is that of a lone fit, bit for bit: a stacked `@` is
+    one BLAS call per slice, elementwise expressions keep one operand order,
+    and every reduction runs per slice along the fit's own axis.
+
+    Returns w1 (b, dim, H), b1 (b, H), w_out (b, H) and b_out (b,). A
+    diverged slice comes back with non-finite parameters.
+    """
+    b, n, dim = z.shape
+    init = [
+        (
+            rng.uniform(-0.5, 0.5, size=(dim, hidden)),
+            rng.uniform(-0.5, 0.5, size=hidden),
+            rng.uniform(-0.5, 0.5, size=hidden),
+            rng.uniform(-0.5, 0.5),
         )
-        if not np.isfinite(loss):
-            return w1, b1, w_out, b_out, loss
-        if abs(prev - loss) < cfg.tol:
-            break
-        prev = loss
-        go = 2.0 * resid / n
-        da = (go[:, None] * w_out[None, :]) * s * (1.0 - s)
-        w_out = w_out - lr * (s.T @ go + 2.0 * decay * w_out)
-        b_out = b_out - lr * (go.sum() + 2.0 * decay * b_out)
-        w1 = w1 - lr * (z.T @ da + 2.0 * decay * w1)
-        b1 = b1 - lr * (da.sum(axis=0) + 2.0 * decay * b1)
-    return w1, b1, w_out, b_out, prev
+        for rng in rngs
+    ]
+    # b1 and w_out as (b, 1, H) rows and b_out as (b, 1) broadcast against
+    # (b, n, H) activations; w_out is used as a (b, H, 1) column in products
+    w1, b1, w_out, b_out = (np.array(p) for p in zip(*init))
+    b1 = b1[:, None, :]
+    w_out = w_out[:, None, :]
+    b_out = b_out[:, None]
+    two_decay = 2.0 * np.asarray(decays, dtype=float)
+    decay_w1 = two_decay[:, None, None]
+    decay_b_out = two_decay[:, None]
+    zt = z.transpose(0, 2, 1)
+    lr = cfg.learning_rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_epochs):
+            s = expit(z @ w1 + b1)
+            out = (s @ w_out.transpose(0, 2, 1))[:, :, 0] + b_out
+            go = 2.0 * (out - y) / n
+            da = (go[:, :, None] * w_out) * s * (1.0 - s)
+            w_out = w_out - lr * (
+                (s.transpose(0, 2, 1) @ go[:, :, None]).transpose(0, 2, 1) + decay_w1 * w_out
+            )
+            b_out = b_out - lr * (go.sum(axis=1)[:, None] + decay_b_out * b_out)
+            w1 = w1 - lr * (zt @ da + decay_w1 * w1)
+            b1 = b1 - lr * (da.sum(axis=1)[:, None, :] + decay_w1 * b1)
+    return w1, b1[:, 0, :], w_out[:, 0, :], b_out[:, 0]
+
+
+def _fit_rng(*key):
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def _finite_slices(params) -> np.ndarray:
+    """Per-slice flag: every parameter of the fit is finite."""
+    w1, b1, w_out, b_out = (np.isfinite(p) for p in params)
+    return w1.all(axis=(1, 2)) & b1.all(axis=1) & w_out.all(axis=1) & b_out
 
 
 def fnn_train(train_coords, stim, target_index: int, cfg: TrainConfig):
@@ -231,38 +260,50 @@ def fnn_train(train_coords, stim, target_index: int, cfg: TrainConfig):
     n_pairs = n - 1
 
     partitions = cv_partitions(n_pairs, cfg.folds, cfg.repeats, cfg.seed)
+    fits = [
+        (gi, ri, fi, val_idx)
+        for gi in range(len(grid))
+        for ri in range(cfg.repeats)
+        for fi, val_idx in enumerate(partitions[ri])
+    ]
+    # fits sharing a hidden size and a training-row count train as one stack
+    groups = {}
+    for k, (gi, _, _, val_idx) in enumerate(fits):
+        groups.setdefault((grid[gi][0], n_pairs - len(val_idx)), []).append(k)
 
-    records = []
-    for gi, (hidden, lam) in enumerate(grid):
-        for ri in range(cfg.repeats):
-            for fi, val_idx in enumerate(partitions[ri]):
-                mask = np.ones(n_pairs, dtype=bool)
-                mask[val_idx] = False
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((cfg.seed, target_index, gi, ri, fi))
-                )
-                w1, b1, w_out, b_out, loss = _train_once(
-                    z_all[mask], y_all[mask], hidden, lam, rng, cfg
-                )
-                if np.isfinite(loss):
-                    pred, _ = _forward_batch(w1, b1, w_out, b_out, z_all[val_idx])
-                    mse = float(np.mean((pred - y_all[val_idx]) ** 2))
-                else:
-                    mse = float("nan")
-                records.append(
-                    {"hidden": hidden, "decay": lam, "repeat": ri, "fold": fi, "mse": mse}
-                )
+    mse = [float("nan")] * len(fits)
+    for (hidden, _), members in groups.items():
+        masks = np.ones((len(members), n_pairs), dtype=bool)
+        for mask, k in zip(masks, members):
+            mask[fits[k][3]] = False
+        params = _train_stack(
+            np.stack([z_all[m] for m in masks]),
+            np.stack([y_all[m] for m in masks]),
+            hidden,
+            [grid[fits[k][0]][1] for k in members],
+            [_fit_rng(cfg.seed, target_index, *fits[k][:3]) for k in members],
+            cfg,
+        )
+        for i in np.flatnonzero(_finite_slices(params)):
+            val_idx = fits[members[i]][3]
+            pred, _ = _forward_batch(*(p[i] for p in params), z_all[val_idx])
+            mse[members[i]] = float(np.mean((pred - y_all[val_idx]) ** 2))
+    records = [
+        {"hidden": grid[gi][0], "decay": grid[gi][1], "repeat": ri, "fold": fi, "mse": mse[k]}
+        for k, (gi, ri, fi, _) in enumerate(fits)
+    ]
 
     best_hidden, best_lam, _ = best_grid_cell(records)
     best_gi = grid.index((best_hidden, best_lam))
-    rng = np.random.default_rng(
-        np.random.SeedSequence((cfg.seed, target_index, best_gi, 999999))
+    params = _train_stack(
+        z_all[None], y_all[None], best_hidden, [best_lam],
+        [_fit_rng(cfg.seed, target_index, best_gi, 999999)], cfg,
     )
-    w1, b1, w_out, b_out, loss = _train_once(z_all, y_all, best_hidden, best_lam, rng, cfg)
-    if not np.isfinite(loss):
+    if not _finite_slices(params)[0]:
         raise RuntimeError(
             f"final retraining diverged for hidden={best_hidden}, decay={best_lam}"
         )
+    w1, b1, w_out, b_out = (p[0] for p in params)
     model = FnnModel(w1=w1, b1=b1, w_out=w_out, b_out=b_out, target_index=target_index)
     return model, records
 
@@ -309,15 +350,32 @@ def fnn_forecast(models, init, stim_seq, h: int) -> np.ndarray:
         stim_seq = stim_seq.reshape(h, -1)
     if stim_seq.shape[0] < h:
         raise ValueError(f"stimulus sequence covers {stim_seq.shape[0]} steps, horizon is {h}")
+    width = d + stim_seq.shape[1]
+    for model in models:
+        if model.input_dim != width:
+            raise ValueError(f"input length {width} does not match model width {model.input_dim}")
+    # Each network's first-layer product is the BLAS call `fnn_forward`
+    # makes, written into its block of one pre-activation row; the bias and
+    # logistic then run once over all blocks. One product over the
+    # concatenated weights would not be bit-identical: BLAS computes the
+    # columns past a multiple of its kernel width on a different path.
+    b1 = np.concatenate([m.b1 for m in models])
+    ends = np.cumsum([m.hidden_size for m in models])
+    blocks = [slice(end - m.hidden_size, end) for m, end in zip(models, ends)]
+    pre = np.empty((1, ends[-1]))
+    z = np.empty((1, width))
+    z[0, :d] = init
     out = np.empty((h, d))
-    state = init
     for s in range(h):
-        z = np.concatenate([state, stim_seq[s]])
-        for j, model in enumerate(models):
-            out[s, j] = fnn_forward(model, z[: d], z[d:])
+        z[0, d:] = stim_seq[s]
+        for model, block in zip(models, blocks):
+            np.matmul(z, model.w1, out=pre[:, block])
+        a = expit(pre[0] + b1)
+        for j, (model, block) in enumerate(zip(models, blocks)):
+            out[s, j] = a[block] @ model.w_out + model.b_out
         if not np.all(np.isfinite(out[s])):
             raise RuntimeError(f"forecast diverged (non-finite state) at step {s + 1}")
-        state = out[s]
+        z[0, :d] = out[s]
     return out
 
 

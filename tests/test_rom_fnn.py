@@ -1,12 +1,16 @@
 """Tests for the feedforward one-step models: forward pass, gradients, CV, forecast."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import fd_gradient, gradient_rel_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
+
+from dmrom import rom_fnn
 
 from dmrom.ingest import SynthConfig, generate_synthetic
 from dmrom.rom_fnn import (
@@ -20,6 +24,7 @@ from dmrom.rom_fnn import (
     fnn_train,
     load_fnn_model,
     save_fnn_model,
+    _train_stack,
     write_cv_report,
 )
 
@@ -196,6 +201,108 @@ def test_training_is_deterministic(zero_target_fit):
     assert records2 == records
 
 
+def reference_fit(z, y, hidden, decay, rng, learning_rate, epochs):
+    """One fit by the plain per-fit update rule, for comparison with a stack."""
+    n, dim = z.shape
+    w1 = rng.uniform(-0.5, 0.5, size=(dim, hidden))
+    b1 = rng.uniform(-0.5, 0.5, size=hidden)
+    w_out = rng.uniform(-0.5, 0.5, size=hidden)
+    b_out = rng.uniform(-0.5, 0.5)
+    lr = learning_rate
+    for _ in range(epochs):
+        s = expit(z @ w1 + b1)
+        out = s @ w_out + b_out
+        go = 2.0 * (out - y) / n
+        da = (go[:, None] * w_out[None, :]) * s * (1.0 - s)
+        w_out = w_out - lr * (s.T @ go + 2.0 * decay * w_out)
+        b_out = b_out - lr * (go.sum() + 2.0 * decay * b_out)
+        w1 = w1 - lr * (z.T @ da + 2.0 * decay * w1)
+        b1 = b1 - lr * (da.sum(axis=0) + 2.0 * decay * b1)
+    return w1, b1, w_out, b_out
+
+
+def assert_same_fit(a, b):
+    for pa, pb in zip(a, b):
+        assert np.array_equal(pa, pb)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    b=st.integers(1, 6),
+    n=st.integers(1, 300),
+    dim=st.integers(1, 7),
+    hidden=st.integers(1, 17),
+    seed=st.integers(0, 2**16),
+)
+def test_stack_slices_equal_their_one_fit_stacks(b, n, dim, hidden, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(b, n, dim))
+    y = rng.normal(size=(b, n))
+    decays = rng.choice([1e-8, 1e-4, 1e-1], size=b)
+    cfg = TrainConfig(max_epochs=15, learning_rate=0.3)
+    stack = _train_stack(z, y, hidden, decays, [np.random.default_rng(i) for i in range(b)], cfg)
+    for i in range(b):
+        alone = _train_stack(
+            z[i : i + 1], y[i : i + 1], hidden, decays[i : i + 1], [np.random.default_rng(i)], cfg
+        )
+        assert_same_fit((p[i] for p in stack), (p[0] for p in alone))
+
+
+@pytest.mark.parametrize(
+    "n, dim, hidden, decay",
+    [(1, 1, 1, 1e-4), (7, 1, 3, 1e-2), (40, 3, 1, 1e-8), (255, 5, 8, 1e-6), (300, 7, 16, 1e-1)],
+)
+def test_one_fit_stack_matches_per_fit_reference(n, dim, hidden, decay):
+    rng = np.random.default_rng(n + dim + hidden)
+    z = rng.normal(size=(n, dim))
+    y = rng.normal(size=n)
+    cfg = TrainConfig(max_epochs=40, learning_rate=0.2)
+    expected = reference_fit(z, y, hidden, decay, np.random.default_rng(1), 0.2, 40)
+    got = _train_stack(z[None], y[None], hidden, [decay], [np.random.default_rng(1)], cfg)
+    assert_same_fit((p[0] for p in got), expected)
+
+
+def test_divergence_marks_every_cv_fold_and_fails_without_warnings(monkeypatch):
+    coords = np.random.default_rng(0).normal(size=(30, 2))
+    cfg = TrainConfig(
+        hidden_sizes=(2, 3), decay_values=(1e-4,), folds=3, repeats=1, learning_rate=1e6,
+        max_epochs=200,
+    )
+    seen = []
+
+    def spy(records):
+        seen.append(records)
+        return best_grid_cell(records)
+
+    monkeypatch.setattr(rom_fnn, "best_grid_cell", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="all hyperparameter grid cells diverged"):
+            fnn_train(coords, None, 1, cfg)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    (records,) = seen
+    assert len(records) == 6
+    assert all(math.isnan(r["mse"]) for r in records)
+
+
+def test_one_diverging_cell_is_skipped():
+    # lr * 2 * decay = 10 makes the decay term alone grow the weights ninefold a step
+    coords = np.random.default_rng(1).uniform(-0.5, 0.5, size=(30, 2))
+    cfg = TrainConfig(
+        hidden_sizes=(2,), decay_values=(1e-4, 100.0), folds=3, repeats=1, learning_rate=0.05,
+        max_epochs=400,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model, records = fnn_train(coords, None, 1, cfg)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    by_decay = {lam: [r["mse"] for r in records if r["decay"] == lam] for lam in cfg.decay_values}
+    assert all(math.isnan(m) for m in by_decay[100.0])
+    assert all(math.isfinite(m) for m in by_decay[1e-4])
+    assert best_grid_cell(records)[:2] == (2, 1e-4)
+    assert np.all(np.isfinite(model.w1))
+
+
 def test_train_validation():
     coords = np.random.default_rng(0).normal(size=(8, 2))
     cfg = TrainConfig(hidden_sizes=(2,), decay_values=(1e-4,), folds=3, repeats=1)
@@ -308,6 +415,31 @@ def test_forecast_is_repeatable():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("p", [0, 2])
+def test_forecast_matches_per_model_forward_loop(p):
+    # hidden sizes off and on a multiple of 4, and one network per coordinate
+    rng = np.random.default_rng(11 + p)
+    d, h = 5, 60
+    models = [
+        FnnModel(
+            w1=rng.normal(size=(d + p, k)) * 0.6,
+            b1=rng.normal(size=k),
+            w_out=rng.normal(size=k) / k,
+            b_out=float(rng.normal()) * 0.1,
+            target_index=j + 1,
+        )
+        for j, k in enumerate((1, 2, 3, 4, 7))
+    ]
+    init = rng.normal(size=d)
+    stim = rng.normal(size=(h, p)) if p else None
+    expected = np.empty((h, d))
+    state = init
+    for s in range(h):
+        expected[s] = [fnn_forward(m, state, None if stim is None else stim[s]) for m in models]
+        state = expected[s]
+    assert np.array_equal(fnn_forecast(models[::-1], init, stim, h), expected)
+
+
 def test_forecast_validation():
     models = constant_models([0.1, 0.2])
     with pytest.raises(ValueError, match="one model per coordinate"):
@@ -316,6 +448,8 @@ def test_forecast_validation():
         fnn_forecast(models, [0.1], None, 3)
     with pytest.raises(ValueError, match="stimulus"):
         fnn_forecast(models, [0.1, 0.2], np.zeros((2, 1)), 3)
+    with pytest.raises(ValueError, match="model width 2"):
+        fnn_forecast(models, [0.1, 0.2], np.zeros((3, 1)), 3)
 
 
 def test_forecast_reports_divergence_step():
