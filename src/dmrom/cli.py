@@ -160,6 +160,7 @@ def load_config(path, seed_override: int = None) -> RunConfig:
         "max_epochs": 2000,
         "learning_rate": 0.05,
         "seed": seed,
+        "tol": 1e-9,
     }
     fnn = _section(data, "fnn", fnn_defaults)
     koop = _section(data, "koopman", {"svd_tol": 1e-10, "augment_stimulus": False})
@@ -209,6 +210,7 @@ def load_config(path, seed_override: int = None) -> RunConfig:
             max_epochs=int(fnn["max_epochs"]),
             learning_rate=float(fnn["learning_rate"]),
             seed=int(fnn["seed"]),
+            tol=float(fnn["tol"]),
         ),
         koopman=KoopmanSection(
             svd_tol=float(koop["svd_tol"]), augment_stimulus=bool(koop["augment_stimulus"])
@@ -250,6 +252,7 @@ def config_payload(cfg: RunConfig) -> dict:
             "max_epochs": cfg.fnn.max_epochs,
             "learning_rate": cfg.fnn.learning_rate,
             "seed": cfg.fnn.seed,
+            "tol": cfg.fnn.tol,
         },
         "koopman": {
             "svd_tol": cfg.koopman.svd_tol,

@@ -71,6 +71,7 @@ class TrainConfig:
     max_epochs: int = 2000
     learning_rate: float = 0.05
     seed: int = 0
+    tol: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -170,13 +171,15 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
 
     Slice i of `z` (b, n, dim) and `y` (b, n) is one fit with weight decay
     `decays[i]`, initialized uniformly from `rngs[i]` (w1, b1, w_out, b_out
-    in that order). Every slice runs exactly `cfg.max_epochs` steps. Each
-    slice's arithmetic is that of a lone fit, bit for bit: a stacked `@` is
-    one BLAS call per slice, elementwise expressions keep one operand order,
-    and every reduction runs per slice along the fit's own axis.
+    in that order). A fit stops when its loss changes by less than `cfg.tol`
+    from one epoch to the next, when its loss turns non-finite, or after
+    `cfg.max_epochs` steps; stopped fits leave the stack. Each slice's
+    arithmetic is that of a lone fit, bit for bit: a stacked `@` is one BLAS
+    call per slice, elementwise expressions keep one operand order, and
+    every reduction runs per slice along the fit's own axis.
 
-    Returns w1 (b, dim, H), b1 (b, H), w_out (b, H) and b_out (b,). A
-    diverged slice comes back with non-finite parameters.
+    Returns w1 (b, dim, H), b1 (b, H), w_out (b, H), b_out (b,) and each
+    fit's last finite loss, which is non-finite for a diverged fit.
     """
     b, n, dim = z.shape
     init = [
@@ -194,34 +197,54 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     b1 = b1[:, None, :]
     w_out = w_out[:, None, :]
     b_out = b_out[:, None]
-    two_decay = 2.0 * np.asarray(decays, dtype=float)
-    decay_w1 = two_decay[:, None, None]
-    decay_b_out = two_decay[:, None]
-    zt = z.transpose(0, 2, 1)
+    decay = np.asarray(decays, dtype=float)
+    two_decay = 2.0 * decay[:, None, None]
+    result = [np.empty_like(p) for p in (w1, b1, w_out, b_out)] + [np.empty(b)]
+    live = np.arange(b)
+    prev = np.full(b, np.inf)
     lr = cfg.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_epochs):
             s = expit(z @ w1 + b1)
-            out = (s @ w_out.transpose(0, 2, 1))[:, :, 0] + b_out
-            go = 2.0 * (out - y) / n
+            resid = (s @ w_out.transpose(0, 2, 1))[:, :, 0] + b_out - y
+            loss = (resid**2).sum(axis=1) / n + decay * (
+                (w1**2).sum(axis=(1, 2))
+                + (b1**2).sum(axis=(1, 2))
+                + (w_out**2).sum(axis=(1, 2))
+                + b_out[:, 0] ** 2
+            )
+            done = ~np.isfinite(loss) | (np.abs(prev - loss) < cfg.tol)
+            if done.any():
+                # a stopped fit keeps this epoch's parameters and reports its
+                # previous loss, or the non-finite one if it diverged
+                last = np.where(np.isfinite(loss), prev, loss)
+                for out, p in zip(result, (w1, b1, w_out, b_out, last)):
+                    out[live[done]] = p[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                live, z, y, w1, b1, w_out, b_out, decay, two_decay, s, resid, loss = (
+                    a[keep]
+                    for a in (live, z, y, w1, b1, w_out, b_out, decay, two_decay, s, resid, loss)
+                )
+            prev = loss
+            go = 2.0 * resid / n
             da = (go[:, :, None] * w_out) * s * (1.0 - s)
             w_out = w_out - lr * (
-                (s.transpose(0, 2, 1) @ go[:, :, None]).transpose(0, 2, 1) + decay_w1 * w_out
+                (s.transpose(0, 2, 1) @ go[:, :, None]).transpose(0, 2, 1) + two_decay * w_out
             )
-            b_out = b_out - lr * (go.sum(axis=1)[:, None] + decay_b_out * b_out)
-            w1 = w1 - lr * (zt @ da + decay_w1 * w1)
-            b1 = b1 - lr * (da.sum(axis=1)[:, None, :] + decay_w1 * b1)
-    return w1, b1[:, 0, :], w_out[:, 0, :], b_out[:, 0]
+            b_out = b_out - lr * (go.sum(axis=1)[:, None] + two_decay[:, 0] * b_out)
+            w1 = w1 - lr * (z.transpose(0, 2, 1) @ da + two_decay * w1)
+            b1 = b1 - lr * (da.sum(axis=1)[:, None, :] + two_decay * b1)
+        else:
+            for out, p in zip(result, (w1, b1, w_out, b_out, prev)):
+                out[live] = p
+    w1, b1, w_out, b_out, last = result
+    return w1, b1[:, 0, :], w_out[:, 0, :], b_out[:, 0], last
 
 
 def _fit_rng(*key):
     return np.random.default_rng(np.random.SeedSequence(key))
-
-
-def _finite_slices(params) -> np.ndarray:
-    """Per-slice flag: every parameter of the fit is finite."""
-    w1, b1, w_out, b_out = (np.isfinite(p) for p in params)
-    return w1.all(axis=(1, 2)) & b1.all(axis=1) & w_out.all(axis=1) & b_out
 
 
 def fnn_train(train_coords, stim, target_index: int, cfg: TrainConfig):
@@ -276,7 +299,7 @@ def fnn_train(train_coords, stim, target_index: int, cfg: TrainConfig):
         masks = np.ones((len(members), n_pairs), dtype=bool)
         for mask, k in zip(masks, members):
             mask[fits[k][3]] = False
-        params = _train_stack(
+        *params, loss = _train_stack(
             np.stack([z_all[m] for m in masks]),
             np.stack([y_all[m] for m in masks]),
             hidden,
@@ -284,10 +307,14 @@ def fnn_train(train_coords, stim, target_index: int, cfg: TrainConfig):
             [_fit_rng(cfg.seed, target_index, *fits[k][:3]) for k in members],
             cfg,
         )
-        for i in np.flatnonzero(_finite_slices(params)):
+        for i in np.flatnonzero(np.isfinite(loss)):
             val_idx = fits[members[i]][3]
-            pred, _ = _forward_batch(*(p[i] for p in params), z_all[val_idx])
-            mse[members[i]] = float(np.mean((pred - y_all[val_idx]) ** 2))
+            # weights that overflow on the held-out rows count as diverged
+            with np.errstate(over="ignore", invalid="ignore"):
+                pred, _ = _forward_batch(*(p[i] for p in params), z_all[val_idx])
+                err = float(np.mean((pred - y_all[val_idx]) ** 2))
+            if np.isfinite(err):
+                mse[members[i]] = err
     records = [
         {"hidden": grid[gi][0], "decay": grid[gi][1], "repeat": ri, "fold": fi, "mse": mse[k]}
         for k, (gi, ri, fi, _) in enumerate(fits)
@@ -295,11 +322,11 @@ def fnn_train(train_coords, stim, target_index: int, cfg: TrainConfig):
 
     best_hidden, best_lam, _ = best_grid_cell(records)
     best_gi = grid.index((best_hidden, best_lam))
-    params = _train_stack(
+    *params, loss = _train_stack(
         z_all[None], y_all[None], best_hidden, [best_lam],
         [_fit_rng(cfg.seed, target_index, best_gi, 999999)], cfg,
     )
-    if not _finite_slices(params)[0]:
+    if not np.isfinite(loss[0]):
         raise RuntimeError(
             f"final retraining diverged for hidden={best_hidden}, decay={best_lam}"
         )
@@ -350,32 +377,15 @@ def fnn_forecast(models, init, stim_seq, h: int) -> np.ndarray:
         stim_seq = stim_seq.reshape(h, -1)
     if stim_seq.shape[0] < h:
         raise ValueError(f"stimulus sequence covers {stim_seq.shape[0]} steps, horizon is {h}")
-    width = d + stim_seq.shape[1]
-    for model in models:
-        if model.input_dim != width:
-            raise ValueError(f"input length {width} does not match model width {model.input_dim}")
-    # Each network's first-layer product is the BLAS call `fnn_forward`
-    # makes, written into its block of one pre-activation row; the bias and
-    # logistic then run once over all blocks. One product over the
-    # concatenated weights would not be bit-identical: BLAS computes the
-    # columns past a multiple of its kernel width on a different path.
-    b1 = np.concatenate([m.b1 for m in models])
-    ends = np.cumsum([m.hidden_size for m in models])
-    blocks = [slice(end - m.hidden_size, end) for m, end in zip(models, ends)]
-    pre = np.empty((1, ends[-1]))
-    z = np.empty((1, width))
-    z[0, :d] = init
     out = np.empty((h, d))
+    state = init
     for s in range(h):
-        z[0, d:] = stim_seq[s]
-        for model, block in zip(models, blocks):
-            np.matmul(z, model.w1, out=pre[:, block])
-        a = expit(pre[0] + b1)
-        for j, (model, block) in enumerate(zip(models, blocks)):
-            out[s, j] = a[block] @ model.w_out + model.b_out
+        z = np.concatenate([state, stim_seq[s]])
+        for j, model in enumerate(models):
+            out[s, j] = fnn_forward(model, z[: d], z[d:])
         if not np.all(np.isfinite(out[s])):
             raise RuntimeError(f"forecast diverged (non-finite state) at step {s + 1}")
-        z[0, :d] = out[s]
+        state = out[s]
     return out
 
 

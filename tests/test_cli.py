@@ -281,20 +281,6 @@ def test_unknown_section_key(tmp_path, capsys):
     assert "bandwidth" in capsys.readouterr().err
 
 
-def test_removed_fnn_tol_key_is_rejected(tmp_path, capsys):
-    # every fit runs exactly max_epochs steps; there is no early-stop tolerance
-    cfg_path = write_config(
-        tmp_path / "bad.json",
-        input="x.csv",
-        output_dir=str(tmp_path / "out"),
-        fnn={"tol": 1e-9},
-    )
-    rc = main(["train", "--config", cfg_path, "--method", "fnn"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "'fnn'" in err and "tol" in err
-
-
 def test_invalid_json_config(tmp_path, capsys):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text("{not json")
