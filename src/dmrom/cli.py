@@ -19,17 +19,17 @@ wall-clock time, so repeated runs with one config are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
-from . import dmaps, evaluate, glm, lifting, parsimony, rom_fnn, rom_koopman
+from . import artifacts, dmaps, evaluate, glm, lifting, parsimony, rom_fnn, rom_koopman
 from .ingest import (
     SplitSpec,
     SynthConfig,
@@ -66,7 +66,6 @@ class ParsimonySection:
 @dataclass(frozen=True)
 class KoopmanSection:
     svd_tol: float = 1e-10
-    augment_stimulus: bool = False
 
 
 @dataclass(frozen=True)
@@ -76,16 +75,38 @@ class GhSection:
 
 
 @dataclass(frozen=True)
+class NrwSection:
+    mode: str = "reduced_then_lift"
+
+    def __post_init__(self):
+        if self.mode not in ("reduced_then_lift", "ambient"):
+            raise ValueError(f"unknown nrw mode {self.mode!r}")
+
+
+@dataclass(frozen=True)
 class GlmSection:
     kernel: tuple = ()
     contrasts: tuple = ()   # pairs (name, vector)
     threshold: float = 0.001
 
+    def __post_init__(self):
+        object.__setattr__(self, "kernel", tuple(float(v) for v in self.kernel))
+        object.__setattr__(
+            self,
+            "contrasts",
+            tuple((str(k), tuple(float(x) for x in v)) for k, v in self.contrasts),
+        )
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    input: str
-    output_dir: str
+    """One JSON run config: each top-level object is one of the section dataclasses.
+
+    ``fnn.seed`` and ``synth.seed`` default to the top-level seed.
+    """
+
+    input: str = None
+    output_dir: str = None
     seed: int = 0
     n_train: int = 280
     standardize: str = "full"   # or "train_only"
@@ -97,11 +118,15 @@ class RunConfig:
     fnn: TrainConfig = TrainConfig()
     koopman: KoopmanSection = KoopmanSection()
     gh: GhSection = GhSection()
-    nrw_mode: str = "reduced_then_lift"
+    nrw: NrwSection = NrwSection()
     glm: GlmSection = GlmSection()
-    synth: SynthConfig = None
+    synth: SynthConfig = None   # optional section
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "epochs", tuple((str(e[0]), int(e[1]), int(e[2])) for e in self.epochs)
+        )
+        object.__setattr__(self, "conditions", tuple(str(c) for c in self.conditions))
         if not self.input:
             raise ValueError("config must set 'input'")
         if not self.output_dir:
@@ -110,24 +135,38 @@ class RunConfig:
             raise ValueError(f"n_train must be >= 2, got {self.n_train}")
         if self.standardize not in ("full", "train_only"):
             raise ValueError(f"standardize must be 'full' or 'train_only', got {self.standardize!r}")
-        if self.nrw_mode not in ("reduced_then_lift", "ambient"):
-            raise ValueError(f"unknown nrw mode {self.nrw_mode!r}")
         if self.epochs and not self.conditions:
             raise ValueError("epochs given without a conditions list")
 
 
-def _section(data: dict, name: str, defaults: dict) -> dict:
-    raw = data.get(name, {})
+def _build(cls, raw: dict):
+    """Dataclass instance from given keys; int/float/bool fields are coerced to their type."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{
+        key: hints[key](value) if hints[key] in (int, float, bool) else value
+        for key, value in raw.items()
+    })
+
+
+def _unknown_keys(raw: dict, cls) -> str:
+    return ", ".join(sorted(set(raw) - {f.name for f in fields(cls)}))
+
+
+def _section(cls, name: str, raw, seed: int):
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ValueError(f"config section {name!r} must be an object")
-    unknown = sorted(set(raw) - set(defaults))
+    unknown = _unknown_keys(raw, cls)
     if unknown:
-        raise ValueError(f"unknown key(s) in config section {name!r}: {', '.join(unknown)}")
-    merged = dict(defaults)
-    merged.update(raw)
-    return merged
+        raise ValueError(f"unknown key(s) in config section {name!r}: {unknown}")
+    if name == "glm" and "contrasts" in raw:
+        if not isinstance(raw["contrasts"], dict):
+            raise ValueError("glm.contrasts must map contrast names to vectors")
+        raw = {**raw, "contrasts": tuple(raw["contrasts"].items())}
+    if "seed" in {f.name for f in fields(cls)}:
+        raw = {"seed": seed, **raw}
+    return _build(cls, raw)
 
 
 def load_config(path, seed_override: int = None) -> RunConfig:
@@ -139,144 +178,24 @@ def load_config(path, seed_override: int = None) -> RunConfig:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config root must be an object")
-    top_keys = {
-        "input", "output_dir", "seed", "n_train", "standardize", "drop_dead",
-        "epochs", "conditions", "dmaps", "parsimony", "fnn", "koopman", "gh",
-        "nrw", "glm", "synth",
-    }
-    unknown = sorted(set(data) - top_keys)
+    unknown = _unknown_keys(data, RunConfig)
     if unknown:
-        raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown config key(s): {unknown}")
 
     seed = int(seed_override if seed_override is not None else data.get("seed", 0))
-
-    dm = _section(data, "dmaps", {"sigma": "auto", "alpha": 1.0, "t": 0, "k": 30})
-    pars = _section(data, "parsimony", {"d": 5, "scale_fraction": 1.0 / 3.0})
-    fnn_defaults = {
-        "hidden_sizes": [2, 4, 8, 16],
-        "decay_values": [1e-4, 1e-3, 1e-2, 1e-1],
-        "folds": 10,
-        "repeats": 10,
-        "max_epochs": 2000,
-        "learning_rate": 0.05,
-        "seed": seed,
-        "tol": 1e-9,
-    }
-    fnn = _section(data, "fnn", fnn_defaults)
-    koop = _section(data, "koopman", {"svd_tol": 1e-10, "augment_stimulus": False})
-    gh_sec = _section(data, "gh", {"sigma": "auto", "eig_floor": 1e-8})
-    nrw = _section(data, "nrw", {"mode": "reduced_then_lift"})
-    glm_sec = _section(data, "glm", {"kernel": [], "contrasts": {}, "threshold": 0.001})
-    contrasts = glm_sec["contrasts"]
-    if not isinstance(contrasts, dict):
-        raise ValueError("glm.contrasts must map contrast names to vectors")
-
-    synth_cfg = None
-    if "synth" in data and data["synth"] is not None:
-        sy = _section(
-            data,
-            "synth",
-            {
-                "q": 2,
-                "ambient_dim": 50,
-                "n_times": 400,
-                "noise": 0.0,
-                "seed": seed,
-                "dynamics": "limit_cycle",
-                "frequency_scale": 1.5,
-            },
-        )
-        synth_cfg = SynthConfig(**sy)
-
-    epochs = tuple(
-        (str(e[0]), int(e[1]), int(e[2])) for e in data.get("epochs", [])
-    )
-    return RunConfig(
-        input=data.get("input"),
-        output_dir=data.get("output_dir"),
-        seed=seed,
-        n_train=int(data.get("n_train", 280)),
-        standardize=data.get("standardize", "full"),
-        drop_dead=bool(data.get("drop_dead", False)),
-        epochs=epochs,
-        conditions=tuple(str(c) for c in data.get("conditions", [])),
-        dmaps=DmapsSection(sigma=dm["sigma"], alpha=float(dm["alpha"]), t=int(dm["t"]), k=int(dm["k"])),
-        parsimony=ParsimonySection(d=int(pars["d"]), scale_fraction=float(pars["scale_fraction"])),
-        fnn=TrainConfig(
-            hidden_sizes=tuple(fnn["hidden_sizes"]),
-            decay_values=tuple(fnn["decay_values"]),
-            folds=int(fnn["folds"]),
-            repeats=int(fnn["repeats"]),
-            max_epochs=int(fnn["max_epochs"]),
-            learning_rate=float(fnn["learning_rate"]),
-            seed=int(fnn["seed"]),
-            tol=float(fnn["tol"]),
-        ),
-        koopman=KoopmanSection(
-            svd_tol=float(koop["svd_tol"]), augment_stimulus=bool(koop["augment_stimulus"])
-        ),
-        gh=GhSection(sigma=gh_sec["sigma"], eig_floor=float(gh_sec["eig_floor"])),
-        nrw_mode=nrw["mode"],
-        glm=GlmSection(
-            kernel=tuple(float(v) for v in glm_sec["kernel"]),
-            contrasts=tuple((str(k), tuple(float(x) for x in v)) for k, v in contrasts.items()),
-            threshold=float(glm_sec["threshold"]),
-        ),
-        synth=synth_cfg,
-    )
+    top = {**data, "seed": seed}
+    hints = typing.get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        cls = hints[f.name]
+        if is_dataclass(cls) and not (f.default is None and data.get(f.name) is None):
+            top[f.name] = _section(cls, f.name, data.get(f.name), seed)
+    return _build(RunConfig, top)
 
 
 def config_payload(cfg: RunConfig) -> dict:
     """Plain-dict echo of the resolved config, used for meta.json and hashing."""
-    payload = {
-        "input": cfg.input,
-        "output_dir": cfg.output_dir,
-        "seed": cfg.seed,
-        "n_train": cfg.n_train,
-        "standardize": cfg.standardize,
-        "drop_dead": cfg.drop_dead,
-        "epochs": [list(e) for e in cfg.epochs],
-        "conditions": list(cfg.conditions),
-        "dmaps": {
-            "sigma": cfg.dmaps.sigma,
-            "alpha": cfg.dmaps.alpha,
-            "t": cfg.dmaps.t,
-            "k": cfg.dmaps.k,
-        },
-        "parsimony": {"d": cfg.parsimony.d, "scale_fraction": cfg.parsimony.scale_fraction},
-        "fnn": {
-            "hidden_sizes": list(cfg.fnn.hidden_sizes),
-            "decay_values": list(cfg.fnn.decay_values),
-            "folds": cfg.fnn.folds,
-            "repeats": cfg.fnn.repeats,
-            "max_epochs": cfg.fnn.max_epochs,
-            "learning_rate": cfg.fnn.learning_rate,
-            "seed": cfg.fnn.seed,
-            "tol": cfg.fnn.tol,
-        },
-        "koopman": {
-            "svd_tol": cfg.koopman.svd_tol,
-            "augment_stimulus": cfg.koopman.augment_stimulus,
-        },
-        "gh": {"sigma": cfg.gh.sigma, "eig_floor": cfg.gh.eig_floor},
-        "nrw": {"mode": cfg.nrw_mode},
-        "glm": {
-            "kernel": list(cfg.glm.kernel),
-            "contrasts": {name: list(vec) for name, vec in cfg.glm.contrasts},
-            "threshold": cfg.glm.threshold,
-        },
-        "synth": None,
-    }
-    if cfg.synth is not None:
-        payload["synth"] = {
-            "q": cfg.synth.q,
-            "ambient_dim": cfg.synth.ambient_dim,
-            "n_times": cfg.synth.n_times,
-            "noise": cfg.synth.noise,
-            "seed": cfg.synth.seed,
-            "dynamics": cfg.synth.dynamics,
-            "frequency_scale": cfg.synth.frequency_scale,
-        }
+    payload = asdict(cfg)
+    payload["glm"]["contrasts"] = {name: list(vec) for name, vec in cfg.glm.contrasts}
     return payload
 
 
@@ -333,35 +252,11 @@ class RunPaths:
         return os.path.join(self.root, "meta.json")
 
 
-def _write_matrix(path, arr, names) -> None:
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in arr:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def _read_matrix(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = [[float(c) for c in row] for row in reader]
-    arr = np.array(rows, dtype=float) if rows else np.zeros((0, len(names)))
-    if arr.size and arr.shape[1] != len(names):
-        raise ValueError(f"{path}: row width does not match header")
-    return arr, names
-
-
 def _write_meta(cfg: RunConfig, paths: RunPaths) -> None:
     os.makedirs(paths.root, exist_ok=True)
-    doc = {"config": config_payload(cfg), "config_sha256": config_hash(cfg)}
-    with open(paths.meta, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    artifacts.write_json(
+        paths.meta, {"config": config_payload(cfg), "config_sha256": config_hash(cfg)}
+    )
 
 
 def _design_matrix(cfg: RunConfig, n: int):
@@ -389,9 +284,7 @@ def cmd_synth(cfg: RunConfig) -> None:
         os.makedirs(out_dir, exist_ok=True)
         write_timeseries(series, cfg.input)
         truth_path = os.path.splitext(cfg.input)[0] + "_truth.json"
-        with open(truth_path, "w") as fh:
-            fh.write(truth.to_json())
-            fh.write("\n")
+        artifacts.write_text(truth_path, truth.to_json() + "\n")
     print(f"synth: wrote {series.n_times} x {series.n_channels} series to {cfg.input}")
     print(f"synth: ground truth in {truth_path}")
 
@@ -444,10 +337,10 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
         os.makedirs(paths.embedding, exist_ok=True)
         dmaps.save_embedding(embedding, paths.embedding)
         parsimony.save_report(report, os.path.join(paths.embedding, "parsimony.json"))
-        _write_matrix(
+        artifacts.write_matrix(
             os.path.join(paths.embedding, "train_ambient.csv"), train.values, train.channel_names
         )
-        _write_matrix(
+        artifacts.write_matrix(
             os.path.join(paths.embedding, "test_ambient.csv"), test.values, test.channel_names
         )
         lifting.save_gh_model(gh_model, os.path.join(paths.embedding, "gh_model"))
@@ -457,19 +350,27 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
     print(f"embed: selected coordinates: {', '.join(str(i) for i in report.selected)}")
 
 
-def _load_embedding_artifacts(cfg: RunConfig, paths: RunPaths):
+def _read_ambient(paths: RunPaths, block: str):
+    """(values, channel names) of the standardized "train" or "test" block."""
+    return artifacts.read_matrix(os.path.join(paths.embedding, f"{block}_ambient.csv"))
+
+
+def _write_forecast(paths: RunPaths, name: str, values, names) -> None:
+    artifacts.write_matrix(os.path.join(paths.forecasts, f"{name}.csv"), values, names)
+
+
+def _load_embedding_artifacts(paths: RunPaths):
     embedding = dmaps.load_embedding(paths.embedding)
     report = parsimony.load_report(os.path.join(paths.embedding, "parsimony.json"))
-    train_vals, channel_names = _read_matrix(os.path.join(paths.embedding, "train_ambient.csv"))
+    train_vals, _ = _read_ambient(paths, "train")
     coords_train = dmaps.coords_for(embedding, report.selected)
-    return embedding, report, train_vals, channel_names, coords_train
-
+    return embedding, report, train_vals, coords_train
 
 
 def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
     with _stage("train"):
-        embedding, report, train_vals, _, coords_train = _load_embedding_artifacts(cfg, paths)
-        design = _design_matrix(cfg, cfg.n_train + _test_len(paths))
+        _, report, train_vals, coords_train = _load_embedding_artifacts(paths)
+        design = _design_matrix(cfg, cfg.n_train + len(_read_ambient(paths, "test")[0]))
         stim_train = None if design is None else design.values[: cfg.n_train]
         os.makedirs(paths.models, exist_ok=True)
     if method == "fnn":
@@ -496,10 +397,7 @@ def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
             )
     elif method == "koopman":
         with _stage("rom_koopman"):
-            obs = coords_train
-            if cfg.koopman.augment_stimulus and stim_train is not None:
-                obs = np.hstack([coords_train, stim_train])
-            model = rom_koopman.fit_koopman_model(obs, train_vals, cfg.koopman.svd_tol)
+            model = rom_koopman.fit_koopman_model(coords_train, train_vals, cfg.koopman.svd_tol)
             rom_koopman.save_koopman_model(model, os.path.join(paths.models, "koopman.json"))
         mags = ", ".join(f"{abs(v):.6f}" for v in model.eigenvalues)
         print(f"train: one-step matrix is {model.n_coords} x {model.n_coords}")
@@ -509,15 +407,10 @@ def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
         raise StageError("train", ValueError(f"unknown method {method!r}"))
 
 
-def _test_len(paths: RunPaths) -> int:
-    test_vals, _ = _read_matrix(os.path.join(paths.embedding, "test_ambient.csv"))
-    return test_vals.shape[0]
-
-
 def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
     with _stage("forecast"):
-        embedding, report, train_vals, _, coords_train = _load_embedding_artifacts(cfg, paths)
-        test_vals, test_names = _read_matrix(os.path.join(paths.embedding, "test_ambient.csv"))
+        embedding, report, train_vals, coords_train = _load_embedding_artifacts(paths)
+        test_vals, test_names = _read_ambient(paths, "test")
         h = test_vals.shape[0]
         if h == 0:
             raise ValueError("empty test set")
@@ -541,61 +434,36 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         scale = float(np.sqrt(coords_train.shape[0]))
         fnn_reduced = rom_fnn.fnn_forecast(models, init * scale, stim_seq, h) / scale
         fnn_ambient = lifting.gh_lift(gh_model, fnn_reduced)
-        _write_matrix(os.path.join(paths.forecasts, "fnn_gh_reduced.csv"), fnn_reduced, coord_names)
-        _write_matrix(
-            os.path.join(paths.forecasts, "fnn_gh_ambient.csv"),
-            fnn_ambient,
-            test_names,
-        )
+        _write_forecast(paths, "fnn_gh_reduced", fnn_reduced, coord_names)
+        _write_forecast(paths, "fnn_gh_ambient", fnn_ambient, test_names)
 
     with _stage("rom_koopman"):
         kmodel = rom_koopman.load_koopman_model(os.path.join(paths.models, "koopman.json"))
-        k_init = init
         if kmodel.n_coords != d:
-            if design is None:
-                raise ValueError(
-                    f"model expects {kmodel.n_coords} observables but only {d} coordinates exist"
-                )
-            k_init = np.concatenate([init, design.values[cfg.n_train - 1]])
-        k_reduced, k_ambient = rom_koopman.koopman_forecast(kmodel, k_init, h)
-        _write_matrix(
-            os.path.join(paths.forecasts, "koopman_reduced.csv"),
-            k_reduced,
-            [f"y_{j}" for j in range(k_reduced.shape[1])],
-        )
-        _write_matrix(
-            os.path.join(paths.forecasts, "koopman_ambient.csv"),
-            k_ambient,
-            test_names,
-        )
+            raise ValueError(f"model expects {kmodel.n_coords} coordinates but {d} are selected")
+        k_reduced, k_ambient = rom_koopman.koopman_forecast(kmodel, init, h)
+        _write_forecast(paths, "koopman_reduced", k_reduced, coord_names)
+        _write_forecast(paths, "koopman_ambient", k_ambient, test_names)
 
     with _stage("nrw"):
-        if cfg.nrw_mode == "reduced_then_lift":
+        if cfg.nrw.mode == "reduced_then_lift":
             reduced_truth = lifting.nystrom_restrict(
                 embedding, train_vals, test_vals, report.selected
             )
             nrw = evaluate.nrw_forecast(
                 reduced_truth, init, mode="reduced_then_lift", lift_model=gh_model
             )
-            _write_matrix(
-                os.path.join(paths.forecasts, "nrw_reduced.csv"), nrw.reduced, coord_names
-            )
+            _write_forecast(paths, "nrw_reduced", nrw.reduced, coord_names)
         else:
             nrw = evaluate.nrw_forecast(test_vals, train_vals[-1], mode="ambient")
-        _write_matrix(
-            os.path.join(paths.forecasts, "nrw_ambient.csv"),
-            nrw.ambient,
-            test_names,
-        )
+        _write_forecast(paths, "nrw_ambient", nrw.ambient, test_names)
     print(f"forecast: horizon {h}, reduced dimension {d}")
     print(f"forecast: wrote fnn_gh, koopman, nrw ambient forecasts under {paths.forecasts}")
 
 
 def cmd_evaluate(cfg: RunConfig, paths: RunPaths) -> None:
     with _stage("evaluate"):
-        test_vals, channel_names = _read_matrix(
-            os.path.join(paths.embedding, "test_ambient.csv")
-        )
+        test_vals, channel_names = _read_ambient(paths, "test")
         if test_vals.shape[0] == 0:
             raise ValueError("empty test set")
         results = []
@@ -603,7 +471,7 @@ def cmd_evaluate(cfg: RunConfig, paths: RunPaths) -> None:
             path = os.path.join(paths.forecasts, f"{method}_ambient.csv")
             if not os.path.exists(path):
                 raise FileNotFoundError(f"missing forecast artifact {path}")
-            ambient, _ = _read_matrix(path)
+            ambient, _ = artifacts.read_matrix(path)
             results.append(evaluate.ForecastResult(method=method, ambient=ambient))
         table = evaluate.comparison_table(results, test_vals, channel_names)
         os.makedirs(paths.reports, exist_ok=True)

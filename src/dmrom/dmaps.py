@@ -8,7 +8,6 @@ spectrum, stable symmetric solver) with eigenvectors mapped back and sign-fixed.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, replace
 
@@ -16,6 +15,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import pdist, squareform
 
+from . import artifacts
 from .ingest import TimeSeriesMatrix
 
 SIGN_CONVENTION = "max-abs-positive"
@@ -64,8 +64,9 @@ class AffinityMatrix:
             raise ValueError(f"kernel scale must be positive, got {self.sigma}")
         if np.max(np.abs(w - w.T)) >= 1e-12:
             raise ValueError("affinity matrix is not symmetric")
-        if np.any(w <= 0) or np.any(w > 1):
-            raise ValueError("affinities must lie in (0, 1]")
+        # far-apart points underflow to 0; the unit diagonal keeps every degree >= 1
+        if np.any(w < 0) or np.any(w > 1):
+            raise ValueError("affinities must lie in [0, 1]")
         if np.any(np.diag(w) != 1.0):
             raise ValueError("affinity diagonal must be exactly 1")
 
@@ -205,14 +206,14 @@ def coords_for(E: DiffusionEmbedding, selected: list[int], t: int | None = None)
 def save_embedding(E: DiffusionEmbedding, directory) -> None:
     """Write the eigenvalues.csv / eigenvectors.csv / meta.json bundle."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "eigenvalues.csv"), "w") as fh:
-        fh.write("eigenvalue\n")
-        for v in E.eigenvalues:
-            fh.write(repr(float(v)) + "\n")
-    with open(os.path.join(directory, "eigenvectors.csv"), "w") as fh:
-        fh.write(",".join(f"psi_{l}" for l in range(E.k + 1)) + "\n")
-        for row in E.eigenvectors:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    artifacts.write_matrix(
+        os.path.join(directory, "eigenvalues.csv"), E.eigenvalues[:, None], ["eigenvalue"]
+    )
+    artifacts.write_matrix(
+        os.path.join(directory, "eigenvectors.csv"),
+        E.eigenvectors,
+        [f"psi_{l}" for l in range(E.k + 1)],
+    )
     meta = {
         "sigma": E.sigma,
         "alpha": E.alpha,
@@ -220,30 +221,20 @@ def save_embedding(E: DiffusionEmbedding, directory) -> None:
         "k": E.k,
         "sign_convention": SIGN_CONVENTION,
     }
-    with open(os.path.join(directory, "meta.json"), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    artifacts.write_json(os.path.join(directory, "meta.json"), meta)
 
 
 def load_embedding(directory) -> DiffusionEmbedding:
     """Read a bundle written by `save_embedding`, with schema validation."""
-    meta_path = os.path.join(directory, "meta.json")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt embedding bundle {meta_path}: {exc}") from exc
-    for key in ("sigma", "alpha", "t", "k"):
-        if key not in meta:
-            raise ValueError(f"corrupt embedding bundle {meta_path}: missing {key!r}")
-    vals = np.loadtxt(os.path.join(directory, "eigenvalues.csv"), skiprows=1, ndmin=1)
-    vecs = np.loadtxt(
-        os.path.join(directory, "eigenvectors.csv"), skiprows=1, delimiter=",", ndmin=2
+    meta = artifacts.read_json(
+        os.path.join(directory, "meta.json"), "embedding bundle", ("sigma", "alpha", "t", "k")
     )
-    if vecs.shape[1] != meta["k"] + 1 or len(vals) != meta["k"] + 1:
+    vals, _ = artifacts.read_matrix(os.path.join(directory, "eigenvalues.csv"))
+    vecs, _ = artifacts.read_matrix(os.path.join(directory, "eigenvectors.csv"))
+    if vecs.shape[1] != meta["k"] + 1 or vals.shape != (meta["k"] + 1, 1):
         raise ValueError(f"corrupt embedding bundle {directory}: shape mismatch")
     return DiffusionEmbedding(
-        eigenvalues=vals,
+        eigenvalues=vals[:, 0],
         eigenvectors=vecs,
         sigma=meta["sigma"],
         alpha=meta["alpha"],

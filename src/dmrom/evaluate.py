@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .lifting import GhLiftModel, gh_lift
 
 METHODS = ("fnn_gh", "koopman", "nrw")
@@ -130,33 +130,34 @@ def comparison_table(results, truth, channel_names=None) -> ErrorTable:
 
 def write_comparison(table: ErrorTable, path) -> None:
     """CSV rows: region, method, rmse, l2, best(0/1)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "method", "rmse", "l2", "best"])
-        for j, name in enumerate(table.channel_names):
-            for i, method in enumerate(table.methods):
-                writer.writerow(
-                    [
-                        name,
-                        method,
-                        repr(float(table.rmse[i, j])),
-                        repr(float(table.l2[i, j])),
-                        int(table.best[i, j]),
-                    ]
-                )
+    artifacts.write_rows(
+        path,
+        ["region", "method", "rmse", "l2", "best"],
+        (
+            [
+                name,
+                method,
+                repr(float(table.rmse[i, j])),
+                repr(float(table.l2[i, j])),
+                int(table.best[i, j]),
+            ]
+            for j, name in enumerate(table.channel_names)
+            for i, method in enumerate(table.methods)
+        ),
+    )
 
 
 def write_plot_data(path, truth, results, channel_names, t_start: int = 0) -> None:
     """Long-format CSV of truth and every method's prediction per time/channel."""
     truth = np.atleast_2d(np.asarray(truth, dtype=float))
     h, m = truth.shape
-    methods = [r.method for r in results]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "channel", "truth"] + methods)
-        for i in range(h):
-            for j in range(m):
-                writer.writerow(
-                    [t_start + i, channel_names[j], repr(float(truth[i, j]))]
-                    + [repr(float(r.ambient[i, j])) for r in results]
-                )
+    artifacts.write_rows(
+        path,
+        ["time", "channel", "truth"] + [r.method for r in results],
+        (
+            [t_start + i, channel_names[j], repr(float(truth[i, j]))]
+            + [repr(float(r.ambient[i, j])) for r in results]
+            for i in range(h)
+            for j in range(m)
+        ),
+    )

@@ -9,12 +9,12 @@ voxel-cluster pipelines, not a numerical reproduction of one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
+from . import artifacts
 from .ingest import StimulusMatrix, TimeSeriesMatrix
 
 ZERO_VARIANCE_REL = 1e-28
@@ -139,20 +139,17 @@ def write_activity_report(
     threshold: float = 0.001,
 ) -> None:
     """CSV report: channel, beta per condition, t, p, pass at the uncorrected threshold."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["channel"]
-            + [f"beta_{name}" for name in condition_names]
-            + ["t", "p", "pass"]
-        )
-        for i, name in enumerate(channel_names):
-            writer.writerow(
-                [name]
-                + [repr(float(b)) for b in fit.betas[i]]
-                + [
-                    repr(float(result.t_values[i])),
-                    repr(float(result.p_values[i])),
-                    int(result.p_values[i] < threshold),
-                ]
-            )
+    artifacts.write_rows(
+        path,
+        ["channel"] + [f"beta_{name}" for name in condition_names] + ["t", "p", "pass"],
+        (
+            [name]
+            + [repr(float(b)) for b in fit.betas[i]]
+            + [
+                repr(float(result.t_values[i])),
+                repr(float(result.p_values[i])),
+                int(result.p_values[i] < threshold),
+            ]
+            for i, name in enumerate(channel_names)
+        ),
+    )

@@ -6,12 +6,13 @@ used throughout the test suite as ground-truth oracles.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import artifacts
 
 logger = logging.getLogger(__name__)
 
@@ -24,7 +25,6 @@ class TimeSeriesMatrix:
 
     values: np.ndarray
     channel_names: list[str]
-    dt: float = 1.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -108,44 +108,15 @@ def load_timeseries(path, format: str = "csv_wide") -> TimeSeriesMatrix:
     """
     if format != "csv_wide":
         raise ValueError(f"unsupported format {format!r}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        names = [h.strip() for h in header]
-        m = len(names)
-        rows = []
-        for r, row in enumerate(reader, start=1):
-            if len(row) != m:
-                raise ValueError(
-                    f"{path}: row {r} has {len(row)} fields, expected {m}"
-                )
-            parsed = []
-            for c, cell in enumerate(row, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric cell at (row {r}, column {c}): {cell!r}"
-                    ) from None
-            rows.append(parsed)
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    return TimeSeriesMatrix(np.array(rows, dtype=float), names)
+    values, header = artifacts.read_matrix(path)
+    if len(values) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
+    return TimeSeriesMatrix(values, [h.strip() for h in header])
 
 
 def write_timeseries(X: TimeSeriesMatrix, path) -> None:
-    """Write a wide CSV that `load_timeseries` reproduces bit-exactly.
-
-    Floats are written with `repr`, the shortest round-tripping representation.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(X.channel_names)
-        for row in X.values:
-            writer.writerow([repr(float(v)) for v in row])
+    """Write a wide CSV that `load_timeseries` reproduces bit-exactly."""
+    artifacts.write_matrix(path, X.values, X.channel_names)
 
 
 def detrend_standardize(
@@ -200,7 +171,7 @@ def detrend_standardize(
         names = list(X.channel_names)
     if detrended.shape[1] == 0:
         raise ValueError("all channels dead after detrending")
-    return TimeSeriesMatrix(detrended / sd[None, :], names, X.dt)
+    return TimeSeriesMatrix(detrended / sd[None, :], names)
 
 
 def split_train_test(
@@ -208,8 +179,8 @@ def split_train_test(
 ) -> tuple[TimeSeriesMatrix, TimeSeriesMatrix]:
     """Partition rows into leading train and trailing test blocks."""
     spec.validate(X.n_times)
-    train = TimeSeriesMatrix(X.values[: spec.n_train].copy(), list(X.channel_names), X.dt)
-    test = TimeSeriesMatrix(X.values[spec.n_train:].copy(), list(X.channel_names), X.dt)
+    train = TimeSeriesMatrix(X.values[: spec.n_train].copy(), list(X.channel_names))
+    test = TimeSeriesMatrix(X.values[spec.n_train:].copy(), list(X.channel_names))
     return train, test
 
 

@@ -9,7 +9,6 @@ expanded in it, so reduced forecasts can be mapped back to ambient values.
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
-from . import dmaps
+from . import artifacts, dmaps
 from .dmaps import DiffusionEmbedding
 
 EIG_FLOOR = 1e-8          # default relative eigenvalue truncation for lifting
@@ -103,7 +102,6 @@ class GhLiftModel:
     """Kernel eigenbasis on reduced training coordinates plus channel expansions."""
 
     y_train: np.ndarray        # N x d reduced coordinates
-    x_train: np.ndarray        # N x M ambient values
     gh_sigma: float
     eigenvalues: np.ndarray    # retained, descending, all positive
     eigenvectors: np.ndarray   # N x d_gh orthonormal columns
@@ -116,7 +114,7 @@ class GhLiftModel:
 
     @property
     def n_channels(self) -> int:
-        return self.x_train.shape[1]
+        return self.coeffs.shape[1]
 
 
 def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> GhLiftModel:
@@ -151,12 +149,13 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> G
     if not np.any(keep):
         raise ValueError("no kernel eigenvalues survive the truncation threshold")
     vals = vals[keep]
-    vecs = vecs[:, keep]
+    # C order, as a read-back bundle holds it, so coeffs below are bitwise what a
+    # product over the stored eigenvectors gives
+    vecs = np.ascontiguousarray(vecs[:, keep])
     flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0
     vecs[:, flip] *= -1.0
     return GhLiftModel(
         y_train=y,
-        x_train=x,
         gh_sigma=gh_sigma,
         eigenvalues=vals,
         eigenvectors=vecs,
@@ -198,27 +197,23 @@ def gh_lift(model: GhLiftModel, Y_new) -> np.ndarray:
 def save_gh_model(model: GhLiftModel, directory) -> None:
     """Bundle layout mirrors the embedding bundle, tagged space=reduced."""
     os.makedirs(directory, exist_ok=True)
-
-    def write_matrix(name, arr, header_cols):
-        with open(os.path.join(directory, name), "w") as fh:
-            fh.write(",".join(header_cols) + "\n")
-            for row in np.atleast_2d(arr):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    with open(os.path.join(directory, "eigenvalues.csv"), "w") as fh:
-        fh.write("eigenvalue\n")
-        for v in model.eigenvalues:
-            fh.write(repr(float(v)) + "\n")
-    write_matrix(
-        "eigenvectors.csv",
+    artifacts.write_matrix(
+        os.path.join(directory, "eigenvalues.csv"), model.eigenvalues[:, None], ["eigenvalue"]
+    )
+    artifacts.write_matrix(
+        os.path.join(directory, "eigenvectors.csv"),
         model.eigenvectors,
         [f"psi_{l}" for l in range(model.d_gh)],
     )
-    write_matrix(
-        "y_train.csv", model.y_train, [f"y_{j}" for j in range(model.y_train.shape[1])]
+    artifacts.write_matrix(
+        os.path.join(directory, "y_train.csv"),
+        model.y_train,
+        [f"y_{j}" for j in range(model.y_train.shape[1])],
     )
-    write_matrix(
-        "x_train.csv", model.x_train, [f"x_{m}" for m in range(model.x_train.shape[1])]
+    artifacts.write_matrix(
+        os.path.join(directory, "coeffs.csv"),
+        model.coeffs,
+        [f"x_{m}" for m in range(model.n_channels)],
     )
     meta = {
         "space": "reduced",
@@ -226,35 +221,27 @@ def save_gh_model(model: GhLiftModel, directory) -> None:
         "eig_floor": model.eig_floor,
         "d_gh": model.d_gh,
     }
-    with open(os.path.join(directory, "meta.json"), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    artifacts.write_json(os.path.join(directory, "meta.json"), meta)
 
 
 def load_gh_model(directory) -> GhLiftModel:
-    meta_path = os.path.join(directory, "meta.json")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt lift bundle {meta_path}: {exc}") from exc
-    for key in ("space", "sigma", "eig_floor", "d_gh"):
-        if key not in meta:
-            raise ValueError(f"corrupt lift bundle {meta_path}: missing {key!r}")
-    vals = np.loadtxt(os.path.join(directory, "eigenvalues.csv"), skiprows=1, ndmin=1)
-    vecs = np.loadtxt(
-        os.path.join(directory, "eigenvectors.csv"), skiprows=1, delimiter=",", ndmin=2
+    meta = artifacts.read_json(
+        os.path.join(directory, "meta.json"),
+        "lift bundle",
+        ("space", "sigma", "eig_floor", "d_gh"),
     )
-    y = np.loadtxt(os.path.join(directory, "y_train.csv"), skiprows=1, delimiter=",", ndmin=2)
-    x = np.loadtxt(os.path.join(directory, "x_train.csv"), skiprows=1, delimiter=",", ndmin=2)
-    if len(vals) != meta["d_gh"] or vecs.shape[1] != meta["d_gh"]:
+    vals, _ = artifacts.read_matrix(os.path.join(directory, "eigenvalues.csv"))
+    vecs, _ = artifacts.read_matrix(os.path.join(directory, "eigenvectors.csv"))
+    y, _ = artifacts.read_matrix(os.path.join(directory, "y_train.csv"))
+    coeffs, _ = artifacts.read_matrix(os.path.join(directory, "coeffs.csv"))
+    d_gh = meta["d_gh"]
+    if vals.shape != (d_gh, 1) or vecs.shape != (len(y), d_gh) or coeffs.shape[0] != d_gh:
         raise ValueError(f"corrupt lift bundle {directory}: shape mismatch")
     return GhLiftModel(
         y_train=y,
-        x_train=x,
         gh_sigma=float(meta["sigma"]),
-        eigenvalues=vals,
+        eigenvalues=vals[:, 0],
         eigenvectors=vecs,
         eig_floor=float(meta["eig_floor"]),
-        coeffs=vecs.T @ x,
+        coeffs=coeffs,
     )

@@ -9,11 +9,12 @@ The first non-trivial eigenvector always counts as new: er_1 = 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
+
+from . import artifacts
 
 RIDGE = 1e-10  # Tikhonov jitter on the weighted normal equations
 
@@ -124,14 +125,11 @@ def save_report(report: ParsimonyReport, path) -> None:
         "selected": [int(i) for i in report.selected],
         "scale_fraction": report.scale_fraction,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    artifacts.write_json(path, payload)
 
 
 def load_report(path) -> ParsimonyReport:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = artifacts.read_json(path, "parsimony report", ("er", "selected", "scale_fraction"))
     return ParsimonyReport(
         er=np.asarray(payload["er"], dtype=float),
         selected=[int(i) for i in payload["selected"]],

@@ -9,11 +9,12 @@ trained networks closed-loop, feeding outputs back as inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
+
+from . import artifacts
 
 
 @dataclass(frozen=True)
@@ -399,31 +400,26 @@ def save_fnn_model(model: FnnModel, path, decay: float = None) -> None:
         "hidden_size": model.hidden_size,
         "decay": decay,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    artifacts.write_json(path, payload)
 
 
 def load_fnn_model(path) -> FnnModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
-        return FnnModel(
-            w1=np.asarray(payload["w1"], dtype=float),
-            b1=np.asarray(payload["b1"], dtype=float),
-            w_out=np.asarray(payload["w_out"], dtype=float),
-            b_out=payload["b_out"],
-            target_index=payload["target_index"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"corrupt model file {path}: missing {exc}") from exc
+    payload = artifacts.read_json(
+        path, "model file", ("w1", "b1", "w_out", "b_out", "target_index")
+    )
+    return FnnModel(
+        w1=np.asarray(payload["w1"], dtype=float),
+        b1=np.asarray(payload["b1"], dtype=float),
+        w_out=np.asarray(payload["w_out"], dtype=float),
+        b_out=payload["b_out"],
+        target_index=payload["target_index"],
+    )
 
 
 def write_cv_report(records, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("hidden,decay,repeat,fold,mse\n")
-        for r in records:
-            fh.write(
-                f"{r['hidden']},{repr(float(r['decay']))},{r['repeat']},{r['fold']},"
-                f"{repr(float(r['mse']))}\n"
-            )
+    lines = ["hidden,decay,repeat,fold,mse\n"] + [
+        f"{r['hidden']},{repr(float(r['decay']))},{r['repeat']},{r['fold']},"
+        f"{repr(float(r['mse']))}\n"
+        for r in records
+    ]
+    artifacts.write_text(path, "".join(lines))

@@ -9,11 +9,12 @@ forecasting follows the spectral law: step s = real(sum_j w_j^s c_j phi_{0,j}).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import artifacts
 
 SVD_TOL = 1e-10          # relative singular-value cutoff for the pseudo-inverse
 GROWTH_TOL = 1e-6        # |eigenvalue| above 1 + this warns about blow-up
@@ -186,23 +187,22 @@ def save_koopman_model(model: KoopmanModel, path) -> None:
         "svd_tolerance": model.svd_tolerance,
         "training_residual": model.training_residual,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    artifacts.write_json(path, payload)
 
 
 def load_koopman_model(path) -> KoopmanModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
-        return KoopmanModel(
-            u_hat=np.asarray(payload["u_hat"], dtype=float),
-            eigenvalues=_pairs_to_complex(payload["eigenvalues"]),
-            eigenvectors=_pairs_to_complex(payload["eigenvectors"]),
-            modes=_pairs_to_complex(payload["modes"]),
-            reduced_modes=_pairs_to_complex(payload["reduced_modes"]),
-            svd_tolerance=float(payload["svd_tolerance"]),
-            training_residual=float(payload["training_residual"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"corrupt model file {path}: missing {exc}") from exc
+    payload = artifacts.read_json(
+        path,
+        "model file",
+        ("u_hat", "eigenvalues", "eigenvectors", "modes", "reduced_modes", "svd_tolerance",
+         "training_residual"),
+    )
+    return KoopmanModel(
+        u_hat=np.asarray(payload["u_hat"], dtype=float),
+        eigenvalues=_pairs_to_complex(payload["eigenvalues"]),
+        eigenvectors=_pairs_to_complex(payload["eigenvectors"]),
+        modes=_pairs_to_complex(payload["modes"]),
+        reduced_modes=_pairs_to_complex(payload["reduced_modes"]),
+        svd_tolerance=float(payload["svd_tolerance"]),
+        training_residual=float(payload["training_residual"]),
+    )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dmrom.cli import config_hash, load_config, main
-from dmrom.rom_koopman import load_koopman_model
+from dmrom.rom_koopman import fit_koopman_model, load_koopman_model, save_koopman_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -158,6 +158,18 @@ def test_corrupt_bundle_names_the_file(pipeline_run, tmp_path, capsys):
     rc = main(["forecast", "--config", cfg_path])
     assert rc == 2
     assert "fnn_coord_1.json" in capsys.readouterr().err
+
+
+def test_koopman_model_of_another_width_is_rejected(pipeline_run, tmp_path, capsys):
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
+    rng = np.random.default_rng(0)
+    wide = fit_koopman_model(rng.normal(size=(40, 6)), rng.normal(size=(40, 6)))
+    save_koopman_model(wide, tmp_path / "clone" / "models" / "koopman.json")
+    rc = main(["forecast", "--config", cfg_path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "[rom_koopman]" in err
+    assert "6 coordinates but 5 are selected" in err
 
 
 def test_lock_file_blocks_concurrent_runs(pipeline_run, tmp_path, capsys):

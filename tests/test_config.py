@@ -1,0 +1,167 @@
+"""Tests for the run config: parsing, defaults, the echo payload and its hash."""
+
+import json
+import os
+import re
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmrom.cli import (
+    DmapsSection,
+    GhSection,
+    GlmSection,
+    KoopmanSection,
+    NrwSection,
+    ParsimonySection,
+    RunConfig,
+    config_hash,
+    config_payload,
+    load_config,
+)
+from dmrom.ingest import SynthConfig
+from dmrom.rom_fnn import TrainConfig
+
+MISSING = object()
+SECTIONS = ("dmaps", "parsimony", "fnn", "koopman", "gh", "nrw", "glm", "synth")
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-12, max_value=1e12)
+names = st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def run_configs(draw):
+    conditions = draw(st.lists(names, max_size=3))
+    epochs = []
+    if conditions:
+        triples = st.tuples(st.sampled_from(conditions), st.integers(), st.integers())
+        epochs = draw(st.lists(triples))
+    synth = draw(st.none() | st.builds(
+        SynthConfig,
+        q=st.sampled_from([2, 3]),
+        ambient_dim=st.integers(3, 100),
+        n_times=st.integers(2, 10_000),
+        noise=st.floats(min_value=0, max_value=10),
+        seed=st.integers(0, 2**63),
+        dynamics=st.sampled_from(["limit_cycle", "linear_stable"]),
+        frequency_scale=finite,
+    ))
+    return RunConfig(
+        input=draw(names),
+        output_dir=draw(names),
+        seed=draw(st.integers(0, 2**63)),
+        n_train=draw(st.integers(2, 10**6)),
+        standardize=draw(st.sampled_from(["full", "train_only"])),
+        drop_dead=draw(st.booleans()),
+        epochs=tuple(epochs),
+        conditions=tuple(conditions),
+        dmaps=DmapsSection(
+            sigma=draw(st.just("auto") | positive),
+            alpha=draw(st.floats(0, 1)),
+            t=draw(st.integers(0, 10)),
+            k=draw(st.integers(1, 100)),
+        ),
+        parsimony=ParsimonySection(d=draw(st.integers(1, 20)), scale_fraction=draw(positive)),
+        fnn=TrainConfig(
+            hidden_sizes=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))),
+            decay_values=tuple(draw(st.lists(positive, min_size=1, max_size=4))),
+            folds=draw(st.integers(2, 20)),
+            repeats=draw(st.integers(1, 20)),
+            max_epochs=draw(st.integers(1, 10_000)),
+            learning_rate=draw(positive),
+            seed=draw(st.integers(0, 2**63)),
+            tol=draw(finite),
+        ),
+        koopman=KoopmanSection(svd_tol=draw(positive)),
+        gh=GhSection(sigma=draw(st.just("auto") | positive), eig_floor=draw(finite)),
+        nrw=NrwSection(mode=draw(st.sampled_from(["reduced_then_lift", "ambient"]))),
+        glm=GlmSection(
+            kernel=tuple(draw(st.lists(finite, max_size=4))),
+            contrasts=tuple(draw(st.dictionaries(names, st.lists(finite, max_size=3))).items()),
+            threshold=draw(finite),
+        ),
+        synth=synth,
+    )
+
+
+def dump(directory, doc) -> str:
+    path = os.path.join(directory, "run.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@settings(deadline=None, max_examples=60)
+@given(run_configs())
+def test_payload_round_trips_through_load_config(cfg):
+    with tempfile.TemporaryDirectory() as d:
+        back = load_config(dump(d, config_payload(cfg)))
+    assert back == cfg
+    assert config_hash(back) == config_hash(cfg)
+
+
+def test_defaults_come_from_the_section_dataclasses(tmp_path):
+    cfg = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out", "seed": 4}))
+    assert cfg.dmaps == DmapsSection()
+    assert cfg.koopman == KoopmanSection()
+    assert cfg.nrw == NrwSection()
+    assert cfg.fnn == TrainConfig(seed=4)   # the network seed follows the run seed
+    assert cfg.synth is None
+    cfg = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out", "seed": 4,
+                                      "synth": {}}))
+    assert cfg.synth == SynthConfig(seed=4)
+
+
+def test_values_take_their_field_types(tmp_path):
+    cfg = load_config(dump(tmp_path, {
+        "input": "x.csv", "output_dir": "out", "n_train": 300.0, "drop_dead": 1,
+        "dmaps": {"alpha": 1, "k": 12.0, "sigma": 2}, "synth": {"noise": 0},
+    }))
+    assert cfg.n_train == 300 and type(cfg.n_train) is int
+    assert cfg.drop_dead is True
+    assert type(cfg.dmaps.alpha) is float and type(cfg.dmaps.k) is int
+    assert cfg.dmaps.sigma == 2 and type(cfg.dmaps.sigma) is int   # "auto" or a number
+    assert type(cfg.synth.noise) is float
+
+
+def test_unknown_top_level_keys_are_rejected(tmp_path):
+    path = dump(tmp_path, {"input": "x.csv", "output_dir": "out", "zz": 1, "nrw_mode": "ambient"})
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config key(s): nrw_mode, zz")):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_unknown_section_keys_are_rejected(tmp_path, section):
+    path = dump(tmp_path, {"input": "x.csv", "output_dir": "out", section: {"b": 1, "a": 2}})
+    msg = f"unknown key(s) in config section '{section}': a, b"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        load_config(path)
+
+
+def test_augment_stimulus_is_no_longer_an_option(tmp_path):
+    path = dump(tmp_path, {"input": "x.csv", "output_dir": "out",
+                           "koopman": {"augment_stimulus": True}})
+    with pytest.raises(ValueError, match="section 'koopman': augment_stimulus"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"input": MISSING}, "config must set 'input'"),
+        ({"output_dir": None}, "config must set 'output_dir'"),
+        ({"dmaps": [1]}, "config section 'dmaps' must be an object"),
+        ({"glm": {"contrasts": [["a", [1]]]}}, "glm.contrasts must map contrast names to vectors"),
+        ({"nrw": {"mode": "x"}}, "unknown nrw mode 'x'"),
+        ({"epochs": [["A", 0, 2]]}, "epochs given without a conditions list"),
+        ({"standardize": "x"}, "standardize must be 'full' or 'train_only', got 'x'"),
+    ],
+)
+def test_invalid_values_keep_their_messages(tmp_path, doc, message):
+    doc = {"input": "x.csv", "output_dir": "out", **doc}
+    path = dump(tmp_path, {k: v for k, v in doc.items() if v is not MISSING})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(path)

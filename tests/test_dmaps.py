@@ -78,10 +78,24 @@ def test_affinity_matrix_validation():
         AffinityMatrix(w, 0.0)
     with pytest.raises(ValueError, match="symmetric"):
         AffinityMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]), 1.0)
-    with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        AffinityMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        AffinityMatrix(np.array([[1.0, -0.1], [-0.1, 1.0]]), 1.0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        AffinityMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]), 1.0)
+    AffinityMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)   # underflowed affinity
     with pytest.raises(ValueError, match="diagonal"):
         AffinityMatrix(np.array([[0.9, 0.5], [0.5, 1.0]]), 1.0)
+
+
+def test_embedding_survives_affinities_that_underflow():
+    # the two pairs sit 100 apart: exp(-100^2 / 2) is 0 in double precision
+    pts = np.array([[0.0], [0.1], [100.0], [100.1]])
+    aff = gaussian_affinity(pts, sigma=1.0)
+    assert aff.W[0, 2] == 0.0
+    E = build_embedding(pts, sigma=1.0, alpha=1.0, k=2)
+    assert np.all(np.isfinite(E.eigenvalues)) and np.all(np.isfinite(E.eigenvectors))
+    # two disconnected pairs: the eigenvalue 1 is double
+    assert E.eigenvalues[:2] == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_auto_sigma_matches_median_oracle():

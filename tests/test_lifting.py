@@ -219,7 +219,9 @@ def test_gh_bundle_roundtrip(tmp_path, separated_cloud):
     save_gh_model(model, tmp_path)
     back = load_gh_model(tmp_path)
     assert np.array_equal(back.y_train, model.y_train)
-    assert np.array_equal(back.x_train, model.x_train)
+    assert np.array_equal(back.coeffs, model.coeffs)
+    query = y[:7] + 0.01
+    assert np.array_equal(gh_lift(back, query), gh_lift(model, query))
     assert np.array_equal(back.eigenvalues, model.eigenvalues)
     assert np.array_equal(back.eigenvectors, model.eigenvectors)
     assert back.gh_sigma == model.gh_sigma
