@@ -4,7 +4,7 @@ Subcommands wire the stages together over a single JSON run config:
 
     synth     generate a seeded synthetic input series
     glm       per-channel regression against the stimulus design
-    embed     detrend/split, spectral embedding, coordinate selection, lift fit
+    embed     detrend/split, spectral embedding, coordinate selection
     train     fit ROMs on the training coordinates (--method fnn|koopman)
     forecast  closed-loop forecasts over the test horizon, plus the baseline
     evaluate  per-channel error table across methods
@@ -19,6 +19,7 @@ wall-clock time, so repeated runs with one config are byte-identical.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import os
@@ -328,11 +329,6 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
         report = parsimony.rank_and_select(
             embedding.eigenvectors[:, 1:], cfg.parsimony.d, cfg.parsimony.scale_fraction
         )
-    with _stage("lifting"):
-        coords_train = dmaps.coords_for(embedding, report.selected)
-        gh_model = lifting.gh_fit(
-            coords_train, train.values, gh_sigma=cfg.gh.sigma, eig_floor=cfg.gh.eig_floor
-        )
     with _stage("embed"):
         os.makedirs(paths.embedding, exist_ok=True)
         dmaps.save_embedding(embedding, paths.embedding)
@@ -343,7 +339,6 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
         artifacts.write_matrix(
             os.path.join(paths.embedding, "test_ambient.csv"), test.values, test.channel_names
         )
-        lifting.save_gh_model(gh_model, os.path.join(paths.embedding, "gh_model"))
     lam = ", ".join(f"{v:.6f}" for v in embedding.eigenvalues)
     print(f"embed: eigenvalues: {lam}")
     print(f"embed: residuals er: {', '.join(f'{v:.4f}' for v in report.er)}")
@@ -414,13 +409,17 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         h = test_vals.shape[0]
         if h == 0:
             raise ValueError("empty test set")
-        gh_model = lifting.load_gh_model(os.path.join(paths.embedding, "gh_model"))
         d = len(report.selected)
         n_total = cfg.n_train + h
         design = _design_matrix(cfg, n_total)
         init = coords_train[-1]
         os.makedirs(paths.forecasts, exist_ok=True)
         coord_names = [f"y_{j}" for j in range(d)]
+
+    with _stage("lifting"):
+        gh_model = lifting.gh_fit(
+            coords_train, train_vals, gh_sigma=cfg.gh.sigma, eig_floor=cfg.gh.eig_floor
+        )
 
     with _stage("rom_fnn"):
         models = [
@@ -458,6 +457,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
             nrw = evaluate.nrw_forecast(test_vals, train_vals[-1], mode="ambient")
         _write_forecast(paths, "nrw_ambient", nrw.ambient, test_names)
     print(f"forecast: horizon {h}, reduced dimension {d}")
+    print(f"forecast: geometric harmonics sigma {gh_model.gh_sigma!r}, rank {gh_model.d_gh}")
     print(f"forecast: wrote fnn_gh, koopman, nrw ambient forecasts under {paths.forecasts}")
 
 
@@ -513,20 +513,18 @@ def cmd_run_all(cfg: RunConfig, paths: RunPaths) -> None:
 
 @contextmanager
 def _run_lock(paths: RunPaths):
+    """Exclusive flock on output_dir/.lock, held for the whole command.
+
+    The file stays in place; the OS drops the lock when its holder exits, even
+    when it is killed, so a dead run never leaves the directory locked.
+    """
     os.makedirs(paths.root, exist_ok=True)
-    lock_path = os.path.join(paths.root, LOCK_NAME)
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise RuntimeError(
-            f"run directory {paths.root} is locked by another run (remove {lock_path} "
-            "if that run is dead)"
-        ) from None
-    try:
-        os.close(fd)
+    with open(os.path.join(paths.root, LOCK_NAME), "a") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RuntimeError(f"run directory {paths.root} is locked by another run") from None
         yield
-    finally:
-        os.unlink(lock_path)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -89,14 +89,12 @@ class SplitSpec:
             )
 
 
-def load_timeseries(path, format: str = "csv_wide") -> TimeSeriesMatrix:
+def load_timeseries(path) -> TimeSeriesMatrix:
     """Load a wide CSV (header = channel names, row i = time index i).
 
     Parameters
     ----------
     path : str or pathlib.Path
-    format : str
-        Only "csv_wide" is supported.
 
     Raises
     ------
@@ -106,8 +104,6 @@ def load_timeseries(path, format: str = "csv_wide") -> TimeSeriesMatrix:
         On a non-numeric cell (reported with its 1-based data row and column),
         ragged rows, or fewer than 2 data rows.
     """
-    if format != "csv_wide":
-        raise ValueError(f"unsupported format {format!r}")
     values, header = artifacts.read_matrix(path)
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")

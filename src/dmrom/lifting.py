@@ -9,7 +9,6 @@ expanded in it, so reduced forecasts can be mapped back to ambient values.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
-from . import artifacts, dmaps
+from . import dmaps
 from .dmaps import DiffusionEmbedding
 
 EIG_FLOOR = 1e-8          # default relative eigenvalue truncation for lifting
@@ -105,7 +104,6 @@ class GhLiftModel:
     gh_sigma: float
     eigenvalues: np.ndarray    # retained, descending, all positive
     eigenvectors: np.ndarray   # N x d_gh orthonormal columns
-    eig_floor: float
     coeffs: np.ndarray         # d_gh x M channel expansion coefficients
 
     @property
@@ -149,8 +147,8 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> G
     if not np.any(keep):
         raise ValueError("no kernel eigenvalues survive the truncation threshold")
     vals = vals[keep]
-    # C order, as a read-back bundle holds it, so coeffs below are bitwise what a
-    # product over the stored eigenvectors gives
+    # C order: the BLAS products over the basis (coeffs here, the lift in
+    # gh_lift) take another path on an F-order copy and move the last bits
     vecs = np.ascontiguousarray(vecs[:, keep])
     flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0
     vecs[:, flip] *= -1.0
@@ -159,7 +157,6 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> G
         gh_sigma=gh_sigma,
         eigenvalues=vals,
         eigenvectors=vecs,
-        eig_floor=float(eig_floor),
         coeffs=vecs.T @ x,
     )
 
@@ -192,56 +189,3 @@ def gh_lift(model: GhLiftModel, Y_new) -> np.ndarray:
         )
     lifted = ((kernel @ model.eigenvectors) / model.eigenvalues[None, :]) @ model.coeffs
     return lifted[0] if single else lifted
-
-
-def save_gh_model(model: GhLiftModel, directory) -> None:
-    """Bundle layout mirrors the embedding bundle, tagged space=reduced."""
-    os.makedirs(directory, exist_ok=True)
-    artifacts.write_matrix(
-        os.path.join(directory, "eigenvalues.csv"), model.eigenvalues[:, None], ["eigenvalue"]
-    )
-    artifacts.write_matrix(
-        os.path.join(directory, "eigenvectors.csv"),
-        model.eigenvectors,
-        [f"psi_{l}" for l in range(model.d_gh)],
-    )
-    artifacts.write_matrix(
-        os.path.join(directory, "y_train.csv"),
-        model.y_train,
-        [f"y_{j}" for j in range(model.y_train.shape[1])],
-    )
-    artifacts.write_matrix(
-        os.path.join(directory, "coeffs.csv"),
-        model.coeffs,
-        [f"x_{m}" for m in range(model.n_channels)],
-    )
-    meta = {
-        "space": "reduced",
-        "sigma": model.gh_sigma,
-        "eig_floor": model.eig_floor,
-        "d_gh": model.d_gh,
-    }
-    artifacts.write_json(os.path.join(directory, "meta.json"), meta)
-
-
-def load_gh_model(directory) -> GhLiftModel:
-    meta = artifacts.read_json(
-        os.path.join(directory, "meta.json"),
-        "lift bundle",
-        ("space", "sigma", "eig_floor", "d_gh"),
-    )
-    vals, _ = artifacts.read_matrix(os.path.join(directory, "eigenvalues.csv"))
-    vecs, _ = artifacts.read_matrix(os.path.join(directory, "eigenvectors.csv"))
-    y, _ = artifacts.read_matrix(os.path.join(directory, "y_train.csv"))
-    coeffs, _ = artifacts.read_matrix(os.path.join(directory, "coeffs.csv"))
-    d_gh = meta["d_gh"]
-    if vals.shape != (d_gh, 1) or vecs.shape != (len(y), d_gh) or coeffs.shape[0] != d_gh:
-        raise ValueError(f"corrupt lift bundle {directory}: shape mismatch")
-    return GhLiftModel(
-        y_train=y,
-        gh_sigma=float(meta["sigma"]),
-        eigenvalues=vals[:, 0],
-        eigenvectors=vecs,
-        eig_floor=float(meta["eig_floor"]),
-        coeffs=coeffs,
-    )

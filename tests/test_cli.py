@@ -1,13 +1,19 @@
 """End-to-end tests for the pipeline command line."""
 
+import fcntl
 import json
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from dmrom import dmaps, parsimony
+from dmrom.artifacts import read_matrix
 from dmrom.cli import config_hash, load_config, main
+from dmrom.lifting import gh_fit
 from dmrom.rom_koopman import fit_koopman_model, load_koopman_model, save_koopman_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -30,10 +36,10 @@ def tree_bytes(root) -> dict:
     }
 
 
-def clone_run(cfg_path, src_root, dst_root):
+def clone_run(cfg_path, src_root, dst_root, **overrides):
     """Copy a finished run directory and point a fresh config at the copy."""
     shutil.copytree(src_root, dst_root)
-    cfg = json.load(open(cfg_path))
+    cfg = {**json.loads(pathlib.Path(cfg_path).read_text()), **overrides}
     cfg["output_dir"] = str(dst_root)
     new_cfg = pathlib.Path(dst_root).parent / (pathlib.Path(dst_root).name + ".json")
     return write_config(new_cfg, **cfg)
@@ -83,7 +89,9 @@ def test_run_all_layout(pipeline_run):
         assert (out / sub).is_dir()
     assert (out / "reports" / "comparison.csv").is_file()
     assert (out / "reports" / "plot_data.csv").is_file()
-    assert not (out / ".lock").exists()
+    assert not (out / "embedding" / "gh_model").exists()
+    with open(out / ".lock", "a") as fh:   # the finished run released its lock
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
 
 
 def test_meta_echoes_config_and_hash(pipeline_run):
@@ -172,14 +180,71 @@ def test_koopman_model_of_another_width_is_rejected(pipeline_run, tmp_path, caps
     assert "6 coordinates but 5 are selected" in err
 
 
+def test_forecast_refits_the_lift_under_the_current_gh_config(pipeline_run, tmp_path):
+    sigma = {"gh": {"sigma": 0.002, "eig_floor": 1e-8}}
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "stale", **sigma)
+    assert main(["forecast", "--config", cfg_path]) == 0
+    fresh_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "fresh", **sigma)
+    assert main(["embed", "--config", fresh_path]) == 0
+    assert main(["forecast", "--config", fresh_path]) == 0
+    stale = tree_bytes(tmp_path / "stale" / "forecasts")
+    assert stale == tree_bytes(tmp_path / "fresh" / "forecasts")
+    old = tree_bytes(pipeline_run["out"] / "forecasts")
+    assert stale["fnn_gh_ambient.csv"] != old["fnn_gh_ambient.csv"]
+
+
+def test_forecast_prints_gh_sigma_and_rank(pipeline_run, tmp_path, capsys):
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
+    assert main(["forecast", "--config", cfg_path]) == 0
+    emb = tmp_path / "clone" / "embedding"
+    report = parsimony.load_report(emb / "parsimony.json")
+    coords = dmaps.coords_for(dmaps.load_embedding(emb), report.selected)
+    model = gh_fit(coords, read_matrix(emb / "train_ambient.csv")[0])
+    line = f"forecast: geometric harmonics sigma {model.gh_sigma!r}, rank {model.d_gh}"
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_bad_gh_sigma_fails_in_the_lifting_stage(pipeline_run, tmp_path, capsys):
+    cfg_path = clone_run(
+        pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone", gh={"sigma": -1}
+    )
+    rc = main(["forecast", "--config", cfg_path])
+    assert rc == 2
+    assert "[lifting]" in capsys.readouterr().err
+
+
 def test_lock_file_blocks_concurrent_runs(pipeline_run, tmp_path, capsys):
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
     lock = tmp_path / "clone" / ".lock"
-    lock.touch()
-    rc = main(["evaluate", "--config", cfg_path])
+    with open(lock, "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        rc = main(["evaluate", "--config", cfg_path])
+        # a failed acquire must not release the holder's lock
+        with open(lock, "a") as probe, pytest.raises(BlockingIOError):
+            fcntl.flock(probe, fcntl.LOCK_EX | fcntl.LOCK_NB)
     assert rc == 1
     assert "locked" in capsys.readouterr().err
-    assert lock.exists()   # a failed acquire must not steal the lock
+
+
+def test_lock_of_a_killed_run_does_not_block(pipeline_run, tmp_path):
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
+    lock = tmp_path / "clone" / ".lock"
+    holder_code = (
+        "import fcntl, sys, time\n"
+        "fh = open(sys.argv[1], 'a')\n"
+        "fcntl.flock(fh, fcntl.LOCK_EX)\n"
+        "print('held', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", holder_code, str(lock)], stdout=subprocess.PIPE, text=True
+    ) as holder:
+        try:
+            assert holder.stdout.readline() == "held\n"
+        finally:
+            holder.kill()   # SIGKILL: the holder gets no chance to clean up
+    assert lock.exists()
+    assert main(["evaluate", "--config", cfg_path]) == 0
 
 
 def test_missing_input_without_synth(tmp_path, capsys):

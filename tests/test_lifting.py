@@ -1,7 +1,5 @@
 """Tests for out-of-sample restriction and kernel-harmonics lifting."""
 
-import json
-
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -9,14 +7,7 @@ from scipy.spatial.distance import pdist, squareform
 from dmrom import dmaps
 from dmrom.dmaps import DiffusionEmbedding, with_time
 from dmrom.ingest import SynthConfig, generate_synthetic
-from dmrom.lifting import (
-    GhLiftModel,
-    gh_fit,
-    gh_lift,
-    load_gh_model,
-    nystrom_restrict,
-    save_gh_model,
-)
+from dmrom.lifting import gh_fit, gh_lift, nystrom_restrict
 
 
 @pytest.fixture(scope="module")
@@ -208,45 +199,3 @@ def test_lift_locality():
     x2[44, 1] += 1.0
     after = gh_lift(gh_fit(y, x2, gh_sigma=0.5), query)
     assert np.max(np.abs(after - before)) < 1e-10
-
-
-# -------------------------------------------------------------------- bundle
-
-
-def test_gh_bundle_roundtrip(tmp_path, separated_cloud):
-    y, x = separated_cloud
-    model = gh_fit(y, x, gh_sigma=0.5, eig_floor=1e-8)
-    save_gh_model(model, tmp_path)
-    back = load_gh_model(tmp_path)
-    assert np.array_equal(back.y_train, model.y_train)
-    assert np.array_equal(back.coeffs, model.coeffs)
-    query = y[:7] + 0.01
-    assert np.array_equal(gh_lift(back, query), gh_lift(model, query))
-    assert np.array_equal(back.eigenvalues, model.eigenvalues)
-    assert np.array_equal(back.eigenvectors, model.eigenvectors)
-    assert back.gh_sigma == model.gh_sigma
-    assert back.eig_floor == model.eig_floor
-    meta = json.loads((tmp_path / "meta.json").read_text())
-    assert meta["space"] == "reduced"
-
-
-def test_gh_bundle_rejects_corrupt_meta(tmp_path, separated_cloud):
-    y, x = separated_cloud
-    save_gh_model(gh_fit(y, x, gh_sigma=0.5), tmp_path)
-    (tmp_path / "meta.json").write_text("{broken")
-    with pytest.raises(ValueError, match="meta.json"):
-        load_gh_model(tmp_path)
-    (tmp_path / "meta.json").write_text('{"space": "reduced"}')
-    with pytest.raises(ValueError, match="missing"):
-        load_gh_model(tmp_path)
-
-
-def test_gh_bundle_rejects_shape_mismatch(tmp_path, separated_cloud):
-    y, x = separated_cloud
-    model = gh_fit(y, x, gh_sigma=0.5)
-    save_gh_model(model, tmp_path)
-    meta = json.loads((tmp_path / "meta.json").read_text())
-    meta["d_gh"] = meta["d_gh"] + 1
-    (tmp_path / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match="shape"):
-        load_gh_model(tmp_path)
