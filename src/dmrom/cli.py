@@ -44,6 +44,7 @@ from .ingest import (
 from .rom_fnn import TrainConfig
 
 LOCK_NAME = ".lock"
+DISCONNECTED_TOL = 1e-10   # lambda_1 this close to 1: the kernel graph has split
 
 
 # ---------------------------------------------------------------------------
@@ -61,18 +62,18 @@ class DmapsSection:
 @dataclass(frozen=True)
 class ParsimonySection:
     d: int = 5
-    scale_fraction: float = 1.0 / 3.0
+    scale_fraction: float = parsimony.SCALE_FRACTION
 
 
 @dataclass(frozen=True)
 class KoopmanSection:
-    svd_tol: float = 1e-10
+    svd_tol: float = rom_koopman.SVD_TOL
 
 
 @dataclass(frozen=True)
 class GhSection:
     sigma: object = "auto"
-    eig_floor: float = 1e-8
+    eig_floor: float = lifting.EIG_FLOOR
 
 
 @dataclass(frozen=True)
@@ -325,6 +326,12 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
             train.values, sigma=cfg.dmaps.sigma, alpha=cfg.dmaps.alpha, k=cfg.dmaps.k
         )
         embedding = dmaps.with_time(embedding, cfg.dmaps.t)
+        lam1 = float(embedding.eigenvalues[1])
+        if abs(lam1 - 1.0) < DISCONNECTED_TOL:
+            raise ValueError(
+                f"kernel graph is disconnected: lambda_1 = {lam1!r} repeats the "
+                "eigenvalue 1; set a larger dmaps.sigma"
+            )
     with _stage("parsimony"):
         report = parsimony.rank_and_select(
             embedding.eigenvectors[:, 1:], cfg.parsimony.d, cfg.parsimony.scale_fraction
@@ -476,13 +483,6 @@ def cmd_evaluate(cfg: RunConfig, paths: RunPaths) -> None:
         table = evaluate.comparison_table(results, test_vals, channel_names)
         os.makedirs(paths.reports, exist_ok=True)
         evaluate.write_comparison(table, os.path.join(paths.reports, "comparison.csv"))
-        evaluate.write_plot_data(
-            os.path.join(paths.reports, "plot_data.csv"),
-            test_vals,
-            results,
-            channel_names,
-            t_start=cfg.n_train,
-        )
     for i, method in enumerate(table.methods):
         print(
             f"evaluate: {method}: mean rmse {table.rmse[i].mean():.4f}, "

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import artifacts
 from .ingest import TimeSeriesMatrix
@@ -30,22 +30,71 @@ def _as_points(X) -> np.ndarray:
     return pts
 
 
-def squared_distances(X) -> np.ndarray:
-    """Exact symmetric matrix of squared Euclidean distances between rows."""
-    pts = _as_points(X)
-    return squareform(pdist(pts, metric="sqeuclidean"))
-
-
-def auto_sigma(X) -> float:
-    """Data-driven kernel scale: median squared pairwise distance / 2."""
-    pts = _as_points(X)
-    d2 = pdist(pts, metric="sqeuclidean")
+def _median_scale(d2: np.ndarray) -> float:
+    """Auto kernel scale from condensed squared distances: their median / 2."""
     if d2.size == 0:
         raise ValueError("need at least 2 points for the auto kernel scale")
     sigma = float(np.median(d2)) / 2.0
     if sigma <= 0:
         raise ValueError("degenerate point set: median pairwise distance is 0")
     return sigma
+
+
+def auto_sigma(X) -> float:
+    """Data-driven kernel scale: median squared pairwise distance / 2."""
+    return _median_scale(pdist(_as_points(X), metric="sqeuclidean"))
+
+
+def kernel(X, Y=None, sigma="auto"):
+    """Gaussian kernel exp(-d^2 / (2 sigma)) and its resolved scale.
+
+    Without ``Y``: the symmetric kernel among the rows of X, unit diagonal.
+    With ``Y``: the cross-kernel of the query rows Y against the rows of X,
+    shape (len(Y), len(X)). The scale sits under the exponent un-squared;
+    ``sigma="auto"`` is the median squared pairwise distance among the rows of
+    X halved, taken from the same distances the kernel uses.
+    """
+    x = _as_points(X)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("points contain non-finite values")
+    auto = sigma is None or sigma == "auto"
+    d2 = pdist(x, metric="sqeuclidean") if Y is None or auto else None
+    sigma = _median_scale(d2) if auto else float(sigma)
+    if sigma <= 0:
+        raise ValueError(f"kernel scale must be positive, got {sigma}")
+    if Y is None:
+        w = np.exp(-squareform(d2) / (2.0 * sigma))
+        np.fill_diagonal(w, 1.0)
+        return w, sigma
+    y = _as_points(Y)
+    if y.shape[1] != x.shape[1]:
+        raise ValueError(
+            f"query dimension {y.shape[1]} does not match training dimension {x.shape[1]}"
+        )
+    if not np.all(np.isfinite(y)):
+        raise ValueError("query points contain non-finite values")
+    return np.exp(-cdist(y, x, metric="sqeuclidean") / (2.0 * sigma)), sigma
+
+
+def eigenbasis(s: np.ndarray, count: int = None, scale: np.ndarray = None):
+    """Eigenpairs of the symmetric matrix s, eigenvalues descending (the top `count`).
+
+    With ``scale``, each eigenvector is divided row-wise by it and brought
+    back to unit length. Every vector is then sign-fixed so that its entry of
+    largest absolute value is positive.
+    """
+    try:
+        vals, vecs = eigh(s)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
+    order = np.argsort(vals)[::-1][:count]
+    vecs = vecs[:, order]
+    if scale is not None:
+        vecs /= scale[:, None]
+        vecs /= np.linalg.norm(vecs, axis=0)[None, :]
+    flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0
+    vecs[:, flip] *= -1.0
+    return vals[order], vecs
 
 
 @dataclass(frozen=True)
@@ -112,22 +161,8 @@ class DiffusionEmbedding:
 
 
 def gaussian_affinity(X, sigma="auto") -> AffinityMatrix:
-    """Gaussian heat-kernel affinities between the rows of X.
-
-    The scale sits under the exponent un-squared: w = exp(-d^2 / (2 sigma)).
-    ``sigma="auto"`` uses the median squared pairwise distance / 2.
-    """
-    pts = _as_points(X)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points contain non-finite values")
-    if sigma == "auto" or sigma is None:
-        sigma = auto_sigma(pts)
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError(f"kernel scale must be positive, got {sigma}")
-    w = np.exp(-squared_distances(pts) / (2.0 * sigma))
-    np.fill_diagonal(w, 1.0)
-    return AffinityMatrix(w, sigma)
+    """Gaussian heat-kernel affinities between the rows of X (see `kernel`)."""
+    return AffinityMatrix(*kernel(X, sigma=sigma))
 
 
 def diffusion_operator(W: AffinityMatrix, alpha: float = 1.0) -> DiffusionOperator:
@@ -162,16 +197,7 @@ def spectral_decompose(
         raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
     d_sqrt = np.sqrt(P.row_degrees)
     s = P.P * (d_sqrt[:, None] / d_sqrt[None, :])
-    try:
-        vals, vecs = eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(vals)[::-1][: k + 1]
-    vals = vals[order]
-    psi = vecs[:, order] / d_sqrt[:, None]
-    psi /= np.linalg.norm(psi, axis=0)[None, :]
-    flip = psi[np.argmax(np.abs(psi), axis=0), np.arange(psi.shape[1])] < 0
-    psi[:, flip] *= -1.0
+    vals, psi = eigenbasis(s, k + 1, scale=d_sqrt)
     return DiffusionEmbedding(
         eigenvalues=vals, eigenvectors=psi, sigma=sigma, alpha=P.alpha
     )
@@ -186,16 +212,15 @@ def build_embedding(X, sigma="auto", alpha: float = 1.0, k: int = 30) -> Diffusi
 
 def embed(E: DiffusionEmbedding, t: int) -> np.ndarray:
     """N x k coordinates y_{i,l} = lam_l^t psi_{i,l}, l = 1..k (psi_0 excluded)."""
-    if t < 0 or int(t) != t:
-        raise ValueError(f"diffusion time must be a non-negative integer, got {t}")
-    lam = E.eigenvalues[1:] ** int(t)
-    return E.eigenvectors[:, 1:] * lam[None, :]
+    return coords_for(E, range(1, E.k + 1), t)
 
 
-def coords_for(E: DiffusionEmbedding, selected: list[int], t: int | None = None) -> np.ndarray:
+def coords_for(E: DiffusionEmbedding, selected, t: int | None = None) -> np.ndarray:
     """Embedding coordinates restricted to the selected eigen indices (1-based)."""
     if t is None:
         t = E.t
+    if t < 0 or int(t) != t:
+        raise ValueError(f"diffusion time must be a non-negative integer, got {t}")
     sel = np.asarray(selected, dtype=int)
     if np.any(sel < 1) or np.any(sel > E.k):
         raise ValueError(f"selected indices must lie in 1..{E.k}")

@@ -146,18 +146,3 @@ def write_comparison(table: ErrorTable, path) -> None:
         ),
     )
 
-
-def write_plot_data(path, truth, results, channel_names, t_start: int = 0) -> None:
-    """Long-format CSV of truth and every method's prediction per time/channel."""
-    truth = np.atleast_2d(np.asarray(truth, dtype=float))
-    h, m = truth.shape
-    artifacts.write_rows(
-        path,
-        ["time", "channel", "truth"] + [r.method for r in results],
-        (
-            [t_start + i, channel_names[j], repr(float(truth[i, j]))]
-            + [repr(float(r.ambient[i, j])) for r in results]
-            for i in range(h)
-            for j in range(m)
-        ),
-    )

@@ -13,19 +13,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.spatial.distance import cdist
 
 from . import dmaps
 from .dmaps import DiffusionEmbedding
 
 EIG_FLOOR = 1e-8          # default relative eigenvalue truncation for lifting
 MIN_EIGENVALUE = 1e-12    # restriction is ill-posed below this
-
-
-def _points(X) -> np.ndarray:
-    values = getattr(X, "values", X)
-    return np.atleast_2d(np.asarray(values, dtype=float))
 
 
 def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected=None) -> np.ndarray:
@@ -53,16 +46,9 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected=None) -> np
         zero are out of support: a warning is emitted and their coordinates
         are zero.
     """
-    x_train = _points(X_train)
     x_new = np.asarray(x_new, dtype=float)
     single = x_new.ndim == 1
-    x_new = np.atleast_2d(x_new)
-    if x_new.shape[1] != x_train.shape[1]:
-        raise ValueError(
-            f"query dimension {x_new.shape[1]} does not match training dimension {x_train.shape[1]}"
-        )
-    if not np.all(np.isfinite(x_new)):
-        raise ValueError("query points contain non-finite values")
+    k_star, _ = dmaps.kernel(X_train, np.atleast_2d(x_new), E.sigma)
     if selected is None:
         selected = list(range(1, E.k + 1))
     sel = np.asarray(selected, dtype=int)
@@ -75,11 +61,9 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected=None) -> np
             f"restriction ill-posed: eigenvalue below {MIN_EIGENVALUE} at index {bad[0]}"
         )
 
-    aff = dmaps.gaussian_affinity(x_train, E.sigma)
-    degrees = aff.W.sum(axis=1)
-    k_star = np.exp(-cdist(x_new, x_train, metric="sqeuclidean") / (2.0 * E.sigma))
+    degrees = dmaps.kernel(X_train, sigma=E.sigma)[0].sum(axis=1)
     row_sums = k_star.sum(axis=1)
-    out = np.zeros((x_new.shape[0], sel.size))
+    out = np.zeros((k_star.shape[0], sel.size))
     dead = row_sums == 0.0
     if np.any(dead):
         warnings.warn(
@@ -122,8 +106,8 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> G
     not strictly positive) are truncated; the remaining basis carries the
     expansion coefficients of every ambient channel.
     """
-    y = _points(Y_train)
-    x = _points(X_train)
+    y = np.asarray(Y_train, dtype=float)
+    x = np.asarray(getattr(X_train, "values", X_train), dtype=float)
     if y.shape[0] != x.shape[0]:
         raise ValueError(
             f"row mismatch: {y.shape[0]} coordinate rows, {x.shape[0]} ambient rows"
@@ -132,17 +116,8 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> G
         raise ValueError("need at least 2 training points")
     if eig_floor < 0:
         raise ValueError(f"eig_floor must be >= 0, got {eig_floor}")
-    if gh_sigma == "auto" or gh_sigma is None:
-        gh_sigma = dmaps.auto_sigma(y)
-    gh_sigma = float(gh_sigma)
-    if gh_sigma <= 0:
-        raise ValueError(f"kernel scale must be positive, got {gh_sigma}")
-    kernel = np.exp(-dmaps.squared_distances(y) / (2.0 * gh_sigma))
-    np.fill_diagonal(kernel, 1.0)
-    vals, vecs = eigh(kernel)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    kernel, gh_sigma = dmaps.kernel(y, sigma=gh_sigma)
+    vals, vecs = dmaps.eigenbasis(kernel)
     keep = (vals > 0) & (vals >= eig_floor * vals[0])
     if not np.any(keep):
         raise ValueError("no kernel eigenvalues survive the truncation threshold")
@@ -150,8 +125,6 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> G
     # C order: the BLAS products over the basis (coeffs here, the lift in
     # gh_lift) take another path on an F-order copy and move the last bits
     vecs = np.ascontiguousarray(vecs[:, keep])
-    flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0
-    vecs[:, flip] *= -1.0
     return GhLiftModel(
         y_train=y,
         gh_sigma=gh_sigma,
@@ -169,19 +142,7 @@ def gh_lift(model: GhLiftModel, Y_new) -> np.ndarray:
     """
     y_new = np.asarray(Y_new, dtype=float)
     single = y_new.ndim == 1
-    y_new = np.atleast_2d(y_new)
-    if y_new.shape[0] == 0:
-        return np.zeros((0, model.n_channels))
-    if y_new.shape[1] != model.y_train.shape[1]:
-        raise ValueError(
-            f"query dimension {y_new.shape[1]} does not match training dimension "
-            f"{model.y_train.shape[1]}"
-        )
-    if not np.all(np.isfinite(y_new)):
-        raise ValueError("query points contain non-finite values")
-    kernel = np.exp(
-        -cdist(y_new, model.y_train, metric="sqeuclidean") / (2.0 * model.gh_sigma)
-    )
+    kernel, _ = dmaps.kernel(model.y_train, np.atleast_2d(y_new), model.gh_sigma)
     dead = kernel.sum(axis=1) == 0.0
     if np.any(dead):
         warnings.warn(

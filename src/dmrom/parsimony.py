@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
-from . import artifacts
+from . import artifacts, dmaps
 
 RIDGE = 1e-10  # Tikhonov jitter on the weighted normal equations
+SCALE_FRACTION = 1.0 / 3.0  # default local-fit bandwidth / median pairwise distance
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,7 @@ class ParsimonyReport:
 def _loo_local_linear(psi_pred: np.ndarray, target: np.ndarray, h: float) -> np.ndarray:
     """Leave-one-out locally weighted predictions of target from psi_pred rows."""
     n = psi_pred.shape[0]
-    d2 = squareform(pdist(psi_pred, metric="sqeuclidean"))
-    w_all = np.exp(-d2 / (2.0 * h * h))
+    w_all, _ = dmaps.kernel(psi_pred, sigma=h * h)   # weights exp(-d^2 / (2 h^2))
     z = np.hstack([np.ones((n, 1)), psi_pred])
     m = z.shape[1]
     preds = np.empty(n)
@@ -75,7 +75,7 @@ def _errors_and_bandwidths(psi: np.ndarray, scale_fraction: float):
     return er, bandwidths
 
 
-def parsimony_errors(psi: np.ndarray, scale_fraction: float = 1.0 / 3.0) -> np.ndarray:
+def parsimony_errors(psi: np.ndarray, scale_fraction: float = SCALE_FRACTION) -> np.ndarray:
     """Normalized leave-one-out residuals er_l for each eigenvector column.
 
     Parameters
@@ -110,7 +110,9 @@ def select_parsimonious(er: np.ndarray, d: int) -> list[int]:
     return sorted(i + 1 for i in order[:d])
 
 
-def rank_and_select(psi: np.ndarray, d: int, scale_fraction: float = 1.0 / 3.0) -> ParsimonyReport:
+def rank_and_select(
+    psi: np.ndarray, d: int, scale_fraction: float = SCALE_FRACTION
+) -> ParsimonyReport:
     """Residuals plus selection in a single call."""
     er, bandwidths = _errors_and_bandwidths(psi, scale_fraction)
     selected = select_parsimonious(er, d)

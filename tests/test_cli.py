@@ -2,6 +2,7 @@
 
 import fcntl
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -88,7 +89,7 @@ def test_run_all_layout(pipeline_run):
     for sub in ("embedding", "models", "forecasts", "reports"):
         assert (out / sub).is_dir()
     assert (out / "reports" / "comparison.csv").is_file()
-    assert (out / "reports" / "plot_data.csv").is_file()
+    assert not (out / "reports" / "plot_data.csv").exists()
     assert not (out / "embedding" / "gh_model").exists()
     with open(out / ".lock", "a") as fh:   # the finished run released its lock
         fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -323,6 +324,43 @@ def test_oversized_k_fails_in_the_dmaps_stage(strip_run, tmp_path, capsys):
     rc = main(["embed", "--config", cfg_path])
     assert rc == 2
     assert "[dmaps]" in capsys.readouterr().err
+
+
+def test_disconnected_kernel_graph_fails_in_the_dmaps_stage(tmp_path, capsys):
+    # 34 points in one tight cluster and 6 in another far away: the median
+    # squared distance is a within-cluster one, so the auto kernel scale is far
+    # too small to reach across and the eigenvalue 1 repeats
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.normal(size=(34, 2)), rng.normal(size=(6, 2)) + 50.0])
+    pts = pts[rng.permutation(40)]
+    inp = tmp_path / "clusters.csv"
+    inp.write_text("u,v\n" + "".join(f"{a!r},{b!r}\n" for a, b in pts.tolist()))
+    cfg_path = write_config(
+        tmp_path / "clusters.json",
+        input=str(inp),
+        output_dir=str(tmp_path / "run"),
+        n_train=38,
+        dmaps={"k": 4},
+        parsimony={"d": 2},
+    )
+    rc = main(["embed", "--config", cfg_path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "[dmaps]" in err and "disconnected" in err and "dmaps.sigma" in err
+    assert not (tmp_path / "run" / "embedding").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(pathlib.Path(dmaps.__file__).resolve().parents[1])
+    code = "import sys, dmrom.cli; print(sorted(m for m in sys.modules if 'scipy.stats' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------ config

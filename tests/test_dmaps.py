@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from dmrom import dmaps
 from dmrom.dmaps import (
@@ -112,6 +113,31 @@ def test_auto_sigma_rejects_degenerate_sets():
         auto_sigma(np.ones((1, 3)))
     with pytest.raises(ValueError, match="degenerate"):
         auto_sigma(np.ones((4, 3)))
+
+
+def test_auto_scale_kernel_runs_one_pdist(monkeypatch):
+    pts = cloud(4, n=15, m=3)
+    want = auto_sigma(pts)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pdist(*args, **kwargs)
+
+    monkeypatch.setattr(dmaps, "pdist", counted)
+    w, sigma = dmaps.kernel(pts)
+    assert len(calls) == 1
+    assert sigma == want
+    assert np.array_equal(w, gaussian_affinity(pts, sigma=want).W)
+
+
+def test_cross_kernel_matches_rows_of_the_full_kernel():
+    pts = cloud(5, n=12, m=3)
+    full, _ = dmaps.kernel(pts, sigma=0.7)
+    cross, sigma = dmaps.kernel(pts, pts[[3, 8]], sigma=0.7)
+    assert sigma == 0.7 and cross.shape == (2, 12)
+    assert np.max(np.abs(cross - full[[3, 8]])) < 1e-15
+    assert dmaps.kernel(pts, pts[:2])[1] == auto_sigma(pts)   # auto scale from X
 
 
 # ------------------------------------------------------------- normalization

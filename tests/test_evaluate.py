@@ -12,7 +12,6 @@ from dmrom.evaluate import (
     error_metrics,
     nrw_forecast,
     write_comparison,
-    write_plot_data,
 )
 from dmrom.lifting import gh_fit, gh_lift
 
@@ -200,13 +199,3 @@ def test_comparison_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "left" and first[1] == "fnn_gh" and first[4] == "1"
 
-
-def test_plot_data_csv_layout(tmp_path):
-    truth = np.random.default_rng(9).normal(size=(4, 2))
-    exact, worse = make_results(truth, offset=1.0)
-    path = tmp_path / "plot_data.csv"
-    write_plot_data(path, truth, [exact, worse], ["left", "right"], t_start=320)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "time,channel,truth,fnn_gh,koopman"
-    assert len(lines) == 1 + 4 * 2
-    assert lines[1].startswith("320,left,")

@@ -57,6 +57,17 @@ def test_restrict_honors_diffusion_time(strip_points, strip_embedding):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_restrict_builds_no_training_affinity(strip_points, strip_embedding, monkeypatch):
+    want = nystrom_restrict(strip_embedding, strip_points, strip_points[:5])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nystrom_restrict built an AffinityMatrix")
+
+    monkeypatch.setattr(dmaps, "AffinityMatrix", refuse)
+    got = nystrom_restrict(strip_embedding, strip_points, strip_points[:5])
+    assert np.array_equal(got, want)
+
+
 def test_restrict_rejects_tiny_eigenvalues():
     E = DiffusionEmbedding(
         eigenvalues=np.array([1.0, 1e-13]),

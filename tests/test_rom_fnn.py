@@ -286,6 +286,34 @@ def test_one_fit_stack_matches_per_fit_reference(n, dim, hidden, decay, tol, ste
     assert_same_fit((p[0] for p in got), (*params, loss))
 
 
+@settings(deadline=None, max_examples=20)
+@given(
+    n=st.integers(1, 300),
+    dim=st.integers(1, 7),
+    hidden=st.integers(1, 17),
+    decay=st.sampled_from([1e-8, 1e-4, 1e-1]),
+    seed=st.integers(0, 2**16),
+)
+def test_one_epoch_steps_along_fnn_gradient(n, dim, hidden, decay, seed):
+    # criterion 5 checks fnn_gradient; the trainer must take exactly that step
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, dim))
+    y = rng.normal(size=n)
+    lr = 0.3
+    init = np.random.default_rng(seed + 1)
+    w1 = init.uniform(-0.5, 0.5, size=(dim, hidden))
+    b1 = init.uniform(-0.5, 0.5, size=hidden)
+    w_out = init.uniform(-0.5, 0.5, size=hidden)
+    b_out = init.uniform(-0.5, 0.5)
+    grad = fnn_gradient(FnnModel(w1, b1, w_out, b_out, target_index=1), z, None, y, decay)
+    want = (w1 - lr * grad["w1"], b1 - lr * grad["b1"], w_out - lr * grad["w_out"],
+            b_out - lr * grad["b_out"])
+    cfg = TrainConfig(max_epochs=1, learning_rate=lr, tol=0.0)
+    got = _train_stack(z[None], y[None], hidden, [decay], [np.random.default_rng(seed + 1)], cfg)
+    for g, w in zip(got, want):
+        assert np.array_equal(g[0], w)
+
+
 def test_divergence_marks_every_cv_fold_and_fails_without_warnings(monkeypatch):
     coords = np.random.default_rng(0).normal(size=(30, 2))
     cfg = TrainConfig(
