@@ -369,34 +369,39 @@ def _load_embedding_artifacts(paths: RunPaths):
     return embedding, report, train_vals, coords_train
 
 
+def _unit_rms_scale(coords_train) -> float:
+    """Factor to the unit-RMS coordinate units the FNN models work in.
+
+    Keeps fixed-step descent conditioned regardless of the training length
+    (unit-norm eigenvectors shrink coordinate amplitude like 1/sqrt(N)).
+    """
+    return float(np.sqrt(coords_train.shape[0]))
+
+
 def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
     with _stage("train"):
         _, report, train_vals, coords_train = _load_embedding_artifacts(paths)
-        design = _design_matrix(cfg, cfg.n_train + len(_read_ambient(paths, "test")[0]))
-        stim_train = None if design is None else design.values[: cfg.n_train]
+        stim_train = None
+        if method == "fnn" and cfg.epochs:
+            # the design spans the test block too, so its epochs are checked against it
+            n_test = len(_read_ambient(paths, "test")[0])
+            stim_train = _design_matrix(cfg, cfg.n_train + n_test).values[: cfg.n_train]
         os.makedirs(paths.models, exist_ok=True)
     if method == "fnn":
-        d = len(report.selected)
-        # unit-RMS coordinate units; keeps fixed-step descent conditioned
-        # regardless of the training length (unit-norm eigenvectors shrink
-        # coordinate amplitude like 1/sqrt(N))
-        scale = float(np.sqrt(coords_train.shape[0]))
-        for j in range(1, d + 1):
-            with _stage("rom_fnn"):
-                model, records = rom_fnn.fnn_train(coords_train * scale, stim_train, j, cfg.fnn)
-                hidden, decay, score = rom_fnn.best_grid_cell(records)
+        targets = range(1, len(report.selected) + 1)
+        with _stage("rom_fnn"):
+            scaled = coords_train * _unit_rms_scale(coords_train)
+            trained = rom_fnn.fnn_train(scaled, stim_train, targets, cfg.fnn)
+            cells = [rom_fnn.best_grid_cell(records) for _, records in trained]
+            for j, (model, records), (_, decay, _) in zip(targets, trained, cells):
                 rom_fnn.save_fnn_model(
-                    model,
-                    os.path.join(paths.models, f"fnn_coord_{j}.json"),
-                    decay=decay,
+                    model, os.path.join(paths.models, f"fnn_coord_{j}.json"), decay=decay
                 )
                 rom_fnn.write_cv_report(
                     records, os.path.join(paths.models, f"fnn_cv_coord_{j}.csv")
                 )
-            print(
-                f"train: coordinate {j}: hidden={hidden}, decay={decay:g}, "
-                f"cv mse={score:.3e}"
-            )
+        for j, (hidden, decay, score) in zip(targets, cells):
+            print(f"train: coordinate {j}: hidden={hidden}, decay={decay:g}, cv mse={score:.3e}")
     elif method == "koopman":
         with _stage("rom_koopman"):
             model = rom_koopman.fit_koopman_model(coords_train, train_vals, cfg.koopman.svd_tol)
@@ -436,8 +441,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         stim_seq = (
             None if design is None else design.values[cfg.n_train - 1 : cfg.n_train - 1 + h]
         )
-        # models operate in unit-RMS coordinate units (see cmd_train)
-        scale = float(np.sqrt(coords_train.shape[0]))
+        scale = _unit_rms_scale(coords_train)
         fnn_reduced = rom_fnn.fnn_forecast(models, init * scale, stim_seq, h) / scale
         fnn_ambient = lifting.gh_lift(gh_model, fnn_reduced)
         _write_forecast(paths, "fnn_gh_reduced", fnn_reduced, coord_names)

@@ -40,11 +40,6 @@ def _median_scale(d2: np.ndarray) -> float:
     return sigma
 
 
-def auto_sigma(X) -> float:
-    """Data-driven kernel scale: median squared pairwise distance / 2."""
-    return _median_scale(pdist(_as_points(X), metric="sqeuclidean"))
-
-
 def kernel(X, Y=None, sigma="auto"):
     """Gaussian kernel exp(-d^2 / (2 sigma)) and its resolved scale.
 

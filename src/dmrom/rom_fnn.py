@@ -3,8 +3,9 @@
 Each embedding coordinate gets its own single-hidden-layer network mapping
 (current coordinates, current stimulus) to that coordinate one step ahead.
 Hidden size and weight decay are chosen by grid search under repeated k-fold
-cross-validation over the one-step training pairs; forecasts iterate the
-trained networks closed-loop, feeding outputs back as inputs.
+cross-validation over the one-step training pairs; the fits of all
+coordinates train together as stacked gradient descents. Forecasts iterate
+the trained networks closed-loop, feeding outputs back as inputs.
 """
 
 from __future__ import annotations
@@ -167,6 +168,11 @@ def cv_partitions(n_pairs: int, folds: int, repeats: int, seed: int):
     return partitions
 
 
+# cap on one stack's float64 fits x rows x hidden block: past the caches, a
+# larger stack trains slower per fit
+STACK_BYTES = 2 << 20
+
+
 def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     """Full-batch gradient descent on a stack of independent fits.
 
@@ -201,14 +207,25 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     decay = np.asarray(decays, dtype=float)
     two_decay = 2.0 * decay[:, None, None]
     result = [np.empty_like(p) for p in (w1, b1, w_out, b_out)] + [np.empty(b)]
+    # the (fits, rows, ...) epoch temporaries are written into these buffers,
+    # of which the live fits use the leading slices; allocating them afresh
+    # every epoch costs a page-fault storm once they pass malloc's mmap threshold
+    act_buf, delta_buf = np.empty((2, b, n, hidden))
+    out_buf = np.empty((b, n, 1))
+    go_buf = np.empty((b, n))
     live = np.arange(b)
     prev = np.full(b, np.inf)
     lr = cfg.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_epochs):
-            s = expit(z @ w1 + b1)
-            resid = (s @ w_out.transpose(0, 2, 1))[:, :, 0] + b_out - y
-            loss = (resid**2).sum(axis=1) / n + decay * (
+            m = len(live)
+            s = np.matmul(z, w1, out=act_buf[:m])
+            np.add(s, b1, out=s)
+            expit(s, out=s)
+            resid = np.matmul(s, w_out.transpose(0, 2, 1), out=out_buf[:m])[:, :, 0]
+            np.add(resid, b_out, out=resid)
+            np.subtract(resid, y, out=resid)
+            loss = np.square(resid, out=go_buf[:m]).sum(axis=1) / n + decay * (
                 (w1**2).sum(axis=(1, 2))
                 + (b1**2).sum(axis=(1, 2))
                 + (w_out**2).sum(axis=(1, 2))
@@ -228,12 +245,16 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
                     a[keep]
                     for a in (live, z, y, w1, b1, w_out, b_out, decay, two_decay, s, resid, loss)
                 )
+                m = len(live)
             prev = loss
-            go = 2.0 * resid / n
-            da = (go[:, :, None] * w_out) * s * (1.0 - s)
-            w_out = w_out - lr * (
-                (s.transpose(0, 2, 1) @ go[:, :, None]).transpose(0, 2, 1) + two_decay * w_out
-            )
+            # go = 2 resid / n;  da = ((go * w_out) * s) * (1 - s)
+            go = np.multiply(resid, 2.0, out=go_buf[:m])
+            np.divide(go, n, out=go)
+            grad_w_out = (s.transpose(0, 2, 1) @ go[:, :, None]).transpose(0, 2, 1)
+            da = np.multiply(go[:, :, None], w_out, out=delta_buf[:m])
+            np.multiply(da, s, out=da)
+            np.multiply(da, np.subtract(1.0, s, out=s), out=da)
+            w_out = w_out - lr * (grad_w_out + two_decay * w_out)
             b_out = b_out - lr * (go.sum(axis=1)[:, None] + two_decay[:, 0] * b_out)
             w1 = w1 - lr * (z.transpose(0, 2, 1) @ da + two_decay * w1)
             b1 = b1 - lr * (da.sum(axis=1)[:, None, :] + two_decay * b1)
@@ -248,8 +269,34 @@ def _fit_rng(*key):
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def fnn_train(train_coords, stim, target_index: int, cfg: TrainConfig):
-    """Grid search + repeated k-fold CV for one coordinate's one-step model.
+def _train_fits(fits, cfg: TrainConfig):
+    """Train independent fits, stacked by (hidden size, training-row count).
+
+    Each fit is (hidden, decay, rng key, inputs, targets). A group whose
+    float64 fits x rows x hidden block would pass `STACK_BYTES` trains as
+    several stacks; a slice computes the same bits at any stack size. Each
+    slice keeps the memory layout of its fit's inputs, because the BLAS
+    products sum in a layout-dependent order. Returns, per fit, its w1, b1,
+    w_out, b_out and last loss.
+    """
+    groups = {}
+    for k, (hidden, _, _, z, _) in enumerate(fits):
+        groups.setdefault((hidden, len(z)), []).append(k)
+    trained = [None] * len(fits)
+    for (hidden, n_rows), members in groups.items():
+        size = max(1, STACK_BYTES // (8 * n_rows * hidden))
+        for chunk in (members[i : i + size] for i in range(0, len(members), size)):
+            _, decays, keys, zs, ys = zip(*(fits[k] for k in chunk))
+            params = _train_stack(
+                np.stack(zs), np.stack(ys), hidden, decays, [_fit_rng(*key) for key in keys], cfg
+            )
+            for i, k in enumerate(chunk):
+                trained[k] = tuple(p[i] for p in params)
+    return trained
+
+
+def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
+    """Grid search + repeated k-fold CV for the one-step models of several coordinates.
 
     Parameters
     ----------
@@ -257,21 +304,25 @@ def fnn_train(train_coords, stim, target_index: int, cfg: TrainConfig):
         Reduced coordinates over the training window.
     stim : ndarray of shape (n, p) or None
         Stimulus inputs aligned with the coordinates.
-    target_index : int
-        1-based coordinate to predict one step ahead.
+    targets : sequence of int
+        1-based coordinates to predict one step ahead.
     cfg : TrainConfig
 
     Returns
     -------
-    (FnnModel, list of dict)
-        The model retrained on all one-step pairs with the winning
-        (hidden size, decay), and the per-fold CV records
-        {hidden, decay, repeat, fold, mse}.
+    list of (FnnModel, list of dict), one per target
+        The model retrained on all one-step pairs with the target's winning
+        (hidden size, decay), and its per-fold CV records
+        {hidden, decay, repeat, fold, mse}. The fits of all targets train
+        in one pass of stacks, and each target gets the models and records
+        it gets when trained alone.
     """
     coords = np.atleast_2d(np.asarray(train_coords, dtype=float))
     n, d = coords.shape
-    if not 1 <= target_index <= d:
-        raise ValueError(f"target_index must lie in 1..{d}, got {target_index}")
+    targets = list(targets)
+    for target_index in targets:
+        if not 1 <= target_index <= d:
+            raise ValueError(f"target_index must lie in 1..{d}, got {target_index}")
     if n - 1 < cfg.folds:
         raise ValueError(
             f"need at least folds+1 = {cfg.folds + 1} training rows, got {n}"
@@ -280,60 +331,70 @@ def fnn_train(train_coords, stim, target_index: int, cfg: TrainConfig):
     if not grid:
         raise ValueError("empty hyperparameter grid")
     z_all = _stack_inputs(coords[:-1], None if stim is None else np.asarray(stim)[:-1])
-    y_all = coords[1:, target_index - 1]
+    y_all = coords[1:]
     n_pairs = n - 1
 
     partitions = cv_partitions(n_pairs, cfg.folds, cfg.repeats, cfg.seed)
-    fits = [
-        (gi, ri, fi, val_idx)
-        for gi in range(len(grid))
+    splits = [
+        (ri, fi, val_idx, np.delete(np.arange(n_pairs), val_idx))
         for ri in range(cfg.repeats)
         for fi, val_idx in enumerate(partitions[ri])
     ]
-    # fits sharing a hidden size and a training-row count train as one stack
-    groups = {}
-    for k, (gi, _, _, val_idx) in enumerate(fits):
-        groups.setdefault((grid[gi][0], n_pairs - len(val_idx)), []).append(k)
-
-    mse = [float("nan")] * len(fits)
-    for (hidden, _), members in groups.items():
-        masks = np.ones((len(members), n_pairs), dtype=bool)
-        for mask, k in zip(masks, members):
-            mask[fits[k][3]] = False
-        *params, loss = _train_stack(
-            np.stack([z_all[m] for m in masks]),
-            np.stack([y_all[m] for m in masks]),
-            hidden,
-            [grid[fits[k][0]][1] for k in members],
-            [_fit_rng(cfg.seed, target_index, *fits[k][:3]) for k in members],
-            cfg,
-        )
-        for i in np.flatnonzero(np.isfinite(loss)):
-            val_idx = fits[members[i]][3]
+    split_z = [z_all[rows] for *_, rows in splits]
+    cv_fits, held_out = [], []
+    for t in targets:
+        split_y = [y_all[rows, t - 1] for *_, rows in splits]
+        for gi, (hidden, lam) in enumerate(grid):
+            for (ri, fi, val_idx, _), z, y in zip(splits, split_z, split_y):
+                cv_fits.append((hidden, lam, (cfg.seed, t, gi, ri, fi), z, y))
+                held_out.append((t, ri, fi, val_idx))
+    records = []
+    trained = _train_fits(cv_fits, cfg)
+    for (t, ri, fi, val_idx), (hidden, lam, *_), (*params, loss) in zip(
+        held_out, cv_fits, trained
+    ):
+        mse = float("nan")
+        if np.isfinite(loss):
             # weights that overflow on the held-out rows count as diverged
             with np.errstate(over="ignore", invalid="ignore"):
-                pred, _ = _forward_batch(*(p[i] for p in params), z_all[val_idx])
-                err = float(np.mean((pred - y_all[val_idx]) ** 2))
+                pred, _ = _forward_batch(*params, z_all[val_idx])
+                err = float(np.mean((pred - y_all[val_idx, t - 1]) ** 2))
             if np.isfinite(err):
-                mse[members[i]] = err
-    records = [
-        {"hidden": grid[gi][0], "decay": grid[gi][1], "repeat": ri, "fold": fi, "mse": mse[k]}
-        for k, (gi, ri, fi, _) in enumerate(fits)
-    ]
+                mse = err
+        records.append({"hidden": hidden, "decay": lam, "repeat": ri, "fold": fi, "mse": mse})
+    per_target = len(grid) * len(splits)
+    records = [records[i : i + per_target] for i in range(0, len(records), per_target)]
 
-    best_hidden, best_lam, _ = best_grid_cell(records)
-    best_gi = grid.index((best_hidden, best_lam))
-    *params, loss = _train_stack(
-        z_all[None], y_all[None], best_hidden, [best_lam],
-        [_fit_rng(cfg.seed, target_index, best_gi, 999999)], cfg,
+    # winners in target order; the first target to fail, in CV or in its
+    # final retraining, raises, as when the targets train one at a time
+    winners, cv_error = [], None
+    for target_records in records:
+        try:
+            winners.append(best_grid_cell(target_records)[:2])
+        except RuntimeError as exc:
+            cv_error = exc
+            break
+    # the final fits train on z_all itself, in its own memory layout
+    final = _train_fits(
+        [
+            (hidden, lam, (cfg.seed, t, grid.index((hidden, lam)), 999999), z_all, y_all[:, t - 1])
+            for t, (hidden, lam) in zip(targets, winners)
+        ],
+        cfg,
     )
-    if not np.isfinite(loss[0]):
-        raise RuntimeError(
-            f"final retraining diverged for hidden={best_hidden}, decay={best_lam}"
+    results = []
+    for t, (hidden, lam), (*params, loss), target_records in zip(
+        targets, winners, final, records
+    ):
+        if not np.isfinite(loss):
+            raise RuntimeError(f"final retraining diverged for hidden={hidden}, decay={lam}")
+        w1, b1, w_out, b_out = params
+        results.append(
+            (FnnModel(w1=w1, b1=b1, w_out=w_out, b_out=b_out, target_index=t), target_records)
         )
-    w1, b1, w_out, b_out = (p[0] for p in params)
-    model = FnnModel(w1=w1, b1=b1, w_out=w_out, b_out=b_out, target_index=target_index)
-    return model, records
+    if cv_error is not None:
+        raise cv_error
+    return results
 
 
 def best_grid_cell(records):

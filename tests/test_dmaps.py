@@ -13,7 +13,6 @@ from dmrom.dmaps import (
     AffinityMatrix,
     DiffusionEmbedding,
     DiffusionOperator,
-    auto_sigma,
     build_embedding,
     coords_for,
     diffusion_operator,
@@ -105,19 +104,19 @@ def test_auto_sigma_matches_median_oracle():
     for i in range(17):
         for j in range(i + 1, 17):
             d2.append(np.sum((pts[i] - pts[j]) ** 2))
-    assert auto_sigma(pts) == pytest.approx(np.median(d2) / 2.0, rel=1e-14)
+    assert dmaps.kernel(pts)[1] == pytest.approx(np.median(d2) / 2.0, rel=1e-14)
 
 
 def test_auto_sigma_rejects_degenerate_sets():
     with pytest.raises(ValueError, match="at least 2"):
-        auto_sigma(np.ones((1, 3)))
+        dmaps.kernel(np.ones((1, 3)))
     with pytest.raises(ValueError, match="degenerate"):
-        auto_sigma(np.ones((4, 3)))
+        dmaps.kernel(np.ones((4, 3)))
 
 
 def test_auto_scale_kernel_runs_one_pdist(monkeypatch):
     pts = cloud(4, n=15, m=3)
-    want = auto_sigma(pts)
+    want = float(np.median(pdist(pts, metric="sqeuclidean"))) / 2.0
     calls = []
 
     def counted(*args, **kwargs):
@@ -137,7 +136,7 @@ def test_cross_kernel_matches_rows_of_the_full_kernel():
     cross, sigma = dmaps.kernel(pts, pts[[3, 8]], sigma=0.7)
     assert sigma == 0.7 and cross.shape == (2, 12)
     assert np.max(np.abs(cross - full[[3, 8]])) < 1e-15
-    assert dmaps.kernel(pts, pts[:2])[1] == auto_sigma(pts)   # auto scale from X
+    assert dmaps.kernel(pts, pts[:2])[1] == dmaps.kernel(pts)[1]   # auto scale from X
 
 
 # ------------------------------------------------------------- normalization

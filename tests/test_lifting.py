@@ -118,7 +118,7 @@ def test_retained_spectrum_respects_floor(separated_cloud):
 def test_auto_scale_matches_reduced_space_rule(separated_cloud):
     y, x = separated_cloud
     model = gh_fit(y, x, gh_sigma="auto")
-    assert model.gh_sigma == dmaps.auto_sigma(y)
+    assert model.gh_sigma == dmaps.kernel(y)[1]
 
 
 def test_constant_function_lifts_to_constant():

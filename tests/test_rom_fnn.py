@@ -161,7 +161,7 @@ def zero_target_fit():
         max_epochs=2000,
         seed=0,
     )
-    model, records = fnn_train(coords, None, 2, cfg)
+    ((model, records),) = fnn_train(coords, None, [2], cfg)
     return coords, cfg, model, records
 
 
@@ -186,19 +186,130 @@ def test_linear_latent_dynamics_cv_mse():
         max_epochs=2000,
         seed=0,
     )
-    _, records = fnn_train(lat, None, 1, cfg)
+    ((_, records),) = fnn_train(lat, None, [1], cfg)
     _, _, best_mse = best_grid_cell(records)
     assert best_mse < 1e-3
 
 
 def test_training_is_deterministic(zero_target_fit):
     coords, cfg, model, records = zero_target_fit
-    again, records2 = fnn_train(coords, None, 2, cfg)
+    ((again, records2),) = fnn_train(coords, None, [2], cfg)
     assert np.array_equal(again.w1, model.w1)
     assert np.array_equal(again.b1, model.b1)
     assert np.array_equal(again.w_out, model.w_out)
     assert again.b_out == model.b_out
     assert records2 == records
+
+
+def assert_same_model(a, b):
+    assert a.target_index == b.target_index
+    for name in ("w1", "b1", "w_out"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.b_out == b.b_out
+
+
+def assert_same_records(a, b):
+    assert [{**r, "mse": None} for r in a] == [{**r, "mse": None} for r in b]
+    assert np.array_equal([r["mse"] for r in a], [r["mse"] for r in b], equal_nan=True)
+
+
+def assert_targets_train_as_alone(coords, stim, cfg):
+    d = coords.shape[1]
+    together = fnn_train(coords, stim, range(1, d + 1), cfg)
+    assert len(together) == d
+    for j, (model, records) in enumerate(together, start=1):
+        ((alone, alone_records),) = fnn_train(coords, stim, [j], cfg)
+        assert_same_model(model, alone)
+        assert_same_records(records, alone_records)
+    return together
+
+
+def stack_spy(monkeypatch):
+    """Record the (hidden size, fit count) of every stack that trains."""
+    stacks = []
+
+    def spy(z, y, hidden, decays, rngs, cfg):
+        stacks.append((hidden, len(z)))
+        return _train_stack(z, y, hidden, decays, rngs, cfg)
+
+    monkeypatch.setattr(rom_fnn, "_train_stack", spy)
+    return stacks
+
+
+SMALL_GRID = dict(
+    hidden_sizes=(1, 3), decay_values=(1e-6, 1e-2), folds=3, repeats=2, learning_rate=0.3,
+)
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    n=st.integers(12, 70),
+    d=st.integers(1, 4),
+    p=st.integers(0, 2),
+    column_major=st.booleans(),
+    tol=st.sampled_from([1e-9, 1e-3]),
+    seed=st.integers(0, 2**16),
+)
+def test_all_targets_train_as_their_one_target_calls(n, d, p, column_major, tol, seed):
+    rng = np.random.default_rng(seed)
+    coords = rng.normal(size=(n, d))
+    if column_major:   # the layout dmaps.coords_for returns
+        coords = np.asfortranarray(coords)
+    stim = rng.integers(0, 2, size=(n, p)).astype(float) if p else None
+    cfg = TrainConfig(**SMALL_GRID, max_epochs=30, tol=tol, seed=seed % 7)
+    assert_targets_train_as_alone(coords, stim, cfg)
+
+
+def mixed_winner_coords():
+    # two smooth coordinates won by 3 hidden units, one noise column won by 1
+    t = np.arange(60)
+    noise = np.random.default_rng(1).normal(size=60)
+    return np.column_stack([np.sin(0.3 * t), np.tanh(3 * np.cos(0.3 * t)), noise])
+
+
+def test_final_retrains_of_different_hidden_sizes_train_as_alone(monkeypatch):
+    coords = mixed_winner_coords()
+    cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
+    stacks = stack_spy(monkeypatch)
+    together = assert_targets_train_as_alone(coords, None, cfg)
+    assert [best_grid_cell(r)[0] for _, r in together] == [3, 3, 1]
+    # the one pass over all targets ends with its final retrains, one stack per hidden size
+    cv_stacks = 2 * 2   # two hidden sizes x two training-row counts (39 and 40)
+    assert sorted(stacks[cv_stacks : cv_stacks + 2]) == [(1, 1), (3, 2)]
+
+
+def test_byte_budget_splits_stacks_and_changes_no_bit(monkeypatch):
+    coords = mixed_winner_coords()
+    cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
+    stacks = stack_spy(monkeypatch)
+    whole = fnn_train(coords, None, [1, 2, 3], cfg)
+    # 59 pairs in 3 folds train on 39, 39 and 40 rows: 3 targets x 2 decays x
+    # 2 repeats x 2 folds share each hidden size and 39 rows
+    assert max(b for _, b in stacks) == 24
+    stacks.clear()
+    # room for two fits of 39 or 40 rows x 3 hidden units, or six of 39 or 40 x 1
+    monkeypatch.setattr(rom_fnn, "STACK_BYTES", 8 * 40 * 3 * 2)
+    split = fnn_train(coords, None, [1, 2, 3], cfg)
+    assert max(b for h, b in stacks if h == 3) == 2
+    assert max(b for h, b in stacks if h == 1) == 6
+    for (m_whole, r_whole), (m_split, r_split) in zip(whole, split):
+        assert_same_model(m_whole, m_split)
+        assert_same_records(r_whole, r_split)
+
+
+def test_final_fit_uses_the_inputs_in_their_own_layout():
+    # BLAS sums column-major inputs in another order; the final retrain is
+    # a one-fit stack of the training inputs as given, as it always was
+    coords = np.asfortranarray(mixed_winner_coords())
+    cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
+    for j, (model, records) in enumerate(fnn_train(coords, None, [1, 2, 3], cfg), start=1):
+        hidden, decay, _ = best_grid_cell(records)
+        gi = [(h, lam) for h in cfg.hidden_sizes for lam in cfg.decay_values].index((hidden, decay))
+        w1, b1, w_out, b_out, _ = _train_stack(
+            coords[:-1][None], coords[1:, j - 1][None], hidden, [decay],
+            [np.random.default_rng(np.random.SeedSequence((cfg.seed, j, gi, 999999)))], cfg,
+        )
+        assert_same_model(model, FnnModel(w1[0], b1[0], w_out[0], b_out[0], target_index=j))
 
 
 def reference_fit(z, y, hidden, decay, rng, learning_rate, epochs, tol):
@@ -330,7 +441,7 @@ def test_divergence_marks_every_cv_fold_and_fails_without_warnings(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(RuntimeError, match="all hyperparameter grid cells diverged"):
-            fnn_train(coords, None, 1, cfg)
+            fnn_train(coords, None, [1], cfg)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     (records,) = seen
     assert len(records) == 6
@@ -356,7 +467,7 @@ def test_overflowing_held_out_error_counts_as_diverged(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(RuntimeError, match="all hyperparameter grid cells diverged"):
-            fnn_train(coords, None, 1, cfg)
+            fnn_train(coords, None, [1], cfg)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -369,7 +480,7 @@ def test_one_diverging_cell_is_skipped():
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        model, records = fnn_train(coords, None, 1, cfg)
+        ((model, records),) = fnn_train(coords, None, [1], cfg)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     by_decay = {lam: [r["mse"] for r in records if r["decay"] == lam] for lam in cfg.decay_values}
     assert all(math.isnan(m) for m in by_decay[100.0])
@@ -381,14 +492,14 @@ def test_one_diverging_cell_is_skipped():
 def test_train_validation():
     coords = np.random.default_rng(0).normal(size=(8, 2))
     cfg = TrainConfig(hidden_sizes=(2,), decay_values=(1e-4,), folds=3, repeats=1)
-    with pytest.raises(ValueError, match="target_index"):
-        fnn_train(coords, None, 3, cfg)
+    with pytest.raises(ValueError, match="target_index must lie in 1..2, got 3"):
+        fnn_train(coords, None, [1, 3], cfg)
     small = TrainConfig(hidden_sizes=(2,), decay_values=(1e-4,), folds=10, repeats=1)
     with pytest.raises(ValueError, match="folds"):
-        fnn_train(coords, None, 1, small)
+        fnn_train(coords, None, [1], small)
     empty = TrainConfig(hidden_sizes=(), decay_values=(1e-4,), folds=3, repeats=1)
     with pytest.raises(ValueError, match="empty"):
-        fnn_train(coords, None, 1, empty)
+        fnn_train(coords, None, [1], empty)
 
 
 def test_train_config_validation():
