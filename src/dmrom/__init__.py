@@ -15,7 +15,7 @@ from .dmaps import (
     gaussian_affinity,
     spectral_decompose,
 )
-from .evaluate import ForecastResult, comparison_table, error_metrics, nrw_forecast
+from .evaluate import comparison_table, error_metrics, nrw_forecast
 from .glm import build_design_matrix, contrast_tstat, fit_glm
 from .ingest import (
     SplitSpec,
@@ -47,7 +47,6 @@ __all__ = [
     "DiffusionEmbedding",
     "DiffusionOperator",
     "FnnModel",
-    "ForecastResult",
     "GhLiftModel",
     "KoopmanModel",
     "SplitSpec",

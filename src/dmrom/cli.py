@@ -6,8 +6,8 @@ Subcommands wire the stages together over a single JSON run config:
     glm       per-channel regression against the stimulus design
     embed     detrend/split, spectral embedding, coordinate selection
     train     fit ROMs on the training coordinates (--method fnn|koopman)
-    forecast  closed-loop forecasts over the test horizon, plus the baseline
-    evaluate  per-channel error table across methods
+    forecast  closed-loop forecasts over the test horizon, plus the baseline,
+              scored per channel into the comparison table
     run --all everything above in order
 
 Exit codes: 0 success, 2 validation errors (bad config/input), 1 runtime
@@ -23,6 +23,8 @@ import fcntl
 import hashlib
 import json
 import os
+import re
+import shutil
 import sys
 import typing
 from contextlib import contextmanager
@@ -125,8 +127,11 @@ class RunConfig:
     synth: SynthConfig = None   # optional section
 
     def __post_init__(self):
+        for e in self.epochs:
+            if not isinstance(e, (list, tuple)) or len(e) != 3:
+                raise ValueError(f"epoch {e!r} is not a [condition, start, end] triple")
         object.__setattr__(
-            self, "epochs", tuple((str(e[0]), int(e[1]), int(e[2])) for e in self.epochs)
+            self, "epochs", tuple((str(c), int(a), int(b)) for c, a, b in self.epochs)
         )
         object.__setattr__(self, "conditions", tuple(str(c) for c in self.conditions))
         if not self.input:
@@ -393,6 +398,10 @@ def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
             scaled = coords_train * _unit_rms_scale(coords_train)
             trained = rom_fnn.fnn_train(scaled, stim_train, targets, cfg.fnn)
             cells = [rom_fnn.best_grid_cell(records) for _, records in trained]
+            for name in os.listdir(paths.models):   # coordinates a larger d left behind
+                stale = re.fullmatch(r"fnn_(cv_)?coord_(\d+)\.(json|csv)", name)
+                if stale and int(stale[2]) > len(targets):
+                    os.remove(os.path.join(paths.models, name))
             for j, (model, records), (_, decay, _) in zip(targets, trained, cells):
                 rom_fnn.save_fnn_model(
                     model, os.path.join(paths.models, f"fnn_coord_{j}.json"), decay=decay
@@ -425,7 +434,9 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         n_total = cfg.n_train + h
         design = _design_matrix(cfg, n_total)
         init = coords_train[-1]
-        os.makedirs(paths.forecasts, exist_ok=True)
+        if os.path.exists(paths.forecasts):
+            shutil.rmtree(paths.forecasts)
+        os.makedirs(paths.forecasts)
         coord_names = [f"y_{j}" for j in range(d)]
 
     with _stage("lifting"):
@@ -460,33 +471,21 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
             reduced_truth = lifting.nystrom_restrict(
                 embedding, train_vals, test_vals, report.selected
             )
-            nrw = evaluate.nrw_forecast(
-                reduced_truth, init, mode="reduced_then_lift", lift_model=gh_model
-            )
-            _write_forecast(paths, "nrw_reduced", nrw.reduced, coord_names)
+            nrw_reduced = evaluate.nrw_forecast(reduced_truth, init)
+            nrw_ambient = lifting.gh_lift(gh_model, nrw_reduced)
+            _write_forecast(paths, "nrw_reduced", nrw_reduced, coord_names)
         else:
-            nrw = evaluate.nrw_forecast(test_vals, train_vals[-1], mode="ambient")
-        _write_forecast(paths, "nrw_ambient", nrw.ambient, test_names)
+            nrw_ambient = evaluate.nrw_forecast(test_vals, train_vals[-1])
+        _write_forecast(paths, "nrw_ambient", nrw_ambient, test_names)
+
+    with _stage("evaluate"):
+        ambient = {"fnn_gh": fnn_ambient, "koopman": k_ambient, "nrw": nrw_ambient}
+        table = evaluate.comparison_table(ambient, test_vals, test_names)
+        os.makedirs(paths.reports, exist_ok=True)
+        evaluate.write_comparison(table, os.path.join(paths.reports, "comparison.csv"))
     print(f"forecast: horizon {h}, reduced dimension {d}")
     print(f"forecast: geometric harmonics sigma {gh_model.gh_sigma!r}, rank {gh_model.d_gh}")
     print(f"forecast: wrote fnn_gh, koopman, nrw ambient forecasts under {paths.forecasts}")
-
-
-def cmd_evaluate(cfg: RunConfig, paths: RunPaths) -> None:
-    with _stage("evaluate"):
-        test_vals, channel_names = _read_ambient(paths, "test")
-        if test_vals.shape[0] == 0:
-            raise ValueError("empty test set")
-        results = []
-        for method in evaluate.METHODS:
-            path = os.path.join(paths.forecasts, f"{method}_ambient.csv")
-            if not os.path.exists(path):
-                raise FileNotFoundError(f"missing forecast artifact {path}")
-            ambient, _ = artifacts.read_matrix(path)
-            results.append(evaluate.ForecastResult(method=method, ambient=ambient))
-        table = evaluate.comparison_table(results, test_vals, channel_names)
-        os.makedirs(paths.reports, exist_ok=True)
-        evaluate.write_comparison(table, os.path.join(paths.reports, "comparison.csv"))
     for i, method in enumerate(table.methods):
         print(
             f"evaluate: {method}: mean rmse {table.rmse[i].mean():.4f}, "
@@ -508,7 +507,6 @@ def cmd_run_all(cfg: RunConfig, paths: RunPaths) -> None:
     cmd_train(cfg, paths, "fnn")
     cmd_train(cfg, paths, "koopman")
     cmd_forecast(cfg, paths)
-    cmd_evaluate(cfg, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("glm", "per-channel stimulus regression report"),
         ("embed", "spectral embedding + coordinate selection"),
         ("train", "fit forecasting models"),
-        ("forecast", "closed-loop test-horizon forecasts"),
-        ("evaluate", "error tables across methods"),
+        ("forecast", "closed-loop test-horizon forecasts and their error table"),
         ("run", "full pipeline"),
     ]:
         p = sub.add_parser(name, help=help_text)
@@ -560,7 +557,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-    except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
     paths = RunPaths(root=cfg.output_dir)
@@ -582,8 +579,6 @@ def main(argv=None) -> int:
                 cmd_train(cfg, paths, args.method)
             elif args.command == "forecast":
                 cmd_forecast(cfg, paths)
-            elif args.command == "evaluate":
-                cmd_evaluate(cfg, paths)
             elif args.command == "run":
                 cmd_run_all(cfg, paths)
         return 0

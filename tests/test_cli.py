@@ -1,5 +1,6 @@
 """End-to-end tests for the pipeline command line."""
 
+import csv
 import fcntl
 import json
 import os
@@ -14,7 +15,8 @@ import pytest
 from dmrom import dmaps, parsimony
 from dmrom.artifacts import read_matrix
 from dmrom.cli import config_hash, load_config, main
-from dmrom.lifting import gh_fit
+from dmrom.evaluate import comparison_table, write_comparison
+from dmrom.lifting import gh_fit, gh_lift, nystrom_restrict
 from dmrom.rom_koopman import fit_koopman_model, load_koopman_model, save_koopman_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -144,10 +146,87 @@ def test_stage_isolation(pipeline_run):
     shutil.rmtree(out / "forecasts")
     shutil.rmtree(out / "reports")
     assert main(["forecast", "--config", pipeline_run["cfg"]]) == 0
-    assert main(["evaluate", "--config", pipeline_run["cfg"]]) == 0
     after = tree_bytes(out)
     assert before.keys() == after.keys()
     assert all(before[k] == after[k] for k in before)
+
+
+def test_nrw_reduced_then_lift_from_run_artifacts(pipeline_run):
+    emb = pipeline_run["out"] / "embedding"
+    embedding = dmaps.load_embedding(emb)
+    selected = parsimony.load_report(emb / "parsimony.json").selected
+    train = read_matrix(emb / "train_ambient.csv")[0]
+    test = read_matrix(emb / "test_ambient.csv")[0]
+    coords = dmaps.coords_for(embedding, selected)
+    restricted = nystrom_restrict(embedding, train, test, selected)
+    walked = np.vstack([coords[-1:], restricted[:-1]])
+    forecasts = pipeline_run["out"] / "forecasts"
+    assert np.array_equal(read_matrix(forecasts / "nrw_reduced.csv")[0], walked)
+    lifted = gh_lift(gh_fit(coords, train), walked)
+    assert np.array_equal(read_matrix(forecasts / "nrw_ambient.csv")[0], lifted)
+
+
+def comparison_rows(run, method):
+    with open(run / "reports" / "comparison.csv", newline="") as fh:
+        return [row for row in csv.DictReader(fh) if row["method"] == method]
+
+
+def test_ambient_nrw_walks_the_test_block_and_drops_the_reduced_path(
+    pipeline_run, tmp_path
+):
+    run = tmp_path / "clone"
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], run, nrw={"mode": "ambient"})
+    assert (run / "forecasts" / "nrw_reduced.csv").exists()
+    assert main(["forecast", "--config", cfg_path]) == 0
+    train = read_matrix(run / "embedding" / "train_ambient.csv")[0]
+    test, names = read_matrix(run / "embedding" / "test_ambient.csv")
+    nrw = read_matrix(run / "forecasts" / "nrw_ambient.csv")[0]
+    assert np.array_equal(nrw, np.vstack([train[-1:], test[:-1]]))
+    assert not (run / "forecasts" / "nrw_reduced.csv").exists()
+    rows = comparison_rows(run, "nrw")
+    assert [row["region"] for row in rows] == names
+    sq = np.sum((nrw - test) ** 2, axis=0)
+    rmse = [float(row["rmse"]) for row in rows]
+    l2 = [float(row["l2"]) for row in rows]
+    assert np.allclose(rmse, np.sqrt(sq / len(test)), rtol=1e-12, atol=0)
+    assert np.allclose(l2, np.sqrt(sq), rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def smaller_d_run(pipeline_run, tmp_path_factory):
+    """The d=5 run copied, then embedded and trained again with d=3."""
+    run = tmp_path_factory.mktemp("smaller_d") / "run"
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], run, parsimony={"d": 3})
+    for stage in (["embed"], ["train", "--method", "fnn"], ["train", "--method", "koopman"]):
+        assert main([*stage, "--config", cfg_path]) == 0
+    return {"cfg": cfg_path, "out": run}
+
+
+def test_fnn_training_removes_the_models_of_dropped_coordinates(smaller_d_run):
+    models = sorted(p.name for p in (smaller_d_run["out"] / "models").iterdir())
+    assert models == [
+        "fnn_coord_1.json", "fnn_coord_2.json", "fnn_coord_3.json",
+        "fnn_cv_coord_1.csv", "fnn_cv_coord_2.csv", "fnn_cv_coord_3.csv",
+        "koopman.json",
+    ]
+
+
+def test_only_forecast_scores_and_it_scores_its_own_forecasts(smaller_d_run, tmp_path, capsys):
+    run, cfg_path = smaller_d_run["out"], smaller_d_run["cfg"]
+    with pytest.raises(SystemExit) as exc:   # no stage scores the d=5 forecasts
+        main(["evaluate", "--config", cfg_path])
+    assert exc.value.code == 2
+    assert "invalid choice: 'evaluate'" in capsys.readouterr().err
+    assert main(["forecast", "--config", cfg_path]) == 0
+    assert read_matrix(run / "forecasts" / "fnn_gh_reduced.csv")[0].shape[1] == 3
+    test, names = read_matrix(run / "embedding" / "test_ambient.csv")
+    ambient = {
+        method: read_matrix(run / "forecasts" / f"{method}_ambient.csv")[0]
+        for method in ("fnn_gh", "koopman", "nrw")
+    }
+    write_comparison(comparison_table(ambient, test, names), tmp_path / "comparison.csv")
+    expected = (tmp_path / "comparison.csv").read_bytes()
+    assert (run / "reports" / "comparison.csv").read_bytes() == expected
 
 
 def test_zero_horizon_is_a_validation_error(pipeline_run, tmp_path, capsys):
@@ -219,7 +298,7 @@ def test_lock_file_blocks_concurrent_runs(pipeline_run, tmp_path, capsys):
     lock = tmp_path / "clone" / ".lock"
     with open(lock, "a") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        rc = main(["evaluate", "--config", cfg_path])
+        rc = main(["forecast", "--config", cfg_path])
         # a failed acquire must not release the holder's lock
         with open(lock, "a") as probe, pytest.raises(BlockingIOError):
             fcntl.flock(probe, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -245,7 +324,7 @@ def test_lock_of_a_killed_run_does_not_block(pipeline_run, tmp_path):
         finally:
             holder.kill()   # SIGKILL: the holder gets no chance to clean up
     assert lock.exists()
-    assert main(["evaluate", "--config", cfg_path]) == 0
+    assert main(["forecast", "--config", cfg_path]) == 0
 
 
 def test_missing_input_without_synth(tmp_path, capsys):

@@ -20,6 +20,7 @@ from dmrom.cli import (
     config_hash,
     config_payload,
     load_config,
+    main,
 )
 from dmrom.ingest import SynthConfig
 from dmrom.rom_fnn import TrainConfig
@@ -158,6 +159,12 @@ def test_augment_stimulus_is_no_longer_an_option(tmp_path):
         ({"nrw": {"mode": "x"}}, "unknown nrw mode 'x'"),
         ({"epochs": [["A", 0, 2]]}, "epochs given without a conditions list"),
         ({"standardize": "x"}, "standardize must be 'full' or 'train_only', got 'x'"),
+        ({"epochs": [["A", 0]], "conditions": ["A"]},
+         "epoch ['A', 0] is not a [condition, start, end] triple"),
+        ({"epochs": [["A", 0, 5, 9]], "conditions": ["A"]},
+         "epoch ['A', 0, 5, 9] is not a [condition, start, end] triple"),
+        ({"epochs": ["A05"], "conditions": ["A"]},
+         "epoch 'A05' is not a [condition, start, end] triple"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):
@@ -165,3 +172,13 @@ def test_invalid_values_keep_their_messages(tmp_path, doc, message):
     path = dump(tmp_path, {k: v for k, v in doc.items() if v is not MISSING})
     with pytest.raises(ValueError, match=re.escape(message)):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "doc", [None, {"input": "x.csv", "output_dir": "out", "epochs": [["A", 0]], "conditions": ["A"]}]
+)
+def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, doc):
+    path = str(tmp_path) if doc is None else dump(tmp_path, doc)   # None: a directory
+    assert main(["embed", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error [config]: ") and "Traceback" not in captured.err

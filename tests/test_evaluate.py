@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmrom.evaluate import (
-    ErrorTable,
-    ForecastResult,
-    comparison_table,
-    error_metrics,
-    nrw_forecast,
-    write_comparison,
-)
-from dmrom.lifting import gh_fit, gh_lift
+from dmrom.evaluate import comparison_table, error_metrics, nrw_forecast, write_comparison
 
 
 # ------------------------------------------------------------------ baseline
@@ -22,42 +14,20 @@ from dmrom.lifting import gh_fit, gh_lift
 def test_nrw_constant_series_is_exact():
     c = np.array([1.5, -0.3])
     truth = np.tile(c, (6, 1))
-    result = nrw_forecast(truth, c, mode="ambient")
-    rmse, l2 = error_metrics(result.ambient, truth)
+    rmse, l2 = error_metrics(nrw_forecast(truth, c), truth)
     assert np.all(rmse == 0.0) and np.all(l2 == 0.0)
 
 
 def test_nrw_alternating_series_error():
     a, b = 0.9, -0.4
     truth = np.array([[a], [b], [a], [b]])
-    result = nrw_forecast(truth, np.array([b]), mode="ambient")
-    rmse, _ = error_metrics(result.ambient, truth)
+    rmse, _ = error_metrics(nrw_forecast(truth, np.array([b])), truth)
     assert rmse[0] == pytest.approx(abs(a - b), abs=1e-15)
 
 
-def test_nrw_reduced_then_lift():
-    rng = np.random.default_rng(2)
-    y = rng.normal(size=(10, 2))
-    x = rng.normal(size=(10, 3))
-    model = gh_fit(y, x, gh_sigma=1.0)
-    truth_reduced = y[5:9]
-    result = nrw_forecast(truth_reduced, y[4], lift_model=model)
-    walked = np.vstack([y[4][None, :], truth_reduced[:-1]])
-    assert np.array_equal(result.reduced, walked)
-    assert np.array_equal(result.ambient, gh_lift(model, walked))
-    assert result.method == "nrw"
-
-
-def test_nrw_requires_lift_model():
-    with pytest.raises(ValueError, match="lift model"):
-        nrw_forecast(np.ones((4, 2)), np.ones(2))
-
-
 def test_nrw_validation():
-    with pytest.raises(ValueError, match="mode"):
-        nrw_forecast(np.ones((4, 2)), np.ones(2), mode="oracle")
     with pytest.raises(ValueError, match="length"):
-        nrw_forecast(np.ones((4, 2)), np.ones(3), mode="ambient")
+        nrw_forecast(np.ones((4, 2)), np.ones(3))
 
 
 @settings(deadline=None, max_examples=40)
@@ -66,8 +36,7 @@ def test_nrw_is_the_shifted_truth(seed, h, m):
     rng = np.random.default_rng(seed)
     truth = rng.normal(size=(h, m))
     last = rng.normal(size=m)
-    result = nrw_forecast(truth, last, mode="ambient")
-    assert np.array_equal(result.ambient, np.vstack([last[None, :], truth[:-1]]))
+    assert np.array_equal(nrw_forecast(truth, last), np.vstack([last[None, :], truth[:-1]]))
 
 
 # ------------------------------------------------------------------- metrics
@@ -126,15 +95,12 @@ def test_l2_rmse_identity(seed, h, m):
 
 
 def make_results(truth, offset):
-    exact = ForecastResult(method="fnn_gh", ambient=truth.copy())
-    worse = ForecastResult(method="koopman", ambient=truth + offset)
-    return exact, worse
+    return {"fnn_gh": truth.copy(), "koopman": truth + offset}
 
 
 def test_dominant_method_flagged_everywhere():
     truth = np.random.default_rng(4).normal(size=(6, 3))
-    exact, worse = make_results(truth, offset=0.5)
-    table = comparison_table([exact, worse], truth)
+    table = comparison_table(make_results(truth, offset=0.5), truth)
     assert table.methods == ["fnn_gh", "koopman"]
     assert np.all(table.best[0])
     assert not np.any(table.best[1])
@@ -143,19 +109,13 @@ def test_dominant_method_flagged_everywhere():
 def test_tied_methods_all_flagged():
     truth = np.random.default_rng(5).normal(size=(6, 3))
     shifted = truth + 0.1
-    a = ForecastResult(method="fnn_gh", ambient=shifted)
-    b = ForecastResult(method="koopman", ambient=shifted.copy())
-    table = comparison_table([a, b], truth)
+    table = comparison_table({"fnn_gh": shifted, "koopman": shifted.copy()}, truth)
     assert np.all(table.best)
 
 
 def test_table_identity_invariant():
     truth = np.random.default_rng(6).normal(size=(11, 4))
-    results = [
-        ForecastResult(method="fnn_gh", ambient=truth + 0.3),
-        ForecastResult(method="nrw", ambient=truth - 0.2),
-    ]
-    table = comparison_table(results, truth)
+    table = comparison_table({"fnn_gh": truth + 0.3, "nrw": truth - 0.2}, truth)
     assert table.horizon == 11
     assert np.allclose(table.l2, table.rmse * np.sqrt(11), rtol=1e-9, atol=1e-12)
     assert np.all(table.rmse >= 0.0) and np.all(table.l2 >= 0.0)
@@ -164,24 +124,27 @@ def test_table_identity_invariant():
 def test_table_validation():
     truth = np.ones((4, 2))
     with pytest.raises(ValueError, match="no forecast"):
-        comparison_table([], truth)
-    bad = ForecastResult(method="nrw", ambient=np.ones((4, 3)))
+        comparison_table({}, truth)
     with pytest.raises(ValueError, match="nrw"):
-        comparison_table([bad], truth)
-    good = ForecastResult(method="nrw", ambient=truth)
+        comparison_table({"nrw": np.ones((4, 3))}, truth)
     with pytest.raises(ValueError, match="channel name"):
-        comparison_table([good], truth, channel_names=["only_one"])
+        comparison_table({"nrw": truth}, truth, channel_names=["only_one"])
 
 
-def test_forecast_result_validation():
-    with pytest.raises(ValueError, match="unknown method"):
-        ForecastResult(method="magic", ambient=np.ones((2, 2)))
-    with pytest.raises(ValueError, match="non-finite"):
-        ForecastResult(method="nrw", ambient=np.array([[np.nan, 1.0]]))
-    with pytest.raises(ValueError, match="horizon"):
-        ForecastResult(method="nrw", ambient=np.ones((2, 2)), horizon=5)
-    with pytest.raises(ValueError, match="reduced"):
-        ForecastResult(method="nrw", ambient=np.ones((2, 2)), reduced=np.ones((3, 1)))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_table_rejects_non_finite_forecast(bad):
+    truth = np.ones((3, 2))
+    pred = truth.copy()
+    pred[1, 0] = bad
+    with pytest.raises(ValueError, match="'koopman' forecast contains non-finite values"):
+        comparison_table({"fnn_gh": truth, "koopman": pred}, truth)
+
+
+def test_rows_follow_the_mapping_order():
+    truth = np.zeros((2, 1))
+    table = comparison_table({"nrw": truth + 1, "koopman": truth + 2, "fnn_gh": truth}, truth)
+    assert table.methods == ["nrw", "koopman", "fnn_gh"]
+    assert np.array_equal(table.rmse[:, 0], [1.0, 2.0, 0.0])
 
 
 # ----------------------------------------------------------------------- csv
@@ -189,8 +152,9 @@ def test_forecast_result_validation():
 
 def test_comparison_csv_layout(tmp_path):
     truth = np.random.default_rng(8).normal(size=(5, 2))
-    exact, worse = make_results(truth, offset=1.0)
-    table = comparison_table([exact, worse], truth, channel_names=["left", "right"])
+    table = comparison_table(
+        make_results(truth, offset=1.0), truth, channel_names=["left", "right"]
+    )
     path = tmp_path / "comparison.csv"
     write_comparison(table, path)
     lines = path.read_text().splitlines()
