@@ -6,12 +6,9 @@ and lift long-horizon forecasts back to the measurement space.
 """
 
 from .dmaps import (
-    AffinityMatrix,
     DiffusionEmbedding,
-    DiffusionOperator,
     build_embedding,
     diffusion_operator,
-    embed,
     gaussian_affinity,
     spectral_decompose,
 )
@@ -43,9 +40,7 @@ from .rom_koopman import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMatrix",
     "DiffusionEmbedding",
-    "DiffusionOperator",
     "FnnModel",
     "GhLiftModel",
     "KoopmanModel",
@@ -60,7 +55,6 @@ __all__ = [
     "contrast_tstat",
     "detrend_standardize",
     "diffusion_operator",
-    "embed",
     "error_metrics",
     "fit_glm",
     "fit_koopman_model",

@@ -328,9 +328,8 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
         train, test = split_train_test(series, SplitSpec(cfg.n_train))
     with _stage("dmaps"):
         embedding = dmaps.build_embedding(
-            train.values, sigma=cfg.dmaps.sigma, alpha=cfg.dmaps.alpha, k=cfg.dmaps.k
+            train.values, cfg.dmaps.sigma, cfg.dmaps.alpha, cfg.dmaps.k, cfg.dmaps.t
         )
-        embedding = dmaps.with_time(embedding, cfg.dmaps.t)
         lam1 = float(embedding.eigenvalues[1])
         if abs(lam1 - 1.0) < DISCONNECTED_TOL:
             raise ValueError(
@@ -437,6 +436,9 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         if os.path.exists(paths.forecasts):
             shutil.rmtree(paths.forecasts)
         os.makedirs(paths.forecasts)
+        comparison = os.path.join(paths.reports, "comparison.csv")
+        if os.path.exists(comparison):   # it scored the forecasts just removed
+            os.remove(comparison)
         coord_names = [f"y_{j}" for j in range(d)]
 
     with _stage("lifting"):
@@ -482,7 +484,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         ambient = {"fnn_gh": fnn_ambient, "koopman": k_ambient, "nrw": nrw_ambient}
         table = evaluate.comparison_table(ambient, test_vals, test_names)
         os.makedirs(paths.reports, exist_ok=True)
-        evaluate.write_comparison(table, os.path.join(paths.reports, "comparison.csv"))
+        evaluate.write_comparison(table, comparison)
     print(f"forecast: horizon {h}, reduced dimension {d}")
     print(f"forecast: geometric harmonics sigma {gh_model.gh_sigma!r}, rank {gh_model.d_gh}")
     print(f"forecast: wrote fnn_gh, koopman, nrw ambient forecasts under {paths.forecasts}")
@@ -491,7 +493,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
             f"evaluate: {method}: mean rmse {table.rmse[i].mean():.4f}, "
             f"best on {int(table.best[i].sum())}/{len(table.channel_names)} channels"
         )
-    print(f"evaluate: comparison table in {os.path.join(paths.reports, 'comparison.csv')}")
+    print(f"evaluate: comparison table in {comparison}")
 
 
 def cmd_run_all(cfg: RunConfig, paths: RunPaths) -> None:

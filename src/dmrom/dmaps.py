@@ -1,33 +1,38 @@
-"""Diffusion maps: anisotropic kernel normalization and spectral embedding.
+"""Diffusion maps: one in-place chain from points to the spectral embedding.
 
-The pipeline is the classic one: Gaussian affinities W, density normalization
-W~ = K^-a W K^-a, row normalization P = K~^-1 W~, then the eigendecomposition
-of P obtained through the symmetric conjugate S = K~^-1/2 W~ K~^-1/2 (same
-spectrum, stable symmetric solver) with eigenvectors mapped back and sign-fixed.
+Gaussian affinities W, the density normalization W~ = K^-a W K^-a, the row
+normalization P = K~^-1 W~ and the symmetric conjugate S = K~^1/2 P K~^-1/2
+(same spectrum, stable symmetric solver) are written one after another into
+the same N x N array. The top eigenvectors of S are mapped back to those of P
+and sign-fixed. The steps pass plain arrays, and the normalization and
+conjugation steps overwrite the array they are given.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import artifacts
-from .ingest import TimeSeriesMatrix
 
 SIGN_CONVENTION = "max-abs-positive"
 
 
 def _as_points(X) -> np.ndarray:
-    if isinstance(X, TimeSeriesMatrix):
-        return X.values
     pts = np.asarray(X, dtype=float)
     if pts.ndim != 2:
         raise ValueError(f"expected 2-D point array, got shape {pts.shape}")
     return pts
+
+
+def _diffusion_time(t) -> int:
+    if t < 0 or int(t) != t:
+        raise ValueError(f"diffusion time must be a non-negative integer, got {t}")
+    return int(t)
 
 
 def _median_scale(d2: np.ndarray) -> float:
@@ -58,17 +63,23 @@ def kernel(X, Y=None, sigma="auto"):
     if sigma <= 0:
         raise ValueError(f"kernel scale must be positive, got {sigma}")
     if Y is None:
-        w = np.exp(-squareform(d2) / (2.0 * sigma))
+        w = squareform(d2)
+    else:
+        y = _as_points(Y)
+        if y.shape[1] != x.shape[1]:
+            raise ValueError(
+                f"query dimension {y.shape[1]} does not match training dimension {x.shape[1]}"
+            )
+        if not np.all(np.isfinite(y)):
+            raise ValueError("query points contain non-finite values")
+        w = cdist(y, x, metric="sqeuclidean")
+    # exp(-d^2 / (2 sigma)) in the distance buffer, in the out-of-place operand order
+    np.negative(w, out=w)
+    w /= 2.0 * sigma
+    np.exp(w, out=w)
+    if Y is None:
         np.fill_diagonal(w, 1.0)
-        return w, sigma
-    y = _as_points(Y)
-    if y.shape[1] != x.shape[1]:
-        raise ValueError(
-            f"query dimension {y.shape[1]} does not match training dimension {x.shape[1]}"
-        )
-    if not np.all(np.isfinite(y)):
-        raise ValueError("query points contain non-finite values")
-    return np.exp(-cdist(y, x, metric="sqeuclidean") / (2.0 * sigma)), sigma
+    return w, sigma
 
 
 def eigenbasis(s: np.ndarray, count: int = None, scale: np.ndarray = None):
@@ -90,46 +101,6 @@ def eigenbasis(s: np.ndarray, count: int = None, scale: np.ndarray = None):
     flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0
     vecs[:, flip] *= -1.0
     return vals[order], vecs
-
-
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Symmetric Gaussian affinities w_ij = exp(-|xi - xj|^2 / (2 sigma))."""
-
-    W: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        w = np.asarray(self.W, dtype=float)
-        object.__setattr__(self, "W", w)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("affinity matrix must be square")
-        if self.sigma <= 0:
-            raise ValueError(f"kernel scale must be positive, got {self.sigma}")
-        if np.max(np.abs(w - w.T)) >= 1e-12:
-            raise ValueError("affinity matrix is not symmetric")
-        # far-apart points underflow to 0; the unit diagonal keeps every degree >= 1
-        if np.any(w < 0) or np.any(w > 1):
-            raise ValueError("affinities must lie in [0, 1]")
-        if np.any(np.diag(w) != 1.0):
-            raise ValueError("affinity diagonal must be exactly 1")
-
-
-@dataclass(frozen=True)
-class DiffusionOperator:
-    """Row-stochastic diffusion matrix with its density exponent and row degrees."""
-
-    P: np.ndarray
-    alpha: float
-    row_degrees: np.ndarray  # diagonal of K~ (degrees of the alpha-normalized kernel)
-
-    def __post_init__(self):
-        p = np.asarray(self.P, dtype=float)
-        object.__setattr__(self, "P", p)
-        if np.any(p < 0):
-            raise ValueError("diffusion matrix entries must be non-negative")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) >= 1e-12:
-            raise ValueError("diffusion matrix rows must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -155,71 +126,58 @@ class DiffusionEmbedding:
         return self.eigenvectors.shape[0]
 
 
-def gaussian_affinity(X, sigma="auto") -> AffinityMatrix:
-    """Gaussian heat-kernel affinities between the rows of X (see `kernel`)."""
-    return AffinityMatrix(*kernel(X, sigma=sigma))
+def gaussian_affinity(X, sigma="auto"):
+    """Gaussian affinities among the rows of X and their scale (see `kernel`)."""
+    return kernel(X, sigma=sigma)
 
 
-def diffusion_operator(W: AffinityMatrix, alpha: float = 1.0) -> DiffusionOperator:
-    """Two-step normalization: density correction by K^-alpha, then row-stochastic."""
+def diffusion_operator(w: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """Normalize the affinities w into the diffusion matrix P, overwriting w.
+
+    Density correction w~ = K^-alpha w K^-alpha, then row normalization
+    P = K~^-1 w~. Returns the row degrees K~ of w~. The unit diagonal of w
+    keeps every degree positive.
+    """
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    w = W.W
-    k = w.sum(axis=1)
-    if np.any(k <= 0):
-        raise ValueError("zero row sum in affinity matrix")
-    kinv_a = k ** (-alpha)
-    w_tilde = w * np.outer(kinv_a, kinv_a)
-    k_tilde = w_tilde.sum(axis=1)
-    if np.any(k_tilde <= 0):
-        raise ValueError("zero row sum after density normalization")
-    p = w_tilde / k_tilde[:, None]
-    return DiffusionOperator(P=p, alpha=alpha, row_degrees=k_tilde)
+    kinv_a = w.sum(axis=1) ** (-alpha)
+    np.multiply(w, np.outer(kinv_a, kinv_a), out=w)
+    row_degrees = w.sum(axis=1)
+    w /= row_degrees[:, None]
+    return row_degrees
 
 
-def spectral_decompose(
-    P: DiffusionOperator, k: int, sigma: float = float("nan")
-) -> DiffusionEmbedding:
-    """Top k+1 right-eigenpairs of the diffusion matrix, descending.
+def spectral_decompose(p: np.ndarray, row_degrees: np.ndarray, k: int):
+    """Top k+1 right-eigenpairs (eigenvalues, eigenvectors) of p, descending.
 
-    Solved on the symmetric conjugate S = D^1/2 P D^-1/2 (D = row degrees) so a
-    symmetric eigensolver applies; eigenvectors are mapped back by D^-1/2,
-    normalized to unit length, and sign-fixed so the entry of largest absolute
-    value is positive.
+    Overwrites p with its symmetric conjugate S = D^1/2 P D^-1/2 (D = row
+    degrees) so a symmetric eigensolver applies; eigenvectors are mapped back
+    by D^-1/2, normalized to unit length, and sign-fixed so the entry of
+    largest absolute value is positive.
     """
-    n = P.P.shape[0]
+    n = p.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
-    d_sqrt = np.sqrt(P.row_degrees)
-    s = P.P * (d_sqrt[:, None] / d_sqrt[None, :])
-    vals, psi = eigenbasis(s, k + 1, scale=d_sqrt)
-    return DiffusionEmbedding(
-        eigenvalues=vals, eigenvectors=psi, sigma=sigma, alpha=P.alpha
-    )
+    d_sqrt = np.sqrt(row_degrees)
+    np.multiply(p, d_sqrt[:, None] / d_sqrt[None, :], out=p)
+    return eigenbasis(p, k + 1, scale=d_sqrt)
 
 
-def build_embedding(X, sigma="auto", alpha: float = 1.0, k: int = 30) -> DiffusionEmbedding:
-    """Affinity -> diffusion operator -> spectral decomposition, in one call."""
-    aff = gaussian_affinity(X, sigma)
-    op = diffusion_operator(aff, alpha)
-    return spectral_decompose(op, k, sigma=aff.sigma)
+def build_embedding(X, sigma="auto", alpha: float = 1.0, k: int = 30, t: int = 0):
+    """Affinities -> diffusion matrix -> spectrum in one N x N buffer, at diffusion time t."""
+    t = _diffusion_time(t)
+    w, sigma = gaussian_affinity(X, sigma)
+    row_degrees = diffusion_operator(w, alpha)
+    vals, psi = spectral_decompose(w, row_degrees, k)
+    return DiffusionEmbedding(eigenvalues=vals, eigenvectors=psi, sigma=sigma, alpha=alpha, t=t)
 
 
-def embed(E: DiffusionEmbedding, t: int) -> np.ndarray:
-    """N x k coordinates y_{i,l} = lam_l^t psi_{i,l}, l = 1..k (psi_0 excluded)."""
-    return coords_for(E, range(1, E.k + 1), t)
-
-
-def coords_for(E: DiffusionEmbedding, selected, t: int | None = None) -> np.ndarray:
-    """Embedding coordinates restricted to the selected eigen indices (1-based)."""
-    if t is None:
-        t = E.t
-    if t < 0 or int(t) != t:
-        raise ValueError(f"diffusion time must be a non-negative integer, got {t}")
+def coords_for(E: DiffusionEmbedding, selected) -> np.ndarray:
+    """Coordinates lam_l^t psi_{i,l} of the selected eigen indices l (1-based)."""
     sel = np.asarray(selected, dtype=int)
     if np.any(sel < 1) or np.any(sel > E.k):
         raise ValueError(f"selected indices must lie in 1..{E.k}")
-    lam = E.eigenvalues[sel] ** int(t)
+    lam = E.eigenvalues[sel] ** E.t
     return E.eigenvectors[:, sel] * lam[None, :]
 
 
@@ -258,9 +216,6 @@ def load_embedding(directory) -> DiffusionEmbedding:
         eigenvectors=vecs,
         sigma=meta["sigma"],
         alpha=meta["alpha"],
-        t=meta["t"],
+        t=_diffusion_time(meta["t"]),
     )
 
-
-def with_time(E: DiffusionEmbedding, t: int) -> DiffusionEmbedding:
-    return replace(E, t=int(t))

@@ -33,7 +33,7 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected=None) -> np
     ----------
     E : DiffusionEmbedding
         Embedding built from ``X_train`` (its kernel scale is reused).
-    X_train : array or TimeSeriesMatrix, shape (N, M)
+    X_train : array, shape (N, M)
     x_new : array, shape (M,) or (n, M)
     selected : list of int, optional
         1-based eigen indices to evaluate; defaults to all 1..k.
@@ -107,7 +107,7 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> G
     expansion coefficients of every ambient channel.
     """
     y = np.asarray(Y_train, dtype=float)
-    x = np.asarray(getattr(X_train, "values", X_train), dtype=float)
+    x = np.asarray(X_train, dtype=float)
     if y.shape[0] != x.shape[0]:
         raise ValueError(
             f"row mismatch: {y.shape[0]} coordinate rows, {x.shape[0]} ambient rows"

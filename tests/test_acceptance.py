@@ -68,15 +68,14 @@ def test_criterion_2_diffusion_operator_properties():
             m = int(rng.integers(1, 9))
             alpha = float(rng.choice([0.0, 0.5, 1.0]))
             pts = rng.normal(size=(n, m))
-            op = dmaps.diffusion_operator(dmaps.gaussian_affinity(pts), alpha)
-            emb = dmaps.spectral_decompose(op, min(5, n - 2))
-            worst_row = max(worst_row, float(np.max(np.abs(op.P.sum(axis=1) - 1.0))))
-            worst_lam0 = max(worst_lam0, abs(emb.eigenvalues[0] - 1.0))
-            psi0 = emb.eigenvectors[:, 0]
+            p, _ = dmaps.gaussian_affinity(pts)
+            row_degrees = dmaps.diffusion_operator(p, alpha)   # p now holds P
+            vals, vecs = dmaps.spectral_decompose(p.copy(), row_degrees, min(5, n - 2))
+            worst_row = max(worst_row, float(np.max(np.abs(p.sum(axis=1) - 1.0))))
+            worst_lam0 = max(worst_lam0, abs(vals[0] - 1.0))
+            psi0 = vecs[:, 0]
             worst_cv = max(worst_cv, float(psi0.std() / abs(psi0.mean())))
-            resid = np.max(
-                np.abs(op.P @ emb.eigenvectors - emb.eigenvectors * emb.eigenvalues[None, :])
-            )
+            resid = np.max(np.abs(p @ vecs - vecs * vals[None, :]))
             worst_resid = max(worst_resid, float(resid))
         assert worst_row < 1e-12
         assert worst_lam0 < 1e-10

@@ -285,12 +285,15 @@ def test_forecast_prints_gh_sigma_and_rank(pipeline_run, tmp_path, capsys):
 
 
 def test_bad_gh_sigma_fails_in_the_lifting_stage(pipeline_run, tmp_path, capsys):
-    cfg_path = clone_run(
-        pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone", gh={"sigma": -1}
-    )
+    clone = tmp_path / "clone"
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone, gh={"sigma": -1})
+    assert (clone / "reports" / "comparison.csv").exists()
     rc = main(["forecast", "--config", cfg_path])
     assert rc == 2
     assert "[lifting]" in capsys.readouterr().err
+    # no table is left to score the forecasts the failed stage removed
+    assert os.listdir(clone / "forecasts") == []
+    assert not (clone / "reports" / "comparison.csv").exists()
 
 
 def test_lock_file_blocks_concurrent_runs(pipeline_run, tmp_path, capsys):
@@ -403,6 +406,16 @@ def test_oversized_k_fails_in_the_dmaps_stage(strip_run, tmp_path, capsys):
     rc = main(["embed", "--config", cfg_path])
     assert rc == 2
     assert "[dmaps]" in capsys.readouterr().err
+
+
+def test_negative_diffusion_time_fails_in_the_dmaps_stage(strip_run, tmp_path, capsys):
+    cfg = json.load(open(strip_run["cfg"]))
+    cfg["output_dir"] = str(tmp_path / "run_bad")
+    cfg["dmaps"] = {**cfg["dmaps"], "t": -1}
+    cfg_path = write_config(tmp_path / "embed_bad.json", **cfg)
+    assert main(["embed", "--config", cfg_path]) == 2
+    assert "[dmaps]" in capsys.readouterr().err
+    assert not (tmp_path / "run_bad" / "embedding").exists()
 
 
 def test_disconnected_kernel_graph_fails_in_the_dmaps_stage(tmp_path, capsys):

@@ -1,27 +1,24 @@
 """Tests for the diffusion-map kernel, operator normalization, and spectrum."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from dmrom import dmaps
 from dmrom.dmaps import (
-    AffinityMatrix,
     DiffusionEmbedding,
-    DiffusionOperator,
     build_embedding,
     coords_for,
     diffusion_operator,
-    embed,
     gaussian_affinity,
     load_embedding,
     save_embedding,
     spectral_decompose,
-    with_time,
 )
 
 
@@ -30,29 +27,39 @@ def cloud(seed, n=30, m=2):
     return rng.normal(size=(n, m))
 
 
+def all_coords(E):
+    return coords_for(E, range(1, E.k + 1))
+
+
+def normalized(pts, sigma, alpha=1.0):
+    """(P, row degrees) of the points, from the two in-place steps."""
+    w, _ = gaussian_affinity(pts, sigma=sigma)
+    return w, diffusion_operator(w, alpha)
+
+
 # ---------------------------------------------------------------- affinities
 
 
 def test_affinity_identical_points():
     pts = np.array([[1.0, 2.0], [1.0, 2.0], [4.0, 0.0]])
-    aff = gaussian_affinity(pts, sigma=0.3)
-    assert aff.W[0, 1] == 1.0
-    assert aff.W[1, 0] == 1.0
+    w, _ = gaussian_affinity(pts, sigma=0.3)
+    assert w[0, 1] == 1.0
+    assert w[1, 0] == 1.0
 
 
 def test_affinity_at_two_sigma_squared_distance():
     # |x0 - x1|^2 = 1 = 2 sigma for sigma = 0.5
     pts = np.array([[0.0], [1.0]])
-    aff = gaussian_affinity(pts, sigma=0.5)
-    assert aff.W[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
-    assert aff.W[0, 1] == pytest.approx(0.367879, abs=5e-7)
+    w, _ = gaussian_affinity(pts, sigma=0.5)
+    assert w[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
+    assert w[0, 1] == pytest.approx(0.367879, abs=5e-7)
 
 
 def test_affinity_scale_is_not_squared():
     # exponent divides by 2*sigma, not 2*sigma^2
     pts = np.array([[0.0], [2.0]])
-    aff = gaussian_affinity(pts, sigma=2.0)
-    assert aff.W[0, 1] == pytest.approx(np.exp(-4.0 / 4.0), abs=1e-15)
+    w, _ = gaussian_affinity(pts, sigma=2.0)
+    assert w[0, 1] == pytest.approx(np.exp(-4.0 / 4.0), abs=1e-15)
 
 
 def test_affinity_rejects_bad_scale():
@@ -70,28 +77,11 @@ def test_affinity_rejects_non_finite_points():
         gaussian_affinity(pts, sigma=1.0)
 
 
-def test_affinity_matrix_validation():
-    w = np.array([[1.0, 0.5], [0.5, 1.0]])
-    with pytest.raises(ValueError, match="square"):
-        AffinityMatrix(np.ones((2, 3)), 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        AffinityMatrix(w, 0.0)
-    with pytest.raises(ValueError, match="symmetric"):
-        AffinityMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]), 1.0)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        AffinityMatrix(np.array([[1.0, -0.1], [-0.1, 1.0]]), 1.0)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        AffinityMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]), 1.0)
-    AffinityMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)   # underflowed affinity
-    with pytest.raises(ValueError, match="diagonal"):
-        AffinityMatrix(np.array([[0.9, 0.5], [0.5, 1.0]]), 1.0)
-
-
 def test_embedding_survives_affinities_that_underflow():
     # the two pairs sit 100 apart: exp(-100^2 / 2) is 0 in double precision
     pts = np.array([[0.0], [0.1], [100.0], [100.1]])
-    aff = gaussian_affinity(pts, sigma=1.0)
-    assert aff.W[0, 2] == 0.0
+    w, _ = gaussian_affinity(pts, sigma=1.0)
+    assert w[0, 2] == 0.0
     E = build_embedding(pts, sigma=1.0, alpha=1.0, k=2)
     assert np.all(np.isfinite(E.eigenvalues)) and np.all(np.isfinite(E.eigenvectors))
     # two disconnected pairs: the eigenvalue 1 is double
@@ -127,7 +117,7 @@ def test_auto_scale_kernel_runs_one_pdist(monkeypatch):
     w, sigma = dmaps.kernel(pts)
     assert len(calls) == 1
     assert sigma == want
-    assert np.array_equal(w, gaussian_affinity(pts, sigma=want).W)
+    assert np.array_equal(w, gaussian_affinity(pts, sigma=want)[0])
 
 
 def test_cross_kernel_matches_rows_of_the_full_kernel():
@@ -139,49 +129,75 @@ def test_cross_kernel_matches_rows_of_the_full_kernel():
     assert dmaps.kernel(pts, pts[:2])[1] == dmaps.kernel(pts)[1]   # auto scale from X
 
 
+def reference_kernel(x, y=None, sigma=None):
+    """The out-of-place kernel expressions the in-place chain replaced."""
+    d2 = pdist(x, metric="sqeuclidean")
+    sigma = float(np.median(d2)) / 2.0 if sigma is None else sigma
+    if y is not None:
+        return np.exp(-cdist(y, x, metric="sqeuclidean") / (2.0 * sigma)), sigma
+    w = np.exp(-squareform(d2) / (2.0 * sigma))
+    np.fill_diagonal(w, 1.0)
+    return w, sigma
+
+
+def test_in_place_chain_keeps_the_out_of_place_bits(cycle_dataset):
+    x = cycle_dataset["train"].values
+    y = cycle_dataset["test"].values
+    want_w, sigma = reference_kernel(x)
+    got_w, got_sigma = dmaps.kernel(x)
+    assert got_sigma == sigma and np.array_equal(got_w, want_w)
+    want_cross, _ = reference_kernel(x, y, sigma)
+    assert np.array_equal(dmaps.kernel(x, y, sigma)[0], want_cross)
+    for alpha in (0.0, 0.5, 1.0):
+        kinv_a = want_w.sum(axis=1) ** (-alpha)
+        w_tilde = want_w * np.outer(kinv_a, kinv_a)
+        k_tilde = w_tilde.sum(axis=1)
+        p = w_tilde / k_tilde[:, None]
+        d_sqrt = np.sqrt(k_tilde)
+        s = p * (d_sqrt[:, None] / d_sqrt[None, :])
+        vals, vecs = dmaps.eigenbasis(s, 11, scale=d_sqrt)
+        E = build_embedding(x, sigma="auto", alpha=alpha, k=10)
+        assert E.sigma == sigma
+        assert np.array_equal(E.eigenvalues, vals)
+        assert np.array_equal(E.eigenvectors, vecs)
+
+
 # ------------------------------------------------------------- normalization
 
 
 def test_alpha_zero_is_row_normalization():
-    aff = gaussian_affinity(cloud(3, n=5), sigma=0.8)
-    op = diffusion_operator(aff, alpha=0.0)
-    expected = aff.W / aff.W.sum(axis=1, keepdims=True)
-    assert np.max(np.abs(op.P - expected)) < 1e-14
+    w, _ = gaussian_affinity(cloud(3, n=5), sigma=0.8)
+    expected = w / w.sum(axis=1, keepdims=True)
+    diffusion_operator(w, alpha=0.0)
+    assert np.max(np.abs(w - expected)) < 1e-14
 
 
 def test_two_point_closed_form():
     pts = np.array([[0.0], [1.2]])
-    aff = gaussian_affinity(pts, sigma=0.9)
-    w = aff.W[0, 1]
-    op = diffusion_operator(aff, alpha=0.0)
+    p, _ = gaussian_affinity(pts, sigma=0.9)
+    w = p[0, 1]
+    diffusion_operator(p, alpha=0.0)
     expected = np.array([[1.0, w], [w, 1.0]]) / (1.0 + w)
-    assert np.max(np.abs(op.P - expected)) < 1e-15
+    assert np.max(np.abs(p - expected)) < 1e-15
 
 
 def test_two_step_normalization_oracle():
     # straight-line reimplementation with explicit diagonal matrices
-    aff = gaussian_affinity(cloud(6, n=6, m=3), sigma=0.7)
-    op = diffusion_operator(aff, alpha=1.0)
-    k = np.diag(aff.W.sum(axis=1) ** -1.0)
-    w_tilde = k @ aff.W @ k
+    w, _ = gaussian_affinity(cloud(6, n=6, m=3), sigma=0.7)
+    k = np.diag(w.sum(axis=1) ** -1.0)
+    w_tilde = k @ w @ k
     k_tilde = np.diag(w_tilde.sum(axis=1) ** -1.0)
     p_oracle = k_tilde @ w_tilde
-    assert np.max(np.abs(op.P - p_oracle)) < 1e-14
-    assert np.max(np.abs(op.row_degrees - w_tilde.sum(axis=1))) < 1e-15
+    row_degrees = diffusion_operator(w, alpha=1.0)
+    assert np.max(np.abs(w - p_oracle)) < 1e-14
+    assert np.max(np.abs(row_degrees - w_tilde.sum(axis=1))) < 1e-15
 
 
 def test_alpha_out_of_range():
-    aff = gaussian_affinity(cloud(1, n=4), sigma=1.0)
+    w, _ = gaussian_affinity(cloud(1, n=4), sigma=1.0)
     for alpha in (-0.1, 1.1):
         with pytest.raises(ValueError, match="alpha"):
-            diffusion_operator(aff, alpha=alpha)
-
-
-def test_operator_validation():
-    with pytest.raises(ValueError, match="non-negative"):
-        DiffusionOperator(np.array([[1.5, -0.5], [0.5, 0.5]]), 1.0, np.ones(2))
-    with pytest.raises(ValueError, match="sum to 1"):
-        DiffusionOperator(np.array([[0.5, 0.4], [0.5, 0.5]]), 1.0, np.ones(2))
+            diffusion_operator(w, alpha=alpha)
 
 
 @settings(deadline=None, max_examples=40)
@@ -193,9 +209,8 @@ def test_operator_validation():
 )
 def test_rows_sum_to_one(seed, n, m, alpha):
     rng = np.random.default_rng(seed)
-    aff = gaussian_affinity(rng.normal(size=(n, m)), sigma=1.0)
-    op = diffusion_operator(aff, alpha=alpha)
-    assert np.max(np.abs(op.P.sum(axis=1) - 1.0)) < 1e-12
+    p, _ = normalized(rng.normal(size=(n, m)), sigma=1.0, alpha=alpha)
+    assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
 
 
 # ------------------------------------------------------------------ spectrum
@@ -203,15 +218,12 @@ def test_rows_sum_to_one(seed, n, m, alpha):
 
 def test_identity_operator_spectrum():
     # degenerate kernel limit: no coupling between points
-    op = DiffusionOperator(P=np.eye(7), alpha=1.0, row_degrees=np.ones(7))
-    E = spectral_decompose(op, k=4)
-    assert np.max(np.abs(E.eigenvalues - 1.0)) < 1e-12
+    vals, _ = spectral_decompose(np.eye(7), np.ones(7), k=4)
+    assert np.max(np.abs(vals - 1.0)) < 1e-12
 
 
 def test_trivial_eigenpair_and_ordering():
-    aff = gaussian_affinity(cloud(7, n=30), sigma=1.0)
-    op = diffusion_operator(aff, alpha=1.0)
-    E = spectral_decompose(op, k=5, sigma=1.0)
+    E = build_embedding(cloud(7, n=30), sigma=1.0, alpha=1.0, k=5)
     assert abs(E.eigenvalues[0] - 1.0) < 1e-10
     psi0 = E.eigenvectors[:, 0]
     assert np.std(psi0) / abs(np.mean(psi0)) < 1e-8
@@ -227,43 +239,38 @@ def test_trivial_eigenpair_and_ordering():
 def test_circle_spectrum_pairs_with_dense_oracle():
     ang = 2.0 * np.pi * np.arange(8) / 8.0
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    aff = gaussian_affinity(pts, sigma="auto")
-    assert aff.sigma == pytest.approx(1.0, abs=1e-14)
-    op = diffusion_operator(aff, alpha=1.0)
-    E = spectral_decompose(op, k=4, sigma=aff.sigma)
+    w, sigma = gaussian_affinity(pts, sigma="auto")
+    assert sigma == pytest.approx(1.0, abs=1e-14)
+    row_degrees = diffusion_operator(w, alpha=1.0)
+    dense = np.sort(np.linalg.eigvals(w).real)[::-1][:5]
+    vals, _ = spectral_decompose(w, row_degrees, k=4)
     # rotational harmonics come in eigenvalue pairs
-    assert abs(E.eigenvalues[1] - E.eigenvalues[2]) < 1e-10
-    assert E.eigenvalues[2] - E.eigenvalues[3] > 0.3
-    assert E.eigenvalues[1] == pytest.approx(0.44639116315645, abs=1e-10)
-    assert E.eigenvalues[3] == pytest.approx(0.10723781418213, abs=1e-10)
-    dense = np.sort(np.linalg.eigvals(op.P).real)[::-1][:5]
-    assert np.max(np.abs(dense - E.eigenvalues)) < 1e-10
+    assert abs(vals[1] - vals[2]) < 1e-10
+    assert vals[2] - vals[3] > 0.3
+    assert vals[1] == pytest.approx(0.44639116315645, abs=1e-10)
+    assert vals[3] == pytest.approx(0.10723781418213, abs=1e-10)
+    assert np.max(np.abs(dense - vals)) < 1e-10
 
 
 def test_spectral_residual_on_retained_pairs():
-    aff = gaussian_affinity(cloud(9, n=25, m=3), sigma=2.0)
-    op = diffusion_operator(aff, alpha=1.0)
-    E = spectral_decompose(op, k=6, sigma=2.0)
-    for ell in range(E.k + 1):
-        psi = E.eigenvectors[:, ell]
-        resid = op.P @ psi - E.eigenvalues[ell] * psi
+    p, row_degrees = normalized(cloud(9, n=25, m=3), sigma=2.0)
+    vals, vecs = spectral_decompose(p.copy(), row_degrees, k=6)
+    for ell in range(len(vals)):
+        resid = p @ vecs[:, ell] - vals[ell] * vecs[:, ell]
         assert np.max(np.abs(resid)) < 1e-8
 
 
 def test_conjugated_operator_is_symmetric():
-    aff = gaussian_affinity(cloud(11, n=20), sigma=1.5)
-    op = diffusion_operator(aff, alpha=1.0)
-    d_sqrt = np.sqrt(op.row_degrees)
-    s = d_sqrt[:, None] * op.P / d_sqrt[None, :]
+    s, row_degrees = normalized(cloud(11, n=20), sigma=1.5)
+    spectral_decompose(s, row_degrees, k=3)   # leaves the conjugate S in s
     assert np.max(np.abs(s - s.T)) < 1e-12
 
 
 def test_k_range_validation():
-    aff = gaussian_affinity(cloud(2, n=6), sigma=1.0)
-    op = diffusion_operator(aff, alpha=1.0)
+    p, row_degrees = normalized(cloud(2, n=6), sigma=1.0)
     for k in (0, 6, 7):
         with pytest.raises(ValueError, match="k must"):
-            spectral_decompose(op, k=k)
+            spectral_decompose(p, row_degrees, k=k)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -281,7 +288,8 @@ def test_permutation_equivariance(seed):
 
 
 def test_embed_time_zero_returns_raw_eigenvectors(strip_embedding):
-    coords = embed(strip_embedding, 0)
+    coords = all_coords(strip_embedding)
+    assert strip_embedding.t == 0
     assert np.array_equal(coords, strip_embedding.eigenvectors[:, 1:])
 
 
@@ -291,29 +299,34 @@ def test_embed_scales_by_eigenvalue_power():
         eigenvectors=np.array([[0.7, 0.2], [0.7, -0.1]]),
         sigma=1.0,
         alpha=1.0,
+        t=1,
     )
-    coords = embed(E, 1)
+    coords = all_coords(E)
     assert coords[0, 0] == 0.1
     assert coords[1, 0] == -0.05
 
 
 def test_embed_exponent_law(strip_embedding):
     lam = strip_embedding.eigenvalues[1:]
-    once = embed(strip_embedding, 1)
-    twice = embed(strip_embedding, 2)
+    once = all_coords(replace(strip_embedding, t=1))
+    twice = all_coords(replace(strip_embedding, t=2))
     assert np.allclose(twice, once * lam[None, :], rtol=1e-13, atol=1e-16)
 
 
-def test_embed_rejects_bad_time(strip_embedding):
+def test_embed_rejects_bad_time(tmp_path, strip_points, strip_embedding):
+    for t in (-1, 0.5):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            build_embedding(strip_points, sigma=strip_embedding.sigma, k=6, t=t)
+    save_embedding(strip_embedding, tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    (tmp_path / "meta.json").write_text(json.dumps({**meta, "t": -1}))
     with pytest.raises(ValueError, match="non-negative integer"):
-        embed(strip_embedding, -1)
-    with pytest.raises(ValueError, match="non-negative integer"):
-        embed(strip_embedding, 0.5)
+        load_embedding(tmp_path)
 
 
 def test_coords_for_selected_indices(strip_embedding):
     coords = coords_for(strip_embedding, [1, 4])
-    full = embed(strip_embedding, strip_embedding.t)
+    full = all_coords(strip_embedding)
     assert np.array_equal(coords, full[:, [0, 3]])
     with pytest.raises(ValueError, match="selected"):
         coords_for(strip_embedding, [0])
@@ -324,8 +337,9 @@ def test_coords_for_selected_indices(strip_embedding):
 # -------------------------------------------------------------------- bundle
 
 
-def test_bundle_roundtrip(tmp_path, strip_embedding):
-    E = with_time(strip_embedding, 2)
+def test_bundle_roundtrip(tmp_path, strip_points, strip_embedding):
+    E = build_embedding(strip_points, sigma=strip_embedding.sigma, k=6, t=2)
+    assert np.array_equal(E.eigenvectors, strip_embedding.eigenvectors)
     save_embedding(E, tmp_path)
     back = load_embedding(tmp_path)
     assert np.array_equal(back.eigenvalues, E.eigenvalues)

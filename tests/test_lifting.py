@@ -1,11 +1,13 @@
 """Tests for out-of-sample restriction and kernel-harmonics lifting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from dmrom import dmaps
-from dmrom.dmaps import DiffusionEmbedding, with_time
+from dmrom.dmaps import DiffusionEmbedding
 from dmrom.ingest import SynthConfig, generate_synthetic
 from dmrom.lifting import gh_fit, gh_lift, nystrom_restrict
 
@@ -22,7 +24,7 @@ def separated_cloud():
 
 
 def test_restrict_reproduces_training_embedding(strip_points, strip_embedding):
-    coords = dmaps.embed(strip_embedding, 0)
+    coords = dmaps.coords_for(strip_embedding, range(1, strip_embedding.k + 1))
     restricted = nystrom_restrict(strip_embedding, strip_points, strip_points)
     assert np.max(np.abs(restricted - coords)) < 1e-6
 
@@ -35,7 +37,7 @@ def test_restrict_far_point_warns_and_returns_zero(strip_points, strip_embedding
 
 
 def test_restrict_midpoints_stay_in_local_hull(strip_points, strip_embedding):
-    coords = dmaps.embed(strip_embedding, 0)[:, [0, 3]]
+    coords = dmaps.coords_for(strip_embedding, [1, 4])
     dists = squareform(pdist(strip_points))
     np.fill_diagonal(dists, np.inf)
     upper = np.triu(dists < 0.04)
@@ -51,7 +53,7 @@ def test_restrict_midpoints_stay_in_local_hull(strip_points, strip_embedding):
 
 
 def test_restrict_honors_diffusion_time(strip_points, strip_embedding):
-    E1 = with_time(strip_embedding, 1)
+    E1 = replace(strip_embedding, t=1)
     got = nystrom_restrict(E1, strip_points, strip_points[17], selected=[1, 4])
     want = dmaps.coords_for(E1, [1, 4])[17]
     assert np.max(np.abs(got - want)) < 1e-12
@@ -61,9 +63,10 @@ def test_restrict_builds_no_training_affinity(strip_points, strip_embedding, mon
     want = nystrom_restrict(strip_embedding, strip_points, strip_points[:5])
 
     def refuse(*args, **kwargs):
-        raise AssertionError("nystrom_restrict built an AffinityMatrix")
+        raise AssertionError("nystrom_restrict ran a diffusion-map step")
 
-    monkeypatch.setattr(dmaps, "AffinityMatrix", refuse)
+    for step in ("gaussian_affinity", "diffusion_operator", "spectral_decompose"):
+        monkeypatch.setattr(dmaps, step, refuse)
     got = nystrom_restrict(strip_embedding, strip_points, strip_points[:5])
     assert np.array_equal(got, want)
 
