@@ -14,17 +14,7 @@ from .dmaps import (
 )
 from .evaluate import comparison_table, error_metrics, nrw_forecast
 from .glm import build_design_matrix, contrast_tstat, fit_glm
-from .ingest import (
-    SplitSpec,
-    StimulusMatrix,
-    SynthConfig,
-    TimeSeriesMatrix,
-    detrend_standardize,
-    generate_synthetic,
-    load_timeseries,
-    split_train_test,
-    write_timeseries,
-)
+from .ingest import SynthConfig, detrend_standardize, generate_synthetic, load_timeseries
 from .lifting import GhLiftModel, gh_fit, gh_lift, nystrom_restrict
 from .parsimony import parsimony_errors, rank_and_select, select_parsimonious
 from .rom_fnn import FnnModel, TrainConfig, fnn_forecast, fnn_forward, fnn_gradient, fnn_train
@@ -44,10 +34,7 @@ __all__ = [
     "FnnModel",
     "GhLiftModel",
     "KoopmanModel",
-    "SplitSpec",
-    "StimulusMatrix",
     "SynthConfig",
-    "TimeSeriesMatrix",
     "TrainConfig",
     "build_design_matrix",
     "build_embedding",
@@ -77,6 +64,4 @@ __all__ = [
     "rank_and_select",
     "select_parsimonious",
     "spectral_decompose",
-    "split_train_test",
-    "write_timeseries",
 ]

@@ -33,16 +33,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from . import artifacts, dmaps, evaluate, glm, lifting, parsimony, rom_fnn, rom_koopman
-from .ingest import (
-    SplitSpec,
-    SynthConfig,
-    TimeSeriesMatrix,
-    detrend_standardize,
-    generate_synthetic,
-    load_timeseries,
-    split_train_test,
-    write_timeseries,
-)
+from .ingest import SynthConfig, detrend_standardize, generate_synthetic, load_timeseries
 from .rom_fnn import TrainConfig
 
 LOCK_NAME = ".lock"
@@ -127,12 +118,12 @@ class RunConfig:
     synth: SynthConfig = None   # optional section
 
     def __post_init__(self):
+        epochs = []
         for e in self.epochs:
             if not isinstance(e, (list, tuple)) or len(e) != 3:
                 raise ValueError(f"epoch {e!r} is not a [condition, start, end] triple")
-        object.__setattr__(
-            self, "epochs", tuple((str(c), int(a), int(b)) for c, a, b in self.epochs)
-        )
+            epochs.append((str(e[0]), *(_typed(int, v, f"epoch {e!r} bound") for v in e[1:])))
+        object.__setattr__(self, "epochs", tuple(epochs))
         object.__setattr__(self, "conditions", tuple(str(c) for c in self.conditions))
         if not self.input:
             raise ValueError("config must set 'input'")
@@ -146,11 +137,27 @@ class RunConfig:
             raise ValueError("epochs given without a conditions list")
 
 
-def _build(cls, raw: dict):
-    """Dataclass instance from given keys; int/float/bool fields are coerced to their type."""
+_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _typed(kind, value, name: str):
+    """The JSON value of an int, float or bool field, or a ValueError naming the field.
+
+    An int takes an integral number (300.0 too), a float any number, a bool only
+    true or false; a bool is not a number.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    fits = isinstance(value, bool) if kind is bool else number and (kind is float or value % 1 == 0)
+    if not fits:
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _build(cls, raw: dict, prefix: str = ""):
+    """Dataclass instance from given keys; int/float/bool fields go through `_typed`."""
     hints = typing.get_type_hints(cls)
     return cls(**{
-        key: hints[key](value) if hints[key] in (int, float, bool) else value
+        key: _typed(hints[key], value, prefix + key) if hints[key] in _KINDS else value
         for key, value in raw.items()
     })
 
@@ -173,7 +180,7 @@ def _section(cls, name: str, raw, seed: int):
         raw = {**raw, "contrasts": tuple(raw["contrasts"].items())}
     if "seed" in {f.name for f in fields(cls)}:
         raw = {"seed": seed, **raw}
-    return _build(cls, raw)
+    return _build(cls, raw, f"{name}.")
 
 
 def load_config(path, seed_override: int = None) -> RunConfig:
@@ -189,7 +196,7 @@ def load_config(path, seed_override: int = None) -> RunConfig:
     if unknown:
         raise ValueError(f"{path}: unknown config key(s): {unknown}")
 
-    seed = int(seed_override if seed_override is not None else data.get("seed", 0))
+    seed = seed_override if seed_override is not None else _typed(int, data.get("seed", 0), "seed")
     top = {**data, "seed": seed}
     hints = typing.get_type_hints(RunConfig)
     for f in fields(RunConfig):
@@ -272,10 +279,11 @@ def _design_matrix(cfg: RunConfig, n: int):
     return glm.build_design_matrix(list(cfg.epochs), n, list(cfg.conditions))
 
 
-def _load_standardized(cfg: RunConfig) -> TimeSeriesMatrix:
-    series = load_timeseries(cfg.input)
+def _load_standardized(cfg: RunConfig):
+    """(values, channel names) of the input series, detrended and standardized."""
+    values, names = load_timeseries(cfg.input)
     n_fit = cfg.n_train if cfg.standardize == "train_only" else None
-    return detrend_standardize(series, drop_dead=cfg.drop_dead, n_fit=n_fit)
+    return detrend_standardize(values, names, drop_dead=cfg.drop_dead, n_fit=n_fit)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +294,13 @@ def cmd_synth(cfg: RunConfig) -> None:
     with _stage("synth"):
         if cfg.synth is None:
             raise ValueError("config has no 'synth' section")
-        series, truth = generate_synthetic(cfg.synth)
+        values, names, truth = generate_synthetic(cfg.synth)
         out_dir = os.path.dirname(os.path.abspath(cfg.input))
         os.makedirs(out_dir, exist_ok=True)
-        write_timeseries(series, cfg.input)
+        artifacts.write_matrix(cfg.input, values, names)
         truth_path = os.path.splitext(cfg.input)[0] + "_truth.json"
         artifacts.write_text(truth_path, truth.to_json() + "\n")
-    print(f"synth: wrote {series.n_times} x {series.n_channels} series to {cfg.input}")
+    print(f"synth: wrote {values.shape[0]} x {values.shape[1]} series to {cfg.input}")
     print(f"synth: ground truth in {truth_path}")
 
 
@@ -302,33 +310,34 @@ def cmd_glm(cfg: RunConfig, paths: RunPaths) -> None:
             raise ValueError("glm requires 'epochs' and 'conditions' in the config")
         if not cfg.glm.contrasts:
             raise ValueError("glm requires at least one contrast in glm.contrasts")
-        series = _load_standardized(cfg)
-        design = _design_matrix(cfg, series.n_times)
+        values, channels = _load_standardized(cfg)
+        design = _design_matrix(cfg, len(values))
         if cfg.glm.kernel:
             design = glm.convolve_design(design, np.asarray(cfg.glm.kernel))
-        fit = glm.fit_glm(series, design)
+        fit = glm.fit_glm(values, design)
         os.makedirs(paths.reports, exist_ok=True)
         for name, vec in cfg.glm.contrasts:
             result = glm.contrast_tstat(fit, design, np.asarray(vec))
             out = os.path.join(paths.reports, f"activity_{name}.csv")
             glm.write_activity_report(
-                out, fit, result, series.channel_names, design.condition_names,
-                threshold=cfg.glm.threshold,
+                out, fit, result, channels, cfg.conditions, threshold=cfg.glm.threshold
             )
             n_pass = int(np.sum(result.p_values < cfg.glm.threshold))
             print(
-                f"glm: contrast {name!r}: {n_pass}/{series.n_channels} channels pass "
+                f"glm: contrast {name!r}: {n_pass}/{len(channels)} channels pass "
                 f"p < {cfg.glm.threshold} -> {out}"
             )
 
 
 def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
     with _stage("ingest"):
-        series = _load_standardized(cfg)
-        train, test = split_train_test(series, SplitSpec(cfg.n_train))
+        values, channels = _load_standardized(cfg)
+        if cfg.n_train >= len(values):
+            raise ValueError(f"n_train must be < {len(values)} input rows, got {cfg.n_train}")
+        train, test = values[: cfg.n_train], values[cfg.n_train :]
     with _stage("dmaps"):
         embedding = dmaps.build_embedding(
-            train.values, cfg.dmaps.sigma, cfg.dmaps.alpha, cfg.dmaps.k, cfg.dmaps.t
+            train, cfg.dmaps.sigma, cfg.dmaps.alpha, cfg.dmaps.k, cfg.dmaps.t
         )
         lam1 = float(embedding.eigenvalues[1])
         if abs(lam1 - 1.0) < DISCONNECTED_TOL:
@@ -344,12 +353,8 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
         os.makedirs(paths.embedding, exist_ok=True)
         dmaps.save_embedding(embedding, paths.embedding)
         parsimony.save_report(report, os.path.join(paths.embedding, "parsimony.json"))
-        artifacts.write_matrix(
-            os.path.join(paths.embedding, "train_ambient.csv"), train.values, train.channel_names
-        )
-        artifacts.write_matrix(
-            os.path.join(paths.embedding, "test_ambient.csv"), test.values, test.channel_names
-        )
+        artifacts.write_matrix(os.path.join(paths.embedding, "train_ambient.csv"), train, channels)
+        artifacts.write_matrix(os.path.join(paths.embedding, "test_ambient.csv"), test, channels)
     lam = ", ".join(f"{v:.6f}" for v in embedding.eigenvalues)
     print(f"embed: eigenvalues: {lam}")
     print(f"embed: residuals er: {', '.join(f'{v:.4f}' for v in report.er)}")
@@ -389,7 +394,7 @@ def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
         if method == "fnn" and cfg.epochs:
             # the design spans the test block too, so its epochs are checked against it
             n_test = len(_read_ambient(paths, "test")[0])
-            stim_train = _design_matrix(cfg, cfg.n_train + n_test).values[: cfg.n_train]
+            stim_train = _design_matrix(cfg, cfg.n_train + n_test)[: cfg.n_train]
         os.makedirs(paths.models, exist_ok=True)
     if method == "fnn":
         targets = range(1, len(report.selected) + 1)
@@ -452,7 +457,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
             for j in range(1, d + 1)
         ]
         stim_seq = (
-            None if design is None else design.values[cfg.n_train - 1 : cfg.n_train - 1 + h]
+            None if design is None else design[cfg.n_train - 1 : cfg.n_train - 1 + h]
         )
         scale = _unit_rms_scale(coords_train)
         fnn_reduced = rom_fnn.fnn_forecast(models, init * scale, stim_seq, h) / scale

@@ -121,10 +121,6 @@ class DiffusionEmbedding:
     def k(self) -> int:
         return len(self.eigenvalues) - 1
 
-    @property
-    def n_points(self) -> int:
-        return self.eigenvectors.shape[0]
-
 
 def gaussian_affinity(X, sigma="auto"):
     """Gaussian affinities among the rows of X and their scale (see `kernel`)."""

@@ -2,9 +2,11 @@
 
 The design matrix holds boxcar condition indicators (optionally convolved with
 a user-supplied kernel); the activity report lists channels passing an
-uncorrected p threshold. Cluster-level or family-wise corrected inference is
-deliberately out of scope; the region-level uncorrected test is an analogy to
-voxel-cluster pipelines, not a numerical reproduction of one.
+uncorrected p threshold. The series and the design are plain arrays: x is
+N x M (one column per channel) and u is N x p (one column per condition).
+Cluster-level or family-wise corrected inference is deliberately out of
+scope; the region-level uncorrected test is an analogy to voxel-cluster
+pipelines, not a numerical reproduction of one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 from scipy import special
 
 from . import artifacts
-from .ingest import StimulusMatrix, TimeSeriesMatrix
 
 ZERO_VARIANCE_REL = 1e-28
 
@@ -38,7 +39,7 @@ class ContrastResult:
     p_values: np.ndarray
 
 
-def build_design_matrix(epochs, n: int, conditions: list[str]) -> StimulusMatrix:
+def build_design_matrix(epochs, n: int, conditions: list[str]) -> np.ndarray:
     """Boxcar indicator design: U[i, j] = 1 iff time i lies in an epoch of condition j.
 
     Parameters
@@ -66,29 +67,24 @@ def build_design_matrix(epochs, n: int, conditions: list[str]) -> StimulusMatrix
         if np.any(u[start:end, j] != 0):
             raise ValueError(f"overlapping epochs for condition {cond!r}")
         u[start:end, j] = 1.0
-    return StimulusMatrix(u, list(conditions))
+    return u
 
 
-def convolve_design(U: StimulusMatrix, kernel: np.ndarray) -> StimulusMatrix:
-    """Causally convolve each regressor with a response kernel, truncated to N."""
+def convolve_design(u: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Causally convolve each regressor (column of u) with a response kernel, truncated to N."""
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 1 or kernel.size == 0:
         raise ValueError("kernel must be a non-empty 1-D array")
-    n = U.values.shape[0]
-    out = np.column_stack(
-        [np.convolve(col, kernel)[:n] for col in U.values.T]
-    )
-    return StimulusMatrix(out, list(U.condition_names))
+    n = u.shape[0]
+    return np.column_stack([np.convolve(col, kernel)[:n] for col in u.T])
 
 
-def fit_glm(X: TimeSeriesMatrix, U: StimulusMatrix) -> GlmFit:
-    """Least-squares fit of every channel against the design matrix.
+def fit_glm(x: np.ndarray, u: np.ndarray) -> GlmFit:
+    """Least-squares fit of every channel (column of x) against the design u.
 
     Uses a rank-revealing solve (minimum-norm coefficients if the design is
-    rank-deficient). Residual variance uses dof = N - rank(U).
+    rank-deficient). Residual variance uses dof = N - rank(u).
     """
-    x = X.values
-    u = U.values
     n = x.shape[0]
     if u.shape[0] != n:
         raise ValueError("design matrix row count does not match time series")
@@ -102,19 +98,19 @@ def fit_glm(X: TimeSeriesMatrix, U: StimulusMatrix) -> GlmFit:
     return GlmFit(betas=betas.T, residuals=residuals, dof=dof, sigma2=sigma2, scale=scale)
 
 
-def contrast_tstat(fit: GlmFit, U: StimulusMatrix, c) -> ContrastResult:
+def contrast_tstat(fit: GlmFit, u: np.ndarray, c) -> ContrastResult:
     """Two-sided t-test of the contrast c'beta per channel.
 
-    t_i = c'beta_i / sqrt(sigma2_i * c'(U'U)^+ c). A channel with an exact fit
+    t_i = c'beta_i / sqrt(sigma2_i * c'(u'u)^+ c). A channel with an exact fit
     (zero residual variance) gets a signed infinite t and p = 0 when the effect
     is nonzero, t = 0 and p = 1 otherwise.
     """
     c = np.asarray(c, dtype=float)
-    if c.shape != (U.values.shape[1],):
+    if c.shape != (u.shape[1],):
         raise ValueError("contrast length does not match design columns")
     if not np.any(c != 0):
         raise ValueError("degenerate contrast: all-zero vector")
-    gram_pinv = np.linalg.pinv(U.values.T @ U.values)
+    gram_pinv = np.linalg.pinv(u.T @ u)
     var_factor = float(c @ gram_pinv @ c)
     if var_factor <= 0:
         raise ValueError("contrast not estimable for this design")

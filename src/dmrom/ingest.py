@@ -1,7 +1,9 @@
-"""Loading, validation, detrending and splitting of multivariate time series.
+"""Loading, validation and detrending of multivariate time series.
 
-Also provides seeded synthetic datasets with known low-dimensional dynamics,
-used throughout the test suite as ground-truth oracles.
+A series travels as plain ``(values, names)``: an N x M float array whose
+rows are time instants, plus one name per column. Also provides seeded
+synthetic datasets with known low-dimensional dynamics, used throughout the
+test suite as ground-truth oracles.
 """
 
 from __future__ import annotations
@@ -19,82 +21,19 @@ logger = logging.getLogger(__name__)
 DEAD_CHANNEL_REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TimeSeriesMatrix:
-    """N x M multivariate series: rows are time instants, columns are channels."""
-
-    values: np.ndarray
-    channel_names: list[str]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {values.shape}")
-        n, m = values.shape
-        # single-row fragments are legal (a split may leave one test row);
-        # full series are checked at load/detrend time instead
-        if n < 1:
-            raise ValueError("need at least 1 time point")
-        if m < 1:
-            raise ValueError("need at least 1 channel")
-        if len(self.channel_names) != m:
-            raise ValueError(
-                f"{len(self.channel_names)} channel names for {m} channels"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values contain non-finite entries")
-
-    @property
-    def n_times(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class StimulusMatrix:
-    """N x p design matrix of stimulus/condition regressors."""
-
-    values: np.ndarray
-    condition_names: list[str]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2:
-            raise ValueError(f"stimulus values must be 2-D, got shape {values.shape}")
-        if len(self.condition_names) != values.shape[1]:
-            raise ValueError("condition_names length does not match column count")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("stimulus values contain non-finite entries")
-
-    @property
-    def n_conditions(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Leading `n_train` rows form the training block, the rest is the test block."""
-
-    n_train: int
-
-    def validate(self, n_total: int) -> None:
-        if not 1 < self.n_train < n_total:
-            raise ValueError(
-                f"n_train must satisfy 1 < n_train < {n_total}, got {self.n_train}"
-            )
-
-
-def load_timeseries(path) -> TimeSeriesMatrix:
+def load_timeseries(path) -> tuple[np.ndarray, list[str]]:
     """Load a wide CSV (header = channel names, row i = time index i).
 
     Parameters
     ----------
     path : str or pathlib.Path
+
+    Returns
+    -------
+    values : ndarray, shape (N, M)
+        Row i holds the channels at time index i.
+    names : list of str
+        Channel names from the header, stripped of surrounding blanks.
 
     Raises
     ------
@@ -102,30 +41,32 @@ def load_timeseries(path) -> TimeSeriesMatrix:
         If the file does not exist.
     ValueError
         On a non-numeric cell (reported with its 1-based data row and column),
-        ragged rows, or fewer than 2 data rows.
+        ragged rows, fewer than 2 data rows, no channel, or a non-finite cell
+        (``nan``/``inf`` parse as numbers, so they are rejected here).
     """
     values, header = artifacts.read_matrix(path)
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
-    return TimeSeriesMatrix(values, [h.strip() for h in header])
-
-
-def write_timeseries(X: TimeSeriesMatrix, path) -> None:
-    """Write a wide CSV that `load_timeseries` reproduces bit-exactly."""
-    artifacts.write_matrix(path, X.values, X.channel_names)
+    if values.shape[1] < 1:
+        raise ValueError(f"{path}: need at least 1 channel")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: values contain non-finite entries")
+    return values, [h.strip() for h in header]
 
 
 def detrend_standardize(
-    X: TimeSeriesMatrix,
+    values: np.ndarray,
+    names: list[str],
     drop_dead: bool = False,
     n_fit: int | None = None,
-) -> TimeSeriesMatrix:
+) -> tuple[np.ndarray, list[str]]:
     """Remove the per-channel least-squares line and scale to unit sample std.
 
     The line is fit against the time index 0..N-1 and the standard deviation
     uses the N-1 denominator. Channels that are constant after detrending are
     an error unless ``drop_dead`` is set, in which case they are removed and
-    reported through the module logger.
+    reported through the module logger. Returns the standardized values and
+    the names of the channels kept.
 
     Parameters
     ----------
@@ -134,7 +75,6 @@ def detrend_standardize(
         ``n_fit`` rows only and applied to the whole series (train-only
         statistics). Default is full-series statistics.
     """
-    values = X.values
     n = values.shape[0]
     if n_fit is None:
         n_fit = n
@@ -153,7 +93,7 @@ def detrend_standardize(
     sd_orig = vf.std(axis=0, ddof=1)
     dead = sd <= DEAD_CHANNEL_REL_TOL * np.maximum(sd_orig, 1e-300)
     if np.any(dead):
-        dead_names = [X.channel_names[i] for i in np.flatnonzero(dead)]
+        dead_names = [names[i] for i in np.flatnonzero(dead)]
         if not drop_dead:
             raise ValueError(
                 "constant channel(s) after detrending: " + ", ".join(dead_names)
@@ -162,22 +102,12 @@ def detrend_standardize(
         keep = ~dead
         detrended = detrended[:, keep]
         sd = sd[keep]
-        names = [nm for nm, k in zip(X.channel_names, keep) if k]
+        names = [nm for nm, k in zip(names, keep) if k]
     else:
-        names = list(X.channel_names)
+        names = list(names)
     if detrended.shape[1] == 0:
         raise ValueError("all channels dead after detrending")
-    return TimeSeriesMatrix(detrended / sd[None, :], names)
-
-
-def split_train_test(
-    X: TimeSeriesMatrix, spec: SplitSpec
-) -> tuple[TimeSeriesMatrix, TimeSeriesMatrix]:
-    """Partition rows into leading train and trailing test blocks."""
-    spec.validate(X.n_times)
-    train = TimeSeriesMatrix(X.values[: spec.n_train].copy(), list(X.channel_names))
-    test = TimeSeriesMatrix(X.values[spec.n_train:].copy(), list(X.channel_names))
-    return train, test
+    return detrended / sd[None, :], names
 
 
 @dataclass(frozen=True)
@@ -234,18 +164,6 @@ class SynthTruth:
         }
         return json.dumps(doc, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "SynthTruth":
-        doc = json.loads(text)
-        return SynthTruth(
-            latent=np.array(doc["latent"], dtype=float),
-            weights=np.array(doc["weights"], dtype=float),
-            phases=np.array(doc["phases"], dtype=float),
-            amplitude=float(doc["amplitude"]),
-            dynamics=doc["dynamics"],
-            params=doc["params"],
-        )
-
 
 def _latent_linear_stable(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
     # rotation + mild decay, conjugated by a random orthogonal frame
@@ -287,13 +205,14 @@ def _latent_limit_cycle(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.
     return z, {"gamma": gamma, "omega": float(omega), "theta0": float(theta0)}
 
 
-def generate_synthetic(cfg: SynthConfig) -> tuple[TimeSeriesMatrix, SynthTruth]:
+def generate_synthetic(cfg: SynthConfig) -> tuple[np.ndarray, list[str], SynthTruth]:
     """Generate an ambient series from a known q-dimensional dynamical system.
 
     The latent trajectory is pushed through a fixed random-cosine-feature map
     into ``ambient_dim`` channels and i.i.d. Gaussian noise is added on top.
     Deterministic given the seed; with ``noise=0`` the ambient values equal the
-    embedding of the latent trajectory exactly.
+    embedding of the latent trajectory exactly. Returns the N x M values, the
+    channel names and the ground truth.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -317,4 +236,4 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[TimeSeriesMatrix, SynthTruth]:
     if cfg.noise > 0:
         ambient = ambient + cfg.noise * rng.normal(size=ambient.shape)
     names = [f"ch{m:03d}" for m in range(cfg.ambient_dim)]
-    return TimeSeriesMatrix(ambient, names), truth
+    return ambient, names, truth

@@ -94,10 +94,6 @@ class GhLiftModel:
     def d_gh(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def n_channels(self) -> int:
-        return self.coeffs.shape[1]
-
 
 def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> GhLiftModel:
     """Eigenbasis of the Gaussian kernel on the reduced coordinates.

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from dmrom import dmaps
-from dmrom.ingest import (
-    SplitSpec,
-    SynthConfig,
-    detrend_standardize,
-    generate_synthetic,
-    split_train_test,
-)
+from dmrom.ingest import SynthConfig, detrend_standardize, generate_synthetic
 
 STRIP_SEED = 42
 STRIP_N = 300
@@ -43,16 +37,15 @@ def strip_embedding(strip_points):
 def cycle_dataset():
     """Noise-free planar limit cycle in 50 ambient channels, standardized and split."""
     cfg = SynthConfig(q=2, ambient_dim=50, n_times=400, noise=0.0, seed=0)
-    series, truth = generate_synthetic(cfg)
-    std = detrend_standardize(series)
-    train, test = split_train_test(std, SplitSpec(320))
-    return {"series": series, "truth": truth, "train": train, "test": test}
+    values, names, truth = generate_synthetic(cfg)
+    std, _ = detrend_standardize(values, names)
+    return {"series": values, "truth": truth, "train": std[:320], "test": std[320:]}
 
 
 @pytest.fixture(scope="session")
 def cycle_embedding(cycle_dataset):
     return dmaps.build_embedding(
-        cycle_dataset["train"].values, sigma="auto", alpha=1.0, k=10
+        cycle_dataset["train"], sigma="auto", alpha=1.0, k=10
     )
 
 

@@ -341,6 +341,34 @@ def test_missing_input_without_synth(tmp_path, capsys):
     assert "input file not found" in capsys.readouterr().err
 
 
+def embed_small_series(tmp_path, cells, n_train: int) -> int:
+    """`embed` on a 2-channel input whose rows are the given cell pairs."""
+    inp = tmp_path / "series.csv"
+    inp.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in cells))
+    cfg_path = write_config(
+        tmp_path / "run.json", input=str(inp), output_dir=str(tmp_path / "out"), n_train=n_train
+    )
+    return main(["embed", "--config", cfg_path])
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_input_fails_in_the_ingest_stage(tmp_path, capsys, cell):
+    cells = [(repr(float(i % 3)), repr(float(i * i % 5))) for i in range(12)]
+    cells[7] = (cells[7][0], cell)
+    assert embed_small_series(tmp_path, cells, n_train=8) == 2
+    err = capsys.readouterr().err
+    assert "[ingest]" in err and "non-finite" in err
+    assert not (tmp_path / "out" / "embedding").exists()
+
+
+def test_n_train_of_every_row_fails_in_the_ingest_stage(tmp_path, capsys):
+    cells = [(repr(float(i % 3)), repr(float(i * i % 5))) for i in range(12)]
+    assert embed_small_series(tmp_path, cells, n_train=12) == 2
+    err = capsys.readouterr().err
+    assert "[ingest]" in err and "n_train must be < 12" in err
+    assert not (tmp_path / "out" / "embedding").exists()
+
+
 # ------------------------------------------------------------- strip input
 
 

@@ -118,7 +118,7 @@ def test_defaults_come_from_the_section_dataclasses(tmp_path):
 
 def test_values_take_their_field_types(tmp_path):
     cfg = load_config(dump(tmp_path, {
-        "input": "x.csv", "output_dir": "out", "n_train": 300.0, "drop_dead": 1,
+        "input": "x.csv", "output_dir": "out", "n_train": 300.0, "drop_dead": True,
         "dmaps": {"alpha": 1, "k": 12.0, "sigma": 2}, "synth": {"noise": 0},
     }))
     assert cfg.n_train == 300 and type(cfg.n_train) is int
@@ -165,6 +165,17 @@ def test_augment_stimulus_is_no_longer_an_option(tmp_path):
          "epoch ['A', 0, 5, 9] is not a [condition, start, end] triple"),
         ({"epochs": ["A05"], "conditions": ["A"]},
          "epoch 'A05' is not a [condition, start, end] triple"),
+        ({"dmaps": {"t": 1.5}}, "dmaps.t must be an integer, got 1.5"),
+        ({"dmaps": {"k": "2"}}, "dmaps.k must be an integer, got '2'"),
+        ({"drop_dead": "false"}, "drop_dead must be true or false, got 'false'"),
+        ({"drop_dead": 1}, "drop_dead must be true or false, got 1"),
+        ({"n_train": True}, "n_train must be an integer, got True"),
+        ({"dmaps": {"alpha": "1"}}, "dmaps.alpha must be a number, got '1'"),
+        ({"gh": {"eig_floor": False}}, "gh.eig_floor must be a number, got False"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"synth": {"n_times": 400.5}}, "synth.n_times must be an integer, got 400.5"),
+        ({"epochs": [["A", 0.5, 4]], "conditions": ["A"]},
+         "epoch ['A', 0.5, 4] bound must be an integer, got 0.5"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):
@@ -175,7 +186,12 @@ def test_invalid_values_keep_their_messages(tmp_path, doc, message):
 
 
 @pytest.mark.parametrize(
-    "doc", [None, {"input": "x.csv", "output_dir": "out", "epochs": [["A", 0]], "conditions": ["A"]}]
+    "doc",
+    [
+        None,
+        {"input": "x.csv", "output_dir": "out", "epochs": [["A", 0]], "conditions": ["A"]},
+        {"input": "x.csv", "output_dir": "out", "dmaps": {"t": 1.5}},
+    ],
 )
 def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, doc):
     path = str(tmp_path) if doc is None else dump(tmp_path, doc)   # None: a directory

@@ -141,8 +141,8 @@ def reference_kernel(x, y=None, sigma=None):
 
 
 def test_in_place_chain_keeps_the_out_of_place_bits(cycle_dataset):
-    x = cycle_dataset["train"].values
-    y = cycle_dataset["test"].values
+    x = cycle_dataset["train"]
+    y = cycle_dataset["test"]
     want_w, sigma = reference_kernel(x)
     got_w, got_sigma = dmaps.kernel(x)
     assert got_sigma == sigma and np.array_equal(got_w, want_w)

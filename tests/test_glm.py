@@ -11,26 +11,25 @@ from dmrom.glm import (
     fit_glm,
     write_activity_report,
 )
-from dmrom.ingest import StimulusMatrix, TimeSeriesMatrix
 
 
 # ---------------------------------------------------------- design matrix
 
 def test_design_full_epoch_is_ones():
     u = build_design_matrix([("on", 0, 6)], 6, ["on"])
-    assert np.array_equal(u.values, np.ones((6, 1)))
+    assert np.array_equal(u, np.ones((6, 1)))
 
 
 def test_design_no_epochs_is_zeros():
     u = build_design_matrix([], 5, ["a", "b"])
-    assert np.array_equal(u.values, np.zeros((5, 2)))
+    assert np.array_equal(u, np.zeros((5, 2)))
 
 
 def test_design_complementary_epochs_rows_sum_to_one():
     u = build_design_matrix([("a", 0, 3), ("b", 3, 8)], 8, ["a", "b"])
     for i in range(8):
-        assert u.values[i].sum() == 1.0
-        assert set(u.values[i]) <= {0.0, 1.0}
+        assert u[i].sum() == 1.0
+        assert set(u[i]) <= {0.0, 1.0}
 
 
 def test_design_validation_errors():
@@ -47,26 +46,24 @@ def test_design_validation_errors():
 
 
 def test_convolve_design_causal_truncated():
-    u = StimulusMatrix(np.array([[0.0], [0.0], [1.0], [0.0], [0.0]]), ["a"])
+    u = np.array([[0.0], [0.0], [1.0], [0.0], [0.0]])
     v = convolve_design(u, np.array([1.0, 0.5]))
-    assert np.allclose(v.values.ravel(), [0.0, 0.0, 1.0, 0.5, 0.0])
-    assert v.values.shape == u.values.shape
+    assert np.allclose(v.ravel(), [0.0, 0.0, 1.0, 0.5, 0.0])
+    assert v.shape == u.shape
 
 
 # ------------------------------------------------------------------ fits
 
 def test_fit_identity_pairing():
     vals = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    x = TimeSeriesMatrix(vals.copy(), ["a", "b"])
-    u = StimulusMatrix(vals.copy(), ["ca", "cb"])
-    fit = fit_glm(x, u)
+    fit = fit_glm(vals.copy(), vals.copy())
     assert np.max(np.abs(fit.betas - np.eye(2))) < 1e-12
     assert np.max(np.abs(fit.residuals)) < 1e-12
 
 
 def test_fit_mean_model():
-    x = TimeSeriesMatrix(np.array([[1.0], [2.0], [3.0]]), ["a"])
-    u = StimulusMatrix(np.ones((3, 1)), ["const"])
+    x = np.array([[1.0], [2.0], [3.0]])
+    u = np.ones((3, 1))
     fit = fit_glm(x, u)
     assert abs(fit.betas[0, 0] - 2.0) < 1e-12
     assert np.allclose(fit.residuals[:, 0], [-1.0, 0.0, 1.0])
@@ -80,10 +77,7 @@ def test_fit_recovers_known_coefficients():
     u_vals = rng.normal(size=(50, 3))
     beta_true = rng.normal(size=(4, 3))  # 4 channels x 3 regressors
     x_vals = u_vals @ beta_true.T
-    fit = fit_glm(
-        TimeSeriesMatrix(x_vals, [f"c{j}" for j in range(4)]),
-        StimulusMatrix(u_vals, ["u0", "u1", "u2"]),
-    )
+    fit = fit_glm(x_vals, u_vals)
     oracle = np.linalg.solve(u_vals.T @ u_vals, u_vals.T @ x_vals).T
     assert np.max(np.abs(fit.betas - beta_true)) < 1e-10
     assert np.max(np.abs(fit.betas - oracle)) < 1e-10
@@ -93,8 +87,7 @@ def test_fit_reconstruction_and_orthogonality():
     rng = np.random.default_rng(4)
     u_vals = rng.normal(size=(40, 2))
     x_vals = u_vals @ rng.normal(size=(3, 2)).T + 0.3 * rng.normal(size=(40, 3))
-    x = TimeSeriesMatrix(x_vals, ["a", "b", "c"])
-    fit = fit_glm(x, StimulusMatrix(u_vals, ["u0", "u1"]))
+    fit = fit_glm(x_vals, u_vals)
     recon = u_vals @ fit.betas.T + fit.residuals
     assert np.max(np.abs(recon - x_vals)) < 1e-10
     for i in range(3):
@@ -103,8 +96,8 @@ def test_fit_reconstruction_and_orthogonality():
 
 
 def test_fit_no_residual_dof_is_error():
-    x = TimeSeriesMatrix(np.array([[1.0], [2.0]]), ["a"])
-    u = StimulusMatrix(np.eye(2), ["u0", "u1"])
+    x = np.array([[1.0], [2.0]])
+    u = np.eye(2)
     with pytest.raises(ValueError, match="degrees of freedom"):
         fit_glm(x, u)
 
@@ -113,10 +106,9 @@ def test_refit_on_fitted_values_is_idempotent():
     rng = np.random.default_rng(2)
     u_vals = rng.normal(size=(30, 2))
     x_vals = rng.normal(size=(30, 2))
-    u = StimulusMatrix(u_vals, ["u0", "u1"])
-    fit = fit_glm(TimeSeriesMatrix(x_vals, ["a", "b"]), u)
+    fit = fit_glm(x_vals, u_vals)
     fitted = u_vals @ fit.betas.T
-    refit = fit_glm(TimeSeriesMatrix(fitted, ["a", "b"]), u)
+    refit = fit_glm(fitted, u_vals)
     assert np.max(np.abs(refit.betas - fit.betas)) < 1e-10
 
 
@@ -124,11 +116,8 @@ def test_column_space_shift_leaves_residuals():
     rng = np.random.default_rng(6)
     u_vals = rng.normal(size=(25, 2))
     x_vals = rng.normal(size=(25, 1))
-    u = StimulusMatrix(u_vals, ["u0", "u1"])
-    base = fit_glm(TimeSeriesMatrix(x_vals, ["a"]), u)
-    shifted = fit_glm(
-        TimeSeriesMatrix(x_vals + (u_vals @ np.array([1.5, -2.0]))[:, None], ["a"]), u
-    )
+    base = fit_glm(x_vals, u_vals)
+    shifted = fit_glm(x_vals + (u_vals @ np.array([1.5, -2.0]))[:, None], u_vals)
     assert np.max(np.abs(shifted.residuals - base.residuals)) < 1e-10
     assert not np.allclose(shifted.betas, base.betas)
 
@@ -136,10 +125,8 @@ def test_column_space_shift_leaves_residuals():
 # ------------------------------------------------------------- contrasts
 
 def _two_group_toy():
-    u_vals = np.repeat(np.eye(2), 3, axis=0)
-    x_vals = np.array([1.0, 2.0, 3.0, 10.0, 11.0, 12.0])[:, None]
-    x = TimeSeriesMatrix(x_vals, ["a"])
-    u = StimulusMatrix(u_vals, ["g1", "g2"])
+    u = np.repeat(np.eye(2), 3, axis=0)
+    x = np.array([1.0, 2.0, 3.0, 10.0, 11.0, 12.0])[:, None]
     return x, u
 
 
@@ -149,7 +136,7 @@ def test_contrast_matches_two_sample_t():
     fit = fit_glm(x, u)
     res = contrast_tstat(fit, u, np.array([1.0, -1.0]))
 
-    g1, g2 = x.values[:3, 0], x.values[3:, 0]
+    g1, g2 = x[:3, 0], x[3:, 0]
     sp2 = (np.sum((g1 - g1.mean()) ** 2) + np.sum((g2 - g2.mean()) ** 2)) / 4.0
     t_oracle = (g1.mean() - g2.mean()) / np.sqrt(sp2 * (1 / 3 + 1 / 3))
     p_oracle = 2.0 * stats.t.sf(abs(t_oracle), 4)
@@ -158,10 +145,8 @@ def test_contrast_matches_two_sample_t():
 
 
 def test_contrast_zero_residual_gives_infinite_t():
-    u_vals = np.repeat(np.eye(2), 2, axis=0)
-    x_vals = u_vals @ np.array([3.0, 1.0])  # exact fit, nonzero difference
-    x = TimeSeriesMatrix(x_vals[:, None], ["a"])
-    u = StimulusMatrix(u_vals, ["g1", "g2"])
+    u = np.repeat(np.eye(2), 2, axis=0)
+    x = (u @ np.array([3.0, 1.0]))[:, None]  # exact fit, nonzero difference
     fit = fit_glm(x, u)
     res = contrast_tstat(fit, u, np.array([1.0, -1.0]))
     assert np.isinf(res.t_values[0]) and res.t_values[0] > 0
@@ -169,10 +154,8 @@ def test_contrast_zero_residual_gives_infinite_t():
 
 
 def test_contrast_zero_residual_zero_effect():
-    u_vals = np.repeat(np.eye(2), 2, axis=0)
-    x_vals = u_vals @ np.array([3.0, 3.0])
-    x = TimeSeriesMatrix(x_vals[:, None], ["a"])
-    u = StimulusMatrix(u_vals, ["g1", "g2"])
+    u = np.repeat(np.eye(2), 2, axis=0)
+    x = (u @ np.array([3.0, 3.0]))[:, None]
     res = contrast_tstat(fit_glm(x, u), u, np.array([1.0, -1.0]))
     assert res.t_values[0] == 0.0
     assert res.p_values[0] == 1.0
@@ -189,10 +172,8 @@ def test_contrast_degenerate_vector_is_error():
 
 def test_contrast_p_consistent_with_t_cdf():
     rng = np.random.default_rng(12)
-    u_vals = rng.normal(size=(30, 2))
-    x_vals = u_vals @ rng.normal(size=(4, 2)).T + rng.normal(size=(30, 4))
-    x = TimeSeriesMatrix(x_vals, [f"c{j}" for j in range(4)])
-    u = StimulusMatrix(u_vals, ["u0", "u1"])
+    u = rng.normal(size=(30, 2))
+    x = u @ rng.normal(size=(4, 2)).T + rng.normal(size=(30, 4))
     fit = fit_glm(x, u)
     res = contrast_tstat(fit, u, np.array([1.0, 0.0]))
     expected = 2.0 * stats.t.sf(np.abs(res.t_values), fit.dof)

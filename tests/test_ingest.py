@@ -1,4 +1,6 @@
-"""Loading, detrending, splitting, and the synthetic ground-truth generators."""
+"""Loading, detrending, and the synthetic ground-truth generators."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,17 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dmrom.ingest import (
-    SplitSpec,
-    SynthConfig,
-    SynthTruth,
-    TimeSeriesMatrix,
-    detrend_standardize,
-    generate_synthetic,
-    load_timeseries,
-    split_train_test,
-    write_timeseries,
-)
+from dmrom.artifacts import write_matrix
+from dmrom.ingest import SynthConfig, detrend_standardize, generate_synthetic, load_timeseries
 
 
 # ---------------------------------------------------------------- loading
@@ -24,10 +17,9 @@ from dmrom.ingest import (
 def test_load_basic_csv(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("a,b\n1,2\n3,4\n5,6\n")
-    ts = load_timeseries(str(p))
-    assert ts.n_times == 3 and ts.n_channels == 2
-    assert ts.channel_names == ["a", "b"]
-    assert np.array_equal(ts.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    values, names = load_timeseries(str(p))
+    assert names == ["a", "b"]
+    assert np.array_equal(values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
 
 def test_load_non_numeric_cell_names_position(tmp_path):
@@ -51,6 +43,21 @@ def test_load_single_row_rejected(tmp_path):
         load_timeseries(str(p))
 
 
+def test_load_without_channels_rejected(tmp_path):
+    p = tmp_path / "empty_header.csv"
+    p.write_text("\n\n\n")
+    with pytest.raises(ValueError, match="at least 1 channel"):
+        load_timeseries(str(p))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_load_non_finite_cell_rejected(tmp_path, cell):
+    p = tmp_path / "nonfinite.csv"
+    p.write_text(f"a,b\n1,2\n3,{cell}\n5,6\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        load_timeseries(str(p))
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_timeseries(str(tmp_path / "nope.csv"))
@@ -70,12 +77,12 @@ def test_write_load_roundtrip_bit_exact(tmp_path_factory, values):
     """Finite doubles survive a write/load round trip bit for bit."""
     p = tmp_path_factory.mktemp("rt") / "m.csv"
     names = [f"c{j}" for j in range(values.shape[1])]
-    write_timeseries(TimeSeriesMatrix(values, names), str(p))
-    back = load_timeseries(str(p))
-    assert np.array_equal(back.values, values)
+    write_matrix(str(p), values, names)
+    back, back_names = load_timeseries(str(p))
+    assert np.array_equal(back, values)
     # sign of zero carries information for bit-exactness
-    assert np.array_equal(np.signbit(back.values), np.signbit(values))
-    assert back.channel_names == names
+    assert np.array_equal(np.signbit(back), np.signbit(values))
+    assert back_names == names
 
 
 # ------------------------------------------------- detrend / standardize
@@ -84,21 +91,20 @@ def test_detrend_pure_line_is_error():
     i = np.arange(12.0)
     x = np.column_stack([2.0 + 3.0 * i, np.sin(i)])
     with pytest.raises(ValueError, match="constant channel"):
-        detrend_standardize(TimeSeriesMatrix(x, ["line", "sine"]))
+        detrend_standardize(x, ["line", "sine"])
 
 
 def test_detrend_pure_line_drop_flag():
     i = np.arange(12.0)
     x = np.column_stack([2.0 + 3.0 * i, np.sin(i)])
-    out = detrend_standardize(TimeSeriesMatrix(x, ["line", "sine"]), drop_dead=True)
-    assert out.channel_names == ["sine"]
-    assert out.values.shape == (12, 1)
+    out, names = detrend_standardize(x, ["line", "sine"], drop_dead=True)
+    assert names == ["sine"]
+    assert out.shape == (12, 1)
 
 
 def test_detrend_alternating_column():
-    ts = TimeSeriesMatrix(np.array([[0.0], [1.0], [0.0], [1.0]]), ["alt"])
-    out = detrend_standardize(ts)
-    col = out.values[:, 0]
+    out, _ = detrend_standardize(np.array([[0.0], [1.0], [0.0], [1.0]]), ["alt"])
+    col = out[:, 0]
     assert abs(col.mean()) < 1e-12
     assert abs(col.std(ddof=1) - 1.0) < 1e-12
 
@@ -106,9 +112,9 @@ def test_detrend_alternating_column():
 def test_detrend_statistics_match_independent_computation():
     rng = np.random.default_rng(123)
     x = rng.normal(size=(100, 5)) + rng.normal(size=(1, 5)) * 3.0
-    out = detrend_standardize(TimeSeriesMatrix(x, [f"c{j}" for j in range(5)]))
+    out, _ = detrend_standardize(x, [f"c{j}" for j in range(5)])
     for j in range(5):
-        col = out.values[:, j]
+        col = out[:, j]
         mean = sum(col) / len(col)
         sd = np.sqrt(sum((v - mean) ** 2 for v in col) / (len(col) - 1))
         assert abs(mean) < 1e-10
@@ -118,63 +124,21 @@ def test_detrend_statistics_match_independent_computation():
 def test_detrend_idempotent():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(60, 3)) + np.arange(60.0)[:, None] * [0.1, -0.2, 0.0]
-    once = detrend_standardize(TimeSeriesMatrix(x, ["a", "b", "c"]))
-    twice = detrend_standardize(once)
-    assert np.max(np.abs(twice.values - once.values)) < 1e-8
+    once, names = detrend_standardize(x, ["a", "b", "c"])
+    twice, _ = detrend_standardize(once, names)
+    assert np.max(np.abs(twice - once)) < 1e-8
 
 
 def test_detrend_train_only_statistics():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(50, 2)).cumsum(axis=0)
-    ts = TimeSeriesMatrix(x, ["a", "b"])
-    out = detrend_standardize(ts, n_fit=30)
+    out, _ = detrend_standardize(x, ["a", "b"], n_fit=30)
     # the leading block carries the fit, so only it is exactly standardized
-    head = out.values[:30]
+    head = out[:30]
     assert np.max(np.abs(head.mean(axis=0))) < 1e-10
     assert np.max(np.abs(head.std(axis=0, ddof=1) - 1.0)) < 1e-10
-    full = detrend_standardize(ts)
-    assert not np.allclose(full.values, out.values)
-
-
-# ------------------------------------------------------------- splitting
-
-def test_split_paper_protocol_shape():
-    x = np.arange(360.0 * 2).reshape(360, 2)
-    train, test = split_train_test(TimeSeriesMatrix(x, ["a", "b"]), SplitSpec(280))
-    assert train.n_times == 280 and test.n_times == 80
-
-
-def test_split_boundary_single_test_row():
-    x = np.arange(10.0).reshape(10, 1)
-    train, test = split_train_test(TimeSeriesMatrix(x, ["a"]), SplitSpec(9))
-    assert test.n_times == 1
-    assert test.values[0, 0] == 9.0
-
-
-@settings(deadline=None, max_examples=25)
-@given(
-    arrays(
-        np.float64,
-        st.tuples(st.integers(3, 12), st.integers(1, 3)),
-        elements=st.floats(allow_nan=False, allow_infinity=False, width=64),
-    ),
-    st.integers(2, 10),
-)
-def test_split_is_a_partition(values, cut):
-    if not 1 < cut < values.shape[0]:
-        return
-    ts = TimeSeriesMatrix(values, [f"c{j}" for j in range(values.shape[1])])
-    train, test = split_train_test(ts, SplitSpec(cut))
-    assert np.array_equal(np.vstack([train.values, test.values]), values)
-
-
-def test_split_spec_validation():
-    with pytest.raises(ValueError):
-        SplitSpec(1).validate(10)
-    with pytest.raises(ValueError):
-        SplitSpec(10).validate(10)
-    with pytest.raises(ValueError):
-        SplitSpec(0).validate(10)
+    full, _ = detrend_standardize(x, ["a", "b"])
+    assert not np.allclose(full, out)
 
 
 # ------------------------------------------------------------- synthetic
@@ -190,50 +154,38 @@ def test_synth_dimension_validation():
 
 def test_synth_limit_cycle_closed_curve():
     cfg = SynthConfig(q=2, ambient_dim=50, n_times=400, noise=0.0, seed=0)
-    series, truth = generate_synthetic(cfg)
+    values, _, truth = generate_synthetic(cfg)
     r2 = truth.latent[:, 0] ** 2 + truth.latent[:, 1] ** 2
     assert np.max(np.abs(r2 - 1.0)) < 1e-12
     # noise-free ambient equals the deterministic embedding of the latent path
-    assert np.max(np.abs(series.values - truth.embed(truth.latent))) == 0.0
+    assert np.max(np.abs(values - truth.embed(truth.latent))) == 0.0
 
 
 def test_synth_seeded_determinism():
     cfg = SynthConfig(q=3, ambient_dim=12, n_times=80, noise=0.05, seed=7)
-    a, ta = generate_synthetic(cfg)
-    b, tb = generate_synthetic(cfg)
-    assert np.array_equal(a.values, b.values)
+    a, names_a, ta = generate_synthetic(cfg)
+    b, names_b, tb = generate_synthetic(cfg)
+    assert np.array_equal(a, b) and names_a == names_b
     assert np.array_equal(ta.latent, tb.latent)
     assert np.array_equal(ta.weights, tb.weights)
 
 
 def test_synth_noise_perturbs_but_preserves_latent():
-    clean, t0 = generate_synthetic(SynthConfig(q=2, ambient_dim=8, n_times=50, noise=0.0, seed=3))
-    noisy, t1 = generate_synthetic(SynthConfig(q=2, ambient_dim=8, n_times=50, noise=0.1, seed=3))
+    clean, _, t0 = generate_synthetic(SynthConfig(q=2, ambient_dim=8, n_times=50, seed=3))
+    noisy, _, t1 = generate_synthetic(SynthConfig(q=2, ambient_dim=8, n_times=50, noise=0.1, seed=3))
     assert np.array_equal(t0.latent, t1.latent)
-    assert not np.allclose(clean.values, noisy.values)
+    assert not np.allclose(clean, noisy)
 
 
 def test_synth_truth_json_roundtrip():
-    _, truth = generate_synthetic(SynthConfig(q=2, ambient_dim=6, n_times=40, noise=0.0, seed=1))
-    back = SynthTruth.from_json(truth.to_json())
-    assert np.array_equal(back.latent, truth.latent)
-    assert np.array_equal(back.weights, truth.weights)
-    assert np.array_equal(back.phases, truth.phases)
-    assert back.dynamics == truth.dynamics
-
-
-def test_timeseries_matrix_validation():
-    # one-row fragments are allowed (splits produce them); emptiness is not
-    with pytest.raises(ValueError):
-        TimeSeriesMatrix(np.empty((0, 2)), ["a", "b"])
-    with pytest.raises(ValueError):
-        TimeSeriesMatrix(np.array([[1.0], [np.nan]]), ["a"])
-    with pytest.raises(ValueError):
-        TimeSeriesMatrix(np.ones((3, 2)), ["a"])  # name count mismatch
-    assert TimeSeriesMatrix(np.array([[1.0, 2.0]]), ["a", "b"]).n_times == 1
+    *_, truth = generate_synthetic(SynthConfig(q=2, ambient_dim=6, n_times=40, noise=0.0, seed=1))
+    back = json.loads(truth.to_json())
+    assert np.array_equal(back["latent"], truth.latent)
+    assert np.array_equal(back["weights"], truth.weights)
+    assert np.array_equal(back["phases"], truth.phases)
+    assert back["dynamics"] == truth.dynamics
 
 
 def test_detrend_single_row_fragment_rejected():
-    frag = TimeSeriesMatrix(np.array([[1.0, 2.0]]), ["a", "b"])
     with pytest.raises(ValueError):
-        detrend_standardize(frag)
+        detrend_standardize(np.array([[1.0, 2.0]]), ["a", "b"])

@@ -177,14 +177,12 @@ def test_lift_validation(separated_cloud):
 
 
 def test_lift_heldout_synthetic_latent():
-    series, truth = generate_synthetic(
+    values, _, truth = generate_synthetic(
         SynthConfig(q=2, ambient_dim=50, n_times=400, noise=0.0, seed=0)
     )
-    model = gh_fit(
-        truth.latent[:320], series.values[:320], gh_sigma=0.05, eig_floor=1e-8
-    )
+    model = gh_fit(truth.latent[:320], values[:320], gh_sigma=0.05, eig_floor=1e-8)
     pred = gh_lift(model, truth.latent[320:])
-    rel = np.linalg.norm(pred - series.values[320:]) / np.linalg.norm(series.values[320:])
+    rel = np.linalg.norm(pred - values[320:]) / np.linalg.norm(values[320:])
     assert rel < 0.05
 
 
