@@ -5,9 +5,10 @@ Subcommands wire the stages together over a single JSON run config:
     synth     generate a seeded synthetic input series
     glm       per-channel regression against the stimulus design
     embed     detrend/split, spectral embedding, coordinate selection
-    train     fit ROMs on the training coordinates (--method fnn|koopman)
-    forecast  closed-loop forecasts over the test horizon, plus the baseline,
-              scored per channel into the comparison table
+    train     fit the FNN ROMs on the training coordinates (--method fnn)
+    forecast  fit the Koopman operator and the GH lift, then closed-loop
+              forecasts over the test horizon, plus the baseline, scored per
+              channel into the comparison table
     run --all everything above in order
 
 Exit codes: 0 success, 2 validation errors (bad config/input), 1 runtime
@@ -84,14 +85,6 @@ class GlmSection:
     contrasts: tuple = ()   # pairs (name, vector)
     threshold: float = 0.001
 
-    def __post_init__(self):
-        object.__setattr__(self, "kernel", tuple(float(v) for v in self.kernel))
-        object.__setattr__(
-            self,
-            "contrasts",
-            tuple((str(k), tuple(float(x) for x in v)) for k, v in self.contrasts),
-        )
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -138,6 +131,7 @@ class RunConfig:
 
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+_ITEM_KINDS = {"fnn.hidden_sizes": int, "fnn.decay_values": float, "glm.kernel": float}
 
 
 def _typed(kind, value, name: str):
@@ -153,13 +147,25 @@ def _typed(kind, value, name: str):
     return kind(value)
 
 
+def _typed_items(kind, value, name: str) -> tuple:
+    """The items of a list field, each through the `_typed` rule for kind."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(_typed(kind, v, f"{name} item") for v in value)
+
+
 def _build(cls, raw: dict, prefix: str = ""):
-    """Dataclass instance from given keys; int/float/bool fields go through `_typed`."""
+    """Dataclass instance from given keys; int/float/bool values and list items are `_typed`."""
     hints = typing.get_type_hints(cls)
-    return cls(**{
-        key: _typed(hints[key], value, prefix + key) if hints[key] in _KINDS else value
-        for key, value in raw.items()
-    })
+    built = {}
+    for key, value in raw.items():
+        name = prefix + key
+        if name in _ITEM_KINDS:
+            value = _typed_items(_ITEM_KINDS[name], value, name)
+        elif hints[key] in _KINDS:
+            value = _typed(hints[key], value, name)
+        built[key] = value
+    return cls(**built)
 
 
 def _unknown_keys(raw: dict, cls) -> str:
@@ -177,7 +183,9 @@ def _section(cls, name: str, raw, seed: int):
     if name == "glm" and "contrasts" in raw:
         if not isinstance(raw["contrasts"], dict):
             raise ValueError("glm.contrasts must map contrast names to vectors")
-        raw = {**raw, "contrasts": tuple(raw["contrasts"].items())}
+        raw = {**raw, "contrasts": tuple(
+            (k, _typed_items(float, v, f"glm.contrasts.{k}")) for k, v in raw["contrasts"].items()
+        )}
     if "seed" in {f.name for f in fields(cls)}:
         raw = {"seed": seed, **raw}
     return _build(cls, raw, f"{name}.")
@@ -388,43 +396,35 @@ def _unit_rms_scale(coords_train) -> float:
 
 
 def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
+    """Fit and store the FNN models, one per selected coordinate.
+
+    `method` is the `--method` choice, always "fnn": the Koopman operator is fit
+    in `forecast`. perfbench's tracer names this stage's span after it.
+    """
     with _stage("train"):
-        _, report, train_vals, coords_train = _load_embedding_artifacts(paths)
+        _, report, _, coords_train = _load_embedding_artifacts(paths)
         stim_train = None
-        if method == "fnn" and cfg.epochs:
+        if cfg.epochs:
             # the design spans the test block too, so its epochs are checked against it
             n_test = len(_read_ambient(paths, "test")[0])
             stim_train = _design_matrix(cfg, cfg.n_train + n_test)[: cfg.n_train]
         os.makedirs(paths.models, exist_ok=True)
-    if method == "fnn":
-        targets = range(1, len(report.selected) + 1)
-        with _stage("rom_fnn"):
-            scaled = coords_train * _unit_rms_scale(coords_train)
-            trained = rom_fnn.fnn_train(scaled, stim_train, targets, cfg.fnn)
-            cells = [rom_fnn.best_grid_cell(records) for _, records in trained]
-            for name in os.listdir(paths.models):   # coordinates a larger d left behind
-                stale = re.fullmatch(r"fnn_(cv_)?coord_(\d+)\.(json|csv)", name)
-                if stale and int(stale[2]) > len(targets):
-                    os.remove(os.path.join(paths.models, name))
-            for j, (model, records), (_, decay, _) in zip(targets, trained, cells):
-                rom_fnn.save_fnn_model(
-                    model, os.path.join(paths.models, f"fnn_coord_{j}.json"), decay=decay
-                )
-                rom_fnn.write_cv_report(
-                    records, os.path.join(paths.models, f"fnn_cv_coord_{j}.csv")
-                )
-        for j, (hidden, decay, score) in zip(targets, cells):
-            print(f"train: coordinate {j}: hidden={hidden}, decay={decay:g}, cv mse={score:.3e}")
-    elif method == "koopman":
-        with _stage("rom_koopman"):
-            model = rom_koopman.fit_koopman_model(coords_train, train_vals, cfg.koopman.svd_tol)
-            rom_koopman.save_koopman_model(model, os.path.join(paths.models, "koopman.json"))
-        mags = ", ".join(f"{abs(v):.6f}" for v in model.eigenvalues)
-        print(f"train: one-step matrix is {model.n_coords} x {model.n_coords}")
-        print(f"train: eigenvalue magnitudes: {mags}")
-        print(f"train: training reconstruction residual: {model.training_residual:.3e}")
-    else:
-        raise StageError("train", ValueError(f"unknown method {method!r}"))
+    targets = range(1, len(report.selected) + 1)
+    with _stage("rom_fnn"):
+        scaled = coords_train * _unit_rms_scale(coords_train)
+        trained = rom_fnn.fnn_train(scaled, stim_train, targets, cfg.fnn)
+        cells = [rom_fnn.best_grid_cell(records) for _, records in trained]
+        for name in os.listdir(paths.models):   # coordinates a larger d left behind
+            stale = re.fullmatch(r"fnn_(cv_)?coord_(\d+)\.(json|csv)", name)
+            if stale and int(stale[2]) > len(targets):
+                os.remove(os.path.join(paths.models, name))
+        for j, (model, records), (_, decay, _) in zip(targets, trained, cells):
+            rom_fnn.save_fnn_model(
+                model, os.path.join(paths.models, f"fnn_coord_{j}.json"), decay=decay
+            )
+            rom_fnn.write_cv_report(records, os.path.join(paths.models, f"fnn_cv_coord_{j}.csv"))
+    for j, (hidden, decay, score) in zip(targets, cells):
+        print(f"train: coordinate {j}: hidden={hidden}, decay={decay:g}, cv mse={score:.3e}")
 
 
 def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
@@ -466,9 +466,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         _write_forecast(paths, "fnn_gh_ambient", fnn_ambient, test_names)
 
     with _stage("rom_koopman"):
-        kmodel = rom_koopman.load_koopman_model(os.path.join(paths.models, "koopman.json"))
-        if kmodel.n_coords != d:
-            raise ValueError(f"model expects {kmodel.n_coords} coordinates but {d} are selected")
+        kmodel = rom_koopman.fit_koopman_model(coords_train, train_vals, cfg.koopman.svd_tol)
         k_reduced, k_ambient = rom_koopman.koopman_forecast(kmodel, init, h)
         _write_forecast(paths, "koopman_reduced", k_reduced, coord_names)
         _write_forecast(paths, "koopman_ambient", k_ambient, test_names)
@@ -491,6 +489,9 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         os.makedirs(paths.reports, exist_ok=True)
         evaluate.write_comparison(table, comparison)
     print(f"forecast: horizon {h}, reduced dimension {d}")
+    mags = ", ".join(f"{abs(v):.6f}" for v in kmodel.eigenvalues)
+    print(f"forecast: koopman eigenvalue magnitudes: {mags}")
+    print(f"forecast: koopman training reconstruction residual: {kmodel.training_residual:.3e}")
     print(f"forecast: geometric harmonics sigma {gh_model.gh_sigma!r}, rank {gh_model.d_gh}")
     print(f"forecast: wrote fnn_gh, koopman, nrw ambient forecasts under {paths.forecasts}")
     for i, method in enumerate(table.methods):
@@ -512,7 +513,6 @@ def cmd_run_all(cfg: RunConfig, paths: RunPaths) -> None:
         print("run: no epochs/contrasts configured, skipping glm")
     cmd_embed(cfg, paths)
     cmd_train(cfg, paths, "fnn")
-    cmd_train(cfg, paths, "koopman")
     cmd_forecast(cfg, paths)
 
 
@@ -554,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "train":
-            p.add_argument("--method", required=True, choices=["fnn", "koopman"])
+            p.add_argument("--method", required=True, choices=["fnn"])
         if name == "run":
             p.add_argument("--all", action="store_true", help="run every stage in order")
     return parser

@@ -76,8 +76,6 @@ class TrainConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        object.__setattr__(self, "decay_values", tuple(float(v) for v in self.decay_values))
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden sizes must be positive")
         if any(v <= 0 for v in self.decay_values):

@@ -5,6 +5,7 @@ snapshot matrices. Its eigenpairs give eigenfunction time series
 phi_{i,j} = coords_i . v_j; modes are least-squares expansions of the ambient
 channels (and of the coordinates themselves) in those eigenfunctions, and
 forecasting follows the spectral law: step s = real(sum_j w_j^s c_j phi_{0,j}).
+The fit takes milliseconds, so the forecast stage fits it afresh each run.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import artifacts
 
 SVD_TOL = 1e-10          # relative singular-value cutoff for the pseudo-inverse
 GROWTH_TOL = 1e-6        # |eigenvalue| above 1 + this warns about blow-up
@@ -27,7 +26,6 @@ class KoopmanModel:
     eigenvectors: np.ndarray     # d x d complex, unit columns, phase-fixed
     modes: np.ndarray            # M x d complex ambient-channel modes
     reduced_modes: np.ndarray    # d x d complex coordinate modes
-    svd_tolerance: float
     training_residual: float     # max abs ambient reconstruction error on training data
 
     @property
@@ -126,13 +124,15 @@ def fit_koopman_model(coords, x_train, svd_tol: float = SVD_TOL) -> KoopmanModel
     phi = eigenfunction_values(coords, vecs)
     recon = (phi @ modes.T).real
     residual = float(np.max(np.abs(recon - np.atleast_2d(np.asarray(x_train, dtype=float)))))
+    # C-order copies: koopman_modes returns sol.T (F-order), and BLAS sums an
+    # F-order matrix-vector product in another order, which would move the
+    # forecast's last bits
     return KoopmanModel(
         u_hat=u_hat,
         eigenvalues=vals,
-        eigenvectors=vecs,
-        modes=modes,
-        reduced_modes=reduced_modes,
-        svd_tolerance=float(svd_tol),
+        eigenvectors=np.ascontiguousarray(vecs),
+        modes=np.ascontiguousarray(modes),
+        reduced_modes=np.ascontiguousarray(reduced_modes),
         training_residual=residual,
     )
 
@@ -164,45 +164,3 @@ def koopman_forecast(model: KoopmanModel, init_coords, h: int):
                 raise RuntimeError(f"forecast diverged (non-finite values) at step {s + 1}")
     return reduced, ambient
 
-
-def _complex_to_pairs(arr):
-    arr = np.asarray(arr)
-    if arr.ndim == 1:
-        return [[float(v.real), float(v.imag)] for v in arr]
-    return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
-
-
-def _pairs_to_complex(data):
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def save_koopman_model(model: KoopmanModel, path) -> None:
-    payload = {
-        "u_hat": [[float(v) for v in row] for row in model.u_hat],
-        "eigenvalues": _complex_to_pairs(model.eigenvalues),
-        "eigenvectors": _complex_to_pairs(model.eigenvectors),
-        "modes": _complex_to_pairs(model.modes),
-        "reduced_modes": _complex_to_pairs(model.reduced_modes),
-        "svd_tolerance": model.svd_tolerance,
-        "training_residual": model.training_residual,
-    }
-    artifacts.write_json(path, payload)
-
-
-def load_koopman_model(path) -> KoopmanModel:
-    payload = artifacts.read_json(
-        path,
-        "model file",
-        ("u_hat", "eigenvalues", "eigenvectors", "modes", "reduced_modes", "svd_tolerance",
-         "training_residual"),
-    )
-    return KoopmanModel(
-        u_hat=np.asarray(payload["u_hat"], dtype=float),
-        eigenvalues=_pairs_to_complex(payload["eigenvalues"]),
-        eigenvectors=_pairs_to_complex(payload["eigenvectors"]),
-        modes=_pairs_to_complex(payload["modes"]),
-        reduced_modes=_pairs_to_complex(payload["reduced_modes"]),
-        svd_tolerance=float(payload["svd_tolerance"]),
-        training_residual=float(payload["training_residual"]),
-    )

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from dmrom import dmaps, parsimony
-from dmrom.artifacts import read_matrix
+from dmrom.artifacts import read_matrix, write_matrix
 from dmrom.cli import config_hash, load_config, main
 from dmrom.evaluate import comparison_table, write_comparison
 from dmrom.lifting import gh_fit, gh_lift, nystrom_restrict
-from dmrom.rom_koopman import fit_koopman_model, load_koopman_model, save_koopman_model
+from dmrom.rom_koopman import fit_koopman_model, koopman_forecast
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -113,14 +113,6 @@ def test_one_fnn_model_per_coordinate(pipeline_run):
     assert not (models / "fnn_coord_6.json").exists()
 
 
-def test_single_koopman_model(pipeline_run):
-    models = pipeline_run["out"] / "models"
-    paths = sorted(p.name for p in models.glob("koopman*"))
-    assert paths == ["koopman.json"]
-    model = load_koopman_model(models / "koopman.json")
-    assert model.u_hat.shape == (5, 5)
-
-
 def test_forecast_shapes(pipeline_run):
     forecasts = pipeline_run["out"] / "forecasts"
     for name in ("fnn_gh", "koopman", "nrw"):
@@ -197,7 +189,7 @@ def smaller_d_run(pipeline_run, tmp_path_factory):
     """The d=5 run copied, then embedded and trained again with d=3."""
     run = tmp_path_factory.mktemp("smaller_d") / "run"
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], run, parsimony={"d": 3})
-    for stage in (["embed"], ["train", "--method", "fnn"], ["train", "--method", "koopman"]):
+    for stage in (["embed"], ["train", "--method", "fnn"]):
         assert main([*stage, "--config", cfg_path]) == 0
     return {"cfg": cfg_path, "out": run}
 
@@ -207,7 +199,6 @@ def test_fnn_training_removes_the_models_of_dropped_coordinates(smaller_d_run):
     assert models == [
         "fnn_coord_1.json", "fnn_coord_2.json", "fnn_coord_3.json",
         "fnn_cv_coord_1.csv", "fnn_cv_coord_2.csv", "fnn_cv_coord_3.csv",
-        "koopman.json",
     ]
 
 
@@ -248,16 +239,34 @@ def test_corrupt_bundle_names_the_file(pipeline_run, tmp_path, capsys):
     assert "fnn_coord_1.json" in capsys.readouterr().err
 
 
-def test_koopman_model_of_another_width_is_rejected(pipeline_run, tmp_path, capsys):
-    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
-    rng = np.random.default_rng(0)
-    wide = fit_koopman_model(rng.normal(size=(40, 6)), rng.normal(size=(40, 6)))
-    save_koopman_model(wide, tmp_path / "clone" / "models" / "koopman.json")
-    rc = main(["forecast", "--config", cfg_path])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "[rom_koopman]" in err
-    assert "6 coordinates but 5 are selected" in err
+def test_koopman_is_no_train_method(pipeline_run, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--method", "koopman", "--config", pipeline_run["cfg"]])
+    assert exc.value.code == 2
+    assert "invalid choice: 'koopman'" in capsys.readouterr().err
+
+
+def test_forecast_fits_koopman_on_the_current_embedding(pipeline_run, tmp_path):
+    sigma = dmaps.load_embedding(pipeline_run["out"] / "embedding").sigma
+    clone = tmp_path / "clone"
+    dmaps_cfg = {"sigma": 3 * sigma, "k": 10}
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone, dmaps=dmaps_cfg)
+    for stage in (["embed"], ["train", "--method", "fnn"], ["forecast"]):
+        assert main([*stage, "--config", cfg_path]) == 0
+    emb = clone / "embedding"
+    selected = parsimony.load_report(emb / "parsimony.json").selected
+    coords = dmaps.coords_for(dmaps.load_embedding(emb), selected)
+    train = read_matrix(emb / "train_ambient.csv")[0]
+    test, names = read_matrix(emb / "test_ambient.csv")
+    model = fit_koopman_model(coords, train, load_config(cfg_path).koopman.svd_tol)
+    reduced, ambient = koopman_forecast(model, coords[-1], len(test))
+    write_matrix(tmp_path / "reduced.csv", reduced, [f"y_{j}" for j in range(len(selected))])
+    write_matrix(tmp_path / "ambient.csv", ambient, names)
+    for name in ("reduced", "ambient"):
+        fresh = (tmp_path / f"{name}.csv").read_bytes()
+        assert (clone / "forecasts" / f"koopman_{name}.csv").read_bytes() == fresh
+    old = (pipeline_run["out"] / "forecasts" / "koopman_ambient.csv").read_bytes()
+    assert old != (tmp_path / "ambient.csv").read_bytes()
 
 
 def test_forecast_refits_the_lift_under_the_current_gh_config(pipeline_run, tmp_path):

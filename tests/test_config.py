@@ -81,7 +81,9 @@ def run_configs(draw):
         nrw=NrwSection(mode=draw(st.sampled_from(["reduced_then_lift", "ambient"]))),
         glm=GlmSection(
             kernel=tuple(draw(st.lists(finite, max_size=4))),
-            contrasts=tuple(draw(st.dictionaries(names, st.lists(finite, max_size=3))).items()),
+            contrasts=tuple(
+                draw(st.dictionaries(names, st.lists(finite, max_size=3).map(tuple))).items()
+            ),
             threshold=draw(finite),
         ),
         synth=synth,
@@ -176,6 +178,11 @@ def test_augment_stimulus_is_no_longer_an_option(tmp_path):
         ({"synth": {"n_times": 400.5}}, "synth.n_times must be an integer, got 400.5"),
         ({"epochs": [["A", 0.5, 4]], "conditions": ["A"]},
          "epoch ['A', 0.5, 4] bound must be an integer, got 0.5"),
+        ({"fnn": {"hidden_sizes": [4.7]}}, "fnn.hidden_sizes item must be an integer, got 4.7"),
+        ({"fnn": {"decay_values": ["0.01"]}},
+         "fnn.decay_values item must be a number, got '0.01'"),
+        ({"glm": {"kernel": [True]}}, "glm.kernel item must be a number, got True"),
+        ({"glm": {"contrasts": {"c": ["1"]}}}, "glm.contrasts.c item must be a number, got '1'"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):

@@ -11,8 +11,6 @@ from dmrom.rom_koopman import (
     koopman_fit,
     koopman_forecast,
     koopman_modes,
-    load_koopman_model,
-    save_koopman_model,
 )
 
 
@@ -217,7 +215,6 @@ def test_identity_dynamics_constant_forecast():
         eigenvectors=np.eye(2, dtype=complex),
         modes=modes,
         reduced_modes=np.eye(2, dtype=complex),
-        svd_tolerance=1e-10,
         training_residual=0.0,
     )
     init = np.array([0.3, -0.8])
@@ -263,7 +260,6 @@ def test_forecast_divergence_reports_step():
         eigenvectors=np.array([[1.0 + 0j]]),
         modes=np.array([[1.0 + 0j]]),
         reduced_modes=np.array([[1.0 + 0j]]),
-        svd_tolerance=1e-10,
         training_residual=0.0,
     )
     with pytest.raises(RuntimeError, match="step 2"):
@@ -276,27 +272,3 @@ def test_forecast_init_length(linear_system):
     with pytest.raises(ValueError, match="length"):
         koopman_forecast(model, [0.1, 0.2], 3)
 
-
-# --------------------------------------------------------------- persistence
-
-
-def test_model_roundtrip(tmp_path, linear_system):
-    _, coords, ambient = linear_system
-    model = fit_koopman_model(coords, ambient)
-    path = tmp_path / "koopman.json"
-    save_koopman_model(model, path)
-    back = load_koopman_model(path)
-    assert np.array_equal(back.u_hat, model.u_hat)
-    assert np.array_equal(back.eigenvalues, model.eigenvalues)
-    assert np.array_equal(back.eigenvectors, model.eigenvectors)
-    assert np.array_equal(back.modes, model.modes)
-    assert np.array_equal(back.reduced_modes, model.reduced_modes)
-    assert back.svd_tolerance == model.svd_tolerance
-    assert back.training_residual == model.training_residual
-
-
-def test_model_load_rejects_missing_field(tmp_path):
-    path = tmp_path / "koop_bad.json"
-    path.write_text('{"u_hat": [[1.0]]}')
-    with pytest.raises(ValueError, match="koop_bad.json"):
-        load_koopman_model(path)
