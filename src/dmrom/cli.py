@@ -14,7 +14,8 @@ Subcommands wire the stages together over a single JSON run config:
 Exit codes: 0 success, 2 validation errors (bad config/input), 1 runtime
 failures. Artifacts land in output_dir/{embedding,models,forecasts,reports};
 a meta.json echoes the config and its hash, and nothing written depends on
-wall-clock time, so repeated runs with one config are byte-identical.
+wall-clock time, so repeated runs with one config and one BLAS thread count
+are byte-identical (the eigensolve's last bits can change with the count).
 """
 
 from __future__ import annotations

@@ -4,12 +4,17 @@ Each embedding coordinate gets its own single-hidden-layer network mapping
 (current coordinates, current stimulus) to that coordinate one step ahead.
 Hidden size and weight decay are chosen by grid search under repeated k-fold
 cross-validation over the one-step training pairs; the fits of all
-coordinates train together as stacked gradient descents. Forecasts iterate
-the trained networks closed-loop, feeding outputs back as inputs.
+coordinates train together as stacked gradient descents, and the stacks train
+concurrently on up to `len(os.sched_getaffinity(0))` threads (`taskset`
+restricts them). Every model and CV record is the same bits at any worker
+count. Forecasts iterate the trained networks closed-loop, feeding outputs
+back as inputs.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,20 +279,36 @@ def _train_fits(fits, cfg: TrainConfig):
     float64 fits x rows x hidden block would pass `STACK_BYTES` trains as
     several stacks; a slice computes the same bits at any stack size. Each
     slice keeps the memory layout of its fit's inputs, because the BLAS
-    products sum in a layout-dependent order. Returns, per fit, its w1, b1,
-    w_out, b_out and last loss.
+    products sum in a layout-dependent order. The stacks train concurrently
+    on up to `len(os.sched_getaffinity(0))` threads (so `taskset` restricts
+    them), largest block first; the matmuls and ufuncs release the GIL, and
+    a stack's bits do not depend on which thread trains it or when, so the
+    results are the same at any worker count. An exception in a stack
+    re-raises here and cancels the stacks not yet started. Returns, per
+    fit, its w1, b1, w_out, b_out and last loss.
     """
     groups = {}
     for k, (hidden, _, _, z, _) in enumerate(fits):
         groups.setdefault((hidden, len(z)), []).append(k)
-    trained = [None] * len(fits)
+    stacks = []
     for (hidden, n_rows), members in groups.items():
         size = max(1, STACK_BYTES // (8 * n_rows * hidden))
-        for chunk in (members[i : i + size] for i in range(0, len(members), size)):
-            _, decays, keys, zs, ys = zip(*(fits[k] for k in chunk))
-            params = _train_stack(
-                np.stack(zs), np.stack(ys), hidden, decays, [_fit_rng(*key) for key in keys], cfg
-            )
+        stacks += [(hidden, n_rows, members[i : i + size]) for i in range(0, len(members), size)]
+    # the largest block first, so the pool never ends on a large stack
+    stacks.sort(key=lambda s: len(s[2]) * s[1] * s[0], reverse=True)
+
+    def train(stack):
+        hidden, _, chunk = stack
+        _, decays, keys, zs, ys = zip(*(fits[k] for k in chunk))
+        return _train_stack(
+            np.stack(zs), np.stack(ys), hidden, decays, [_fit_rng(*key) for key in keys], cfg
+        )
+
+    trained = [None] * len(fits)
+    # at least one worker: the final retraining has no fits when every CV cell diverged
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(stacks)))
+    with ThreadPoolExecutor(workers) as pool:
+        for (*_, chunk), params in zip(stacks, pool.map(train, stacks)):
             for i, k in enumerate(chunk):
                 trained[k] = tuple(p[i] for p in params)
     return trained

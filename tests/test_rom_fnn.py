@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -295,6 +296,50 @@ def test_byte_budget_splits_stacks_and_changes_no_bit(monkeypatch):
     for (m_whole, r_whole), (m_split, r_split) in zip(whole, split):
         assert_same_model(m_whole, m_split)
         assert_same_records(r_whole, r_split)
+
+
+def train_on_cpus(monkeypatch, cpus, coords, cfg):
+    """fnn_train as on a machine whose affinity mask is `cpus`; also the pools' worker counts."""
+    workers = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(rom_fnn, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(rom_fnn.os, "sched_getaffinity", lambda pid: set(cpus))
+    return fnn_train(coords, None, [1, 2, 3], cfg), workers
+
+
+def test_worker_count_changes_no_bit(monkeypatch):
+    coords = mixed_winner_coords()
+    cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
+    # several stacks per group, so both workers have stacks to take
+    monkeypatch.setattr(rom_fnn, "STACK_BYTES", 8 * 40 * 3 * 2)
+    alone, alone_workers = train_on_cpus(monkeypatch, {0}, coords, cfg)
+    pooled, pooled_workers = train_on_cpus(monkeypatch, {0, 1}, coords, cfg)
+    # the CV pass, then the final retrains of the two winning hidden sizes
+    assert alone_workers == [1, 1]
+    assert pooled_workers == [2, 2]
+    for (m_alone, r_alone), (m_pooled, r_pooled) in zip(alone, pooled, strict=True):
+        assert_same_model(m_alone, m_pooled)
+        assert_same_records(r_alone, r_pooled)
+
+
+def test_failing_stack_raises_from_fnn_train(monkeypatch):
+    def fail_on_three_units(z, y, hidden, decays, rngs, cfg):
+        if hidden == 3:
+            raise ValueError("stack of 3 hidden units failed")
+        return _train_stack(z, y, hidden, decays, rngs, cfg)
+
+    monkeypatch.setattr(rom_fnn, "_train_stack", fail_on_three_units)
+    monkeypatch.setattr(rom_fnn, "STACK_BYTES", 8 * 40 * 3 * 2)
+    cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
+    result = None
+    with pytest.raises(ValueError, match="^stack of 3 hidden units failed$"):
+        result, _ = train_on_cpus(monkeypatch, {0, 1}, mixed_winner_coords(), cfg)
+    assert result is None
 
 
 def test_final_fit_uses_the_inputs_in_their_own_layout():
