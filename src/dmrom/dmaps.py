@@ -3,8 +3,9 @@
 Gaussian affinities W, the density normalization W~ = K^-a W K^-a, the row
 normalization P = K~^-1 W~ and the symmetric conjugate S = K~^1/2 P K~^-1/2
 (same spectrum, stable symmetric solver) are written one after another into
-the same N x N array. The top eigenvectors of S are mapped back to those of P
-and sign-fixed. The steps pass plain arrays, and the normalization and
+the same N x N array. Only the top k+1 eigenpairs of S are computed, by a
+Lanczos solve (ARPACK) from a fixed start vector, and mapped back to those of
+P and sign-fixed. The steps pass plain arrays, and the normalization and
 conjugation steps overwrite the array they are given.
 """
 
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import artifacts
@@ -63,7 +65,7 @@ def kernel(X, Y=None, sigma="auto"):
     if sigma <= 0:
         raise ValueError(f"kernel scale must be positive, got {sigma}")
     if Y is None:
-        w = squareform(d2)
+        w = d2   # the condensed upper triangle: each pair is exponentiated once
     else:
         y = _as_points(Y)
         if y.shape[1] != x.shape[1]:
@@ -78,29 +80,37 @@ def kernel(X, Y=None, sigma="auto"):
     w /= 2.0 * sigma
     np.exp(w, out=w)
     if Y is None:
+        w = squareform(w)
         np.fill_diagonal(w, 1.0)
     return w, sigma
 
 
-def eigenbasis(s: np.ndarray, count: int = None, scale: np.ndarray = None):
-    """Eigenpairs of the symmetric matrix s, eigenvalues descending (the top `count`).
+def _descending_signed(vals: np.ndarray, vecs: np.ndarray, count: int):
+    """The `count` largest eigenpairs, eigenvalues descending.
 
-    With ``scale``, each eigenvector is divided row-wise by it and brought
-    back to unit length. Every vector is then sign-fixed so that its entry of
-    largest absolute value is positive.
+    Only those `count` columns are copied. Each is sign-fixed so that its
+    entry of largest absolute value is positive.
     """
-    try:
-        vals, vecs = eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(vals)[::-1][:count]
     vecs = vecs[:, order]
-    if scale is not None:
-        vecs /= scale[:, None]
-        vecs /= np.linalg.norm(vecs, axis=0)[None, :]
     flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0
     vecs[:, flip] *= -1.0
     return vals[order], vecs
+
+
+def eigenbasis(s: np.ndarray, floor: float):
+    """Eigenpairs of the symmetric matrix s above a relative floor, descending.
+
+    Keeps the eigenvalues that are positive and at least ``floor`` times the
+    largest one, with sign-fixed eigenvectors (see `_descending_signed`).
+    Overwrites s.
+    """
+    try:
+        vals, vecs = eigh(s, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
+    count = int(np.count_nonzero((vals > 0) & (vals >= floor * vals.max())))
+    return _descending_signed(vals, vecs, count)
 
 
 @dataclass(frozen=True)
@@ -147,16 +157,32 @@ def spectral_decompose(p: np.ndarray, row_degrees: np.ndarray, k: int):
     """Top k+1 right-eigenpairs (eigenvalues, eigenvectors) of p, descending.
 
     Overwrites p with its symmetric conjugate S = D^1/2 P D^-1/2 (D = row
-    degrees) so a symmetric eigensolver applies; eigenvectors are mapped back
-    by D^-1/2, normalized to unit length, and sign-fixed so the entry of
-    largest absolute value is positive.
+    degrees) so a symmetric eigensolver applies. The top k+1 eigenpairs of S
+    come from a Lanczos solve (``eigsh``, which="LA", tol=0) started from the
+    all-ones vector, so reruns give the same bits. (When that vector spans an
+    invariant subspace, as for uncoupled points, ARPACK restarts from its own
+    random vector, whose state carries over between calls in one process; the
+    eigenvalues still agree.) For k+1 >= N-1 a dense ``eigh`` solves S
+    instead: at that size it costs nothing, and ``eigsh`` would fall back to
+    it with a RuntimeWarning once k+1 >= N. Eigenvectors are mapped back by
+    D^-1/2, normalized to unit length, and sign-fixed so the entry of largest
+    absolute value is positive.
     """
     n = p.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
     d_sqrt = np.sqrt(row_degrees)
     np.multiply(p, d_sqrt[:, None] / d_sqrt[None, :], out=p)
-    return eigenbasis(p, k + 1, scale=d_sqrt)
+    try:
+        if k + 1 >= n - 1:
+            vals, vecs = eigh(p)
+        else:
+            vals, vecs = eigsh(p, k=k + 1, which="LA", v0=np.ones(n), tol=0)
+    except (np.linalg.LinAlgError, ArpackError) as exc:
+        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
+    vecs /= d_sqrt[:, None]
+    vecs /= np.linalg.norm(vecs, axis=0)[None, :]
+    return _descending_signed(vals, vecs, k + 1)
 
 
 def build_embedding(X, sigma="auto", alpha: float = 1.0, k: int = 30, t: int = 0):
@@ -174,7 +200,9 @@ def coords_for(E: DiffusionEmbedding, selected) -> np.ndarray:
     if np.any(sel < 1) or np.any(sel > E.k):
         raise ValueError(f"selected indices must lie in 1..{E.k}")
     lam = E.eigenvalues[sel] ** E.t
-    return E.eigenvectors[:, sel] * lam[None, :]
+    # row-major whatever the layout of the eigenvectors: FNN training sums
+    # the two layouts in different orders
+    return np.ascontiguousarray(E.eigenvectors[:, sel] * lam[None, :])
 
 
 def save_embedding(E: DiffusionEmbedding, directory) -> None:

@@ -113,14 +113,12 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> G
     if eig_floor < 0:
         raise ValueError(f"eig_floor must be >= 0, got {eig_floor}")
     kernel, gh_sigma = dmaps.kernel(y, sigma=gh_sigma)
-    vals, vecs = dmaps.eigenbasis(kernel)
-    keep = (vals > 0) & (vals >= eig_floor * vals[0])
-    if not np.any(keep):
+    vals, vecs = dmaps.eigenbasis(kernel, eig_floor)
+    if vals.size == 0:
         raise ValueError("no kernel eigenvalues survive the truncation threshold")
-    vals = vals[keep]
     # C order: the BLAS products over the basis (coeffs here, the lift in
     # gh_lift) take another path on an F-order copy and move the last bits
-    vecs = np.ascontiguousarray(vecs[:, keep])
+    vecs = np.ascontiguousarray(vecs)
     return GhLiftModel(
         y_train=y,
         gh_sigma=gh_sigma,

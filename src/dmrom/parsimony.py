@@ -31,20 +31,23 @@ class ParsimonyReport:
 
 
 def _loo_local_linear(psi_pred: np.ndarray, target: np.ndarray, h: float) -> np.ndarray:
-    """Leave-one-out locally weighted predictions of target from psi_pred rows."""
+    """Leave-one-out locally weighted predictions of target from psi_pred rows.
+
+    Point i's fit solves the weighted normal equations
+    (Z' W_i Z + ridge I) theta_i = Z' W_i target, Z = [1, psi_pred]. Every
+    row of the kernel gives one point's weights, so all N systems are formed
+    by two products with the kernel and solved in one batched call.
+    """
     n = psi_pred.shape[0]
-    w_all, _ = dmaps.kernel(psi_pred, sigma=h * h)   # weights exp(-d^2 / (2 h^2))
+    w, _ = dmaps.kernel(psi_pred, sigma=h * h)   # weights exp(-d^2 / (2 h^2))
+    np.fill_diagonal(w, 0.0)   # the point being predicted never weighs its own fit
     z = np.hstack([np.ones((n, 1)), psi_pred])
     m = z.shape[1]
-    preds = np.empty(n)
-    eye = RIDGE * np.eye(m)
-    for i in range(n):
-        w = w_all[i].copy()
-        w[i] = 0.0  # the point being predicted never weighs its own fit
-        zw = z * w[:, None]
-        theta = np.linalg.solve(zw.T @ z + eye, zw.T @ target)
-        preds[i] = z[i] @ theta
-    return preds
+    gram = (w @ (z[:, :, None] * z[:, None, :]).reshape(n, m * m)).reshape(n, m, m)
+    gram += RIDGE * np.eye(m)
+    rhs = w @ (z * target[:, None])
+    theta = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    return np.einsum("ij,ij->i", z, theta)
 
 
 def _errors_and_bandwidths(psi: np.ndarray, scale_fraction: float):

@@ -1,12 +1,15 @@
 """Tests for the diffusion-map kernel, operator normalization, and spectrum."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
+from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from dmrom import dmaps
@@ -155,7 +158,13 @@ def test_in_place_chain_keeps_the_out_of_place_bits(cycle_dataset):
         p = w_tilde / k_tilde[:, None]
         d_sqrt = np.sqrt(k_tilde)
         s = p * (d_sqrt[:, None] / d_sqrt[None, :])
-        vals, vecs = dmaps.eigenbasis(s, 11, scale=d_sqrt)
+        # the Lanczos call spectral_decompose makes, on the out-of-place S
+        vals, vecs = eigsh(s, k=11, which="LA", v0=np.ones(len(s)), tol=0)
+        vecs /= d_sqrt[:, None]
+        vecs /= np.linalg.norm(vecs, axis=0)[None, :]
+        order = np.argsort(vals)[::-1]
+        vals, vecs = vals[order], vecs[:, order]
+        vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(11)])[None, :]
         E = build_embedding(x, sigma="auto", alpha=alpha, k=10)
         assert E.sigma == sigma
         assert np.array_equal(E.eigenvalues, vals)
@@ -273,6 +282,59 @@ def test_k_range_validation():
             spectral_decompose(p, row_degrees, k=k)
 
 
+def dense_pairs(p, row_degrees, count):
+    """Top eigenpairs of P from a full dense solve of S, unit columns, descending."""
+    d_sqrt = np.sqrt(row_degrees)
+    vals, vecs = eigh(p * (d_sqrt[:, None] / d_sqrt[None, :]))
+    vecs = vecs[:, ::-1][:, :count] / d_sqrt[:, None]
+    return vals[::-1][:count], vecs / np.linalg.norm(vecs, axis=0)
+
+
+@pytest.mark.parametrize("gap, lanczos", [(1, False), (2, False), (3, True)])
+def test_small_n_takes_the_dense_path_without_a_warning(monkeypatch, gap, lanczos):
+    # k + 1 >= n - 1 leaves ARPACK no room; eigsh would fall back with a RuntimeWarning
+    p, row_degrees = normalized(cloud(12, n=9, m=3), sigma=1.5)
+    k = 9 - gap
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(dmaps, "eigsh", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = spectral_decompose(p.copy(), row_degrees, k=k)
+    assert calls == ([k + 1] if lanczos else [])
+    want_vals, want_vecs = dense_pairs(p, row_degrees, k + 1)
+    assert vals.shape == (k + 1,) and vecs.shape == (9, k + 1)
+    assert np.max(np.abs(vals - want_vals)) < 1e-12
+    assert np.max(np.abs(np.abs(np.sum(vecs * want_vecs, axis=0)) - 1.0)) < 1e-10
+    assert np.max(np.abs(p @ vecs - vecs * vals[None, :])) < 1e-10
+
+
+def test_near_degenerate_pair_spans_the_dense_subspace():
+    # a slightly squashed ring: its first two harmonics nearly share an eigenvalue
+    ang = 2.0 * np.pi * np.arange(90) / 90.0 + 0.01 * cloud(13, n=90, m=1)[:, 0]
+    pts = np.column_stack([np.cos(ang), 0.999 * np.sin(ang)])
+    p, row_degrees = normalized(pts, sigma=0.05)
+    vals, vecs = spectral_decompose(p.copy(), row_degrees, k=6)
+    want_vals, want_vecs = dense_pairs(p, row_degrees, 7)
+    assert 0 < want_vals[1] - want_vals[2] < 1e-3 * (want_vals[2] - want_vals[3])
+    assert np.max(np.abs(vals - want_vals)) < 1e-12
+    for cols in ([1, 2], [3, 4], [5, 6]):
+        basis = vecs[:, cols]
+        coef, *_ = np.linalg.lstsq(basis, want_vecs[:, cols], rcond=None)
+        assert np.max(np.abs(basis @ coef - want_vecs[:, cols])) < 1e-9
+
+
+def test_reruns_give_the_same_bits(strip_points):
+    first = build_embedding(strip_points, sigma="auto", k=8)
+    second = build_embedding(strip_points.copy(), sigma="auto", k=8)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_permutation_equivariance(seed):
     rng = np.random.default_rng(seed)
@@ -328,6 +390,7 @@ def test_coords_for_selected_indices(strip_embedding):
     coords = coords_for(strip_embedding, [1, 4])
     full = all_coords(strip_embedding)
     assert np.array_equal(coords, full[:, [0, 3]])
+    assert coords.flags.c_contiguous   # FNN bits depend on the input layout
     with pytest.raises(ValueError, match="selected"):
         coords_for(strip_embedding, [0])
     with pytest.raises(ValueError, match="selected"):

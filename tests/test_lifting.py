@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.spatial.distance import pdist, squareform
 
 from dmrom import dmaps
@@ -116,6 +117,21 @@ def test_retained_spectrum_respects_floor(separated_cloud):
     assert np.all(model.eigenvalues > 0)
     assert np.all(model.eigenvalues >= 1e-3 * model.eigenvalues[0])
     assert np.all(np.diff(model.eigenvalues) <= 0)
+
+
+def test_truncated_basis_keeps_the_bits_of_the_full_reorder(separated_cloud):
+    # the reference orders and sign-fixes all N eigenvectors, then truncates
+    y, x = separated_cloud
+    kernel, _ = dmaps.kernel(y, sigma=0.5)
+    vals, vecs = eigh(kernel)
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(y))])[None, :]
+    keep = (vals > 0) & (vals >= 1e-3 * vals[0])
+    model = gh_fit(y, x, gh_sigma=0.5, eig_floor=1e-3)
+    assert np.array_equal(model.eigenvalues, vals[keep])
+    assert np.array_equal(model.eigenvectors, vecs[:, keep])
+    assert np.array_equal(model.coeffs, np.ascontiguousarray(vecs[:, keep]).T @ x)
 
 
 def test_auto_scale_matches_reduced_space_rule(separated_cloud):

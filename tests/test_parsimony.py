@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+from dmrom import dmaps
 from dmrom.parsimony import (
+    RIDGE,
     ParsimonyReport,
     load_report,
     parsimony_errors,
@@ -104,6 +106,40 @@ def test_residual_input_validation():
 def test_first_residual_convention_always_holds(seed, n, k):
     psi = np.random.default_rng(seed).normal(size=(n, k))
     assert parsimony_errors(psi)[0] == 1.0
+
+
+def per_point_errors(psi, scale_fraction=1.0 / 3.0):
+    """The residuals from one weighted least-squares solve per left-out point."""
+    n, k = psi.shape
+    er = np.ones(k)
+    for l in range(1, k):
+        pred, target = psi[:, :l], psi[:, l]
+        h = scale_fraction * float(np.median(pdist(pred)))
+        w_all, _ = dmaps.kernel(pred, sigma=h * h)
+        z = np.hstack([np.ones((n, 1)), pred])
+        fit = np.empty(n)
+        for i in range(n):
+            w = w_all[i].copy()
+            w[i] = 0.0
+            zw = z * w[:, None]
+            theta = np.linalg.solve(zw.T @ z + RIDGE * np.eye(l + 1), zw.T @ target)
+            fit[i] = z[i] @ theta
+        er[l] = np.sqrt(np.sum((target - fit) ** 2) / np.sum(target**2))
+    return er
+
+
+@pytest.mark.parametrize("source", ["direct", "strip", "noise"])
+def test_batched_solve_matches_the_per_point_loop(source, direct_columns, strip_embedding):
+    if source == "direct":
+        psi, d = direct_columns[2], 2
+    elif source == "strip":
+        psi, d = strip_embedding.eigenvectors[:, 1:], 3
+    else:
+        psi, d = np.random.default_rng(21).normal(size=(40, 6)), 3
+    want = per_point_errors(psi)
+    report = rank_and_select(psi, d)
+    assert np.max(np.abs(report.er - want)) < 1e-12
+    assert report.selected == select_parsimonious(want, d)
 
 
 # ----------------------------------------------------------------- selection

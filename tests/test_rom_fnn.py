@@ -254,7 +254,7 @@ SMALL_GRID = dict(
 def test_all_targets_train_as_their_one_target_calls(n, d, p, column_major, tol, seed):
     rng = np.random.default_rng(seed)
     coords = rng.normal(size=(n, d))
-    if column_major:   # the layout dmaps.coords_for returns
+    if column_major:
         coords = np.asfortranarray(coords)
     stim = rng.integers(0, 2, size=(n, p)).astype(float) if p else None
     cfg = TrainConfig(**SMALL_GRID, max_epochs=30, tol=tol, seed=seed % 7)
