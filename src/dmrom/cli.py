@@ -25,7 +25,6 @@ import fcntl
 import hashlib
 import json
 import os
-import re
 import shutil
 import sys
 import typing
@@ -382,9 +381,7 @@ def _write_forecast(paths: RunPaths, name: str, values, names) -> None:
 def _load_embedding_artifacts(paths: RunPaths):
     embedding = dmaps.load_embedding(paths.embedding)
     report = parsimony.load_report(os.path.join(paths.embedding, "parsimony.json"))
-    train_vals, _ = _read_ambient(paths, "train")
-    coords_train = dmaps.coords_for(embedding, report.selected)
-    return embedding, report, train_vals, coords_train
+    return embedding, report, dmaps.coords_for(embedding, report.selected)
 
 
 def _unit_rms_scale(coords_train) -> float:
@@ -397,13 +394,13 @@ def _unit_rms_scale(coords_train) -> float:
 
 
 def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
-    """Fit and store the FNN models, one per selected coordinate.
+    """Fit the FNN models, one per selected coordinate, and store them as one bundle.
 
     `method` is the `--method` choice, always "fnn": the Koopman operator is fit
     in `forecast`. perfbench's tracer names this stage's span after it.
     """
     with _stage("train"):
-        _, report, _, coords_train = _load_embedding_artifacts(paths)
+        _, report, coords_train = _load_embedding_artifacts(paths)
         stim_train = None
         if cfg.epochs:
             # the design spans the test block too, so its epochs are checked against it
@@ -413,24 +410,20 @@ def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
     targets = range(1, len(report.selected) + 1)
     with _stage("rom_fnn"):
         scaled = coords_train * _unit_rms_scale(coords_train)
-        trained = rom_fnn.fnn_train(scaled, stim_train, targets, cfg.fnn)
-        cells = [rom_fnn.best_grid_cell(records) for _, records in trained]
-        for name in os.listdir(paths.models):   # coordinates a larger d left behind
-            stale = re.fullmatch(r"fnn_(cv_)?coord_(\d+)\.(json|csv)", name)
-            if stale and int(stale[2]) > len(targets):
-                os.remove(os.path.join(paths.models, name))
-        for j, (model, records), (_, decay, _) in zip(targets, trained, cells):
-            rom_fnn.save_fnn_model(
-                model, os.path.join(paths.models, f"fnn_coord_{j}.json"), decay=decay
-            )
-            rom_fnn.write_cv_report(records, os.path.join(paths.models, f"fnn_cv_coord_{j}.csv"))
+        models, records = zip(*rom_fnn.fnn_train(scaled, stim_train, targets, cfg.fnn))
+        cells = [rom_fnn.best_grid_cell(r) for r in records]
+        digest = rom_fnn.training_digest(cfg.fnn, scaled, stim_train)
+        bundle = os.path.join(paths.models, "fnn.json")
+        rom_fnn.save_fnn_models(models, [decay for _, decay, _ in cells], bundle, digest)
+        rom_fnn.write_cv_report(dict(zip(targets, records)), os.path.join(paths.models, "fnn_cv.csv"))
     for j, (hidden, decay, score) in zip(targets, cells):
         print(f"train: coordinate {j}: hidden={hidden}, decay={decay:g}, cv mse={score:.3e}")
 
 
 def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
     with _stage("forecast"):
-        embedding, report, train_vals, coords_train = _load_embedding_artifacts(paths)
+        embedding, report, coords_train = _load_embedding_artifacts(paths)
+        train_vals, _ = _read_ambient(paths, "train")
         test_vals, test_names = _read_ambient(paths, "test")
         h = test_vals.shape[0]
         if h == 0:
@@ -453,14 +446,14 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         )
 
     with _stage("rom_fnn"):
-        models = [
-            rom_fnn.load_fnn_model(os.path.join(paths.models, f"fnn_coord_{j}.json"))
-            for j in range(1, d + 1)
-        ]
+        scale = _unit_rms_scale(coords_train)
+        stim_train = None if design is None else design[: cfg.n_train]
+        # models trained on another embedding, stimulus or fnn config are refused
+        digest = rom_fnn.training_digest(cfg.fnn, coords_train * scale, stim_train)
+        models = rom_fnn.load_fnn_models(os.path.join(paths.models, "fnn.json"), digest)
         stim_seq = (
             None if design is None else design[cfg.n_train - 1 : cfg.n_train - 1 + h]
         )
-        scale = _unit_rms_scale(coords_train)
         fnn_reduced = rom_fnn.fnn_forecast(models, init * scale, stim_seq, h) / scale
         fnn_ambient = lifting.gh_lift(gh_model, fnn_reduced)
         _write_forecast(paths, "fnn_gh_reduced", fnn_reduced, coord_names)

@@ -13,9 +13,11 @@ back as inputs.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -470,36 +472,60 @@ def fnn_forecast(models, init, stim_seq, h: int) -> np.ndarray:
     return out
 
 
-def save_fnn_model(model: FnnModel, path, decay: float = None) -> None:
-    payload = {
-        "w1": [[float(v) for v in row] for row in model.w1],
-        "b1": [float(v) for v in model.b1],
-        "w_out": [float(v) for v in model.w_out],
-        "b_out": model.b_out,
-        "target_index": model.target_index,
-        "hidden_size": model.hidden_size,
-        "decay": decay,
-    }
-    artifacts.write_json(path, payload)
+def training_digest(cfg: TrainConfig, train_coords, stim) -> str:
+    """sha256 of the canonical JSON of `cfg`, then of the C-order bytes of the
+    training coordinates and, when there is one, of the stimulus."""
+    h = hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":")).encode())
+    for arr in (train_coords, stim):
+        if arr is not None:
+            h.update(np.asarray(arr, dtype=float).tobytes())
+    return h.hexdigest()
 
 
-def load_fnn_model(path) -> FnnModel:
-    payload = artifacts.read_json(
-        path, "model file", ("w1", "b1", "w_out", "b_out", "target_index")
-    )
-    return FnnModel(
-        w1=np.asarray(payload["w1"], dtype=float),
-        b1=np.asarray(payload["b1"], dtype=float),
-        w_out=np.asarray(payload["w_out"], dtype=float),
-        b_out=payload["b_out"],
-        target_index=payload["target_index"],
-    )
+_MODEL_KEYS = ("w1", "b1", "w_out", "b_out", "target_index")
 
 
-def write_cv_report(records, path) -> None:
-    lines = ["hidden,decay,repeat,fold,mse\n"] + [
-        f"{r['hidden']},{repr(float(r['decay']))},{r['repeat']},{r['fold']},"
-        f"{repr(float(r['mse']))}\n"
-        for r in records
+def save_fnn_models(models, decays, path, trained_on: str) -> None:
+    """All models in one JSON bundle, in target order, beside their `training_digest`."""
+    entries = [
+        {key: np.asarray(getattr(m, key)).tolist() for key in (*_MODEL_KEYS, "hidden_size")}
+        | {"decay": decay}
+        for m, decay in zip(models, decays)
     ]
-    artifacts.write_text(path, "".join(lines))
+    artifacts.write_json(path, {"models": entries, "trained_on": trained_on})
+
+
+def load_fnn_models(path, trained_on: str) -> list:
+    """The models of a `save_fnn_models` bundle whose digest is `trained_on`.
+
+    Another digest, or an entry that is not a model, raises ValueError naming
+    the path (and `models[i]`).
+    """
+    doc = artifacts.read_json(path, "model file", ("models", "trained_on"))
+    if doc["trained_on"] != trained_on:
+        raise ValueError(
+            f"{path}: the models were trained on other coordinates, stimulus or fnn "
+            "settings; rerun train"
+        )
+    if not isinstance(doc["models"], list):
+        raise ValueError(f"corrupt model file {path}: 'models' is not a list")
+    models = []
+    for i, entry in enumerate(doc["models"]):
+        try:
+            missing = [key for key in _MODEL_KEYS if key not in entry]
+            if missing:
+                raise ValueError(f"missing {missing[0]!r}")
+            models.append(FnnModel(**{key: entry[key] for key in _MODEL_KEYS}))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"corrupt model file {path}: models[{i}]: {exc}") from None
+    return models
+
+
+def write_cv_report(records_by_target, path) -> None:
+    """One CV table: a row per target coordinate, grid cell, repeat and fold."""
+    rows = (
+        [t, r["hidden"], float(r["decay"]), r["repeat"], r["fold"], float(r["mse"])]
+        for t, records in records_by_target.items()
+        for r in records
+    )
+    artifacts.write_rows(path, ["coord", "hidden", "decay", "repeat", "fold", "mse"], rows)

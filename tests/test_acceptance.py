@@ -22,6 +22,10 @@ from dmrom import dmaps, evaluate, lifting, parsimony, rom_koopman
 from dmrom.cli import main
 from dmrom.rom_fnn import FnnModel, fnn_gradient
 
+# every criterion runs on fixed inputs, so an overflow or invalid-value warning
+# fails the same way on every run
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @contextmanager
 def criterion(n: int, budget_s: float):

@@ -12,14 +12,17 @@ import sys
 import numpy as np
 import pytest
 
-from dmrom import dmaps, parsimony
+from dmrom import dmaps, parsimony, rom_fnn
 from dmrom.artifacts import read_matrix, write_matrix
 from dmrom.cli import config_hash, load_config, main
 from dmrom.evaluate import comparison_table, write_comparison
 from dmrom.lifting import gh_fit, gh_lift, nystrom_restrict
 from dmrom.rom_koopman import fit_koopman_model, koopman_forecast
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
+pytestmark = [
+    pytest.mark.filterwarnings("ignore::UserWarning"),
+    pytest.mark.filterwarnings("error::RuntimeWarning"),
+]
 
 
 def write_config(path, **overrides) -> str:
@@ -105,12 +108,21 @@ def test_meta_echoes_config_and_hash(pipeline_run):
     assert meta["config"]["n_train"] == 120
 
 
+def assert_fnn_bundle(models, d):
+    """models/ holds one bundle of d networks and one CV table covering them."""
+    assert sorted(p.name for p in models.iterdir()) == ["fnn.json", "fnn_cv.csv"]
+    digest = json.loads((models / "fnn.json").read_text())["trained_on"]
+    bundle = rom_fnn.load_fnn_models(models / "fnn.json", digest)
+    assert [m.target_index for m in bundle] == list(range(1, d + 1))
+    with open(models / "fnn_cv.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted({int(row["coord"]) for row in rows}) == list(range(1, d + 1))
+    # one hidden size x one decay x one repeat x three folds per coordinate
+    assert len(rows) == 3 * d
+
+
 def test_one_fnn_model_per_coordinate(pipeline_run):
-    models = pipeline_run["out"] / "models"
-    for j in range(1, 6):
-        assert (models / f"fnn_coord_{j}.json").is_file()
-        assert (models / f"fnn_cv_coord_{j}.csv").is_file()
-    assert not (models / "fnn_coord_6.json").exists()
+    assert_fnn_bundle(pipeline_run["out"] / "models", 5)
 
 
 def test_forecast_shapes(pipeline_run):
@@ -194,12 +206,8 @@ def smaller_d_run(pipeline_run, tmp_path_factory):
     return {"cfg": cfg_path, "out": run}
 
 
-def test_fnn_training_removes_the_models_of_dropped_coordinates(smaller_d_run):
-    models = sorted(p.name for p in (smaller_d_run["out"] / "models").iterdir())
-    assert models == [
-        "fnn_coord_1.json", "fnn_coord_2.json", "fnn_coord_3.json",
-        "fnn_cv_coord_1.csv", "fnn_cv_coord_2.csv", "fnn_cv_coord_3.csv",
-    ]
+def test_smaller_d_training_leaves_a_smaller_bundle(smaller_d_run):
+    assert_fnn_bundle(smaller_d_run["out"] / "models", 3)
 
 
 def test_only_forecast_scores_and_it_scores_its_own_forecasts(smaller_d_run, tmp_path, capsys):
@@ -232,11 +240,58 @@ def test_zero_horizon_is_a_validation_error(pipeline_run, tmp_path, capsys):
 
 def test_corrupt_bundle_names_the_file(pipeline_run, tmp_path, capsys):
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
-    bad = tmp_path / "clone" / "models" / "fnn_coord_1.json"
-    bad.write_text('{"bad": 1}\n')
+    bad = tmp_path / "clone" / "models" / "fnn.json"
+    doc = json.loads(bad.read_text())
+    doc["models"][1] = {"bad": 1}
+    bad.write_text(json.dumps(doc))
     rc = main(["forecast", "--config", cfg_path])
     assert rc == 2
-    assert "fnn_coord_1.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "[rom_fnn]" in err
+    assert "models/fnn.json: models[1]: missing 'w1'" in err
+
+
+@pytest.mark.parametrize(
+    "change", [{"dmaps": {"sigma": 40.0, "k": 10}}, {"parsimony": {"d": 3}}], ids=["sigma", "d"]
+)
+def test_forecast_refuses_models_trained_on_another_embedding(
+    pipeline_run, tmp_path, capsys, change
+):
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone", **change)
+    assert main(["embed", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["forecast", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [rom_fnn]")
+    assert "models/fnn.json" in err and "rerun train" in err
+
+
+def test_unchanged_re_embed_keeps_the_models_valid(pipeline_run, tmp_path):
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
+    for stage in ("embed", "forecast"):
+        assert main([stage, "--config", cfg_path]) == 0
+    assert tree_bytes(tmp_path / "clone" / "forecasts") == tree_bytes(
+        pipeline_run["out"] / "forecasts"
+    )
+
+
+def test_failed_training_leaves_the_old_bundle(pipeline_run, tmp_path, monkeypatch):
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
+    models = tmp_path / "clone" / "models"
+    before = tree_bytes(models)
+    real, calls = rom_fnn._train_fits, []
+
+    def diverging_final(fits, cfg):
+        calls.append(len(fits))
+        trained = real(fits, cfg)
+        if len(calls) == 2:   # the final retraining, after the CV fits
+            trained = [(*params, float("nan")) for *params, _ in trained]
+        return trained
+
+    monkeypatch.setattr(rom_fnn, "_train_fits", diverging_final)
+    assert main(["train", "--method", "fnn", "--config", cfg_path]) == 1
+    assert calls == [15, 5]
+    assert tree_bytes(models) == before
 
 
 def test_koopman_is_no_train_method(pipeline_run, capsys):

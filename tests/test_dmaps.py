@@ -24,6 +24,10 @@ from dmrom.dmaps import (
     spectral_decompose,
 )
 
+# the spectral and small-N tests draw no hypothesis examples, so a RuntimeWarning
+# (eigsh's own small-N fallback emits one) fails the same way on every run
+STRICT = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def cloud(seed, n=30, m=2):
     rng = np.random.default_rng(seed)
@@ -100,6 +104,7 @@ def test_auto_sigma_matches_median_oracle():
     assert dmaps.kernel(pts)[1] == pytest.approx(np.median(d2) / 2.0, rel=1e-14)
 
 
+@STRICT
 def test_auto_sigma_rejects_degenerate_sets():
     with pytest.raises(ValueError, match="at least 2"):
         dmaps.kernel(np.ones((1, 3)))
@@ -143,6 +148,7 @@ def reference_kernel(x, y=None, sigma=None):
     return w, sigma
 
 
+@STRICT
 def test_in_place_chain_keeps_the_out_of_place_bits(cycle_dataset):
     x = cycle_dataset["train"]
     y = cycle_dataset["test"]
@@ -225,6 +231,7 @@ def test_rows_sum_to_one(seed, n, m, alpha):
 # ------------------------------------------------------------------ spectrum
 
 
+@STRICT
 def test_identity_operator_spectrum():
     # degenerate kernel limit: no coupling between points
     vals, _ = spectral_decompose(np.eye(7), np.ones(7), k=4)
@@ -245,6 +252,7 @@ def test_trivial_eigenpair_and_ordering():
     assert np.all(tops > 0)
 
 
+@STRICT
 def test_circle_spectrum_pairs_with_dense_oracle():
     ang = 2.0 * np.pi * np.arange(8) / 8.0
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -261,6 +269,7 @@ def test_circle_spectrum_pairs_with_dense_oracle():
     assert np.max(np.abs(dense - vals)) < 1e-10
 
 
+@STRICT
 def test_spectral_residual_on_retained_pairs():
     p, row_degrees = normalized(cloud(9, n=25, m=3), sigma=2.0)
     vals, vecs = spectral_decompose(p.copy(), row_degrees, k=6)
@@ -290,6 +299,7 @@ def dense_pairs(p, row_degrees, count):
     return vals[::-1][:count], vecs / np.linalg.norm(vecs, axis=0)
 
 
+@STRICT
 @pytest.mark.parametrize("gap, lanczos", [(1, False), (2, False), (3, True)])
 def test_small_n_takes_the_dense_path_without_a_warning(monkeypatch, gap, lanczos):
     # k + 1 >= n - 1 leaves ARPACK no room; eigsh would fall back with a RuntimeWarning
@@ -313,6 +323,7 @@ def test_small_n_takes_the_dense_path_without_a_warning(monkeypatch, gap, lanczo
     assert np.max(np.abs(p @ vecs - vecs * vals[None, :])) < 1e-10
 
 
+@STRICT
 def test_near_degenerate_pair_spans_the_dense_subspace():
     # a slightly squashed ring: its first two harmonics nearly share an eigenvalue
     ang = 2.0 * np.pi * np.arange(90) / 90.0 + 0.01 * cloud(13, n=90, m=1)[:, 0]
@@ -328,6 +339,7 @@ def test_near_degenerate_pair_spans_the_dense_subspace():
         assert np.max(np.abs(basis @ coef - want_vecs[:, cols])) < 1e-9
 
 
+@STRICT
 def test_reruns_give_the_same_bits(strip_points):
     first = build_embedding(strip_points, sigma="auto", k=8)
     second = build_embedding(strip_points.copy(), sigma="auto", k=8)

@@ -1,8 +1,11 @@
 """Tests for the feedforward one-step models: forward pass, gradients, CV, forecast."""
 
+import csv
+import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +26,9 @@ from dmrom.rom_fnn import (
     fnn_forward,
     fnn_gradient,
     fnn_train,
-    load_fnn_model,
-    save_fnn_model,
+    load_fnn_models,
+    save_fnn_models,
+    training_digest,
     _train_stack,
     write_cv_report,
 )
@@ -665,29 +669,74 @@ def test_forecast_reports_divergence_step():
 # --------------------------------------------------------------- persistence
 
 
+def random_bundle(tmp_path):
+    models = [random_model(9, hidden=3), replace(random_model(10, hidden=5), target_index=2)]
+    path = tmp_path / "fnn.json"
+    save_fnn_models(models, [1e-3, 1e-2], path, "abc")
+    return models, path
+
+
 def test_model_roundtrip(tmp_path):
-    model = random_model(9)
-    path = tmp_path / "fnn_1.json"
-    save_fnn_model(model, path, decay=1e-3)
-    back = load_fnn_model(path)
-    assert np.array_equal(back.w1, model.w1)
-    assert np.array_equal(back.b1, model.b1)
-    assert np.array_equal(back.w_out, model.w_out)
-    assert back.b_out == model.b_out
-    assert back.target_index == model.target_index
+    models, path = random_bundle(tmp_path)
+    back = load_fnn_models(path, "abc")
+    assert [m.hidden_size for m in back] == [3, 5]
+    for model, loaded in zip(models, back):
+        assert np.array_equal(loaded.w1, model.w1)
+        assert np.array_equal(loaded.b1, model.b1)
+        assert np.array_equal(loaded.w_out, model.w_out)
+        assert loaded.b_out == model.b_out
+        assert loaded.target_index == model.target_index
+    doc = json.loads(path.read_text())
+    assert [entry["decay"] for entry in doc["models"]] == [1e-3, 1e-2]
+
+
+def test_model_load_checks_the_training_digest(tmp_path):
+    _, path = random_bundle(tmp_path)
+    with pytest.raises(ValueError, match=r"fnn\.json.*rerun train"):
+        load_fnn_models(path, "abd")
 
 
 def test_model_load_rejects_missing_field(tmp_path):
-    path = tmp_path / "fnn_bad.json"
-    path.write_text('{"w1": [[0.0]], "b1": [0.0]}')
-    with pytest.raises(ValueError, match="fnn_bad.json"):
-        load_fnn_model(path)
+    _, path = random_bundle(tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["models"][1]["b_out"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"fnn\.json: models\[1\]: missing 'b_out'"):
+        load_fnn_models(path, "abc")
+
+
+@pytest.mark.parametrize("entry", [[1.0], {"w1": [[0.0, 1.0]], "b1": [0.0], "w_out": [1.0],
+                                          "b_out": 0.0, "target_index": 1}])
+def test_model_load_names_a_corrupt_entry(tmp_path, entry):
+    _, path = random_bundle(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["models"][0] = entry
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"fnn\.json: models\[0\]"):
+        load_fnn_models(path, "abc")
+
+
+def test_training_digest_follows_every_input():
+    coords = np.arange(12.0).reshape(6, 2)
+    stim = np.ones((6, 1))
+    cfg = TrainConfig()
+    base = training_digest(cfg, coords, stim)
+    assert training_digest(cfg, np.asfortranarray(coords), stim) == base
+    assert training_digest(cfg, coords + 1e-12, stim) != base
+    assert training_digest(cfg, coords, None) != base
+    assert training_digest(cfg, coords, 2 * stim) != base
+    assert training_digest(TrainConfig(seed=1), coords, stim) != base
 
 
 def test_cv_report_csv(tmp_path, zero_target_fit):
     _, _, _, records = zero_target_fit
     path = tmp_path / "cv.csv"
-    write_cv_report(records, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "hidden,decay,repeat,fold,mse"
-    assert len(lines) == len(records) + 1
+    write_cv_report({2: records, 4: records[:3]}, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["coord", "hidden", "decay", "repeat", "fold", "mse"]
+    assert len(rows) == 1 + len(records) + 3
+    assert [row[0] for row in rows[1:]] == ["2"] * len(records) + ["4"] * 3
+    r = records[0]
+    assert rows[1][1:] == [str(r["hidden"]), repr(r["decay"]), str(r["repeat"]),
+                           str(r["fold"]), repr(r["mse"])]
