@@ -14,8 +14,10 @@ Subcommands wire the stages together over a single JSON run config:
 Exit codes: 0 success, 2 validation errors (bad config/input), 1 runtime
 failures. Artifacts land in output_dir/{embedding,models,forecasts,reports};
 a meta.json echoes the config and its hash, and nothing written depends on
-wall-clock time, so repeated runs with one config and one BLAS thread count
-are byte-identical (the eigensolve's last bits can change with the count).
+wall-clock time, so repeated runs with one config, one BLAS thread count and
+one SIMD level of numpy's `exp` are byte-identical (the eigensolve's last bits
+can change with the count, the FNN models' with the SIMD level). `train` and
+`forecast` refuse an embedding that `embed` made from other config fields.
 """
 
 from __future__ import annotations
@@ -221,9 +223,23 @@ def config_payload(cfg: RunConfig) -> dict:
     return payload
 
 
-def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps(config_payload(cfg), sort_keys=True, separators=(",", ":"))
+def _json_sha256(payload) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def config_hash(cfg: RunConfig) -> str:
+    return _json_sha256(config_payload(cfg))
+
+
+# the config fields `embed` reads
+EMBED_FIELDS = ("input", "n_train", "standardize", "drop_dead", "dmaps", "parsimony")
+
+
+def embed_hash(cfg: RunConfig) -> str:
+    """sha256 of the canonical JSON of the config fields in `EMBED_FIELDS`."""
+    payload = config_payload(cfg)
+    return _json_sha256({name: payload[name] for name in EMBED_FIELDS})
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +375,7 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
         )
     with _stage("embed"):
         os.makedirs(paths.embedding, exist_ok=True)
-        dmaps.save_embedding(embedding, paths.embedding)
+        dmaps.save_embedding(embedding, paths.embedding, embed_hash(cfg))
         parsimony.save_report(report, os.path.join(paths.embedding, "parsimony.json"))
         artifacts.write_matrix(os.path.join(paths.embedding, "train_ambient.csv"), train, channels)
         artifacts.write_matrix(os.path.join(paths.embedding, "test_ambient.csv"), test, channels)
@@ -378,8 +394,10 @@ def _write_forecast(paths: RunPaths, name: str, values, names) -> None:
     artifacts.write_matrix(os.path.join(paths.forecasts, f"{name}.csv"), values, names)
 
 
-def _load_embedding_artifacts(paths: RunPaths):
-    embedding = dmaps.load_embedding(paths.embedding)
+def _load_embedding_artifacts(cfg: RunConfig, paths: RunPaths):
+    """(embedding, parsimony report, selected training coordinates); an
+    embedding made from other config fields than `cfg`'s is refused."""
+    embedding = dmaps.load_embedding(paths.embedding, embed_hash(cfg))
     report = parsimony.load_report(os.path.join(paths.embedding, "parsimony.json"))
     return embedding, report, dmaps.coords_for(embedding, report.selected)
 
@@ -400,7 +418,7 @@ def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
     in `forecast`. perfbench's tracer names this stage's span after it.
     """
     with _stage("train"):
-        _, report, coords_train = _load_embedding_artifacts(paths)
+        _, report, coords_train = _load_embedding_artifacts(cfg, paths)
         stim_train = None
         if cfg.epochs:
             # the design spans the test block too, so its epochs are checked against it
@@ -422,7 +440,7 @@ def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
 
 def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
     with _stage("forecast"):
-        embedding, report, coords_train = _load_embedding_artifacts(paths)
+        embedding, report, coords_train = _load_embedding_artifacts(cfg, paths)
         train_vals, _ = _read_ambient(paths, "train")
         test_vals, test_names = _read_ambient(paths, "test")
         h = test_vals.shape[0]

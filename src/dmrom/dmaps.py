@@ -205,8 +205,12 @@ def coords_for(E: DiffusionEmbedding, selected) -> np.ndarray:
     return np.ascontiguousarray(E.eigenvectors[:, sel] * lam[None, :])
 
 
-def save_embedding(E: DiffusionEmbedding, directory) -> None:
-    """Write the eigenvalues.csv / eigenvectors.csv / meta.json bundle."""
+def save_embedding(E: DiffusionEmbedding, directory, made_from: str) -> None:
+    """Write the eigenvalues.csv / eigenvectors.csv / meta.json bundle.
+
+    meta.json records `made_from`, the digest of the inputs and settings the
+    embedding was built from.
+    """
     os.makedirs(directory, exist_ok=True)
     artifacts.write_matrix(
         os.path.join(directory, "eigenvalues.csv"), E.eigenvalues[:, None], ["eigenvalue"]
@@ -222,15 +226,27 @@ def save_embedding(E: DiffusionEmbedding, directory) -> None:
         "t": E.t,
         "k": E.k,
         "sign_convention": SIGN_CONVENTION,
+        "made_from": made_from,
     }
     artifacts.write_json(os.path.join(directory, "meta.json"), meta)
 
 
-def load_embedding(directory) -> DiffusionEmbedding:
-    """Read a bundle written by `save_embedding`, with schema validation."""
+def load_embedding(directory, made_from: str) -> DiffusionEmbedding:
+    """Read a bundle written by `save_embedding`, with schema validation.
+
+    A bundle whose `made_from` digest is another raises ValueError naming
+    the directory.
+    """
     meta = artifacts.read_json(
-        os.path.join(directory, "meta.json"), "embedding bundle", ("sigma", "alpha", "t", "k")
+        os.path.join(directory, "meta.json"),
+        "embedding bundle",
+        ("sigma", "alpha", "t", "k", "made_from"),
     )
+    if meta["made_from"] != made_from:
+        raise ValueError(
+            f"{directory}: the embedding was made from another input, split or dmaps/"
+            "parsimony settings; rerun embed"
+        )
     vals, _ = artifacts.read_matrix(os.path.join(directory, "eigenvalues.csv"))
     vecs, _ = artifacts.read_matrix(os.path.join(directory, "eigenvectors.csv"))
     if vecs.shape[1] != meta["k"] + 1 or vals.shape != (meta["k"] + 1, 1):

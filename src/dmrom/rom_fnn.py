@@ -4,11 +4,13 @@ Each embedding coordinate gets its own single-hidden-layer network mapping
 (current coordinates, current stimulus) to that coordinate one step ahead.
 Hidden size and weight decay are chosen by grid search under repeated k-fold
 cross-validation over the one-step training pairs; the fits of all
-coordinates train together as stacked gradient descents, and the stacks train
-concurrently on up to `len(os.sched_getaffinity(0))` threads (`taskset`
-restricts them). Every model and CV record is the same bits at any worker
-count. Forecasts iterate the trained networks closed-loop, feeding outputs
-back as inputs.
+coordinates train together as stacked gradient descents in a hidden-major
+layout, and the stacks train concurrently on up to
+`len(os.sched_getaffinity(0))` threads (`taskset` restricts them). Every
+model and CV record is the same bits at any worker count. Forecasts step all
+trained networks closed-loop as one stacked layer, feeding outputs back as
+inputs. The logistic function is `_sigmoid`, through numpy's vectorized
+`exp`, so the bits depend on the SIMD level numpy dispatches `exp` to.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import artifacts
 
@@ -111,8 +112,23 @@ def _stack_inputs(psi, stim) -> np.ndarray:
     return np.hstack([psi, stim])
 
 
+def _sigmoid(x):
+    """The logistic function 1/(1+exp(-x)), computed in place in `x` and returned.
+
+    numpy's `exp` is SIMD-vectorized where `scipy.special.expit` is not. The
+    result is within 3 ULP of `expit`, which computes the same expression
+    through libm's `exp`; below about -709.78, exp(-x) overflows and both
+    give 0, with no warning here.
+    """
+    with np.errstate(over="ignore"):
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        np.add(x, 1.0, out=x)
+        return np.divide(1.0, x, out=x)
+
+
 def _forward_batch(w1, b1, w_out, b_out, z):
-    s = expit(z @ w1 + b1)
+    s = _sigmoid(z @ w1 + b1)
     return s @ w_out + b_out, s
 
 
@@ -138,20 +154,25 @@ def fnn_loss(model: FnnModel, psi, stim, targets, decay: float = 0.0) -> float:
 
 
 def fnn_gradient(model: FnnModel, psi, stim, targets, decay: float = 0.0) -> dict:
-    """Exact gradients of `fnn_loss` with respect to every parameter."""
+    """Exact gradients of `fnn_loss` with respect to every parameter.
+
+    Computed in the trainer's hidden-major arithmetic, so that one training
+    epoch steps by exactly this gradient.
+    """
     z = _stack_inputs(psi, stim)
     y = np.asarray(targets, dtype=float).ravel()
     if z.shape[0] == 0:
         raise ValueError("empty batch")
     if z.shape[0] != y.shape[0]:
         raise ValueError(f"batch size mismatch: {z.shape[0]} inputs, {y.shape[0]} targets")
-    out, s = _forward_batch(model.w1, model.b1, model.w_out, model.b_out, z)
-    go = 2.0 * (out - y) / y.shape[0]
-    da = (go[:, None] * model.w_out[None, :]) * s * (1.0 - s)
+    w1 = np.ascontiguousarray(model.w1.T)
+    s = _sigmoid(w1 @ z.T + model.b1[:, None])
+    go = 2.0 * (model.w_out @ s + model.b_out - y) / y.shape[0]
+    da = (go[None, :] * model.w_out[:, None]) * s * (1.0 - s)
     return {
-        "w1": z.T @ da + 2.0 * decay * model.w1,
-        "b1": da.sum(axis=0) + 2.0 * decay * model.b1,
-        "w_out": s.T @ go + 2.0 * decay * model.w_out,
+        "w1": (da @ z + 2.0 * decay * w1).T,
+        "b1": da.sum(axis=1) + 2.0 * decay * model.b1,
+        "w_out": s @ go + 2.0 * decay * model.w_out,
         "b_out": float(go.sum() + 2.0 * decay * model.b_out),
     }
 
@@ -182,13 +203,17 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     """Full-batch gradient descent on a stack of independent fits.
 
     Slice i of `z` (b, n, dim) and `y` (b, n) is one fit with weight decay
-    `decays[i]`, initialized uniformly from `rngs[i]` (w1, b1, w_out, b_out
-    in that order). A fit stops when its loss changes by less than `cfg.tol`
-    from one epoch to the next, when its loss turns non-finite, or after
-    `cfg.max_epochs` steps; stopped fits leave the stack. Each slice's
-    arithmetic is that of a lone fit, bit for bit: a stacked `@` is one BLAS
-    call per slice, elementwise expressions keep one operand order, and
-    every reduction runs per slice along the fit's own axis.
+    `decays[i]`, initialized uniformly from `rngs[i]` (w1 as (dim, H), b1,
+    w_out, b_out in that order). A fit stops when its loss changes by less
+    than `cfg.tol` from one epoch to the next, when its loss turns
+    non-finite, or after `cfg.max_epochs` steps; stopped fits leave the
+    stack. The epoch runs hidden-major: activations are (b, H, n), w1 is
+    held as (b, H, dim), the pre-activation is w1 @ z.T and the input
+    gradient da @ z, so every broadcast and the b1 row sum run along the
+    contiguous rows axis. Each slice's arithmetic is that of a lone fit, bit
+    for bit: a stacked `@` is one BLAS call per slice, elementwise
+    expressions keep one operand order, and every reduction runs per slice
+    along the fit's own axis.
 
     Returns w1 (b, dim, H), b1 (b, H), w_out (b, H), b_out (b,) and each
     fit's last finite loss, which is non-finite for a diverged fit.
@@ -203,20 +228,24 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
         )
         for rng in rngs
     ]
-    # b1 and w_out as (b, 1, H) rows and b_out as (b, 1) broadcast against
-    # (b, n, H) activations; w_out is used as a (b, H, 1) column in products
+    # b1 and w_out as (b, H, 1) columns broadcast against (b, H, n)
+    # activations, b_out as (b, 1) against (b, n) outputs; w_out is used as a
+    # (b, 1, H) row in the output product
     w1, b1, w_out, b_out = (np.array(p) for p in zip(*init))
-    b1 = b1[:, None, :]
-    w_out = w_out[:, None, :]
+    w1 = np.ascontiguousarray(w1.transpose(0, 2, 1))
+    b1 = b1[:, :, None]
+    w_out = w_out[:, :, None]
     b_out = b_out[:, None]
+    zt = z.transpose(0, 2, 1)
     decay = np.asarray(decays, dtype=float)
     two_decay = 2.0 * decay[:, None, None]
     result = [np.empty_like(p) for p in (w1, b1, w_out, b_out)] + [np.empty(b)]
-    # the (fits, rows, ...) epoch temporaries are written into these buffers,
-    # of which the live fits use the leading slices; allocating them afresh
-    # every epoch costs a page-fault storm once they pass malloc's mmap threshold
-    act_buf, delta_buf = np.empty((2, b, n, hidden))
-    out_buf = np.empty((b, n, 1))
+    # the (fits, hidden, rows) epoch temporaries are written into these
+    # buffers, of which the live fits use the leading slices; allocating them
+    # afresh every epoch costs a page-fault storm once they pass malloc's
+    # mmap threshold
+    act_buf, delta_buf = np.empty((2, b, hidden, n))
+    out_buf = np.empty((b, 1, n))
     go_buf = np.empty((b, n))
     live = np.arange(b)
     prev = np.full(b, np.inf)
@@ -224,10 +253,10 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_epochs):
             m = len(live)
-            s = np.matmul(z, w1, out=act_buf[:m])
+            s = np.matmul(w1, zt, out=act_buf[:m])
             np.add(s, b1, out=s)
-            expit(s, out=s)
-            resid = np.matmul(s, w_out.transpose(0, 2, 1), out=out_buf[:m])[:, :, 0]
+            _sigmoid(s)
+            resid = np.matmul(w_out.transpose(0, 2, 1), s, out=out_buf[:m])[:, 0, :]
             np.add(resid, b_out, out=resid)
             np.subtract(resid, y, out=resid)
             loss = np.square(resid, out=go_buf[:m]).sum(axis=1) / n + decay * (
@@ -250,24 +279,25 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
                     a[keep]
                     for a in (live, z, y, w1, b1, w_out, b_out, decay, two_decay, s, resid, loss)
                 )
+                zt = z.transpose(0, 2, 1)
                 m = len(live)
             prev = loss
             # go = 2 resid / n;  da = ((go * w_out) * s) * (1 - s)
             go = np.multiply(resid, 2.0, out=go_buf[:m])
             np.divide(go, n, out=go)
-            grad_w_out = (s.transpose(0, 2, 1) @ go[:, :, None]).transpose(0, 2, 1)
-            da = np.multiply(go[:, :, None], w_out, out=delta_buf[:m])
+            grad_w_out = s @ go[:, :, None]
+            da = np.multiply(go[:, None, :], w_out, out=delta_buf[:m])
             np.multiply(da, s, out=da)
             np.multiply(da, np.subtract(1.0, s, out=s), out=da)
             w_out = w_out - lr * (grad_w_out + two_decay * w_out)
             b_out = b_out - lr * (go.sum(axis=1)[:, None] + two_decay[:, 0] * b_out)
-            w1 = w1 - lr * (z.transpose(0, 2, 1) @ da + two_decay * w1)
-            b1 = b1 - lr * (da.sum(axis=1)[:, None, :] + two_decay * b1)
+            w1 = w1 - lr * (da @ z + two_decay * w1)
+            b1 = b1 - lr * (da.sum(axis=2)[:, :, None] + two_decay * b1)
         else:
             for out, p in zip(result, (w1, b1, w_out, b_out, prev)):
                 out[live] = p
     w1, b1, w_out, b_out, last = result
-    return w1, b1[:, 0, :], w_out[:, 0, :], b_out[:, 0], last
+    return w1.transpose(0, 2, 1), b1[:, :, 0], w_out[:, :, 0], b_out[:, 0], last
 
 
 def _fit_rng(*key):
@@ -460,15 +490,30 @@ def fnn_forecast(models, init, stim_seq, h: int) -> np.ndarray:
         stim_seq = stim_seq.reshape(h, -1)
     if stim_seq.shape[0] < h:
         raise ValueError(f"stimulus sequence covers {stim_seq.shape[0]} steps, horizon is {h}")
+    width = d + stim_seq.shape[1]
+    for model in models:
+        if model.input_dim != width:
+            raise ValueError(f"input length {width} does not match model width {model.input_dim}")
+    # the d networks as one layer of all their hidden units; model j's output
+    # is the sum of its own units' segment of w_out * S(w1 z + b1)
+    w1 = np.concatenate([m.w1.T for m in models])
+    b1 = np.concatenate([m.b1 for m in models])
+    w_out = np.concatenate([m.w_out for m in models])
+    b_out = np.array([m.b_out for m in models])
+    starts = np.cumsum([0] + [m.hidden_size for m in models[:-1]])
     out = np.empty((h, d))
-    state = init
+    z = np.empty(width)
+    act = np.empty(len(b1))
+    z[:d] = init
     for s in range(h):
-        z = np.concatenate([state, stim_seq[s]])
-        for j, model in enumerate(models):
-            out[s, j] = fnn_forward(model, z[: d], z[d:])
+        z[d:] = stim_seq[s]
+        np.matmul(w1, z, out=act)
+        np.add(act, b1, out=act)
+        np.multiply(_sigmoid(act), w_out, out=act)
+        np.add(np.add.reduceat(act, starts), b_out, out=out[s])
         if not np.all(np.isfinite(out[s])):
             raise RuntimeError(f"forecast diverged (non-finite state) at step {s + 1}")
-        state = out[s]
+        z[:d] = out[s]
     return out
 
 

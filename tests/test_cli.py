@@ -14,7 +14,7 @@ import pytest
 
 from dmrom import dmaps, parsimony, rom_fnn
 from dmrom.artifacts import read_matrix, write_matrix
-from dmrom.cli import config_hash, load_config, main
+from dmrom.cli import config_hash, embed_hash, load_config, main
 from dmrom.evaluate import comparison_table, write_comparison
 from dmrom.lifting import gh_fit, gh_lift, nystrom_restrict
 from dmrom.rom_koopman import fit_koopman_model, koopman_forecast
@@ -49,6 +49,10 @@ def clone_run(cfg_path, src_root, dst_root, **overrides):
     cfg["output_dir"] = str(dst_root)
     new_cfg = pathlib.Path(dst_root).parent / (pathlib.Path(dst_root).name + ".json")
     return write_config(new_cfg, **cfg)
+
+
+def load_run_embedding(cfg_path, emb):
+    return dmaps.load_embedding(emb, embed_hash(load_config(cfg_path)))
 
 
 # ----------------------------------------------------------- synthetic run
@@ -157,7 +161,7 @@ def test_stage_isolation(pipeline_run):
 
 def test_nrw_reduced_then_lift_from_run_artifacts(pipeline_run):
     emb = pipeline_run["out"] / "embedding"
-    embedding = dmaps.load_embedding(emb)
+    embedding = load_run_embedding(pipeline_run["cfg"], emb)
     selected = parsimony.load_report(emb / "parsimony.json").selected
     train = read_matrix(emb / "train_ambient.csv")[0]
     test = read_matrix(emb / "test_ambient.csv")[0]
@@ -266,6 +270,23 @@ def test_forecast_refuses_models_trained_on_another_embedding(
     assert "models/fnn.json" in err and "rerun train" in err
 
 
+@pytest.mark.parametrize("stage", [["train", "--method", "fnn"], ["forecast"]])
+def test_a_stale_embedding_is_refused(pipeline_run, tmp_path, capsys, stage):
+    clone = tmp_path / "clone"
+    changed = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone, dmaps={"sigma": 40.0})
+    before = tree_bytes(clone)
+    assert main([*stage, "--config", changed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{stage[0]}] {clone / 'embedding'}: ")
+    assert "rerun embed" in err
+    after = tree_bytes(clone)
+    assert [k for k in before if before[k] != after.get(k)] == ["meta.json"]
+    same = write_config(tmp_path / "same.json", **{
+        **json.loads(pathlib.Path(pipeline_run["cfg"]).read_text()), "output_dir": str(clone)
+    })
+    assert main([*stage, "--config", same]) == 0
+
+
 def test_unchanged_re_embed_keeps_the_models_valid(pipeline_run, tmp_path):
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
     for stage in ("embed", "forecast"):
@@ -302,7 +323,7 @@ def test_koopman_is_no_train_method(pipeline_run, capsys):
 
 
 def test_forecast_fits_koopman_on_the_current_embedding(pipeline_run, tmp_path):
-    sigma = dmaps.load_embedding(pipeline_run["out"] / "embedding").sigma
+    sigma = load_run_embedding(pipeline_run["cfg"], pipeline_run["out"] / "embedding").sigma
     clone = tmp_path / "clone"
     dmaps_cfg = {"sigma": 3 * sigma, "k": 10}
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone, dmaps=dmaps_cfg)
@@ -310,7 +331,7 @@ def test_forecast_fits_koopman_on_the_current_embedding(pipeline_run, tmp_path):
         assert main([*stage, "--config", cfg_path]) == 0
     emb = clone / "embedding"
     selected = parsimony.load_report(emb / "parsimony.json").selected
-    coords = dmaps.coords_for(dmaps.load_embedding(emb), selected)
+    coords = dmaps.coords_for(load_run_embedding(cfg_path, emb), selected)
     train = read_matrix(emb / "train_ambient.csv")[0]
     test, names = read_matrix(emb / "test_ambient.csv")
     model = fit_koopman_model(coords, train, load_config(cfg_path).koopman.svd_tol)
@@ -342,7 +363,7 @@ def test_forecast_prints_gh_sigma_and_rank(pipeline_run, tmp_path, capsys):
     assert main(["forecast", "--config", cfg_path]) == 0
     emb = tmp_path / "clone" / "embedding"
     report = parsimony.load_report(emb / "parsimony.json")
-    coords = dmaps.coords_for(dmaps.load_embedding(emb), report.selected)
+    coords = dmaps.coords_for(load_run_embedding(cfg_path, emb), report.selected)
     model = gh_fit(coords, read_matrix(emb / "train_ambient.csv")[0])
     line = f"forecast: geometric harmonics sigma {model.gh_sigma!r}, rank {model.d_gh}"
     assert line in capsys.readouterr().out.splitlines()
@@ -593,3 +614,19 @@ def test_seed_override(pipeline_run):
     assert cfg.seed == 5
     assert cfg.fnn.seed == 5   # network seed follows the run seed by default
     assert config_hash(cfg) != config_hash(load_config(pipeline_run["cfg"]))
+
+
+def test_embed_hash_follows_only_the_fields_embed_reads(pipeline_run, tmp_path):
+    raw = json.loads(pathlib.Path(pipeline_run["cfg"]).read_text())
+    base = embed_hash(load_config(pipeline_run["cfg"]))
+
+    def changed(**overrides):
+        return embed_hash(load_config(write_config(tmp_path / "c.json", **{**raw, **overrides})))
+
+    for field in [{"input": "other.csv"}, {"n_train": 119}, {"standardize": "train_only"},
+                  {"drop_dead": True}, {"dmaps": {**raw["dmaps"], "alpha": 0.5}},
+                  {"parsimony": {"d": 4}}]:
+        assert changed(**field) != base, field
+    for field in [{"output_dir": "elsewhere"}, {"seed": 3}, {"fnn": {**raw["fnn"], "folds": 4}},
+                  {"gh": {"sigma": 0.5}}, {"nrw": {"mode": "ambient"}}]:
+        assert changed(**field) == base, field

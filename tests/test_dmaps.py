@@ -391,11 +391,11 @@ def test_embed_rejects_bad_time(tmp_path, strip_points, strip_embedding):
     for t in (-1, 0.5):
         with pytest.raises(ValueError, match="non-negative integer"):
             build_embedding(strip_points, sigma=strip_embedding.sigma, k=6, t=t)
-    save_embedding(strip_embedding, tmp_path)
+    save_embedding(strip_embedding, tmp_path, "abc")
     meta = json.loads((tmp_path / "meta.json").read_text())
     (tmp_path / "meta.json").write_text(json.dumps({**meta, "t": -1}))
     with pytest.raises(ValueError, match="non-negative integer"):
-        load_embedding(tmp_path)
+        load_embedding(tmp_path, "abc")
 
 
 def test_coords_for_selected_indices(strip_embedding):
@@ -415,8 +415,8 @@ def test_coords_for_selected_indices(strip_embedding):
 def test_bundle_roundtrip(tmp_path, strip_points, strip_embedding):
     E = build_embedding(strip_points, sigma=strip_embedding.sigma, k=6, t=2)
     assert np.array_equal(E.eigenvectors, strip_embedding.eigenvectors)
-    save_embedding(E, tmp_path)
-    back = load_embedding(tmp_path)
+    save_embedding(E, tmp_path, "abc")
+    back = load_embedding(tmp_path, "abc")
     assert np.array_equal(back.eigenvalues, E.eigenvalues)
     assert np.array_equal(back.eigenvectors, E.eigenvectors)
     assert back.sigma == E.sigma
@@ -427,26 +427,33 @@ def test_bundle_roundtrip(tmp_path, strip_points, strip_embedding):
     assert meta["sign_convention"] == "max-abs-positive"
 
 
+def test_bundle_load_checks_made_from(tmp_path, strip_embedding):
+    save_embedding(strip_embedding, tmp_path, "abc")
+    assert json.loads((tmp_path / "meta.json").read_text())["made_from"] == "abc"
+    with pytest.raises(ValueError, match=f"^{tmp_path}: .*rerun embed$"):
+        load_embedding(tmp_path, "abd")
+
+
 def test_bundle_rejects_corrupt_meta(tmp_path, strip_embedding):
-    save_embedding(strip_embedding, tmp_path)
+    save_embedding(strip_embedding, tmp_path, "abc")
     (tmp_path / "meta.json").write_text("{not json")
     with pytest.raises(ValueError, match="meta.json"):
-        load_embedding(tmp_path)
+        load_embedding(tmp_path, "abc")
 
 
 def test_bundle_rejects_missing_key(tmp_path, strip_embedding):
-    save_embedding(strip_embedding, tmp_path)
+    save_embedding(strip_embedding, tmp_path, "abc")
     meta = json.loads((tmp_path / "meta.json").read_text())
     del meta["sigma"]
     (tmp_path / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="sigma"):
-        load_embedding(tmp_path)
+        load_embedding(tmp_path, "abc")
 
 
 def test_bundle_rejects_shape_mismatch(tmp_path, strip_embedding):
-    save_embedding(strip_embedding, tmp_path)
+    save_embedding(strip_embedding, tmp_path, "abc")
     meta = json.loads((tmp_path / "meta.json").read_text())
     meta["k"] = meta["k"] + 1
     (tmp_path / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="shape"):
-        load_embedding(tmp_path)
+        load_embedding(tmp_path, "abc")

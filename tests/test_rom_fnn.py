@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -92,6 +96,33 @@ def test_model_validation():
         FnnModel(np.full((2, 3), np.inf), np.zeros(3), np.zeros(3), 0.0, 1)
     with pytest.raises(ValueError, match="target_index"):
         FnnModel(np.zeros((2, 3)), np.zeros(3), np.zeros(3), 0.0, 0)
+
+
+def test_sigmoid_is_within_three_ulp_of_expit_and_silent_on_overflow():
+    specials = [0.0, 30.0, -30.0, 709.0, -709.0, 745.0, -745.0, np.inf, -np.inf]
+    x = np.concatenate([np.linspace(-745.0, 745.0, 200_001), specials])
+    arg = x.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # exp(-x) overflows below about -709.78
+        got = rom_fnn._sigmoid(arg)
+    assert got is arg
+    want = expit(x)
+    assert np.all((got >= 0) & (got <= 1))
+    # both are non-negative, so their bit patterns order like their values;
+    # numpy's SIMD exp is up to 1 ULP off libm's, which the rounding of 1 + exp(-x)
+    # can stretch to 3 ULP (at x = -36.85515 with AVX-512, the one such point here)
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert ulps.max() <= 3
+    assert np.mean(ulps > 2) < 1e-4
+    assert got[-2:].tolist() == [1.0, 0.0] and got[-9] == 0.5
+
+
+def test_rom_fnn_import_leaves_scipy_unloaded():
+    code = "import sys, dmrom.rom_fnn; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    src = str(pathlib.Path(rom_fnn.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------- gradients
@@ -364,34 +395,36 @@ def test_final_fit_uses_the_inputs_in_their_own_layout():
 def reference_fit(z, y, hidden, decay, rng, learning_rate, epochs, tol):
     """One fit by the plain per-fit update rule, for comparison with a stack.
 
-    Returns the parameters, the last finite loss (the non-finite one on
-    divergence) and the number of update steps taken.
+    Runs in the trainer's hidden-major layout, with w1 as (hidden, dim) and
+    (hidden, rows) activations. Returns the parameters (w1 as (dim, hidden)),
+    the last finite loss (the non-finite one on divergence) and the number
+    of update steps taken.
     """
     n, dim = z.shape
-    w1 = rng.uniform(-0.5, 0.5, size=(dim, hidden))
+    w1 = rng.uniform(-0.5, 0.5, size=(dim, hidden)).T.copy()
     b1 = rng.uniform(-0.5, 0.5, size=hidden)
     w_out = rng.uniform(-0.5, 0.5, size=hidden)
     b_out = rng.uniform(-0.5, 0.5)
     lr = learning_rate
     prev = np.inf
     for step in range(epochs):
-        s = expit(z @ w1 + b1)
-        resid = s @ w_out + b_out - y
+        s = rom_fnn._sigmoid(w1 @ z.T + b1[:, None])
+        resid = w_out @ s + b_out - y
         loss = float(np.mean(resid**2)) + decay * (
             np.sum(w1**2) + np.sum(b1**2) + np.sum(w_out**2) + b_out**2
         )
         if not np.isfinite(loss):
-            return (w1, b1, w_out, b_out), loss, step
+            return (w1.T, b1, w_out, b_out), loss, step
         if abs(prev - loss) < tol:
-            return (w1, b1, w_out, b_out), prev, step
+            return (w1.T, b1, w_out, b_out), prev, step
         prev = loss
         go = 2.0 * resid / n
-        da = (go[:, None] * w_out[None, :]) * s * (1.0 - s)
-        w_out = w_out - lr * (s.T @ go + 2.0 * decay * w_out)
+        da = (go[None, :] * w_out[:, None]) * s * (1.0 - s)
+        w_out = w_out - lr * (s @ go + 2.0 * decay * w_out)
         b_out = b_out - lr * (go.sum() + 2.0 * decay * b_out)
-        w1 = w1 - lr * (z.T @ da + 2.0 * decay * w1)
-        b1 = b1 - lr * (da.sum(axis=0) + 2.0 * decay * b1)
-    return (w1, b1, w_out, b_out), prev, epochs
+        w1 = w1 - lr * (da @ z + 2.0 * decay * w1)
+        b1 = b1 - lr * (da.sum(axis=1) + 2.0 * decay * b1)
+    return (w1.T, b1, w_out, b_out), prev, epochs
 
 
 def assert_same_fit(a, b):
@@ -650,6 +683,19 @@ def test_forecast_is_repeatable():
     assert np.array_equal(a, b)
 
 
+def test_stacked_forecast_steps_every_model_as_fnn_forward():
+    # models of different hidden sizes, with a stimulus input
+    models = [replace(random_model(20 + j, d=3, p=1, hidden=h), target_index=j + 1)
+              for j, h in enumerate([2, 5, 1])]
+    stim = np.random.default_rng(3).integers(0, 2, size=(12, 1)).astype(float)
+    got = fnn_forecast(models[::-1], [0.2, -0.1, 0.4], stim, 12)
+    state = np.array([0.2, -0.1, 0.4])
+    for s in range(12):
+        state = np.array([fnn_forward(m, state, stim[s]) for m in models])
+        assert np.allclose(got[s], state, rtol=1e-13, atol=1e-15)
+        state = got[s]
+
+
 def test_forecast_validation():
     models = constant_models([0.1, 0.2])
     with pytest.raises(ValueError, match="one model per coordinate"):
@@ -658,6 +704,8 @@ def test_forecast_validation():
         fnn_forecast(models, [0.1], None, 3)
     with pytest.raises(ValueError, match="stimulus"):
         fnn_forecast(models, [0.1, 0.2], np.zeros((2, 1)), 3)
+    with pytest.raises(ValueError, match="input length 3 does not match model width 2"):
+        fnn_forecast(models, [0.1, 0.2], np.zeros((3, 1)), 3)
 
 
 def test_forecast_reports_divergence_step():
