@@ -13,11 +13,13 @@ Subcommands wire the stages together over a single JSON run config:
 
 Exit codes: 0 success, 2 validation errors (bad config/input), 1 runtime
 failures. Artifacts land in output_dir/{embedding,models,forecasts,reports};
-a meta.json echoes the config and its hash, and nothing written depends on
-wall-clock time, so repeated runs with one config, one BLAS thread count and
-one SIMD level of numpy's `exp` are byte-identical (the eigensolve's last bits
-can change with the count, the FNN models' with the SIMD level). `train` and
-`forecast` refuse an embedding that `embed` made from other config fields.
+a meta.json, written when a command succeeds, echoes the config and its hash,
+and nothing written depends on wall-clock time, so repeated runs with one
+config, one BLAS thread count and one SIMD level of numpy's `exp` are
+byte-identical (the eigensolve's last bits can change with the count, the FNN
+models' with the SIMD level). `train` and `forecast` refuse an embedding that
+`embed` made from another input file or other config fields, and hand the
+FNN ROM (`rom_fnn`) the raw coordinates and the whole series' stimulus design.
 """
 
 from __future__ import annotations
@@ -242,6 +244,15 @@ def embed_hash(cfg: RunConfig) -> str:
     return _json_sha256({name: payload[name] for name in EMBED_FIELDS})
 
 
+def made_from(cfg: RunConfig) -> str:
+    """The embedding's digest: `embed_hash` and the sha256 of the input file's bytes."""
+    data = hashlib.sha256()
+    with open(cfg.input, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            data.update(chunk)
+    return _json_sha256({"config": embed_hash(cfg), "input": data.hexdigest()})
+
+
 # ---------------------------------------------------------------------------
 # stage plumbing
 
@@ -285,16 +296,10 @@ class RunPaths:
     def reports(self):
         return os.path.join(self.root, "reports")
 
-    @property
-    def meta(self):
-        return os.path.join(self.root, "meta.json")
-
 
 def _write_meta(cfg: RunConfig, paths: RunPaths) -> None:
-    os.makedirs(paths.root, exist_ok=True)
-    artifacts.write_json(
-        paths.meta, {"config": config_payload(cfg), "config_sha256": config_hash(cfg)}
-    )
+    doc = {"config": config_payload(cfg), "config_sha256": config_hash(cfg)}
+    artifacts.write_json(os.path.join(paths.root, "meta.json"), doc)
 
 
 def _design_matrix(cfg: RunConfig, n: int):
@@ -375,7 +380,7 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
         )
     with _stage("embed"):
         os.makedirs(paths.embedding, exist_ok=True)
-        dmaps.save_embedding(embedding, paths.embedding, embed_hash(cfg))
+        dmaps.save_embedding(embedding, paths.embedding, made_from(cfg))
         parsimony.save_report(report, os.path.join(paths.embedding, "parsimony.json"))
         artifacts.write_matrix(os.path.join(paths.embedding, "train_ambient.csv"), train, channels)
         artifacts.write_matrix(os.path.join(paths.embedding, "test_ambient.csv"), test, channels)
@@ -396,19 +401,10 @@ def _write_forecast(paths: RunPaths, name: str, values, names) -> None:
 
 def _load_embedding_artifacts(cfg: RunConfig, paths: RunPaths):
     """(embedding, parsimony report, selected training coordinates); an
-    embedding made from other config fields than `cfg`'s is refused."""
-    embedding = dmaps.load_embedding(paths.embedding, embed_hash(cfg))
+    embedding made from another input file or other config fields is refused."""
+    embedding = dmaps.load_embedding(paths.embedding, made_from(cfg))
     report = parsimony.load_report(os.path.join(paths.embedding, "parsimony.json"))
     return embedding, report, dmaps.coords_for(embedding, report.selected)
-
-
-def _unit_rms_scale(coords_train) -> float:
-    """Factor to the unit-RMS coordinate units the FNN models work in.
-
-    Keeps fixed-step descent conditioned regardless of the training length
-    (unit-norm eigenvectors shrink coordinate amplitude like 1/sqrt(N)).
-    """
-    return float(np.sqrt(coords_train.shape[0]))
 
 
 def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
@@ -418,23 +414,13 @@ def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
     in `forecast`. perfbench's tracer names this stage's span after it.
     """
     with _stage("train"):
-        _, report, coords_train = _load_embedding_artifacts(cfg, paths)
-        stim_train = None
-        if cfg.epochs:
-            # the design spans the test block too, so its epochs are checked against it
-            n_test = len(_read_ambient(paths, "test")[0])
-            stim_train = _design_matrix(cfg, cfg.n_train + n_test)[: cfg.n_train]
-        os.makedirs(paths.models, exist_ok=True)
-    targets = range(1, len(report.selected) + 1)
+        _, _, coords_train = _load_embedding_artifacts(cfg, paths)
+        # the design spans the test block too, so its epochs are checked against it
+        n_test = artifacts.count_rows(os.path.join(paths.embedding, "test_ambient.csv"))
+        design = _design_matrix(cfg, cfg.n_train + n_test)
     with _stage("rom_fnn"):
-        scaled = coords_train * _unit_rms_scale(coords_train)
-        models, records = zip(*rom_fnn.fnn_train(scaled, stim_train, targets, cfg.fnn))
-        cells = [rom_fnn.best_grid_cell(r) for r in records]
-        digest = rom_fnn.training_digest(cfg.fnn, scaled, stim_train)
-        bundle = os.path.join(paths.models, "fnn.json")
-        rom_fnn.save_fnn_models(models, [decay for _, decay, _ in cells], bundle, digest)
-        rom_fnn.write_cv_report(dict(zip(targets, records)), os.path.join(paths.models, "fnn_cv.csv"))
-    for j, (hidden, decay, score) in zip(targets, cells):
+        cells = rom_fnn.train_rom(coords_train, design, cfg.fnn, paths.models)
+    for j, (hidden, decay, score) in enumerate(cells, start=1):
         print(f"train: coordinate {j}: hidden={hidden}, decay={decay:g}, cv mse={score:.3e}")
 
 
@@ -447,8 +433,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         if h == 0:
             raise ValueError("empty test set")
         d = len(report.selected)
-        n_total = cfg.n_train + h
-        design = _design_matrix(cfg, n_total)
+        design = _design_matrix(cfg, cfg.n_train + h)
         init = coords_train[-1]
         if os.path.exists(paths.forecasts):
             shutil.rmtree(paths.forecasts)
@@ -464,15 +449,8 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         )
 
     with _stage("rom_fnn"):
-        scale = _unit_rms_scale(coords_train)
-        stim_train = None if design is None else design[: cfg.n_train]
         # models trained on another embedding, stimulus or fnn config are refused
-        digest = rom_fnn.training_digest(cfg.fnn, coords_train * scale, stim_train)
-        models = rom_fnn.load_fnn_models(os.path.join(paths.models, "fnn.json"), digest)
-        stim_seq = (
-            None if design is None else design[cfg.n_train - 1 : cfg.n_train - 1 + h]
-        )
-        fnn_reduced = rom_fnn.fnn_forecast(models, init * scale, stim_seq, h) / scale
+        fnn_reduced = rom_fnn.forecast_rom(paths.models, coords_train, design, h, cfg.fnn)
         fnn_ambient = lifting.gh_lift(gh_model, fnn_reduced)
         _write_forecast(paths, "fnn_gh_reduced", fnn_reduced, coord_names)
         _write_forecast(paths, "fnn_gh_ambient", fnn_ambient, test_names)
@@ -589,7 +567,6 @@ def main(argv=None) -> int:
             print("error [config]: run requires --all", file=sys.stderr)
             return 2
         with _run_lock(paths):
-            _write_meta(cfg, paths)
             if args.command == "glm":
                 cmd_glm(cfg, paths)
             elif args.command == "embed":
@@ -600,6 +577,7 @@ def main(argv=None) -> int:
                 cmd_forecast(cfg, paths)
             elif args.command == "run":
                 cmd_run_all(cfg, paths)
+            _write_meta(cfg, paths)   # only a command that succeeded speaks for the config
         return 0
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)

@@ -33,6 +33,16 @@ def test_matrix_with_no_rows_keeps_its_width(tmp_path):
     assert values.shape == (0, 3)
 
 
+@pytest.mark.parametrize("rows", [0, 1, 7])
+def test_count_rows_matches_read_matrix(tmp_path, rows):
+    path = tmp_path / "m.csv"
+    artifacts.write_matrix(path, np.arange(2.0 * rows).reshape(rows, 2), ["a", "b"])
+    assert artifacts.count_rows(path) == len(artifacts.read_matrix(path)[0]) == rows
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty file"):
+        artifacts.count_rows(path)
+
+
 def test_read_matrix_rejects_ragged_and_non_numeric_rows(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b\n1,2\n3\n")

@@ -14,8 +14,9 @@ import pytest
 
 from dmrom import dmaps, parsimony, rom_fnn
 from dmrom.artifacts import read_matrix, write_matrix
-from dmrom.cli import config_hash, embed_hash, load_config, main
+from dmrom.cli import config_hash, embed_hash, load_config, made_from, main
 from dmrom.evaluate import comparison_table, write_comparison
+from dmrom.glm import build_design_matrix
 from dmrom.lifting import gh_fit, gh_lift, nystrom_restrict
 from dmrom.rom_koopman import fit_koopman_model, koopman_forecast
 
@@ -52,7 +53,7 @@ def clone_run(cfg_path, src_root, dst_root, **overrides):
 
 
 def load_run_embedding(cfg_path, emb):
-    return dmaps.load_embedding(emb, embed_hash(load_config(cfg_path)))
+    return dmaps.load_embedding(emb, made_from(load_config(cfg_path)))
 
 
 # ----------------------------------------------------------- synthetic run
@@ -279,12 +280,33 @@ def test_a_stale_embedding_is_refused(pipeline_run, tmp_path, capsys, stage):
     err = capsys.readouterr().err
     assert err.startswith(f"error [{stage[0]}] {clone / 'embedding'}: ")
     assert "rerun embed" in err
-    after = tree_bytes(clone)
-    assert [k for k in before if before[k] != after.get(k)] == ["meta.json"]
+    assert tree_bytes(clone) == before   # meta.json too: it echoes only a finished command
     same = write_config(tmp_path / "same.json", **{
         **json.loads(pathlib.Path(pipeline_run["cfg"]).read_text()), "output_dir": str(clone)
     })
     assert main([*stage, "--config", same]) == 0
+
+
+def test_an_embedding_of_another_input_file_is_refused(pipeline_run, tmp_path, capsys):
+    raw = json.loads(pathlib.Path(pipeline_run["cfg"]).read_text())
+    inp = tmp_path / "series.csv"
+    shutil.copy(raw["input"], inp)
+    clone = tmp_path / "clone"
+    resynth = {**raw["synth"], "seed": 1, "noise": 0.05}
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone, input=str(inp),
+                         synth=resynth)
+    assert main(["embed", "--config", cfg_path]) == 0
+    assert main(["synth", "--config", cfg_path]) == 0   # same path and config, other bytes
+    capsys.readouterr()
+    before = tree_bytes(clone)
+    for stage in (["train", "--method", "fnn"], ["forecast"]):
+        assert main([*stage, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{stage[0]}] {clone / 'embedding'}: ")
+        assert "rerun embed" in err
+    assert tree_bytes(clone) == before
+    for stage in (["embed"], ["train", "--method", "fnn"], ["forecast"]):
+        assert main([*stage, "--config", cfg_path]) == 0
 
 
 def test_unchanged_re_embed_keeps_the_models_valid(pipeline_run, tmp_path):
@@ -413,6 +435,72 @@ def test_lock_of_a_killed_run_does_not_block(pipeline_run, tmp_path):
             holder.kill()   # SIGKILL: the holder gets no chance to clean up
     assert lock.exists()
     assert main(["forecast", "--config", cfg_path]) == 0
+
+
+# ---------------------------------------------------------- stimulus input
+
+
+def alternating_epochs(n: int, block: int) -> list:
+    return [["A" if (s // block) % 2 == 0 else "B", s, min(s + block, n)]
+            for s in range(0, n, block)]
+
+
+@pytest.fixture(scope="module")
+def stimulus_run(pipeline_run, tmp_path_factory):
+    """The pipeline config with alternating A/B stimulus blocks and one contrast."""
+    base = tmp_path_factory.mktemp("cli_stimulus")
+    raw = json.loads(pathlib.Path(pipeline_run["cfg"]).read_text())
+    cfg_path = write_config(
+        base / "run.json",
+        **{**raw, "input": str(base / "data" / "series.csv"), "output_dir": str(base / "run")},
+        epochs=alternating_epochs(140, 10),
+        conditions=["A", "B"],
+        glm={"contrasts": {"A_gt_B": [1.0, -1.0]}},
+    )
+    assert main(["run", "--all", "--config", cfg_path]) == 0
+    return {"cfg": cfg_path, "out": base / "run"}
+
+
+def test_stimulus_run_writes_the_activity_report(stimulus_run):
+    assert [p.name for p in (stimulus_run["out"] / "reports").glob("activity_*.csv")] == [
+        "activity_A_gt_B.csv"
+    ]
+
+
+def test_stimulus_forecast_steps_from_the_last_training_row(stimulus_run):
+    cfg = load_config(stimulus_run["cfg"])
+    emb, models_dir = stimulus_run["out"] / "embedding", stimulus_run["out"] / "models"
+    selected = parsimony.load_report(emb / "parsimony.json").selected
+    coords = dmaps.coords_for(load_run_embedding(stimulus_run["cfg"], emb), selected)
+    n, h = cfg.n_train, 20
+    design = build_design_matrix(list(cfg.epochs), n + h, list(cfg.conditions))
+    scale = np.sqrt(n)
+    digest = rom_fnn.training_digest(cfg.fnn, coords * scale, design[:n])
+    models = rom_fnn.load_fnn_models(models_dir / "fnn.json", digest)
+    expected = rom_fnn.fnn_forecast(models, coords[-1] * scale, design[n - 1 : n - 1 + h], h)
+    expected = expected / scale
+    reduced = rom_fnn.forecast_rom(models_dir, coords, design, h, cfg.fnn)
+    assert np.array_equal(reduced, expected)
+    written = read_matrix(stimulus_run["out"] / "forecasts" / "fnn_gh_reduced.csv")[0]
+    assert np.array_equal(written, expected)
+
+
+def test_forecast_refuses_models_trained_on_other_epochs(stimulus_run, tmp_path, capsys):
+    cfg_path = clone_run(stimulus_run["cfg"], stimulus_run["out"], tmp_path / "clone",
+                         epochs=alternating_epochs(140, 7))
+    assert main(["forecast", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [rom_fnn]")
+    assert "models/fnn.json" in err and "rerun train" in err
+
+
+def test_train_checks_the_epochs_against_the_whole_series(stimulus_run, tmp_path, capsys):
+    epochs = alternating_epochs(140, 10)
+    epochs[-1][2] = 141
+    cfg_path = clone_run(stimulus_run["cfg"], stimulus_run["out"], tmp_path / "clone",
+                         epochs=epochs)
+    assert main(["train", "--method", "fnn", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("error [train]")
 
 
 def test_missing_input_without_synth(tmp_path, capsys):
