@@ -13,13 +13,14 @@ Subcommands wire the stages together over a single JSON run config:
 
 Exit codes: 0 success, 2 validation errors (bad config/input), 1 runtime
 failures. Artifacts land in output_dir/{embedding,models,forecasts,reports};
-a meta.json, written when a command succeeds, echoes the config and its hash,
-and nothing written depends on wall-clock time, so repeated runs with one
-config, one BLAS thread count and one SIMD level of numpy's `exp` are
-byte-identical (the eigensolve's last bits can change with the count, the FNN
-models' with the SIMD level). `train` and `forecast` refuse an embedding that
-`embed` made from another input file or other config fields, and hand the
-FNN ROM (`rom_fnn`) the raw coordinates and the whole series' stimulus design.
+a meta.json, written when a command (or a stage of `run --all`) succeeds,
+echoes the config and its hash, and nothing written depends on wall-clock
+time, so repeated runs with one config, one BLAS thread count and one SIMD
+level of numpy's `exp` are byte-identical (the eigensolve's last bits can
+change with the count, the FNN models' with the SIMD level). `train` and
+`forecast` refuse an embedding that `embed` made from another input file or
+other config fields, and hand the FNN ROM (`rom_fnn`) the selected
+coordinates and the whole series' stimulus design.
 """
 
 from __future__ import annotations
@@ -49,12 +50,23 @@ DISCONNECTED_TOL = 1e-10   # lambda_1 this close to 1: the kernel graph has spli
 # run configuration
 
 
+def _check_kernel_scale(value, name: str) -> None:
+    """A kernel scale field takes "auto" or a positive finite number, kept as given
+    (an int stays an int, so the config hash does not move); a bool is not a number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (value == "auto" or number and 0 < value <= sys.float_info.max):
+        raise ValueError(f'{name} must be "auto" or a positive number, got {value!r}')
+
+
 @dataclass(frozen=True)
 class DmapsSection:
     sigma: object = "auto"
     alpha: float = 1.0
     t: int = 0
     k: int = 30
+
+    def __post_init__(self):
+        _check_kernel_scale(self.sigma, "dmaps.sigma")
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,9 @@ class KoopmanSection:
 class GhSection:
     sigma: object = "auto"
     eig_floor: float = lifting.EIG_FLOOR
+
+    def __post_init__(self):
+        _check_kernel_scale(self.sigma, "gh.sigma")
 
 
 @dataclass(frozen=True)
@@ -298,6 +313,8 @@ class RunPaths:
 
 
 def _write_meta(cfg: RunConfig, paths: RunPaths) -> None:
+    """Echo the config into meta.json; each command calls it last, so only a
+    command that succeeded, or a stage of `run --all` that did, speaks for it."""
     doc = {"config": config_payload(cfg), "config_sha256": config_hash(cfg)}
     artifacts.write_json(os.path.join(paths.root, "meta.json"), doc)
 
@@ -356,6 +373,7 @@ def cmd_glm(cfg: RunConfig, paths: RunPaths) -> None:
                 f"glm: contrast {name!r}: {n_pass}/{len(channels)} channels pass "
                 f"p < {cfg.glm.threshold} -> {out}"
             )
+    _write_meta(cfg, paths)
 
 
 def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
@@ -388,6 +406,7 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
     print(f"embed: eigenvalues: {lam}")
     print(f"embed: residuals er: {', '.join(f'{v:.4f}' for v in report.er)}")
     print(f"embed: selected coordinates: {', '.join(str(i) for i in report.selected)}")
+    _write_meta(cfg, paths)
 
 
 def _read_ambient(paths: RunPaths, block: str):
@@ -422,6 +441,7 @@ def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
         cells = rom_fnn.train_rom(coords_train, design, cfg.fnn, paths.models)
     for j, (hidden, decay, score) in enumerate(cells, start=1):
         print(f"train: coordinate {j}: hidden={hidden}, decay={decay:g}, cv mse={score:.3e}")
+    _write_meta(cfg, paths)
 
 
 def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
@@ -490,6 +510,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
             f"best on {int(table.best[i].sum())}/{len(table.channel_names)} channels"
         )
     print(f"evaluate: comparison table in {comparison}")
+    _write_meta(cfg, paths)
 
 
 def cmd_run_all(cfg: RunConfig, paths: RunPaths) -> None:
@@ -577,7 +598,6 @@ def main(argv=None) -> int:
                 cmd_forecast(cfg, paths)
             elif args.command == "run":
                 cmd_run_all(cfg, paths)
-            _write_meta(cfg, paths)   # only a command that succeeded speaks for the config
         return 0
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from . import artifacts
 
 SIGN_CONVENTION = "max-abs-positive"
+PSI0_TOL = 1e-8   # a stored psi_0 farther than this from 1 is not unit-RMS
 
 
 def _as_points(X) -> np.ndarray:
@@ -117,12 +118,14 @@ def eigenbasis(s: np.ndarray, floor: float):
 class DiffusionEmbedding:
     """Spectral embedding data: eigenvalues lam_0..lam_k, eigenvectors psi_0..psi_k.
 
-    Column 0 is the trivial constant eigenvector (lam_0 = 1). Coordinates are
-    coords(i, l) = lam_l^t psi_{i,l} for l = 1..k.
+    Column 0 is the trivial eigenvector psi_0 = 1 (lam_0 = 1). Every column
+    has unit root-mean-square entry (Coifman & Lafon's normalization), so
+    the coordinates coords(i, l) = lam_l^t psi_{i,l}, l = 1..k, are O(1) at
+    any N.
     """
 
     eigenvalues: np.ndarray   # length k+1, descending
-    eigenvectors: np.ndarray  # N x (k+1), unit-norm columns, sign-fixed
+    eigenvectors: np.ndarray  # N x (k+1), unit-RMS columns, sign-fixed
     sigma: float
     alpha: float
     t: int = 0
@@ -165,8 +168,8 @@ def spectral_decompose(p: np.ndarray, row_degrees: np.ndarray, k: int):
     eigenvalues still agree.) For k+1 >= N-1 a dense ``eigh`` solves S
     instead: at that size it costs nothing, and ``eigsh`` would fall back to
     it with a RuntimeWarning once k+1 >= N. Eigenvectors are mapped back by
-    D^-1/2, normalized to unit length, and sign-fixed so the entry of largest
-    absolute value is positive.
+    D^-1/2, scaled to unit root-mean-square entry (so psi_0 = 1), and
+    sign-fixed so the entry of largest absolute value is positive.
     """
     n = p.shape[0]
     if not 1 <= k < n:
@@ -181,7 +184,7 @@ def spectral_decompose(p: np.ndarray, row_degrees: np.ndarray, k: int):
     except (np.linalg.LinAlgError, ArpackError) as exc:
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
     vecs /= d_sqrt[:, None]
-    vecs /= np.linalg.norm(vecs, axis=0)[None, :]
+    vecs /= np.sqrt(np.mean(vecs**2, axis=0))[None, :]
     return _descending_signed(vals, vecs, k + 1)
 
 
@@ -234,8 +237,9 @@ def save_embedding(E: DiffusionEmbedding, directory, made_from: str) -> None:
 def load_embedding(directory, made_from: str) -> DiffusionEmbedding:
     """Read a bundle written by `save_embedding`, with schema validation.
 
-    A bundle whose `made_from` digest is another raises ValueError naming
-    the directory.
+    A bundle whose `made_from` digest is another, or whose psi_0 column is
+    not within `PSI0_TOL` of 1 (unit-norm eigenvectors, say), raises
+    ValueError naming the directory.
     """
     meta = artifacts.read_json(
         os.path.join(directory, "meta.json"),
@@ -251,6 +255,11 @@ def load_embedding(directory, made_from: str) -> DiffusionEmbedding:
     vecs, _ = artifacts.read_matrix(os.path.join(directory, "eigenvectors.csv"))
     if vecs.shape[1] != meta["k"] + 1 or vals.shape != (meta["k"] + 1, 1):
         raise ValueError(f"corrupt embedding bundle {directory}: shape mismatch")
+    if not np.all(np.abs(vecs[:, 0] - 1.0) <= PSI0_TOL):
+        raise ValueError(
+            f"{directory}: psi_0 is not the constant 1, so the eigenvectors are not "
+            "unit-RMS; rerun embed"
+        )
     return DiffusionEmbedding(
         eigenvalues=vals[:, 0],
         eigenvectors=vecs,

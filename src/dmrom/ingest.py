@@ -122,7 +122,7 @@ class SynthConfig:
     dynamics: str = "limit_cycle"  # or "linear_stable"
     frequency_scale: float = 1.5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.q not in (2, 3):
             raise ValueError(f"intrinsic dimension q must be 2 or 3, got {self.q}")
         if self.ambient_dim < self.q:
@@ -214,7 +214,6 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[np.ndarray, list[str], SynthTr
     embedding of the latent trajectory exactly. Returns the N x M values, the
     channel names and the ground truth.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     if cfg.dynamics == "linear_stable":
         latent, params = _latent_linear_stable(cfg, rng)

@@ -13,10 +13,11 @@ inputs. The logistic function is `_sigmoid`, through numpy's vectorized
 `exp`, so the bits depend on the SIMD level numpy dispatches `exp` to.
 
 `train_rom` and `forecast_rom` are the ROM as the pipeline runs it: they take
-the selected diffusion-map coordinates and the stimulus design of the whole
-series, work in the unit-RMS units of `_unit_rms_scale`, slice the training
-and forecast stimulus windows, and write or read `fnn.json` (the models and
-their `training_digest`) and `fnn_cv.csv`.
+the selected diffusion-map coordinates, which are O(1) at any training length
+because the eigenvectors have unit RMS, and the stimulus design of the whole
+series; they train and forecast on those coordinates as given, slice the
+training and forecast stimulus windows, and write or read `fnn.json` (the
+models and their `training_digest`) and `fnn_cv.csv`.
 """
 
 from __future__ import annotations
@@ -582,22 +583,6 @@ def write_cv_report(records_by_target, path) -> None:
     artifacts.write_rows(path, ["coord", "hidden", "decay", "repeat", "fold", "mse"], rows)
 
 
-def _unit_rms_scale(train_coords) -> float:
-    """sqrt(N): the factor to the unit-RMS coordinate units the networks work in.
-
-    Unit-norm eigenvectors shrink coordinate amplitude like 1/sqrt(N), so
-    without it fixed-step descent would be conditioned by the training length.
-    """
-    return float(np.sqrt(len(train_coords)))
-
-
-def _training_window(train_coords, design):
-    """(scale, scaled training coordinates, training stimulus or None)."""
-    scale = _unit_rms_scale(train_coords)
-    stim = None if design is None else design[: len(train_coords)]
-    return scale, train_coords * scale, stim
-
-
 def train_rom(train_coords, design, cfg: TrainConfig, models_dir) -> list:
     """Train the FNN ROM of every coordinate and write `fnn.json` and `fnn_cv.csv`.
 
@@ -606,33 +591,33 @@ def train_rom(train_coords, design, cfg: TrainConfig, models_dir) -> list:
     (or None); its first n rows drive the training. Returns each
     coordinate's winning (hidden, decay, mean CV mse).
     """
-    _, scaled, stim = _training_window(train_coords, design)
-    targets = range(1, scaled.shape[1] + 1)
-    models, records = zip(*fnn_train(scaled, stim, targets, cfg))
+    stim = None if design is None else design[: len(train_coords)]
+    targets = range(1, train_coords.shape[1] + 1)
+    models, records = zip(*fnn_train(train_coords, stim, targets, cfg))
     cells = [best_grid_cell(r) for r in records]
     os.makedirs(models_dir, exist_ok=True)
     save_fnn_models(
         models,
         [decay for _, decay, _ in cells],
         os.path.join(models_dir, "fnn.json"),
-        training_digest(cfg, scaled, stim),
+        training_digest(cfg, train_coords, stim),
     )
     write_cv_report(dict(zip(targets, records)), os.path.join(models_dir, "fnn_cv.csv"))
     return cells
 
 
 def forecast_rom(models_dir, train_coords, design, h: int, cfg: TrainConfig) -> np.ndarray:
-    """The (h, d) closed-loop forecast from the last training row, in coordinate units.
+    """The (h, d) closed-loop forecast from the last training row.
 
     The bundle in `models_dir` must have been trained on these coordinates,
     this design's training rows and `cfg`, or ValueError names it. Step s
     of the forecast reads design row n - 1 + s, the stimulus at the state
     it steps from.
     """
-    scale, scaled, stim = _training_window(train_coords, design)
-    models = load_fnn_models(
-        os.path.join(models_dir, "fnn.json"), training_digest(cfg, scaled, stim)
-    )
     n = len(train_coords)
+    stim = None if design is None else design[:n]
+    models = load_fnn_models(
+        os.path.join(models_dir, "fnn.json"), training_digest(cfg, train_coords, stim)
+    )
     stim_seq = None if design is None else design[n - 1 : n - 1 + h]
-    return fnn_forecast(models, train_coords[-1] * scale, stim_seq, h) / scale
+    return fnn_forecast(models, train_coords[-1], stim_seq, h)

@@ -287,6 +287,21 @@ def test_a_stale_embedding_is_refused(pipeline_run, tmp_path, capsys, stage):
     assert main([*stage, "--config", same]) == 0
 
 
+def test_a_unit_norm_embedding_is_refused(pipeline_run, tmp_path, capsys):
+    clone = tmp_path / "clone"
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone)
+    vectors = clone / "embedding" / "eigenvectors.csv"
+    vecs, names = read_matrix(vectors)
+    write_matrix(vectors, vecs / np.sqrt(len(vecs)), names)   # unit-norm columns
+    before = tree_bytes(clone)
+    for stage in (["train", "--method", "fnn"], ["forecast"]):
+        assert main([*stage, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{stage[0]}] {clone / 'embedding'}: psi_0 ")
+        assert "rerun embed" in err
+    assert tree_bytes(clone) == before
+
+
 def test_an_embedding_of_another_input_file_is_refused(pipeline_run, tmp_path, capsys):
     raw = json.loads(pathlib.Path(pipeline_run["cfg"]).read_text())
     inp = tmp_path / "series.csv"
@@ -391,16 +406,24 @@ def test_forecast_prints_gh_sigma_and_rank(pipeline_run, tmp_path, capsys):
     assert line in capsys.readouterr().out.splitlines()
 
 
-def test_bad_gh_sigma_fails_in_the_lifting_stage(pipeline_run, tmp_path, capsys):
+def test_a_run_failing_in_the_lifting_stage_echoes_the_stages_that_finished(
+    pipeline_run, tmp_path, capsys
+):
     clone = tmp_path / "clone"
-    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone, gh={"sigma": -1})
+    # no kernel eigenvalue reaches twice the largest one, so the lift has no basis
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone,
+                         dmaps={"sigma": 40.0, "k": 10}, gh={"eig_floor": 2.0})
     assert (clone / "reports" / "comparison.csv").exists()
-    rc = main(["forecast", "--config", cfg_path])
-    assert rc == 2
+    assert main(["run", "--all", "--config", cfg_path]) == 2
     assert "[lifting]" in capsys.readouterr().err
     # no table is left to score the forecasts the failed stage removed
     assert os.listdir(clone / "forecasts") == []
     assert not (clone / "reports" / "comparison.csv").exists()
+    # meta.json speaks for the embedding and models the finished stages wrote
+    assert json.loads((clone / "embedding" / "meta.json").read_text())["sigma"] == 40.0
+    meta = json.loads((clone / "meta.json").read_text())
+    assert meta["config_sha256"] == config_hash(load_config(cfg_path))
+    assert meta["config"]["dmaps"]["sigma"] == 40.0
 
 
 def test_lock_file_blocks_concurrent_runs(pipeline_run, tmp_path, capsys):
@@ -474,11 +497,9 @@ def test_stimulus_forecast_steps_from_the_last_training_row(stimulus_run):
     coords = dmaps.coords_for(load_run_embedding(stimulus_run["cfg"], emb), selected)
     n, h = cfg.n_train, 20
     design = build_design_matrix(list(cfg.epochs), n + h, list(cfg.conditions))
-    scale = np.sqrt(n)
-    digest = rom_fnn.training_digest(cfg.fnn, coords * scale, design[:n])
+    digest = rom_fnn.training_digest(cfg.fnn, coords, design[:n])
     models = rom_fnn.load_fnn_models(models_dir / "fnn.json", digest)
-    expected = rom_fnn.fnn_forecast(models, coords[-1] * scale, design[n - 1 : n - 1 + h], h)
-    expected = expected / scale
+    expected = rom_fnn.fnn_forecast(models, coords[-1], design[n - 1 : n - 1 + h], h)
     reduced = rom_fnn.forecast_rom(models_dir, coords, design, h, cfg.fnn)
     assert np.array_equal(reduced, expected)
     written = read_matrix(stimulus_run["out"] / "forecasts" / "fnn_gh_reduced.csv")[0]

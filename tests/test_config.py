@@ -183,6 +183,17 @@ def test_augment_stimulus_is_no_longer_an_option(tmp_path):
          "fnn.decay_values item must be a number, got '0.01'"),
         ({"glm": {"kernel": [True]}}, "glm.kernel item must be a number, got True"),
         ({"glm": {"contrasts": {"c": ["1"]}}}, "glm.contrasts.c item must be a number, got '1'"),
+        ({"dmaps": {"sigma": True}}, 'dmaps.sigma must be "auto" or a positive number, got True'),
+        ({"dmaps": {"sigma": [1]}}, 'dmaps.sigma must be "auto" or a positive number, got [1]'),
+        ({"dmaps": {"sigma": "foo"}},
+         'dmaps.sigma must be "auto" or a positive number, got \'foo\''),
+        ({"dmaps": {"sigma": 0}}, 'dmaps.sigma must be "auto" or a positive number, got 0'),
+        ({"gh": {"sigma": -3}}, 'gh.sigma must be "auto" or a positive number, got -3'),
+        ({"gh": {"sigma": False}}, 'gh.sigma must be "auto" or a positive number, got False'),
+        ({"gh": {"sigma": float("inf")}}, 'gh.sigma must be "auto" or a positive number, got inf'),
+        ({"gh": {"sigma": 10**400}}, 'gh.sigma must be "auto" or a positive number, got 1000'),
+        ({"synth": {"q": 7, "dynamics": "nope"}}, "intrinsic dimension q must be 2 or 3, got 7"),
+        ({"synth": {"dynamics": "nope"}}, "unknown dynamics 'nope'"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):
@@ -198,6 +209,7 @@ def test_invalid_values_keep_their_messages(tmp_path, doc, message):
         None,
         {"input": "x.csv", "output_dir": "out", "epochs": [["A", 0]], "conditions": ["A"]},
         {"input": "x.csv", "output_dir": "out", "dmaps": {"t": 1.5}},
+        {"input": "x.csv", "output_dir": "out", "dmaps": {"sigma": [1]}},
     ],
 )
 def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, doc):

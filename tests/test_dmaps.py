@@ -167,7 +167,7 @@ def test_in_place_chain_keeps_the_out_of_place_bits(cycle_dataset):
         # the Lanczos call spectral_decompose makes, on the out-of-place S
         vals, vecs = eigsh(s, k=11, which="LA", v0=np.ones(len(s)), tol=0)
         vecs /= d_sqrt[:, None]
-        vecs /= np.linalg.norm(vecs, axis=0)[None, :]
+        vecs /= np.sqrt(np.mean(vecs**2, axis=0))[None, :]
         order = np.argsort(vals)[::-1]
         vals, vecs = vals[order], vecs[:, order]
         vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(11)])[None, :]
@@ -241,11 +241,10 @@ def test_identity_operator_spectrum():
 def test_trivial_eigenpair_and_ordering():
     E = build_embedding(cloud(7, n=30), sigma=1.0, alpha=1.0, k=5)
     assert abs(E.eigenvalues[0] - 1.0) < 1e-10
-    psi0 = E.eigenvectors[:, 0]
-    assert np.std(psi0) / abs(np.mean(psi0)) < 1e-8
+    assert np.max(np.abs(E.eigenvectors[:, 0] - 1.0)) < 1e-12   # psi_0 = 1
     assert np.all(np.diff(E.eigenvalues) <= 1e-12)
-    # unit columns, largest-magnitude entry positive
-    assert np.max(np.abs(np.linalg.norm(E.eigenvectors, axis=0) - 1.0)) < 1e-12
+    # unit-RMS columns, largest-magnitude entry positive
+    assert np.max(np.abs(np.sqrt(np.mean(E.eigenvectors**2, axis=0)) - 1.0)) < 1e-12
     tops = E.eigenvectors[
         np.argmax(np.abs(E.eigenvectors), axis=0), np.arange(E.k + 1)
     ]
@@ -292,11 +291,11 @@ def test_k_range_validation():
 
 
 def dense_pairs(p, row_degrees, count):
-    """Top eigenpairs of P from a full dense solve of S, unit columns, descending."""
+    """Top eigenpairs of P from a full dense solve of S, unit-RMS columns, descending."""
     d_sqrt = np.sqrt(row_degrees)
     vals, vecs = eigh(p * (d_sqrt[:, None] / d_sqrt[None, :]))
     vecs = vecs[:, ::-1][:, :count] / d_sqrt[:, None]
-    return vals[::-1][:count], vecs / np.linalg.norm(vecs, axis=0)
+    return vals[::-1][:count], vecs / np.sqrt(np.mean(vecs**2, axis=0))
 
 
 @STRICT
@@ -319,7 +318,8 @@ def test_small_n_takes_the_dense_path_without_a_warning(monkeypatch, gap, lanczo
     want_vals, want_vecs = dense_pairs(p, row_degrees, k + 1)
     assert vals.shape == (k + 1,) and vecs.shape == (9, k + 1)
     assert np.max(np.abs(vals - want_vals)) < 1e-12
-    assert np.max(np.abs(np.abs(np.sum(vecs * want_vecs, axis=0)) - 1.0)) < 1e-10
+    assert np.max(np.abs(np.abs(np.mean(vecs * want_vecs, axis=0)) - 1.0)) < 1e-10
+    assert np.max(np.abs(vecs[:, 0] - 1.0)) < 1e-12
     assert np.max(np.abs(p @ vecs - vecs * vals[None, :])) < 1e-10
 
 
@@ -432,6 +432,13 @@ def test_bundle_load_checks_made_from(tmp_path, strip_embedding):
     assert json.loads((tmp_path / "meta.json").read_text())["made_from"] == "abc"
     with pytest.raises(ValueError, match=f"^{tmp_path}: .*rerun embed$"):
         load_embedding(tmp_path, "abd")
+
+
+def test_bundle_refuses_unit_norm_columns(tmp_path, strip_embedding):
+    vecs = strip_embedding.eigenvectors
+    save_embedding(replace(strip_embedding, eigenvectors=vecs / np.sqrt(len(vecs))), tmp_path, "abc")
+    with pytest.raises(ValueError, match=f"^{tmp_path}: psi_0 .*rerun embed$"):
+        load_embedding(tmp_path, "abc")
 
 
 def test_bundle_rejects_corrupt_meta(tmp_path, strip_embedding):

@@ -145,11 +145,11 @@ def test_detrend_train_only_statistics():
 
 def test_synth_dimension_validation():
     with pytest.raises(ValueError):
-        SynthConfig(q=2, ambient_dim=1).validate()
+        SynthConfig(q=2, ambient_dim=1)
     with pytest.raises(ValueError):
-        SynthConfig(q=4, ambient_dim=10).validate()
+        SynthConfig(q=4, ambient_dim=10)
     with pytest.raises(ValueError):
-        SynthConfig(q=2, ambient_dim=10, noise=-0.1).validate()
+        SynthConfig(q=2, ambient_dim=10, noise=-0.1)
 
 
 def test_synth_limit_cycle_closed_curve():

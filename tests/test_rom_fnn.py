@@ -796,17 +796,16 @@ def test_cv_report_csv(tmp_path, zero_target_fit):
 def test_rom_trains_in_unit_rms_units_and_pins_only_the_training_window(tmp_path):
     rng = np.random.default_rng(3)
     n, h = 30, 5
-    coords = rng.normal(size=(n, 2)) / np.sqrt(n)
+    coords = rng.normal(size=(n, 2))   # O(1), as unit-RMS eigenvectors give them
     design = rng.integers(0, 2, size=(n + h, 1)).astype(float)
     cfg = TrainConfig(hidden_sizes=(2,), decay_values=(1e-3,), folds=2, repeats=1, max_epochs=50)
     models_dir = tmp_path / "models"
     cells = rom_fnn.train_rom(coords, design, cfg, models_dir)
     assert sorted(os.listdir(models_dir)) == ["fnn.json", "fnn_cv.csv"]
 
-    scale = np.sqrt(n)
-    reference = fnn_train(coords * scale, design[:n], [1, 2], cfg)
+    reference = fnn_train(coords, design[:n], [1, 2], cfg)
     assert cells == [best_grid_cell(records) for _, records in reference]
-    digest = training_digest(cfg, coords * scale, design[:n])
+    digest = training_digest(cfg, coords, design[:n])
     for model, (ref, _) in zip(load_fnn_models(models_dir / "fnn.json", digest), reference):
         for key in ("w1", "b1", "w_out", "b_out"):
             assert np.array_equal(getattr(model, key), getattr(ref, key))
@@ -815,7 +814,7 @@ def test_rom_trains_in_unit_rms_units_and_pins_only_the_training_window(tmp_path
     later = design.copy()
     later[n:] = 1.0 - later[n:]
     models = [m for m, _ in reference]
-    expected = fnn_forecast(models, coords[-1] * scale, later[n - 1 : n - 1 + h], h) / scale
+    expected = fnn_forecast(models, coords[-1], later[n - 1 : n - 1 + h], h)
     assert np.array_equal(rom_fnn.forecast_rom(models_dir, coords, later, h, cfg), expected)
     earlier = design.copy()
     earlier[0] = 1.0 - earlier[0]
