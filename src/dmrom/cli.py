@@ -6,9 +6,9 @@ Subcommands wire the stages together over a single JSON run config:
     glm       per-channel regression against the stimulus design
     embed     detrend/split, spectral embedding, coordinate selection
     train     fit the FNN ROMs on the training coordinates (--method fnn)
-    forecast  fit the Koopman operator and the GH lift, then closed-loop
-              forecasts over the test horizon, plus the baseline, scored per
-              channel into the comparison table
+    forecast  fit the Koopman one-step matrix and channel pre-image and the
+              GH lift, then closed-loop forecasts over the test horizon, plus
+              the baseline, scored per channel into the comparison table
     run --all everything above in order
 
 Exit codes: 0 success, 2 validation errors (bad config/input), 1 runtime
@@ -76,17 +76,14 @@ class ParsimonySection:
 
 
 @dataclass(frozen=True)
-class KoopmanSection:
-    svd_tol: float = rom_koopman.SVD_TOL
-
-
-@dataclass(frozen=True)
 class GhSection:
     sigma: object = "auto"
     eig_floor: float = lifting.EIG_FLOOR
 
     def __post_init__(self):
         _check_kernel_scale(self.sigma, "gh.sigma")
+        if not self.eig_floor >= 0:
+            raise ValueError(f"gh.eig_floor must be >= 0, got {self.eig_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +100,10 @@ class GlmSection:
     kernel: tuple = ()
     contrasts: tuple = ()   # pairs (name, vector)
     threshold: float = 0.001
+
+    def __post_init__(self):
+        if not 0 < self.threshold <= 1:
+            raise ValueError(f"glm.threshold must be in (0, 1], got {self.threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,6 @@ class RunConfig:
     dmaps: DmapsSection = DmapsSection()
     parsimony: ParsimonySection = ParsimonySection()
     fnn: TrainConfig = TrainConfig()
-    koopman: KoopmanSection = KoopmanSection()
     gh: GhSection = GhSection()
     nrw: NrwSection = NrwSection()
     glm: GlmSection = GlmSection()
@@ -476,7 +476,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         _write_forecast(paths, "fnn_gh_ambient", fnn_ambient, test_names)
 
     with _stage("rom_koopman"):
-        kmodel = rom_koopman.fit_koopman_model(coords_train, train_vals, cfg.koopman.svd_tol)
+        kmodel = rom_koopman.fit_koopman_model(coords_train, train_vals)
         k_reduced, k_ambient = rom_koopman.koopman_forecast(kmodel, init, h)
         _write_forecast(paths, "koopman_reduced", k_reduced, coord_names)
         _write_forecast(paths, "koopman_ambient", k_ambient, test_names)

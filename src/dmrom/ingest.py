@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,8 @@ def load_timeseries(path) -> tuple[np.ndarray, list[str]]:
     values : ndarray, shape (N, M)
         Row i holds the channels at time index i.
     names : list of str
-        Channel names from the header, stripped of surrounding blanks.
+        Channel names from the header, stripped of surrounding blanks and
+        distinct.
 
     Raises
     ------
@@ -41,8 +43,9 @@ def load_timeseries(path) -> tuple[np.ndarray, list[str]]:
         If the file does not exist.
     ValueError
         On a non-numeric cell (reported with its 1-based data row and column),
-        ragged rows, fewer than 2 data rows, no channel, or a non-finite cell
-        (``nan``/``inf`` parse as numbers, so they are rejected here).
+        ragged rows, fewer than 2 data rows, no channel, a non-finite cell
+        (``nan``/``inf`` parse as numbers, so they are rejected here), or a
+        channel name that repeats once stripped.
     """
     values, header = artifacts.read_matrix(path)
     if len(values) < 2:
@@ -51,7 +54,11 @@ def load_timeseries(path) -> tuple[np.ndarray, list[str]]:
         raise ValueError(f"{path}: need at least 1 channel")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: values contain non-finite entries")
-    return values, [h.strip() for h in header]
+    names = [h.strip() for h in header]
+    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise ValueError(f"{path}: repeated channel name(s): {', '.join(map(repr, repeated))}")
+    return values, names
 
 
 def detrend_standardize(

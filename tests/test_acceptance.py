@@ -127,7 +127,7 @@ def test_criterion_4_edmd_exact_recovery():
         traj[0] = [1.0, 0.3]
         for t in range(59):
             traj[t + 1] = rot @ traj[t]
-        vals, _ = rom_koopman.koopman_eig(rom_koopman.koopman_fit(traj))
+        vals = rom_koopman.koopman_eigenvalues(rom_koopman.koopman_fit(traj))
         err_rot = max(
             abs(vals[0] - np.exp(1j * theta)), abs(vals[1] - np.exp(-1j * theta))
         )

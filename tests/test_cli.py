@@ -371,7 +371,7 @@ def test_forecast_fits_koopman_on_the_current_embedding(pipeline_run, tmp_path):
     coords = dmaps.coords_for(load_run_embedding(cfg_path, emb), selected)
     train = read_matrix(emb / "train_ambient.csv")[0]
     test, names = read_matrix(emb / "test_ambient.csv")
-    model = fit_koopman_model(coords, train, load_config(cfg_path).koopman.svd_tol)
+    model = fit_koopman_model(coords, train)
     reduced, ambient = koopman_forecast(model, coords[-1], len(test))
     write_matrix(tmp_path / "reduced.csv", reduced, [f"y_{j}" for j in range(len(selected))])
     write_matrix(tmp_path / "ambient.csv", ambient, names)
@@ -535,10 +535,10 @@ def test_missing_input_without_synth(tmp_path, capsys):
     assert "input file not found" in capsys.readouterr().err
 
 
-def embed_small_series(tmp_path, cells, n_train: int) -> int:
+def embed_small_series(tmp_path, cells, n_train: int, header: str = "a,b") -> int:
     """`embed` on a 2-channel input whose rows are the given cell pairs."""
     inp = tmp_path / "series.csv"
-    inp.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in cells))
+    inp.write_text(header + "\n" + "".join(f"{x},{y}\n" for x, y in cells))
     cfg_path = write_config(
         tmp_path / "run.json", input=str(inp), output_dir=str(tmp_path / "out"), n_train=n_train
     )
@@ -552,6 +552,14 @@ def test_non_finite_input_fails_in_the_ingest_stage(tmp_path, capsys, cell):
     assert embed_small_series(tmp_path, cells, n_train=8) == 2
     err = capsys.readouterr().err
     assert "[ingest]" in err and "non-finite" in err
+    assert not (tmp_path / "out" / "embedding").exists()
+
+
+def test_repeated_channel_names_fail_in_the_ingest_stage(tmp_path, capsys):
+    cells = [(repr(float(i % 3)), repr(float(i * i % 5))) for i in range(12)]
+    assert embed_small_series(tmp_path, cells, n_train=8, header="a, a ") == 2
+    err = capsys.readouterr().err
+    assert "[ingest]" in err and "repeated channel name(s): 'a'" in err
     assert not (tmp_path / "out" / "embedding").exists()
 
 

@@ -13,7 +13,6 @@ from dmrom.cli import (
     DmapsSection,
     GhSection,
     GlmSection,
-    KoopmanSection,
     NrwSection,
     ParsimonySection,
     RunConfig,
@@ -26,7 +25,7 @@ from dmrom.ingest import SynthConfig
 from dmrom.rom_fnn import TrainConfig
 
 MISSING = object()
-SECTIONS = ("dmaps", "parsimony", "fnn", "koopman", "gh", "nrw", "glm", "synth")
+SECTIONS = ("dmaps", "parsimony", "fnn", "gh", "nrw", "glm", "synth")
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-12, max_value=1e12)
@@ -76,15 +75,17 @@ def run_configs(draw):
             seed=draw(st.integers(0, 2**63)),
             tol=draw(finite),
         ),
-        koopman=KoopmanSection(svd_tol=draw(positive)),
-        gh=GhSection(sigma=draw(st.just("auto") | positive), eig_floor=draw(finite)),
+        gh=GhSection(
+            sigma=draw(st.just("auto") | positive),
+            eig_floor=draw(st.floats(min_value=0, allow_infinity=False)),
+        ),
         nrw=NrwSection(mode=draw(st.sampled_from(["reduced_then_lift", "ambient"]))),
         glm=GlmSection(
             kernel=tuple(draw(st.lists(finite, max_size=4))),
             contrasts=tuple(
                 draw(st.dictionaries(names, st.lists(finite, max_size=3).map(tuple))).items()
             ),
-            threshold=draw(finite),
+            threshold=draw(st.floats(min_value=0, max_value=1, exclude_min=True)),
         ),
         synth=synth,
     )
@@ -109,7 +110,6 @@ def test_payload_round_trips_through_load_config(cfg):
 def test_defaults_come_from_the_section_dataclasses(tmp_path):
     cfg = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out", "seed": 4}))
     assert cfg.dmaps == DmapsSection()
-    assert cfg.koopman == KoopmanSection()
     assert cfg.nrw == NrwSection()
     assert cfg.fnn == TrainConfig(seed=4)   # the network seed follows the run seed
     assert cfg.synth is None
@@ -144,11 +144,11 @@ def test_unknown_section_keys_are_rejected(tmp_path, section):
         load_config(path)
 
 
-def test_augment_stimulus_is_no_longer_an_option(tmp_path):
+def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
     path = dump(tmp_path, {"input": "x.csv", "output_dir": "out",
-                           "koopman": {"augment_stimulus": True}})
-    with pytest.raises(ValueError, match="section 'koopman': augment_stimulus"):
-        load_config(path)
+                           "koopman": {"svd_tol": 1e-10}})
+    assert main(["embed", "--config", path]) == 2
+    assert capsys.readouterr().err == f"error [config]: {path}: unknown config key(s): koopman\n"
 
 
 @pytest.mark.parametrize(
@@ -194,6 +194,10 @@ def test_augment_stimulus_is_no_longer_an_option(tmp_path):
         ({"gh": {"sigma": 10**400}}, 'gh.sigma must be "auto" or a positive number, got 1000'),
         ({"synth": {"q": 7, "dynamics": "nope"}}, "intrinsic dimension q must be 2 or 3, got 7"),
         ({"synth": {"dynamics": "nope"}}, "unknown dynamics 'nope'"),
+        ({"gh": {"eig_floor": -1}}, "gh.eig_floor must be >= 0, got -1.0"),
+        ({"glm": {"threshold": -1}}, "glm.threshold must be in (0, 1], got -1.0"),
+        ({"glm": {"threshold": 0}}, "glm.threshold must be in (0, 1], got 0.0"),
+        ({"glm": {"threshold": 2}}, "glm.threshold must be in (0, 1], got 2.0"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):

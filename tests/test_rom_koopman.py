@@ -1,16 +1,14 @@
-"""Tests for the linear spectral ROM: fit, eigenstructure, modes, forecasts."""
+"""Tests for the linear (EDMD) ROM: fit, eigenvalues, pre-image, forecasts."""
 
 import numpy as np
 import pytest
 
 from dmrom.rom_koopman import (
     KoopmanModel,
-    eigenfunction_values,
     fit_koopman_model,
-    koopman_eig,
+    koopman_eigenvalues,
     koopman_fit,
     koopman_forecast,
-    koopman_modes,
 )
 
 
@@ -71,7 +69,7 @@ def test_fit_planar_rotation_eigenvalues():
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     coords = linear_trajectory(rot, np.array([1.0, 0.3]), 12)
-    vals, _ = koopman_eig(koopman_fit(coords))
+    vals = koopman_eigenvalues(koopman_fit(coords))
     expected = np.array([np.exp(1j * th), np.exp(-1j * th)])
     assert np.max(np.abs(vals - expected)) < 1e-8
 
@@ -87,23 +85,22 @@ def test_fit_validation():
         koopman_fit(bad)
 
 
-# ------------------------------------------------------------ eigenstructure
+# --------------------------------------------------------------- eigenvalues
 
 
 def test_eig_identity_all_ones():
-    vals, _ = koopman_eig(np.eye(4))
+    vals = koopman_eigenvalues(np.eye(4))
     assert np.max(np.abs(vals - 1.0)) < 1e-12
 
 
 def test_eig_diagonal_matrix():
-    vals, vecs = koopman_eig(np.diag([0.9, 0.5]))
+    vals = koopman_eigenvalues(np.diag([0.5, 0.9]))
     assert np.allclose(vals, [0.9, 0.5], atol=1e-14)
-    assert np.allclose(vecs, np.eye(2), atol=1e-12)
 
 
 def test_eig_matches_characteristic_polynomial_roots():
     m = np.random.default_rng(13).normal(size=(3, 3))
-    vals, _ = koopman_eig(m)
+    vals = koopman_eigenvalues(m)
     tr = m[0, 0] + m[1, 1] + m[2, 2]
     minors = (
         (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
@@ -123,31 +120,27 @@ def test_eig_matches_characteristic_polynomial_roots():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_eig_relation_and_conventions(seed):
     m = np.random.default_rng(seed).normal(size=(4, 4))
-    vals, vecs = koopman_eig(m)
-    # the returned vectors advance the functionals z -> z.v by their eigenvalue
-    assert np.max(np.abs(m.T @ vecs - vecs * vals[None, :])) < 1e-8
+    vals = koopman_eigenvalues(m)
+    # each value makes m - w I singular, and they come by descending magnitude
+    for w in vals:
+        assert np.linalg.svd(m - w * np.eye(4), compute_uv=False)[-1] < 1e-8
     assert np.all(np.diff(np.abs(vals)) < 1e-12)
-    for j in range(4):
-        v = vecs[:, j]
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        pivot = v[np.nonzero(np.abs(v) > 1e-12)[0][0]]
-        assert abs(pivot.imag) < 1e-12 and pivot.real > 0
 
 
 def test_eig_conjugate_pairs_adjacent():
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    vals, _ = koopman_eig(rot)
+    vals = koopman_eigenvalues(rot)
     assert vals[0].imag > 0
     assert vals[1] == pytest.approx(np.conj(vals[0]), abs=1e-14)
 
 
 def test_eig_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
-        koopman_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        koopman_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-# --------------------------------------------------------------------- modes
+# ----------------------------------------------------------------- pre-image
 
 
 def test_identity_observables_reconstruct(linear_system):
@@ -159,33 +152,28 @@ def test_identity_observables_reconstruct(linear_system):
 def test_constant_eigenfunction_mode_is_time_mean():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(15, 3))
-    eig = (np.array([1.0 + 0j]), np.array([[1.0 + 0j]]))
-    modes = koopman_modes(x, np.ones((15, 1)), eig)
-    assert np.allclose(modes[:, 0], x.mean(axis=0), atol=1e-12)
+    model = fit_koopman_model(np.ones((15, 1)), x)
+    assert np.allclose(model.pre_image[0], x.mean(axis=0), atol=1e-12)
 
 
 def test_linear_observables_reconstruct(linear_system):
     _, coords, ambient = linear_system
     model = fit_koopman_model(coords, ambient)
-    phi = eigenfunction_values(coords, model.eigenvectors)
-    recon = (phi @ model.modes.T).real
-    rel = np.linalg.norm(recon - ambient) / np.linalg.norm(ambient)
-    assert rel < 1e-6
+    rel = np.linalg.norm(coords @ model.pre_image - ambient) / np.linalg.norm(ambient)
+    assert rel < 1e-10
 
 
-def test_modes_row_mismatch():
-    eig = (np.array([1.0 + 0j]), np.array([[1.0 + 0j]]))
+def test_pre_image_row_mismatch():
+    coords = linear_trajectory(np.array([[0.9]]), np.array([1.0]), 5)
     with pytest.raises(ValueError, match="row mismatch"):
-        koopman_modes(np.ones((4, 2)), np.ones((5, 1)), eig)
+        fit_koopman_model(coords, np.ones((4, 2)))
 
 
-def test_rank_deficient_eigenfunctions_warn():
-    # duplicated eigenvector columns collapse the regression rank
-    vecs = np.array([[1.0 + 0j, 1.0 + 0j], [0.0 + 0j, 0.0 + 0j]])
-    eig = (np.array([1.0 + 0j, 1.0 + 0j]), vecs)
-    coords = np.random.default_rng(0).normal(size=(10, 2))
+def test_rank_deficient_coordinates_warn():
+    # a duplicated coordinate column collapses the regression rank
+    coords = np.repeat(linear_trajectory(np.array([[0.9]]), np.array([1.0]), 10), 2, axis=1)
     with pytest.warns(UserWarning, match="rank-deficient"):
-        koopman_modes(coords, coords, eig)
+        fit_koopman_model(coords, coords)
 
 
 def test_unstable_spectrum_warns():
@@ -208,20 +196,14 @@ def test_zero_horizon_forecast(linear_system):
 
 
 def test_identity_dynamics_constant_forecast():
-    modes = np.random.default_rng(6).normal(size=(5, 2)).astype(complex)
+    pre_image = np.random.default_rng(6).normal(size=(2, 5))
     model = KoopmanModel(
-        u_hat=np.eye(2),
-        eigenvalues=np.ones(2, dtype=complex),
-        eigenvectors=np.eye(2, dtype=complex),
-        modes=modes,
-        reduced_modes=np.eye(2, dtype=complex),
-        training_residual=0.0,
+        u_hat=np.eye(2), pre_image=pre_image, eigenvalues=np.ones(2), training_residual=0.0
     )
     init = np.array([0.3, -0.8])
     red, amb = koopman_forecast(model, init, 4)
     assert np.allclose(red, np.tile(init, (4, 1)), atol=1e-14)
-    expected = (modes @ init.astype(complex)).real
-    assert np.allclose(amb, np.tile(expected, (4, 1)), atol=1e-14)
+    assert np.allclose(amb, np.tile(init @ pre_image, (4, 1)), atol=1e-14)
 
 
 def test_one_step_matches_direct_multiplication(linear_system):
@@ -229,37 +211,41 @@ def test_one_step_matches_direct_multiplication(linear_system):
     model = fit_koopman_model(coords, ambient)
     init = coords[-1]
     red, amb = koopman_forecast(model, init, 1)
-    phi0 = init.astype(complex) @ model.eigenvectors
-    assert np.max(np.abs(amb[0] - (model.modes @ (model.eigenvalues * phi0)).real)) < 1e-10
-    assert np.max(np.abs(red[0] - model.u_hat @ init)) < 1e-10
+    assert np.max(np.abs(red[0] - model.u_hat @ init)) < 1e-12
+    assert np.max(np.abs(amb[0] - red[0] @ model.pre_image)) < 1e-12
 
 
 def test_forecast_follows_eigenvalue_power_law(linear_system):
+    # the matrix predictor equals the Koopman-mode sum of a diagonalizable fit
     _, coords, ambient = linear_system
     model = fit_koopman_model(coords, ambient)
     init = coords[-1]
     _, amb = koopman_forecast(model, init, 7)
-    phi0 = init.astype(complex) @ model.eigenvectors
-    manual = (model.modes @ (phi0 * model.eigenvalues**7)).real
+    vals, vecs = np.linalg.eig(model.u_hat)
+    factors = np.linalg.solve(vecs, init.astype(complex))
+    manual = ((vecs @ (vals**7 * factors)) @ model.pre_image).real
     assert np.max(np.abs(amb[6] - manual)) < 1e-8
 
 
-def test_forecast_imaginary_residue_is_small(linear_system):
-    _, coords, ambient = linear_system
-    model = fit_koopman_model(coords, ambient)
-    phi0 = coords[-1].astype(complex) @ model.eigenvectors
-    for s in (1, 5, 20):
-        complex_sum = model.modes @ (phi0 * model.eigenvalues**s)
-        assert np.max(np.abs(complex_sum.imag)) < 1e-8
+def test_defective_one_step_matrix_is_forecast_exactly():
+    # a Jordan block has no eigenbasis; its powers are [[w^s, s w^(s-1)], [0, w^s]]
+    w = 0.95
+    coords = linear_trajectory(np.array([[w, 1.0], [0.0, w]]), np.array([0.5, 1.0]), 40)
+    chan = np.random.default_rng(3).normal(size=(2, 6))
+    model = fit_koopman_model(coords, coords @ chan)
+    red, amb = koopman_forecast(model, coords[-1], 60)
+    s = np.arange(1, 61)[:, None]
+    y1, y2 = coords[-1]
+    exact = np.hstack([w**s * y1 + s * w ** (s - 1) * y2, w**s * y2])
+    assert np.max(np.abs(red - exact)) < 1e-12
+    assert np.max(np.abs(amb - exact @ chan)) < 1e-12
 
 
 def test_forecast_divergence_reports_step():
     model = KoopmanModel(
         u_hat=np.array([[1e200]]),
-        eigenvalues=np.array([1e200 + 0j]),
-        eigenvectors=np.array([[1.0 + 0j]]),
-        modes=np.array([[1.0 + 0j]]),
-        reduced_modes=np.array([[1.0 + 0j]]),
+        pre_image=np.array([[1.0]]),
+        eigenvalues=np.array([1e200]),
         training_residual=0.0,
     )
     with pytest.raises(RuntimeError, match="step 2"):
@@ -271,4 +257,3 @@ def test_forecast_init_length(linear_system):
     model = fit_koopman_model(coords, ambient)
     with pytest.raises(ValueError, match="length"):
         koopman_forecast(model, [0.1, 0.2], 3)
-
