@@ -82,8 +82,11 @@ class GhSection:
 
     def __post_init__(self):
         _check_kernel_scale(self.sigma, "gh.sigma")
+        # above 1 no eigenpair is kept, and the lift fails after embed and train
         if not self.eig_floor >= 0:
             raise ValueError(f"gh.eig_floor must be >= 0, got {self.eig_floor!r}")
+        if self.eig_floor > 1:
+            raise ValueError(f"gh.eig_floor must be <= 1, got {self.eig_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -356,7 +359,9 @@ def cmd_glm(cfg: RunConfig, paths: RunPaths) -> None:
             raise ValueError("glm requires 'epochs' and 'conditions' in the config")
         if not cfg.glm.contrasts:
             raise ValueError("glm requires at least one contrast in glm.contrasts")
+    with _stage("ingest"):
         values, channels = _load_standardized(cfg)
+    with _stage("glm"):
         design = _design_matrix(cfg, len(values))
         if cfg.glm.kernel:
             design = glm.convolve_design(design, np.asarray(cfg.glm.kernel))

@@ -98,9 +98,10 @@ class GhLiftModel:
 def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> GhLiftModel:
     """Eigenbasis of the Gaussian kernel on the reduced coordinates.
 
-    Components with eigenvalue below ``eig_floor`` times the largest one (or
-    not strictly positive) are truncated; the remaining basis carries the
-    expansion coefficients of every ambient channel.
+    Components with eigenvalue below ``eig_floor`` (in [0, 1]) times the
+    largest one (or not strictly positive) are truncated; the remaining
+    basis, never empty, carries the expansion coefficients of every ambient
+    channel.
     """
     y = np.asarray(Y_train, dtype=float)
     x = np.asarray(X_train, dtype=float)
@@ -110,12 +111,10 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> G
         )
     if y.shape[0] < 2:
         raise ValueError("need at least 2 training points")
-    if eig_floor < 0:
-        raise ValueError(f"eig_floor must be >= 0, got {eig_floor}")
+    if not 0 <= eig_floor <= 1:
+        raise ValueError(f"eig_floor must be in [0, 1], got {eig_floor}")
     kernel, gh_sigma = dmaps.kernel(y, sigma=gh_sigma)
     vals, vecs = dmaps.eigenbasis(kernel, eig_floor)
-    if vals.size == 0:
-        raise ValueError("no kernel eigenvalues survive the truncation threshold")
     # C order: the BLAS products over the basis (coeffs here, the lift in
     # gh_lift) take another path on an F-order copy and move the last bits
     vecs = np.ascontiguousarray(vecs)

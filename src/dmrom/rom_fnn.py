@@ -5,12 +5,15 @@ Each embedding coordinate gets its own single-hidden-layer network mapping
 Hidden size and weight decay are chosen by grid search under repeated k-fold
 cross-validation over the one-step training pairs; the fits of all
 coordinates train together as stacked gradient descents in a hidden-major
-layout, and the stacks train concurrently on up to
-`len(os.sched_getaffinity(0))` threads (`taskset` restricts them). Every
-model and CV record is the same bits at any worker count. Forecasts step all
-trained networks closed-loop as one stacked layer, feeding outputs back as
-inputs. The logistic function is `_sigmoid`, through numpy's vectorized
-`exp`, so the bits depend on the SIMD level numpy dispatches `exp` to.
+layout with the hidden bias folded into the input product, and the stacks
+train concurrently on up to `len(os.sched_getaffinity(0))` threads
+(`taskset` restricts them). The CV fits, which only rank the grid cells,
+train in float32; the final retrains, which make the models, in float64.
+Every model and CV record is the same bits at any worker count. Forecasts
+step all trained networks closed-loop as one stacked layer, feeding outputs
+back as inputs. The logistic function goes through numpy's vectorized
+`exp`, so the bits depend on the SIMD level numpy dispatches the float32
+and float64 `exp` to.
 
 `train_rom` and `forecast_rom` are the ROM as the pipeline runs it: they take
 the selected diffusion-map coordinates, which are O(1) at any training length
@@ -127,8 +130,12 @@ def _sigmoid(x):
     through libm's `exp`; below about -709.78, exp(-x) overflows and both
     give 0, with no warning here.
     """
+    return _sigmoid_of_negated(np.negative(x, out=x))
+
+
+def _sigmoid_of_negated(x):
+    """The logistic function of -x, 1/(1+exp(x)), in place in `x`; see `_sigmoid`."""
     with np.errstate(over="ignore"):
-        np.negative(x, out=x)
         np.exp(x, out=x)
         np.add(x, 1.0, out=x)
         return np.divide(1.0, x, out=x)
@@ -163,8 +170,9 @@ def fnn_loss(model: FnnModel, psi, stim, targets, decay: float = 0.0) -> float:
 def fnn_gradient(model: FnnModel, psi, stim, targets, decay: float = 0.0) -> dict:
     """Exact gradients of `fnn_loss` with respect to every parameter.
 
-    Computed in the trainer's hidden-major arithmetic, so that one training
-    epoch steps by exactly this gradient.
+    Computed in the trainer's arithmetic, so that one training epoch steps by
+    exactly this gradient: hidden-major, with b1 held as a last column of w1
+    against a ones column of the inputs.
     """
     z = _stack_inputs(psi, stim)
     y = np.asarray(targets, dtype=float).ravel()
@@ -172,16 +180,28 @@ def fnn_gradient(model: FnnModel, psi, stim, targets, decay: float = 0.0) -> dic
         raise ValueError("empty batch")
     if z.shape[0] != y.shape[0]:
         raise ValueError(f"batch size mismatch: {z.shape[0]} inputs, {y.shape[0]} targets")
-    w1 = np.ascontiguousarray(model.w1.T)
-    s = _sigmoid(w1 @ z.T + model.b1[:, None])
+    dim = z.shape[1]
+    z = _append_ones(z)
+    # C-ordered as the trainer holds it: BLAS may sum another layout in another order
+    u = np.ascontiguousarray(np.column_stack([model.w1.T, model.b1]))
+    s = _sigmoid(u @ z.T)
     go = 2.0 * (model.w_out @ s + model.b_out - y) / y.shape[0]
     da = (go[None, :] * model.w_out[:, None]) * s * (1.0 - s)
+    grad_u = da @ z + 2.0 * decay * u
     return {
-        "w1": (da @ z + 2.0 * decay * w1).T,
-        "b1": da.sum(axis=1) + 2.0 * decay * model.b1,
+        "w1": grad_u[:, :dim].T,
+        "b1": grad_u[:, dim],
         "w_out": s @ go + 2.0 * decay * model.w_out,
         "b_out": float(go.sum() + 2.0 * decay * model.b_out),
     }
+
+
+def _append_ones(z):
+    """A C-ordered copy of `z` with a column of ones after its last, in its dtype."""
+    out = np.empty((*z.shape[:-1], z.shape[-1] + 1), z.dtype)
+    out[..., :-1] = z
+    out[..., -1] = 1.0
+    return out
 
 
 def cv_partitions(n_pairs: int, folds: int, repeats: int, seed: int):
@@ -201,9 +221,13 @@ def cv_partitions(n_pairs: int, folds: int, repeats: int, seed: int):
     return partitions
 
 
-# cap on one stack's float64 fits x rows x hidden block: past the caches, a
-# larger stack trains slower per fit
+# cap on one stack's fits x rows x hidden block, in bytes of the stack's
+# dtype: past the caches, a larger stack trains slower per fit
 STACK_BYTES = 2 << 20
+
+# the dtype of the cross-validation fits, which only rank the grid cells; the
+# final retrains, which make the models, train in float64
+CV_DTYPE = np.float32
 
 
 def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
@@ -211,21 +235,31 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
 
     Slice i of `z` (b, n, dim) and `y` (b, n) is one fit with weight decay
     `decays[i]`, initialized uniformly from `rngs[i]` (w1 as (dim, H), b1,
-    w_out, b_out in that order). A fit stops when its loss changes by less
-    than `cfg.tol` from one epoch to the next, when its loss turns
-    non-finite, or after `cfg.max_epochs` steps; stopped fits leave the
-    stack. The epoch runs hidden-major: activations are (b, H, n), w1 is
-    held as (b, H, dim), the pre-activation is w1 @ z.T and the input
-    gradient da @ z, so every broadcast and the b1 row sum run along the
-    contiguous rows axis. Each slice's arithmetic is that of a lone fit, bit
-    for bit: a stacked `@` is one BLAS call per slice, elementwise
-    expressions keep one operand order, and every reduction runs per slice
-    along the fit's own axis.
+    w_out, b_out in that order). The stack computes in the dtype of `z`:
+    the parameters, decays, losses and epoch buffers all take it. A fit
+    stops when its loss changes by less than `cfg.tol` from one epoch to the
+    next, when its loss turns non-finite, or after `cfg.max_epochs` steps;
+    stopped fits leave the stack.
+
+    The epoch runs hidden-major, with (b, H, n) activations. The inputs get
+    a ones column, and w1 and b1 are held negated as one block
+    v = -[w1 | b1] of shape (b, H, dim+1). So v @ [z | 1].T is minus the
+    pre-activation, whose exp the logistic function takes directly, and b1's
+    gradient is the last column of the input gradient. The step forms
+    ((go * w_out) * s) * (s - 1), which is exactly -da, and takes
+    v -= lr (-da @ [z | 1] + 2 decay v): the plain update of [w1 | b1] with
+    its sign flipped, bit for bit. Each slice's arithmetic is that of a
+    lone fit, bit for bit: a stacked `@` is one BLAS call per slice,
+    elementwise expressions keep one operand order, and every reduction
+    runs per slice along the fit's own axis.
 
     Returns w1 (b, dim, H), b1 (b, H), w_out (b, H), b_out (b,) and each
-    fit's last finite loss, which is non-finite for a diverged fit.
+    fit's last finite loss, which is non-finite for a diverged fit, all in
+    the stack's dtype.
     """
     b, n, dim = z.shape
+    dtype = z.dtype
+    y = y.astype(dtype, copy=False)
     init = [
         (
             rng.uniform(-0.5, 0.5, size=(dim, hidden)),
@@ -235,76 +269,72 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
         )
         for rng in rngs
     ]
-    # b1 and w_out as (b, H, 1) columns broadcast against (b, H, n)
-    # activations, b_out as (b, 1) against (b, n) outputs; w_out is used as a
-    # (b, 1, H) row in the output product
-    w1, b1, w_out, b_out = (np.array(p) for p in zip(*init))
-    w1 = np.ascontiguousarray(w1.transpose(0, 2, 1))
-    b1 = b1[:, :, None]
+    w1, b1, w_out, b_out = (np.array(p, dtype) for p in zip(*init))
+    v = np.empty((b, hidden, dim + 1), dtype)
+    np.negative(w1.transpose(0, 2, 1), out=v[:, :, :dim])
+    np.negative(b1, out=v[:, :, dim])
+    # w_out as a (b, H, 1) column broadcast against (b, H, n) activations, and
+    # as a (b, 1, H) row in the output product; b_out as (b, 1) against (b, n)
+    # outputs
     w_out = w_out[:, :, None]
     b_out = b_out[:, None]
+    z = _append_ones(z)
     zt = z.transpose(0, 2, 1)
-    decay = np.asarray(decays, dtype=float)
+    decay = np.asarray(decays, dtype)
     two_decay = 2.0 * decay[:, None, None]
-    result = [np.empty_like(p) for p in (w1, b1, w_out, b_out)] + [np.empty(b)]
+    result = [np.empty_like(p) for p in (v, w_out, b_out)] + [np.empty(b, dtype)]
     # the (fits, hidden, rows) epoch temporaries are written into these
     # buffers, of which the live fits use the leading slices; allocating them
     # afresh every epoch costs a page-fault storm once they pass malloc's
     # mmap threshold
-    act_buf, delta_buf = np.empty((2, b, hidden, n))
-    out_buf = np.empty((b, 1, n))
-    go_buf = np.empty((b, n))
+    act_buf, delta_buf = np.empty((2, b, hidden, n), dtype)
+    out_buf = np.empty((b, 1, n), dtype)
+    go_buf = np.empty((b, n), dtype)
     live = np.arange(b)
-    prev = np.full(b, np.inf)
+    prev = np.full(b, np.inf, dtype)
     lr = cfg.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_epochs):
             m = len(live)
-            s = np.matmul(w1, zt, out=act_buf[:m])
-            np.add(s, b1, out=s)
-            _sigmoid(s)
+            s = _sigmoid_of_negated(np.matmul(v, zt, out=act_buf[:m]))
             resid = np.matmul(w_out.transpose(0, 2, 1), s, out=out_buf[:m])[:, 0, :]
             np.add(resid, b_out, out=resid)
             np.subtract(resid, y, out=resid)
             loss = np.square(resid, out=go_buf[:m]).sum(axis=1) / n + decay * (
-                (w1**2).sum(axis=(1, 2))
-                + (b1**2).sum(axis=(1, 2))
-                + (w_out**2).sum(axis=(1, 2))
-                + b_out[:, 0] ** 2
+                (v**2).sum(axis=(1, 2)) + (w_out**2).sum(axis=(1, 2)) + b_out[:, 0] ** 2
             )
             done = ~np.isfinite(loss) | (np.abs(prev - loss) < cfg.tol)
             if done.any():
                 # a stopped fit keeps this epoch's parameters and reports its
                 # previous loss, or the non-finite one if it diverged
                 last = np.where(np.isfinite(loss), prev, loss)
-                for out, p in zip(result, (w1, b1, w_out, b_out, last)):
+                for out, p in zip(result, (v, w_out, b_out, last)):
                     out[live[done]] = p[done]
                 keep = ~done
                 if not keep.any():
                     break
-                live, z, y, w1, b1, w_out, b_out, decay, two_decay, s, resid, loss = (
+                live, z, y, v, w_out, b_out, decay, two_decay, s, resid, loss = (
                     a[keep]
-                    for a in (live, z, y, w1, b1, w_out, b_out, decay, two_decay, s, resid, loss)
+                    for a in (live, z, y, v, w_out, b_out, decay, two_decay, s, resid, loss)
                 )
                 zt = z.transpose(0, 2, 1)
                 m = len(live)
             prev = loss
-            # go = 2 resid / n;  da = ((go * w_out) * s) * (1 - s)
+            # go = 2 resid / n;  -da = ((go * w_out) * s) * (s - 1)
             go = np.multiply(resid, 2.0, out=go_buf[:m])
             np.divide(go, n, out=go)
             grad_w_out = s @ go[:, :, None]
-            da = np.multiply(go[:, None, :], w_out, out=delta_buf[:m])
-            np.multiply(da, s, out=da)
-            np.multiply(da, np.subtract(1.0, s, out=s), out=da)
+            neg_da = np.multiply(go[:, None, :], w_out, out=delta_buf[:m])
+            np.multiply(neg_da, s, out=neg_da)
+            np.multiply(neg_da, np.subtract(s, 1.0, out=s), out=neg_da)
             w_out = w_out - lr * (grad_w_out + two_decay * w_out)
             b_out = b_out - lr * (go.sum(axis=1)[:, None] + two_decay[:, 0] * b_out)
-            w1 = w1 - lr * (da @ z + two_decay * w1)
-            b1 = b1 - lr * (da.sum(axis=2)[:, :, None] + two_decay * b1)
+            v = v - lr * (neg_da @ z + two_decay * v)
         else:
-            for out, p in zip(result, (w1, b1, w_out, b_out, prev)):
+            for out, p in zip(result, (v, w_out, b_out, prev)):
                 out[live] = p
-    w1, b1, w_out, b_out, last = result
-    return w1.transpose(0, 2, 1), b1[:, :, 0], w_out[:, :, 0], b_out[:, 0], last
+    v, w_out, b_out, last = result
+    return -v[:, :, :dim].transpose(0, 2, 1), -v[:, :, dim], w_out[:, :, 0], b_out[:, 0], last
 
 
 def _fit_rng(*key):
@@ -312,32 +342,36 @@ def _fit_rng(*key):
 
 
 def _train_fits(fits, cfg: TrainConfig):
-    """Train independent fits, stacked by (hidden size, training-row count).
+    """Train independent fits, stacked by (hidden size, training-row count, dtype).
 
-    Each fit is (hidden, decay, rng key, inputs, targets). A group whose
-    float64 fits x rows x hidden block would pass `STACK_BYTES` trains as
-    several stacks; a slice computes the same bits at any stack size. Each
-    slice keeps the memory layout of its fit's inputs, because the BLAS
-    products sum in a layout-dependent order. The stacks train concurrently
-    on up to `len(os.sched_getaffinity(0))` threads (so `taskset` restricts
-    them), largest block first; the matmuls and ufuncs release the GIL, and
-    a stack's bits do not depend on which thread trains it or when, so the
-    results are the same at any worker count. An exception in a stack
-    re-raises here and cancels the stacks not yet started. Returns, per
-    fit, its w1, b1, w_out, b_out and last loss.
+    Each fit is (hidden, decay, rng key, inputs, targets), and trains in the
+    dtype of its inputs. A group whose fits x rows x hidden block, in bytes
+    of that dtype, would pass `STACK_BYTES` trains as several stacks; a
+    slice computes the same bits at any stack size. The stacks train
+    concurrently on up to `len(os.sched_getaffinity(0))` threads (so
+    `taskset` restricts them), largest block first; the matmuls and ufuncs
+    release the GIL, and a stack's bits do not depend on which thread trains
+    it or when, so the results are the same at any worker count. An
+    exception in a stack re-raises here and cancels the stacks not yet
+    started. Returns, per fit, its w1, b1, w_out, b_out and last loss, in
+    float64.
     """
     groups = {}
     for k, (hidden, _, _, z, _) in enumerate(fits):
-        groups.setdefault((hidden, len(z)), []).append(k)
+        groups.setdefault((hidden, len(z), z.dtype), []).append(k)
     stacks = []
-    for (hidden, n_rows), members in groups.items():
-        size = max(1, STACK_BYTES // (8 * n_rows * hidden))
-        stacks += [(hidden, n_rows, members[i : i + size]) for i in range(0, len(members), size)]
+    for (hidden, n_rows, dtype), members in groups.items():
+        fit_bytes = dtype.itemsize * n_rows * hidden
+        size = max(1, STACK_BYTES // fit_bytes)
+        stacks += [
+            (fit_bytes * len(chunk), hidden, chunk)
+            for chunk in (members[i : i + size] for i in range(0, len(members), size))
+        ]
     # the largest block first, so the pool never ends on a large stack
-    stacks.sort(key=lambda s: len(s[2]) * s[1] * s[0], reverse=True)
+    stacks.sort(key=lambda s: s[0], reverse=True)
 
     def train(stack):
-        hidden, _, chunk = stack
+        _, hidden, chunk = stack
         _, decays, keys, zs, ys = zip(*(fits[k] for k in chunk))
         return _train_stack(
             np.stack(zs), np.stack(ys), hidden, decays, [_fit_rng(*key) for key in keys], cfg
@@ -348,6 +382,7 @@ def _train_fits(fits, cfg: TrainConfig):
     workers = max(1, min(len(os.sched_getaffinity(0)), len(stacks)))
     with ThreadPoolExecutor(workers) as pool:
         for (*_, chunk), params in zip(stacks, pool.map(train, stacks)):
+            params = [np.asarray(p, np.float64) for p in params]
             for i, k in enumerate(chunk):
                 trained[k] = tuple(p[i] for p in params)
     return trained
@@ -373,7 +408,8 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
         (hidden size, decay), and its per-fold CV records
         {hidden, decay, repeat, fold, mse}. The fits of all targets train
         in one pass of stacks, and each target gets the models and records
-        it gets when trained alone.
+        it gets when trained alone. The CV fits train in `CV_DTYPE`; their
+        held-out mse and the final retrain are float64.
     """
     coords = np.atleast_2d(np.asarray(train_coords, dtype=float))
     n, d = coords.shape
@@ -398,10 +434,10 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
         for ri in range(cfg.repeats)
         for fi, val_idx in enumerate(partitions[ri])
     ]
-    split_z = [z_all[rows] for *_, rows in splits]
+    split_z = [z_all[rows].astype(CV_DTYPE) for *_, rows in splits]
     cv_fits, held_out = [], []
     for t in targets:
-        split_y = [y_all[rows, t - 1] for *_, rows in splits]
+        split_y = [y_all[rows, t - 1].astype(CV_DTYPE) for *_, rows in splits]
         for gi, (hidden, lam) in enumerate(grid):
             for (ri, fi, val_idx, _), z, y in zip(splits, split_z, split_y):
                 cv_fits.append((hidden, lam, (cfg.seed, t, gi, ri, fi), z, y))
@@ -432,7 +468,6 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
         except RuntimeError as exc:
             cv_error = exc
             break
-    # the final fits train on z_all itself, in its own memory layout
     final = _train_fits(
         [
             (hidden, lam, (cfg.seed, t, grid.index((hidden, lam)), 999999), z_all, y_all[:, t - 1])

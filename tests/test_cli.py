@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from dmrom import dmaps, parsimony, rom_fnn
+from dmrom import dmaps, lifting, parsimony, rom_fnn
 from dmrom.artifacts import read_matrix, write_matrix
 from dmrom.cli import config_hash, embed_hash, load_config, made_from, main
 from dmrom.evaluate import comparison_table, write_comparison
@@ -407,12 +407,16 @@ def test_forecast_prints_gh_sigma_and_rank(pipeline_run, tmp_path, capsys):
 
 
 def test_a_run_failing_in_the_lifting_stage_echoes_the_stages_that_finished(
-    pipeline_run, tmp_path, capsys
+    pipeline_run, tmp_path, capsys, monkeypatch
 ):
     clone = tmp_path / "clone"
-    # no kernel eigenvalue reaches twice the largest one, so the lift has no basis
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone,
-                         dmaps={"sigma": 40.0, "k": 10}, gh={"eig_floor": 2.0})
+                         dmaps={"sigma": 40.0, "k": 10})
+
+    def failing_gh_fit(*args, **kwargs):
+        raise ValueError("the lift has no basis")
+
+    monkeypatch.setattr(lifting, "gh_fit", failing_gh_fit)
     assert (clone / "reports" / "comparison.csv").exists()
     assert main(["run", "--all", "--config", cfg_path]) == 2
     assert "[lifting]" in capsys.readouterr().err
@@ -561,6 +565,26 @@ def test_repeated_channel_names_fail_in_the_ingest_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[ingest]" in err and "repeated channel name(s): 'a'" in err
     assert not (tmp_path / "out" / "embedding").exists()
+
+
+@pytest.mark.parametrize(
+    "header, cell, message",
+    [("a,a ,c", "1.0", "repeated channel name(s): 'a'"), ("a,b,c", "nan", "non-finite")],
+)
+def test_glm_input_faults_fail_in_the_ingest_stage(tmp_path, capsys, header, cell, message):
+    rows = [[repr(float(i % 3)), repr(float(i * i % 5)), repr(float(i % 4))] for i in range(12)]
+    rows[7][1] = cell
+    inp = tmp_path / "s.csv"
+    inp.write_text(header + "\n" + "".join(",".join(row) + "\n" for row in rows))
+    cfg_path = write_config(
+        tmp_path / "run.json", input=str(inp), output_dir=str(tmp_path / "out"), n_train=8,
+        epochs=[["A", 0, 6], ["B", 6, 12]], conditions=["A", "B"],
+        glm={"contrasts": {"A_gt_B": [1.0, -1.0]}},
+    )
+    assert main(["run", "--all", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]") and message in err
+    assert not (tmp_path / "out" / "reports").exists()
 
 
 def test_n_train_of_every_row_fails_in_the_ingest_stage(tmp_path, capsys):

@@ -77,7 +77,7 @@ def run_configs(draw):
         ),
         gh=GhSection(
             sigma=draw(st.just("auto") | positive),
-            eig_floor=draw(st.floats(min_value=0, allow_infinity=False)),
+            eig_floor=draw(st.floats(min_value=0, max_value=1)),
         ),
         nrw=NrwSection(mode=draw(st.sampled_from(["reduced_then_lift", "ambient"]))),
         glm=GlmSection(
@@ -198,6 +198,7 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"glm": {"threshold": -1}}, "glm.threshold must be in (0, 1], got -1.0"),
         ({"glm": {"threshold": 0}}, "glm.threshold must be in (0, 1], got 0.0"),
         ({"glm": {"threshold": 2}}, "glm.threshold must be in (0, 1], got 2.0"),
+        ({"gh": {"eig_floor": 1.5}}, "gh.eig_floor must be <= 1, got 1.5"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):

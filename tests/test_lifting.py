@@ -1,5 +1,6 @@
 """Tests for out-of-sample restriction and kernel-harmonics lifting."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -161,8 +162,10 @@ def test_fit_validation(separated_cloud):
         gh_fit(y, x, eig_floor=-1.0)
     with pytest.raises(ValueError, match="positive"):
         gh_fit(y, x, gh_sigma=0.0)
-    with pytest.raises(ValueError, match="survive"):
+    with pytest.raises(ValueError, match=re.escape("eig_floor must be in [0, 1], got 2.0")):
         gh_fit(y, x, gh_sigma=0.5, eig_floor=2.0)
+    # a floor of 1 still keeps the largest eigenpair
+    assert gh_fit(y, x, gh_sigma=0.5, eig_floor=1.0).d_gh >= 1
 
 
 # ---------------------------------------------------------------------- lift

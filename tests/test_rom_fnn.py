@@ -323,14 +323,66 @@ def test_byte_budget_splits_stacks_and_changes_no_bit(monkeypatch):
     # 2 repeats x 2 folds share each hidden size and 39 rows
     assert max(b for _, b in stacks) == 24
     stacks.clear()
-    # room for two fits of 39 or 40 rows x 3 hidden units, or six of 39 or 40 x 1
+    # room for four float32 CV fits of 39 or 40 rows x 3 hidden units, or
+    # twelve of 39 or 40 x 1
     monkeypatch.setattr(rom_fnn, "STACK_BYTES", 8 * 40 * 3 * 2)
     split = fnn_train(coords, None, [1, 2, 3], cfg)
-    assert max(b for h, b in stacks if h == 3) == 2
-    assert max(b for h, b in stacks if h == 1) == 6
+    assert max(b for h, b in stacks if h == 3) == 4
+    assert max(b for h, b in stacks if h == 1) == 12
     for (m_whole, r_whole), (m_split, r_split) in zip(whole, split):
         assert_same_model(m_whole, m_split)
         assert_same_records(r_whole, r_split)
+
+
+def test_stack_cap_counts_the_itemsize_and_never_mixes_dtypes(monkeypatch):
+    # one call over a float64 and a float32 group of the same shape: the
+    # float32 group splits at twice the fits, and each fit keeps its bits
+    seen = []
+
+    def spy(z, y, hidden, decays, rngs, cfg):
+        seen.append((z.dtype, y.dtype, len(z)))
+        return _train_stack(z, y, hidden, decays, rngs, cfg)
+
+    rng = np.random.default_rng(0)
+    data = [(rng.normal(size=(30, 2)), rng.normal(size=30)) for _ in range(12)]
+    groups = {
+        dtype: [(2, 1e-4, (0, k), z.astype(dtype), y.astype(dtype)) for k, (z, y) in enumerate(data)]
+        for dtype in (np.float64, np.float32)
+    }
+    cfg = TrainConfig(max_epochs=20, learning_rate=0.3)
+    apart = {dtype: rom_fnn._train_fits(fits, cfg) for dtype, fits in groups.items()}
+    monkeypatch.setattr(rom_fnn, "_train_stack", spy)
+    monkeypatch.setattr(rom_fnn, "STACK_BYTES", 8 * 30 * 2 * 3)
+    together = rom_fnn._train_fits(groups[np.float64] + groups[np.float32], cfg)
+    assert sorted((str(zd), str(yd), b) for zd, yd, b in seen) == (
+        [("float32", "float32", 6)] * 2 + [("float64", "float64", 3)] * 4
+    )
+    for got, want in zip(together, apart[np.float64] + apart[np.float32], strict=True):
+        assert all(p.dtype == np.float64 for p in got)
+        assert_same_fit(got, want)
+    # float32 training moved the bits, so the comparison above tells the groups apart
+    assert not np.array_equal(apart[np.float32][0][0], apart[np.float64][0][0])
+
+
+def test_float32_cv_records_keep_the_float64_winners(monkeypatch):
+    # CV only ranks the grid cells: every float32 record lies closer to its
+    # float64 recomputation than the float64 winner is to the runner-up
+    coords = mixed_winner_coords()
+    cfg = TrainConfig(**SMALL_GRID, max_epochs=200)
+    cv32 = fnn_train(coords, None, [1, 2, 3], cfg)
+    monkeypatch.setattr(rom_fnn, "CV_DTYPE", np.float64)
+    cv64 = fnn_train(coords, None, [1, 2, 3], cfg)
+    for (m32, r32), (m64, r64) in zip(cv32, cv64, strict=True):
+        cells = {}
+        for r in r64:
+            cells.setdefault((r["hidden"], r["decay"]), []).append(r["mse"])
+        best, runner_up = sorted(np.mean(mses) for mses in cells.values())[:2]
+        assert best_grid_cell(r32)[:2] == best_grid_cell(r64)[:2]
+        assert [a["mse"] for a in r32] != [b["mse"] for b in r64]
+        for a, b in zip(r32, r64, strict=True):
+            assert abs(a["mse"] - b["mse"]) < runner_up - best
+        # the same winner gives the same float64 final retrain
+        assert_same_model(m32, m64)
 
 
 def train_on_cpus(monkeypatch, cpus, coords, cfg):
@@ -378,53 +430,63 @@ def test_failing_stack_raises_from_fnn_train(monkeypatch):
 
 
 def test_final_fit_uses_the_inputs_in_their_own_layout():
-    # BLAS sums column-major inputs in another order; the final retrain is
-    # a one-fit stack of the training inputs as given, as it always was
+    # the final retrain is a one-fit float64 stack of the training inputs as
+    # given; the stack trains on a C-ordered copy with a ones column, so a
+    # column-major input and its row-major copy give the same bits
     coords = np.asfortranarray(mixed_winner_coords())
     cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
     for j, (model, records) in enumerate(fnn_train(coords, None, [1, 2, 3], cfg), start=1):
         hidden, decay, _ = best_grid_cell(records)
         gi = [(h, lam) for h in cfg.hidden_sizes for lam in cfg.decay_values].index((hidden, decay))
-        w1, b1, w_out, b_out, _ = _train_stack(
-            coords[:-1][None], coords[1:, j - 1][None], hidden, [decay],
-            [np.random.default_rng(np.random.SeedSequence((cfg.seed, j, gi, 999999)))], cfg,
-        )
-        assert_same_model(model, FnnModel(w1[0], b1[0], w_out[0], b_out[0], target_index=j))
+        for z in (coords[:-1], np.ascontiguousarray(coords[:-1])):
+            w1, b1, w_out, b_out, _ = _train_stack(
+                z[None], coords[1:, j - 1][None], hidden, [decay],
+                [np.random.default_rng(np.random.SeedSequence((cfg.seed, j, gi, 999999)))], cfg,
+            )
+            assert_same_model(model, FnnModel(w1[0], b1[0], w_out[0], b_out[0], target_index=j))
 
 
 def reference_fit(z, y, hidden, decay, rng, learning_rate, epochs, tol):
     """One fit by the plain per-fit update rule, for comparison with a stack.
 
-    Runs in the trainer's hidden-major layout, with w1 as (hidden, dim) and
-    (hidden, rows) activations. Returns the parameters (w1 as (dim, hidden)),
-    the last finite loss (the non-finite one on divergence) and the number
-    of update steps taken.
+    Computes in the dtype of `z` and `y`, in the trainer's hidden-major form:
+    w1 and b1 are held negated as v = -[w1 | b1] of shape (hidden, dim+1)
+    against inputs with a ones column, so that v @ [z | 1].T is minus the
+    pre-activation, and the step is v -= lr (-da @ [z | 1] + 2 decay v).
+    Returns the parameters (w1 as (dim, hidden)), the last finite loss (the
+    non-finite one on divergence) and the number of update steps taken.
     """
+    dtype = z.dtype
     n, dim = z.shape
-    w1 = rng.uniform(-0.5, 0.5, size=(dim, hidden)).T.copy()
-    b1 = rng.uniform(-0.5, 0.5, size=hidden)
-    w_out = rng.uniform(-0.5, 0.5, size=hidden)
-    b_out = rng.uniform(-0.5, 0.5)
+    w1 = rng.uniform(-0.5, 0.5, size=(dim, hidden)).astype(dtype)
+    b1 = rng.uniform(-0.5, 0.5, size=hidden).astype(dtype)
+    w_out = rng.uniform(-0.5, 0.5, size=hidden).astype(dtype)
+    b_out = dtype.type(rng.uniform(-0.5, 0.5))
+    v = -np.ascontiguousarray(np.column_stack([w1.T, b1]))
+    z1 = np.column_stack([z, np.ones(n, dtype)])
+    decay = dtype.type(decay)
     lr = learning_rate
-    prev = np.inf
+    prev = dtype.type(np.inf)
+
+    def params():
+        return -v[:, :dim].T, -v[:, dim], w_out, b_out
+
     for step in range(epochs):
-        s = rom_fnn._sigmoid(w1 @ z.T + b1[:, None])
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(v @ z1.T))
         resid = w_out @ s + b_out - y
-        loss = float(np.mean(resid**2)) + decay * (
-            np.sum(w1**2) + np.sum(b1**2) + np.sum(w_out**2) + b_out**2
-        )
+        loss = np.sum(resid**2) / n + decay * (np.sum(v**2) + np.sum(w_out**2) + b_out**2)
         if not np.isfinite(loss):
-            return (w1.T, b1, w_out, b_out), loss, step
+            return params(), loss, step
         if abs(prev - loss) < tol:
-            return (w1.T, b1, w_out, b_out), prev, step
+            return params(), prev, step
         prev = loss
         go = 2.0 * resid / n
-        da = (go[None, :] * w_out[:, None]) * s * (1.0 - s)
+        neg_da = ((go[None, :] * w_out[:, None]) * s) * (s - 1.0)
         w_out = w_out - lr * (s @ go + 2.0 * decay * w_out)
         b_out = b_out - lr * (go.sum() + 2.0 * decay * b_out)
-        w1 = w1 - lr * (da @ z + 2.0 * decay * w1)
-        b1 = b1 - lr * (da.sum(axis=1) + 2.0 * decay * b1)
-    return (w1.T, b1, w_out, b_out), prev, epochs
+        v = v - lr * (neg_da @ z1 + 2.0 * decay * v)
+    return params(), prev, epochs
 
 
 def assert_same_fit(a, b):
@@ -477,6 +539,37 @@ def test_one_fit_stack_matches_per_fit_reference(n, dim, hidden, decay, tol, ste
     assert taken == steps
     got = _train_stack(z[None], y[None], hidden, [decay], [np.random.default_rng(1)], cfg)
     assert_same_fit((p[0] for p in got), (*params, loss))
+
+
+@pytest.mark.parametrize(
+    "n, dim, hidden, decay, tol, lr, steps",
+    [
+        (1, 1, 1, 1e-4, 1e-9, 0.2, 40),
+        (40, 3, 1, 1e-8, 1e-9, 0.2, 40),
+        (255, 5, 8, 1e-6, 1e-9, 0.2, 40),
+        (300, 7, 16, 1e-1, 1e-9, 0.2, 40),
+        (60, 2, 4, 1e-1, 3e-3, 0.2, 15),
+        (50, 3, 4, 1e-4, 1e-9, 1e4, 5),
+    ],
+)
+def test_one_fit_float32_stack_matches_per_fit_reference(n, dim, hidden, decay, tol, lr, steps):
+    # the CV fits train in float32: a float32 stack computes in float32
+    # throughout, with the per-fit rule's bits
+    rng = np.random.default_rng(n + dim + hidden)
+    z = rng.normal(size=(n, dim)).astype(np.float32)
+    y = rng.normal(size=n).astype(np.float32)
+    cfg = TrainConfig(max_epochs=40, learning_rate=lr, tol=tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, loss, taken = reference_fit(
+            z, y, hidden, decay, np.random.default_rng(1), lr, 40, tol
+        )
+    assert taken == steps
+    got = [p[0] for p in _train_stack(
+        z[None], y[None], hidden, [decay], [np.random.default_rng(1)], cfg
+    )]
+    assert all(p.dtype == np.float32 for p in (*params, loss, *got))
+    assert_same_fit(got, (*params, loss))
+    assert np.isfinite(loss) == (lr < 1)
 
 
 @settings(deadline=None, max_examples=20)
