@@ -10,6 +10,7 @@ same bits.
 from __future__ import annotations
 
 import csv
+import glob
 import json
 import os
 from contextlib import contextmanager
@@ -30,6 +31,12 @@ def _replacing(path):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def remove_temps(directory) -> None:
+    """Delete the <file>.<pid>.tmp files of killed writers; no writer may be live there."""
+    for path in glob.glob(os.path.join(glob.escape(os.fspath(directory)), "*.[0-9]*.tmp")):
+        os.remove(path)
 
 
 def write_text(path, text: str) -> None:

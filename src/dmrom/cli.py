@@ -74,6 +74,13 @@ class ParsimonySection:
     d: int = 5
     scale_fraction: float = parsimony.SCALE_FRACTION
 
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"parsimony.d must be >= 1, got {self.d!r}")
+        fraction = self.scale_fraction
+        if not 0 < fraction <= sys.float_info.max:
+            raise ValueError(f"parsimony.scale_fraction must be a positive number, got {fraction}")
+
 
 @dataclass(frozen=True)
 class GhSection:
@@ -150,6 +157,9 @@ class RunConfig:
             raise ValueError(f"standardize must be 'full' or 'train_only', got {self.standardize!r}")
         if self.epochs and not self.conditions:
             raise ValueError("epochs given without a conditions list")
+        d, k = self.parsimony.d, self.dmaps.k
+        if d > k:
+            raise ValueError(f"parsimony.d must be <= dmaps.k ({k}), got {d}")
 
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false"}
@@ -541,7 +551,9 @@ def _run_lock(paths: RunPaths):
     """Exclusive flock on output_dir/.lock, held for the whole command.
 
     The file stays in place; the OS drops the lock when its holder exits, even
-    when it is killed, so a dead run never leaves the directory locked.
+    when it is killed, so a dead run never leaves the directory locked. Once
+    the lock is held no writer is live, so the temp files of writers that were
+    killed are removed first.
     """
     os.makedirs(paths.root, exist_ok=True)
     with open(os.path.join(paths.root, LOCK_NAME), "a") as fh:
@@ -549,6 +561,8 @@ def _run_lock(paths: RunPaths):
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise RuntimeError(f"run directory {paths.root} is locked by another run") from None
+        for sub in ("", "embedding", "models", "forecasts", "reports"):
+            artifacts.remove_temps(os.path.join(paths.root, sub))
         yield
 
 

@@ -12,6 +12,7 @@ conjugation steps overwrite the array they are given.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,31 +39,33 @@ def _diffusion_time(t) -> int:
     return int(t)
 
 
-def _median_scale(d2: np.ndarray) -> float:
-    """Auto kernel scale from condensed squared distances: their median / 2."""
+def _median_scale(d2: np.ndarray, fraction: float) -> float:
+    """Auto kernel scale from condensed squared distances: fraction x their median."""
     if d2.size == 0:
         raise ValueError("need at least 2 points for the auto kernel scale")
-    sigma = float(np.median(d2)) / 2.0
+    sigma = fraction * float(np.median(d2))
     if sigma <= 0:
         raise ValueError("degenerate point set: median pairwise distance is 0")
     return sigma
 
 
-def kernel(X, Y=None, sigma="auto"):
+def kernel(X, Y=None, sigma="auto", fraction: float = 0.5):
     """Gaussian kernel exp(-d^2 / (2 sigma)) and its resolved scale.
 
     Without ``Y``: the symmetric kernel among the rows of X, unit diagonal.
     With ``Y``: the cross-kernel of the query rows Y against the rows of X,
-    shape (len(Y), len(X)). The scale sits under the exponent un-squared;
-    ``sigma="auto"`` is the median squared pairwise distance among the rows of
-    X halved, taken from the same distances the kernel uses.
+    shape (len(Y), len(X)); query rows that underflow to 0 everywhere are
+    out of kernel support, and one warning gives their count. The scale sits
+    under the exponent un-squared; ``sigma="auto"`` is ``fraction`` times the
+    median squared pairwise distance among the rows of X, taken from the
+    same distances the kernel uses.
     """
     x = _as_points(X)
     if not np.all(np.isfinite(x)):
         raise ValueError("points contain non-finite values")
     auto = sigma is None or sigma == "auto"
     d2 = pdist(x, metric="sqeuclidean") if Y is None or auto else None
-    sigma = _median_scale(d2) if auto else float(sigma)
+    sigma = _median_scale(d2, fraction) if auto else float(sigma)
     if sigma <= 0:
         raise ValueError(f"kernel scale must be positive, got {sigma}")
     if Y is None:
@@ -83,6 +86,10 @@ def kernel(X, Y=None, sigma="auto"):
     if Y is None:
         w = squareform(w)
         np.fill_diagonal(w, 1.0)
+    else:
+        dead = int(np.count_nonzero(~w.any(axis=1)))
+        if dead:
+            warnings.warn(f"{dead} query point(s) out of kernel support")
     return w, sigma
 
 

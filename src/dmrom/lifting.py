@@ -9,7 +9,6 @@ expanded in it, so reduced forecasts can be mapped back to ambient values.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,7 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected=None) -> np
     ndarray
         Coordinates with shape (len(selected),) for a single point or
         (n, len(selected)) for a batch. Points whose kernel row underflows to
-        zero are out of support: a warning is emitted and their coordinates
+        zero are out of support: `dmaps.kernel` warns, and their coordinates
         are zero.
     """
     x_new = np.asarray(x_new, dtype=float)
@@ -64,19 +63,11 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected=None) -> np
     degrees = dmaps.kernel(X_train, sigma=E.sigma)[0].sum(axis=1)
     row_sums = k_star.sum(axis=1)
     out = np.zeros((k_star.shape[0], sel.size))
-    dead = row_sums == 0.0
-    if np.any(dead):
-        warnings.warn(
-            f"{int(dead.sum())} query point(s) out of kernel support, coordinates set to 0"
-        )
-    alive = ~dead
-    if np.any(alive):
-        w_tilde = k_star[alive] / (
-            row_sums[alive, None] ** E.alpha * degrees[None, :] ** E.alpha
-        )
-        p_star = w_tilde / w_tilde.sum(axis=1)[:, None]
-        psi_hat = (p_star @ E.eigenvectors[:, sel]) / lam[None, :]
-        out[alive] = psi_hat * (lam ** int(E.t))[None, :]
+    alive = row_sums > 0.0   # the kernel warned about the others
+    w_tilde = k_star[alive] / (row_sums[alive, None] ** E.alpha * degrees[None, :] ** E.alpha)
+    p_star = w_tilde / w_tilde.sum(axis=1)[:, None]
+    psi_hat = (p_star @ E.eigenvectors[:, sel]) / lam[None, :]
+    out[alive] = psi_hat * (lam ** int(E.t))[None, :]
     return out[0] if single else out
 
 
@@ -136,10 +127,5 @@ def gh_lift(model: GhLiftModel, Y_new) -> np.ndarray:
     y_new = np.asarray(Y_new, dtype=float)
     single = y_new.ndim == 1
     kernel, _ = dmaps.kernel(model.y_train, np.atleast_2d(y_new), model.gh_sigma)
-    dead = kernel.sum(axis=1) == 0.0
-    if np.any(dead):
-        warnings.warn(
-            f"{int(dead.sum())} query point(s) out of kernel support, lift is near zero"
-        )
     lifted = ((kernel @ model.eigenvectors) / model.eigenvalues[None, :]) @ model.coeffs
     return lifted[0] if single else lifted

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import artifacts, dmaps
 
 RIDGE = 1e-10  # Tikhonov jitter on the weighted normal equations
-SCALE_FRACTION = 1.0 / 3.0  # default local-fit bandwidth / median pairwise distance
+SCALE_FRACTION = 1.0 / 3.0  # default local-fit bandwidth / root median squared pairwise distance
 
 
 @dataclass(frozen=True)
@@ -30,16 +29,18 @@ class ParsimonyReport:
     bandwidths: np.ndarray = field(default=None, repr=False)
 
 
-def _loo_local_linear(psi_pred: np.ndarray, target: np.ndarray, h: float) -> np.ndarray:
-    """Leave-one-out locally weighted predictions of target from psi_pred rows.
+def _loo_local_linear(psi_pred: np.ndarray, target: np.ndarray, scale_fraction: float):
+    """Leave-one-out locally weighted predictions of target from psi_pred rows, and h.
 
+    The weights are exp(-d^2 / (2 h^2)) with h = scale_fraction x the root
+    median squared distance among the rows (`dmaps.kernel`'s auto scale).
     Point i's fit solves the weighted normal equations
     (Z' W_i Z + ridge I) theta_i = Z' W_i target, Z = [1, psi_pred]. Every
     row of the kernel gives one point's weights, so all N systems are formed
     by two products with the kernel and solved in one batched call.
     """
     n = psi_pred.shape[0]
-    w, _ = dmaps.kernel(psi_pred, sigma=h * h)   # weights exp(-d^2 / (2 h^2))
+    w, h2 = dmaps.kernel(psi_pred, fraction=scale_fraction**2)
     np.fill_diagonal(w, 0.0)   # the point being predicted never weighs its own fit
     z = np.hstack([np.ones((n, 1)), psi_pred])
     m = z.shape[1]
@@ -47,57 +48,7 @@ def _loo_local_linear(psi_pred: np.ndarray, target: np.ndarray, h: float) -> np.
     gram += RIDGE * np.eye(m)
     rhs = w @ (z * target[:, None])
     theta = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-    return np.einsum("ij,ij->i", z, theta)
-
-
-def _errors_and_bandwidths(psi: np.ndarray, scale_fraction: float):
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim != 2:
-        raise ValueError(f"expected 2-D eigenvector array, got shape {psi.shape}")
-    n, k = psi.shape
-    if k < 1:
-        raise ValueError("need at least one eigenvector column")
-    if n < 3:
-        raise ValueError(f"need at least 3 points for leave-one-out fits, got {n}")
-    if scale_fraction <= 0:
-        raise ValueError(f"scale_fraction must be positive, got {scale_fraction}")
-    er = np.empty(k)
-    er[0] = 1.0
-    bandwidths = np.full(k, np.nan)
-    for l in range(2, k + 1):
-        pred_cols = psi[:, : l - 1]
-        target = psi[:, l - 1]
-        med = float(np.median(pdist(pred_cols)))
-        h = scale_fraction * med if med > 0 else 1.0
-        bandwidths[l - 1] = h
-        preds = _loo_local_linear(pred_cols, target, h)
-        denom = float(np.sum(target**2))
-        if denom == 0:
-            raise ValueError(f"eigenvector column {l} is identically zero")
-        er[l - 1] = float(np.sqrt(np.sum((target - preds) ** 2) / denom))
-    return er, bandwidths
-
-
-def parsimony_errors(psi: np.ndarray, scale_fraction: float = SCALE_FRACTION) -> np.ndarray:
-    """Normalized leave-one-out residuals er_l for each eigenvector column.
-
-    Parameters
-    ----------
-    psi : ndarray, shape (N, k)
-        Non-trivial eigenvectors psi_1..psi_k as columns, ordered by
-        descending eigenvalue.
-    scale_fraction : float
-        Kernel bandwidth for the local fits, as a fraction of the median
-        pairwise distance among the predecessor-coordinate rows.
-
-    Returns
-    -------
-    ndarray, length k
-        er[l-1] = sqrt(sum_i (psi_{i,l} - pred_i)^2 / sum_i psi_{i,l}^2),
-        with er for the first column fixed at 1.
-    """
-    er, _ = _errors_and_bandwidths(psi, scale_fraction)
-    return er
+    return np.einsum("ij,ij->i", z, theta), float(np.sqrt(h2))
 
 
 def select_parsimonious(er: np.ndarray, d: int) -> list[int]:
@@ -116,11 +67,40 @@ def select_parsimonious(er: np.ndarray, d: int) -> list[int]:
 def rank_and_select(
     psi: np.ndarray, d: int, scale_fraction: float = SCALE_FRACTION
 ) -> ParsimonyReport:
-    """Residuals plus selection in a single call."""
-    er, bandwidths = _errors_and_bandwidths(psi, scale_fraction)
-    selected = select_parsimonious(er, d)
+    """Normalized leave-one-out residuals er_l of the eigenvector columns, and the d largest.
+
+    psi holds the non-trivial eigenvectors psi_1..psi_k as columns, ordered
+    by descending eigenvalue. er[l-1] = sqrt(sum_i (psi_{i,l} - pred_i)^2 /
+    sum_i psi_{i,l}^2), with er for the first column fixed at 1; the local
+    fits' bandwidth is ``scale_fraction`` times the root median squared
+    pairwise distance among the predecessor rows. A predecessor set whose
+    median distance is 0 raises ("degenerate point set").
+    """
+    psi = np.asarray(psi, dtype=float)
+    if psi.ndim != 2:
+        raise ValueError(f"expected 2-D eigenvector array, got shape {psi.shape}")
+    n, k = psi.shape
+    if k < 1:
+        raise ValueError("need at least one eigenvector column")
+    if n < 3:
+        raise ValueError(f"need at least 3 points for leave-one-out fits, got {n}")
+    if not 0 < scale_fraction < np.inf:
+        raise ValueError(f"scale_fraction must be positive and finite, got {scale_fraction}")
+    er = np.empty(k)
+    er[0] = 1.0
+    bandwidths = np.full(k, np.nan)
+    for l in range(2, k + 1):
+        target = psi[:, l - 1]
+        preds, bandwidths[l - 1] = _loo_local_linear(psi[:, : l - 1], target, scale_fraction)
+        denom = float(np.sum(target**2))
+        if denom == 0:
+            raise ValueError(f"eigenvector column {l} is identically zero")
+        er[l - 1] = float(np.sqrt(np.sum((target - preds) ** 2) / denom))
     return ParsimonyReport(
-        er=er, selected=selected, scale_fraction=scale_fraction, bandwidths=bandwidths
+        er=er,
+        selected=select_parsimonious(er, d),
+        scale_fraction=scale_fraction,
+        bandwidths=bandwidths,
     )
 
 

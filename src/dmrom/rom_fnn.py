@@ -619,7 +619,7 @@ def write_cv_report(records_by_target, path) -> None:
 
 
 def train_rom(train_coords, design, cfg: TrainConfig, models_dir) -> list:
-    """Train the FNN ROM of every coordinate and write `fnn.json` and `fnn_cv.csv`.
+    """Train the FNN ROM of every coordinate and write `fnn_cv.csv`, then `fnn.json`.
 
     `train_coords` (n, d) are the selected diffusion-map coordinates of the
     training block and `design` the stimulus design over the whole series
@@ -631,13 +631,15 @@ def train_rom(train_coords, design, cfg: TrainConfig, models_dir) -> list:
     models, records = zip(*fnn_train(train_coords, stim, targets, cfg))
     cells = [best_grid_cell(r) for r in records]
     os.makedirs(models_dir, exist_ok=True)
+    # the bundle goes last: a kill between the writes leaves the old bundle,
+    # which `forecast` refuses by its digest when the training inputs changed
+    write_cv_report(dict(zip(targets, records)), os.path.join(models_dir, "fnn_cv.csv"))
     save_fnn_models(
         models,
         [decay for _, decay, _ in cells],
         os.path.join(models_dir, "fnn.json"),
         training_digest(cfg, train_coords, stim),
     )
-    write_cv_report(dict(zip(targets, records)), os.path.join(models_dir, "fnn_cv.csv"))
     return cells
 
 

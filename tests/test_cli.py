@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -462,6 +463,76 @@ def test_lock_of_a_killed_run_does_not_block(pipeline_run, tmp_path):
             holder.kill()   # SIGKILL: the holder gets no chance to clean up
     assert lock.exists()
     assert main(["forecast", "--config", cfg_path]) == 0
+
+
+# runs `run --all`, and SIGKILLs itself after writing part of the temp file
+# of the artifact named by argv[1]
+KILLED_WRITER = """\
+import os, signal, sys
+from contextlib import contextmanager
+from dmrom import artifacts
+from dmrom.cli import main
+
+victim, replacing = sys.argv[1], artifacts._replacing
+
+@contextmanager
+def dying(path):
+    with replacing(path) as fh:
+        if path.endswith(victim):
+            fh.write("a,b\\r\\n1.0,")
+            fh.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield fh
+
+artifacts._replacing = dying
+main(["run", "--all", "--config", sys.argv[2]])
+"""
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_run(pipeline_run, tmp_path_factory):
+    """A config whose output_dir each killed-run case reuses, and its complete run."""
+    base = tmp_path_factory.mktemp("cli_killed")
+    raw = json.loads(pathlib.Path(pipeline_run["cfg"]).read_text())
+    cfg_path = write_config(base / "run.json", **{**raw, "output_dir": str(base / "run")})
+    assert main(["run", "--all", "--config", cfg_path]) == 0
+    return {"cfg": cfg_path, "out": base / "run", "bytes": tree_bytes(base / "run")}
+
+
+@pytest.mark.parametrize(
+    "victim", ["embedding/eigenvectors.csv", "models/fnn.json", "forecasts/koopman_ambient.csv"]
+)
+def test_a_killed_run_leaves_no_partial_artifact(uninterrupted_run, victim):
+    cfg_path, out = uninterrupted_run["cfg"], uninterrupted_run["out"]
+    want = uninterrupted_run["bytes"]
+    shutil.rmtree(out)
+    src = str(pathlib.Path(dmaps.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_WRITER, victim, cfg_path],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == -signal.SIGKILL
+    with open(out / ".lock", "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        fcntl.flock(fh, fcntl.LOCK_UN)
+    stray = [str(p.relative_to(out)) for p in out.rglob("*.tmp")]
+    assert len(stray) == 1 and stray[0].startswith(f"{victim}.") and stray[0].endswith(".tmp")
+    assert not (out / victim).exists()
+    # every artifact in place parses and is the one the complete run wrote
+    for name, data in tree_bytes(out).items():
+        if name.endswith(".csv"):
+            rows = list(csv.reader(data.decode().splitlines()))
+            assert rows and all(len(row) == len(rows[0]) for row in rows)
+        elif name.endswith(".json"):
+            json.loads(data)
+        if not name.endswith(".tmp"):
+            assert data == want[name], name
+    assert main(["embed", "--config", cfg_path]) == 0   # the next command, under the lock
+    assert not list(out.rglob("*.tmp"))
+    assert main(["run", "--all", "--config", cfg_path]) == 0
+    assert tree_bytes(out) == want
 
 
 # ---------------------------------------------------------- stimulus input

@@ -49,6 +49,7 @@ def run_configs(draw):
         dynamics=st.sampled_from(["limit_cycle", "linear_stable"]),
         frequency_scale=finite,
     ))
+    k = draw(st.integers(1, 100))
     return RunConfig(
         input=draw(names),
         output_dir=draw(names),
@@ -62,9 +63,12 @@ def run_configs(draw):
             sigma=draw(st.just("auto") | positive),
             alpha=draw(st.floats(0, 1)),
             t=draw(st.integers(0, 10)),
-            k=draw(st.integers(1, 100)),
+            k=k,
         ),
-        parsimony=ParsimonySection(d=draw(st.integers(1, 20)), scale_fraction=draw(positive)),
+        # parsimony.d may not pass dmaps.k
+        parsimony=ParsimonySection(
+            d=draw(st.integers(1, min(k, 20))), scale_fraction=draw(positive)
+        ),
         fnn=TrainConfig(
             hidden_sizes=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))),
             decay_values=tuple(draw(st.lists(positive, min_size=1, max_size=4))),
@@ -199,6 +203,17 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"glm": {"threshold": 0}}, "glm.threshold must be in (0, 1], got 0.0"),
         ({"glm": {"threshold": 2}}, "glm.threshold must be in (0, 1], got 2.0"),
         ({"gh": {"eig_floor": 1.5}}, "gh.eig_floor must be <= 1, got 1.5"),
+        ({"parsimony": {"d": 0}}, "parsimony.d must be >= 1, got 0"),
+        ({"parsimony": {"d": 31}}, "parsimony.d must be <= dmaps.k (30), got 31"),
+        ({"dmaps": {"k": 4}, "parsimony": {"d": 5}}, "parsimony.d must be <= dmaps.k (4), got 5"),
+        ({"parsimony": {"scale_fraction": 0}},
+         "parsimony.scale_fraction must be a positive number, got 0.0"),
+        ({"parsimony": {"scale_fraction": -0.5}},
+         "parsimony.scale_fraction must be a positive number, got -0.5"),
+        ({"parsimony": {"scale_fraction": float("inf")}},
+         "parsimony.scale_fraction must be a positive number, got inf"),
+        ({"parsimony": {"scale_fraction": float("nan")}},
+         "parsimony.scale_fraction must be a positive number, got nan"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):

@@ -137,6 +137,25 @@ def test_cross_kernel_matches_rows_of_the_full_kernel():
     assert dmaps.kernel(pts, pts[:2])[1] == dmaps.kernel(pts)[1]   # auto scale from X
 
 
+def test_auto_scale_takes_the_fraction_of_the_median():
+    pts = cloud(6, n=11, m=2)
+    med2 = float(np.median(pdist(pts, metric="sqeuclidean")))
+    assert dmaps.kernel(pts, fraction=1.0 / 9.0)[1] == pytest.approx(med2 / 9.0, rel=1e-15)
+    assert dmaps.kernel(pts, fraction=0.5)[1] == dmaps.kernel(pts)[1] == med2 / 2.0
+
+
+def test_only_a_cross_kernel_counts_queries_out_of_support():
+    pts = cloud(7, n=10, m=2)
+    queries = np.vstack([pts[:3], [[1e6, 0.0], [0.0, -1e6]]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cross, _ = dmaps.kernel(pts, queries, sigma=0.5)
+        dmaps.kernel(pts, sigma=0.5)
+        dmaps.kernel(np.array([[0.0], [1e6]]), sigma=1.0)   # far apart, yet no query
+    assert [str(w.message) for w in caught] == ["2 query point(s) out of kernel support"]
+    assert np.all(cross[3:] == 0.0) and np.all(cross[:3].sum(axis=1) > 0)
+
+
 def reference_kernel(x, y=None, sigma=None):
     """The out-of-place kernel expressions the in-place chain replaced."""
     d2 = pdist(x, metric="sqeuclidean")

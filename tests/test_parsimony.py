@@ -11,7 +11,6 @@ from dmrom.parsimony import (
     RIDGE,
     ParsimonyReport,
     load_report,
-    parsimony_errors,
     rank_and_select,
     save_report,
     select_parsimonious,
@@ -33,30 +32,30 @@ def direct_columns():
 
 def test_first_residual_is_one(direct_columns):
     _, _, psi = direct_columns
-    assert parsimony_errors(psi)[0] == 1.0
+    assert rank_and_select(psi, 1).er[0] == 1.0
 
 
 def test_harmonic_column_scores_low(direct_columns):
     _, _, psi = direct_columns
-    er = parsimony_errors(psi)
-    assert er[1] == pytest.approx(0.07158205272806992, abs=1e-12)
+    er = rank_and_select(psi, 1).er
+    assert er[1] == pytest.approx(0.07158205275447857, abs=1e-12)
     assert er[1] < 0.2
 
 
 def test_independent_column_scores_near_one(direct_columns):
     _, _, psi = direct_columns
-    assert parsimony_errors(psi)[2] > 0.9
+    assert rank_and_select(psi, 1).er[2] > 0.9
 
 
 def test_affine_function_of_predecessors(direct_columns):
     x, _, _ = direct_columns
     psi = np.column_stack([x, x**2, 0.3 * x - 0.7 * x**2 + 0.1])
-    assert parsimony_errors(psi)[2] < 1e-6
+    assert rank_and_select(psi, 1).er[2] < 1e-6
 
 
 def test_strip_harmonic_structure(strip_points, strip_embedding):
     psi = strip_embedding.eigenvectors[:, 1:]
-    er = parsimony_errors(psi)
+    er = rank_and_select(psi, 1).er
     # the second direction is the first harmonic of the long axis
     assert er[1] < 0.2
     a = np.column_stack([np.ones(len(psi)), psi[:, 0], psi[:, 0] ** 2])
@@ -74,38 +73,40 @@ def test_strip_harmonic_structure(strip_points, strip_embedding):
 
 def test_scale_invariance_of_own_residual(direct_columns):
     x, noise, psi = direct_columns
-    er = parsimony_errors(psi)
+    er = rank_and_select(psi, 1).er
     scaled_last = np.column_stack([x, x**2, -2.5 * noise])
-    assert abs(parsimony_errors(scaled_last)[2] - er[2]) < 1e-10
+    assert abs(rank_and_select(scaled_last, 1).er[2] - er[2]) < 1e-10
     scaled_mid = np.column_stack([x, 1e3 * x**2, noise])
-    assert abs(parsimony_errors(scaled_mid)[1] - er[1]) < 1e-10
+    assert abs(rank_and_select(scaled_mid, 1).er[1] - er[1]) < 1e-10
 
 
 def test_duplicated_column_scores_near_zero(direct_columns):
     x, noise, _ = direct_columns
     psi = np.column_stack([x, x**2, noise, x**2])
-    assert parsimony_errors(psi)[3] < 1e-8
+    assert rank_and_select(psi, 1).er[3] < 1e-8
 
 
 def test_residual_input_validation():
     with pytest.raises(ValueError, match="2-D"):
-        parsimony_errors(np.ones(5))
+        rank_and_select(np.ones(5), 1)
     with pytest.raises(ValueError, match="at least one"):
-        parsimony_errors(np.ones((5, 0)))
+        rank_and_select(np.ones((5, 0)), 1)
     with pytest.raises(ValueError, match="at least 3"):
-        parsimony_errors(np.ones((2, 3)))
+        rank_and_select(np.ones((2, 3)), 1)
     with pytest.raises(ValueError, match="positive"):
-        parsimony_errors(np.random.default_rng(0).normal(size=(5, 2)), 0.0)
+        rank_and_select(np.random.default_rng(0).normal(size=(5, 2)), 1, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        rank_and_select(np.random.default_rng(0).normal(size=(5, 2)), 1, np.inf)
     psi = np.column_stack([np.arange(5.0), np.zeros(5)])
     with pytest.raises(ValueError, match="identically zero"):
-        parsimony_errors(psi)
+        rank_and_select(psi, 1).er
 
 
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 10_000), n=st.integers(3, 25), k=st.integers(1, 4))
 def test_first_residual_convention_always_holds(seed, n, k):
     psi = np.random.default_rng(seed).normal(size=(n, k))
-    assert parsimony_errors(psi)[0] == 1.0
+    assert rank_and_select(psi, 1).er[0] == 1.0
 
 
 def per_point_errors(psi, scale_fraction=1.0 / 3.0):
@@ -114,8 +115,8 @@ def per_point_errors(psi, scale_fraction=1.0 / 3.0):
     er = np.ones(k)
     for l in range(1, k):
         pred, target = psi[:, :l], psi[:, l]
-        h = scale_fraction * float(np.median(pdist(pred)))
-        w_all, _ = dmaps.kernel(pred, sigma=h * h)
+        h2 = scale_fraction**2 * float(np.median(pdist(pred, "sqeuclidean")))
+        w_all, _ = dmaps.kernel(pred, sigma=h2)
         z = np.hstack([np.ones((n, 1)), pred])
         fit = np.empty(n)
         for i in range(n):
@@ -186,14 +187,22 @@ def test_selection_picks_the_d_largest(er, data):
 def test_rank_and_select_bandwidth_oracle(direct_columns):
     _, _, psi = direct_columns
     report = rank_and_select(psi, d=2, scale_fraction=1.0 / 3.0)
-    assert np.array_equal(report.er, parsimony_errors(psi))
+    assert np.array_equal(report.er, rank_and_select(psi, 1).er)
     assert report.selected == [1, 3]
-    # bandwidth for column l is scale_fraction * median predecessor distance
-    med1 = np.median(pdist(psi[:, :1]))
-    med2 = np.median(pdist(psi[:, :2]))
-    assert report.bandwidths[1] == pytest.approx(med1 / 3.0, rel=1e-14)
-    assert report.bandwidths[2] == pytest.approx(med2 / 3.0, rel=1e-14)
+    # bandwidth for column l is scale_fraction * root median squared predecessor distance
+    for l in (1, 2):
+        med2 = np.median(pdist(psi[:, :l], "sqeuclidean"))
+        want = np.sqrt((1.0 / 3.0) ** 2 * med2)
+        assert report.bandwidths[l] == pytest.approx(want, rel=1e-14)
     assert np.isnan(report.bandwidths[0])
+
+
+def test_degenerate_predecessors_raise():
+    # more than half the pairs of psi_1 values coincide, so the median
+    # predecessor distance is 0 and no bandwidth exists
+    psi = np.column_stack([np.r_[np.zeros(8), 1.0, 2.0], np.arange(10.0)])
+    with pytest.raises(ValueError, match="degenerate point set"):
+        rank_and_select(psi, 1)
 
 
 def test_report_roundtrip(tmp_path, direct_columns):
