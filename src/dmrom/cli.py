@@ -176,7 +176,21 @@ def _typed(kind, value, name: str):
     fits = isinstance(value, bool) if kind is bool else number and (kind is float or value % 1 == 0)
     if not fits:
         raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:   # an integer past the largest float
+        digits = len(str(abs(value)))
+        raise ValueError(
+            f"{name} must be a number within float range, got an integer of {digits} digits"
+        ) from None
+
+
+def _seed(value, name: str) -> int:
+    """The value of a seed field, a non-negative integer, or a ValueError naming it."""
+    seed = _typed(int, value, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def _typed_items(kind, value, name: str) -> tuple:
@@ -187,13 +201,16 @@ def _typed_items(kind, value, name: str) -> tuple:
 
 
 def _build(cls, raw: dict, prefix: str = ""):
-    """Dataclass instance from given keys; int/float/bool values and list items are `_typed`."""
+    """Dataclass instance from given keys; int/float/bool values and list items are
+    `_typed`, and seeds go through `_seed`."""
     hints = typing.get_type_hints(cls)
     built = {}
     for key, value in raw.items():
         name = prefix + key
         if name in _ITEM_KINDS:
             value = _typed_items(_ITEM_KINDS[name], value, name)
+        elif key == "seed":
+            value = _seed(value, name)
         elif hints[key] in _KINDS:
             value = _typed(hints[key], value, name)
         built[key] = value
@@ -236,7 +253,7 @@ def load_config(path, seed_override: int = None) -> RunConfig:
     if unknown:
         raise ValueError(f"{path}: unknown config key(s): {unknown}")
 
-    seed = seed_override if seed_override is not None else _typed(int, data.get("seed", 0), "seed")
+    seed = _seed(data.get("seed", 0) if seed_override is None else seed_override, "seed")
     top = {**data, "seed": seed}
     hints = typing.get_type_hints(RunConfig)
     for f in fields(RunConfig):
@@ -332,9 +349,8 @@ def _write_meta(cfg: RunConfig, paths: RunPaths) -> None:
     artifacts.write_json(os.path.join(paths.root, "meta.json"), doc)
 
 
-def _design_matrix(cfg: RunConfig, n: int):
-    if not cfg.epochs:
-        return None
+def _design_matrix(cfg: RunConfig, n: int) -> np.ndarray:
+    """The (n, p) stimulus design; without epochs it has no columns."""
     return glm.build_design_matrix(list(cfg.epochs), n, list(cfg.conditions))
 
 

@@ -63,7 +63,7 @@ def kernel(X, Y=None, sigma="auto", fraction: float = 0.5):
     x = _as_points(X)
     if not np.all(np.isfinite(x)):
         raise ValueError("points contain non-finite values")
-    auto = sigma is None or sigma == "auto"
+    auto = sigma == "auto"
     d2 = pdist(x, metric="sqeuclidean") if Y is None or auto else None
     sigma = _median_scale(d2, fraction) if auto else float(sigma)
     if sigma <= 0:

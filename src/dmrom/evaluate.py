@@ -52,13 +52,17 @@ class ErrorTable:
     horizon: int
 
 
-def comparison_table(forecasts, truth, channel_names=None) -> ErrorTable:
-    """Side-by-side error table of ``{method: ambient forecast}``, rows in mapping order."""
+def comparison_table(forecasts, truth, channel_names) -> ErrorTable:
+    """Side-by-side error table of ``{method: ambient forecast}``, rows in mapping order.
+
+    Each forecast and the truth are (h, M), and ``channel_names`` names the M
+    columns.
+    """
     if not forecasts:
         raise ValueError("no forecast results to compare")
-    truth = np.atleast_2d(np.asarray(truth, dtype=float))
+    truth = np.asarray(truth, dtype=float)
     h, m = truth.shape
-    preds = {method: np.atleast_2d(np.asarray(a, dtype=float)) for method, a in forecasts.items()}
+    preds = {method: np.asarray(a, dtype=float) for method, a in forecasts.items()}
     for method, pred in preds.items():
         if pred.shape != (h, m):
             raise ValueError(
@@ -67,8 +71,6 @@ def comparison_table(forecasts, truth, channel_names=None) -> ErrorTable:
             )
         if not np.all(np.isfinite(pred)):
             raise ValueError(f"method {method!r} forecast contains non-finite values")
-    if channel_names is None:
-        channel_names = [f"ch{j:03d}" for j in range(m)]
     if len(channel_names) != m:
         raise ValueError("channel name count does not match truth columns")
     rmse = np.empty((len(preds), m))

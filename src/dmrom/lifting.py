@@ -20,7 +20,7 @@ EIG_FLOOR = 1e-8          # default relative eigenvalue truncation for lifting
 MIN_EIGENVALUE = 1e-12    # restriction is ill-posed below this
 
 
-def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected=None) -> np.ndarray:
+def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected) -> np.ndarray:
     """Reduced coordinates of new ambient points via the training kernel chain.
 
     The new kernel row gets the same two-step normalization as the training
@@ -33,23 +33,18 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected=None) -> np
     E : DiffusionEmbedding
         Embedding built from ``X_train`` (its kernel scale is reused).
     X_train : array, shape (N, M)
-    x_new : array, shape (M,) or (n, M)
-    selected : list of int, optional
-        1-based eigen indices to evaluate; defaults to all 1..k.
+    x_new : array, shape (n, M)
+    selected : list of int
+        1-based eigen indices to evaluate, each in 1..k.
 
     Returns
     -------
-    ndarray
-        Coordinates with shape (len(selected),) for a single point or
-        (n, len(selected)) for a batch. Points whose kernel row underflows to
-        zero are out of support: `dmaps.kernel` warns, and their coordinates
-        are zero.
+    ndarray, shape (n, len(selected))
+        The coordinates of each query row. Points whose kernel row underflows
+        to zero are out of support: `dmaps.kernel` warns, and their
+        coordinates are zero.
     """
-    x_new = np.asarray(x_new, dtype=float)
-    single = x_new.ndim == 1
-    k_star, _ = dmaps.kernel(X_train, np.atleast_2d(x_new), E.sigma)
-    if selected is None:
-        selected = list(range(1, E.k + 1))
+    k_star, _ = dmaps.kernel(X_train, x_new, E.sigma)
     sel = np.asarray(selected, dtype=int)
     if sel.size == 0 or np.any(sel < 1) or np.any(sel > E.k):
         raise ValueError(f"selected indices must lie in 1..{E.k}")
@@ -68,7 +63,7 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected=None) -> np
     p_star = w_tilde / w_tilde.sum(axis=1)[:, None]
     psi_hat = (p_star @ E.eigenvectors[:, sel]) / lam[None, :]
     out[alive] = psi_hat * (lam ** int(E.t))[None, :]
-    return out[0] if single else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,11 +116,9 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> G
 def gh_lift(model: GhLiftModel, Y_new) -> np.ndarray:
     """Extend all channel functions to new reduced points: K Psi Lam^-1 Psi' f.
 
+    ``Y_new`` is (n, d), one reduced point a row; the result is (n, M).
     Evaluated as ((K @ Psi) Lam^-1) @ coeffs so that near the training set the
     K @ Psi ~ Psi Lam product cancels the inverse eigenvalues.
     """
-    y_new = np.asarray(Y_new, dtype=float)
-    single = y_new.ndim == 1
-    kernel, _ = dmaps.kernel(model.y_train, np.atleast_2d(y_new), model.gh_sigma)
-    lifted = ((kernel @ model.eigenvectors) / model.eigenvalues[None, :]) @ model.coeffs
-    return lifted[0] if single else lifted
+    kernel, _ = dmaps.kernel(model.y_train, Y_new, model.gh_sigma)
+    return ((kernel @ model.eigenvectors) / model.eigenvalues[None, :]) @ model.coeffs

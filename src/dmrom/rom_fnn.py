@@ -107,14 +107,9 @@ class TrainConfig:
 
 
 def _stack_inputs(psi, stim) -> np.ndarray:
-    psi = np.atleast_2d(np.asarray(psi, dtype=float))
-    if stim is None:
-        return psi
+    """The (n, d + p) inputs of (n, d) coordinates and an (n, p) stimulus, p >= 0."""
+    psi = np.asarray(psi, dtype=float)
     stim = np.asarray(stim, dtype=float)
-    if stim.ndim == 1:
-        stim = stim.reshape(psi.shape[0], -1)
-    if stim.shape[1] == 0:
-        return psi
     if stim.shape[0] != psi.shape[0]:
         raise ValueError(
             f"stimulus rows ({stim.shape[0]}) do not match coordinate rows ({psi.shape[0]})"
@@ -146,10 +141,9 @@ def _forward_batch(w1, b1, w_out, b_out, z):
     return s @ w_out + b_out, s
 
 
-def fnn_forward(model: FnnModel, psi, stim=None) -> float:
+def fnn_forward(model: FnnModel, psi, stim=()) -> float:
     """Network output for a single (coordinates, stimulus) input."""
-    psi = np.asarray(psi, dtype=float).ravel()
-    z = psi if stim is None else np.concatenate([psi, np.asarray(stim, dtype=float).ravel()])
+    z = np.concatenate([np.ravel(psi), np.ravel(stim)]).astype(float)
     if z.shape[0] != model.input_dim:
         raise ValueError(f"input length {z.shape[0]} does not match model width {model.input_dim}")
     out, _ = _forward_batch(model.w1, model.b1, model.w_out, model.b_out, z[None, :])
@@ -395,8 +389,8 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
     ----------
     train_coords : ndarray, shape (n, d)
         Reduced coordinates over the training window.
-    stim : ndarray of shape (n, p) or None
-        Stimulus inputs aligned with the coordinates.
+    stim : ndarray of shape (n, p), p >= 0
+        Stimulus inputs aligned with the coordinates; (n, 0) without one.
     targets : sequence of int
         1-based coordinates to predict one step ahead.
     cfg : TrainConfig
@@ -424,7 +418,7 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
     grid = [(h, lam) for h in cfg.hidden_sizes for lam in cfg.decay_values]
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    z_all = _stack_inputs(coords[:-1], None if stim is None else np.asarray(stim)[:-1])
+    z_all = _stack_inputs(coords[:-1], np.asarray(stim)[:-1])
     y_all = coords[1:]
     n_pairs = n - 1
 
@@ -523,13 +517,7 @@ def fnn_forecast(models, init, stim_seq, h: int) -> np.ndarray:
     init = np.asarray(init, dtype=float).ravel()
     if init.shape[0] != d:
         raise ValueError(f"init has length {init.shape[0]}, expected {d}")
-    if h == 0:
-        return np.zeros((0, d))
-    if stim_seq is None:
-        stim_seq = np.zeros((h, 0))
     stim_seq = np.asarray(stim_seq, dtype=float)
-    if stim_seq.ndim == 1:
-        stim_seq = stim_seq.reshape(h, -1)
     if stim_seq.shape[0] < h:
         raise ValueError(f"stimulus sequence covers {stim_seq.shape[0]} steps, horizon is {h}")
     width = d + stim_seq.shape[1]
@@ -561,11 +549,10 @@ def fnn_forecast(models, init, stim_seq, h: int) -> np.ndarray:
 
 def training_digest(cfg: TrainConfig, train_coords, stim) -> str:
     """sha256 of the canonical JSON of `cfg`, then of the C-order bytes of the
-    training coordinates and, when there is one, of the stimulus."""
+    training coordinates and of the stimulus; an (n, 0) stimulus adds none."""
     h = hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":")).encode())
     for arr in (train_coords, stim):
-        if arr is not None:
-            h.update(np.asarray(arr, dtype=float).tobytes())
+        h.update(np.asarray(arr, dtype=float).tobytes())
     return h.hexdigest()
 
 
@@ -622,11 +609,11 @@ def train_rom(train_coords, design, cfg: TrainConfig, models_dir) -> list:
     """Train the FNN ROM of every coordinate and write `fnn_cv.csv`, then `fnn.json`.
 
     `train_coords` (n, d) are the selected diffusion-map coordinates of the
-    training block and `design` the stimulus design over the whole series
-    (or None); its first n rows drive the training. Returns each
-    coordinate's winning (hidden, decay, mean CV mse).
+    training block and `design` the (N, p) stimulus design over the whole
+    series, with p = 0 without a stimulus; its first n rows drive the
+    training. Returns each coordinate's winning (hidden, decay, mean CV mse).
     """
-    stim = None if design is None else design[: len(train_coords)]
+    stim = design[: len(train_coords)]
     targets = range(1, train_coords.shape[1] + 1)
     models, records = zip(*fnn_train(train_coords, stim, targets, cfg))
     cells = [best_grid_cell(r) for r in records]
@@ -652,9 +639,7 @@ def forecast_rom(models_dir, train_coords, design, h: int, cfg: TrainConfig) -> 
     it steps from.
     """
     n = len(train_coords)
-    stim = None if design is None else design[:n]
     models = load_fnn_models(
-        os.path.join(models_dir, "fnn.json"), training_digest(cfg, train_coords, stim)
+        os.path.join(models_dir, "fnn.json"), training_digest(cfg, train_coords, design[:n])
     )
-    stim_seq = None if design is None else design[n - 1 : n - 1 + h]
-    return fnn_forecast(models, train_coords[-1], stim_seq, h)
+    return fnn_forecast(models, train_coords[-1], design[n - 1 : n - 1 + h], h)

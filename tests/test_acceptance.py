@@ -155,7 +155,7 @@ def test_criterion_5_fnn_gradient_check():
                 target_index=1,
             )
             coords = rng.normal(size=(n, d))
-            stim = rng.normal(size=(n, s)) if s else None
+            stim = rng.normal(size=(n, s))
             targets = rng.normal(size=n)
             decay = float(rng.uniform(0.0, 0.1))
             analytic = fnn_gradient(model, coords, stim, targets, decay)
@@ -174,7 +174,9 @@ def test_criterion_6_gh_lifting(strip_points, strip_embedding):
         err_lift = float(np.max(np.abs(lifting.gh_lift(model, y) - x)))
         assert err_lift < 1e-4
 
-        restrict = lifting.nystrom_restrict(strip_embedding, strip_points, strip_points[:10])
+        restrict = lifting.nystrom_restrict(
+            strip_embedding, strip_points, strip_points[:10], range(1, strip_embedding.k + 1)
+        )
         err_restrict = float(np.max(np.abs(restrict - strip_embedding.eigenvectors[:10, 1:])))
         assert err_restrict < 1e-6
         rec["detail"] = (
@@ -281,7 +283,7 @@ def test_criterion_9_forecast_purity(synthetic_run, tmp_path):
     with criterion(9, 60.0) as rec:
         clone = tmp_path / "mutated"
         shutil.copytree(synthetic_run["out"], clone)
-        cfg = json.load(open(synthetic_run["cfg"]))
+        cfg = json.loads(pathlib.Path(synthetic_run["cfg"]).read_text())
         cfg["output_dir"] = str(clone)
         cfg_path = tmp_path / "mutated.json"
         cfg_path.write_text(json.dumps(cfg, indent=1))

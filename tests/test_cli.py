@@ -107,7 +107,7 @@ def test_run_all_layout(pipeline_run):
 
 
 def test_meta_echoes_config_and_hash(pipeline_run):
-    meta = json.load(open(pipeline_run["out"] / "meta.json"))
+    meta = json.loads((pipeline_run["out"] / "meta.json").read_text())
     cfg = load_config(pipeline_run["cfg"])
     assert meta["config_sha256"] == config_hash(cfg)
     assert meta["config"]["seed"] == 0
@@ -705,7 +705,7 @@ def strip_run(tmp_path_factory):
 
 
 def test_strip_selection_excludes_harmonic(strip_run):
-    report = json.load(open(strip_run["base"] / "run" / "embedding" / "parsimony.json"))
+    report = json.loads((strip_run["base"] / "run" / "embedding" / "parsimony.json").read_text())
     assert report["selected"] == [1, 4]
     assert 2 not in report["selected"]
     er = report["er"]
@@ -714,7 +714,7 @@ def test_strip_selection_excludes_harmonic(strip_run):
 
 
 def test_embed_prints_spectrum_and_selection(strip_run, tmp_path, capsys):
-    cfg = json.load(open(strip_run["cfg"]))
+    cfg = json.loads(pathlib.Path(strip_run["cfg"]).read_text())
     cfg["output_dir"] = str(tmp_path / "run2")
     cfg_path = write_config(tmp_path / "embed2.json", **cfg)
     assert main(["embed", "--config", cfg_path]) == 0
@@ -724,7 +724,7 @@ def test_embed_prints_spectrum_and_selection(strip_run, tmp_path, capsys):
 
 
 def test_oversized_k_fails_in_the_dmaps_stage(strip_run, tmp_path, capsys):
-    cfg = json.load(open(strip_run["cfg"]))
+    cfg = json.loads(pathlib.Path(strip_run["cfg"]).read_text())
     cfg["output_dir"] = str(tmp_path / "run_bad")
     cfg["dmaps"] = {"sigma": 0.1, "alpha": 1.0, "t": 0, "k": 298}
     cfg_path = write_config(tmp_path / "embed_bad.json", **cfg)
@@ -734,7 +734,7 @@ def test_oversized_k_fails_in_the_dmaps_stage(strip_run, tmp_path, capsys):
 
 
 def test_negative_diffusion_time_fails_in_the_dmaps_stage(strip_run, tmp_path, capsys):
-    cfg = json.load(open(strip_run["cfg"]))
+    cfg = json.loads(pathlib.Path(strip_run["cfg"]).read_text())
     cfg["output_dir"] = str(tmp_path / "run_bad")
     cfg["dmaps"] = {**cfg["dmaps"], "t": -1}
     cfg_path = write_config(tmp_path / "embed_bad.json", **cfg)

@@ -214,6 +214,21 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
          "parsimony.scale_fraction must be a positive number, got inf"),
         ({"parsimony": {"scale_fraction": float("nan")}},
          "parsimony.scale_fraction must be a positive number, got nan"),
+        ({"dmaps": {"alpha": 10**400}},
+         "dmaps.alpha must be a number within float range, got an integer of 401 digits"),
+        ({"gh": {"eig_floor": -(10**400)}},
+         "gh.eig_floor must be a number within float range, got an integer of 401 digits"),
+        ({"fnn": {"decay_values": [1e-3, 10**400]}},
+         "fnn.decay_values item must be a number within float range, got an integer of 401"),
+        ({"glm": {"kernel": [10**309]}},
+         "glm.kernel item must be a number within float range, got an integer of 310 digits"),
+        ({"glm": {"contrasts": {"c": [1, -(10**400)]}}},
+         "glm.contrasts.c item must be a number within float range, got an integer of 401"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"fnn": {"seed": -1}}, "fnn.seed must be >= 0, got -1"),
+        ({"synth": {"seed": -7}}, "synth.seed must be >= 0, got -7"),
+        ({"seed": -1, "fnn": {"seed": 3}}, "seed must be >= 0, got -1"),
+        ({"fnn": {"seed": 2.5}}, "fnn.seed must be an integer, got 2.5"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):
@@ -237,3 +252,19 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, doc):
     assert main(["embed", "--config", path]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error [config]: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "doc, args, message",
+    [
+        ({"dmaps": {"alpha": 10**400}}, [],
+         "dmaps.alpha must be a number within float range, got an integer of 401 digits"),
+        ({"seed": -1}, [], "seed must be >= 0, got -1"),
+        ({"seed": 3}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+)
+def test_out_of_range_numbers_exit_2_naming_the_field(tmp_path, capsys, doc, args, message):
+    path = dump(tmp_path, {"input": "x.csv", "output_dir": str(tmp_path / "out"), **doc})
+    assert main(["embed", "--config", path, *args]) == 2
+    assert capsys.readouterr().err == f"error [config]: {message}\n"
+    assert not (tmp_path / "out").exists()

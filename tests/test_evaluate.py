@@ -98,9 +98,13 @@ def make_results(truth, offset):
     return {"fnn_gh": truth.copy(), "koopman": truth + offset}
 
 
+def channels(truth):
+    return [f"ch{j}" for j in range(truth.shape[1])]
+
+
 def test_dominant_method_flagged_everywhere():
     truth = np.random.default_rng(4).normal(size=(6, 3))
-    table = comparison_table(make_results(truth, offset=0.5), truth)
+    table = comparison_table(make_results(truth, offset=0.5), truth, channels(truth))
     assert table.methods == ["fnn_gh", "koopman"]
     assert np.all(table.best[0])
     assert not np.any(table.best[1])
@@ -109,13 +113,15 @@ def test_dominant_method_flagged_everywhere():
 def test_tied_methods_all_flagged():
     truth = np.random.default_rng(5).normal(size=(6, 3))
     shifted = truth + 0.1
-    table = comparison_table({"fnn_gh": shifted, "koopman": shifted.copy()}, truth)
+    methods = {"fnn_gh": shifted, "koopman": shifted.copy()}
+    table = comparison_table(methods, truth, channels(truth))
     assert np.all(table.best)
 
 
 def test_table_identity_invariant():
     truth = np.random.default_rng(6).normal(size=(11, 4))
-    table = comparison_table({"fnn_gh": truth + 0.3, "nrw": truth - 0.2}, truth)
+    methods = {"fnn_gh": truth + 0.3, "nrw": truth - 0.2}
+    table = comparison_table(methods, truth, channels(truth))
     assert table.horizon == 11
     assert np.allclose(table.l2, table.rmse * np.sqrt(11), rtol=1e-9, atol=1e-12)
     assert np.all(table.rmse >= 0.0) and np.all(table.l2 >= 0.0)
@@ -124,9 +130,9 @@ def test_table_identity_invariant():
 def test_table_validation():
     truth = np.ones((4, 2))
     with pytest.raises(ValueError, match="no forecast"):
-        comparison_table({}, truth)
+        comparison_table({}, truth, channels(truth))
     with pytest.raises(ValueError, match="nrw"):
-        comparison_table({"nrw": np.ones((4, 3))}, truth)
+        comparison_table({"nrw": np.ones((4, 3))}, truth, channels(truth))
     with pytest.raises(ValueError, match="channel name"):
         comparison_table({"nrw": truth}, truth, channel_names=["only_one"])
 
@@ -137,12 +143,13 @@ def test_table_rejects_non_finite_forecast(bad):
     pred = truth.copy()
     pred[1, 0] = bad
     with pytest.raises(ValueError, match="'koopman' forecast contains non-finite values"):
-        comparison_table({"fnn_gh": truth, "koopman": pred}, truth)
+        comparison_table({"fnn_gh": truth, "koopman": pred}, truth, channels(truth))
 
 
 def test_rows_follow_the_mapping_order():
     truth = np.zeros((2, 1))
-    table = comparison_table({"nrw": truth + 1, "koopman": truth + 2, "fnn_gh": truth}, truth)
+    methods = {"nrw": truth + 1, "koopman": truth + 2, "fnn_gh": truth}
+    table = comparison_table(methods, truth, channels(truth))
     assert table.methods == ["nrw", "koopman", "fnn_gh"]
     assert np.array_equal(table.rmse[:, 0], [1.0, 2.0, 0.0])
 

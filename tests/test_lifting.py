@@ -14,6 +14,10 @@ from dmrom.ingest import SynthConfig, generate_synthetic
 from dmrom.lifting import gh_fit, gh_lift, nystrom_restrict
 
 
+def every_index(E):
+    return range(1, E.k + 1)
+
+
 @pytest.fixture(scope="module")
 def separated_cloud():
     rng = np.random.default_rng(7)
@@ -27,14 +31,16 @@ def separated_cloud():
 
 def test_restrict_reproduces_training_embedding(strip_points, strip_embedding):
     coords = dmaps.coords_for(strip_embedding, range(1, strip_embedding.k + 1))
-    restricted = nystrom_restrict(strip_embedding, strip_points, strip_points)
+    restricted = nystrom_restrict(
+        strip_embedding, strip_points, strip_points, every_index(strip_embedding)
+    )
     assert np.max(np.abs(restricted - coords)) < 1e-6
 
 
 def test_restrict_far_point_warns_and_returns_zero(strip_points, strip_embedding):
-    far = np.array([1e6, 1e6])
+    far = np.array([[1e6, 1e6]])
     with pytest.warns(UserWarning, match="out of kernel support"):
-        coords = nystrom_restrict(strip_embedding, strip_points, far)
+        coords = nystrom_restrict(strip_embedding, strip_points, far, every_index(strip_embedding))
     assert np.all(coords == 0.0)
 
 
@@ -47,7 +53,7 @@ def test_restrict_midpoints_stay_in_local_hull(strip_points, strip_embedding):
     assert len(ii) > 50
     for i, j in zip(ii, jj):
         mid = 0.5 * (strip_points[i] + strip_points[j])
-        c = nystrom_restrict(strip_embedding, strip_points, mid, selected=[1, 4])
+        c = nystrom_restrict(strip_embedding, strip_points, mid[None], selected=[1, 4])[0]
         lo = np.minimum(coords[i], coords[j])
         hi = np.maximum(coords[i], coords[j])
         slack = 0.1 * (hi - lo)
@@ -56,20 +62,21 @@ def test_restrict_midpoints_stay_in_local_hull(strip_points, strip_embedding):
 
 def test_restrict_honors_diffusion_time(strip_points, strip_embedding):
     E1 = replace(strip_embedding, t=1)
-    got = nystrom_restrict(E1, strip_points, strip_points[17], selected=[1, 4])
+    got = nystrom_restrict(E1, strip_points, strip_points[17][None], selected=[1, 4])[0]
     want = dmaps.coords_for(E1, [1, 4])[17]
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_restrict_builds_no_training_affinity(strip_points, strip_embedding, monkeypatch):
-    want = nystrom_restrict(strip_embedding, strip_points, strip_points[:5])
+    every = every_index(strip_embedding)
+    want = nystrom_restrict(strip_embedding, strip_points, strip_points[:5], every)
 
     def refuse(*args, **kwargs):
         raise AssertionError("nystrom_restrict ran a diffusion-map step")
 
     for step in ("gaussian_affinity", "diffusion_operator", "spectral_decompose"):
         monkeypatch.setattr(dmaps, step, refuse)
-    got = nystrom_restrict(strip_embedding, strip_points, strip_points[:5])
+    got = nystrom_restrict(strip_embedding, strip_points, strip_points[:5], every)
     assert np.array_equal(got, want)
 
 
@@ -82,16 +89,19 @@ def test_restrict_rejects_tiny_eigenvalues():
     )
     x = np.eye(3)
     with pytest.raises(ValueError, match="ill-posed"):
-        nystrom_restrict(E, x, x[0])
+        nystrom_restrict(E, x, x[0][None], [1])
 
 
 def test_restrict_validation(strip_points, strip_embedding):
+    every = every_index(strip_embedding)
+    with pytest.raises(ValueError, match="2-D"):
+        nystrom_restrict(strip_embedding, strip_points, strip_points[0], every)
     with pytest.raises(ValueError, match="dimension"):
-        nystrom_restrict(strip_embedding, strip_points, np.zeros(3))
+        nystrom_restrict(strip_embedding, strip_points, np.zeros((1, 3)), every)
     with pytest.raises(ValueError, match="non-finite"):
-        nystrom_restrict(strip_embedding, strip_points, np.array([np.nan, 0.0]))
+        nystrom_restrict(strip_embedding, strip_points, np.array([[np.nan, 0.0]]), every)
     with pytest.raises(ValueError, match="selected"):
-        nystrom_restrict(strip_embedding, strip_points, strip_points[0], selected=[9])
+        nystrom_restrict(strip_embedding, strip_points, strip_points[0][None], selected=[9])
 
 
 # ----------------------------------------------------------------------- fit
@@ -182,17 +192,19 @@ def test_lift_out_of_support_warns(separated_cloud):
     y, x = separated_cloud
     model = gh_fit(y, x, gh_sigma=0.5)
     with pytest.warns(UserWarning, match="out of kernel support"):
-        out = gh_lift(model, np.array([1e6, 1e6]))
+        out = gh_lift(model, np.array([[1e6, 1e6]]))
     assert np.max(np.abs(out)) < 1e-6
 
 
 def test_lift_validation(separated_cloud):
     y, x = separated_cloud
     model = gh_fit(y, x, gh_sigma=0.5)
+    with pytest.raises(ValueError, match="2-D"):
+        gh_lift(model, y[0])
     with pytest.raises(ValueError, match="dimension"):
         gh_lift(model, np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-finite"):
-        gh_lift(model, np.array([np.inf, 0.0]))
+        gh_lift(model, np.array([[np.inf, 0.0]]))
 
 
 def test_lift_heldout_synthetic_latent():
@@ -222,7 +234,7 @@ def test_lift_locality():
     rng = np.random.default_rng(7)
     y = np.vstack([rng.normal(size=(40, 2)), rng.normal(size=(5, 2)) + 20.0])
     x = rng.normal(size=(45, 3))
-    query = y[0] + 0.05
+    query = y[0][None] + 0.05
     weight = np.exp(-np.sum((query - y[44]) ** 2) / (2.0 * 0.5))
     assert weight < 1e-12
     before = gh_lift(gh_fit(y, x, gh_sigma=0.5), query)

@@ -1,6 +1,7 @@
 """Tests for the feedforward one-step models: forward pass, gradients, CV, forecast."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,11 @@ def random_model(seed, d=2, p=1, hidden=3):
         b_out=float(rng.normal()),
         target_index=1,
     )
+
+
+def no_stim(n):
+    """The (n, 0) stimulus design of a run without one."""
+    return np.zeros((n, 0))
 
 
 # -------------------------------------------------------------- forward pass
@@ -145,7 +151,7 @@ def zero_residual_batch(seed=0):
 
 def test_zero_residual_no_decay_zero_gradients():
     model, coords, targets = zero_residual_batch()
-    g = fnn_gradient(model, coords, None, targets, decay=0.0)
+    g = fnn_gradient(model, coords, no_stim(6), targets, decay=0.0)
     assert np.max(np.abs(g["w1"])) == 0.0
     assert np.max(np.abs(g["b1"])) == 0.0
     assert np.max(np.abs(g["w_out"])) == 0.0
@@ -155,7 +161,7 @@ def test_zero_residual_no_decay_zero_gradients():
 def test_zero_residual_decay_gradient_is_decay_term():
     model, coords, targets = zero_residual_batch()
     lam = 0.05
-    g = fnn_gradient(model, coords, None, targets, decay=lam)
+    g = fnn_gradient(model, coords, no_stim(6), targets, decay=lam)
     assert np.allclose(g["w1"], 2.0 * lam * model.w1, atol=1e-15)
     assert np.allclose(g["b1"], 2.0 * lam * model.b1, atol=1e-15)
     assert np.max(np.abs(g["w_out"])) == 0.0
@@ -178,7 +184,7 @@ def test_gradient_matches_finite_differences(seed):
 def test_gradient_rejects_empty_batch():
     model = random_model(1, d=2, p=0)
     with pytest.raises(ValueError, match="empty"):
-        fnn_gradient(model, np.zeros((0, 2)), None, np.zeros(0))
+        fnn_gradient(model, np.zeros((0, 2)), no_stim(0), np.zeros(0))
 
 
 # ------------------------------------------------------------------ training
@@ -197,7 +203,7 @@ def zero_target_fit():
         max_epochs=2000,
         seed=0,
     )
-    ((model, records),) = fnn_train(coords, None, [2], cfg)
+    ((model, records),) = fnn_train(coords, no_stim(len(coords)), [2], cfg)
     return coords, cfg, model, records
 
 
@@ -222,14 +228,14 @@ def test_linear_latent_dynamics_cv_mse():
         max_epochs=2000,
         seed=0,
     )
-    ((_, records),) = fnn_train(lat, None, [1], cfg)
+    ((_, records),) = fnn_train(lat, no_stim(len(lat)), [1], cfg)
     _, _, best_mse = best_grid_cell(records)
     assert best_mse < 1e-3
 
 
 def test_training_is_deterministic(zero_target_fit):
     coords, cfg, model, records = zero_target_fit
-    ((again, records2),) = fnn_train(coords, None, [2], cfg)
+    ((again, records2),) = fnn_train(coords, no_stim(len(coords)), [2], cfg)
     assert np.array_equal(again.w1, model.w1)
     assert np.array_equal(again.b1, model.b1)
     assert np.array_equal(again.w_out, model.w_out)
@@ -291,7 +297,7 @@ def test_all_targets_train_as_their_one_target_calls(n, d, p, column_major, tol,
     coords = rng.normal(size=(n, d))
     if column_major:
         coords = np.asfortranarray(coords)
-    stim = rng.integers(0, 2, size=(n, p)).astype(float) if p else None
+    stim = rng.integers(0, 2, size=(n, p)).astype(float)
     cfg = TrainConfig(**SMALL_GRID, max_epochs=30, tol=tol, seed=seed % 7)
     assert_targets_train_as_alone(coords, stim, cfg)
 
@@ -307,7 +313,7 @@ def test_final_retrains_of_different_hidden_sizes_train_as_alone(monkeypatch):
     coords = mixed_winner_coords()
     cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
     stacks = stack_spy(monkeypatch)
-    together = assert_targets_train_as_alone(coords, None, cfg)
+    together = assert_targets_train_as_alone(coords, no_stim(len(coords)), cfg)
     assert [best_grid_cell(r)[0] for _, r in together] == [3, 3, 1]
     # the one pass over all targets ends with its final retrains, one stack per hidden size
     cv_stacks = 2 * 2   # two hidden sizes x two training-row counts (39 and 40)
@@ -318,7 +324,7 @@ def test_byte_budget_splits_stacks_and_changes_no_bit(monkeypatch):
     coords = mixed_winner_coords()
     cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
     stacks = stack_spy(monkeypatch)
-    whole = fnn_train(coords, None, [1, 2, 3], cfg)
+    whole = fnn_train(coords, no_stim(len(coords)), [1, 2, 3], cfg)
     # 59 pairs in 3 folds train on 39, 39 and 40 rows: 3 targets x 2 decays x
     # 2 repeats x 2 folds share each hidden size and 39 rows
     assert max(b for _, b in stacks) == 24
@@ -326,7 +332,7 @@ def test_byte_budget_splits_stacks_and_changes_no_bit(monkeypatch):
     # room for four float32 CV fits of 39 or 40 rows x 3 hidden units, or
     # twelve of 39 or 40 x 1
     monkeypatch.setattr(rom_fnn, "STACK_BYTES", 8 * 40 * 3 * 2)
-    split = fnn_train(coords, None, [1, 2, 3], cfg)
+    split = fnn_train(coords, no_stim(len(coords)), [1, 2, 3], cfg)
     assert max(b for h, b in stacks if h == 3) == 4
     assert max(b for h, b in stacks if h == 1) == 12
     for (m_whole, r_whole), (m_split, r_split) in zip(whole, split):
@@ -369,9 +375,9 @@ def test_float32_cv_records_keep_the_float64_winners(monkeypatch):
     # float64 recomputation than the float64 winner is to the runner-up
     coords = mixed_winner_coords()
     cfg = TrainConfig(**SMALL_GRID, max_epochs=200)
-    cv32 = fnn_train(coords, None, [1, 2, 3], cfg)
+    cv32 = fnn_train(coords, no_stim(len(coords)), [1, 2, 3], cfg)
     monkeypatch.setattr(rom_fnn, "CV_DTYPE", np.float64)
-    cv64 = fnn_train(coords, None, [1, 2, 3], cfg)
+    cv64 = fnn_train(coords, no_stim(len(coords)), [1, 2, 3], cfg)
     for (m32, r32), (m64, r64) in zip(cv32, cv64, strict=True):
         cells = {}
         for r in r64:
@@ -396,7 +402,7 @@ def train_on_cpus(monkeypatch, cpus, coords, cfg):
 
     monkeypatch.setattr(rom_fnn, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(rom_fnn.os, "sched_getaffinity", lambda pid: set(cpus))
-    return fnn_train(coords, None, [1, 2, 3], cfg), workers
+    return fnn_train(coords, no_stim(len(coords)), [1, 2, 3], cfg), workers
 
 
 def test_worker_count_changes_no_bit(monkeypatch):
@@ -435,7 +441,8 @@ def test_final_fit_uses_the_inputs_in_their_own_layout():
     # column-major input and its row-major copy give the same bits
     coords = np.asfortranarray(mixed_winner_coords())
     cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
-    for j, (model, records) in enumerate(fnn_train(coords, None, [1, 2, 3], cfg), start=1):
+    trained = fnn_train(coords, no_stim(len(coords)), [1, 2, 3], cfg)
+    for j, (model, records) in enumerate(trained, start=1):
         hidden, decay, _ = best_grid_cell(records)
         gi = [(h, lam) for h in cfg.hidden_sizes for lam in cfg.decay_values].index((hidden, decay))
         for z in (coords[:-1], np.ascontiguousarray(coords[:-1])):
@@ -591,7 +598,7 @@ def test_one_epoch_steps_along_fnn_gradient(n, dim, hidden, decay, seed):
     b1 = init.uniform(-0.5, 0.5, size=hidden)
     w_out = init.uniform(-0.5, 0.5, size=hidden)
     b_out = init.uniform(-0.5, 0.5)
-    grad = fnn_gradient(FnnModel(w1, b1, w_out, b_out, target_index=1), z, None, y, decay)
+    grad = fnn_gradient(FnnModel(w1, b1, w_out, b_out, target_index=1), z, no_stim(n), y, decay)
     want = (w1 - lr * grad["w1"], b1 - lr * grad["b1"], w_out - lr * grad["w_out"],
             b_out - lr * grad["b_out"])
     cfg = TrainConfig(max_epochs=1, learning_rate=lr, tol=0.0)
@@ -616,7 +623,7 @@ def test_divergence_marks_every_cv_fold_and_fails_without_warnings(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(RuntimeError, match="all hyperparameter grid cells diverged"):
-            fnn_train(coords, None, [1], cfg)
+            fnn_train(coords, no_stim(len(coords)), [1], cfg)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     (records,) = seen
     assert len(records) == 6
@@ -642,7 +649,7 @@ def test_overflowing_held_out_error_counts_as_diverged(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(RuntimeError, match="all hyperparameter grid cells diverged"):
-            fnn_train(coords, None, [1], cfg)
+            fnn_train(coords, no_stim(len(coords)), [1], cfg)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -655,7 +662,7 @@ def test_one_diverging_cell_is_skipped():
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ((model, records),) = fnn_train(coords, None, [1], cfg)
+        ((model, records),) = fnn_train(coords, no_stim(len(coords)), [1], cfg)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     by_decay = {lam: [r["mse"] for r in records if r["decay"] == lam] for lam in cfg.decay_values}
     assert all(math.isnan(m) for m in by_decay[100.0])
@@ -668,13 +675,13 @@ def test_train_validation():
     coords = np.random.default_rng(0).normal(size=(8, 2))
     cfg = TrainConfig(hidden_sizes=(2,), decay_values=(1e-4,), folds=3, repeats=1)
     with pytest.raises(ValueError, match="target_index must lie in 1..2, got 3"):
-        fnn_train(coords, None, [1, 3], cfg)
+        fnn_train(coords, no_stim(len(coords)), [1, 3], cfg)
     small = TrainConfig(hidden_sizes=(2,), decay_values=(1e-4,), folds=10, repeats=1)
     with pytest.raises(ValueError, match="folds"):
-        fnn_train(coords, None, [1], small)
+        fnn_train(coords, no_stim(len(coords)), [1], small)
     empty = TrainConfig(hidden_sizes=(), decay_values=(1e-4,), folds=3, repeats=1)
     with pytest.raises(ValueError, match="empty"):
-        fnn_train(coords, None, [1], empty)
+        fnn_train(coords, no_stim(len(coords)), [1], empty)
 
 
 def test_train_config_validation():
@@ -748,14 +755,14 @@ def constant_models(values):
 
 def test_zero_horizon_forecast_is_empty():
     models = constant_models([0.1, 0.2])
-    out = fnn_forecast(models, [0.1, 0.2], None, 0)
+    out = fnn_forecast(models, [0.1, 0.2], no_stim(0), 0)
     assert out.shape == (0, 2)
 
 
 def test_fixed_point_forecast_stays_at_init():
     init = [0.3, -1.2]
     models = constant_models(init)
-    out = fnn_forecast(models, init, None, 5)
+    out = fnn_forecast(models, init, no_stim(5), 5)
     assert np.array_equal(out, np.tile(init, (5, 1)))
 
 
@@ -771,8 +778,8 @@ def test_forecast_is_repeatable():
         )
         for j in (1, 2)
     ]
-    a = fnn_forecast(models, [0.1, 0.2], None, 10)
-    b = fnn_forecast(models, [0.1, 0.2], None, 10)
+    a = fnn_forecast(models, [0.1, 0.2], no_stim(10), 10)
+    b = fnn_forecast(models, [0.1, 0.2], no_stim(10), 10)
     assert np.array_equal(a, b)
 
 
@@ -792,9 +799,9 @@ def test_stacked_forecast_steps_every_model_as_fnn_forward():
 def test_forecast_validation():
     models = constant_models([0.1, 0.2])
     with pytest.raises(ValueError, match="one model per coordinate"):
-        fnn_forecast(models[:1] + models[:1], [0.1, 0.2], None, 3)
+        fnn_forecast(models[:1] + models[:1], [0.1, 0.2], no_stim(3), 3)
     with pytest.raises(ValueError, match="length"):
-        fnn_forecast(models, [0.1], None, 3)
+        fnn_forecast(models, [0.1], no_stim(3), 3)
     with pytest.raises(ValueError, match="stimulus"):
         fnn_forecast(models, [0.1, 0.2], np.zeros((2, 1)), 3)
     with pytest.raises(ValueError, match="input length 3 does not match model width 2"):
@@ -804,7 +811,7 @@ def test_forecast_validation():
 def test_forecast_reports_divergence_step():
     models = constant_models([0.1])
     with pytest.raises(RuntimeError, match="step 1"):
-        fnn_forecast(models, [float("nan")], None, 3)
+        fnn_forecast(models, [float("nan")], no_stim(3), 3)
 
 
 # --------------------------------------------------------------- persistence
@@ -864,9 +871,25 @@ def test_training_digest_follows_every_input():
     base = training_digest(cfg, coords, stim)
     assert training_digest(cfg, np.asfortranarray(coords), stim) == base
     assert training_digest(cfg, coords + 1e-12, stim) != base
-    assert training_digest(cfg, coords, None) != base
+    assert training_digest(cfg, coords, no_stim(6)) != base
     assert training_digest(cfg, coords, 2 * stim) != base
     assert training_digest(TrainConfig(seed=1), coords, stim) != base
+
+
+def test_bundles_of_runs_without_stimulus_keep_their_digest(tmp_path):
+    # the digest once hashed the config and the coordinates only when a run
+    # had no stimulus; an (n, 0) design adds no bytes, so those bundles load
+    n, h = 9, 4
+    coords = np.asfortranarray(np.random.default_rng(2).normal(size=(n, 2)))
+    cfg = TrainConfig(hidden_sizes=(3,), seed=4)
+    old = hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":")).encode())
+    old.update(np.ascontiguousarray(coords).tobytes())
+    assert training_digest(cfg, coords, no_stim(n)) == old.hexdigest()
+
+    models = [replace(random_model(30 + j, p=0), target_index=j) for j in (1, 2)]
+    save_fnn_models(models, [1e-3, 1e-3], tmp_path / "fnn.json", old.hexdigest())
+    got = rom_fnn.forecast_rom(tmp_path, coords, no_stim(n + h), h, cfg)
+    assert np.array_equal(got, fnn_forecast(models, coords[-1], no_stim(h), h))
 
 
 def test_cv_report_csv(tmp_path, zero_target_fit):
@@ -911,6 +934,6 @@ def test_rom_trains_in_unit_rms_units_and_pins_only_the_training_window(tmp_path
     assert np.array_equal(rom_fnn.forecast_rom(models_dir, coords, later, h, cfg), expected)
     earlier = design.copy()
     earlier[0] = 1.0 - earlier[0]
-    for stim in (earlier, None):
+    for stim in (earlier, no_stim(n + h)):
         with pytest.raises(ValueError, match="rerun train"):
             rom_fnn.forecast_rom(models_dir, coords, stim, h, cfg)
