@@ -29,6 +29,7 @@ import argparse
 import fcntl
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -78,7 +79,7 @@ class ParsimonySection:
         if self.d < 1:
             raise ValueError(f"parsimony.d must be >= 1, got {self.d!r}")
         fraction = self.scale_fraction
-        if not 0 < fraction <= sys.float_info.max:
+        if not fraction > 0:
             raise ValueError(f"parsimony.scale_fraction must be a positive number, got {fraction}")
 
 
@@ -169,20 +170,24 @@ _ITEM_KINDS = {"fnn.hidden_sizes": int, "fnn.decay_values": float, "glm.kernel":
 def _typed(kind, value, name: str):
     """The JSON value of an int, float or bool field, or a ValueError naming the field.
 
-    An int takes an integral number (300.0 too), a float any number, a bool only
-    true or false; a bool is not a number.
+    An int takes an integral number (300.0 too), a float any finite number, a
+    bool only true or false; a bool is not a number. JSON's NaN, Infinity and
+    literals past float range such as 1e400 parse to non-finite floats.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     fits = isinstance(value, bool) if kind is bool else number and (kind is float or value % 1 == 0)
     if not fits:
         raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     try:
-        return kind(value)
+        typed = kind(value)
     except OverflowError:   # an integer past the largest float
         digits = len(str(abs(value)))
         raise ValueError(
             f"{name} must be a number within float range, got an integer of {digits} digits"
         ) from None
+    if kind is float and not math.isfinite(typed):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return typed
 
 
 def _seed(value, name: str) -> int:

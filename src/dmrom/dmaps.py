@@ -210,9 +210,7 @@ def coords_for(E: DiffusionEmbedding, selected) -> np.ndarray:
     if np.any(sel < 1) or np.any(sel > E.k):
         raise ValueError(f"selected indices must lie in 1..{E.k}")
     lam = E.eigenvalues[sel] ** E.t
-    # row-major whatever the layout of the eigenvectors: FNN training sums
-    # the two layouts in different orders
-    return np.ascontiguousarray(E.eigenvectors[:, sel] * lam[None, :])
+    return E.eigenvectors[:, sel] * lam[None, :]
 
 
 def save_embedding(E: DiffusionEmbedding, directory, made_from: str) -> None:

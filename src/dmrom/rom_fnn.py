@@ -2,6 +2,10 @@
 
 Each embedding coordinate gets its own single-hidden-layer network mapping
 (current coordinates, current stimulus) to that coordinate one step ahead.
+A network is its input-to-hidden block u = [w1ᵀ | b1], one row of input
+weights and bias per hidden unit, which acts on the inputs with a ones
+column appended, and its output weights and bias; the trainer, the bundle
+and the forecast all hold u in that one layout.
 Hidden size and weight decay are chosen by grid search under repeated k-fold
 cross-validation over the one-step training pairs; the fits of all
 coordinates train together as stacked gradient descents in a hidden-major
@@ -29,7 +33,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,44 +44,43 @@ from . import artifacts
 class FnnModel:
     """One-step predictor for a single embedding coordinate.
 
-    Output is w_out . S(w1.T z + b1) + b_out with z the concatenated
-    (coordinates, stimulus) input and S the logistic function.
+    Output is w_out . S(u [z, 1]) + b_out with z the concatenated
+    (coordinates, stimulus) input, S the logistic function and
+    u = [w1ᵀ | b1] the input-to-hidden block: row k holds hidden unit k's
+    input weights w1ᵀ, then its bias b1. u is held C-ordered, the layout the
+    trainer computes in.
     """
 
-    w1: np.ndarray        # (d+p) x H input-to-hidden weights
-    b1: np.ndarray        # H hidden biases
+    u: np.ndarray         # H x (d+p+1) input-to-hidden weights and biases
     w_out: np.ndarray     # H hidden-to-output weights
     b_out: float
     target_index: int     # 1-based coordinate this model predicts
-    hidden_size: int = field(init=False)
 
     def __post_init__(self):
-        w1 = np.atleast_2d(np.asarray(self.w1, dtype=float))
-        b1 = np.asarray(self.b1, dtype=float).ravel()
+        u = np.array(self.u, dtype=float, ndmin=2, order="C")
         w_out = np.asarray(self.w_out, dtype=float).ravel()
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "u", u)
         object.__setattr__(self, "w_out", w_out)
         object.__setattr__(self, "b_out", float(self.b_out))
-        h = w1.shape[1]
-        if h < 1:
+        if len(u) < 1:
             raise ValueError("hidden layer must have at least one unit")
-        if b1.shape != (h,) or w_out.shape != (h,):
-            raise ValueError(
-                f"inconsistent parameter shapes: w1 {w1.shape}, b1 {b1.shape}, w_out {w_out.shape}"
-            )
-        for name, arr in (("w1", w1), ("b1", b1), ("w_out", w_out)):
+        if u.ndim != 2 or u.shape[1] < 2 or w_out.shape != (len(u),):
+            raise ValueError(f"inconsistent parameter shapes: u {u.shape}, w_out {w_out.shape}")
+        for name, arr in (("u", u), ("w_out", w_out)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in {name}")
         if not np.isfinite(self.b_out):
             raise ValueError("non-finite output bias")
         if self.target_index < 1:
             raise ValueError(f"target_index must be >= 1, got {self.target_index}")
-        object.__setattr__(self, "hidden_size", h)
+
+    @property
+    def hidden_size(self) -> int:
+        return self.u.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.w1.shape[0]
+        return self.u.shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,9 @@ class TrainConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
+        for name in ("hidden_sizes", "decay_values"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden sizes must be positive")
         if any(v <= 0 for v in self.decay_values):
@@ -136,9 +142,9 @@ def _sigmoid_of_negated(x):
         return np.divide(1.0, x, out=x)
 
 
-def _forward_batch(w1, b1, w_out, b_out, z):
-    s = _sigmoid(z @ w1 + b1)
-    return s @ w_out + b_out, s
+def _forward(u, w_out, b_out, z1):
+    """Outputs of the network (u, w_out, b_out) on the rows of `z1`, inputs with a ones column."""
+    return _sigmoid(z1 @ u.T) @ w_out + b_out
 
 
 def fnn_forward(model: FnnModel, psi, stim=()) -> float:
@@ -146,27 +152,23 @@ def fnn_forward(model: FnnModel, psi, stim=()) -> float:
     z = np.concatenate([np.ravel(psi), np.ravel(stim)]).astype(float)
     if z.shape[0] != model.input_dim:
         raise ValueError(f"input length {z.shape[0]} does not match model width {model.input_dim}")
-    out, _ = _forward_batch(model.w1, model.b1, model.w_out, model.b_out, z[None, :])
-    return float(out[0])
+    return float(_forward(model.u, model.w_out, model.b_out, _append_ones(z[None, :]))[0])
 
 
 def fnn_loss(model: FnnModel, psi, stim, targets, decay: float = 0.0) -> float:
     """Mean squared error plus decay times the squared norm of all parameters."""
-    z = _stack_inputs(psi, stim)
     y = np.asarray(targets, dtype=float).ravel()
-    out, _ = _forward_batch(model.w1, model.b1, model.w_out, model.b_out, z)
-    penalty = (
-        np.sum(model.w1**2) + np.sum(model.b1**2) + np.sum(model.w_out**2) + model.b_out**2
-    )
+    out = _forward(model.u, model.w_out, model.b_out, _append_ones(_stack_inputs(psi, stim)))
+    penalty = np.sum(model.u**2) + np.sum(model.w_out**2) + model.b_out**2
     return float(np.mean((out - y) ** 2) + decay * penalty)
 
 
 def fnn_gradient(model: FnnModel, psi, stim, targets, decay: float = 0.0) -> dict:
-    """Exact gradients of `fnn_loss` with respect to every parameter.
+    """Exact gradients of `fnn_loss` with respect to u, w_out and b_out.
 
     Computed in the trainer's arithmetic, so that one training epoch steps by
-    exactly this gradient: hidden-major, with b1 held as a last column of w1
-    against a ones column of the inputs.
+    exactly this gradient: hidden-major, with u against a ones column of the
+    inputs.
     """
     z = _stack_inputs(psi, stim)
     y = np.asarray(targets, dtype=float).ravel()
@@ -174,17 +176,12 @@ def fnn_gradient(model: FnnModel, psi, stim, targets, decay: float = 0.0) -> dic
         raise ValueError("empty batch")
     if z.shape[0] != y.shape[0]:
         raise ValueError(f"batch size mismatch: {z.shape[0]} inputs, {y.shape[0]} targets")
-    dim = z.shape[1]
-    z = _append_ones(z)
-    # C-ordered as the trainer holds it: BLAS may sum another layout in another order
-    u = np.ascontiguousarray(np.column_stack([model.w1.T, model.b1]))
-    s = _sigmoid(u @ z.T)
+    z1 = _append_ones(z)
+    s = _sigmoid(model.u @ z1.T)
     go = 2.0 * (model.w_out @ s + model.b_out - y) / y.shape[0]
     da = (go[None, :] * model.w_out[:, None]) * s * (1.0 - s)
-    grad_u = da @ z + 2.0 * decay * u
     return {
-        "w1": grad_u[:, :dim].T,
-        "b1": grad_u[:, dim],
+        "u": da @ z1 + 2.0 * decay * model.u,
         "w_out": s @ go + 2.0 * decay * model.w_out,
         "b_out": float(go.sum() + 2.0 * decay * model.b_out),
     }
@@ -236,19 +233,19 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     stopped fits leave the stack.
 
     The epoch runs hidden-major, with (b, H, n) activations. The inputs get
-    a ones column, and w1 and b1 are held negated as one block
-    v = -[w1 | b1] of shape (b, H, dim+1). So v @ [z | 1].T is minus the
+    a ones column, and each fit's u = [w1ᵀ | b1] is held negated as
+    v = -u of shape (b, H, dim+1). So v @ [z | 1].T is minus the
     pre-activation, whose exp the logistic function takes directly, and b1's
     gradient is the last column of the input gradient. The step forms
     ((go * w_out) * s) * (s - 1), which is exactly -da, and takes
-    v -= lr (-da @ [z | 1] + 2 decay v): the plain update of [w1 | b1] with
-    its sign flipped, bit for bit. Each slice's arithmetic is that of a
+    v -= lr (-da @ [z | 1] + 2 decay v): the plain update of u with its
+    sign flipped, bit for bit. Each slice's arithmetic is that of a
     lone fit, bit for bit: a stacked `@` is one BLAS call per slice,
     elementwise expressions keep one operand order, and every reduction
     runs per slice along the fit's own axis.
 
-    Returns w1 (b, dim, H), b1 (b, H), w_out (b, H), b_out (b,) and each
-    fit's last finite loss, which is non-finite for a diverged fit, all in
+    Returns u = -v (b, H, dim+1), w_out (b, H), b_out (b,) and each fit's
+    last finite loss, which is non-finite for a diverged fit, all in
     the stack's dtype.
     """
     b, n, dim = z.shape
@@ -328,7 +325,7 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
             for out, p in zip(result, (v, w_out, b_out, prev)):
                 out[live] = p
     v, w_out, b_out, last = result
-    return -v[:, :, :dim].transpose(0, 2, 1), -v[:, :, dim], w_out[:, :, 0], b_out[:, 0], last
+    return -v, w_out[:, :, 0], b_out[:, 0], last
 
 
 def _fit_rng(*key):
@@ -347,8 +344,7 @@ def _train_fits(fits, cfg: TrainConfig):
     release the GIL, and a stack's bits do not depend on which thread trains
     it or when, so the results are the same at any worker count. An
     exception in a stack re-raises here and cancels the stacks not yet
-    started. Returns, per fit, its w1, b1, w_out, b_out and last loss, in
-    float64.
+    started. Returns, per fit, its u, w_out, b_out and last loss, in float64.
     """
     groups = {}
     for k, (hidden, _, _, z, _) in enumerate(fits):
@@ -416,9 +412,8 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
             f"need at least folds+1 = {cfg.folds + 1} training rows, got {n}"
         )
     grid = [(h, lam) for h in cfg.hidden_sizes for lam in cfg.decay_values]
-    if not grid:
-        raise ValueError("empty hyperparameter grid")
     z_all = _stack_inputs(coords[:-1], np.asarray(stim)[:-1])
+    z1_all = _append_ones(z_all)
     y_all = coords[1:]
     n_pairs = n - 1
 
@@ -445,7 +440,7 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
         if np.isfinite(loss):
             # weights that overflow on the held-out rows count as diverged
             with np.errstate(over="ignore", invalid="ignore"):
-                pred, _ = _forward_batch(*params, z_all[val_idx])
+                pred = _forward(*params, z1_all[val_idx])
                 err = float(np.mean((pred - y_all[val_idx, t - 1]) ** 2))
             if np.isfinite(err):
                 mse = err
@@ -475,10 +470,7 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
     ):
         if not np.isfinite(loss):
             raise RuntimeError(f"final retraining diverged for hidden={hidden}, decay={lam}")
-        w1, b1, w_out, b_out = params
-        results.append(
-            (FnnModel(w1=w1, b1=b1, w_out=w_out, b_out=b_out, target_index=t), target_records)
-        )
+        results.append((FnnModel(*params, target_index=t), target_records))
     if cv_error is not None:
         raise cv_error
     return results
@@ -524,22 +516,20 @@ def fnn_forecast(models, init, stim_seq, h: int) -> np.ndarray:
     for model in models:
         if model.input_dim != width:
             raise ValueError(f"input length {width} does not match model width {model.input_dim}")
-    # the d networks as one layer of all their hidden units; model j's output
-    # is the sum of its own units' segment of w_out * S(w1 z + b1)
-    w1 = np.concatenate([m.w1.T for m in models])
-    b1 = np.concatenate([m.b1 for m in models])
+    # the d networks as one layer of all their hidden units against the state
+    # z = [coordinates, stimulus, 1]; model j's output is the sum of its own
+    # units' segment of w_out * S(u z)
+    u = np.concatenate([m.u for m in models])
     w_out = np.concatenate([m.w_out for m in models])
     b_out = np.array([m.b_out for m in models])
     starts = np.cumsum([0] + [m.hidden_size for m in models[:-1]])
     out = np.empty((h, d))
-    z = np.empty(width)
-    act = np.empty(len(b1))
+    z = np.ones(width + 1)
+    act = np.empty(len(u))
     z[:d] = init
     for s in range(h):
-        z[d:] = stim_seq[s]
-        np.matmul(w1, z, out=act)
-        np.add(act, b1, out=act)
-        np.multiply(_sigmoid(act), w_out, out=act)
+        z[d:width] = stim_seq[s]
+        np.multiply(_sigmoid(np.matmul(u, z, out=act)), w_out, out=act)
         np.add(np.add.reduceat(act, starts), b_out, out=out[s])
         if not np.all(np.isfinite(out[s])):
             raise RuntimeError(f"forecast diverged (non-finite state) at step {s + 1}")
@@ -556,7 +546,7 @@ def training_digest(cfg: TrainConfig, train_coords, stim) -> str:
     return h.hexdigest()
 
 
-_MODEL_KEYS = ("w1", "b1", "w_out", "b_out", "target_index")
+_MODEL_KEYS = ("u", "w_out", "b_out", "target_index")
 
 
 def save_fnn_models(models, decays, path, trained_on: str) -> None:
@@ -572,8 +562,9 @@ def save_fnn_models(models, decays, path, trained_on: str) -> None:
 def load_fnn_models(path, trained_on: str) -> list:
     """The models of a `save_fnn_models` bundle whose digest is `trained_on`.
 
-    Another digest, or an entry that is not a model, raises ValueError naming
-    the path (and `models[i]`).
+    Another digest, or an entry that is not a model (one without u
+    included), raises ValueError naming the path (and `models[i]`) and
+    saying to rerun train.
     """
     doc = artifacts.read_json(path, "model file", ("models", "trained_on"))
     if doc["trained_on"] != trained_on:
@@ -591,7 +582,9 @@ def load_fnn_models(path, trained_on: str) -> list:
                 raise ValueError(f"missing {missing[0]!r}")
             models.append(FnnModel(**{key: entry[key] for key in _MODEL_KEYS}))
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"corrupt model file {path}: models[{i}]: {exc}") from None
+            raise ValueError(
+                f"corrupt model file {path}: models[{i}]: {exc}; rerun train"
+            ) from None
     return models
 
 

@@ -69,17 +69,14 @@ def fd_gradient(model, coords, stim, targets, decay, h: float = 1e-5) -> dict:
     """
     from dmrom.rom_fnn import FnnModel, fnn_loss
 
-    base = {"w1": model.w1, "b1": model.b1, "w_out": model.w_out, "b_out": model.b_out}
+    base = {"u": model.u, "w_out": model.w_out, "b_out": model.b_out}
 
     def loss_with(p):
-        m = FnnModel(
-            w1=p["w1"], b1=p["b1"], w_out=p["w_out"], b_out=p["b_out"],
-            target_index=model.target_index,
-        )
+        m = FnnModel(u=p["u"], w_out=p["w_out"], b_out=p["b_out"], target_index=model.target_index)
         return fnn_loss(m, coords, stim, targets, decay)
 
     out = {}
-    for name in ("w1", "b1", "w_out"):
+    for name in ("u", "w_out"):
         g = np.zeros_like(base[name])
         for idx in np.ndindex(base[name].shape):
             p = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in base.items()}
@@ -101,7 +98,7 @@ def fd_gradient(model, coords, stim, targets, decay, h: float = 1e-5) -> dict:
 def gradient_rel_error(analytic: dict, reference: dict) -> float:
     """Worst relative disagreement between two gradient dictionaries."""
     worst = 0.0
-    for name in ("w1", "b1", "w_out", "b_out"):
+    for name in ("u", "w_out", "b_out"):
         a = np.asarray(analytic[name], dtype=float)
         f = np.asarray(reference[name], dtype=float)
         worst = max(worst, float(np.max(np.abs(a - f) / np.maximum(np.abs(f), 1e-6))))

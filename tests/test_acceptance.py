@@ -148,8 +148,7 @@ def test_criterion_5_fnn_gradient_check():
             n = int(rng.integers(3, 12))
             s = int(rng.integers(0, 3))
             model = FnnModel(
-                w1=rng.normal(size=(d + s, hidden)),
-                b1=rng.normal(size=hidden),
+                u=rng.normal(size=(hidden, d + s + 1)),
                 w_out=rng.normal(size=hidden),
                 b_out=float(rng.normal()),
                 target_index=1,

@@ -254,7 +254,23 @@ def test_corrupt_bundle_names_the_file(pipeline_run, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "[rom_fnn]" in err
-    assert "models/fnn.json: models[1]: missing 'w1'" in err
+    assert "models/fnn.json: models[1]: missing 'u'; rerun train" in err
+
+
+def test_bundle_with_w1_and_b1_apart_is_refused(pipeline_run, tmp_path, capsys):
+    # the same networks with the input weights and hidden biases held apart,
+    # under the digest the current config and embedding give
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
+    bundle = tmp_path / "clone" / "models" / "fnn.json"
+    doc = json.loads(bundle.read_text())
+    for entry in doc["models"]:
+        u = np.array(entry.pop("u"))
+        entry["w1"], entry["b1"] = u[:, :-1].T.tolist(), u[:, -1].tolist()
+    bundle.write_text(json.dumps(doc))
+    assert main(["forecast", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [rom_fnn]")
+    assert "models/fnn.json: models[0]: missing 'u'; rerun train" in err
 
 
 @pytest.mark.parametrize(

@@ -211,9 +211,9 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"parsimony": {"scale_fraction": -0.5}},
          "parsimony.scale_fraction must be a positive number, got -0.5"),
         ({"parsimony": {"scale_fraction": float("inf")}},
-         "parsimony.scale_fraction must be a positive number, got inf"),
+         "parsimony.scale_fraction must be a finite number, got inf"),
         ({"parsimony": {"scale_fraction": float("nan")}},
-         "parsimony.scale_fraction must be a positive number, got nan"),
+         "parsimony.scale_fraction must be a finite number, got nan"),
         ({"dmaps": {"alpha": 10**400}},
          "dmaps.alpha must be a number within float range, got an integer of 401 digits"),
         ({"gh": {"eig_floor": -(10**400)}},
@@ -229,6 +229,11 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"synth": {"seed": -7}}, "synth.seed must be >= 0, got -7"),
         ({"seed": -1, "fnn": {"seed": 3}}, "seed must be >= 0, got -1"),
         ({"fnn": {"seed": 2.5}}, "fnn.seed must be an integer, got 2.5"),
+        ({"fnn": {"hidden_sizes": []}}, "hidden_sizes must not be empty"),
+        ({"fnn": {"decay_values": []}}, "decay_values must not be empty"),
+        ({"glm": {"kernel": [0.5, float("nan")]}}, "glm.kernel item must be a finite number, got nan"),
+        ({"glm": {"contrasts": {"c": [1, float("inf")]}}},
+         "glm.contrasts.c item must be a finite number, got inf"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):
@@ -261,6 +266,14 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, doc):
          "dmaps.alpha must be a number within float range, got an integer of 401 digits"),
         ({"seed": -1}, [], "seed must be >= 0, got -1"),
         ({"seed": 3}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+        # json writes these as Infinity and NaN; a literal past float range,
+        # such as 1e400, parses to inf as well
+        ({"fnn": {"learning_rate": float("inf")}}, [],
+         "fnn.learning_rate must be a finite number, got inf"),
+        ({"fnn": {"decay_values": [float("nan")]}}, [],
+         "fnn.decay_values item must be a finite number, got nan"),
+        ({"synth": {"noise": float("nan")}}, [], "synth.noise must be a finite number, got nan"),
+        ({"fnn": {"tol": float("nan")}}, [], "fnn.tol must be a finite number, got nan"),
     ],
 )
 def test_out_of_range_numbers_exit_2_naming_the_field(tmp_path, capsys, doc, args, message):

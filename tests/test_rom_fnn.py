@@ -42,8 +42,7 @@ from dmrom.rom_fnn import (
 def random_model(seed, d=2, p=1, hidden=3):
     rng = np.random.default_rng(seed)
     return FnnModel(
-        w1=rng.normal(size=(d + p, hidden)),
-        b1=rng.normal(size=hidden),
+        u=rng.normal(size=(hidden, d + p + 1)),
         w_out=rng.normal(size=hidden),
         b_out=float(rng.normal()),
         target_index=1,
@@ -59,16 +58,12 @@ def no_stim(n):
 
 
 def test_zero_network_outputs_bias():
-    model = FnnModel(
-        w1=np.zeros((2, 3)), b1=np.zeros(3), w_out=np.zeros(3), b_out=0.7, target_index=1
-    )
+    model = FnnModel(u=np.zeros((3, 3)), w_out=np.zeros(3), b_out=0.7, target_index=1)
     assert fnn_forward(model, [0.3, -0.1]) == 0.7
 
 
 def test_single_unit_at_logistic_midpoint():
-    model = FnnModel(
-        w1=np.zeros((2, 1)), b1=np.zeros(1), w_out=np.array([2.0]), b_out=0.0, target_index=1
-    )
+    model = FnnModel(u=np.zeros((1, 3)), w_out=np.array([2.0]), b_out=0.0, target_index=1)
     # S(0) = 0.5, so the output is 2 * 0.5
     assert fnn_forward(model, [5.0, -3.0]) == 1.0
 
@@ -80,9 +75,9 @@ def test_forward_matches_hand_rolled_oracle():
     z = [0.3, -0.8, 1.5]
     out = model.b_out
     for k in range(3):
-        a = model.b1[k]
+        a = model.u[k, 3]   # the bias column
         for i in range(3):
-            a += z[i] * model.w1[i, k]
+            a += z[i] * model.u[k, i]
         out += model.w_out[k] / (1.0 + math.exp(-a))
     assert fnn_forward(model, psi, stim) == pytest.approx(out, abs=1e-12)
 
@@ -95,13 +90,18 @@ def test_forward_rejects_wrong_width():
 
 def test_model_validation():
     with pytest.raises(ValueError, match="at least one"):
-        FnnModel(np.zeros((2, 0)), np.zeros(0), np.zeros(0), 0.0, 1)
-    with pytest.raises(ValueError, match="shapes"):
-        FnnModel(np.zeros((2, 3)), np.zeros(2), np.zeros(3), 0.0, 1)
-    with pytest.raises(ValueError, match="non-finite"):
-        FnnModel(np.full((2, 3), np.inf), np.zeros(3), np.zeros(3), 0.0, 1)
+        FnnModel(np.zeros((0, 3)), np.zeros(0), 0.0, 1)
+    with pytest.raises(ValueError, match=r"shapes: u \(3, 3\), w_out \(2,\)"):
+        FnnModel(np.zeros((3, 3)), np.zeros(2), 0.0, 1)
+    with pytest.raises(ValueError, match=r"shapes: u \(3, 1\)"):
+        FnnModel(np.zeros((3, 1)), np.zeros(3), 0.0, 1)   # no bias column
+    with pytest.raises(ValueError, match="non-finite values in u"):
+        FnnModel(np.full((3, 3), np.inf), np.zeros(3), 0.0, 1)
     with pytest.raises(ValueError, match="target_index"):
-        FnnModel(np.zeros((2, 3)), np.zeros(3), np.zeros(3), 0.0, 0)
+        FnnModel(np.zeros((3, 3)), np.zeros(3), 0.0, 0)
+    model = FnnModel(np.asfortranarray(np.ones((4, 3))), np.zeros(4), 0.0, 1)
+    assert (model.hidden_size, model.input_dim) == (4, 2)
+    assert model.u.flags.c_contiguous
 
 
 def test_sigmoid_is_within_three_ulp_of_expit_and_silent_on_overflow():
@@ -138,8 +138,7 @@ def zero_residual_batch(seed=0):
     # w_out = 0 makes the output equal b_out regardless of the hidden layer
     rng = np.random.default_rng(seed)
     model = FnnModel(
-        w1=rng.normal(size=(2, 3)),
-        b1=rng.normal(size=3),
+        u=rng.normal(size=(3, 3)),
         w_out=np.zeros(3),
         b_out=0.4,
         target_index=1,
@@ -152,8 +151,7 @@ def zero_residual_batch(seed=0):
 def test_zero_residual_no_decay_zero_gradients():
     model, coords, targets = zero_residual_batch()
     g = fnn_gradient(model, coords, no_stim(6), targets, decay=0.0)
-    assert np.max(np.abs(g["w1"])) == 0.0
-    assert np.max(np.abs(g["b1"])) == 0.0
+    assert np.max(np.abs(g["u"])) == 0.0
     assert np.max(np.abs(g["w_out"])) == 0.0
     assert g["b_out"] == 0.0
 
@@ -162,8 +160,7 @@ def test_zero_residual_decay_gradient_is_decay_term():
     model, coords, targets = zero_residual_batch()
     lam = 0.05
     g = fnn_gradient(model, coords, no_stim(6), targets, decay=lam)
-    assert np.allclose(g["w1"], 2.0 * lam * model.w1, atol=1e-15)
-    assert np.allclose(g["b1"], 2.0 * lam * model.b1, atol=1e-15)
+    assert np.allclose(g["u"], 2.0 * lam * model.u, atol=1e-15)
     assert np.max(np.abs(g["w_out"])) == 0.0
     assert g["b_out"] == pytest.approx(2.0 * lam * 0.4, abs=1e-15)
 
@@ -236,8 +233,7 @@ def test_linear_latent_dynamics_cv_mse():
 def test_training_is_deterministic(zero_target_fit):
     coords, cfg, model, records = zero_target_fit
     ((again, records2),) = fnn_train(coords, no_stim(len(coords)), [2], cfg)
-    assert np.array_equal(again.w1, model.w1)
-    assert np.array_equal(again.b1, model.b1)
+    assert np.array_equal(again.u, model.u)
     assert np.array_equal(again.w_out, model.w_out)
     assert again.b_out == model.b_out
     assert records2 == records
@@ -245,7 +241,7 @@ def test_training_is_deterministic(zero_target_fit):
 
 def assert_same_model(a, b):
     assert a.target_index == b.target_index
-    for name in ("w1", "b1", "w_out"):
+    for name in ("u", "w_out"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.b_out == b.b_out
 
@@ -446,21 +442,21 @@ def test_final_fit_uses_the_inputs_in_their_own_layout():
         hidden, decay, _ = best_grid_cell(records)
         gi = [(h, lam) for h in cfg.hidden_sizes for lam in cfg.decay_values].index((hidden, decay))
         for z in (coords[:-1], np.ascontiguousarray(coords[:-1])):
-            w1, b1, w_out, b_out, _ = _train_stack(
+            u, w_out, b_out, _ = _train_stack(
                 z[None], coords[1:, j - 1][None], hidden, [decay],
                 [np.random.default_rng(np.random.SeedSequence((cfg.seed, j, gi, 999999)))], cfg,
             )
-            assert_same_model(model, FnnModel(w1[0], b1[0], w_out[0], b_out[0], target_index=j))
+            assert_same_model(model, FnnModel(u[0], w_out[0], b_out[0], target_index=j))
 
 
 def reference_fit(z, y, hidden, decay, rng, learning_rate, epochs, tol):
     """One fit by the plain per-fit update rule, for comparison with a stack.
 
     Computes in the dtype of `z` and `y`, in the trainer's hidden-major form:
-    w1 and b1 are held negated as v = -[w1 | b1] of shape (hidden, dim+1)
+    u = [w1ᵀ | b1] is held negated as v = -u of shape (hidden, dim+1)
     against inputs with a ones column, so that v @ [z | 1].T is minus the
     pre-activation, and the step is v -= lr (-da @ [z | 1] + 2 decay v).
-    Returns the parameters (w1 as (dim, hidden)), the last finite loss (the
+    Returns the parameters (u, w_out, b_out), the last finite loss (the
     non-finite one on divergence) and the number of update steps taken.
     """
     dtype = z.dtype
@@ -476,7 +472,7 @@ def reference_fit(z, y, hidden, decay, rng, learning_rate, epochs, tol):
     prev = dtype.type(np.inf)
 
     def params():
-        return -v[:, :dim].T, -v[:, dim], w_out, b_out
+        return -v, w_out, b_out
 
     for step in range(epochs):
         with np.errstate(over="ignore"):
@@ -598,9 +594,9 @@ def test_one_epoch_steps_along_fnn_gradient(n, dim, hidden, decay, seed):
     b1 = init.uniform(-0.5, 0.5, size=hidden)
     w_out = init.uniform(-0.5, 0.5, size=hidden)
     b_out = init.uniform(-0.5, 0.5)
-    grad = fnn_gradient(FnnModel(w1, b1, w_out, b_out, target_index=1), z, no_stim(n), y, decay)
-    want = (w1 - lr * grad["w1"], b1 - lr * grad["b1"], w_out - lr * grad["w_out"],
-            b_out - lr * grad["b_out"])
+    u = np.column_stack([w1.T, b1])
+    grad = fnn_gradient(FnnModel(u, w_out, b_out, target_index=1), z, no_stim(n), y, decay)
+    want = (u - lr * grad["u"], w_out - lr * grad["w_out"], b_out - lr * grad["b_out"])
     cfg = TrainConfig(max_epochs=1, learning_rate=lr, tol=0.0)
     got = _train_stack(z[None], y[None], hidden, [decay], [np.random.default_rng(seed + 1)], cfg)
     for g, w in zip(got, want):
@@ -636,8 +632,7 @@ def test_overflowing_held_out_error_counts_as_diverged(monkeypatch):
     def huge_fits(z, y, hidden, decays, rngs, cfg):
         b, _, dim = z.shape
         return (
-            np.zeros((b, dim, hidden)),
-            np.full((b, hidden), 10.0),
+            np.zeros((b, hidden, dim + 1)),
             np.full((b, hidden), 1e200),
             np.zeros(b),
             np.ones(b),
@@ -668,7 +663,7 @@ def test_one_diverging_cell_is_skipped():
     assert all(math.isnan(m) for m in by_decay[100.0])
     assert all(math.isfinite(m) for m in by_decay[1e-4])
     assert best_grid_cell(records)[:2] == (2, 1e-4)
-    assert np.all(np.isfinite(model.w1))
+    assert np.all(np.isfinite(model.u))
 
 
 def test_train_validation():
@@ -679,14 +674,15 @@ def test_train_validation():
     small = TrainConfig(hidden_sizes=(2,), decay_values=(1e-4,), folds=10, repeats=1)
     with pytest.raises(ValueError, match="folds"):
         fnn_train(coords, no_stim(len(coords)), [1], small)
-    empty = TrainConfig(hidden_sizes=(), decay_values=(1e-4,), folds=3, repeats=1)
-    with pytest.raises(ValueError, match="empty"):
-        fnn_train(coords, no_stim(len(coords)), [1], empty)
 
 
 def test_train_config_validation():
     with pytest.raises(ValueError, match="hidden"):
         TrainConfig(hidden_sizes=(0,))
+    with pytest.raises(ValueError, match="^hidden_sizes must not be empty$"):
+        TrainConfig(hidden_sizes=())
+    with pytest.raises(ValueError, match="^decay_values must not be empty$"):
+        TrainConfig(decay_values=())
     with pytest.raises(ValueError, match="decay"):
         TrainConfig(decay_values=(0.0,))
     with pytest.raises(ValueError, match="folds"):
@@ -743,8 +739,7 @@ def test_cv_partitions_cover_exactly_once(n, folds, repeats, seed):
 def constant_models(values):
     return [
         FnnModel(
-            w1=np.zeros((len(values), 1)),
-            b1=np.zeros(1),
+            u=np.zeros((1, len(values) + 1)),
             w_out=np.zeros(1),
             b_out=float(v),
             target_index=j + 1,
@@ -770,8 +765,7 @@ def test_forecast_is_repeatable():
     rng = np.random.default_rng(7)
     models = [
         FnnModel(
-            w1=rng.normal(size=(2, 4)),
-            b1=rng.normal(size=4),
+            u=rng.normal(size=(4, 3)),
             w_out=rng.normal(size=4),
             b_out=float(rng.normal()),
             target_index=j,
@@ -829,8 +823,7 @@ def test_model_roundtrip(tmp_path):
     back = load_fnn_models(path, "abc")
     assert [m.hidden_size for m in back] == [3, 5]
     for model, loaded in zip(models, back):
-        assert np.array_equal(loaded.w1, model.w1)
-        assert np.array_equal(loaded.b1, model.b1)
+        assert np.array_equal(loaded.u, model.u)
         assert np.array_equal(loaded.w_out, model.w_out)
         assert loaded.b_out == model.b_out
         assert loaded.target_index == model.target_index
@@ -853,8 +846,8 @@ def test_model_load_rejects_missing_field(tmp_path):
         load_fnn_models(path, "abc")
 
 
-@pytest.mark.parametrize("entry", [[1.0], {"w1": [[0.0, 1.0]], "b1": [0.0], "w_out": [1.0],
-                                          "b_out": 0.0, "target_index": 1}])
+@pytest.mark.parametrize("entry", [[1.0], {"u": [[0.0, 1.0]], "w_out": [1.0, 2.0], "b_out": 0.0,
+                                          "target_index": 1}])
 def test_model_load_names_a_corrupt_entry(tmp_path, entry):
     _, path = random_bundle(tmp_path)
     doc = json.loads(path.read_text())
@@ -923,7 +916,7 @@ def test_rom_trains_in_unit_rms_units_and_pins_only_the_training_window(tmp_path
     assert cells == [best_grid_cell(records) for _, records in reference]
     digest = training_digest(cfg, coords, design[:n])
     for model, (ref, _) in zip(load_fnn_models(models_dir / "fnn.json", digest), reference):
-        for key in ("w1", "b1", "w_out", "b_out"):
+        for key in ("u", "w_out", "b_out"):
             assert np.array_equal(getattr(model, key), getattr(ref, key))
 
     # the rows past the training block steer the forecast, not the digest
