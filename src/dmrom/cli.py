@@ -158,6 +158,20 @@ class RunConfig:
             raise ValueError(f"standardize must be 'full' or 'train_only', got {self.standardize!r}")
         if self.epochs and not self.conditions:
             raise ValueError("epochs given without a conditions list")
+        if len(set(self.conditions)) < len(self.conditions):
+            raise ValueError(f"conditions repeat a name: {list(self.conditions)}")
+        # an epoch past the series end is found where the series length is known
+        for cond, start, end in self.epochs:
+            if cond not in self.conditions:
+                raise ValueError(f"epoch {[cond, start, end]} names no condition in conditions")
+            if not 0 <= start < end:
+                raise ValueError(f"epoch {[cond, start, end]} needs 0 <= start < end")
+        for name, vec in self.glm.contrasts:
+            if len(vec) != len(self.conditions):
+                raise ValueError(
+                    f"glm.contrasts.{name} has {len(vec)} entries, one per condition "
+                    f"needs {len(self.conditions)}"
+                )
         d, k = self.parsimony.d, self.dmaps.k
         if d > k:
             raise ValueError(f"parsimony.d must be <= dmaps.k ({k}), got {d}")

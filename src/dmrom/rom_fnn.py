@@ -7,11 +7,12 @@ weights and bias per hidden unit, which acts on the inputs with a ones
 column appended, and its output weights and bias; the trainer, the bundle
 and the forecast all hold u in that one layout.
 Hidden size and weight decay are chosen by grid search under repeated k-fold
-cross-validation over the one-step training pairs; the fits of all
-coordinates train together as stacked gradient descents in a hidden-major
-layout with the hidden bias folded into the input product, and the stacks
-train concurrently on up to `len(os.sched_getaffinity(0))` threads
-(`taskset` restricts them). The CV fits, which only rank the grid cells,
+cross-validation over the one-step training pairs. Every fit is exactly
+`max_epochs` full-batch gradient steps; the fits of all coordinates train
+together as stacked gradient descents in a hidden-major layout with the
+hidden bias folded into the input product, and the stacks train
+concurrently on up to `len(os.sched_getaffinity(0))` threads (`taskset`
+restricts them). The CV fits, which only rank the grid cells,
 train in float32; the final retrains, which make the models, in float64.
 Every model and CV record is the same bits at any worker count. Forecasts
 step all trained networks closed-loop as one stacked layer, feeding outputs
@@ -94,7 +95,6 @@ class TrainConfig:
     max_epochs: int = 2000
     learning_rate: float = 0.05
     seed: int = 0
-    tol: float = 1e-9
 
     def __post_init__(self):
         for name in ("hidden_sizes", "decay_values"):
@@ -227,10 +227,8 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     Slice i of `z` (b, n, dim) and `y` (b, n) is one fit with weight decay
     `decays[i]`, initialized uniformly from `rngs[i]` (w1 as (dim, H), b1,
     w_out, b_out in that order). The stack computes in the dtype of `z`:
-    the parameters, decays, losses and epoch buffers all take it. A fit
-    stops when its loss changes by less than `cfg.tol` from one epoch to the
-    next, when its loss turns non-finite, or after `cfg.max_epochs` steps;
-    stopped fits leave the stack.
+    the parameters, decays, losses and epoch buffers all take it. Every fit
+    takes exactly `cfg.max_epochs` steps.
 
     The epoch runs hidden-major, with (b, H, n) activations. The inputs get
     a ones column, and each fit's u = [w1ᵀ | b1] is held negated as
@@ -245,8 +243,9 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     runs per slice along the fit's own axis.
 
     Returns u = -v (b, H, dim+1), w_out (b, H), b_out (b,) and each fit's
-    last finite loss, which is non-finite for a diverged fit, all in
-    the stack's dtype.
+    training loss at those parameters, all in the stack's dtype. A fit whose
+    parameters overflow goes on as NaN, so a diverged fit returns a
+    non-finite loss.
     """
     b, n, dim = z.shape
     dtype = z.dtype
@@ -273,59 +272,37 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     zt = z.transpose(0, 2, 1)
     decay = np.asarray(decays, dtype)
     two_decay = 2.0 * decay[:, None, None]
-    result = [np.empty_like(p) for p in (v, w_out, b_out)] + [np.empty(b, dtype)]
     # the (fits, hidden, rows) epoch temporaries are written into these
-    # buffers, of which the live fits use the leading slices; allocating them
-    # afresh every epoch costs a page-fault storm once they pass malloc's
-    # mmap threshold
+    # buffers; allocating them afresh every epoch costs a page-fault storm
+    # once they pass malloc's mmap threshold
     act_buf, delta_buf = np.empty((2, b, hidden, n), dtype)
     out_buf = np.empty((b, 1, n), dtype)
     go_buf = np.empty((b, n), dtype)
-    live = np.arange(b)
-    prev = np.full(b, np.inf, dtype)
     lr = cfg.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.max_epochs):
-            m = len(live)
-            s = _sigmoid_of_negated(np.matmul(v, zt, out=act_buf[:m]))
-            resid = np.matmul(w_out.transpose(0, 2, 1), s, out=out_buf[:m])[:, 0, :]
+        # max_epochs steps, then one more forward pass for the loss of the
+        # parameters returned
+        for epoch in range(cfg.max_epochs + 1):
+            s = _sigmoid_of_negated(np.matmul(v, zt, out=act_buf))
+            resid = np.matmul(w_out.transpose(0, 2, 1), s, out=out_buf)[:, 0, :]
             np.add(resid, b_out, out=resid)
             np.subtract(resid, y, out=resid)
-            loss = np.square(resid, out=go_buf[:m]).sum(axis=1) / n + decay * (
-                (v**2).sum(axis=(1, 2)) + (w_out**2).sum(axis=(1, 2)) + b_out[:, 0] ** 2
-            )
-            done = ~np.isfinite(loss) | (np.abs(prev - loss) < cfg.tol)
-            if done.any():
-                # a stopped fit keeps this epoch's parameters and reports its
-                # previous loss, or the non-finite one if it diverged
-                last = np.where(np.isfinite(loss), prev, loss)
-                for out, p in zip(result, (v, w_out, b_out, last)):
-                    out[live[done]] = p[done]
-                keep = ~done
-                if not keep.any():
-                    break
-                live, z, y, v, w_out, b_out, decay, two_decay, s, resid, loss = (
-                    a[keep]
-                    for a in (live, z, y, v, w_out, b_out, decay, two_decay, s, resid, loss)
-                )
-                zt = z.transpose(0, 2, 1)
-                m = len(live)
-            prev = loss
+            if epoch == cfg.max_epochs:
+                break
             # go = 2 resid / n;  -da = ((go * w_out) * s) * (s - 1)
-            go = np.multiply(resid, 2.0, out=go_buf[:m])
+            go = np.multiply(resid, 2.0, out=go_buf)
             np.divide(go, n, out=go)
             grad_w_out = s @ go[:, :, None]
-            neg_da = np.multiply(go[:, None, :], w_out, out=delta_buf[:m])
+            neg_da = np.multiply(go[:, None, :], w_out, out=delta_buf)
             np.multiply(neg_da, s, out=neg_da)
             np.multiply(neg_da, np.subtract(s, 1.0, out=s), out=neg_da)
             w_out = w_out - lr * (grad_w_out + two_decay * w_out)
             b_out = b_out - lr * (go.sum(axis=1)[:, None] + two_decay[:, 0] * b_out)
             v = v - lr * (neg_da @ z + two_decay * v)
-        else:
-            for out, p in zip(result, (v, w_out, b_out, prev)):
-                out[live] = p
-    v, w_out, b_out, last = result
-    return -v, w_out[:, :, 0], b_out[:, 0], last
+        loss = np.square(resid, out=go_buf).sum(axis=1) / n + decay * (
+            (v**2).sum(axis=(1, 2)) + (w_out**2).sum(axis=(1, 2)) + b_out[:, 0] ** 2
+        )
+    return -v, w_out[:, :, 0], b_out[:, 0], loss
 
 
 def _fit_rng(*key):
@@ -344,7 +321,7 @@ def _train_fits(fits, cfg: TrainConfig):
     release the GIL, and a stack's bits do not depend on which thread trains
     it or when, so the results are the same at any worker count. An
     exception in a stack re-raises here and cancels the stacks not yet
-    started. Returns, per fit, its u, w_out, b_out and last loss, in float64.
+    started. Returns, per fit, its u, w_out, b_out and training loss, in float64.
     """
     groups = {}
     for k, (hidden, _, _, z, _) in enumerate(fits):
@@ -399,7 +376,10 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
         {hidden, decay, repeat, fold, mse}. The fits of all targets train
         in one pass of stacks, and each target gets the models and records
         it gets when trained alone. The CV fits train in `CV_DTYPE`; their
-        held-out mse and the final retrain are float64.
+        held-out mse and the final retrain are float64. A fit whose training
+        loss at its final parameters is not finite has diverged: a diverged
+        CV fold, or one whose weights overflow on its held-out rows, records
+        a NaN mse, and a diverged final retrain raises RuntimeError.
     """
     coords = np.atleast_2d(np.asarray(train_coords, dtype=float))
     n, d = coords.shape

@@ -34,11 +34,14 @@ names = st.text(min_size=1, max_size=8)
 
 @st.composite
 def run_configs(draw):
-    conditions = draw(st.lists(names, max_size=3))
+    conditions = draw(st.lists(names, max_size=3, unique=True))
     epochs = []
     if conditions:
-        triples = st.tuples(st.sampled_from(conditions), st.integers(), st.integers())
-        epochs = draw(st.lists(triples))
+        # (condition, start, length) as [start, start + length) with 0 <= start < end
+        triples = st.tuples(st.sampled_from(conditions), st.integers(0), st.integers(1))
+        epochs = draw(st.lists(triples.map(lambda e: (e[0], e[1], e[1] + e[2]))))
+    # one contrast entry per condition
+    contrast = st.lists(finite, min_size=len(conditions), max_size=len(conditions)).map(tuple)
     synth = draw(st.none() | st.builds(
         SynthConfig,
         q=st.sampled_from([2, 3]),
@@ -77,7 +80,6 @@ def run_configs(draw):
             max_epochs=draw(st.integers(1, 10_000)),
             learning_rate=draw(positive),
             seed=draw(st.integers(0, 2**63)),
-            tol=draw(finite),
         ),
         gh=GhSection(
             sigma=draw(st.just("auto") | positive),
@@ -86,9 +88,7 @@ def run_configs(draw):
         nrw=NrwSection(mode=draw(st.sampled_from(["reduced_then_lift", "ambient"]))),
         glm=GlmSection(
             kernel=tuple(draw(st.lists(finite, max_size=4))),
-            contrasts=tuple(
-                draw(st.dictionaries(names, st.lists(finite, max_size=3).map(tuple))).items()
-            ),
+            contrasts=tuple(draw(st.dictionaries(names, contrast)).items()),
             threshold=draw(st.floats(min_value=0, max_value=1, exclude_min=True)),
         ),
         synth=synth,
@@ -153,6 +153,12 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
                            "koopman": {"svd_tol": 1e-10}})
     assert main(["embed", "--config", path]) == 2
     assert capsys.readouterr().err == f"error [config]: {path}: unknown config key(s): koopman\n"
+    # nor is fnn.tol: every FNN fit takes max_epochs steps
+    path = dump(tmp_path, {"input": "x.csv", "output_dir": "out", "fnn": {"tol": 1e-9}})
+    assert main(["embed", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error [config]: unknown key(s) in config section 'fnn': tol\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -273,7 +279,6 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, doc):
         ({"fnn": {"decay_values": [float("nan")]}}, [],
          "fnn.decay_values item must be a finite number, got nan"),
         ({"synth": {"noise": float("nan")}}, [], "synth.noise must be a finite number, got nan"),
-        ({"fnn": {"tol": float("nan")}}, [], "fnn.tol must be a finite number, got nan"),
     ],
 )
 def test_out_of_range_numbers_exit_2_naming_the_field(tmp_path, capsys, doc, args, message):
@@ -281,3 +286,27 @@ def test_out_of_range_numbers_exit_2_naming_the_field(tmp_path, capsys, doc, arg
     assert main(["embed", "--config", path, *args]) == 2
     assert capsys.readouterr().err == f"error [config]: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"epochs": [["A", 0, 4]], "conditions": ["A", "B"],
+          "glm": {"contrasts": {"c": [1.0, -1.0, 0.0]}}},
+         "glm.contrasts.c has 3 entries, one per condition needs 2"),
+        ({"epochs": [["A", 0, 4], ["C", 4, 8]], "conditions": ["A", "B"]},
+         "epoch ['C', 4, 8] names no condition in conditions"),
+        ({"epochs": [["A", 0, 4]], "conditions": ["A", "B", "A"]},
+         "conditions repeat a name: ['A', 'B', 'A']"),
+        ({"epochs": [["A", 4, 4]], "conditions": ["A"]}, "epoch ['A', 4, 4] needs 0 <= start < end"),
+        ({"epochs": [["A", -2, 4]], "conditions": ["A"]},
+         "epoch ['A', -2, 4] needs 0 <= start < end"),
+    ],
+)
+def test_stimulus_faults_exit_2_at_load(tmp_path, capsys, doc, message):
+    # found before any stage runs: run --all writes no input, report or embedding
+    doc = {"input": str(tmp_path / "x.csv"), "output_dir": str(tmp_path / "out"),
+           "n_train": 30, "dmaps": {"k": 10}, "synth": {"n_times": 40}, **doc}
+    assert main(["run", "--all", "--config", dump(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error [config]: {message}\n"
+    assert not (tmp_path / "out").exists() and not (tmp_path / "x.csv").exists()
