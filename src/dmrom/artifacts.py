@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import glob
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -99,6 +100,11 @@ def read_matrix(path):
                         ) from None
                 raise
     return (np.array(rows) if rows else np.zeros((0, m))), names
+
+
+def json_sha256(doc):
+    """A sha256 hash object fed the canonical JSON of doc: sorted keys, no whitespace."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
 
 
 def write_json(path, doc) -> None:

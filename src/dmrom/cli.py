@@ -86,15 +86,9 @@ class ParsimonySection:
 @dataclass(frozen=True)
 class GhSection:
     sigma: object = "auto"
-    eig_floor: float = lifting.EIG_FLOOR
 
     def __post_init__(self):
         _check_kernel_scale(self.sigma, "gh.sigma")
-        # above 1 no eigenpair is kept, and the lift fails after embed and train
-        if not self.eig_floor >= 0:
-            raise ValueError(f"gh.eig_floor must be >= 0, got {self.eig_floor!r}")
-        if self.eig_floor > 1:
-            raise ValueError(f"gh.eig_floor must be <= 1, got {self.eig_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -141,17 +135,24 @@ class RunConfig:
     synth: SynthConfig = None   # optional section
 
     def __post_init__(self):
+        for name in ("input", "output_dir"):
+            path = getattr(self, name)
+            if path is None:
+                raise ValueError(f"config must set {name!r}")
+            if not isinstance(path, str) or not path:
+                raise ValueError(f"{name} must be a non-empty string, got {path!r}")
+        conditions = self.conditions
+        if not isinstance(conditions, (list, tuple)) or not all(
+            isinstance(c, str) for c in conditions
+        ):
+            raise ValueError(f"conditions must be a list of strings, got {conditions!r}")
+        object.__setattr__(self, "conditions", tuple(conditions))
         epochs = []
         for e in self.epochs:
             if not isinstance(e, (list, tuple)) or len(e) != 3:
                 raise ValueError(f"epoch {e!r} is not a [condition, start, end] triple")
             epochs.append((str(e[0]), *(_typed(int, v, f"epoch {e!r} bound") for v in e[1:])))
         object.__setattr__(self, "epochs", tuple(epochs))
-        object.__setattr__(self, "conditions", tuple(str(c) for c in self.conditions))
-        if not self.input:
-            raise ValueError("config must set 'input'")
-        if not self.output_dir:
-            raise ValueError("config must set 'output_dir'")
         if self.n_train < 2:
             raise ValueError(f"n_train must be >= 2, got {self.n_train}")
         if self.standardize not in ("full", "train_only"):
@@ -289,13 +290,8 @@ def config_payload(cfg: RunConfig) -> dict:
     return payload
 
 
-def _json_sha256(payload) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def config_hash(cfg: RunConfig) -> str:
-    return _json_sha256(config_payload(cfg))
+    return artifacts.json_sha256(config_payload(cfg)).hexdigest()
 
 
 # the config fields `embed` reads
@@ -305,7 +301,7 @@ EMBED_FIELDS = ("input", "n_train", "standardize", "drop_dead", "dmaps", "parsim
 def embed_hash(cfg: RunConfig) -> str:
     """sha256 of the canonical JSON of the config fields in `EMBED_FIELDS`."""
     payload = config_payload(cfg)
-    return _json_sha256({name: payload[name] for name in EMBED_FIELDS})
+    return artifacts.json_sha256({name: payload[name] for name in EMBED_FIELDS}).hexdigest()
 
 
 def made_from(cfg: RunConfig) -> str:
@@ -314,7 +310,8 @@ def made_from(cfg: RunConfig) -> str:
     with open(cfg.input, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             data.update(chunk)
-    return _json_sha256({"config": embed_hash(cfg), "input": data.hexdigest()})
+    digest = artifacts.json_sha256({"config": embed_hash(cfg), "input": data.hexdigest()})
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +511,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         coord_names = [f"y_{j}" for j in range(d)]
 
     with _stage("lifting"):
-        gh_model = lifting.gh_fit(
-            coords_train, train_vals, gh_sigma=cfg.gh.sigma, eig_floor=cfg.gh.eig_floor
-        )
+        gh_model = lifting.gh_fit(coords_train, train_vals, gh_sigma=cfg.gh.sigma)
 
     with _stage("rom_fnn"):
         # models trained on another embedding, stimulus or fnn config are refused
@@ -552,7 +547,10 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
     mags = ", ".join(f"{abs(v):.6f}" for v in kmodel.eigenvalues)
     print(f"forecast: koopman eigenvalue magnitudes: {mags}")
     print(f"forecast: koopman training reconstruction residual: {kmodel.training_residual:.3e}")
-    print(f"forecast: geometric harmonics sigma {gh_model.gh_sigma!r}, rank {gh_model.d_gh}")
+    print(
+        f"forecast: geometric harmonics sigma {gh_model.gh_sigma!r}, rank {gh_model.d_gh}, "
+        f"leave-one-out rms {gh_model.loo_rms:.3e}"
+    )
     print(f"forecast: wrote fnn_gh, koopman, nrw ambient forecasts under {paths.forecasts}")
     for i, method in enumerate(table.methods):
         print(

@@ -49,7 +49,6 @@ class ErrorTable:
     rmse: np.ndarray   # n_methods x M
     l2: np.ndarray     # n_methods x M
     best: np.ndarray   # n_methods x M bool; ties flag every minimum
-    horizon: int
 
 
 def comparison_table(forecasts, truth, channel_names) -> ErrorTable:
@@ -84,7 +83,6 @@ def comparison_table(forecasts, truth, channel_names) -> ErrorTable:
         rmse=rmse,
         l2=l2,
         best=best,
-        horizon=h,
     )
 
 

@@ -5,6 +5,9 @@ replaying the training kernel normalization on the new kernel row (Nystrom
 extension). Lifting goes the other way: a second Gaussian-kernel eigenbasis is
 built on the reduced training coordinates and every ambient channel is
 expanded in it, so reduced forecasts can be mapped back to ambient values.
+The truncation of that eigenbasis is the lift's only regularizer; its rank is
+the one whose closed-form leave-one-out residual on the training points is
+lowest (Golub, Heath & Wahba 1979).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from . import dmaps
 from .dmaps import DiffusionEmbedding
 
-EIG_FLOOR = 1e-8          # default relative eigenvalue truncation for lifting
+EIG_FLOOR = 1e-8          # the lift's candidate ranks stop at this relative eigenvalue
 MIN_EIGENVALUE = 1e-12    # restriction is ill-posed below this
 
 
@@ -44,7 +47,6 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected) -> np.ndar
         to zero are out of support: `dmaps.kernel` warns, and their
         coordinates are zero.
     """
-    k_star, _ = dmaps.kernel(X_train, x_new, E.sigma)
     sel = np.asarray(selected, dtype=int)
     if sel.size == 0 or np.any(sel < 1) or np.any(sel > E.k):
         raise ValueError(f"selected indices must lie in 1..{E.k}")
@@ -55,6 +57,7 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected) -> np.ndar
             f"restriction ill-posed: eigenvalue below {MIN_EIGENVALUE} at index {bad[0]}"
         )
 
+    k_star, _ = dmaps.kernel(X_train, x_new, E.sigma)
     degrees = dmaps.kernel(X_train, sigma=E.sigma)[0].sum(axis=1)
     row_sums = k_star.sum(axis=1)
     out = np.zeros((k_star.shape[0], sel.size))
@@ -75,19 +78,47 @@ class GhLiftModel:
     eigenvalues: np.ndarray    # retained, descending, all positive
     eigenvectors: np.ndarray   # N x d_gh orthonormal columns
     coeffs: np.ndarray         # d_gh x M channel expansion coefficients
+    loo_rms: float             # leave-one-out rms residual on the training points
 
     @property
     def d_gh(self) -> int:
         return len(self.eigenvalues)
 
 
-def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> GhLiftModel:
+def loo_curve(psi, x, coeffs) -> np.ndarray:
+    """Leave-one-out rms residual of x, over all points and channels, at each rank 1..R.
+
+    ``psi`` (N, R) has orthonormal columns and ``coeffs`` is psi' x, so the
+    rank-r fit of x is the projection P_r x, P_r = psi_r psi_r'. Leaving point
+    i out of the rank-r fit leaves the residual (x_i - (P_r x)_i) / (1 - h_i),
+    with leverage h_i = sum_{j<=r} psi_ij^2. The squared residual of row i
+    grows by psi_ij (psi_ij G_jj - 2 (A_ij - sum_{k<j} psi_ik G_kj)) from rank
+    j-1 to j, with G = coeffs coeffs' and A = x coeffs', so every rank takes
+    one product with the strict upper triangle of G and cumulative sums. A
+    rank that gives some point a leverage within sqrt(eps) of 1 cannot leave
+    that point out, and reads inf.
+    """
+    gram = coeffs @ coeffs.T
+    cross = x @ coeffs.T - psi @ np.triu(gram, 1)
+    step = psi * (psi * np.diag(gram)[None, :] - 2.0 * cross)
+    sq = np.einsum("im,im->i", x, x)[:, None] + np.cumsum(step, axis=1)
+    sq = np.maximum(sq, 0.0)   # the sums cancel to rounding where P_r x interpolates x
+    left = 1.0 - np.cumsum(psi * psi, axis=1)
+    defined = np.all(left > np.sqrt(np.finfo(float).eps), axis=0)
+    mse = np.full(psi.shape[1], np.inf)
+    mse[defined] = np.sum(sq[:, defined] / left[:, defined] ** 2, axis=0) / x.size
+    return np.sqrt(mse)
+
+
+def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float | None = None) -> GhLiftModel:
     """Eigenbasis of the Gaussian kernel on the reduced coordinates.
 
-    Components with eigenvalue below ``eig_floor`` (in [0, 1]) times the
-    largest one (or not strictly positive) are truncated; the remaining
-    basis, never empty, carries the expansion coefficients of every ambient
-    channel.
+    Without ``eig_floor`` the basis keeps the leading r eigenpairs, where r
+    has the lowest `loo_curve` value among the eigenpairs at or above
+    `EIG_FLOOR` times the largest eigenvalue. With ``eig_floor`` (in [0, 1])
+    it keeps every eigenpair at or above that fraction of the largest. Either
+    way the basis keeps only positive eigenvalues, is never empty, and carries
+    the expansion coefficients of every ambient channel.
     """
     y = np.asarray(Y_train, dtype=float)
     x = np.asarray(X_train, dtype=float)
@@ -97,19 +128,23 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float = EIG_FLOOR) -> G
         )
     if y.shape[0] < 2:
         raise ValueError("need at least 2 training points")
-    if not 0 <= eig_floor <= 1:
+    if eig_floor is not None and not 0 <= eig_floor <= 1:
         raise ValueError(f"eig_floor must be in [0, 1], got {eig_floor}")
     kernel, gh_sigma = dmaps.kernel(y, sigma=gh_sigma)
-    vals, vecs = dmaps.eigenbasis(kernel, eig_floor)
+    vals, vecs = dmaps.eigenbasis(kernel, EIG_FLOOR if eig_floor is None else eig_floor)
     # C order: the BLAS products over the basis (coeffs here, the lift in
     # gh_lift) take another path on an F-order copy and move the last bits
     vecs = np.ascontiguousarray(vecs)
+    coeffs = vecs.T @ x
+    loo = loo_curve(vecs, x, coeffs)
+    rank = int(np.argmin(loo)) + 1 if eig_floor is None else len(vals)
     return GhLiftModel(
         y_train=y,
         gh_sigma=gh_sigma,
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        coeffs=vecs.T @ x,
+        eigenvalues=vals[:rank],
+        eigenvectors=np.ascontiguousarray(vecs[:, :rank]),
+        coeffs=coeffs[:rank],
+        loo_rms=float(loo[rank - 1]),
     )
 
 

@@ -30,8 +30,6 @@ models and their `training_digest`) and `fnn_cv.csv`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -520,7 +518,7 @@ def fnn_forecast(models, init, stim_seq, h: int) -> np.ndarray:
 def training_digest(cfg: TrainConfig, train_coords, stim) -> str:
     """sha256 of the canonical JSON of `cfg`, then of the C-order bytes of the
     training coordinates and of the stimulus; an (n, 0) stimulus adds none."""
-    h = hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":")).encode())
+    h = artifacts.json_sha256(asdict(cfg))
     for arr in (train_coords, stim):
         h.update(np.asarray(arr, dtype=float).tobytes())
     return h.hexdigest()

@@ -215,7 +215,7 @@ def synthetic_run(tmp_path_factory):
             "max_epochs": 2000,
             "learning_rate": 0.2,
         },
-        "gh": {"sigma": "auto", "eig_floor": 1e-8},
+        "gh": {"sigma": "auto"},
         "synth": {
             "q": 2,
             "ambient_dim": 50,

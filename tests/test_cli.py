@@ -400,7 +400,7 @@ def test_forecast_fits_koopman_on_the_current_embedding(pipeline_run, tmp_path):
 
 
 def test_forecast_refits_the_lift_under_the_current_gh_config(pipeline_run, tmp_path):
-    sigma = {"gh": {"sigma": 0.002, "eig_floor": 1e-8}}
+    sigma = {"gh": {"sigma": 0.002}}
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "stale", **sigma)
     assert main(["forecast", "--config", cfg_path]) == 0
     fresh_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "fresh", **sigma)
@@ -419,7 +419,10 @@ def test_forecast_prints_gh_sigma_and_rank(pipeline_run, tmp_path, capsys):
     report = parsimony.load_report(emb / "parsimony.json")
     coords = dmaps.coords_for(load_run_embedding(cfg_path, emb), report.selected)
     model = gh_fit(coords, read_matrix(emb / "train_ambient.csv")[0])
-    line = f"forecast: geometric harmonics sigma {model.gh_sigma!r}, rank {model.d_gh}"
+    line = (
+        f"forecast: geometric harmonics sigma {model.gh_sigma!r}, rank {model.d_gh}, "
+        f"leave-one-out rms {model.loo_rms:.3e}"
+    )
     assert line in capsys.readouterr().out.splitlines()
 
 

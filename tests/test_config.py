@@ -81,10 +81,7 @@ def run_configs(draw):
             learning_rate=draw(positive),
             seed=draw(st.integers(0, 2**63)),
         ),
-        gh=GhSection(
-            sigma=draw(st.just("auto") | positive),
-            eig_floor=draw(st.floats(min_value=0, max_value=1)),
-        ),
+        gh=GhSection(sigma=draw(st.just("auto") | positive)),
         nrw=NrwSection(mode=draw(st.sampled_from(["reduced_then_lift", "ambient"]))),
         glm=GlmSection(
             kernel=tuple(draw(st.lists(finite, max_size=4))),
@@ -183,7 +180,7 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"drop_dead": 1}, "drop_dead must be true or false, got 1"),
         ({"n_train": True}, "n_train must be an integer, got True"),
         ({"dmaps": {"alpha": "1"}}, "dmaps.alpha must be a number, got '1'"),
-        ({"gh": {"eig_floor": False}}, "gh.eig_floor must be a number, got False"),
+        ({"gh": {"eig_floor": 1e-8}}, "unknown key(s) in config section 'gh': eig_floor"),
         ({"seed": 2.5}, "seed must be an integer, got 2.5"),
         ({"synth": {"n_times": 400.5}}, "synth.n_times must be an integer, got 400.5"),
         ({"epochs": [["A", 0.5, 4]], "conditions": ["A"]},
@@ -204,11 +201,11 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"gh": {"sigma": 10**400}}, 'gh.sigma must be "auto" or a positive number, got 1000'),
         ({"synth": {"q": 7, "dynamics": "nope"}}, "intrinsic dimension q must be 2 or 3, got 7"),
         ({"synth": {"dynamics": "nope"}}, "unknown dynamics 'nope'"),
-        ({"gh": {"eig_floor": -1}}, "gh.eig_floor must be >= 0, got -1.0"),
+        ({"input": 3}, "input must be a non-empty string, got 3"),
         ({"glm": {"threshold": -1}}, "glm.threshold must be in (0, 1], got -1.0"),
         ({"glm": {"threshold": 0}}, "glm.threshold must be in (0, 1], got 0.0"),
         ({"glm": {"threshold": 2}}, "glm.threshold must be in (0, 1], got 2.0"),
-        ({"gh": {"eig_floor": 1.5}}, "gh.eig_floor must be <= 1, got 1.5"),
+        ({"output_dir": 7}, "output_dir must be a non-empty string, got 7"),
         ({"parsimony": {"d": 0}}, "parsimony.d must be >= 1, got 0"),
         ({"parsimony": {"d": 31}}, "parsimony.d must be <= dmaps.k (30), got 31"),
         ({"dmaps": {"k": 4}, "parsimony": {"d": 5}}, "parsimony.d must be <= dmaps.k (4), got 5"),
@@ -222,8 +219,7 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
          "parsimony.scale_fraction must be a finite number, got nan"),
         ({"dmaps": {"alpha": 10**400}},
          "dmaps.alpha must be a number within float range, got an integer of 401 digits"),
-        ({"gh": {"eig_floor": -(10**400)}},
-         "gh.eig_floor must be a number within float range, got an integer of 401 digits"),
+        ({"conditions": "AB"}, "conditions must be a list of strings, got 'AB'"),
         ({"fnn": {"decay_values": [1e-3, 10**400]}},
          "fnn.decay_values item must be a number within float range, got an integer of 401"),
         ({"glm": {"kernel": [10**309]}},

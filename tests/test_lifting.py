@@ -1,6 +1,7 @@
 """Tests for out-of-sample restriction and kernel-harmonics lifting."""
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,11 +12,23 @@ from scipy.spatial.distance import pdist, squareform
 from dmrom import dmaps
 from dmrom.dmaps import DiffusionEmbedding
 from dmrom.ingest import SynthConfig, generate_synthetic
-from dmrom.lifting import gh_fit, gh_lift, nystrom_restrict
+from dmrom.lifting import EIG_FLOOR, gh_fit, gh_lift, loo_curve, nystrom_restrict
 
 
 def every_index(E):
     return range(1, E.k + 1)
+
+
+@pytest.fixture(scope="module")
+def noisy_ring():
+    """Reduced points on a noisy circle, channels smooth in the angle plus noise,
+    and 50 held-out query points."""
+    rng = np.random.default_rng(3)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 350)
+    y = np.column_stack([np.cos(ang), np.sin(ang)]) + 0.2 * rng.normal(size=(350, 2))
+    k = np.arange(1, 11)
+    x = np.cos(np.outer(ang, k) + k) + 0.2 * rng.normal(size=(350, 10))
+    return y[:300], x[:300], y[300:]
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +105,22 @@ def test_restrict_rejects_tiny_eigenvalues():
         nystrom_restrict(E, x, x[0][None], [1])
 
 
+def test_restrict_checks_its_arguments_before_the_kernel_warns(strip_points, strip_embedding):
+    far = np.array([[1e6, 1e6]])
+    tiny = DiffusionEmbedding(
+        eigenvalues=np.array([1.0, 1e-13]),
+        eigenvectors=np.ones((3, 2)) / np.sqrt(3.0),
+        sigma=1.0,
+        alpha=1.0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="selected"):
+            nystrom_restrict(strip_embedding, strip_points, far, selected=[99])
+        with pytest.raises(ValueError, match="ill-posed"):
+            nystrom_restrict(tiny, np.eye(3), np.array([[1e6, 0.0, 0.0]]), [1])
+
+
 def test_restrict_validation(strip_points, strip_embedding):
     every = every_index(strip_embedding)
     with pytest.raises(ValueError, match="2-D"):
@@ -143,6 +172,53 @@ def test_truncated_basis_keeps_the_bits_of_the_full_reorder(separated_cloud):
     assert np.array_equal(model.eigenvalues, vals[keep])
     assert np.array_equal(model.eigenvectors, vecs[:, keep])
     assert np.array_equal(model.coeffs, np.ascontiguousarray(vecs[:, keep]).T @ x)
+
+
+def test_loo_curve_equals_refits_without_each_point(noisy_ring):
+    n = 60
+    y, x = noisy_ring[0][:n], noisy_ring[1][:n]
+    psi = gh_fit(y, x, eig_floor=EIG_FLOOR).eigenvectors
+    curve = loo_curve(psi, x, psi.T @ x)
+    for r in range(1, psi.shape[1] + 1):
+        sq = 0.0
+        for i in range(n):
+            rest = np.arange(n) != i
+            coef = np.linalg.lstsq(psi[rest, :r], x[rest], rcond=None)[0]
+            sq += np.sum((x[i] - psi[i, :r] @ coef) ** 2)
+        assert curve[r - 1] == pytest.approx(np.sqrt(sq / x.size), rel=1e-9)
+
+
+def test_loo_curve_is_inf_where_a_point_cannot_be_left_out():
+    # the full basis of 3 points interpolates each one: its leverages are all 1
+    psi = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 3)))[0]
+    x = np.arange(6.0).reshape(3, 2)
+    curve = loo_curve(psi, x, psi.T @ x)
+    assert np.all(np.isfinite(curve[:2])) and curve[2] == np.inf
+
+
+def test_loo_rank_lies_inside_the_candidates_and_truncates_their_basis(noisy_ring):
+    y, x, _ = noisy_ring
+    model = gh_fit(y, x)
+    candidates = gh_fit(y, x, eig_floor=EIG_FLOOR)
+    assert 1 < model.d_gh < candidates.d_gh
+    curve = loo_curve(candidates.eigenvectors, x, candidates.coeffs)
+    assert model.loo_rms == curve.min() == curve[model.d_gh - 1]
+    assert np.array_equal(model.eigenvalues, candidates.eigenvalues[: model.d_gh])
+    assert np.array_equal(model.eigenvectors, candidates.eigenvectors[:, : model.d_gh])
+    assert np.array_equal(model.coeffs, candidates.coeffs[: model.d_gh])
+
+
+def test_loo_rank_does_not_amplify_rounding(noisy_ring):
+    y, x, queries = noisy_ring
+    shift = 1e-13 * np.random.default_rng(4).normal(size=queries.shape)
+
+    def amplification(model):
+        moved = gh_lift(model, queries + shift) - gh_lift(model, queries)
+        return np.max(np.abs(moved)) / np.max(np.abs(shift))
+
+    assert amplification(gh_fit(y, x)) < 1e2
+    # the fixed floor keeps eigenpairs whose inverse eigenvalues blow rounding up
+    assert amplification(gh_fit(y, x, eig_floor=EIG_FLOOR)) > 1e2
 
 
 def test_auto_scale_matches_reduced_space_rule(separated_cloud):
@@ -223,9 +299,10 @@ def test_lift_is_linear_in_stored_values(separated_cloud):
     f = rng.normal(size=(40, 3))
     g = rng.normal(size=(40, 3))
     queries = y[:8] + 0.1
-    lift_f = gh_lift(gh_fit(y, f, gh_sigma=0.5), queries)
-    lift_g = gh_lift(gh_fit(y, g, gh_sigma=0.5), queries)
-    lift_sum = gh_lift(gh_fit(y, f + g, gh_sigma=0.5), queries)
+    # linear at a fixed basis: the leave-one-out rank depends on the stored values
+    lift_f = gh_lift(gh_fit(y, f, gh_sigma=0.5, eig_floor=EIG_FLOOR), queries)
+    lift_g = gh_lift(gh_fit(y, g, gh_sigma=0.5, eig_floor=EIG_FLOOR), queries)
+    lift_sum = gh_lift(gh_fit(y, f + g, gh_sigma=0.5, eig_floor=EIG_FLOOR), queries)
     assert np.max(np.abs(lift_f + lift_g - lift_sum)) < 1e-10
 
 
