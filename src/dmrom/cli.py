@@ -35,7 +35,7 @@ import shutil
 import sys
 import typing
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -68,6 +68,8 @@ class DmapsSection:
 
     def __post_init__(self):
         _check_kernel_scale(self.sigma, "dmaps.sigma")
+        if self.k < 1:
+            raise ValueError(f"dmaps.k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,8 @@ class NrwSection:
 
 @dataclass(frozen=True)
 class GlmSection:
-    kernel: tuple = ()
-    contrasts: tuple = ()   # pairs (name, vector)
+    kernel: tuple[float, ...] = ()
+    contrasts: dict[str, tuple[float, ...]] = field(default_factory=dict)
     threshold: float = 0.001
 
     def __post_init__(self):
@@ -115,7 +117,8 @@ class GlmSection:
 class RunConfig:
     """One JSON run config: each top-level object is one of the section dataclasses.
 
-    ``fnn.seed`` and ``synth.seed`` default to the top-level seed.
+    The field annotations are the config schema (see `_typed`). ``fnn.seed`` and
+    ``synth.seed`` default to the top-level seed.
     """
 
     input: str = None
@@ -124,8 +127,8 @@ class RunConfig:
     n_train: int = 280
     standardize: str = "full"   # or "train_only"
     drop_dead: bool = False
-    epochs: tuple = ()          # triples (condition, start, end), half-open
-    conditions: tuple = ()
+    epochs: tuple[tuple[str, int, int], ...] = ()   # (condition, start, end), half-open
+    conditions: tuple[str, ...] = ()
     dmaps: DmapsSection = DmapsSection()
     parsimony: ParsimonySection = ParsimonySection()
     fnn: TrainConfig = TrainConfig()
@@ -136,23 +139,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("input", "output_dir"):
-            path = getattr(self, name)
-            if path is None:
+            if getattr(self, name) is None:
                 raise ValueError(f"config must set {name!r}")
-            if not isinstance(path, str) or not path:
-                raise ValueError(f"{name} must be a non-empty string, got {path!r}")
-        conditions = self.conditions
-        if not isinstance(conditions, (list, tuple)) or not all(
-            isinstance(c, str) for c in conditions
-        ):
-            raise ValueError(f"conditions must be a list of strings, got {conditions!r}")
-        object.__setattr__(self, "conditions", tuple(conditions))
-        epochs = []
-        for e in self.epochs:
-            if not isinstance(e, (list, tuple)) or len(e) != 3:
-                raise ValueError(f"epoch {e!r} is not a [condition, start, end] triple")
-            epochs.append((str(e[0]), *(_typed(int, v, f"epoch {e!r} bound") for v in e[1:])))
-        object.__setattr__(self, "epochs", tuple(epochs))
         if self.n_train < 2:
             raise ValueError(f"n_train must be >= 2, got {self.n_train}")
         if self.standardize not in ("full", "train_only"):
@@ -167,7 +155,7 @@ class RunConfig:
                 raise ValueError(f"epoch {[cond, start, end]} names no condition in conditions")
             if not 0 <= start < end:
                 raise ValueError(f"epoch {[cond, start, end]} needs 0 <= start < end")
-        for name, vec in self.glm.contrasts:
+        for name, vec in self.glm.contrasts.items():
             if len(vec) != len(self.conditions):
                 raise ValueError(
                     f"glm.contrasts.{name} has {len(vec)} entries, one per condition "
@@ -178,86 +166,78 @@ class RunConfig:
             raise ValueError(f"parsimony.d must be <= dmaps.k ({k}), got {d}")
 
 
-_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
-_ITEM_KINDS = {"fnn.hidden_sizes": int, "fnn.decay_values": float, "glm.kernel": float}
+# how a message names one value of a scalar annotation, and a list of them
+_KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+          bool: ("true or false", "booleans"), str: ("a non-empty string", "strings")}
 
 
-def _typed(kind, value, name: str):
-    """The JSON value of an int, float or bool field, or a ValueError naming the field.
+def _typed(hint, value, name: str):
+    """The JSON value of field `name` read by its annotation `hint`, or a ValueError naming it.
 
-    An int takes an integral number (300.0 too), a float any finite number, a
-    bool only true or false; a bool is not a number. JSON's NaN, Infinity and
-    literals past float range such as 1e400 parse to non-finite floats.
+    A `dict[str, V]` takes an object, a `tuple[T, ...]` a list and a `tuple[A, B, C]` a list
+    of three; each value inside follows its own hint, named `name.key`, `name item` or
+    `name[i]`. `object` takes any value, for its section to check. A str takes a non-empty
+    string, an int an integral number (300.0 too), a float any finite number, a bool only
+    true or false; a bool is not a number. JSON's NaN, Infinity and literals past float
+    range such as 1e400 parse to non-finite floats.
     """
+    form, args = typing.get_origin(hint), typing.get_args(hint)
+    if form is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be an object, got {value!r}")
+        return {key: _typed(args[1], v, f"{name}.{key}") for key, v in value.items()}
+    if form is tuple:
+        many = args[1:] == (...,)
+        if not isinstance(value, list) or not many and len(value) != len(args):
+            items = _KINDS[args[0]][1] if args[0] in _KINDS else "lists"
+            kind = f"a list of {items}" if many else f"a list of {len(args)} values"
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+        if many:
+            return tuple(_typed(args[0], v, f"{name} item") for v in value)
+        return tuple(_typed(h, v, f"{name}[{i}]") for i, (h, v) in enumerate(zip(args, value)))
+    if hint is object:
+        return value
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    fits = isinstance(value, bool) if kind is bool else number and (kind is float or value % 1 == 0)
+    fits = {str: isinstance(value, str) and value != "", bool: isinstance(value, bool),
+            int: number and value % 1 == 0, float: number}[hint]
     if not fits:
-        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+        raise ValueError(f"{name} must be {_KINDS[hint][0]}, got {value!r}")
     try:
-        typed = kind(value)
+        typed = hint(value)
     except OverflowError:   # an integer past the largest float
         digits = len(str(abs(value)))
         raise ValueError(
             f"{name} must be a number within float range, got an integer of {digits} digits"
         ) from None
-    if kind is float and not math.isfinite(typed):
+    if hint is float and not math.isfinite(typed):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return typed
 
 
-def _seed(value, name: str) -> int:
-    """The value of a seed field, a non-negative integer, or a ValueError naming it."""
-    seed = _typed(int, value, name)
-    if seed < 0:
-        raise ValueError(f"{name} must be >= 0, got {seed}")
-    return seed
-
-
-def _typed_items(kind, value, name: str) -> tuple:
-    """The items of a list field, each through the `_typed` rule for kind."""
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return tuple(_typed(kind, v, f"{name} item") for v in value)
-
-
-def _build(cls, raw: dict, prefix: str = ""):
-    """Dataclass instance from given keys; int/float/bool values and list items are
-    `_typed`, and seeds go through `_seed`."""
-    hints = typing.get_type_hints(cls)
-    built = {}
-    for key, value in raw.items():
-        name = prefix + key
-        if name in _ITEM_KINDS:
-            value = _typed_items(_ITEM_KINDS[name], value, name)
-        elif key == "seed":
-            value = _seed(value, name)
-        elif hints[key] in _KINDS:
-            value = _typed(hints[key], value, name)
-        built[key] = value
-    return cls(**built)
-
-
-def _unknown_keys(raw: dict, cls) -> str:
-    return ", ".join(sorted(set(raw) - {f.name for f in fields(cls)}))
-
-
-def _section(cls, name: str, raw, seed: int):
-    if raw is None:
-        raw = {}
+def _build(cls, raw, name: str, seed: int):
+    """The dataclass cls from its JSON object, each field given read by `_typed`; a section
+    not given, or given null, reads as {}, and a `seed` not given takes the run seed."""
     if not isinstance(raw, dict):
         raise ValueError(f"config section {name!r} must be an object")
-    unknown = _unknown_keys(raw, cls)
+    hints = typing.get_type_hints(cls)
+    unknown = ", ".join(sorted(set(raw) - set(hints)))
     if unknown:
         raise ValueError(f"unknown key(s) in config section {name!r}: {unknown}")
-    if name == "glm" and "contrasts" in raw:
-        if not isinstance(raw["contrasts"], dict):
-            raise ValueError("glm.contrasts must map contrast names to vectors")
-        raw = {**raw, "contrasts": tuple(
-            (k, _typed_items(float, v, f"glm.contrasts.{k}")) for k, v in raw["contrasts"].items()
-        )}
-    if "seed" in {f.name for f in fields(cls)}:
-        raw = {"seed": seed, **raw}
-    return _build(cls, raw, f"{name}.")
+    built = {}
+    for f in fields(cls):
+        hint, given = hints[f.name], raw.get(f.name)
+        key = f"{name}.{f.name}" if name else f.name
+        if f.name == "seed":
+            seed = built["seed"] = _typed(int, raw.get("seed", seed), key)
+            if seed < 0:
+                raise ValueError(f"{key} must be >= 0, got {seed}")
+        elif given is None and f.default is None:   # an optional field left unset
+            continue
+        elif is_dataclass(hint):
+            built[f.name] = _build(hint, {} if given is None else given, key, seed)
+        elif f.name in raw:
+            built[f.name] = _typed(hint, given, key)
+    return cls(**built)
 
 
 def load_config(path, seed_override: int = None) -> RunConfig:
@@ -269,25 +249,17 @@ def load_config(path, seed_override: int = None) -> RunConfig:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config root must be an object")
-    unknown = _unknown_keys(data, RunConfig)
+    unknown = ", ".join(sorted(set(data) - {f.name for f in fields(RunConfig)}))
     if unknown:
         raise ValueError(f"{path}: unknown config key(s): {unknown}")
-
-    seed = _seed(data.get("seed", 0) if seed_override is None else seed_override, "seed")
-    top = {**data, "seed": seed}
-    hints = typing.get_type_hints(RunConfig)
-    for f in fields(RunConfig):
-        cls = hints[f.name]
-        if is_dataclass(cls) and not (f.default is None and data.get(f.name) is None):
-            top[f.name] = _section(cls, f.name, data.get(f.name), seed)
-    return _build(RunConfig, top)
+    if seed_override is not None:
+        data = {**data, "seed": seed_override}
+    return _build(RunConfig, data, "", 0)
 
 
 def config_payload(cfg: RunConfig) -> dict:
     """Plain-dict echo of the resolved config, used for meta.json and hashing."""
-    payload = asdict(cfg)
-    payload["glm"]["contrasts"] = {name: list(vec) for name, vec in cfg.glm.contrasts}
-    return payload
+    return asdict(cfg)
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -409,7 +381,7 @@ def cmd_glm(cfg: RunConfig, paths: RunPaths) -> None:
             design = glm.convolve_design(design, np.asarray(cfg.glm.kernel))
         fit = glm.fit_glm(values, design)
         os.makedirs(paths.reports, exist_ok=True)
-        for name, vec in cfg.glm.contrasts:
+        for name, vec in cfg.glm.contrasts.items():
             result = glm.contrast_tstat(fit, design, np.asarray(vec))
             out = os.path.join(paths.reports, f"activity_{name}.csv")
             glm.write_activity_report(

@@ -86,8 +86,8 @@ class FnnModel:
 class TrainConfig:
     """Grid-search and optimization settings for FNN training."""
 
-    hidden_sizes: tuple = (2, 4, 8, 16)
-    decay_values: tuple = (1e-4, 1e-3, 1e-2, 1e-1)
+    hidden_sizes: tuple[int, ...] = (2, 4, 8, 16)
+    decay_values: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)
     folds: int = 10
     repeats: int = 10
     max_epochs: int = 2000

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import tempfile
+import typing
+from dataclasses import is_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from dmrom.cli import (
     RunConfig,
     config_hash,
     config_payload,
+    embed_hash,
     load_config,
     main,
 )
@@ -85,7 +88,7 @@ def run_configs(draw):
         nrw=NrwSection(mode=draw(st.sampled_from(["reduced_then_lift", "ambient"]))),
         glm=GlmSection(
             kernel=tuple(draw(st.lists(finite, max_size=4))),
-            contrasts=tuple(draw(st.dictionaries(names, contrast)).items()),
+            contrasts=draw(st.dictionaries(names, contrast)),
             threshold=draw(st.floats(min_value=0, max_value=1, exclude_min=True)),
         ),
         synth=synth,
@@ -164,16 +167,16 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"input": MISSING}, "config must set 'input'"),
         ({"output_dir": None}, "config must set 'output_dir'"),
         ({"dmaps": [1]}, "config section 'dmaps' must be an object"),
-        ({"glm": {"contrasts": [["a", [1]]]}}, "glm.contrasts must map contrast names to vectors"),
+        ({"glm": {"contrasts": [["a", [1]]]}}, "glm.contrasts must be an object, got [['a', [1]]]"),
         ({"nrw": {"mode": "x"}}, "unknown nrw mode 'x'"),
         ({"epochs": [["A", 0, 2]]}, "epochs given without a conditions list"),
         ({"standardize": "x"}, "standardize must be 'full' or 'train_only', got 'x'"),
         ({"epochs": [["A", 0]], "conditions": ["A"]},
-         "epoch ['A', 0] is not a [condition, start, end] triple"),
+         "epochs item must be a list of 3 values, got ['A', 0]"),
         ({"epochs": [["A", 0, 5, 9]], "conditions": ["A"]},
-         "epoch ['A', 0, 5, 9] is not a [condition, start, end] triple"),
+         "epochs item must be a list of 3 values, got ['A', 0, 5, 9]"),
         ({"epochs": ["A05"], "conditions": ["A"]},
-         "epoch 'A05' is not a [condition, start, end] triple"),
+         "epochs item must be a list of 3 values, got 'A05'"),
         ({"dmaps": {"t": 1.5}}, "dmaps.t must be an integer, got 1.5"),
         ({"dmaps": {"k": "2"}}, "dmaps.k must be an integer, got '2'"),
         ({"drop_dead": "false"}, "drop_dead must be true or false, got 'false'"),
@@ -184,7 +187,7 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"seed": 2.5}, "seed must be an integer, got 2.5"),
         ({"synth": {"n_times": 400.5}}, "synth.n_times must be an integer, got 400.5"),
         ({"epochs": [["A", 0.5, 4]], "conditions": ["A"]},
-         "epoch ['A', 0.5, 4] bound must be an integer, got 0.5"),
+         "epochs item[1] must be an integer, got 0.5"),
         ({"fnn": {"hidden_sizes": [4.7]}}, "fnn.hidden_sizes item must be an integer, got 4.7"),
         ({"fnn": {"decay_values": ["0.01"]}},
          "fnn.decay_values item must be a number, got '0.01'"),
@@ -236,6 +239,12 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"glm": {"kernel": [0.5, float("nan")]}}, "glm.kernel item must be a finite number, got nan"),
         ({"glm": {"contrasts": {"c": [1, float("inf")]}}},
          "glm.contrasts.c item must be a finite number, got inf"),
+        # a non-string epoch condition is refused, not renamed
+        ({"conditions": ["1"], "epochs": [[1, 0, 4]]},
+         "epochs item[0] must be a non-empty string, got 1"),
+        ({"epochs": 5}, "epochs must be a list of lists, got 5"),
+        ({"epochs": {"A": [0, 4]}}, "epochs must be a list of lists, got {'A': [0, 4]}"),
+        ({"dmaps": {"k": 0}}, "dmaps.k must be >= 1, got 0"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):
@@ -243,6 +252,61 @@ def test_invalid_values_keep_their_messages(tmp_path, doc, message):
     path = dump(tmp_path, {k: v for k, v in doc.items() if v is not MISSING})
     with pytest.raises(ValueError, match=re.escape(message)):
         load_config(path)
+
+
+def schema_fields():
+    """(dotted name, annotation) of every config field, section fields included."""
+    for key, hint in typing.get_type_hints(RunConfig).items():
+        if is_dataclass(hint):
+            yield from ((f"{key}.{sub}", h) for sub, h in typing.get_type_hints(hint).items())
+        else:
+            yield key, hint
+
+
+def wrong_kinds(hint) -> list:
+    """JSON values of a kind the annotation refuses."""
+    form = typing.get_origin(hint)
+    if form is tuple:
+        return [3, {"a": [1]}]      # a number or an object for a list
+    if form is dict:
+        return [3, [["a", [1]]]]    # a number or a list for an object
+    return {int: ["1"], float: ["1.5"], bool: ["true"], str: [3], object: [{}]}[hint]
+
+
+@pytest.mark.parametrize("field, hint", [pytest.param(*f, id=f[0]) for f in schema_fields()])
+def test_every_field_refuses_a_value_of_the_wrong_kind(tmp_path, field, hint):
+    # the annotations are the schema, so a field added later is covered too
+    *section, key = field.split(".")
+    for value in wrong_kinds(hint):
+        doc = {"input": "x.csv", "output_dir": "out"}
+        doc.update({section[0]: {key: value}} if section else {key: value})
+        with pytest.raises(ValueError) as err:
+            load_config(dump(tmp_path, doc))
+        assert str(err.value).startswith(f"{field} must be"), str(err.value)
+
+
+# the README quick-start config; older run directories hold these digests, so a
+# loader change that moves either one would make every one of them stale
+QUICK_START = {
+    "input": "data/series.csv",
+    "output_dir": "runs/demo",
+    "seed": 0,
+    "n_train": 320,
+    "dmaps": {"sigma": "auto", "alpha": 1.0, "t": 0, "k": 10},
+    "parsimony": {"d": 5},
+    "fnn": {"hidden_sizes": [4, 8], "decay_values": [1e-8, 1e-6],
+            "folds": 5, "repeats": 2, "max_epochs": 2000, "learning_rate": 0.2},
+    "gh": {"sigma": "auto"},
+    "nrw": {"mode": "reduced_then_lift"},
+    "synth": {"q": 2, "ambient_dim": 50, "n_times": 400, "noise": 0.0,
+              "seed": 0, "dynamics": "limit_cycle"},
+}
+
+
+def test_quick_start_config_digests_are_pinned(tmp_path):
+    cfg = load_config(dump(tmp_path, QUICK_START))
+    assert config_hash(cfg) == "272ed97495dd53b5a572a8993998bdfcf64fb1f6d436f44fb403e90336667aca"
+    assert embed_hash(cfg) == "e7e84461cfdc2139a187025bcb60c5eccad2e6d40cbe9c981848d25a4fadc0ef"
 
 
 @pytest.mark.parametrize(
