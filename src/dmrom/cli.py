@@ -99,7 +99,9 @@ class NrwSection:
 
     def __post_init__(self):
         if self.mode not in ("reduced_then_lift", "ambient"):
-            raise ValueError(f"unknown nrw mode {self.mode!r}")
+            raise ValueError(
+                f"nrw.mode must be 'reduced_then_lift' or 'ambient', got {self.mode!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,12 @@ class GlmSection:
     threshold: float = 0.001
 
     def __post_init__(self):
+        # a contrast's name is part of its report's file name, activity_<name>.csv
+        for name in self.contrasts:
+            if not name or "/" in name or "\0" in name:
+                raise ValueError(
+                    f"glm.contrasts names must be non-empty and hold no '/' or NUL, got {name!r}"
+                )
         if not 0 < self.threshold <= 1:
             raise ValueError(f"glm.threshold must be in (0, 1], got {self.threshold!r}")
 

@@ -131,17 +131,19 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.q not in (2, 3):
-            raise ValueError(f"intrinsic dimension q must be 2 or 3, got {self.q}")
+            raise ValueError(f"synth.q must be 2 or 3, got {self.q}")
         if self.ambient_dim < self.q:
             raise ValueError(
-                f"ambient dimension {self.ambient_dim} < intrinsic dimension {self.q}"
+                f"synth.ambient_dim must be >= synth.q ({self.q}), got {self.ambient_dim}"
             )
         if self.n_times < 2:
-            raise ValueError("n_times must be >= 2")
+            raise ValueError(f"synth.n_times must be >= 2, got {self.n_times}")
         if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+            raise ValueError(f"synth.noise must be >= 0, got {self.noise}")
         if self.dynamics not in ("linear_stable", "limit_cycle"):
-            raise ValueError(f"unknown dynamics {self.dynamics!r}")
+            raise ValueError(
+                f"synth.dynamics must be 'linear_stable' or 'limit_cycle', got {self.dynamics!r}"
+            )
 
 
 @dataclass(frozen=True)

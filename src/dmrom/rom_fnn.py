@@ -8,12 +8,12 @@ column appended, and its output weights and bias; the trainer, the bundle
 and the forecast all hold u in that one layout.
 Hidden size and weight decay are chosen by grid search under repeated k-fold
 cross-validation over the one-step training pairs. Every fit is exactly
-`max_epochs` full-batch gradient steps; the fits of all coordinates train
-together as stacked gradient descents in a hidden-major layout with the
-hidden bias folded into the input product, and the stacks train
-concurrently on up to `len(os.sched_getaffinity(0))` threads (`taskset`
-restricts them). The CV fits, which only rank the grid cells,
-train in float32; the final retrains, which make the models, in float64.
+`max_epochs` full-batch gradient steps of the fixed size `LEARNING_RATE`;
+the fits of all coordinates train together as stacked gradient descents in
+a hidden-major layout with the hidden bias folded into the input product,
+and the stacks train concurrently on up to `len(os.sched_getaffinity(0))`
+threads (`taskset` restricts them). The CV fits, which only rank the grid
+cells, train in float32; the final retrains, which make the models, in float64.
 Every model and CV record is the same bits at any worker count. Forecasts
 step all trained networks closed-loop as one stacked layer, feeding outputs
 back as inputs. The logistic function goes through numpy's vectorized
@@ -91,23 +91,22 @@ class TrainConfig:
     folds: int = 10
     repeats: int = 10
     max_epochs: int = 2000
-    learning_rate: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
         for name in ("hidden_sizes", "decay_values"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
+            values = list(getattr(self, name))
+            if not values:
+                raise ValueError(f"fnn.{name} must not be empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"fnn.{name} repeat a value: {values}")
         if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden sizes must be positive")
+            raise ValueError(f"fnn.hidden_sizes must be >= 1, got {list(self.hidden_sizes)}")
         if any(v <= 0 for v in self.decay_values):
-            raise ValueError("decay values must be positive")
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-        if self.max_epochs < 1 or self.learning_rate <= 0:
-            raise ValueError("max_epochs and learning_rate must be positive")
+            raise ValueError(f"fnn.decay_values must be positive, got {list(self.decay_values)}")
+        for name, least in (("folds", 2), ("repeats", 1), ("max_epochs", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"fnn.{name} must be >= {least}, got {getattr(self, name)}")
 
 
 def _stack_inputs(psi, stim) -> np.ndarray:
@@ -218,6 +217,11 @@ STACK_BYTES = 2 << 20
 # final retrains, which make the models, train in float64
 CV_DTYPE = np.float32
 
+# the gradient step of every fit: the inputs are unit-RMS diffusion-map
+# coordinates (and the stimulus design) at any training length, so one step
+# fits every run; 0.2 is the step every config set while it was a knob
+LEARNING_RATE = 0.2
+
 
 def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     """Full-batch gradient descent on a stack of independent fits.
@@ -226,7 +230,7 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     `decays[i]`, initialized uniformly from `rngs[i]` (w1 as (dim, H), b1,
     w_out, b_out in that order). The stack computes in the dtype of `z`:
     the parameters, decays, losses and epoch buffers all take it. Every fit
-    takes exactly `cfg.max_epochs` steps.
+    takes exactly `cfg.max_epochs` steps of size lr = `LEARNING_RATE`.
 
     The epoch runs hidden-major, with (b, H, n) activations. The inputs get
     a ones column, and each fit's u = [w1ᵀ | b1] is held negated as
@@ -276,7 +280,7 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     act_buf, delta_buf = np.empty((2, b, hidden, n), dtype)
     out_buf = np.empty((b, 1, n), dtype)
     go_buf = np.empty((b, n), dtype)
-    lr = cfg.learning_rate
+    lr = LEARNING_RATE
     with np.errstate(over="ignore", invalid="ignore"):
         # max_epochs steps, then one more forward pass for the loss of the
         # parameters returned
@@ -516,9 +520,11 @@ def fnn_forecast(models, init, stim_seq, h: int) -> np.ndarray:
 
 
 def training_digest(cfg: TrainConfig, train_coords, stim) -> str:
-    """sha256 of the canonical JSON of `cfg`, then of the C-order bytes of the
-    training coordinates and of the stimulus; an (n, 0) stimulus adds none."""
-    h = artifacts.json_sha256(asdict(cfg))
+    """sha256 of the canonical JSON of `cfg` and the step `LEARNING_RATE`, then of
+    the C-order bytes of the training coordinates and of the stimulus; an (n, 0)
+    stimulus adds none. The step is hashed as the `learning_rate` it was when it
+    was a config field, so bundles trained with that field at 0.2 keep their digest."""
+    h = artifacts.json_sha256({**asdict(cfg), "learning_rate": LEARNING_RATE})
     for arr in (train_coords, stim):
         h.update(np.asarray(arr, dtype=float).tobytes())
     return h.hexdigest()

@@ -213,7 +213,6 @@ def synthetic_run(tmp_path_factory):
             "folds": 5,
             "repeats": 2,
             "max_epochs": 2000,
-            "learning_rate": 0.2,
         },
         "gh": {"sigma": "auto"},
         "synth": {

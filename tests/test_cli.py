@@ -79,7 +79,6 @@ def pipeline_run(tmp_path_factory):
             "folds": 3,
             "repeats": 1,
             "max_epochs": 300,
-            "learning_rate": 0.2,
         },
         synth={
             "q": 2,

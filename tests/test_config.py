@@ -7,6 +7,7 @@ import tempfile
 import typing
 from dataclasses import is_dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from dmrom.cli import (
     main,
 )
 from dmrom.ingest import SynthConfig
-from dmrom.rom_fnn import TrainConfig
+from dmrom.rom_fnn import TrainConfig, training_digest
 
 MISSING = object()
 SECTIONS = ("dmaps", "parsimony", "fnn", "gh", "nrw", "glm", "synth")
@@ -33,6 +34,8 @@ SECTIONS = ("dmaps", "parsimony", "fnn", "gh", "nrw", "glm", "synth")
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-12, max_value=1e12)
 names = st.text(min_size=1, max_size=8)
+# a contrast name is part of a file name, so it holds no '/' or NUL
+contrast_names = names.filter(lambda name: "/" not in name and "\0" not in name)
 
 
 @st.composite
@@ -76,19 +79,20 @@ def run_configs(draw):
             d=draw(st.integers(1, min(k, 20))), scale_fraction=draw(positive)
         ),
         fnn=TrainConfig(
-            hidden_sizes=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))),
-            decay_values=tuple(draw(st.lists(positive, min_size=1, max_size=4))),
+            hidden_sizes=tuple(
+                draw(st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True))
+            ),
+            decay_values=tuple(draw(st.lists(positive, min_size=1, max_size=4, unique=True))),
             folds=draw(st.integers(2, 20)),
             repeats=draw(st.integers(1, 20)),
             max_epochs=draw(st.integers(1, 10_000)),
-            learning_rate=draw(positive),
             seed=draw(st.integers(0, 2**63)),
         ),
         gh=GhSection(sigma=draw(st.just("auto") | positive)),
         nrw=NrwSection(mode=draw(st.sampled_from(["reduced_then_lift", "ambient"]))),
         glm=GlmSection(
             kernel=tuple(draw(st.lists(finite, max_size=4))),
-            contrasts=draw(st.dictionaries(names, contrast)),
+            contrasts=draw(st.dictionaries(contrast_names, contrast)),
             threshold=draw(st.floats(min_value=0, max_value=1, exclude_min=True)),
         ),
         synth=synth,
@@ -159,6 +163,12 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error [config]: unknown key(s) in config section 'fnn': tol\n"
     )
+    # nor is fnn.learning_rate: every step is rom_fnn.LEARNING_RATE
+    path = dump(tmp_path, {"input": "x.csv", "output_dir": "out", "fnn": {"learning_rate": 0.2}})
+    assert main(["embed", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error [config]: unknown key(s) in config section 'fnn': learning_rate\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -168,7 +178,7 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"output_dir": None}, "config must set 'output_dir'"),
         ({"dmaps": [1]}, "config section 'dmaps' must be an object"),
         ({"glm": {"contrasts": [["a", [1]]]}}, "glm.contrasts must be an object, got [['a', [1]]]"),
-        ({"nrw": {"mode": "x"}}, "unknown nrw mode 'x'"),
+        ({"nrw": {"mode": "x"}}, "nrw.mode must be 'reduced_then_lift' or 'ambient', got 'x'"),
         ({"epochs": [["A", 0, 2]]}, "epochs given without a conditions list"),
         ({"standardize": "x"}, "standardize must be 'full' or 'train_only', got 'x'"),
         ({"epochs": [["A", 0]], "conditions": ["A"]},
@@ -202,8 +212,9 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"gh": {"sigma": False}}, 'gh.sigma must be "auto" or a positive number, got False'),
         ({"gh": {"sigma": float("inf")}}, 'gh.sigma must be "auto" or a positive number, got inf'),
         ({"gh": {"sigma": 10**400}}, 'gh.sigma must be "auto" or a positive number, got 1000'),
-        ({"synth": {"q": 7, "dynamics": "nope"}}, "intrinsic dimension q must be 2 or 3, got 7"),
-        ({"synth": {"dynamics": "nope"}}, "unknown dynamics 'nope'"),
+        ({"synth": {"q": 7, "dynamics": "nope"}}, "synth.q must be 2 or 3, got 7"),
+        ({"synth": {"dynamics": "nope"}},
+         "synth.dynamics must be 'linear_stable' or 'limit_cycle', got 'nope'"),
         ({"input": 3}, "input must be a non-empty string, got 3"),
         ({"glm": {"threshold": -1}}, "glm.threshold must be in (0, 1], got -1.0"),
         ({"glm": {"threshold": 0}}, "glm.threshold must be in (0, 1], got 0.0"),
@@ -245,6 +256,22 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"epochs": 5}, "epochs must be a list of lists, got 5"),
         ({"epochs": {"A": [0, 4]}}, "epochs must be a list of lists, got {'A': [0, 4]}"),
         ({"dmaps": {"k": 0}}, "dmaps.k must be >= 1, got 0"),
+        # a repeated grid value would train a second init into the same cell
+        ({"fnn": {"hidden_sizes": [2, 2]}}, "fnn.hidden_sizes repeat a value: [2, 2]"),
+        ({"fnn": {"decay_values": [0.01, 0.1, 0.01]}},
+         "fnn.decay_values repeat a value: [0.01, 0.1, 0.01]"),
+        ({"fnn": {"hidden_sizes": [4, 0]}}, "fnn.hidden_sizes must be >= 1, got [4, 0]"),
+        ({"fnn": {"decay_values": [0]}}, "fnn.decay_values must be positive, got [0.0]"),
+        ({"fnn": {"folds": 1}}, "fnn.folds must be >= 2, got 1"),
+        ({"fnn": {"repeats": 0}}, "fnn.repeats must be >= 1, got 0"),
+        ({"fnn": {"max_epochs": 0}}, "fnn.max_epochs must be >= 1, got 0"),
+        ({"synth": {"q": 3, "ambient_dim": 2}}, "synth.ambient_dim must be >= synth.q (3), got 2"),
+        ({"synth": {"n_times": 1}}, "synth.n_times must be >= 2, got 1"),
+        ({"synth": {"noise": -1}}, "synth.noise must be >= 0, got -1.0"),
+        ({"glm": {"contrasts": {"": []}}},
+         "glm.contrasts names must be non-empty and hold no '/' or NUL, got ''"),
+        ({"glm": {"contrasts": {"a\0b": []}}},
+         "glm.contrasts names must be non-empty and hold no '/' or NUL, got 'a\\x00b'"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):
@@ -295,7 +322,7 @@ QUICK_START = {
     "dmaps": {"sigma": "auto", "alpha": 1.0, "t": 0, "k": 10},
     "parsimony": {"d": 5},
     "fnn": {"hidden_sizes": [4, 8], "decay_values": [1e-8, 1e-6],
-            "folds": 5, "repeats": 2, "max_epochs": 2000, "learning_rate": 0.2},
+            "folds": 5, "repeats": 2, "max_epochs": 2000},
     "gh": {"sigma": "auto"},
     "nrw": {"mode": "reduced_then_lift"},
     "synth": {"q": 2, "ambient_dim": 50, "n_times": 400, "noise": 0.0,
@@ -305,8 +332,14 @@ QUICK_START = {
 
 def test_quick_start_config_digests_are_pinned(tmp_path):
     cfg = load_config(dump(tmp_path, QUICK_START))
-    assert config_hash(cfg) == "272ed97495dd53b5a572a8993998bdfcf64fb1f6d436f44fb403e90336667aca"
+    assert config_hash(cfg) == "c5fd6cd90095a32e57b21f24c87b0df2ff2d27165b3d0db337e3eae156357ece"
     assert embed_hash(cfg) == "e7e84461cfdc2139a187025bcb60c5eccad2e6d40cbe9c981848d25a4fadc0ef"
+    # the digest of its FNN bundles: that of the config with learning_rate
+    # 0.2, the step every fit now takes, so those bundles stay valid
+    coords = np.arange(12.0).reshape(6, 2)
+    assert training_digest(cfg.fnn, coords, np.empty((6, 0))) == (
+        "164a8ae20b764e7baaedbbf19c223e6563d252ee3a5f7b36532d504bd0a8a7c9"
+    )
 
 
 @pytest.mark.parametrize(
@@ -334,8 +367,8 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, doc):
         ({"seed": 3}, ["--seed", "-1"], "seed must be >= 0, got -1"),
         # json writes these as Infinity and NaN; a literal past float range,
         # such as 1e400, parses to inf as well
-        ({"fnn": {"learning_rate": float("inf")}}, [],
-         "fnn.learning_rate must be a finite number, got inf"),
+        ({"glm": {"threshold": float("inf")}}, [],
+         "glm.threshold must be a finite number, got inf"),
         ({"fnn": {"decay_values": [float("nan")]}}, [],
          "fnn.decay_values item must be a finite number, got nan"),
         ({"synth": {"noise": float("nan")}}, [], "synth.noise must be a finite number, got nan"),
@@ -361,6 +394,9 @@ def test_out_of_range_numbers_exit_2_naming_the_field(tmp_path, capsys, doc, arg
         ({"epochs": [["A", 4, 4]], "conditions": ["A"]}, "epoch ['A', 4, 4] needs 0 <= start < end"),
         ({"epochs": [["A", -2, 4]], "conditions": ["A"]},
          "epoch ['A', -2, 4] needs 0 <= start < end"),
+        # a contrast's name is part of its report's file name
+        ({"epochs": [["A", 0, 4]], "conditions": ["A"], "glm": {"contrasts": {"x/y": [1.0]}}},
+         "glm.contrasts names must be non-empty and hold no '/' or NUL, got 'x/y'"),
     ],
 )
 def test_stimulus_faults_exit_2_at_load(tmp_path, capsys, doc, message):

@@ -197,7 +197,6 @@ def zero_target_fit():
         decay_values=(1e-4, 1e-2),
         folds=5,
         repeats=2,
-        learning_rate=0.05,
         max_epochs=2000,
         seed=0,
     )
@@ -211,7 +210,8 @@ def test_zero_target_predicts_near_zero(zero_target_fit):
     assert max(abs(p) for p in preds) < 1e-3
 
 
-def test_linear_latent_dynamics_cv_mse():
+def test_linear_latent_dynamics_cv_mse(monkeypatch):
+    monkeypatch.setattr(rom_fnn, "LEARNING_RATE", 0.5)
     *_, truth = generate_synthetic(
         SynthConfig(q=2, ambient_dim=6, n_times=120, noise=0.0, seed=5, dynamics="linear_stable")
     )
@@ -222,7 +222,6 @@ def test_linear_latent_dynamics_cv_mse():
         decay_values=(1e-8, 1e-6),
         folds=5,
         repeats=2,
-        learning_rate=0.5,
         max_epochs=2000,
         seed=0,
     )
@@ -276,7 +275,7 @@ def stack_spy(monkeypatch):
 
 
 SMALL_GRID = dict(
-    hidden_sizes=(1, 3), decay_values=(1e-6, 1e-2), folds=3, repeats=2, learning_rate=0.3,
+    hidden_sizes=(1, 3), decay_values=(1e-6, 1e-2), folds=3, repeats=2,
 )
 
 
@@ -351,7 +350,7 @@ def test_stack_cap_counts_the_itemsize_and_never_mixes_dtypes(monkeypatch):
         dtype: [(2, 1e-4, (0, k), z.astype(dtype), y.astype(dtype)) for k, (z, y) in enumerate(data)]
         for dtype in (np.float64, np.float32)
     }
-    cfg = TrainConfig(max_epochs=20, learning_rate=0.3)
+    cfg = TrainConfig(max_epochs=20)
     apart = {dtype: rom_fnn._train_fits(fits, cfg) for dtype, fits in groups.items()}
     monkeypatch.setattr(rom_fnn, "_train_stack", spy)
     monkeypatch.setattr(rom_fnn, "STACK_BYTES", 8 * 30 * 2 * 3)
@@ -449,15 +448,15 @@ def test_final_fit_uses_the_inputs_in_their_own_layout():
             assert_same_model(model, FnnModel(u[0], w_out[0], b_out[0], target_index=j))
 
 
-def reference_fit(z, y, hidden, decay, rng, learning_rate, epochs):
+def reference_fit(z, y, hidden, decay, rng, epochs):
     """One fit by the plain per-fit update rule, for comparison with a stack.
 
     Computes in the dtype of `z` and `y`, in the trainer's hidden-major form:
     u = [w1ᵀ | b1] is held negated as v = -u of shape (hidden, dim+1)
     against inputs with a ones column, so that v @ [z | 1].T is minus the
     pre-activation, and the step is v -= lr (-da @ [z | 1] + 2 decay v).
-    Returns the parameters (u, w_out, b_out) after `epochs` steps and the
-    training loss at them.
+    Returns the parameters (u, w_out, b_out) after `epochs` steps of size
+    `rom_fnn.LEARNING_RATE` and the training loss at them.
     """
     dtype = z.dtype
     n, dim = z.shape
@@ -468,7 +467,7 @@ def reference_fit(z, y, hidden, decay, rng, learning_rate, epochs):
     v = -np.ascontiguousarray(np.column_stack([w1.T, b1]))
     z1 = np.column_stack([z, np.ones(n, dtype)])
     decay = dtype.type(decay)
-    lr = learning_rate
+    lr = rom_fnn.LEARNING_RATE
 
     def activations_and_residuals():
         with np.errstate(over="ignore"):
@@ -501,14 +500,14 @@ def assert_same_fit(a, b):
     seed=st.integers(0, 2**16),
 )
 def test_stack_slices_equal_their_one_fit_stacks(b, n, dim, hidden, seed):
-    # a decay of 100 at lr 0.3 scales the weights by about -59 a step, so
+    # a decay of 100 at lr 0.2 scales the weights by about -39 a step, so
     # that slice turns NaN within 200 steps; it stays in the stack and must
     # not disturb its neighbours
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(b, n, dim))
     y = rng.normal(size=(b, n))
     decays = rng.choice([1e-8, 1e-4, 1e-1, 100.0], size=b)
-    cfg = TrainConfig(max_epochs=200, learning_rate=0.3)
+    cfg = TrainConfig(max_epochs=200)
     stack = _train_stack(z, y, hidden, decays, [np.random.default_rng(i) for i in range(b)], cfg)
     for i in range(b):
         alone = _train_stack(
@@ -535,8 +534,8 @@ def test_one_fit_stack_matches_per_fit_reference(n, dim, hidden, decay):
     rng = np.random.default_rng(n + dim + hidden)
     z = rng.normal(size=(n, dim))
     y = rng.normal(size=n)
-    cfg = TrainConfig(max_epochs=40, learning_rate=0.2)
-    params, loss = reference_fit(z, y, hidden, decay, np.random.default_rng(1), 0.2, 40)
+    cfg = TrainConfig(max_epochs=40)
+    params, loss = reference_fit(z, y, hidden, decay, np.random.default_rng(1), 40)
     got = [p[0] for p in _train_stack(
         z[None], y[None], hidden, [decay], [np.random.default_rng(1)], cfg
     )]
@@ -557,16 +556,17 @@ def test_one_fit_stack_matches_per_fit_reference(n, dim, hidden, decay):
         pytest.param(50, 3, 4, 1e-4, 1e4, id="50-3-4-0.0001-1e-09-10000.0-5"),
     ],
 )
-def test_one_fit_float32_stack_matches_per_fit_reference(n, dim, hidden, decay, lr):
+def test_one_fit_float32_stack_matches_per_fit_reference(n, dim, hidden, decay, lr, monkeypatch):
     # the CV fits train in float32: a float32 stack computes in float32
     # throughout, with the per-fit rule's bits; at lr 1e4 the fit diverges
     # and ends its 40 steps with a non-finite loss
     rng = np.random.default_rng(n + dim + hidden)
     z = rng.normal(size=(n, dim)).astype(np.float32)
     y = rng.normal(size=n).astype(np.float32)
-    cfg = TrainConfig(max_epochs=40, learning_rate=lr)
+    monkeypatch.setattr(rom_fnn, "LEARNING_RATE", lr)
+    cfg = TrainConfig(max_epochs=40)
     with np.errstate(over="ignore", invalid="ignore"):
-        params, loss = reference_fit(z, y, hidden, decay, np.random.default_rng(1), lr, 40)
+        params, loss = reference_fit(z, y, hidden, decay, np.random.default_rng(1), 40)
     got = [p[0] for p in _train_stack(
         z[None], y[None], hidden, [decay], [np.random.default_rng(1)], cfg
     )]
@@ -588,7 +588,7 @@ def test_one_epoch_steps_along_fnn_gradient(n, dim, hidden, decay, seed):
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(n, dim))
     y = rng.normal(size=n)
-    lr = 0.3
+    lr = rom_fnn.LEARNING_RATE
     init = np.random.default_rng(seed + 1)
     w1 = init.uniform(-0.5, 0.5, size=(dim, hidden))
     b1 = init.uniform(-0.5, 0.5, size=hidden)
@@ -597,7 +597,7 @@ def test_one_epoch_steps_along_fnn_gradient(n, dim, hidden, decay, seed):
     u = np.column_stack([w1.T, b1])
     grad = fnn_gradient(FnnModel(u, w_out, b_out, target_index=1), z, no_stim(n), y, decay)
     want = (u - lr * grad["u"], w_out - lr * grad["w_out"], b_out - lr * grad["b_out"])
-    cfg = TrainConfig(max_epochs=1, learning_rate=lr)
+    cfg = TrainConfig(max_epochs=1)
     got = _train_stack(z[None], y[None], hidden, [decay], [np.random.default_rng(seed + 1)], cfg)
     for g, w in zip(got, want):
         assert np.array_equal(g[0], w)
@@ -605,9 +605,9 @@ def test_one_epoch_steps_along_fnn_gradient(n, dim, hidden, decay, seed):
 
 def test_divergence_marks_every_cv_fold_and_fails_without_warnings(monkeypatch):
     coords = np.random.default_rng(0).normal(size=(30, 2))
+    monkeypatch.setattr(rom_fnn, "LEARNING_RATE", 1e6)
     cfg = TrainConfig(
-        hidden_sizes=(2, 3), decay_values=(1e-4,), folds=3, repeats=1, learning_rate=1e6,
-        max_epochs=200,
+        hidden_sizes=(2, 3), decay_values=(1e-4,), folds=3, repeats=1, max_epochs=200,
     )
     seen = []
 
@@ -648,12 +648,12 @@ def test_overflowing_held_out_error_counts_as_diverged(monkeypatch):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_one_diverging_cell_is_skipped():
+def test_one_diverging_cell_is_skipped(monkeypatch):
     # lr * 2 * decay = 10 makes the decay term alone grow the weights ninefold a step
     coords = np.random.default_rng(1).uniform(-0.5, 0.5, size=(30, 2))
+    monkeypatch.setattr(rom_fnn, "LEARNING_RATE", 0.05)
     cfg = TrainConfig(
-        hidden_sizes=(2,), decay_values=(1e-4, 100.0), folds=3, repeats=1, learning_rate=0.05,
-        max_epochs=400,
+        hidden_sizes=(2,), decay_values=(1e-4, 100.0), folds=3, repeats=1, max_epochs=400,
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -679,9 +679,9 @@ def test_train_validation():
 def test_train_config_validation():
     with pytest.raises(ValueError, match="hidden"):
         TrainConfig(hidden_sizes=(0,))
-    with pytest.raises(ValueError, match="^hidden_sizes must not be empty$"):
+    with pytest.raises(ValueError, match="^fnn.hidden_sizes must not be empty$"):
         TrainConfig(hidden_sizes=())
-    with pytest.raises(ValueError, match="^decay_values must not be empty$"):
+    with pytest.raises(ValueError, match="^fnn.decay_values must not be empty$"):
         TrainConfig(decay_values=())
     with pytest.raises(ValueError, match="decay"):
         TrainConfig(decay_values=(0.0,))
@@ -689,8 +689,6 @@ def test_train_config_validation():
         TrainConfig(folds=1)
     with pytest.raises(ValueError, match="repeats"):
         TrainConfig(repeats=0)
-    with pytest.raises(ValueError, match="positive"):
-        TrainConfig(learning_rate=0.0)
 
 
 def test_best_cell_skips_failed_and_breaks_ties():
@@ -857,7 +855,7 @@ def test_model_load_names_a_corrupt_entry(tmp_path, entry):
         load_fnn_models(path, "abc")
 
 
-def test_training_digest_follows_every_input():
+def test_training_digest_follows_every_input(monkeypatch):
     coords = np.arange(12.0).reshape(6, 2)
     stim = np.ones((6, 1))
     cfg = TrainConfig()
@@ -867,6 +865,10 @@ def test_training_digest_follows_every_input():
     assert training_digest(cfg, coords, no_stim(6)) != base
     assert training_digest(cfg, coords, 2 * stim) != base
     assert training_digest(TrainConfig(seed=1), coords, stim) != base
+    # another step, such as the 0.05 that was once the learning_rate default,
+    # gives another digest, so bundles trained at it are refused
+    monkeypatch.setattr(rom_fnn, "LEARNING_RATE", 0.05)
+    assert training_digest(cfg, coords, stim) != base
 
 
 def test_bundles_of_runs_without_stimulus_keep_their_digest(tmp_path):
@@ -875,7 +877,8 @@ def test_bundles_of_runs_without_stimulus_keep_their_digest(tmp_path):
     n, h = 9, 4
     coords = np.asfortranarray(np.random.default_rng(2).normal(size=(n, 2)))
     cfg = TrainConfig(hidden_sizes=(3,), seed=4)
-    old = hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":")).encode())
+    payload = {**asdict(cfg), "learning_rate": 0.2}   # the step, once a config field
+    old = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
     old.update(np.ascontiguousarray(coords).tobytes())
     assert training_digest(cfg, coords, no_stim(n)) == old.hexdigest()
 
