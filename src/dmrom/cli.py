@@ -104,6 +104,12 @@ class NrwSection:
             )
 
 
+# the longest file a contrast's name goes into, activity_<name>.csv.<pid>.tmp
+# while its report is written, must fit a file name's 255 bytes (NAME_MAX)
+# with a Linux pid of up to 7 digits
+CONTRAST_NAME_BYTES = 255 - len("activity_.csv..tmp") - 7
+
+
 @dataclass(frozen=True)
 class GlmSection:
     kernel: tuple[float, ...] = ()
@@ -117,6 +123,15 @@ class GlmSection:
                 raise ValueError(
                     f"glm.contrasts names must be non-empty and hold no '/' or NUL, got {name!r}"
                 )
+            try:
+                size = len(name.encode("utf-8"))
+            except UnicodeEncodeError:   # a lone surrogate, such as JSON's "\ud800"
+                raise ValueError(
+                    f"glm.contrasts names must be Unicode text, got {name!r}"
+                ) from None
+            if size > CONTRAST_NAME_BYTES:
+                raise ValueError(f"glm.contrasts names must take at most "
+                                 f"{CONTRAST_NAME_BYTES} bytes in UTF-8, got {size}")
         if not 0 < self.threshold <= 1:
             raise ValueError(f"glm.threshold must be in (0, 1], got {self.threshold!r}")
 
@@ -222,12 +237,25 @@ def _typed(hint, value, name: str):
     return typed
 
 
+# per section, the keys that became module constants, each with its constant: a
+# config may still give one at that value, which changes nothing, and any other
+# value is refused; perfbench's configs still set fnn.learning_rate 0.2
+RETIRED_KEYS = {"fnn": {"learning_rate": rom_fnn.LEARNING_RATE}}
+
+
 def _build(cls, raw, name: str, seed: int):
     """The dataclass cls from its JSON object, each field given read by `_typed`; a section
     not given, or given null, reads as {}, and a `seed` not given takes the run seed."""
     if not isinstance(raw, dict):
         raise ValueError(f"config section {name!r} must be an object")
     hints = typing.get_type_hints(cls)
+    for key, fixed in RETIRED_KEYS.get(name, {}).items():
+        if key in raw:
+            given = _typed(float, raw[key], f"{name}.{key}")
+            if given != fixed:
+                raise ValueError(f"{name}.{key} is no longer a setting: it is fixed at {fixed}, "
+                                 f"got {given!r}")
+            raw = {k: v for k, v in raw.items() if k != key}
     unknown = ", ".join(sorted(set(raw) - set(hints)))
     if unknown:
         raise ValueError(f"unknown key(s) in config section {name!r}: {unknown}")

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from dmrom import dmaps, lifting, parsimony, rom_fnn
+from dmrom import cli, dmaps, lifting, parsimony, rom_fnn
 from dmrom.artifacts import read_matrix, write_matrix
 from dmrom.cli import config_hash, embed_hash, load_config, made_from, main
 from dmrom.evaluate import comparison_table, write_comparison
@@ -674,6 +674,23 @@ def test_glm_input_faults_fail_in_the_ingest_stage(tmp_path, capsys, header, cel
     err = capsys.readouterr().err
     assert err.startswith("error [ingest]") and message in err
     assert not (tmp_path / "out" / "reports").exists()
+
+
+def test_the_longest_contrast_name_writes_its_report(tmp_path):
+    # 'é' takes 2 bytes: the name takes exactly CONTRAST_NAME_BYTES, so its
+    # report's temporary file name takes 248 bytes at a 7-digit pid
+    name = "é" * 114 + "ab"
+    assert len(name.encode()) == cli.CONTRAST_NAME_BYTES
+    rows = [[repr(float(i % 3)), repr(float(i * i % 5))] for i in range(12)]
+    inp = tmp_path / "s.csv"
+    inp.write_text("a,b\n" + "".join(",".join(row) + "\n" for row in rows))
+    cfg_path = write_config(
+        tmp_path / "run.json", input=str(inp), output_dir=str(tmp_path / "out"), n_train=8,
+        epochs=[["A", 0, 6], ["B", 6, 12]], conditions=["A", "B"],
+        glm={"contrasts": {name: [1.0, -1.0]}},
+    )
+    assert main(["glm", "--config", cfg_path]) == 0
+    assert [p.name for p in (tmp_path / "out" / "reports").iterdir()] == [f"activity_{name}.csv"]
 
 
 def test_n_train_of_every_row_fails_in_the_ingest_stage(tmp_path, capsys):

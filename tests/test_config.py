@@ -163,12 +163,18 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error [config]: unknown key(s) in config section 'fnn': tol\n"
     )
-    # nor is fnn.learning_rate: every step is rom_fnn.LEARNING_RATE
-    path = dump(tmp_path, {"input": "x.csv", "output_dir": "out", "fnn": {"learning_rate": 0.2}})
+    # nor is fnn.learning_rate: every step is rom_fnn.LEARNING_RATE, so a config
+    # may give that value, which changes nothing, and no other
+    path = dump(tmp_path, {"input": "x.csv", "output_dir": "out", "fnn": {"learning_rate": 0.05}})
     assert main(["embed", "--config", path]) == 2
     assert capsys.readouterr().err == (
-        "error [config]: unknown key(s) in config section 'fnn': learning_rate\n"
+        "error [config]: fnn.learning_rate is no longer a setting: it is fixed at 0.2, got 0.05\n"
     )
+    fixed = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out",
+                                        "fnn": {"learning_rate": 0.2, "folds": 3}}))
+    plain = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out",
+                                        "fnn": {"folds": 3}}))
+    assert fixed == plain and config_hash(fixed) == config_hash(plain)
 
 
 @pytest.mark.parametrize(
@@ -272,6 +278,8 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
          "glm.contrasts names must be non-empty and hold no '/' or NUL, got ''"),
         ({"glm": {"contrasts": {"a\0b": []}}},
          "glm.contrasts names must be non-empty and hold no '/' or NUL, got 'a\\x00b'"),
+        ({"glm": {"contrasts": {"a\ud800": []}}},
+         "glm.contrasts names must be Unicode text, got 'a\\ud800'"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):
@@ -397,6 +405,9 @@ def test_out_of_range_numbers_exit_2_naming_the_field(tmp_path, capsys, doc, arg
         # a contrast's name is part of its report's file name
         ({"epochs": [["A", 0, 4]], "conditions": ["A"], "glm": {"contrasts": {"x/y": [1.0]}}},
          "glm.contrasts names must be non-empty and hold no '/' or NUL, got 'x/y'"),
+        # activity_<name>.csv.<pid>.tmp must fit a file name's 255 bytes
+        ({"epochs": [["A", 0, 4]], "conditions": ["A"], "glm": {"contrasts": {"é" * 116: [1.0]}}},
+         "glm.contrasts names must take at most 230 bytes in UTF-8, got 232"),
     ],
 )
 def test_stimulus_faults_exit_2_at_load(tmp_path, capsys, doc, message):
