@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import artifacts
@@ -40,10 +40,19 @@ def _diffusion_time(t) -> int:
 
 
 def _median_scale(d2: np.ndarray, fraction: float) -> float:
-    """Auto kernel scale from condensed squared distances: fraction x their median."""
-    if d2.size == 0:
+    """Auto kernel scale from condensed squared distances: fraction x their median.
+
+    The median comes from one partition of a copy at n//2, so d2 keeps its
+    pdist order. For even n the lower middle value is the largest entry left
+    of n//2. These are the order statistics `np.median` averages, by the same
+    mean, so the scale keeps its bits without its two-index partition.
+    """
+    n = d2.size
+    if n == 0:
         raise ValueError("need at least 2 points for the auto kernel scale")
-    sigma = fraction * float(np.median(d2))
+    part = np.partition(d2, n // 2)
+    mid = part[n // 2] if n % 2 else np.mean([part[: n // 2].max(), part[n // 2]])
+    sigma = fraction * float(mid)
     if sigma <= 0:
         raise ValueError("degenerate point set: median pairwise distance is 0")
     return sigma
@@ -106,19 +115,27 @@ def _descending_signed(vals: np.ndarray, vecs: np.ndarray, count: int):
     return vals[order], vecs
 
 
-def eigenbasis(s: np.ndarray, floor: float):
+def eigenbasis(s: np.ndarray, floor: float, count: int | None = None):
     """Eigenpairs of the symmetric matrix s above a relative floor, descending.
 
     Keeps the eigenvalues that are positive and at least ``floor`` times the
     largest one, with sign-fixed eigenvectors (see `_descending_signed`).
-    Overwrites s.
+    With ``count`` below N only the leading ``count`` eigenpairs are solved
+    for (LAPACK's ``syevr`` on an index range: bisection and inverse
+    iteration, whose last bits differ from the full solve's) and s is left
+    intact, so a caller may ask again for more. Otherwise every eigenpair is
+    solved for and s is overwritten.
     """
+    n = s.shape[0]
     try:
-        vals, vecs = eigh(s, overwrite_a=True)
+        if count is not None and count < n:
+            vals, vecs = eigh(s, subset_by_index=[n - count, n - 1], driver="evr")
+        else:
+            vals, vecs = eigh(s, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
-    count = int(np.count_nonzero((vals > 0) & (vals >= floor * vals.max())))
-    return _descending_signed(vals, vecs, count)
+    kept = int(np.count_nonzero((vals > 0) & (vals >= floor * vals.max())))
+    return _descending_signed(vals, vecs, kept)
 
 
 @dataclass(frozen=True)
@@ -163,6 +180,22 @@ def diffusion_operator(w: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     return row_degrees
 
 
+def _top_eigenpairs(s: np.ndarray, count: int):
+    """At least the top ``count`` eigenpairs of the symmetric s (see `spectral_decompose`).
+
+    ARPACK does not converge on a nearly split kernel graph, whose leading
+    eigenvalues crowd at 1; the dense spectrum then lets the caller see the
+    split.
+    """
+    n = s.shape[0]
+    if count < n - 1:
+        try:
+            return eigsh(s, k=count, which="LA", v0=np.ones(n), tol=0)
+        except ArpackNoConvergence:
+            pass
+    return eigh(s)
+
+
 def spectral_decompose(p: np.ndarray, row_degrees: np.ndarray, k: int):
     """Top k+1 right-eigenpairs (eigenvalues, eigenvectors) of p, descending.
 
@@ -174,8 +207,9 @@ def spectral_decompose(p: np.ndarray, row_degrees: np.ndarray, k: int):
     random vector, whose state carries over between calls in one process; the
     eigenvalues still agree.) For k+1 >= N-1 a dense ``eigh`` solves S
     instead: at that size it costs nothing, and ``eigsh`` would fall back to
-    it with a RuntimeWarning once k+1 >= N. Eigenvectors are mapped back by
-    D^-1/2, scaled to unit root-mean-square entry (so psi_0 = 1), and
+    it with a RuntimeWarning once k+1 >= N. A Lanczos solve that does not
+    converge falls back to the same dense solve. Eigenvectors are mapped back
+    by D^-1/2, scaled to unit root-mean-square entry (so psi_0 = 1), and
     sign-fixed so the entry of largest absolute value is positive.
     """
     n = p.shape[0]
@@ -184,10 +218,7 @@ def spectral_decompose(p: np.ndarray, row_degrees: np.ndarray, k: int):
     d_sqrt = np.sqrt(row_degrees)
     np.multiply(p, d_sqrt[:, None] / d_sqrt[None, :], out=p)
     try:
-        if k + 1 >= n - 1:
-            vals, vecs = eigh(p)
-        else:
-            vals, vecs = eigsh(p, k=k + 1, which="LA", v0=np.ones(n), tol=0)
+        vals, vecs = _top_eigenpairs(p, k + 1)
     except (np.linalg.LinAlgError, ArpackError) as exc:
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
     vecs /= d_sqrt[:, None]

@@ -7,7 +7,9 @@ built on the reduced training coordinates and every ambient channel is
 expanded in it, so reduced forecasts can be mapped back to ambient values.
 The truncation of that eigenbasis is the lift's only regularizer; its rank is
 the one whose closed-form leave-one-out residual on the training points is
-lowest (Golub, Heath & Wahba 1979).
+lowest (Golub, Heath & Wahba 1979). Only the leading eigenpairs that rank can
+reach are solved for: the first `LEADING_PAIRS`, doubled while the lowest
+residual sits at the last of them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from . import dmaps
 from .dmaps import DiffusionEmbedding
 
 EIG_FLOOR = 1e-8          # the lift's candidate ranks stop at this relative eigenvalue
+LEADING_PAIRS = 128       # gh_fit's first leading-subset solve; doubled while the rank needs more
 MIN_EIGENVALUE = 1e-12    # restriction is ill-posed below this
 
 
@@ -110,15 +113,31 @@ def loo_curve(psi, x, coeffs) -> np.ndarray:
     return np.sqrt(mse)
 
 
+def _candidates(kernel, x, floor: float, count: int | None = None):
+    """The eigenpairs above the floor among the leading ``count`` (see
+    `dmaps.eigenbasis`), their channel coefficients and their `loo_curve`."""
+    vals, vecs = dmaps.eigenbasis(kernel, floor, count)
+    # C order: the BLAS products over the basis (coeffs here, the lift in
+    # gh_lift) take another path on an F-order copy and move the last bits
+    vecs = np.ascontiguousarray(vecs)
+    coeffs = vecs.T @ x
+    return vals, vecs, coeffs, loo_curve(vecs, x, coeffs)
+
+
 def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float | None = None) -> GhLiftModel:
     """Eigenbasis of the Gaussian kernel on the reduced coordinates.
 
     Without ``eig_floor`` the basis keeps the leading r eigenpairs, where r
     has the lowest `loo_curve` value among the eigenpairs at or above
-    `EIG_FLOOR` times the largest eigenvalue. With ``eig_floor`` (in [0, 1])
-    it keeps every eigenpair at or above that fraction of the largest. Either
-    way the basis keeps only positive eigenvalues, is never empty, and carries
-    the expansion coefficients of every ambient channel.
+    `EIG_FLOOR` times the largest eigenvalue. Only the leading m eigenpairs
+    are solved for, m = `LEADING_PAIRS` at first. While all m pass the floor
+    and the lowest value sits at the m-th, the curve may fall further past
+    it, so m doubles and the solve repeats; once m reaches N the solve is the
+    full one. A curve that rises past an inner minimum and falls again beyond
+    m is not followed. With ``eig_floor`` (in [0, 1]) the basis keeps every
+    eigenpair at or above that fraction of the largest, from the full solve.
+    Either way the basis keeps only positive eigenvalues, is never empty, and
+    carries the expansion coefficients of every ambient channel.
     """
     y = np.asarray(Y_train, dtype=float)
     x = np.asarray(X_train, dtype=float)
@@ -131,13 +150,16 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float | None = None) ->
     if eig_floor is not None and not 0 <= eig_floor <= 1:
         raise ValueError(f"eig_floor must be in [0, 1], got {eig_floor}")
     kernel, gh_sigma = dmaps.kernel(y, sigma=gh_sigma)
-    vals, vecs = dmaps.eigenbasis(kernel, EIG_FLOOR if eig_floor is None else eig_floor)
-    # C order: the BLAS products over the basis (coeffs here, the lift in
-    # gh_lift) take another path on an F-order copy and move the last bits
-    vecs = np.ascontiguousarray(vecs)
-    coeffs = vecs.T @ x
-    loo = loo_curve(vecs, x, coeffs)
-    rank = int(np.argmin(loo)) + 1 if eig_floor is None else len(vals)
+    if eig_floor is None:
+        count = LEADING_PAIRS
+        vals, vecs, coeffs, loo = _candidates(kernel, x, EIG_FLOOR, count)
+        while int(np.argmin(loo)) + 1 == count < len(y):
+            count *= 2
+            vals, vecs, coeffs, loo = _candidates(kernel, x, EIG_FLOOR, count)
+        rank = int(np.argmin(loo)) + 1
+    else:
+        vals, vecs, coeffs, loo = _candidates(kernel, x, eig_floor)
+        rank = len(vals)
     return GhLiftModel(
         y_train=y,
         gh_sigma=gh_sigma,

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from dmrom import cli, dmaps, lifting, parsimony, rom_fnn
 from dmrom.artifacts import read_matrix, write_matrix
@@ -778,16 +779,18 @@ def test_negative_diffusion_time_fails_in_the_dmaps_stage(strip_run, tmp_path, c
     assert not (tmp_path / "run_bad" / "embedding").exists()
 
 
-def test_disconnected_kernel_graph_fails_in_the_dmaps_stage(tmp_path, capsys):
-    # 34 points in one tight cluster and 6 in another far away: the median
-    # squared distance is a within-cluster one, so the auto kernel scale is far
-    # too small to reach across and the eigenvalue 1 repeats
+def two_clusters_config(tmp_path, gap):
+    """An embed config on 34 points in one cluster and 6 in another ``gap`` away.
+
+    The median squared distance is a within-cluster one, so the auto kernel
+    scale is too small to reach well across.
+    """
     rng = np.random.default_rng(5)
-    pts = np.vstack([rng.normal(size=(34, 2)), rng.normal(size=(6, 2)) + 50.0])
+    pts = np.vstack([rng.normal(size=(34, 2)), rng.normal(size=(6, 2)) + gap])
     pts = pts[rng.permutation(40)]
     inp = tmp_path / "clusters.csv"
     inp.write_text("u,v\n" + "".join(f"{a!r},{b!r}\n" for a, b in pts.tolist()))
-    cfg_path = write_config(
+    return write_config(
         tmp_path / "clusters.json",
         input=str(inp),
         output_dir=str(tmp_path / "run"),
@@ -795,9 +798,33 @@ def test_disconnected_kernel_graph_fails_in_the_dmaps_stage(tmp_path, capsys):
         dmaps={"k": 4},
         parsimony={"d": 2},
     )
-    rc = main(["embed", "--config", cfg_path])
+
+
+def test_disconnected_kernel_graph_fails_in_the_dmaps_stage(tmp_path, capsys):
+    # 50 apart, the cross-cluster weights underflow to 0 and the eigenvalue 1 repeats
+    rc = main(["embed", "--config", two_clusters_config(tmp_path, 50.0)])
     assert rc == 2
     err = capsys.readouterr().err
+    assert "[dmaps]" in err and "disconnected" in err and "dmaps.sigma" in err
+    assert not (tmp_path / "run" / "embedding").exists()
+
+
+def test_a_lanczos_solve_that_does_not_converge_leaves_the_split_to_the_dmaps_check(
+    tmp_path, capsys, monkeypatch
+):
+    # 10 apart, the clusters are coupled by kernel weights near 3e-11, so
+    # lambda_1 lies within DISCONNECTED_TOL of 1 though the graph is connected.
+    # ARPACK does not converge on such a graph; the dense fallback's spectrum
+    # goes to the lambda_1 check
+    def no_convergence(s, k, **kwargs):
+        raise ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.empty(0), np.empty((len(s), 0))
+        )
+
+    monkeypatch.setattr(dmaps, "eigsh", no_convergence)
+    rc = main(["embed", "--config", two_clusters_config(tmp_path, 10.0)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
     assert "[dmaps]" in err and "disconnected" in err and "dmaps.sigma" in err
     assert not (tmp_path / "run" / "embedding").exists()
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
@@ -113,19 +113,48 @@ def test_auto_sigma_rejects_degenerate_sets():
 
 
 def test_auto_scale_kernel_runs_one_pdist(monkeypatch):
-    pts = cloud(4, n=15, m=3)
+    # repeated points tie their distances; the kernel is read off the
+    # condensed buffer after the median, so a reordered buffer moves its bits
+    pts = np.vstack([cloud(4, n=15, m=3), cloud(4, n=5, m=3)])
     want = float(np.median(pdist(pts, metric="sqeuclidean"))) / 2.0
-    calls = []
+    buffers = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return pdist(*args, **kwargs)
+        d2 = pdist(*args, **kwargs)
+        buffers.append(d2.copy())
+        return d2
 
     monkeypatch.setattr(dmaps, "pdist", counted)
     w, sigma = dmaps.kernel(pts)
-    assert len(calls) == 1
+    assert len(buffers) == 1
     assert sigma == want
     assert np.array_equal(w, gaussian_affinity(pts, sigma=want)[0])
+    in_pdist_order = np.exp(-squareform(buffers[0]) / (2.0 * want))
+    np.fill_diagonal(in_pdist_order, 1.0)
+    assert np.array_equal(w, in_pdist_order)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.one_of(
+            # values across many decades, and a few that tie
+            st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 300)),
+            st.sampled_from([0.25, 1.0, 3.0]),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+@example([2.5])
+@example([4.0, 1.0])
+@example([1.0, 1.0])
+@example([3.0, 1e-300, 1e300, 3.0])
+def test_partition_median_has_the_bits_of_np_median(values):
+    d2 = np.array(values)
+    before = d2.copy()
+    assert dmaps._median_scale(d2, 1.0).hex() == float(np.median(d2)).hex()
+    assert np.array_equal(d2, before)
 
 
 def test_cross_kernel_matches_rows_of_the_full_kernel():

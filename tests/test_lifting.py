@@ -12,7 +12,7 @@ from scipy.spatial.distance import pdist, squareform
 from dmrom import dmaps
 from dmrom.dmaps import DiffusionEmbedding
 from dmrom.ingest import SynthConfig, generate_synthetic
-from dmrom.lifting import EIG_FLOOR, gh_fit, gh_lift, loo_curve, nystrom_restrict
+from dmrom.lifting import EIG_FLOOR, LEADING_PAIRS, gh_fit, gh_lift, loo_curve, nystrom_restrict
 
 
 def every_index(E):
@@ -159,19 +159,51 @@ def test_retained_spectrum_respects_floor(separated_cloud):
     assert np.all(np.diff(model.eigenvalues) <= 0)
 
 
+def reordered_basis(kernel, floor=EIG_FLOOR, count=None):
+    """The kernel's eigenpairs above the floor, descending and sign-fixed, from an eigh
+    made here: among the leading ``count`` by the same LAPACK call as gh_fit's, or all."""
+    n = len(kernel)
+    if count is None:
+        vals, vecs = eigh(kernel)
+    else:
+        vals, vecs = eigh(kernel, subset_by_index=[n - count, n - 1], driver="evr")
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))])[None, :]
+    keep = (vals > 0) & (vals >= floor * vals[0])
+    return vals[keep], np.ascontiguousarray(vecs[:, keep])
+
+
+def assert_truncates(model, vals, vecs, x):
+    coeffs = vecs.T @ x
+    curve = loo_curve(vecs, x, coeffs)
+    assert model.loo_rms == curve.min() == curve[model.d_gh - 1]
+    assert np.array_equal(model.eigenvalues, vals[: model.d_gh])
+    assert np.array_equal(model.eigenvectors, vecs[:, : model.d_gh])
+    assert np.array_equal(model.coeffs, coeffs[: model.d_gh])
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The subset_by_index of each eigh call gh_fit makes (None: the full solve)."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("subset_by_index"))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(dmaps, "eigh", spy)
+    return calls
+
+
 def test_truncated_basis_keeps_the_bits_of_the_full_reorder(separated_cloud):
     # the reference orders and sign-fixes all N eigenvectors, then truncates
     y, x = separated_cloud
-    kernel, _ = dmaps.kernel(y, sigma=0.5)
-    vals, vecs = eigh(kernel)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-    vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(y))])[None, :]
-    keep = (vals > 0) & (vals >= 1e-3 * vals[0])
+    vals, vecs = reordered_basis(dmaps.kernel(y, sigma=0.5)[0], floor=1e-3)
     model = gh_fit(y, x, gh_sigma=0.5, eig_floor=1e-3)
-    assert np.array_equal(model.eigenvalues, vals[keep])
-    assert np.array_equal(model.eigenvectors, vecs[:, keep])
-    assert np.array_equal(model.coeffs, np.ascontiguousarray(vecs[:, keep]).T @ x)
+    assert np.array_equal(model.eigenvalues, vals)
+    assert np.array_equal(model.eigenvectors, vecs)
+    assert np.array_equal(model.coeffs, vecs.T @ x)
 
 
 def test_loo_curve_equals_refits_without_each_point(noisy_ring):
@@ -197,15 +229,54 @@ def test_loo_curve_is_inf_where_a_point_cannot_be_left_out():
 
 
 def test_loo_rank_lies_inside_the_candidates_and_truncates_their_basis(noisy_ring):
+    # 300 points: the rank comes from the leading-subset solve, so the
+    # reference makes the same LAPACK call
     y, x, _ = noisy_ring
     model = gh_fit(y, x)
     candidates = gh_fit(y, x, eig_floor=EIG_FLOOR)
-    assert 1 < model.d_gh < candidates.d_gh
+    assert 1 < model.d_gh < candidates.d_gh < LEADING_PAIRS < len(y)
+    vals, vecs = reordered_basis(dmaps.kernel(y)[0], count=LEADING_PAIRS)
+    assert len(vals) == candidates.d_gh
+    assert_truncates(model, vals, vecs, x)
+
+
+def test_a_large_fit_solves_only_a_leading_subset(noisy_ring, eigh_calls):
+    y, x, _ = noisy_ring
+    assert len(y) >= 2 * LEADING_PAIRS
+    gh_fit(y, x)
+    assert eigh_calls == [[len(y) - LEADING_PAIRS, len(y) - 1]]
+    gh_fit(y, x, eig_floor=EIG_FLOOR)
+    assert eigh_calls[1:] == [None]
+
+
+def test_a_small_fit_solves_in_full_with_the_bits_of_the_full_reorder(
+    separated_cloud, eigh_calls
+):
+    y, x = separated_cloud
+    assert len(y) <= LEADING_PAIRS
+    model = gh_fit(y, x, gh_sigma=0.5)
+    assert eigh_calls == [None]
+    assert_truncates(model, *reordered_basis(dmaps.kernel(y, sigma=0.5)[0]), x)
+
+
+def test_a_loo_minimum_past_the_first_subset_doubles_it(eigh_calls):
+    # a noisy channel made of 70 harmonics on a finely sampled circle: the
+    # leave-one-out curve falls until about rank 141, past the first subset
+    rng = np.random.default_rng(1)
+    n = 300
+    ang = 2.0 * np.pi * (np.arange(n) + 0.3 * rng.uniform(size=n)) / n
+    y = np.column_stack([np.cos(ang), np.sin(ang)])
+    harmonics = np.arange(1, 71)
+    x = np.cos(np.outer(ang, harmonics) + harmonics).sum(axis=1, keepdims=True)
+    x += 0.1 * rng.normal(size=(n, 1))
+    model = gh_fit(y, x, gh_sigma=0.002)
+    assert eigh_calls == [[n - LEADING_PAIRS, n - 1], [n - 2 * LEADING_PAIRS, n - 1]]
+    candidates = gh_fit(y, x, gh_sigma=0.002, eig_floor=EIG_FLOOR)
     curve = loo_curve(candidates.eigenvectors, x, candidates.coeffs)
-    assert model.loo_rms == curve.min() == curve[model.d_gh - 1]
-    assert np.array_equal(model.eigenvalues, candidates.eigenvalues[: model.d_gh])
-    assert np.array_equal(model.eigenvectors, candidates.eigenvectors[:, : model.d_gh])
-    assert np.array_equal(model.coeffs, candidates.coeffs[: model.d_gh])
+    assert LEADING_PAIRS < model.d_gh == int(np.argmin(curve)) + 1 < 2 * LEADING_PAIRS
+    assert model.loo_rms == pytest.approx(curve.min(), rel=1e-9)
+    kernel = dmaps.kernel(y, sigma=0.002)[0]
+    assert_truncates(model, *reordered_basis(kernel, count=2 * LEADING_PAIRS), x)
 
 
 def test_loo_rank_does_not_amplify_rounding(noisy_ring):
