@@ -63,11 +63,12 @@ def _check_kernel_scale(value, name: str) -> None:
 class DmapsSection:
     sigma: object = "auto"
     alpha: float = 1.0
-    t: int = 0
     k: int = 30
 
     def __post_init__(self):
         _check_kernel_scale(self.sigma, "dmaps.sigma")
+        if not 0 <= self.alpha <= 1:
+            raise ValueError(f"dmaps.alpha must be in [0, 1], got {self.alpha}")
         if self.k < 1:
             raise ValueError(f"dmaps.k must be >= 1, got {self.k}")
 
@@ -75,14 +76,10 @@ class DmapsSection:
 @dataclass(frozen=True)
 class ParsimonySection:
     d: int = 5
-    scale_fraction: float = parsimony.SCALE_FRACTION
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"parsimony.d must be >= 1, got {self.d!r}")
-        fraction = self.scale_fraction
-        if not fraction > 0:
-            raise ValueError(f"parsimony.scale_fraction must be a positive number, got {fraction}")
 
 
 @dataclass(frozen=True)
@@ -187,6 +184,8 @@ class RunConfig:
         d, k = self.parsimony.d, self.dmaps.k
         if d > k:
             raise ValueError(f"parsimony.d must be <= dmaps.k ({k}), got {d}")
+        if self.fnn.folds >= self.n_train:
+            raise ValueError(f"fnn.folds must be < n_train ({self.n_train}), got {self.fnn.folds}")
 
 
 # how a message names one value of a scalar annotation, and a list of them
@@ -438,9 +437,7 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
             raise ValueError(f"n_train must be < {len(values)} input rows, got {cfg.n_train}")
         train, test = values[: cfg.n_train], values[cfg.n_train :]
     with _stage("dmaps"):
-        embedding = dmaps.build_embedding(
-            train, cfg.dmaps.sigma, cfg.dmaps.alpha, cfg.dmaps.k, cfg.dmaps.t
-        )
+        embedding = dmaps.build_embedding(train, cfg.dmaps.sigma, cfg.dmaps.alpha, cfg.dmaps.k)
         lam1 = float(embedding.eigenvalues[1])
         if abs(lam1 - 1.0) < DISCONNECTED_TOL:
             raise ValueError(
@@ -448,9 +445,7 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
                 "eigenvalue 1; set a larger dmaps.sigma"
             )
     with _stage("parsimony"):
-        report = parsimony.rank_and_select(
-            embedding.eigenvectors[:, 1:], cfg.parsimony.d, cfg.parsimony.scale_fraction
-        )
+        report = parsimony.rank_and_select(embedding.eigenvectors[:, 1:], cfg.parsimony.d)
     with _stage("embed"):
         os.makedirs(paths.embedding, exist_ok=True)
         dmaps.save_embedding(embedding, paths.embedding, made_from(cfg))

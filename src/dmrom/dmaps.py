@@ -5,8 +5,10 @@ normalization P = K~^-1 W~ and the symmetric conjugate S = K~^1/2 P K~^-1/2
 (same spectrum, stable symmetric solver) are written one after another into
 the same N x N array. Only the top k+1 eigenpairs of S are computed, by a
 Lanczos solve (ARPACK) from a fixed start vector, and mapped back to those of
-P and sign-fixed. The steps pass plain arrays, and the normalization and
-conjugation steps overwrite the array they are given.
+P, scaled to unit root-mean-square entry and sign-fixed; those eigenvectors
+are the diffusion coordinates, at diffusion time 0. The steps pass plain
+arrays, and the normalization and conjugation steps overwrite the array they
+are given.
 """
 
 from __future__ import annotations
@@ -31,12 +33,6 @@ def _as_points(X) -> np.ndarray:
     if pts.ndim != 2:
         raise ValueError(f"expected 2-D point array, got shape {pts.shape}")
     return pts
-
-
-def _diffusion_time(t) -> int:
-    if t < 0 or int(t) != t:
-        raise ValueError(f"diffusion time must be a non-negative integer, got {t}")
-    return int(t)
 
 
 def _median_scale(d2: np.ndarray, fraction: float) -> float:
@@ -143,16 +139,15 @@ class DiffusionEmbedding:
     """Spectral embedding data: eigenvalues lam_0..lam_k, eigenvectors psi_0..psi_k.
 
     Column 0 is the trivial eigenvector psi_0 = 1 (lam_0 = 1). Every column
-    has unit root-mean-square entry (Coifman & Lafon's normalization), so
-    the coordinates coords(i, l) = lam_l^t psi_{i,l}, l = 1..k, are O(1) at
-    any N.
+    has unit root-mean-square entry (Coifman & Lafon's normalization), and
+    the diffusion coordinates are the columns psi_1..psi_k themselves
+    (diffusion time 0), so they are O(1) at any N.
     """
 
     eigenvalues: np.ndarray   # length k+1, descending
     eigenvectors: np.ndarray  # N x (k+1), unit-RMS columns, sign-fixed
     sigma: float
     alpha: float
-    t: int = 0
 
     @property
     def k(self) -> int:
@@ -226,22 +221,20 @@ def spectral_decompose(p: np.ndarray, row_degrees: np.ndarray, k: int):
     return _descending_signed(vals, vecs, k + 1)
 
 
-def build_embedding(X, sigma="auto", alpha: float = 1.0, k: int = 30, t: int = 0):
-    """Affinities -> diffusion matrix -> spectrum in one N x N buffer, at diffusion time t."""
-    t = _diffusion_time(t)
+def build_embedding(X, sigma="auto", alpha: float = 1.0, k: int = 30):
+    """Affinities -> diffusion matrix -> spectrum in one N x N buffer."""
     w, sigma = gaussian_affinity(X, sigma)
     row_degrees = diffusion_operator(w, alpha)
     vals, psi = spectral_decompose(w, row_degrees, k)
-    return DiffusionEmbedding(eigenvalues=vals, eigenvectors=psi, sigma=sigma, alpha=alpha, t=t)
+    return DiffusionEmbedding(eigenvalues=vals, eigenvectors=psi, sigma=sigma, alpha=alpha)
 
 
 def coords_for(E: DiffusionEmbedding, selected) -> np.ndarray:
-    """Coordinates lam_l^t psi_{i,l} of the selected eigen indices l (1-based)."""
+    """Coordinates psi_{i,l} of the selected eigen indices l (1-based): a copy of those columns."""
     sel = np.asarray(selected, dtype=int)
     if np.any(sel < 1) or np.any(sel > E.k):
         raise ValueError(f"selected indices must lie in 1..{E.k}")
-    lam = E.eigenvalues[sel] ** E.t
-    return E.eigenvectors[:, sel] * lam[None, :]
+    return E.eigenvectors[:, sel]
 
 
 def save_embedding(E: DiffusionEmbedding, directory, made_from: str) -> None:
@@ -262,7 +255,8 @@ def save_embedding(E: DiffusionEmbedding, directory, made_from: str) -> None:
     meta = {
         "sigma": E.sigma,
         "alpha": E.alpha,
-        "t": E.t,
+        # the coordinates are the eigenvectors, at diffusion time 0; the key keeps the format
+        "t": 0,
         "k": E.k,
         "sign_convention": SIGN_CONVENTION,
         "made_from": made_from,
@@ -280,7 +274,7 @@ def load_embedding(directory, made_from: str) -> DiffusionEmbedding:
     meta = artifacts.read_json(
         os.path.join(directory, "meta.json"),
         "embedding bundle",
-        ("sigma", "alpha", "t", "k", "made_from"),
+        ("sigma", "alpha", "k", "made_from"),
     )
     if meta["made_from"] != made_from:
         raise ValueError(
@@ -301,6 +295,5 @@ def load_embedding(directory, made_from: str) -> DiffusionEmbedding:
         eigenvectors=vecs,
         sigma=meta["sigma"],
         alpha=meta["alpha"],
-        t=_diffusion_time(meta["t"]),
     )
 

@@ -32,7 +32,7 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected) -> np.ndar
     The new kernel row gets the same two-step normalization as the training
     affinities (density correction by the training degrees and its own row sum,
     then row normalization), after which each coordinate is read off as
-    psi_l(x*) = (1/lam_l) sum_j p*_j psi_{j,l}, scaled by lam_l^t.
+    psi_l(x*) = (1/lam_l) sum_j p*_j psi_{j,l}.
 
     Parameters
     ----------
@@ -67,8 +67,7 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected) -> np.ndar
     alive = row_sums > 0.0   # the kernel warned about the others
     w_tilde = k_star[alive] / (row_sums[alive, None] ** E.alpha * degrees[None, :] ** E.alpha)
     p_star = w_tilde / w_tilde.sum(axis=1)[:, None]
-    psi_hat = (p_star @ E.eigenvectors[:, sel]) / lam[None, :]
-    out[alive] = psi_hat * (lam ** int(E.t))[None, :]
+    out[alive] = (p_star @ E.eigenvectors[:, sel]) / lam[None, :]
     return out
 
 

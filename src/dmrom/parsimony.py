@@ -16,7 +16,8 @@ import numpy as np
 from . import artifacts, dmaps
 
 RIDGE = 1e-10  # Tikhonov jitter on the weighted normal equations
-SCALE_FRACTION = 1.0 / 3.0  # default local-fit bandwidth / root median squared pairwise distance
+# the local-fit bandwidth over the root median squared distance (Dsilva et al. 2018)
+SCALE_FRACTION = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -25,14 +26,13 @@ class ParsimonyReport:
 
     er: np.ndarray            # length k, er[0] corresponds to psi_1
     selected: list[int]       # 1-based eigen indices, ascending
-    scale_fraction: float
     bandwidths: np.ndarray = field(default=None, repr=False)
 
 
-def _loo_local_linear(psi_pred: np.ndarray, target: np.ndarray, scale_fraction: float):
+def _loo_local_linear(psi_pred: np.ndarray, target: np.ndarray):
     """Leave-one-out locally weighted predictions of target from psi_pred rows, and h.
 
-    The weights are exp(-d^2 / (2 h^2)) with h = scale_fraction x the root
+    The weights are exp(-d^2 / (2 h^2)) with h = `SCALE_FRACTION` x the root
     median squared distance among the rows (`dmaps.kernel`'s auto scale).
     Point i's fit solves the weighted normal equations
     (Z' W_i Z + ridge I) theta_i = Z' W_i target, Z = [1, psi_pred]. Every
@@ -40,7 +40,7 @@ def _loo_local_linear(psi_pred: np.ndarray, target: np.ndarray, scale_fraction: 
     by two products with the kernel and solved in one batched call.
     """
     n = psi_pred.shape[0]
-    w, h2 = dmaps.kernel(psi_pred, fraction=scale_fraction**2)
+    w, h2 = dmaps.kernel(psi_pred, fraction=SCALE_FRACTION**2)
     np.fill_diagonal(w, 0.0)   # the point being predicted never weighs its own fit
     z = np.hstack([np.ones((n, 1)), psi_pred])
     m = z.shape[1]
@@ -64,15 +64,13 @@ def select_parsimonious(er: np.ndarray, d: int) -> list[int]:
     return sorted(i + 1 for i in order[:d])
 
 
-def rank_and_select(
-    psi: np.ndarray, d: int, scale_fraction: float = SCALE_FRACTION
-) -> ParsimonyReport:
+def rank_and_select(psi: np.ndarray, d: int) -> ParsimonyReport:
     """Normalized leave-one-out residuals er_l of the eigenvector columns, and the d largest.
 
     psi holds the non-trivial eigenvectors psi_1..psi_k as columns, ordered
     by descending eigenvalue. er[l-1] = sqrt(sum_i (psi_{i,l} - pred_i)^2 /
     sum_i psi_{i,l}^2), with er for the first column fixed at 1; the local
-    fits' bandwidth is ``scale_fraction`` times the root median squared
+    fits' bandwidth is `SCALE_FRACTION` times the root median squared
     pairwise distance among the predecessor rows. A predecessor set whose
     median distance is 0 raises ("degenerate point set").
     """
@@ -84,39 +82,31 @@ def rank_and_select(
         raise ValueError("need at least one eigenvector column")
     if n < 3:
         raise ValueError(f"need at least 3 points for leave-one-out fits, got {n}")
-    if not 0 < scale_fraction < np.inf:
-        raise ValueError(f"scale_fraction must be positive and finite, got {scale_fraction}")
     er = np.empty(k)
     er[0] = 1.0
     bandwidths = np.full(k, np.nan)
     for l in range(2, k + 1):
         target = psi[:, l - 1]
-        preds, bandwidths[l - 1] = _loo_local_linear(psi[:, : l - 1], target, scale_fraction)
+        preds, bandwidths[l - 1] = _loo_local_linear(psi[:, : l - 1], target)
         denom = float(np.sum(target**2))
         if denom == 0:
             raise ValueError(f"eigenvector column {l} is identically zero")
         er[l - 1] = float(np.sqrt(np.sum((target - preds) ** 2) / denom))
-    return ParsimonyReport(
-        er=er,
-        selected=select_parsimonious(er, d),
-        scale_fraction=scale_fraction,
-        bandwidths=bandwidths,
-    )
+    return ParsimonyReport(er=er, selected=select_parsimonious(er, d), bandwidths=bandwidths)
 
 
 def save_report(report: ParsimonyReport, path) -> None:
     payload = {
         "er": [float(v) for v in report.er],
         "selected": [int(i) for i in report.selected],
-        "scale_fraction": report.scale_fraction,
+        "scale_fraction": SCALE_FRACTION,
     }
     artifacts.write_json(path, payload)
 
 
 def load_report(path) -> ParsimonyReport:
-    payload = artifacts.read_json(path, "parsimony report", ("er", "selected", "scale_fraction"))
+    payload = artifacts.read_json(path, "parsimony report", ("er", "selected"))
     return ParsimonyReport(
         er=np.asarray(payload["er"], dtype=float),
         selected=[int(i) for i in payload["selected"]],
-        scale_fraction=float(payload["scale_fraction"]),
     )

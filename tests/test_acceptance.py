@@ -205,7 +205,7 @@ def synthetic_run(tmp_path_factory):
         "output_dir": str(base / "run"),
         "seed": 0,
         "n_train": 320,
-        "dmaps": {"sigma": "auto", "alpha": 1.0, "t": 0, "k": 10},
+        "dmaps": {"sigma": "auto", "alpha": 1.0, "k": 10},
         "parsimony": {"d": 5},
         "fnn": {
             "hidden_sizes": [4, 8],

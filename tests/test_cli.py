@@ -72,7 +72,7 @@ def pipeline_run(tmp_path_factory):
         output_dir=str(out),
         seed=0,
         n_train=120,
-        dmaps={"sigma": "auto", "alpha": 1.0, "t": 0, "k": 10},
+        dmaps={"sigma": "auto", "alpha": 1.0, "k": 10},
         parsimony={"d": 5},
         fnn={
             "hidden_sizes": [2],
@@ -112,6 +112,14 @@ def test_meta_echoes_config_and_hash(pipeline_run):
     assert meta["config_sha256"] == config_hash(cfg)
     assert meta["config"]["seed"] == 0
     assert meta["config"]["n_train"] == 120
+
+
+def test_the_bundles_keep_the_fixed_diffusion_time_and_bandwidth_fraction(pipeline_run):
+    # perfbench's spectrum and parsimony checks read both keys
+    emb = pipeline_run["out"] / "embedding"
+    assert json.loads((emb / "meta.json").read_text())["t"] == 0
+    report = json.loads((emb / "parsimony.json").read_text())
+    assert report["scale_fraction"] == parsimony.SCALE_FRACTION == 1.0 / 3.0
 
 
 def assert_fnn_bundle(models, d):
@@ -600,6 +608,15 @@ def test_stimulus_forecast_steps_from_the_last_training_row(stimulus_run):
     assert np.array_equal(written, expected)
 
 
+def test_an_alpha_out_of_range_exits_2_before_the_glm_stage(stimulus_run, tmp_path, capsys):
+    raw = json.loads(pathlib.Path(stimulus_run["cfg"]).read_text())
+    cfg_path = write_config(tmp_path / "alpha.json", **{
+        **raw, "output_dir": str(tmp_path / "run"), "dmaps": {**raw["dmaps"], "alpha": 1.5}})
+    assert main(["run", "--all", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == "error [config]: dmaps.alpha must be in [0, 1], got 1.5\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_forecast_refuses_models_trained_on_other_epochs(stimulus_run, tmp_path, capsys):
     cfg_path = clone_run(stimulus_run["cfg"], stimulus_run["out"], tmp_path / "clone",
                          epochs=alternating_epochs(140, 7))
@@ -633,9 +650,9 @@ def embed_small_series(tmp_path, cells, n_train: int, header: str = "a,b") -> in
     """`embed` on a 2-channel input whose rows are the given cell pairs."""
     inp = tmp_path / "series.csv"
     inp.write_text(header + "\n" + "".join(f"{x},{y}\n" for x, y in cells))
-    cfg_path = write_config(
-        tmp_path / "run.json", input=str(inp), output_dir=str(tmp_path / "out"), n_train=n_train
-    )
+    # fnn.folds must stay below n_train, though embed trains nothing
+    cfg_path = write_config(tmp_path / "run.json", input=str(inp),
+                            output_dir=str(tmp_path / "out"), n_train=n_train, fnn={"folds": 2})
     return main(["embed", "--config", cfg_path])
 
 
@@ -668,7 +685,7 @@ def test_glm_input_faults_fail_in_the_ingest_stage(tmp_path, capsys, header, cel
     inp.write_text(header + "\n" + "".join(",".join(row) + "\n" for row in rows))
     cfg_path = write_config(
         tmp_path / "run.json", input=str(inp), output_dir=str(tmp_path / "out"), n_train=8,
-        epochs=[["A", 0, 6], ["B", 6, 12]], conditions=["A", "B"],
+        fnn={"folds": 2}, epochs=[["A", 0, 6], ["B", 6, 12]], conditions=["A", "B"],
         glm={"contrasts": {"A_gt_B": [1.0, -1.0]}},
     )
     assert main(["run", "--all", "--config", cfg_path]) == 2
@@ -687,7 +704,7 @@ def test_the_longest_contrast_name_writes_its_report(tmp_path):
     inp.write_text("a,b\n" + "".join(",".join(row) + "\n" for row in rows))
     cfg_path = write_config(
         tmp_path / "run.json", input=str(inp), output_dir=str(tmp_path / "out"), n_train=8,
-        epochs=[["A", 0, 6], ["B", 6, 12]], conditions=["A", "B"],
+        fnn={"folds": 2}, epochs=[["A", 0, 6], ["B", 6, 12]], conditions=["A", "B"],
         glm={"contrasts": {name: [1.0, -1.0]}},
     )
     assert main(["glm", "--config", cfg_path]) == 0
@@ -732,7 +749,7 @@ def strip_run(tmp_path_factory):
         output_dir=str(base / "run"),
         seed=0,
         n_train=298,
-        dmaps={"sigma": 0.1, "alpha": 1.0, "t": 0, "k": 6},
+        dmaps={"sigma": 0.1, "alpha": 1.0, "k": 6},
         parsimony={"d": 2},
     )
     rc = main(["embed", "--config", cfg_path])
@@ -762,21 +779,11 @@ def test_embed_prints_spectrum_and_selection(strip_run, tmp_path, capsys):
 def test_oversized_k_fails_in_the_dmaps_stage(strip_run, tmp_path, capsys):
     cfg = json.loads(pathlib.Path(strip_run["cfg"]).read_text())
     cfg["output_dir"] = str(tmp_path / "run_bad")
-    cfg["dmaps"] = {"sigma": 0.1, "alpha": 1.0, "t": 0, "k": 298}
+    cfg["dmaps"] = {"sigma": 0.1, "alpha": 1.0, "k": 298}
     cfg_path = write_config(tmp_path / "embed_bad.json", **cfg)
     rc = main(["embed", "--config", cfg_path])
     assert rc == 2
     assert "[dmaps]" in capsys.readouterr().err
-
-
-def test_negative_diffusion_time_fails_in_the_dmaps_stage(strip_run, tmp_path, capsys):
-    cfg = json.loads(pathlib.Path(strip_run["cfg"]).read_text())
-    cfg["output_dir"] = str(tmp_path / "run_bad")
-    cfg["dmaps"] = {**cfg["dmaps"], "t": -1}
-    cfg_path = write_config(tmp_path / "embed_bad.json", **cfg)
-    assert main(["embed", "--config", cfg_path]) == 2
-    assert "[dmaps]" in capsys.readouterr().err
-    assert not (tmp_path / "run_bad" / "embedding").exists()
 
 
 def two_clusters_config(tmp_path, gap):

@@ -59,11 +59,13 @@ def run_configs(draw):
         frequency_scale=finite,
     ))
     k = draw(st.integers(1, 100))
+    folds = draw(st.integers(2, 20))
     return RunConfig(
         input=draw(names),
         output_dir=draw(names),
         seed=draw(st.integers(0, 2**63)),
-        n_train=draw(st.integers(2, 10**6)),
+        # fnn.folds must stay below n_train
+        n_train=draw(st.integers(folds + 1, 10**6)),
         standardize=draw(st.sampled_from(["full", "train_only"])),
         drop_dead=draw(st.booleans()),
         epochs=tuple(epochs),
@@ -71,19 +73,16 @@ def run_configs(draw):
         dmaps=DmapsSection(
             sigma=draw(st.just("auto") | positive),
             alpha=draw(st.floats(0, 1)),
-            t=draw(st.integers(0, 10)),
             k=k,
         ),
         # parsimony.d may not pass dmaps.k
-        parsimony=ParsimonySection(
-            d=draw(st.integers(1, min(k, 20))), scale_fraction=draw(positive)
-        ),
+        parsimony=ParsimonySection(d=draw(st.integers(1, min(k, 20)))),
         fnn=TrainConfig(
             hidden_sizes=tuple(
                 draw(st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True))
             ),
             decay_values=tuple(draw(st.lists(positive, min_size=1, max_size=4, unique=True))),
-            folds=draw(st.integers(2, 20)),
+            folds=folds,
             repeats=draw(st.integers(1, 20)),
             max_epochs=draw(st.integers(1, 10_000)),
             seed=draw(st.integers(0, 2**63)),
@@ -193,7 +192,7 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
          "epochs item must be a list of 3 values, got ['A', 0, 5, 9]"),
         ({"epochs": ["A05"], "conditions": ["A"]},
          "epochs item must be a list of 3 values, got 'A05'"),
-        ({"dmaps": {"t": 1.5}}, "dmaps.t must be an integer, got 1.5"),
+        ({"dmaps": {"t": 1}}, "unknown key(s) in config section 'dmaps': t"),
         ({"dmaps": {"k": "2"}}, "dmaps.k must be an integer, got '2'"),
         ({"drop_dead": "false"}, "drop_dead must be true or false, got 'false'"),
         ({"drop_dead": 1}, "drop_dead must be true or false, got 1"),
@@ -229,14 +228,11 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"parsimony": {"d": 0}}, "parsimony.d must be >= 1, got 0"),
         ({"parsimony": {"d": 31}}, "parsimony.d must be <= dmaps.k (30), got 31"),
         ({"dmaps": {"k": 4}, "parsimony": {"d": 5}}, "parsimony.d must be <= dmaps.k (4), got 5"),
-        ({"parsimony": {"scale_fraction": 0}},
-         "parsimony.scale_fraction must be a positive number, got 0.0"),
-        ({"parsimony": {"scale_fraction": -0.5}},
-         "parsimony.scale_fraction must be a positive number, got -0.5"),
-        ({"parsimony": {"scale_fraction": float("inf")}},
-         "parsimony.scale_fraction must be a finite number, got inf"),
-        ({"parsimony": {"scale_fraction": float("nan")}},
-         "parsimony.scale_fraction must be a finite number, got nan"),
+        ({"parsimony": {"scale_fraction": 1 / 3}},
+         "unknown key(s) in config section 'parsimony': scale_fraction"),
+        ({"dmaps": {"alpha": 1.5}}, "dmaps.alpha must be in [0, 1], got 1.5"),
+        ({"dmaps": {"alpha": -0.5}}, "dmaps.alpha must be in [0, 1], got -0.5"),
+        ({"n_train": 10, "fnn": {"folds": 12}}, "fnn.folds must be < n_train (10), got 12"),
         ({"dmaps": {"alpha": 10**400}},
          "dmaps.alpha must be a number within float range, got an integer of 401 digits"),
         ({"conditions": "AB"}, "conditions must be a list of strings, got 'AB'"),
@@ -327,7 +323,7 @@ QUICK_START = {
     "output_dir": "runs/demo",
     "seed": 0,
     "n_train": 320,
-    "dmaps": {"sigma": "auto", "alpha": 1.0, "t": 0, "k": 10},
+    "dmaps": {"sigma": "auto", "alpha": 1.0, "k": 10},
     "parsimony": {"d": 5},
     "fnn": {"hidden_sizes": [4, 8], "decay_values": [1e-8, 1e-6],
             "folds": 5, "repeats": 2, "max_epochs": 2000},
@@ -340,8 +336,8 @@ QUICK_START = {
 
 def test_quick_start_config_digests_are_pinned(tmp_path):
     cfg = load_config(dump(tmp_path, QUICK_START))
-    assert config_hash(cfg) == "c5fd6cd90095a32e57b21f24c87b0df2ff2d27165b3d0db337e3eae156357ece"
-    assert embed_hash(cfg) == "e7e84461cfdc2139a187025bcb60c5eccad2e6d40cbe9c981848d25a4fadc0ef"
+    assert config_hash(cfg) == "469bc5081015e868e4e07d885048241bd05cf11a60b6a0416fd6cb06ccb4e7ee"
+    assert embed_hash(cfg) == "62b13c81a14e675772a0a6e29ad39592603d729179d2bcb146e1258987100479"
     # the digest of its FNN bundles: that of the config with learning_rate
     # 0.2, the step every fit now takes, so those bundles stay valid
     coords = np.arange(12.0).reshape(6, 2)
@@ -355,7 +351,7 @@ def test_quick_start_config_digests_are_pinned(tmp_path):
     [
         None,
         {"input": "x.csv", "output_dir": "out", "epochs": [["A", 0]], "conditions": ["A"]},
-        {"input": "x.csv", "output_dir": "out", "dmaps": {"t": 1.5}},
+        {"input": "x.csv", "output_dir": "out", "dmaps": {"k": 1.5}},
         {"input": "x.csv", "output_dir": "out", "dmaps": {"sigma": [1]}},
     ],
 )
@@ -380,6 +376,8 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, doc):
         ({"fnn": {"decay_values": [float("nan")]}}, [],
          "fnn.decay_values item must be a finite number, got nan"),
         ({"synth": {"noise": float("nan")}}, [], "synth.noise must be a finite number, got nan"),
+        # the FNN stage would refuse it only after embed wrote the embedding
+        ({"n_train": 320, "fnn": {"folds": 320}}, [], "fnn.folds must be < n_train (320), got 320"),
     ],
 )
 def test_out_of_range_numbers_exit_2_naming_the_field(tmp_path, capsys, doc, args, message):

@@ -14,7 +14,6 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from dmrom import dmaps
 from dmrom.dmaps import (
-    DiffusionEmbedding,
     build_embedding,
     coords_for,
     diffusion_operator,
@@ -411,39 +410,8 @@ def test_permutation_equivariance(seed):
 
 def test_embed_time_zero_returns_raw_eigenvectors(strip_embedding):
     coords = all_coords(strip_embedding)
-    assert strip_embedding.t == 0
     assert np.array_equal(coords, strip_embedding.eigenvectors[:, 1:])
-
-
-def test_embed_scales_by_eigenvalue_power():
-    E = DiffusionEmbedding(
-        eigenvalues=np.array([1.0, 0.5]),
-        eigenvectors=np.array([[0.7, 0.2], [0.7, -0.1]]),
-        sigma=1.0,
-        alpha=1.0,
-        t=1,
-    )
-    coords = all_coords(E)
-    assert coords[0, 0] == 0.1
-    assert coords[1, 0] == -0.05
-
-
-def test_embed_exponent_law(strip_embedding):
-    lam = strip_embedding.eigenvalues[1:]
-    once = all_coords(replace(strip_embedding, t=1))
-    twice = all_coords(replace(strip_embedding, t=2))
-    assert np.allclose(twice, once * lam[None, :], rtol=1e-13, atol=1e-16)
-
-
-def test_embed_rejects_bad_time(tmp_path, strip_points, strip_embedding):
-    for t in (-1, 0.5):
-        with pytest.raises(ValueError, match="non-negative integer"):
-            build_embedding(strip_points, sigma=strip_embedding.sigma, k=6, t=t)
-    save_embedding(strip_embedding, tmp_path, "abc")
-    meta = json.loads((tmp_path / "meta.json").read_text())
-    (tmp_path / "meta.json").write_text(json.dumps({**meta, "t": -1}))
-    with pytest.raises(ValueError, match="non-negative integer"):
-        load_embedding(tmp_path, "abc")
+    assert not np.shares_memory(coords, strip_embedding.eigenvectors)
 
 
 def test_coords_for_selected_indices(strip_embedding):
@@ -460,7 +428,7 @@ def test_coords_for_selected_indices(strip_embedding):
 
 
 def test_bundle_roundtrip(tmp_path, strip_points, strip_embedding):
-    E = build_embedding(strip_points, sigma=strip_embedding.sigma, k=6, t=2)
+    E = build_embedding(strip_points, sigma=strip_embedding.sigma, k=6)
     assert np.array_equal(E.eigenvectors, strip_embedding.eigenvectors)
     save_embedding(E, tmp_path, "abc")
     back = load_embedding(tmp_path, "abc")
@@ -468,7 +436,6 @@ def test_bundle_roundtrip(tmp_path, strip_points, strip_embedding):
     assert np.array_equal(back.eigenvectors, E.eigenvectors)
     assert back.sigma == E.sigma
     assert back.alpha == E.alpha
-    assert back.t == 2
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["k"] == E.k
     assert meta["sign_convention"] == "max-abs-positive"

@@ -2,7 +2,6 @@
 
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,13 +70,6 @@ def test_restrict_midpoints_stay_in_local_hull(strip_points, strip_embedding):
         hi = np.maximum(coords[i], coords[j])
         slack = 0.1 * (hi - lo)
         assert np.all(c >= lo - slack) and np.all(c <= hi + slack)
-
-
-def test_restrict_honors_diffusion_time(strip_points, strip_embedding):
-    E1 = replace(strip_embedding, t=1)
-    got = nystrom_restrict(E1, strip_points, strip_points[17][None], selected=[1, 4])[0]
-    want = dmaps.coords_for(E1, [1, 4])[17]
-    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_restrict_builds_no_training_affinity(strip_points, strip_embedding, monkeypatch):

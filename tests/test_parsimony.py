@@ -93,10 +93,6 @@ def test_residual_input_validation():
         rank_and_select(np.ones((5, 0)), 1)
     with pytest.raises(ValueError, match="at least 3"):
         rank_and_select(np.ones((2, 3)), 1)
-    with pytest.raises(ValueError, match="positive"):
-        rank_and_select(np.random.default_rng(0).normal(size=(5, 2)), 1, 0.0)
-    with pytest.raises(ValueError, match="finite"):
-        rank_and_select(np.random.default_rng(0).normal(size=(5, 2)), 1, np.inf)
     psi = np.column_stack([np.arange(5.0), np.zeros(5)])
     with pytest.raises(ValueError, match="identically zero"):
         rank_and_select(psi, 1).er
@@ -186,10 +182,9 @@ def test_selection_picks_the_d_largest(er, data):
 
 def test_rank_and_select_bandwidth_oracle(direct_columns):
     _, _, psi = direct_columns
-    report = rank_and_select(psi, d=2, scale_fraction=1.0 / 3.0)
-    assert np.array_equal(report.er, rank_and_select(psi, 1).er)
+    report = rank_and_select(psi, d=2)
     assert report.selected == [1, 3]
-    # bandwidth for column l is scale_fraction * root median squared predecessor distance
+    # bandwidth for column l is SCALE_FRACTION (1/3) * root median squared predecessor distance
     for l in (1, 2):
         med2 = np.median(pdist(psi[:, :l], "sqeuclidean"))
         want = np.sqrt((1.0 / 3.0) ** 2 * med2)
@@ -213,4 +208,3 @@ def test_report_roundtrip(tmp_path, direct_columns):
     back = load_report(path)
     assert np.array_equal(back.er, report.er)
     assert back.selected == report.selected
-    assert back.scale_fraction == report.scale_fraction
