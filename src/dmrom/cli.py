@@ -5,7 +5,7 @@ Subcommands wire the stages together over a single JSON run config:
     synth     generate a seeded synthetic input series
     glm       per-channel regression against the stimulus design
     embed     detrend/split, spectral embedding, coordinate selection
-    train     fit the FNN ROMs on the training coordinates (--method fnn)
+    train     fit the FNN ROMs on the training coordinates
     forecast  fit the Koopman one-step matrix and channel pre-image and the
               GH lift, then closed-loop forecasts over the test horizon, plus
               the baseline, scored per channel into the comparison table
@@ -90,17 +90,6 @@ class GhSection:
         _check_kernel_scale(self.sigma, "gh.sigma")
 
 
-@dataclass(frozen=True)
-class NrwSection:
-    mode: str = "reduced_then_lift"
-
-    def __post_init__(self):
-        if self.mode not in ("reduced_then_lift", "ambient"):
-            raise ValueError(
-                f"nrw.mode must be 'reduced_then_lift' or 'ambient', got {self.mode!r}"
-            )
-
-
 # the longest file a contrast's name goes into, activity_<name>.csv.<pid>.tmp
 # while its report is written, must fit a file name's 255 bytes (NAME_MAX)
 # with a Linux pid of up to 7 digits
@@ -153,7 +142,6 @@ class RunConfig:
     parsimony: ParsimonySection = ParsimonySection()
     fnn: TrainConfig = TrainConfig()
     gh: GhSection = GhSection()
-    nrw: NrwSection = NrwSection()
     glm: GlmSection = GlmSection()
     synth: SynthConfig = None   # optional section
 
@@ -435,6 +423,8 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
         values, channels = _load_standardized(cfg)
         if cfg.n_train >= len(values):
             raise ValueError(f"n_train must be < {len(values)} input rows, got {cfg.n_train}")
+        # an epoch past the series end is refused before any file is written
+        _design_matrix(cfg, len(values))
         train, test = values[: cfg.n_train], values[cfg.n_train :]
     with _stage("dmaps"):
         embedding = dmaps.build_embedding(train, cfg.dmaps.sigma, cfg.dmaps.alpha, cfg.dmaps.k)
@@ -479,8 +469,9 @@ def _load_embedding_artifacts(cfg: RunConfig, paths: RunPaths):
 def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
     """Fit the FNN models, one per selected coordinate, and store them as one bundle.
 
-    `method` is the `--method` choice, always "fnn": the Koopman operator is fit
-    in `forecast`. perfbench's tracer names this stage's span after it.
+    `method` is always "fnn", passed by position: the Koopman operator is fit in
+    `forecast`, and the argument stays only because perfbench's tracer names
+    this stage's span after it, until that span is renamed (ROADMAP item 1).
     """
     with _stage("train"):
         _, _, coords_train = _load_embedding_artifacts(cfg, paths)
@@ -530,15 +521,10 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         _write_forecast(paths, "koopman_ambient", k_ambient, test_names)
 
     with _stage("nrw"):
-        if cfg.nrw.mode == "reduced_then_lift":
-            reduced_truth = lifting.nystrom_restrict(
-                embedding, train_vals, test_vals, report.selected
-            )
-            nrw_reduced = evaluate.nrw_forecast(reduced_truth, init)
-            nrw_ambient = lifting.gh_lift(gh_model, nrw_reduced)
-            _write_forecast(paths, "nrw_reduced", nrw_reduced, coord_names)
-        else:
-            nrw_ambient = evaluate.nrw_forecast(test_vals, train_vals[-1])
+        reduced_truth = lifting.nystrom_restrict(embedding, train_vals, test_vals, report.selected)
+        nrw_reduced = evaluate.nrw_forecast(reduced_truth, init)
+        nrw_ambient = lifting.gh_lift(gh_model, nrw_reduced)
+        _write_forecast(paths, "nrw_reduced", nrw_reduced, coord_names)
         _write_forecast(paths, "nrw_ambient", nrw_ambient, test_names)
 
     with _stage("evaluate"):
@@ -619,8 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name == "train":
-            p.add_argument("--method", required=True, choices=["fnn"])
         if name == "run":
             p.add_argument("--all", action="store_true", help="run every stage in order")
     return parser
@@ -648,7 +632,7 @@ def main(argv=None) -> int:
             elif args.command == "embed":
                 cmd_embed(cfg, paths)
             elif args.command == "train":
-                cmd_train(cfg, paths, args.method)
+                cmd_train(cfg, paths, "fnn")
             elif args.command == "forecast":
                 cmd_forecast(cfg, paths)
             elif args.command == "run":

@@ -174,7 +174,7 @@ def test_nrw_reduced_then_lift_from_run_artifacts(pipeline_run):
     embedding = load_run_embedding(pipeline_run["cfg"], emb)
     selected = parsimony.load_report(emb / "parsimony.json").selected
     train = read_matrix(emb / "train_ambient.csv")[0]
-    test = read_matrix(emb / "test_ambient.csv")[0]
+    test, names = read_matrix(emb / "test_ambient.csv")
     coords = dmaps.coords_for(embedding, selected)
     restricted = nystrom_restrict(embedding, train, test, selected)
     walked = np.vstack([coords[-1:], restricted[:-1]])
@@ -182,28 +182,11 @@ def test_nrw_reduced_then_lift_from_run_artifacts(pipeline_run):
     assert np.array_equal(read_matrix(forecasts / "nrw_reduced.csv")[0], walked)
     lifted = gh_lift(gh_fit(coords, train), walked)
     assert np.array_equal(read_matrix(forecasts / "nrw_ambient.csv")[0], lifted)
-
-
-def comparison_rows(run, method):
-    with open(run / "reports" / "comparison.csv", newline="") as fh:
-        return [row for row in csv.DictReader(fh) if row["method"] == method]
-
-
-def test_ambient_nrw_walks_the_test_block_and_drops_the_reduced_path(
-    pipeline_run, tmp_path
-):
-    run = tmp_path / "clone"
-    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], run, nrw={"mode": "ambient"})
-    assert (run / "forecasts" / "nrw_reduced.csv").exists()
-    assert main(["forecast", "--config", cfg_path]) == 0
-    train = read_matrix(run / "embedding" / "train_ambient.csv")[0]
-    test, names = read_matrix(run / "embedding" / "test_ambient.csv")
-    nrw = read_matrix(run / "forecasts" / "nrw_ambient.csv")[0]
-    assert np.array_equal(nrw, np.vstack([train[-1:], test[:-1]]))
-    assert not (run / "forecasts" / "nrw_reduced.csv").exists()
-    rows = comparison_rows(run, "nrw")
+    # the baseline's rows of the comparison table score that lifted walk
+    with open(pipeline_run["out"] / "reports" / "comparison.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["method"] == "nrw"]
     assert [row["region"] for row in rows] == names
-    sq = np.sum((nrw - test) ** 2, axis=0)
+    sq = np.sum((lifted - test) ** 2, axis=0)
     rmse = [float(row["rmse"]) for row in rows]
     l2 = [float(row["l2"]) for row in rows]
     assert np.allclose(rmse, np.sqrt(sq / len(test)), rtol=1e-12, atol=0)
@@ -215,7 +198,7 @@ def smaller_d_run(pipeline_run, tmp_path_factory):
     """The d=5 run copied, then embedded and trained again with d=3."""
     run = tmp_path_factory.mktemp("smaller_d") / "run"
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], run, parsimony={"d": 3})
-    for stage in (["embed"], ["train", "--method", "fnn"]):
+    for stage in (["embed"], ["train"]):
         assert main([*stage, "--config", cfg_path]) == 0
     return {"cfg": cfg_path, "out": run}
 
@@ -296,7 +279,7 @@ def test_forecast_refuses_models_trained_on_another_embedding(
     assert "models/fnn.json" in err and "rerun train" in err
 
 
-@pytest.mark.parametrize("stage", [["train", "--method", "fnn"], ["forecast"]])
+@pytest.mark.parametrize("stage", [["train"], ["forecast"]])
 def test_a_stale_embedding_is_refused(pipeline_run, tmp_path, capsys, stage):
     clone = tmp_path / "clone"
     changed = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone, dmaps={"sigma": 40.0})
@@ -319,7 +302,7 @@ def test_a_unit_norm_embedding_is_refused(pipeline_run, tmp_path, capsys):
     vecs, names = read_matrix(vectors)
     write_matrix(vectors, vecs / np.sqrt(len(vecs)), names)   # unit-norm columns
     before = tree_bytes(clone)
-    for stage in (["train", "--method", "fnn"], ["forecast"]):
+    for stage in (["train"], ["forecast"]):
         assert main([*stage, "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error [{stage[0]}] {clone / 'embedding'}: psi_0 ")
@@ -339,13 +322,13 @@ def test_an_embedding_of_another_input_file_is_refused(pipeline_run, tmp_path, c
     assert main(["synth", "--config", cfg_path]) == 0   # same path and config, other bytes
     capsys.readouterr()
     before = tree_bytes(clone)
-    for stage in (["train", "--method", "fnn"], ["forecast"]):
+    for stage in (["train"], ["forecast"]):
         assert main([*stage, "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error [{stage[0]}] {clone / 'embedding'}: ")
         assert "rerun embed" in err
     assert tree_bytes(clone) == before
-    for stage in (["embed"], ["train", "--method", "fnn"], ["forecast"]):
+    for stage in (["embed"], ["train"], ["forecast"]):
         assert main([*stage, "--config", cfg_path]) == 0
 
 
@@ -372,16 +355,18 @@ def test_failed_training_leaves_the_old_bundle(pipeline_run, tmp_path, monkeypat
         return trained
 
     monkeypatch.setattr(rom_fnn, "_train_fits", diverging_final)
-    assert main(["train", "--method", "fnn", "--config", cfg_path]) == 1
+    assert main(["train", "--config", cfg_path]) == 1
     assert calls == [15, 5]
     assert tree_bytes(models) == before
 
 
-def test_koopman_is_no_train_method(pipeline_run, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--method", "koopman", "--config", pipeline_run["cfg"]])
-    assert exc.value.code == 2
-    assert "invalid choice: 'koopman'" in capsys.readouterr().err
+def test_train_takes_no_method_option(pipeline_run, capsys):
+    # train fits the FNN models; the Koopman predictor is fit in forecast
+    for method in ("fnn", "koopman"):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--method", method, "--config", pipeline_run["cfg"]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --method {method}" in capsys.readouterr().err
 
 
 def test_forecast_fits_koopman_on_the_current_embedding(pipeline_run, tmp_path):
@@ -389,7 +374,7 @@ def test_forecast_fits_koopman_on_the_current_embedding(pipeline_run, tmp_path):
     clone = tmp_path / "clone"
     dmaps_cfg = {"sigma": 3 * sigma, "k": 10}
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone, dmaps=dmaps_cfg)
-    for stage in (["embed"], ["train", "--method", "fnn"], ["forecast"]):
+    for stage in (["embed"], ["train"], ["forecast"]):
         assert main([*stage, "--config", cfg_path]) == 0
     emb = clone / "embedding"
     selected = parsimony.load_report(emb / "parsimony.json").selected
@@ -631,8 +616,22 @@ def test_train_checks_the_epochs_against_the_whole_series(stimulus_run, tmp_path
     epochs[-1][2] = 141
     cfg_path = clone_run(stimulus_run["cfg"], stimulus_run["out"], tmp_path / "clone",
                          epochs=epochs)
-    assert main(["train", "--method", "fnn", "--config", cfg_path]) == 2
+    assert main(["train", "--config", cfg_path]) == 2
     assert capsys.readouterr().err.startswith("error [train]")
+
+
+def test_an_epoch_past_the_series_fails_in_the_ingest_stage(tmp_path, capsys):
+    # found by embed before it writes a file, not by train after it
+    inp = tmp_path / "series.csv"
+    rows = np.column_stack([np.cos(np.arange(400) / 7.0), np.sin(np.arange(400) / 5.0)])
+    write_matrix(inp, rows, ["a", "b"])
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path / "run.json", input=str(inp), output_dir=str(out),
+                            n_train=320, epochs=[["A", 390, 450]], conditions=["A"])
+    assert main(["run", "--all", "--config", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error [ingest] epoch [390, 450) out of range for 400 time points\n"
+    assert not (out / "embedding").exists() and not (out / "meta.json").exists()
 
 
 def test_missing_input_without_synth(tmp_path, capsys):
@@ -909,5 +908,5 @@ def test_embed_hash_follows_only_the_fields_embed_reads(pipeline_run, tmp_path):
                   {"parsimony": {"d": 4}}]:
         assert changed(**field) != base, field
     for field in [{"output_dir": "elsewhere"}, {"seed": 3}, {"fnn": {**raw["fnn"], "folds": 4}},
-                  {"gh": {"sigma": 0.5}}, {"nrw": {"mode": "ambient"}}]:
+                  {"gh": {"sigma": 0.5}}]:
         assert changed(**field) == base, field

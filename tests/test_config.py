@@ -16,7 +16,6 @@ from dmrom.cli import (
     DmapsSection,
     GhSection,
     GlmSection,
-    NrwSection,
     ParsimonySection,
     RunConfig,
     config_hash,
@@ -29,7 +28,7 @@ from dmrom.ingest import SynthConfig
 from dmrom.rom_fnn import TrainConfig, training_digest
 
 MISSING = object()
-SECTIONS = ("dmaps", "parsimony", "fnn", "gh", "nrw", "glm", "synth")
+SECTIONS = ("dmaps", "parsimony", "fnn", "gh", "glm", "synth")
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-12, max_value=1e12)
@@ -88,7 +87,6 @@ def run_configs(draw):
             seed=draw(st.integers(0, 2**63)),
         ),
         gh=GhSection(sigma=draw(st.just("auto") | positive)),
-        nrw=NrwSection(mode=draw(st.sampled_from(["reduced_then_lift", "ambient"]))),
         glm=GlmSection(
             kernel=tuple(draw(st.lists(finite, max_size=4))),
             contrasts=draw(st.dictionaries(contrast_names, contrast)),
@@ -117,7 +115,6 @@ def test_payload_round_trips_through_load_config(cfg):
 def test_defaults_come_from_the_section_dataclasses(tmp_path):
     cfg = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out", "seed": 4}))
     assert cfg.dmaps == DmapsSection()
-    assert cfg.nrw == NrwSection()
     assert cfg.fnn == TrainConfig(seed=4)   # the network seed follows the run seed
     assert cfg.synth is None
     cfg = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out", "seed": 4,
@@ -176,6 +173,13 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
     assert fixed == plain and config_hash(fixed) == config_hash(plain)
 
 
+def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
+    # the baseline always restricts the test block, walks it and lifts it
+    path = dump(tmp_path, {"input": "x.csv", "output_dir": "out", "nrw": {"mode": "ambient"}})
+    assert main(["embed", "--config", path]) == 2
+    assert capsys.readouterr().err == f"error [config]: {path}: unknown config key(s): nrw\n"
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -183,7 +187,7 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
         ({"output_dir": None}, "config must set 'output_dir'"),
         ({"dmaps": [1]}, "config section 'dmaps' must be an object"),
         ({"glm": {"contrasts": [["a", [1]]]}}, "glm.contrasts must be an object, got [['a', [1]]]"),
-        ({"nrw": {"mode": "x"}}, "nrw.mode must be 'reduced_then_lift' or 'ambient', got 'x'"),
+        ({"nrw": {"mode": "ambient"}}, "unknown config key(s): nrw"),
         ({"epochs": [["A", 0, 2]]}, "epochs given without a conditions list"),
         ({"standardize": "x"}, "standardize must be 'full' or 'train_only', got 'x'"),
         ({"epochs": [["A", 0]], "conditions": ["A"]},
@@ -316,8 +320,10 @@ def test_every_field_refuses_a_value_of_the_wrong_kind(tmp_path, field, hint):
         assert str(err.value).startswith(f"{field} must be"), str(err.value)
 
 
-# the README quick-start config; older run directories hold these digests, so a
-# loader change that moves either one would make every one of them stale
+# the README quick-start config; older run directories hold its embed and
+# bundle digests, so a loader change that moves either one would make every
+# one of them stale; config_hash is only echoed in meta.json, and moves when a
+# field goes, as it did with the nrw section
 QUICK_START = {
     "input": "data/series.csv",
     "output_dir": "runs/demo",
@@ -328,7 +334,6 @@ QUICK_START = {
     "fnn": {"hidden_sizes": [4, 8], "decay_values": [1e-8, 1e-6],
             "folds": 5, "repeats": 2, "max_epochs": 2000},
     "gh": {"sigma": "auto"},
-    "nrw": {"mode": "reduced_then_lift"},
     "synth": {"q": 2, "ambient_dim": 50, "n_times": 400, "noise": 0.0,
               "seed": 0, "dynamics": "limit_cycle"},
 }
@@ -336,7 +341,7 @@ QUICK_START = {
 
 def test_quick_start_config_digests_are_pinned(tmp_path):
     cfg = load_config(dump(tmp_path, QUICK_START))
-    assert config_hash(cfg) == "469bc5081015e868e4e07d885048241bd05cf11a60b6a0416fd6cb06ccb4e7ee"
+    assert config_hash(cfg) == "8d384f9d58b39a38b93604717a1d0d509282e1eb723017fcfe669f138cd0bd59"
     assert embed_hash(cfg) == "62b13c81a14e675772a0a6e29ad39592603d729179d2bcb146e1258987100479"
     # the digest of its FNN bundles: that of the config with learning_rate
     # 0.2, the step every fit now takes, so those bundles stay valid

@@ -271,6 +271,27 @@ def test_a_loo_minimum_past_the_first_subset_doubles_it(eigh_calls):
     assert_truncates(model, *reordered_basis(kernel, count=2 * LEADING_PAIRS), x)
 
 
+def test_the_rank_is_the_argmin_of_the_first_subset_whose_minimum_lies_inside_it(eigh_calls):
+    # three noise-free harmonics on a finely sampled circle: the leave-one-out
+    # curve dips at rank 7, rises, and falls again past the first subset to far
+    # lower values; the rule keeps the inner minimum and solves no more pairs
+    n = 300
+    u = np.random.default_rng(1).uniform(size=n)
+    ang = 2.0 * np.pi * np.arange(n) / n + 0.3 * u / n
+    y = np.column_stack([np.cos(ang), np.sin(ang)])
+    harmonics = np.array([3, 70, 90])
+    x = np.cos(np.outer(ang, harmonics) + harmonics)
+    model = gh_fit(y, x, gh_sigma=0.002)
+    assert model.d_gh == 7
+    assert eigh_calls == [[n - LEADING_PAIRS, n - 1]]
+    assert model.loo_rms == pytest.approx(0.5911, rel=1e-3)
+    candidates = gh_fit(y, x, gh_sigma=0.002, eig_floor=EIG_FLOOR)
+    curve = loo_curve(candidates.eigenvectors, x, candidates.coeffs)
+    assert curve[model.d_gh - 1] == pytest.approx(model.loo_rms, rel=1e-9)
+    assert int(np.argmin(curve)) + 1 > LEADING_PAIRS
+    assert curve.min() < 1e-5 * model.loo_rms
+
+
 def test_loo_rank_does_not_amplify_rounding(noisy_ring):
     y, x, queries = noisy_ring
     shift = 1e-13 * np.random.default_rng(4).normal(size=queries.shape)
