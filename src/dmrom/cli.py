@@ -62,13 +62,10 @@ def _check_kernel_scale(value, name: str) -> None:
 @dataclass(frozen=True)
 class DmapsSection:
     sigma: object = "auto"
-    alpha: float = 1.0
     k: int = 30
 
     def __post_init__(self):
         _check_kernel_scale(self.sigma, "dmaps.sigma")
-        if not 0 <= self.alpha <= 1:
-            raise ValueError(f"dmaps.alpha must be in [0, 1], got {self.alpha}")
         if self.k < 1:
             raise ValueError(f"dmaps.k must be >= 1, got {self.k}")
 
@@ -135,7 +132,6 @@ class RunConfig:
     seed: int = 0
     n_train: int = 280
     standardize: str = "full"   # or "train_only"
-    drop_dead: bool = False
     epochs: tuple[tuple[str, int, int], ...] = ()   # (condition, start, end), half-open
     conditions: tuple[str, ...] = ()
     dmaps: DmapsSection = DmapsSection()
@@ -178,7 +174,7 @@ class RunConfig:
 
 # how a message names one value of a scalar annotation, and a list of them
 _KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
-          bool: ("true or false", "booleans"), str: ("a non-empty string", "strings")}
+          str: ("a non-empty string", "strings")}
 
 
 def _typed(hint, value, name: str):
@@ -187,9 +183,9 @@ def _typed(hint, value, name: str):
     A `dict[str, V]` takes an object, a `tuple[T, ...]` a list and a `tuple[A, B, C]` a list
     of three; each value inside follows its own hint, named `name.key`, `name item` or
     `name[i]`. `object` takes any value, for its section to check. A str takes a non-empty
-    string, an int an integral number (300.0 too), a float any finite number, a bool only
-    true or false; a bool is not a number. JSON's NaN, Infinity and literals past float
-    range such as 1e400 parse to non-finite floats.
+    string, an int an integral number (300.0 too), a float any finite number; a bool is
+    not a number. JSON's NaN, Infinity and literals past float range such as 1e400 parse
+    to non-finite floats.
     """
     form, args = typing.get_origin(hint), typing.get_args(hint)
     if form is dict:
@@ -208,8 +204,8 @@ def _typed(hint, value, name: str):
     if hint is object:
         return value
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    fits = {str: isinstance(value, str) and value != "", bool: isinstance(value, bool),
-            int: number and value % 1 == 0, float: number}[hint]
+    fits = {str: isinstance(value, str) and value != "", int: number and value % 1 == 0,
+            float: number}[hint]
     if not fits:
         raise ValueError(f"{name} must be {_KINDS[hint][0]}, got {value!r}")
     try:
@@ -290,7 +286,7 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 # the config fields `embed` reads
-EMBED_FIELDS = ("input", "n_train", "standardize", "drop_dead", "dmaps", "parsimony")
+EMBED_FIELDS = ("input", "n_train", "standardize", "dmaps", "parsimony")
 
 
 def embed_hash(cfg: RunConfig) -> str:
@@ -369,7 +365,7 @@ def _load_standardized(cfg: RunConfig):
     """(values, channel names) of the input series, detrended and standardized."""
     values, names = load_timeseries(cfg.input)
     n_fit = cfg.n_train if cfg.standardize == "train_only" else None
-    return detrend_standardize(values, names, drop_dead=cfg.drop_dead, n_fit=n_fit)
+    return detrend_standardize(values, names, n_fit=n_fit), names
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +423,7 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
         _design_matrix(cfg, len(values))
         train, test = values[: cfg.n_train], values[cfg.n_train :]
     with _stage("dmaps"):
-        embedding = dmaps.build_embedding(train, cfg.dmaps.sigma, cfg.dmaps.alpha, cfg.dmaps.k)
+        embedding = dmaps.build_embedding(train, cfg.dmaps.sigma, cfg.dmaps.k)
         lam1 = float(embedding.eigenvalues[1])
         if abs(lam1 - 1.0) < DISCONNECTED_TOL:
             raise ValueError(

@@ -1,6 +1,6 @@
 """Diffusion maps: one in-place chain from points to the spectral embedding.
 
-Gaussian affinities W, the density normalization W~ = K^-a W K^-a, the row
+Gaussian affinities W, the density normalization W~ = K^-1 W K^-1, the row
 normalization P = K~^-1 W~ and the symmetric conjugate S = K~^1/2 P K~^-1/2
 (same spectrum, stable symmetric solver) are written one after another into
 the same N x N array. Only the top k+1 eigenpairs of S are computed, by a
@@ -147,7 +147,6 @@ class DiffusionEmbedding:
     eigenvalues: np.ndarray   # length k+1, descending
     eigenvectors: np.ndarray  # N x (k+1), unit-RMS columns, sign-fixed
     sigma: float
-    alpha: float
 
     @property
     def k(self) -> int:
@@ -159,17 +158,16 @@ def gaussian_affinity(X, sigma="auto"):
     return kernel(X, sigma=sigma)
 
 
-def diffusion_operator(w: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+def diffusion_operator(w: np.ndarray) -> np.ndarray:
     """Normalize the affinities w into the diffusion matrix P, overwriting w.
 
-    Density correction w~ = K^-alpha w K^-alpha, then row normalization
-    P = K~^-1 w~. Returns the row degrees K~ of w~. The unit diagonal of w
-    keeps every degree positive.
+    Density correction w~ = K^-1 w K^-1 (Coifman & Lafon's alpha = 1, whose
+    coordinates do not depend on the sampling density), then row
+    normalization P = K~^-1 w~. Returns the row degrees K~ of w~. The unit
+    diagonal of w keeps every degree positive.
     """
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    kinv_a = w.sum(axis=1) ** (-alpha)
-    np.multiply(w, np.outer(kinv_a, kinv_a), out=w)
+    kinv = 1.0 / w.sum(axis=1)
+    np.multiply(w, np.outer(kinv, kinv), out=w)
     row_degrees = w.sum(axis=1)
     w /= row_degrees[:, None]
     return row_degrees
@@ -221,12 +219,12 @@ def spectral_decompose(p: np.ndarray, row_degrees: np.ndarray, k: int):
     return _descending_signed(vals, vecs, k + 1)
 
 
-def build_embedding(X, sigma="auto", alpha: float = 1.0, k: int = 30):
+def build_embedding(X, sigma="auto", k: int = 30):
     """Affinities -> diffusion matrix -> spectrum in one N x N buffer."""
     w, sigma = gaussian_affinity(X, sigma)
-    row_degrees = diffusion_operator(w, alpha)
+    row_degrees = diffusion_operator(w)
     vals, psi = spectral_decompose(w, row_degrees, k)
-    return DiffusionEmbedding(eigenvalues=vals, eigenvectors=psi, sigma=sigma, alpha=alpha)
+    return DiffusionEmbedding(eigenvalues=vals, eigenvectors=psi, sigma=sigma)
 
 
 def coords_for(E: DiffusionEmbedding, selected) -> np.ndarray:
@@ -254,8 +252,9 @@ def save_embedding(E: DiffusionEmbedding, directory, made_from: str) -> None:
     )
     meta = {
         "sigma": E.sigma,
-        "alpha": E.alpha,
-        # the coordinates are the eigenvectors, at diffusion time 0; the key keeps the format
+        # the density normalization is alpha = 1 and the coordinates are the
+        # eigenvectors, at diffusion time 0; the two keys keep the format
+        "alpha": 1.0,
         "t": 0,
         "k": E.k,
         "sign_convention": SIGN_CONVENTION,
@@ -274,7 +273,7 @@ def load_embedding(directory, made_from: str) -> DiffusionEmbedding:
     meta = artifacts.read_json(
         os.path.join(directory, "meta.json"),
         "embedding bundle",
-        ("sigma", "alpha", "k", "made_from"),
+        ("sigma", "k", "made_from"),
     )
     if meta["made_from"] != made_from:
         raise ValueError(
@@ -290,10 +289,5 @@ def load_embedding(directory, made_from: str) -> DiffusionEmbedding:
             f"{directory}: psi_0 is not the constant 1, so the eigenvectors are not "
             "unit-RMS; rerun embed"
         )
-    return DiffusionEmbedding(
-        eigenvalues=vals[:, 0],
-        eigenvectors=vecs,
-        sigma=meta["sigma"],
-        alpha=meta["alpha"],
-    )
+    return DiffusionEmbedding(eigenvalues=vals[:, 0], eigenvectors=vecs, sigma=meta["sigma"])
 

@@ -9,15 +9,12 @@ test suite as ground-truth oracles.
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import artifacts
-
-logger = logging.getLogger(__name__)
 
 DEAD_CHANNEL_REL_TOL = 1e-10
 
@@ -64,16 +61,13 @@ def load_timeseries(path) -> tuple[np.ndarray, list[str]]:
 def detrend_standardize(
     values: np.ndarray,
     names: list[str],
-    drop_dead: bool = False,
     n_fit: int | None = None,
-) -> tuple[np.ndarray, list[str]]:
+) -> np.ndarray:
     """Remove the per-channel least-squares line and scale to unit sample std.
 
     The line is fit against the time index 0..N-1 and the standard deviation
-    uses the N-1 denominator. Channels that are constant after detrending are
-    an error unless ``drop_dead`` is set, in which case they are removed and
-    reported through the module logger. Returns the standardized values and
-    the names of the channels kept.
+    uses the N-1 denominator. A channel that is constant after detrending is
+    an error naming it (from ``names``, one per column).
 
     Parameters
     ----------
@@ -101,20 +95,8 @@ def detrend_standardize(
     dead = sd <= DEAD_CHANNEL_REL_TOL * np.maximum(sd_orig, 1e-300)
     if np.any(dead):
         dead_names = [names[i] for i in np.flatnonzero(dead)]
-        if not drop_dead:
-            raise ValueError(
-                "constant channel(s) after detrending: " + ", ".join(dead_names)
-            )
-        logger.warning("dropping dead channel(s): %s", ", ".join(dead_names))
-        keep = ~dead
-        detrended = detrended[:, keep]
-        sd = sd[keep]
-        names = [nm for nm, k in zip(names, keep) if k]
-    else:
-        names = list(names)
-    if detrended.shape[1] == 0:
-        raise ValueError("all channels dead after detrending")
-    return detrended / sd[None, :], names
+        raise ValueError("constant channel(s) after detrending: " + ", ".join(dead_names))
+    return detrended / sd[None, :]
 
 
 @dataclass(frozen=True)

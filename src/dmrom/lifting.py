@@ -65,7 +65,8 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected) -> np.ndar
     row_sums = k_star.sum(axis=1)
     out = np.zeros((k_star.shape[0], sel.size))
     alive = row_sums > 0.0   # the kernel warned about the others
-    w_tilde = k_star[alive] / (row_sums[alive, None] ** E.alpha * degrees[None, :] ** E.alpha)
+    # the row sums cancel in the row normalization below, but dropping them moves the last bits
+    w_tilde = k_star[alive] / (row_sums[alive, None] * degrees[None, :])
     p_star = w_tilde / w_tilde.sum(axis=1)[:, None]
     out[alive] = (p_star @ E.eigenvectors[:, sel]) / lam[None, :]
     return out

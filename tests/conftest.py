@@ -30,7 +30,7 @@ def strip_points() -> np.ndarray:
 def strip_embedding(strip_points):
     # k=6 covers the long-axis mode, its first two overtones, and the
     # cross-strip mode with room to spare
-    return dmaps.build_embedding(strip_points, sigma=STRIP_SIGMA, alpha=1.0, k=6)
+    return dmaps.build_embedding(strip_points, sigma=STRIP_SIGMA, k=6)
 
 
 @pytest.fixture(scope="session")
@@ -38,15 +38,13 @@ def cycle_dataset():
     """Noise-free planar limit cycle in 50 ambient channels, standardized and split."""
     cfg = SynthConfig(q=2, ambient_dim=50, n_times=400, noise=0.0, seed=0)
     values, names, truth = generate_synthetic(cfg)
-    std, _ = detrend_standardize(values, names)
+    std = detrend_standardize(values, names)
     return {"series": values, "truth": truth, "train": std[:320], "test": std[320:]}
 
 
 @pytest.fixture(scope="session")
 def cycle_embedding(cycle_dataset):
-    return dmaps.build_embedding(
-        cycle_dataset["train"], sigma="auto", alpha=1.0, k=10
-    )
+    return dmaps.build_embedding(cycle_dataset["train"], sigma="auto", k=10)
 
 
 # one "[criterion N] PASS/FAIL - ..." line per acceptance criterion,

@@ -70,10 +70,9 @@ def test_criterion_2_diffusion_operator_properties():
             rng = np.random.default_rng(seed)
             n = int(rng.integers(5, 51))
             m = int(rng.integers(1, 9))
-            alpha = float(rng.choice([0.0, 0.5, 1.0]))
             pts = rng.normal(size=(n, m))
             p, _ = dmaps.gaussian_affinity(pts)
-            row_degrees = dmaps.diffusion_operator(p, alpha)   # p now holds P
+            row_degrees = dmaps.diffusion_operator(p)   # p now holds P
             vals, vecs = dmaps.spectral_decompose(p.copy(), row_degrees, min(5, n - 2))
             worst_row = max(worst_row, float(np.max(np.abs(p.sum(axis=1) - 1.0))))
             worst_lam0 = max(worst_lam0, abs(vals[0] - 1.0))
@@ -205,7 +204,7 @@ def synthetic_run(tmp_path_factory):
         "output_dir": str(base / "run"),
         "seed": 0,
         "n_train": 320,
-        "dmaps": {"sigma": "auto", "alpha": 1.0, "k": 10},
+        "dmaps": {"sigma": "auto", "k": 10},
         "parsimony": {"d": 5},
         "fnn": {
             "hidden_sizes": [4, 8],

@@ -72,7 +72,7 @@ def pipeline_run(tmp_path_factory):
         output_dir=str(out),
         seed=0,
         n_train=120,
-        dmaps={"sigma": "auto", "alpha": 1.0, "k": 10},
+        dmaps={"sigma": "auto", "k": 10},
         parsimony={"d": 5},
         fnn={
             "hidden_sizes": [2],
@@ -593,12 +593,15 @@ def test_stimulus_forecast_steps_from_the_last_training_row(stimulus_run):
     assert np.array_equal(written, expected)
 
 
-def test_an_alpha_out_of_range_exits_2_before_the_glm_stage(stimulus_run, tmp_path, capsys):
+def test_a_dmaps_alpha_key_exits_2_before_the_glm_stage(stimulus_run, tmp_path, capsys):
+    # the density normalization is always alpha = 1, so the key is unknown at any value
     raw = json.loads(pathlib.Path(stimulus_run["cfg"]).read_text())
     cfg_path = write_config(tmp_path / "alpha.json", **{
-        **raw, "output_dir": str(tmp_path / "run"), "dmaps": {**raw["dmaps"], "alpha": 1.5}})
+        **raw, "output_dir": str(tmp_path / "run"), "dmaps": {**raw["dmaps"], "alpha": 1.0}})
     assert main(["run", "--all", "--config", cfg_path]) == 2
-    assert capsys.readouterr().err == "error [config]: dmaps.alpha must be in [0, 1], got 1.5\n"
+    assert capsys.readouterr().err == (
+        "error [config]: unknown key(s) in config section 'dmaps': alpha\n"
+    )
     assert not (tmp_path / "run").exists()
 
 
@@ -670,6 +673,15 @@ def test_repeated_channel_names_fail_in_the_ingest_stage(tmp_path, capsys):
     assert embed_small_series(tmp_path, cells, n_train=8, header="a, a ") == 2
     err = capsys.readouterr().err
     assert "[ingest]" in err and "repeated channel name(s): 'a'" in err
+    assert not (tmp_path / "out" / "embedding").exists()
+
+
+def test_a_dead_channel_fails_in_the_ingest_stage_naming_it(tmp_path, capsys):
+    # a straight line is constant once detrended; it is never dropped
+    cells = [(repr(2.0 + 3.0 * i), repr(float(i * i % 5))) for i in range(12)]
+    assert embed_small_series(tmp_path, cells, n_train=8, header="line,b") == 2
+    err = capsys.readouterr().err
+    assert err == "error [ingest] constant channel(s) after detrending: line\n"
     assert not (tmp_path / "out" / "embedding").exists()
 
 
@@ -748,7 +760,7 @@ def strip_run(tmp_path_factory):
         output_dir=str(base / "run"),
         seed=0,
         n_train=298,
-        dmaps={"sigma": 0.1, "alpha": 1.0, "k": 6},
+        dmaps={"sigma": 0.1, "k": 6},
         parsimony={"d": 2},
     )
     rc = main(["embed", "--config", cfg_path])
@@ -778,7 +790,7 @@ def test_embed_prints_spectrum_and_selection(strip_run, tmp_path, capsys):
 def test_oversized_k_fails_in_the_dmaps_stage(strip_run, tmp_path, capsys):
     cfg = json.loads(pathlib.Path(strip_run["cfg"]).read_text())
     cfg["output_dir"] = str(tmp_path / "run_bad")
-    cfg["dmaps"] = {"sigma": 0.1, "alpha": 1.0, "k": 298}
+    cfg["dmaps"] = {"sigma": 0.1, "k": 298}
     cfg_path = write_config(tmp_path / "embed_bad.json", **cfg)
     rc = main(["embed", "--config", cfg_path])
     assert rc == 2
@@ -904,8 +916,7 @@ def test_embed_hash_follows_only_the_fields_embed_reads(pipeline_run, tmp_path):
         return embed_hash(load_config(write_config(tmp_path / "c.json", **{**raw, **overrides})))
 
     for field in [{"input": "other.csv"}, {"n_train": 119}, {"standardize": "train_only"},
-                  {"drop_dead": True}, {"dmaps": {**raw["dmaps"], "alpha": 0.5}},
-                  {"parsimony": {"d": 4}}]:
+                  {"dmaps": {**raw["dmaps"], "k": 9}}, {"parsimony": {"d": 4}}]:
         assert changed(**field) != base, field
     for field in [{"output_dir": "elsewhere"}, {"seed": 3}, {"fnn": {**raw["fnn"], "folds": 4}},
                   {"gh": {"sigma": 0.5}}]:

@@ -66,14 +66,9 @@ def run_configs(draw):
         # fnn.folds must stay below n_train
         n_train=draw(st.integers(folds + 1, 10**6)),
         standardize=draw(st.sampled_from(["full", "train_only"])),
-        drop_dead=draw(st.booleans()),
         epochs=tuple(epochs),
         conditions=tuple(conditions),
-        dmaps=DmapsSection(
-            sigma=draw(st.just("auto") | positive),
-            alpha=draw(st.floats(0, 1)),
-            k=k,
-        ),
+        dmaps=DmapsSection(sigma=draw(st.just("auto") | positive), k=k),
         # parsimony.d may not pass dmaps.k
         parsimony=ParsimonySection(d=draw(st.integers(1, min(k, 20)))),
         fnn=TrainConfig(
@@ -94,6 +89,16 @@ def run_configs(draw):
         ),
         synth=synth,
     )
+
+
+def row(label, *values):
+    """A table row whose test id is its label and its message, the last value.
+
+    The ids are explicit, so adding or deleting a row renames no other row's
+    test. A label is the row's position when the ids were fixed; a new row
+    takes the next free one.
+    """
+    return pytest.param(*values, id=f"{label}-{values[-1]}")
 
 
 def dump(directory, doc) -> str:
@@ -124,12 +129,11 @@ def test_defaults_come_from_the_section_dataclasses(tmp_path):
 
 def test_values_take_their_field_types(tmp_path):
     cfg = load_config(dump(tmp_path, {
-        "input": "x.csv", "output_dir": "out", "n_train": 300.0, "drop_dead": True,
-        "dmaps": {"alpha": 1, "k": 12.0, "sigma": 2}, "synth": {"noise": 0},
+        "input": "x.csv", "output_dir": "out", "n_train": 300.0,
+        "dmaps": {"k": 12.0, "sigma": 2}, "synth": {"noise": 0},
     }))
     assert cfg.n_train == 300 and type(cfg.n_train) is int
-    assert cfg.drop_dead is True
-    assert type(cfg.dmaps.alpha) is float and type(cfg.dmaps.k) is int
+    assert type(cfg.dmaps.k) is int
     assert cfg.dmaps.sigma == 2 and type(cfg.dmaps.sigma) is int   # "auto" or a number
     assert type(cfg.synth.noise) is float
 
@@ -183,103 +187,120 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"input": MISSING}, "config must set 'input'"),
-        ({"output_dir": None}, "config must set 'output_dir'"),
-        ({"dmaps": [1]}, "config section 'dmaps' must be an object"),
-        ({"glm": {"contrasts": [["a", [1]]]}}, "glm.contrasts must be an object, got [['a', [1]]]"),
-        ({"nrw": {"mode": "ambient"}}, "unknown config key(s): nrw"),
-        ({"epochs": [["A", 0, 2]]}, "epochs given without a conditions list"),
-        ({"standardize": "x"}, "standardize must be 'full' or 'train_only', got 'x'"),
-        ({"epochs": [["A", 0]], "conditions": ["A"]},
-         "epochs item must be a list of 3 values, got ['A', 0]"),
-        ({"epochs": [["A", 0, 5, 9]], "conditions": ["A"]},
-         "epochs item must be a list of 3 values, got ['A', 0, 5, 9]"),
-        ({"epochs": ["A05"], "conditions": ["A"]},
-         "epochs item must be a list of 3 values, got 'A05'"),
-        ({"dmaps": {"t": 1}}, "unknown key(s) in config section 'dmaps': t"),
-        ({"dmaps": {"k": "2"}}, "dmaps.k must be an integer, got '2'"),
-        ({"drop_dead": "false"}, "drop_dead must be true or false, got 'false'"),
-        ({"drop_dead": 1}, "drop_dead must be true or false, got 1"),
-        ({"n_train": True}, "n_train must be an integer, got True"),
-        ({"dmaps": {"alpha": "1"}}, "dmaps.alpha must be a number, got '1'"),
-        ({"gh": {"eig_floor": 1e-8}}, "unknown key(s) in config section 'gh': eig_floor"),
-        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
-        ({"synth": {"n_times": 400.5}}, "synth.n_times must be an integer, got 400.5"),
-        ({"epochs": [["A", 0.5, 4]], "conditions": ["A"]},
-         "epochs item[1] must be an integer, got 0.5"),
-        ({"fnn": {"hidden_sizes": [4.7]}}, "fnn.hidden_sizes item must be an integer, got 4.7"),
-        ({"fnn": {"decay_values": ["0.01"]}},
-         "fnn.decay_values item must be a number, got '0.01'"),
-        ({"glm": {"kernel": [True]}}, "glm.kernel item must be a number, got True"),
-        ({"glm": {"contrasts": {"c": ["1"]}}}, "glm.contrasts.c item must be a number, got '1'"),
-        ({"dmaps": {"sigma": True}}, 'dmaps.sigma must be "auto" or a positive number, got True'),
-        ({"dmaps": {"sigma": [1]}}, 'dmaps.sigma must be "auto" or a positive number, got [1]'),
-        ({"dmaps": {"sigma": "foo"}},
-         'dmaps.sigma must be "auto" or a positive number, got \'foo\''),
-        ({"dmaps": {"sigma": 0}}, 'dmaps.sigma must be "auto" or a positive number, got 0'),
-        ({"gh": {"sigma": -3}}, 'gh.sigma must be "auto" or a positive number, got -3'),
-        ({"gh": {"sigma": False}}, 'gh.sigma must be "auto" or a positive number, got False'),
-        ({"gh": {"sigma": float("inf")}}, 'gh.sigma must be "auto" or a positive number, got inf'),
-        ({"gh": {"sigma": 10**400}}, 'gh.sigma must be "auto" or a positive number, got 1000'),
-        ({"synth": {"q": 7, "dynamics": "nope"}}, "synth.q must be 2 or 3, got 7"),
-        ({"synth": {"dynamics": "nope"}},
-         "synth.dynamics must be 'linear_stable' or 'limit_cycle', got 'nope'"),
-        ({"input": 3}, "input must be a non-empty string, got 3"),
-        ({"glm": {"threshold": -1}}, "glm.threshold must be in (0, 1], got -1.0"),
-        ({"glm": {"threshold": 0}}, "glm.threshold must be in (0, 1], got 0.0"),
-        ({"glm": {"threshold": 2}}, "glm.threshold must be in (0, 1], got 2.0"),
-        ({"output_dir": 7}, "output_dir must be a non-empty string, got 7"),
-        ({"parsimony": {"d": 0}}, "parsimony.d must be >= 1, got 0"),
-        ({"parsimony": {"d": 31}}, "parsimony.d must be <= dmaps.k (30), got 31"),
-        ({"dmaps": {"k": 4}, "parsimony": {"d": 5}}, "parsimony.d must be <= dmaps.k (4), got 5"),
-        ({"parsimony": {"scale_fraction": 1 / 3}},
-         "unknown key(s) in config section 'parsimony': scale_fraction"),
-        ({"dmaps": {"alpha": 1.5}}, "dmaps.alpha must be in [0, 1], got 1.5"),
-        ({"dmaps": {"alpha": -0.5}}, "dmaps.alpha must be in [0, 1], got -0.5"),
-        ({"n_train": 10, "fnn": {"folds": 12}}, "fnn.folds must be < n_train (10), got 12"),
-        ({"dmaps": {"alpha": 10**400}},
-         "dmaps.alpha must be a number within float range, got an integer of 401 digits"),
-        ({"conditions": "AB"}, "conditions must be a list of strings, got 'AB'"),
-        ({"fnn": {"decay_values": [1e-3, 10**400]}},
-         "fnn.decay_values item must be a number within float range, got an integer of 401"),
-        ({"glm": {"kernel": [10**309]}},
-         "glm.kernel item must be a number within float range, got an integer of 310 digits"),
-        ({"glm": {"contrasts": {"c": [1, -(10**400)]}}},
-         "glm.contrasts.c item must be a number within float range, got an integer of 401"),
-        ({"seed": -1}, "seed must be >= 0, got -1"),
-        ({"fnn": {"seed": -1}}, "fnn.seed must be >= 0, got -1"),
-        ({"synth": {"seed": -7}}, "synth.seed must be >= 0, got -7"),
-        ({"seed": -1, "fnn": {"seed": 3}}, "seed must be >= 0, got -1"),
-        ({"fnn": {"seed": 2.5}}, "fnn.seed must be an integer, got 2.5"),
-        ({"fnn": {"hidden_sizes": []}}, "hidden_sizes must not be empty"),
-        ({"fnn": {"decay_values": []}}, "decay_values must not be empty"),
-        ({"glm": {"kernel": [0.5, float("nan")]}}, "glm.kernel item must be a finite number, got nan"),
-        ({"glm": {"contrasts": {"c": [1, float("inf")]}}},
-         "glm.contrasts.c item must be a finite number, got inf"),
+        row("doc0", {"input": MISSING}, "config must set 'input'"),
+        row("doc1", {"output_dir": None}, "config must set 'output_dir'"),
+        row("doc2", {"dmaps": [1]}, "config section 'dmaps' must be an object"),
+        row("doc3", {"glm": {"contrasts": [["a", [1]]]}},
+            "glm.contrasts must be an object, got [['a', [1]]]"),
+        row("doc4", {"nrw": {"mode": "ambient"}}, "unknown config key(s): nrw"),
+        row("doc5", {"epochs": [["A", 0, 2]]}, "epochs given without a conditions list"),
+        row("doc6", {"standardize": "x"}, "standardize must be 'full' or 'train_only', got 'x'"),
+        row("doc7", {"epochs": [["A", 0]], "conditions": ["A"]},
+            "epochs item must be a list of 3 values, got ['A', 0]"),
+        row("doc8", {"epochs": [["A", 0, 5, 9]], "conditions": ["A"]},
+            "epochs item must be a list of 3 values, got ['A', 0, 5, 9]"),
+        row("doc9", {"epochs": ["A05"], "conditions": ["A"]},
+            "epochs item must be a list of 3 values, got 'A05'"),
+        row("doc10", {"dmaps": {"t": 1}}, "unknown key(s) in config section 'dmaps': t"),
+        row("doc11", {"dmaps": {"k": "2"}}, "dmaps.k must be an integer, got '2'"),
+        # a dead channel is always an error: no flag drops it
+        row("doc12", {"drop_dead": True}, "unknown config key(s): drop_dead"),
+        row("doc14", {"n_train": True}, "n_train must be an integer, got True"),
+        row("doc15", {"synth": {"noise": "1"}}, "synth.noise must be a number, got '1'"),
+        row("doc16", {"gh": {"eig_floor": 1e-8}},
+            "unknown key(s) in config section 'gh': eig_floor"),
+        row("doc17", {"seed": 2.5}, "seed must be an integer, got 2.5"),
+        row("doc18", {"synth": {"n_times": 400.5}}, "synth.n_times must be an integer, got 400.5"),
+        row("doc19", {"epochs": [["A", 0.5, 4]], "conditions": ["A"]},
+            "epochs item[1] must be an integer, got 0.5"),
+        row("doc20", {"fnn": {"hidden_sizes": [4.7]}},
+            "fnn.hidden_sizes item must be an integer, got 4.7"),
+        row("doc21", {"fnn": {"decay_values": ["0.01"]}},
+            "fnn.decay_values item must be a number, got '0.01'"),
+        row("doc22", {"glm": {"kernel": [True]}}, "glm.kernel item must be a number, got True"),
+        row("doc23", {"glm": {"contrasts": {"c": ["1"]}}},
+            "glm.contrasts.c item must be a number, got '1'"),
+        row("doc24", {"dmaps": {"sigma": True}},
+            'dmaps.sigma must be "auto" or a positive number, got True'),
+        row("doc25", {"dmaps": {"sigma": [1]}},
+            'dmaps.sigma must be "auto" or a positive number, got [1]'),
+        row("doc26", {"dmaps": {"sigma": "foo"}},
+            'dmaps.sigma must be "auto" or a positive number, got \'foo\''),
+        row("doc27", {"dmaps": {"sigma": 0}},
+            'dmaps.sigma must be "auto" or a positive number, got 0'),
+        row("doc28", {"gh": {"sigma": -3}}, 'gh.sigma must be "auto" or a positive number, got -3'),
+        row("doc29", {"gh": {"sigma": False}},
+            'gh.sigma must be "auto" or a positive number, got False'),
+        row("doc30", {"gh": {"sigma": float("inf")}},
+            'gh.sigma must be "auto" or a positive number, got inf'),
+        row("doc31", {"gh": {"sigma": 10**400}},
+            'gh.sigma must be "auto" or a positive number, got 1000'),
+        row("doc32", {"synth": {"q": 7, "dynamics": "nope"}}, "synth.q must be 2 or 3, got 7"),
+        row("doc33", {"synth": {"dynamics": "nope"}},
+            "synth.dynamics must be 'linear_stable' or 'limit_cycle', got 'nope'"),
+        row("doc34", {"input": 3}, "input must be a non-empty string, got 3"),
+        row("doc35", {"glm": {"threshold": -1}}, "glm.threshold must be in (0, 1], got -1.0"),
+        row("doc36", {"glm": {"threshold": 0}}, "glm.threshold must be in (0, 1], got 0.0"),
+        row("doc37", {"glm": {"threshold": 2}}, "glm.threshold must be in (0, 1], got 2.0"),
+        row("doc38", {"output_dir": 7}, "output_dir must be a non-empty string, got 7"),
+        row("doc39", {"parsimony": {"d": 0}}, "parsimony.d must be >= 1, got 0"),
+        row("doc40", {"parsimony": {"d": 31}}, "parsimony.d must be <= dmaps.k (30), got 31"),
+        row("doc41", {"dmaps": {"k": 4}, "parsimony": {"d": 5}},
+            "parsimony.d must be <= dmaps.k (4), got 5"),
+        row("doc42", {"parsimony": {"scale_fraction": 1 / 3}},
+            "unknown key(s) in config section 'parsimony': scale_fraction"),
+        # the density normalization is always alpha = 1
+        row("doc43", {"dmaps": {"alpha": 1.0}}, "unknown key(s) in config section 'dmaps': alpha"),
+        row("doc45", {"n_train": 10, "fnn": {"folds": 12}},
+            "fnn.folds must be < n_train (10), got 12"),
+        row("doc46", {"synth": {"noise": 10**400}},
+            "synth.noise must be a number within float range, got an integer of 401 digits"),
+        row("doc47", {"conditions": "AB"}, "conditions must be a list of strings, got 'AB'"),
+        row("doc48", {"fnn": {"decay_values": [1e-3, 10**400]}},
+            "fnn.decay_values item must be a number within float range, got an integer of 401"),
+        row("doc49", {"glm": {"kernel": [10**309]}},
+            "glm.kernel item must be a number within float range, got an integer of 310 digits"),
+        row("doc50", {"glm": {"contrasts": {"c": [1, -(10**400)]}}},
+            "glm.contrasts.c item must be a number within float range, got an integer of 401"),
+        row("doc51", {"seed": -1}, "seed must be >= 0, got -1"),
+        row("doc52", {"fnn": {"seed": -1}}, "fnn.seed must be >= 0, got -1"),
+        row("doc53", {"synth": {"seed": -7}}, "synth.seed must be >= 0, got -7"),
+        row("doc54", {"seed": -1, "fnn": {"seed": 3}}, "seed must be >= 0, got -1"),
+        row("doc55", {"fnn": {"seed": 2.5}}, "fnn.seed must be an integer, got 2.5"),
+        row("doc56", {"fnn": {"hidden_sizes": []}}, "hidden_sizes must not be empty"),
+        row("doc57", {"fnn": {"decay_values": []}}, "decay_values must not be empty"),
+        row("doc58", {"glm": {"kernel": [0.5, float("nan")]}},
+            "glm.kernel item must be a finite number, got nan"),
+        row("doc59", {"glm": {"contrasts": {"c": [1, float("inf")]}}},
+            "glm.contrasts.c item must be a finite number, got inf"),
         # a non-string epoch condition is refused, not renamed
-        ({"conditions": ["1"], "epochs": [[1, 0, 4]]},
-         "epochs item[0] must be a non-empty string, got 1"),
-        ({"epochs": 5}, "epochs must be a list of lists, got 5"),
-        ({"epochs": {"A": [0, 4]}}, "epochs must be a list of lists, got {'A': [0, 4]}"),
-        ({"dmaps": {"k": 0}}, "dmaps.k must be >= 1, got 0"),
+        row("doc60", {"conditions": ["1"], "epochs": [[1, 0, 4]]},
+            "epochs item[0] must be a non-empty string, got 1"),
+        row("doc61", {"epochs": 5}, "epochs must be a list of lists, got 5"),
+        row("doc62", {"epochs": {"A": [0, 4]}},
+            "epochs must be a list of lists, got {'A': [0, 4]}"),
+        row("doc63", {"dmaps": {"k": 0}}, "dmaps.k must be >= 1, got 0"),
         # a repeated grid value would train a second init into the same cell
-        ({"fnn": {"hidden_sizes": [2, 2]}}, "fnn.hidden_sizes repeat a value: [2, 2]"),
-        ({"fnn": {"decay_values": [0.01, 0.1, 0.01]}},
-         "fnn.decay_values repeat a value: [0.01, 0.1, 0.01]"),
-        ({"fnn": {"hidden_sizes": [4, 0]}}, "fnn.hidden_sizes must be >= 1, got [4, 0]"),
-        ({"fnn": {"decay_values": [0]}}, "fnn.decay_values must be positive, got [0.0]"),
-        ({"fnn": {"folds": 1}}, "fnn.folds must be >= 2, got 1"),
-        ({"fnn": {"repeats": 0}}, "fnn.repeats must be >= 1, got 0"),
-        ({"fnn": {"max_epochs": 0}}, "fnn.max_epochs must be >= 1, got 0"),
-        ({"synth": {"q": 3, "ambient_dim": 2}}, "synth.ambient_dim must be >= synth.q (3), got 2"),
-        ({"synth": {"n_times": 1}}, "synth.n_times must be >= 2, got 1"),
-        ({"synth": {"noise": -1}}, "synth.noise must be >= 0, got -1.0"),
-        ({"glm": {"contrasts": {"": []}}},
-         "glm.contrasts names must be non-empty and hold no '/' or NUL, got ''"),
-        ({"glm": {"contrasts": {"a\0b": []}}},
-         "glm.contrasts names must be non-empty and hold no '/' or NUL, got 'a\\x00b'"),
-        ({"glm": {"contrasts": {"a\ud800": []}}},
-         "glm.contrasts names must be Unicode text, got 'a\\ud800'"),
+        row("doc64", {"fnn": {"hidden_sizes": [2, 2]}}, "fnn.hidden_sizes repeat a value: [2, 2]"),
+        row("doc65", {"fnn": {"decay_values": [0.01, 0.1, 0.01]}},
+            "fnn.decay_values repeat a value: [0.01, 0.1, 0.01]"),
+        row("doc66", {"fnn": {"hidden_sizes": [4, 0]}},
+            "fnn.hidden_sizes must be >= 1, got [4, 0]"),
+        row("doc67", {"fnn": {"decay_values": [0]}},
+            "fnn.decay_values must be positive, got [0.0]"),
+        row("doc68", {"fnn": {"folds": 1}}, "fnn.folds must be >= 2, got 1"),
+        row("doc69", {"fnn": {"repeats": 0}}, "fnn.repeats must be >= 1, got 0"),
+        row("doc70", {"fnn": {"max_epochs": 0}}, "fnn.max_epochs must be >= 1, got 0"),
+        row("doc71", {"synth": {"q": 3, "ambient_dim": 2}},
+            "synth.ambient_dim must be >= synth.q (3), got 2"),
+        row("doc72", {"synth": {"n_times": 1}}, "synth.n_times must be >= 2, got 1"),
+        row("doc73", {"synth": {"noise": -1}}, "synth.noise must be >= 0, got -1.0"),
+        row("doc74", {"glm": {"contrasts": {"": []}}},
+            "glm.contrasts names must be non-empty and hold no '/' or NUL, got ''"),
+        row("doc75", {"glm": {"contrasts": {"a\0b": []}}},
+            "glm.contrasts names must be non-empty and hold no '/' or NUL, got 'a\\x00b'"),
+        row("doc76", {"glm": {"contrasts": {"a\ud800": []}}},
+            "glm.contrasts names must be Unicode text, got 'a\\ud800'"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):
@@ -305,7 +326,7 @@ def wrong_kinds(hint) -> list:
         return [3, {"a": [1]}]      # a number or an object for a list
     if form is dict:
         return [3, [["a", [1]]]]    # a number or a list for an object
-    return {int: ["1"], float: ["1.5"], bool: ["true"], str: [3], object: [{}]}[hint]
+    return {int: ["1"], float: ["1.5"], str: [3], object: [{}]}[hint]
 
 
 @pytest.mark.parametrize("field, hint", [pytest.param(*f, id=f[0]) for f in schema_fields()])
@@ -321,15 +342,16 @@ def test_every_field_refuses_a_value_of_the_wrong_kind(tmp_path, field, hint):
 
 
 # the README quick-start config; older run directories hold its embed and
-# bundle digests, so a loader change that moves either one would make every
-# one of them stale; config_hash is only echoed in meta.json, and moves when a
-# field goes, as it did with the nrw section
+# bundle digests, so a change that moves either one makes every one of them
+# stale, and train and forecast refuse them; the embed digest moves when a
+# field embed reads goes, as drop_dead and dmaps.alpha did, and config_hash,
+# which is only echoed in meta.json, when any field goes
 QUICK_START = {
     "input": "data/series.csv",
     "output_dir": "runs/demo",
     "seed": 0,
     "n_train": 320,
-    "dmaps": {"sigma": "auto", "alpha": 1.0, "k": 10},
+    "dmaps": {"sigma": "auto", "k": 10},
     "parsimony": {"d": 5},
     "fnn": {"hidden_sizes": [4, 8], "decay_values": [1e-8, 1e-6],
             "folds": 5, "repeats": 2, "max_epochs": 2000},
@@ -341,8 +363,8 @@ QUICK_START = {
 
 def test_quick_start_config_digests_are_pinned(tmp_path):
     cfg = load_config(dump(tmp_path, QUICK_START))
-    assert config_hash(cfg) == "8d384f9d58b39a38b93604717a1d0d509282e1eb723017fcfe669f138cd0bd59"
-    assert embed_hash(cfg) == "62b13c81a14e675772a0a6e29ad39592603d729179d2bcb146e1258987100479"
+    assert config_hash(cfg) == "df0635ce4453d98592f90512927cc876b980660c666b6a1db8abe9e766b6144f"
+    assert embed_hash(cfg) == "c96eddd2270c146d671de21f9ce68dbf382c465dc1cf4dbce1a72bbb902812ad"
     # the digest of its FNN bundles: that of the config with learning_rate
     # 0.2, the step every fit now takes, so those bundles stay valid
     coords = np.arange(12.0).reshape(6, 2)
@@ -370,19 +392,21 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, doc):
 @pytest.mark.parametrize(
     "doc, args, message",
     [
-        ({"dmaps": {"alpha": 10**400}}, [],
-         "dmaps.alpha must be a number within float range, got an integer of 401 digits"),
-        ({"seed": -1}, [], "seed must be >= 0, got -1"),
-        ({"seed": 3}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+        row("doc0-args0", {"glm": {"threshold": 10**400}}, [],
+            "glm.threshold must be a number within float range, got an integer of 401 digits"),
+        row("doc1-args1", {"seed": -1}, [], "seed must be >= 0, got -1"),
+        row("doc2-args2", {"seed": 3}, ["--seed", "-1"], "seed must be >= 0, got -1"),
         # json writes these as Infinity and NaN; a literal past float range,
         # such as 1e400, parses to inf as well
-        ({"glm": {"threshold": float("inf")}}, [],
-         "glm.threshold must be a finite number, got inf"),
-        ({"fnn": {"decay_values": [float("nan")]}}, [],
-         "fnn.decay_values item must be a finite number, got nan"),
-        ({"synth": {"noise": float("nan")}}, [], "synth.noise must be a finite number, got nan"),
+        row("doc3-args3", {"glm": {"threshold": float("inf")}}, [],
+            "glm.threshold must be a finite number, got inf"),
+        row("doc4-args4", {"fnn": {"decay_values": [float("nan")]}}, [],
+            "fnn.decay_values item must be a finite number, got nan"),
+        row("doc5-args5", {"synth": {"noise": float("nan")}}, [],
+            "synth.noise must be a finite number, got nan"),
         # the FNN stage would refuse it only after embed wrote the embedding
-        ({"n_train": 320, "fnn": {"folds": 320}}, [], "fnn.folds must be < n_train (320), got 320"),
+        row("doc6-args6", {"n_train": 320, "fnn": {"folds": 320}}, [],
+            "fnn.folds must be < n_train (320), got 320"),
     ],
 )
 def test_out_of_range_numbers_exit_2_naming_the_field(tmp_path, capsys, doc, args, message):
@@ -395,22 +419,26 @@ def test_out_of_range_numbers_exit_2_naming_the_field(tmp_path, capsys, doc, arg
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"epochs": [["A", 0, 4]], "conditions": ["A", "B"],
-          "glm": {"contrasts": {"c": [1.0, -1.0, 0.0]}}},
-         "glm.contrasts.c has 3 entries, one per condition needs 2"),
-        ({"epochs": [["A", 0, 4], ["C", 4, 8]], "conditions": ["A", "B"]},
-         "epoch ['C', 4, 8] names no condition in conditions"),
-        ({"epochs": [["A", 0, 4]], "conditions": ["A", "B", "A"]},
-         "conditions repeat a name: ['A', 'B', 'A']"),
-        ({"epochs": [["A", 4, 4]], "conditions": ["A"]}, "epoch ['A', 4, 4] needs 0 <= start < end"),
-        ({"epochs": [["A", -2, 4]], "conditions": ["A"]},
-         "epoch ['A', -2, 4] needs 0 <= start < end"),
+        row("doc0", {"epochs": [["A", 0, 4]], "conditions": ["A", "B"],
+                     "glm": {"contrasts": {"c": [1.0, -1.0, 0.0]}}},
+            "glm.contrasts.c has 3 entries, one per condition needs 2"),
+        row("doc1", {"epochs": [["A", 0, 4], ["C", 4, 8]], "conditions": ["A", "B"]},
+            "epoch ['C', 4, 8] names no condition in conditions"),
+        row("doc2", {"epochs": [["A", 0, 4]], "conditions": ["A", "B", "A"]},
+            "conditions repeat a name: ['A', 'B', 'A']"),
+        row("doc3", {"epochs": [["A", 4, 4]], "conditions": ["A"]},
+            "epoch ['A', 4, 4] needs 0 <= start < end"),
+        row("doc4", {"epochs": [["A", -2, 4]], "conditions": ["A"]},
+            "epoch ['A', -2, 4] needs 0 <= start < end"),
         # a contrast's name is part of its report's file name
-        ({"epochs": [["A", 0, 4]], "conditions": ["A"], "glm": {"contrasts": {"x/y": [1.0]}}},
-         "glm.contrasts names must be non-empty and hold no '/' or NUL, got 'x/y'"),
+        row("doc5",
+            {"epochs": [["A", 0, 4]], "conditions": ["A"], "glm": {"contrasts": {"x/y": [1.0]}}},
+            "glm.contrasts names must be non-empty and hold no '/' or NUL, got 'x/y'"),
         # activity_<name>.csv.<pid>.tmp must fit a file name's 255 bytes
-        ({"epochs": [["A", 0, 4]], "conditions": ["A"], "glm": {"contrasts": {"é" * 116: [1.0]}}},
-         "glm.contrasts names must take at most 230 bytes in UTF-8, got 232"),
+        row("doc6",
+            {"epochs": [["A", 0, 4]], "conditions": ["A"],
+             "glm": {"contrasts": {"é" * 116: [1.0]}}},
+            "glm.contrasts names must take at most 230 bytes in UTF-8, got 232"),
     ],
 )
 def test_stimulus_faults_exit_2_at_load(tmp_path, capsys, doc, message):

@@ -37,10 +37,10 @@ def all_coords(E):
     return coords_for(E, range(1, E.k + 1))
 
 
-def normalized(pts, sigma, alpha=1.0):
+def normalized(pts, sigma):
     """(P, row degrees) of the points, from the two in-place steps."""
     w, _ = gaussian_affinity(pts, sigma=sigma)
-    return w, diffusion_operator(w, alpha)
+    return w, diffusion_operator(w)
 
 
 # ---------------------------------------------------------------- affinities
@@ -88,7 +88,7 @@ def test_embedding_survives_affinities_that_underflow():
     pts = np.array([[0.0], [0.1], [100.0], [100.1]])
     w, _ = gaussian_affinity(pts, sigma=1.0)
     assert w[0, 2] == 0.0
-    E = build_embedding(pts, sigma=1.0, alpha=1.0, k=2)
+    E = build_embedding(pts, sigma=1.0, k=2)
     assert np.all(np.isfinite(E.eigenvalues)) and np.all(np.isfinite(E.eigenvectors))
     # two disconnected pairs: the eigenvalue 1 is double
     assert E.eigenvalues[:2] == pytest.approx([1.0, 1.0], abs=1e-12)
@@ -204,41 +204,34 @@ def test_in_place_chain_keeps_the_out_of_place_bits(cycle_dataset):
     assert got_sigma == sigma and np.array_equal(got_w, want_w)
     want_cross, _ = reference_kernel(x, y, sigma)
     assert np.array_equal(dmaps.kernel(x, y, sigma)[0], want_cross)
-    for alpha in (0.0, 0.5, 1.0):
-        kinv_a = want_w.sum(axis=1) ** (-alpha)
-        w_tilde = want_w * np.outer(kinv_a, kinv_a)
-        k_tilde = w_tilde.sum(axis=1)
-        p = w_tilde / k_tilde[:, None]
-        d_sqrt = np.sqrt(k_tilde)
-        s = p * (d_sqrt[:, None] / d_sqrt[None, :])
-        # the Lanczos call spectral_decompose makes, on the out-of-place S
-        vals, vecs = eigsh(s, k=11, which="LA", v0=np.ones(len(s)), tol=0)
-        vecs /= d_sqrt[:, None]
-        vecs /= np.sqrt(np.mean(vecs**2, axis=0))[None, :]
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-        vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(11)])[None, :]
-        E = build_embedding(x, sigma="auto", alpha=alpha, k=10)
-        assert E.sigma == sigma
-        assert np.array_equal(E.eigenvalues, vals)
-        assert np.array_equal(E.eigenvectors, vecs)
+    kinv = want_w.sum(axis=1) ** -1.0
+    w_tilde = want_w * np.outer(kinv, kinv)
+    k_tilde = w_tilde.sum(axis=1)
+    p = w_tilde / k_tilde[:, None]
+    d_sqrt = np.sqrt(k_tilde)
+    s = p * (d_sqrt[:, None] / d_sqrt[None, :])
+    # the Lanczos call spectral_decompose makes, on the out-of-place S
+    vals, vecs = eigsh(s, k=11, which="LA", v0=np.ones(len(s)), tol=0)
+    vecs /= d_sqrt[:, None]
+    vecs /= np.sqrt(np.mean(vecs**2, axis=0))[None, :]
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(11)])[None, :]
+    E = build_embedding(x, sigma="auto", k=10)
+    assert E.sigma == sigma
+    assert np.array_equal(E.eigenvalues, vals)
+    assert np.array_equal(E.eigenvectors, vecs)
 
 
 # ------------------------------------------------------------- normalization
 
 
-def test_alpha_zero_is_row_normalization():
-    w, _ = gaussian_affinity(cloud(3, n=5), sigma=0.8)
-    expected = w / w.sum(axis=1, keepdims=True)
-    diffusion_operator(w, alpha=0.0)
-    assert np.max(np.abs(w - expected)) < 1e-14
-
-
 def test_two_point_closed_form():
+    # both points have degree 1 + w, so the density correction cancels
     pts = np.array([[0.0], [1.2]])
     p, _ = gaussian_affinity(pts, sigma=0.9)
     w = p[0, 1]
-    diffusion_operator(p, alpha=0.0)
+    diffusion_operator(p)
     expected = np.array([[1.0, w], [w, 1.0]]) / (1.0 + w)
     assert np.max(np.abs(p - expected)) < 1e-15
 
@@ -250,16 +243,9 @@ def test_two_step_normalization_oracle():
     w_tilde = k @ w @ k
     k_tilde = np.diag(w_tilde.sum(axis=1) ** -1.0)
     p_oracle = k_tilde @ w_tilde
-    row_degrees = diffusion_operator(w, alpha=1.0)
+    row_degrees = diffusion_operator(w)
     assert np.max(np.abs(w - p_oracle)) < 1e-14
     assert np.max(np.abs(row_degrees - w_tilde.sum(axis=1))) < 1e-15
-
-
-def test_alpha_out_of_range():
-    w, _ = gaussian_affinity(cloud(1, n=4), sigma=1.0)
-    for alpha in (-0.1, 1.1):
-        with pytest.raises(ValueError, match="alpha"):
-            diffusion_operator(w, alpha=alpha)
 
 
 @settings(deadline=None, max_examples=40)
@@ -267,11 +253,10 @@ def test_alpha_out_of_range():
     seed=st.integers(0, 10_000),
     n=st.integers(3, 12),
     m=st.integers(1, 4),
-    alpha=st.sampled_from([0.0, 0.5, 1.0]),
 )
-def test_rows_sum_to_one(seed, n, m, alpha):
+def test_rows_sum_to_one(seed, n, m):
     rng = np.random.default_rng(seed)
-    p, _ = normalized(rng.normal(size=(n, m)), sigma=1.0, alpha=alpha)
+    p, _ = normalized(rng.normal(size=(n, m)), sigma=1.0)
     assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
 
 
@@ -286,7 +271,7 @@ def test_identity_operator_spectrum():
 
 
 def test_trivial_eigenpair_and_ordering():
-    E = build_embedding(cloud(7, n=30), sigma=1.0, alpha=1.0, k=5)
+    E = build_embedding(cloud(7, n=30), sigma=1.0, k=5)
     assert abs(E.eigenvalues[0] - 1.0) < 1e-10
     assert np.max(np.abs(E.eigenvectors[:, 0] - 1.0)) < 1e-12   # psi_0 = 1
     assert np.all(np.diff(E.eigenvalues) <= 1e-12)
@@ -304,7 +289,7 @@ def test_circle_spectrum_pairs_with_dense_oracle():
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     w, sigma = gaussian_affinity(pts, sigma="auto")
     assert sigma == pytest.approx(1.0, abs=1e-14)
-    row_degrees = diffusion_operator(w, alpha=1.0)
+    row_degrees = diffusion_operator(w)
     dense = np.sort(np.linalg.eigvals(w).real)[::-1][:5]
     vals, _ = spectral_decompose(w, row_degrees, k=4)
     # rotational harmonics come in eigenvalue pairs
@@ -399,8 +384,8 @@ def test_permutation_equivariance(seed):
     rng = np.random.default_rng(seed)
     pts = np.column_stack([rng.uniform(0, 3.6, 40), rng.uniform(0, 1.0, 40)])
     perm = np.random.default_rng(seed + 100).permutation(40)
-    E1 = build_embedding(pts, sigma=0.5, alpha=1.0, k=3)
-    E2 = build_embedding(pts[perm], sigma=0.5, alpha=1.0, k=3)
+    E1 = build_embedding(pts, sigma=0.5, k=3)
+    E2 = build_embedding(pts[perm], sigma=0.5, k=3)
     assert np.max(np.abs(E1.eigenvalues - E2.eigenvalues)) < 1e-10
     assert np.max(np.abs(E2.eigenvectors - E1.eigenvectors[perm])) < 1e-10
 
@@ -435,10 +420,11 @@ def test_bundle_roundtrip(tmp_path, strip_points, strip_embedding):
     assert np.array_equal(back.eigenvalues, E.eigenvalues)
     assert np.array_equal(back.eigenvectors, E.eigenvectors)
     assert back.sigma == E.sigma
-    assert back.alpha == E.alpha
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["k"] == E.k
     assert meta["sign_convention"] == "max-abs-positive"
+    # format keys: perfbench's spectrum check reads both
+    assert meta["alpha"] == 1.0 and meta["t"] == 0
 
 
 def test_bundle_load_checks_made_from(tmp_path, strip_embedding):

@@ -90,7 +90,6 @@ def test_restrict_rejects_tiny_eigenvalues():
         eigenvalues=np.array([1.0, 1e-13]),
         eigenvectors=np.ones((3, 2)) / np.sqrt(3.0),
         sigma=1.0,
-        alpha=1.0,
     )
     x = np.eye(3)
     with pytest.raises(ValueError, match="ill-posed"):
@@ -103,7 +102,6 @@ def test_restrict_checks_its_arguments_before_the_kernel_warns(strip_points, str
         eigenvalues=np.array([1.0, 1e-13]),
         eigenvectors=np.ones((3, 2)) / np.sqrt(3.0),
         sigma=1.0,
-        alpha=1.0,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
