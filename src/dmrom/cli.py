@@ -95,7 +95,6 @@ CONTRAST_NAME_BYTES = 255 - len("activity_.csv..tmp") - 7
 
 @dataclass(frozen=True)
 class GlmSection:
-    kernel: tuple[float, ...] = ()
     contrasts: dict[str, tuple[float, ...]] = field(default_factory=dict)
     threshold: float = 0.001
 
@@ -396,8 +395,6 @@ def cmd_glm(cfg: RunConfig, paths: RunPaths) -> None:
         values, channels = _load_standardized(cfg)
     with _stage("glm"):
         design = _design_matrix(cfg, len(values))
-        if cfg.glm.kernel:
-            design = glm.convolve_design(design, np.asarray(cfg.glm.kernel))
         fit = glm.fit_glm(values, design)
         os.makedirs(paths.reports, exist_ok=True)
         for name, vec in cfg.glm.contrasts.items():
@@ -434,10 +431,13 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
         report = parsimony.rank_and_select(embedding.eigenvectors[:, 1:], cfg.parsimony.d)
     with _stage("embed"):
         os.makedirs(paths.embedding, exist_ok=True)
-        dmaps.save_embedding(embedding, paths.embedding, made_from(cfg))
         parsimony.save_report(report, os.path.join(paths.embedding, "parsimony.json"))
         artifacts.write_matrix(os.path.join(paths.embedding, "train_ambient.csv"), train, channels)
         artifacts.write_matrix(os.path.join(paths.embedding, "test_ambient.csv"), test, channels)
+        # the bundle, with its made_from digest, goes last: a kill between the
+        # writes leaves the old digest, which train and forecast refuse when
+        # the input or the embed settings changed
+        dmaps.save_embedding(embedding, paths.embedding, made_from(cfg))
     lam = ", ".join(f"{v:.6f}" for v in embedding.eigenvalues)
     print(f"embed: eigenvalues: {lam}")
     print(f"embed: residuals er: {', '.join(f'{v:.4f}' for v in report.er)}")

@@ -111,7 +111,7 @@ def _descending_signed(vals: np.ndarray, vecs: np.ndarray, count: int):
     return vals[order], vecs
 
 
-def eigenbasis(s: np.ndarray, floor: float, count: int | None = None):
+def eigenbasis(s: np.ndarray, floor: float, count: int):
     """Eigenpairs of the symmetric matrix s above a relative floor, descending.
 
     Keeps the eigenvalues that are positive and at least ``floor`` times the
@@ -119,12 +119,12 @@ def eigenbasis(s: np.ndarray, floor: float, count: int | None = None):
     With ``count`` below N only the leading ``count`` eigenpairs are solved
     for (LAPACK's ``syevr`` on an index range: bisection and inverse
     iteration, whose last bits differ from the full solve's) and s is left
-    intact, so a caller may ask again for more. Otherwise every eigenpair is
-    solved for and s is overwritten.
+    intact, so a caller may ask again for more. With ``count`` of N or more
+    every eigenpair is solved for and s is overwritten.
     """
     n = s.shape[0]
     try:
-        if count is not None and count < n:
+        if count < n:
             vals, vecs = eigh(s, subset_by_index=[n - count, n - 1], driver="evr")
         else:
             vals, vecs = eigh(s, overwrite_a=True)

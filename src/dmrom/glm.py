@@ -1,12 +1,11 @@
 """Ordinary-least-squares general linear model per channel with contrast t-tests.
 
-The design matrix holds boxcar condition indicators (optionally convolved with
-a user-supplied kernel); the activity report lists channels passing an
-uncorrected p threshold. The series and the design are plain arrays: x is
-N x M (one column per channel) and u is N x p (one column per condition).
-Cluster-level or family-wise corrected inference is deliberately out of
-scope; the region-level uncorrected test is an analogy to voxel-cluster
-pipelines, not a numerical reproduction of one.
+The design matrix holds boxcar condition indicators; the activity report lists
+channels passing an uncorrected p threshold. The series and the design are
+plain arrays: x is N x M (one column per channel) and u is N x p (one column
+per condition). Cluster-level or family-wise corrected inference is
+deliberately out of scope; the region-level uncorrected test is an analogy to
+voxel-cluster pipelines, not a numerical reproduction of one.
 """
 
 from __future__ import annotations
@@ -68,15 +67,6 @@ def build_design_matrix(epochs, n: int, conditions: list[str]) -> np.ndarray:
             raise ValueError(f"overlapping epochs for condition {cond!r}")
         u[start:end, j] = 1.0
     return u
-
-
-def convolve_design(u: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Causally convolve each regressor (column of u) with a response kernel, truncated to N."""
-    kernel = np.asarray(kernel, dtype=float)
-    if kernel.ndim != 1 or kernel.size == 0:
-        raise ValueError("kernel must be a non-empty 1-D array")
-    n = u.shape[0]
-    return np.column_stack([np.convolve(col, kernel)[:n] for col in u.T])
 
 
 def fit_glm(x: np.ndarray, u: np.ndarray) -> GlmFit:

@@ -17,6 +17,7 @@ import numpy as np
 from . import artifacts
 
 DEAD_CHANNEL_REL_TOL = 1e-10
+FREQUENCY_SCALE = 1.5   # rms length of each synthetic channel's cosine frequency vector
 
 
 def load_timeseries(path) -> tuple[np.ndarray, list[str]]:
@@ -109,7 +110,6 @@ class SynthConfig:
     noise: float = 0.0
     seed: int = 0
     dynamics: str = "limit_cycle"  # or "linear_stable"
-    frequency_scale: float = 1.5
 
     def __post_init__(self):
         if self.q not in (2, 3):
@@ -211,7 +211,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[np.ndarray, list[str], SynthTr
     else:
         latent, params = _latent_limit_cycle(cfg, rng)
     weights = rng.normal(size=(cfg.ambient_dim, cfg.q)) * (
-        cfg.frequency_scale / np.sqrt(cfg.q)
+        FREQUENCY_SCALE / np.sqrt(cfg.q)
     )
     phases = rng.uniform(0, 2 * np.pi, size=cfg.ambient_dim)
     truth = SynthTruth(

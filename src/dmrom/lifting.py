@@ -113,7 +113,7 @@ def loo_curve(psi, x, coeffs) -> np.ndarray:
     return np.sqrt(mse)
 
 
-def _candidates(kernel, x, floor: float, count: int | None = None):
+def _candidates(kernel, x, floor: float, count: int):
     """The eigenpairs above the floor among the leading ``count`` (see
     `dmaps.eigenbasis`), their channel coefficients and their `loo_curve`."""
     vals, vecs = dmaps.eigenbasis(kernel, floor, count)
@@ -124,19 +124,17 @@ def _candidates(kernel, x, floor: float, count: int | None = None):
     return vals, vecs, coeffs, loo_curve(vecs, x, coeffs)
 
 
-def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float | None = None) -> GhLiftModel:
+def gh_fit(Y_train, X_train, gh_sigma="auto") -> GhLiftModel:
     """Eigenbasis of the Gaussian kernel on the reduced coordinates.
 
-    Without ``eig_floor`` the basis keeps the leading r eigenpairs, where r
-    has the lowest `loo_curve` value among the eigenpairs at or above
-    `EIG_FLOOR` times the largest eigenvalue. Only the leading m eigenpairs
-    are solved for, m = `LEADING_PAIRS` at first. While all m pass the floor
-    and the lowest value sits at the m-th, the curve may fall further past
-    it, so m doubles and the solve repeats; once m reaches N the solve is the
-    full one. A curve that rises past an inner minimum and falls again beyond
-    m is not followed. With ``eig_floor`` (in [0, 1]) the basis keeps every
-    eigenpair at or above that fraction of the largest, from the full solve.
-    Either way the basis keeps only positive eigenvalues, is never empty, and
+    The basis keeps the leading r eigenpairs, where r has the lowest
+    `loo_curve` value among the eigenpairs at or above `EIG_FLOOR` times the
+    largest eigenvalue. Only the leading m eigenpairs are solved for, m =
+    `LEADING_PAIRS` at first. While all m pass the floor and the lowest value
+    sits at the m-th, the curve may fall further past it, so m doubles and
+    the solve repeats; once m reaches N the solve is the full one. A curve
+    that rises past an inner minimum and falls again beyond m is not
+    followed. The basis keeps only positive eigenvalues, is never empty, and
     carries the expansion coefficients of every ambient channel.
     """
     y = np.asarray(Y_train, dtype=float)
@@ -147,19 +145,13 @@ def gh_fit(Y_train, X_train, gh_sigma="auto", eig_floor: float | None = None) ->
         )
     if y.shape[0] < 2:
         raise ValueError("need at least 2 training points")
-    if eig_floor is not None and not 0 <= eig_floor <= 1:
-        raise ValueError(f"eig_floor must be in [0, 1], got {eig_floor}")
     kernel, gh_sigma = dmaps.kernel(y, sigma=gh_sigma)
-    if eig_floor is None:
-        count = LEADING_PAIRS
+    count = LEADING_PAIRS
+    vals, vecs, coeffs, loo = _candidates(kernel, x, EIG_FLOOR, count)
+    while int(np.argmin(loo)) + 1 == count < len(y):
+        count *= 2
         vals, vecs, coeffs, loo = _candidates(kernel, x, EIG_FLOOR, count)
-        while int(np.argmin(loo)) + 1 == count < len(y):
-            count *= 2
-            vals, vecs, coeffs, loo = _candidates(kernel, x, EIG_FLOOR, count)
-        rank = int(np.argmin(loo)) + 1
-    else:
-        vals, vecs, coeffs, loo = _candidates(kernel, x, eig_floor)
-        rank = len(vals)
+    rank = int(np.argmin(loo)) + 1
     return GhLiftModel(
         y_train=y,
         gh_sigma=gh_sigma,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dmrom import dmaps
+from dmrom import dmaps, lifting
 from dmrom.ingest import SynthConfig, detrend_standardize, generate_synthetic
 
 STRIP_SEED = 42
@@ -45,6 +45,27 @@ def cycle_dataset():
 @pytest.fixture(scope="session")
 def cycle_embedding(cycle_dataset):
     return dmaps.build_embedding(cycle_dataset["train"], sigma="auto", k=10)
+
+
+def floor_basis_fit(y, x, gh_sigma="auto", floor=lifting.EIG_FLOOR) -> lifting.GhLiftModel:
+    """The GH lift that keeps every kernel eigenpair at or above ``floor`` times
+    the largest, from the full solve: the fixed-floor reference against which
+    `lifting.gh_fit`'s leave-one-out rank is checked."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    kernel, gh_sigma = dmaps.kernel(y, sigma=gh_sigma)
+    vals, vecs = dmaps.eigenbasis(kernel, floor, len(y))
+    vecs = np.ascontiguousarray(vecs)
+    coeffs = vecs.T @ x
+    loo = lifting.loo_curve(vecs, x, coeffs)
+    return lifting.GhLiftModel(
+        y_train=y,
+        gh_sigma=gh_sigma,
+        eigenvalues=vals,
+        eigenvectors=vecs,
+        coeffs=coeffs,
+        loo_rms=float(loo[-1]),
+    )
 
 
 # one "[criterion N] PASS/FAIL - ..." line per acceptance criterion,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import conftest as shared
-from conftest import fd_gradient, gradient_rel_error
+from conftest import fd_gradient, floor_basis_fit, gradient_rel_error
 from dmrom import dmaps, evaluate, lifting, parsimony, rom_koopman
 from dmrom.cli import main
 from dmrom.rom_fnn import FnnModel, fnn_gradient
@@ -168,7 +168,7 @@ def test_criterion_6_gh_lifting(strip_points, strip_embedding):
         rng = np.random.default_rng(7)
         y = rng.normal(size=(40, 2)) * 2.0
         x = rng.normal(size=(40, 5))
-        model = lifting.gh_fit(y, x, gh_sigma=1.0, eig_floor=0.0)
+        model = floor_basis_fit(y, x, 1.0, 0.0)
         err_lift = float(np.max(np.abs(lifting.gh_lift(model, y) - x)))
         assert err_lift < 1e-4
 

@@ -547,6 +547,32 @@ def test_a_killed_run_leaves_no_partial_artifact(uninterrupted_run, victim):
     assert tree_bytes(out) == want
 
 
+def test_a_killed_embed_of_another_input_keeps_the_old_digest(uninterrupted_run, tmp_path, capsys):
+    # embed writes the embedding's made_from digest last, so a kill while it
+    # writes the ambient blocks of a new input leaves the old digest, and
+    # train and forecast refuse the old blocks instead of lifting through them
+    raw = json.loads(pathlib.Path(uninterrupted_run["cfg"]).read_text())
+    cfg_path = clone_run(
+        uninterrupted_run["cfg"], uninterrupted_run["out"], tmp_path / "run",
+        input=str(tmp_path / "other.csv"), synth={**raw["synth"], "seed": 1},
+    )
+    src = str(pathlib.Path(dmaps.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_WRITER, "embedding/train_ambient.csv", cfg_path],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == -signal.SIGKILL
+    capsys.readouterr()
+    for command in ("train", "forecast"):
+        assert main([command, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}] ") and err.endswith("; rerun embed\n"), err
+    meta = "embedding/meta.json"
+    assert (tmp_path / "run" / meta).read_bytes() == uninterrupted_run["bytes"][meta]
+
+
 # ---------------------------------------------------------- stimulus input
 
 

@@ -55,7 +55,6 @@ def run_configs(draw):
         noise=st.floats(min_value=0, max_value=10),
         seed=st.integers(0, 2**63),
         dynamics=st.sampled_from(["limit_cycle", "linear_stable"]),
-        frequency_scale=finite,
     ))
     k = draw(st.integers(1, 100))
     folds = draw(st.integers(2, 20))
@@ -83,7 +82,6 @@ def run_configs(draw):
         ),
         gh=GhSection(sigma=draw(st.just("auto") | positive)),
         glm=GlmSection(
-            kernel=tuple(draw(st.lists(finite, max_size=4))),
             contrasts=draw(st.dictionaries(contrast_names, contrast)),
             threshold=draw(st.floats(min_value=0, max_value=1, exclude_min=True)),
         ),
@@ -217,7 +215,8 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
             "fnn.hidden_sizes item must be an integer, got 4.7"),
         row("doc21", {"fnn": {"decay_values": ["0.01"]}},
             "fnn.decay_values item must be a number, got '0.01'"),
-        row("doc22", {"glm": {"kernel": [True]}}, "glm.kernel item must be a number, got True"),
+        row("doc22", {"fnn": {"decay_values": [True]}},
+            "fnn.decay_values item must be a number, got True"),
         row("doc23", {"glm": {"contrasts": {"c": ["1"]}}},
             "glm.contrasts.c item must be a number, got '1'"),
         row("doc24", {"dmaps": {"sigma": True}},
@@ -258,8 +257,8 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
         row("doc47", {"conditions": "AB"}, "conditions must be a list of strings, got 'AB'"),
         row("doc48", {"fnn": {"decay_values": [1e-3, 10**400]}},
             "fnn.decay_values item must be a number within float range, got an integer of 401"),
-        row("doc49", {"glm": {"kernel": [10**309]}},
-            "glm.kernel item must be a number within float range, got an integer of 310 digits"),
+        # the design is always the boxcar indicators, convolved with nothing
+        row("doc49", {"glm": {"kernel": [1.0]}}, "unknown key(s) in config section 'glm': kernel"),
         row("doc50", {"glm": {"contrasts": {"c": [1, -(10**400)]}}},
             "glm.contrasts.c item must be a number within float range, got an integer of 401"),
         row("doc51", {"seed": -1}, "seed must be >= 0, got -1"),
@@ -269,8 +268,8 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
         row("doc55", {"fnn": {"seed": 2.5}}, "fnn.seed must be an integer, got 2.5"),
         row("doc56", {"fnn": {"hidden_sizes": []}}, "hidden_sizes must not be empty"),
         row("doc57", {"fnn": {"decay_values": []}}, "decay_values must not be empty"),
-        row("doc58", {"glm": {"kernel": [0.5, float("nan")]}},
-            "glm.kernel item must be a finite number, got nan"),
+        row("doc58", {"fnn": {"decay_values": [0.5, float("nan")]}},
+            "fnn.decay_values item must be a finite number, got nan"),
         row("doc59", {"glm": {"contrasts": {"c": [1, float("inf")]}}},
             "glm.contrasts.c item must be a finite number, got inf"),
         # a non-string epoch condition is refused, not renamed
@@ -301,6 +300,9 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
             "glm.contrasts names must be non-empty and hold no '/' or NUL, got 'a\\x00b'"),
         row("doc76", {"glm": {"contrasts": {"a\ud800": []}}},
             "glm.contrasts names must be Unicode text, got 'a\\ud800'"),
+        # the synthetic frequency scale is the constant ingest.FREQUENCY_SCALE
+        row("doc77", {"synth": {"frequency_scale": 1.5}},
+            "unknown key(s) in config section 'synth': frequency_scale"),
     ],
 )
 def test_invalid_values_keep_their_messages(tmp_path, doc, message):
@@ -345,7 +347,8 @@ def test_every_field_refuses_a_value_of_the_wrong_kind(tmp_path, field, hint):
 # bundle digests, so a change that moves either one makes every one of them
 # stale, and train and forecast refuse them; the embed digest moves when a
 # field embed reads goes, as drop_dead and dmaps.alpha did, and config_hash,
-# which is only echoed in meta.json, when any field goes
+# which is only echoed in meta.json, when any field goes, as glm.kernel and
+# synth.frequency_scale did
 QUICK_START = {
     "input": "data/series.csv",
     "output_dir": "runs/demo",
@@ -363,7 +366,7 @@ QUICK_START = {
 
 def test_quick_start_config_digests_are_pinned(tmp_path):
     cfg = load_config(dump(tmp_path, QUICK_START))
-    assert config_hash(cfg) == "df0635ce4453d98592f90512927cc876b980660c666b6a1db8abe9e766b6144f"
+    assert config_hash(cfg) == "2924d7fc3c2ce61d31b15e57ae86ba61482e51adfc435bb50ed16286d4b5e805"
     assert embed_hash(cfg) == "c96eddd2270c146d671de21f9ce68dbf382c465dc1cf4dbce1a72bbb902812ad"
     # the digest of its FNN bundles: that of the config with learning_rate
     # 0.2, the step every fit now takes, so those bundles stay valid

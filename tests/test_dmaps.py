@@ -390,6 +390,19 @@ def test_permutation_equivariance(seed):
     assert np.max(np.abs(E2.eigenvectors - E1.eigenvectors[perm])) < 1e-10
 
 
+def test_eigenbasis_with_a_count_of_n_or_more_is_the_full_solve():
+    s = dmaps.kernel(cloud(5, n=40), sigma=0.5)[0]
+    vals, vecs = eigh(s)
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))])[None, :]
+    keep = (vals > 0) & (vals >= 1e-8 * vals[0])
+    for count in (len(s), len(s) + 7):
+        got_vals, got_vecs = dmaps.eigenbasis(s.copy(), 1e-8, count)
+        assert np.array_equal(got_vals, vals[keep])
+        assert np.array_equal(got_vecs, vecs[:, keep])
+
+
 # --------------------------------------------------------------- coordinates
 
 

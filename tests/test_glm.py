@@ -7,7 +7,6 @@ from scipy import stats
 from dmrom.glm import (
     build_design_matrix,
     contrast_tstat,
-    convolve_design,
     fit_glm,
     write_activity_report,
 )
@@ -43,13 +42,6 @@ def test_design_validation_errors():
         build_design_matrix([("a", 0, 3), ("a", 2, 4)], 6, ["a"])  # overlap
     with pytest.raises(ValueError):
         build_design_matrix([], 4, ["a", "a"])  # duplicate names
-
-
-def test_convolve_design_causal_truncated():
-    u = np.array([[0.0], [0.0], [1.0], [0.0], [0.0]])
-    v = convolve_design(u, np.array([1.0, 0.5]))
-    assert np.allclose(v.ravel(), [0.0, 0.0, 1.0, 0.5, 0.0])
-    assert v.shape == u.shape
 
 
 # ------------------------------------------------------------------ fits

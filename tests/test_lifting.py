@@ -1,6 +1,5 @@
 """Tests for out-of-sample restriction and kernel-harmonics lifting."""
 
-import re
 import warnings
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from scipy.linalg import eigh
 from scipy.spatial.distance import pdist, squareform
 
+from conftest import floor_basis_fit
 from dmrom import dmaps
 from dmrom.dmaps import DiffusionEmbedding
 from dmrom.ingest import SynthConfig, generate_synthetic
@@ -129,20 +129,20 @@ def test_restrict_validation(strip_points, strip_embedding):
 def test_full_basis_interpolates_training_data(separated_cloud):
     y, x = separated_cloud
     for sigma in (1.0, 0.5, 0.1):
-        model = gh_fit(y, x, gh_sigma=sigma, eig_floor=0.0)
+        model = floor_basis_fit(y, x, sigma, 0.0)
         assert model.d_gh == len(y)
         assert np.max(np.abs(gh_lift(model, y) - x)) < 1e-6
 
 
 def test_default_floor_reproduces_training_data(separated_cloud):
     y, x = separated_cloud
-    model = gh_fit(y, x, gh_sigma=0.5, eig_floor=1e-8)
+    model = floor_basis_fit(y, x, 0.5, 1e-8)
     assert np.max(np.abs(gh_lift(model, y) - x)) < 1e-4
 
 
 def test_retained_spectrum_respects_floor(separated_cloud):
     y, x = separated_cloud
-    model = gh_fit(y, x, gh_sigma=0.5, eig_floor=1e-3)
+    model = floor_basis_fit(y, x, 0.5, 1e-3)
     assert model.d_gh < len(y)
     assert np.all(model.eigenvalues > 0)
     assert np.all(model.eigenvalues >= 1e-3 * model.eigenvalues[0])
@@ -190,7 +190,7 @@ def test_truncated_basis_keeps_the_bits_of_the_full_reorder(separated_cloud):
     # the reference orders and sign-fixes all N eigenvectors, then truncates
     y, x = separated_cloud
     vals, vecs = reordered_basis(dmaps.kernel(y, sigma=0.5)[0], floor=1e-3)
-    model = gh_fit(y, x, gh_sigma=0.5, eig_floor=1e-3)
+    model = floor_basis_fit(y, x, 0.5, 1e-3)
     assert np.array_equal(model.eigenvalues, vals)
     assert np.array_equal(model.eigenvectors, vecs)
     assert np.array_equal(model.coeffs, vecs.T @ x)
@@ -199,7 +199,7 @@ def test_truncated_basis_keeps_the_bits_of_the_full_reorder(separated_cloud):
 def test_loo_curve_equals_refits_without_each_point(noisy_ring):
     n = 60
     y, x = noisy_ring[0][:n], noisy_ring[1][:n]
-    psi = gh_fit(y, x, eig_floor=EIG_FLOOR).eigenvectors
+    psi = floor_basis_fit(y, x).eigenvectors
     curve = loo_curve(psi, x, psi.T @ x)
     for r in range(1, psi.shape[1] + 1):
         sq = 0.0
@@ -223,7 +223,7 @@ def test_loo_rank_lies_inside_the_candidates_and_truncates_their_basis(noisy_rin
     # reference makes the same LAPACK call
     y, x, _ = noisy_ring
     model = gh_fit(y, x)
-    candidates = gh_fit(y, x, eig_floor=EIG_FLOOR)
+    candidates = floor_basis_fit(y, x)
     assert 1 < model.d_gh < candidates.d_gh < LEADING_PAIRS < len(y)
     vals, vecs = reordered_basis(dmaps.kernel(y)[0], count=LEADING_PAIRS)
     assert len(vals) == candidates.d_gh
@@ -235,7 +235,7 @@ def test_a_large_fit_solves_only_a_leading_subset(noisy_ring, eigh_calls):
     assert len(y) >= 2 * LEADING_PAIRS
     gh_fit(y, x)
     assert eigh_calls == [[len(y) - LEADING_PAIRS, len(y) - 1]]
-    gh_fit(y, x, eig_floor=EIG_FLOOR)
+    floor_basis_fit(y, x)
     assert eigh_calls[1:] == [None]
 
 
@@ -261,7 +261,7 @@ def test_a_loo_minimum_past_the_first_subset_doubles_it(eigh_calls):
     x += 0.1 * rng.normal(size=(n, 1))
     model = gh_fit(y, x, gh_sigma=0.002)
     assert eigh_calls == [[n - LEADING_PAIRS, n - 1], [n - 2 * LEADING_PAIRS, n - 1]]
-    candidates = gh_fit(y, x, gh_sigma=0.002, eig_floor=EIG_FLOOR)
+    candidates = floor_basis_fit(y, x, 0.002)
     curve = loo_curve(candidates.eigenvectors, x, candidates.coeffs)
     assert LEADING_PAIRS < model.d_gh == int(np.argmin(curve)) + 1 < 2 * LEADING_PAIRS
     assert model.loo_rms == pytest.approx(curve.min(), rel=1e-9)
@@ -283,7 +283,7 @@ def test_the_rank_is_the_argmin_of_the_first_subset_whose_minimum_lies_inside_it
     assert model.d_gh == 7
     assert eigh_calls == [[n - LEADING_PAIRS, n - 1]]
     assert model.loo_rms == pytest.approx(0.5911, rel=1e-3)
-    candidates = gh_fit(y, x, gh_sigma=0.002, eig_floor=EIG_FLOOR)
+    candidates = floor_basis_fit(y, x, 0.002)
     curve = loo_curve(candidates.eigenvectors, x, candidates.coeffs)
     assert curve[model.d_gh - 1] == pytest.approx(model.loo_rms, rel=1e-9)
     assert int(np.argmin(curve)) + 1 > LEADING_PAIRS
@@ -300,7 +300,7 @@ def test_loo_rank_does_not_amplify_rounding(noisy_ring):
 
     assert amplification(gh_fit(y, x)) < 1e2
     # the fixed floor keeps eigenpairs whose inverse eigenvalues blow rounding up
-    assert amplification(gh_fit(y, x, eig_floor=EIG_FLOOR)) > 1e2
+    assert amplification(floor_basis_fit(y, x)) > 1e2
 
 
 def test_auto_scale_matches_reduced_space_rule(separated_cloud):
@@ -313,7 +313,7 @@ def test_constant_function_lifts_to_constant():
     ang = 2.0 * np.pi * np.arange(36) / 36.0
     ring = np.column_stack([np.cos(ang), np.sin(ang)])
     const = np.full((36, 1), 3.7)
-    model = gh_fit(ring, const, gh_sigma=1.0, eig_floor=1e-8)
+    model = floor_basis_fit(ring, const, 1.0, 1e-8)
     # in-support queries: the same circle, sampled between training points
     qang = 2.0 * np.pi * (np.arange(36) + 0.5) / 36.0
     queries = np.column_stack([np.cos(qang), np.sin(qang)])
@@ -326,14 +326,13 @@ def test_fit_validation(separated_cloud):
         gh_fit(y, x[:-1])
     with pytest.raises(ValueError, match="at least 2"):
         gh_fit(y[:1], x[:1])
-    with pytest.raises(ValueError, match="eig_floor"):
-        gh_fit(y, x, eig_floor=-1.0)
     with pytest.raises(ValueError, match="positive"):
         gh_fit(y, x, gh_sigma=0.0)
-    with pytest.raises(ValueError, match=re.escape("eig_floor must be in [0, 1], got 2.0")):
-        gh_fit(y, x, gh_sigma=0.5, eig_floor=2.0)
-    # a floor of 1 still keeps the largest eigenpair
-    assert gh_fit(y, x, gh_sigma=0.5, eig_floor=1.0).d_gh >= 1
+
+
+def test_a_floor_of_one_keeps_the_largest_eigenpair(separated_cloud):
+    y, x = separated_cloud
+    assert floor_basis_fit(y, x, 0.5, 1.0).d_gh >= 1
 
 
 # ---------------------------------------------------------------------- lift
@@ -369,7 +368,7 @@ def test_lift_heldout_synthetic_latent():
     values, _, truth = generate_synthetic(
         SynthConfig(q=2, ambient_dim=50, n_times=400, noise=0.0, seed=0)
     )
-    model = gh_fit(truth.latent[:320], values[:320], gh_sigma=0.05, eig_floor=1e-8)
+    model = floor_basis_fit(truth.latent[:320], values[:320], 0.05, 1e-8)
     pred = gh_lift(model, truth.latent[320:])
     rel = np.linalg.norm(pred - values[320:]) / np.linalg.norm(values[320:])
     assert rel < 0.05
@@ -382,9 +381,9 @@ def test_lift_is_linear_in_stored_values(separated_cloud):
     g = rng.normal(size=(40, 3))
     queries = y[:8] + 0.1
     # linear at a fixed basis: the leave-one-out rank depends on the stored values
-    lift_f = gh_lift(gh_fit(y, f, gh_sigma=0.5, eig_floor=EIG_FLOOR), queries)
-    lift_g = gh_lift(gh_fit(y, g, gh_sigma=0.5, eig_floor=EIG_FLOOR), queries)
-    lift_sum = gh_lift(gh_fit(y, f + g, gh_sigma=0.5, eig_floor=EIG_FLOOR), queries)
+    lift_f = gh_lift(floor_basis_fit(y, f, 0.5), queries)
+    lift_g = gh_lift(floor_basis_fit(y, g, 0.5), queries)
+    lift_sum = gh_lift(floor_basis_fit(y, f + g, 0.5), queries)
     assert np.max(np.abs(lift_f + lift_g - lift_sum)) < 1e-10
 
 
