@@ -7,9 +7,10 @@ built on the reduced training coordinates and every ambient channel is
 expanded in it, so reduced forecasts can be mapped back to ambient values.
 The truncation of that eigenbasis is the lift's only regularizer; its rank is
 the one whose closed-form leave-one-out residual on the training points is
-lowest (Golub, Heath & Wahba 1979). Only the leading eigenpairs that rank can
-reach are solved for: the first `LEADING_PAIRS`, doubled while the lowest
-residual sits at the last of them.
+lowest (Golub, Heath & Wahba 1979). A small kernel is solved in full; from
+`dmaps.RANGE_FINDER_MIN_N` points on, only the leading eigenpairs that rank
+can reach are solved for, by a randomized range finder: the first
+`LEADING_PAIRS`, doubled while the lowest residual sits at the last of them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected) -> np.ndar
     """Reduced coordinates of new ambient points via the training kernel chain.
 
     The new kernel row gets the same two-step normalization as the training
-    affinities (density correction by the training degrees and its own row sum,
-    then row normalization), after which each coordinate is read off as
+    affinities (density correction by the stored training degrees
+    ``E.degrees`` and its own row sum, then row normalization), after which
+    each coordinate is read off as
     psi_l(x*) = (1/lam_l) sum_j p*_j psi_{j,l}.
 
     Parameters
@@ -61,12 +63,11 @@ def nystrom_restrict(E: DiffusionEmbedding, X_train, x_new, selected) -> np.ndar
         )
 
     k_star, _ = dmaps.kernel(X_train, x_new, E.sigma)
-    degrees = dmaps.kernel(X_train, sigma=E.sigma)[0].sum(axis=1)
     row_sums = k_star.sum(axis=1)
     out = np.zeros((k_star.shape[0], sel.size))
     alive = row_sums > 0.0   # the kernel warned about the others
     # the row sums cancel in the row normalization below, but dropping them moves the last bits
-    w_tilde = k_star[alive] / (row_sums[alive, None] * degrees[None, :])
+    w_tilde = k_star[alive] / (row_sums[alive, None] * E.degrees[None, :])
     p_star = w_tilde / w_tilde.sum(axis=1)[:, None]
     out[alive] = (p_star @ E.eigenvectors[:, sel]) / lam[None, :]
     return out
@@ -114,8 +115,9 @@ def loo_curve(psi, x, coeffs) -> np.ndarray:
 
 
 def _candidates(kernel, x, floor: float, count: int):
-    """The eigenpairs above the floor among the leading ``count`` (see
-    `dmaps.eigenbasis`), their channel coefficients and their `loo_curve`."""
+    """The eigenpairs above the floor that `dmaps.eigenbasis` solves for when
+    asked for the leading ``count``, their channel coefficients and their
+    `loo_curve`."""
     vals, vecs = dmaps.eigenbasis(kernel, floor, count)
     # C order: the BLAS products over the basis (coeffs here, the lift in
     # gh_lift) take another path on an F-order copy and move the last bits
@@ -128,14 +130,17 @@ def gh_fit(Y_train, X_train, gh_sigma="auto") -> GhLiftModel:
     """Eigenbasis of the Gaussian kernel on the reduced coordinates.
 
     The basis keeps the leading r eigenpairs, where r has the lowest
-    `loo_curve` value among the eigenpairs at or above `EIG_FLOOR` times the
-    largest eigenvalue. Only the leading m eigenpairs are solved for, m =
-    `LEADING_PAIRS` at first. While all m pass the floor and the lowest value
-    sits at the m-th, the curve may fall further past it, so m doubles and
-    the solve repeats; once m reaches N the solve is the full one. A curve
-    that rises past an inner minimum and falls again beyond m is not
-    followed. The basis keeps only positive eigenvalues, is never empty, and
-    carries the expansion coefficients of every ambient channel.
+    `loo_curve` value among the candidates: the eigenpairs `dmaps.eigenbasis`
+    solves for that are at or above `EIG_FLOOR` times the largest eigenvalue.
+    Below `dmaps.RANGE_FINDER_MIN_N` points it solves in full, and every
+    eigenpair above the floor is a candidate. From there on only the leading
+    m are, m = `LEADING_PAIRS` at first. While all m pass the floor and the
+    lowest value sits at the m-th, the curve may fall further past it, so m
+    doubles and the solve repeats; once m + `dmaps.OVERSAMPLE` reaches N the
+    solve is the full one. A curve that rises past an inner minimum and
+    falls again beyond m is not followed. The basis keeps only positive
+    eigenvalues, is never empty, and carries the expansion coefficients of
+    every ambient channel.
     """
     y = np.asarray(Y_train, dtype=float)
     x = np.asarray(X_train, dtype=float)

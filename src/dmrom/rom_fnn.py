@@ -11,10 +11,13 @@ cross-validation over the one-step training pairs. Every fit is exactly
 `max_epochs` full-batch gradient steps of the fixed size `LEARNING_RATE`;
 the fits of all coordinates train together as stacked gradient descents in
 a hidden-major layout with the hidden bias folded into the input product,
-and the stacks train concurrently on up to `len(os.sched_getaffinity(0))`
-threads (`taskset` restricts them). The CV fits, which only rank the grid
-cells, train in float32; the final retrains, which make the models, in float64.
-Every model and CV record is the same bits at any worker count. Forecasts
+and the stacks are dealt to one share per CPU in
+`len(os.sched_getaffinity(0))` (`taskset` restricts them): this process
+trains one share and a forked worker process each other, since the short
+numpy calls of an epoch hold the GIL too often for threads to overlap. The
+CV fits, which only rank the grid cells, train in float32; the final
+retrains, which make the models, in float64. Every model and CV record is
+the same bits at any worker count. Forecasts
 step all trained networks closed-loop as one stacked layer, feeding outputs
 back as inputs. The logistic function goes through numpy's vectorized
 `exp`, so the bits depend on the SIMD level numpy dispatches the float32
@@ -30,8 +33,11 @@ models and their `training_digest`) and `fnn_cv.csv`.
 
 from __future__ import annotations
 
+import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -311,19 +317,13 @@ def _fit_rng(*key):
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _train_fits(fits, cfg: TrainConfig):
-    """Train independent fits, stacked by (hidden size, training-row count, dtype).
+def _stacks(fits, parts: int):
+    """The fits grouped by (hidden size, training-row count, dtype), cut into stacks.
 
-    Each fit is (hidden, decay, rng key, inputs, targets), and trains in the
-    dtype of its inputs. A group whose fits x rows x hidden block, in bytes
-    of that dtype, would pass `STACK_BYTES` trains as several stacks; a
-    slice computes the same bits at any stack size. The stacks train
-    concurrently on up to `len(os.sched_getaffinity(0))` threads (so
-    `taskset` restricts them), largest block first; the matmuls and ufuncs
-    release the GIL, and a stack's bits do not depend on which thread trains
-    it or when, so the results are the same at any worker count. An
-    exception in a stack re-raises here and cancels the stacks not yet
-    started. Returns, per fit, its u, w_out, b_out and training loss, in float64.
+    A group whose fits x rows x hidden block, in bytes of its dtype, would
+    pass `STACK_BYTES` is cut into several stacks, and every group into at
+    least ``parts`` while it has the fits. Returns (block bytes, hidden,
+    fit indices) per stack.
     """
     groups = {}
     for k, (hidden, _, _, z, _) in enumerate(fits):
@@ -331,27 +331,127 @@ def _train_fits(fits, cfg: TrainConfig):
     stacks = []
     for (hidden, n_rows, dtype), members in groups.items():
         fit_bytes = dtype.itemsize * n_rows * hidden
-        size = max(1, STACK_BYTES // fit_bytes)
+        size = min(max(1, STACK_BYTES // fit_bytes), -(-len(members) // parts))
         stacks += [
             (fit_bytes * len(chunk), hidden, chunk)
             for chunk in (members[i : i + size] for i in range(0, len(members), size))
         ]
-    # the largest block first, so the pool never ends on a large stack
-    stacks.sort(key=lambda s: s[0], reverse=True)
+    return stacks
+
+
+# prctl(PR_SET_PDEATHSIG, sig) has the kernel send sig to a worker when its parent dies
+_PR_SET_PDEATHSIG = 1
+_LIBC = ctypes.CDLL(None)
+_LIBC.prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+_LIBC.prctl.restype = ctypes.c_int
+
+
+def _fork_worker(train, share):
+    """Fork a child that trains the stacks of `share` and pickles the list of their
+    results, or the exception that stopped it, into a pipe; returns (pid, read end).
+
+    The child is killed if its parent dies, and holds none of its parent's
+    descriptors above 2 but the pipe, so the run's lock goes with the parent.
+    It writes no file, prints nothing and leaves by `os._exit`, so it runs
+    none of the parent's exit handlers and flushes none of its buffers.
+    """
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns on a fork from a process with threads: here they are
+        # OpenBLAS's pool, which OpenBLAS's own fork handler rebuilds in the
+        # child, and the child takes no lock of the parent's Python threads
+        warnings.filterwarnings(
+            "ignore", r".* is multi-threaded, use of fork\(\)", DeprecationWarning
+        )
+        pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    try:
+        _LIBC.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:   # the parent died before the signal was set
+            os._exit(1)
+        os.closerange(3, write_fd)
+        os.closerange(write_fd + 1, os.sysconf("SC_OPEN_MAX"))
+        try:
+            payload = pickle.dumps([train(stack) for stack in share])
+        except BaseException as exc:   # the parent re-raises it; the child only exits
+            payload = pickle.dumps(exc)
+        with open(write_fd, "wb") as fh:
+            fh.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _reap(pid: int, read_fd: int):
+    """The unpickled result of worker `pid`, read to its end, once the worker is reaped."""
+    try:
+        with open(read_fd, "rb") as fh:
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    # a worker that sent its result or exception exits with status 0
+    if status or not payload:
+        raise RuntimeError(f"FNN training worker {pid} ended without a result "
+                           f"(wait status {status})")
+    result = pickle.loads(payload)
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def _train_fits(fits, cfg: TrainConfig):
+    """Train independent fits, stacked by (hidden size, training-row count, dtype).
+
+    Each fit is (hidden, decay, rng key, inputs, targets), and trains in the
+    dtype of its inputs; a slice computes the same bits at any stack size
+    (see `_stacks`). With W = `len(os.sched_getaffinity(0))` CPUs (so
+    `taskset` restricts them), a pass that would have fewer than W stacks
+    cuts every group into at least W. The stacks are dealt to W shares,
+    largest block first, each onto the lightest share. This process trains
+    share 0 and a forked worker (`_fork_worker`) each other share, free of
+    the GIL; the workers are read and reaped in share order. The results
+    are the same bits at any worker count. An exception in a stack re-raises
+    here as itself, and a worker that dies without a result raises
+    RuntimeError naming its pid and wait status; the workers not yet reaped
+    are then killed and reaped first. Returns, per fit, its u, w_out, b_out
+    and training loss, in float64.
+    """
+    workers = len(os.sched_getaffinity(0))
+    stacks = _stacks(fits, 1)
+    if len(stacks) < workers:
+        stacks = _stacks(fits, workers)
+    shares = [[] for _ in range(max(1, min(workers, len(stacks))))]
+    loads = [0] * len(shares)
+    for stack in sorted(stacks, key=lambda s: s[0], reverse=True):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(stack)
+        loads[lightest] += stack[0]
 
     def train(stack):
         _, hidden, chunk = stack
         _, decays, keys, zs, ys = zip(*(fits[k] for k in chunk))
-        return _train_stack(
+        params = _train_stack(
             np.stack(zs), np.stack(ys), hidden, decays, [_fit_rng(*key) for key in keys], cfg
         )
+        return [np.asarray(p, np.float64) for p in params]
 
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_worker(train, share))
+        results = [[train(stack) for stack in shares[0]]]
+        while children:
+            results.append(_reap(*children.pop(0)))
+    finally:
+        for pid, read_fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
     trained = [None] * len(fits)
-    # at least one worker: the final retraining has no fits when every CV cell diverged
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(stacks)))
-    with ThreadPoolExecutor(workers) as pool:
-        for (*_, chunk), params in zip(stacks, pool.map(train, stacks)):
-            params = [np.asarray(p, np.float64) for p in params]
+    for share, share_results in zip(shares, results):
+        for (*_, chunk), params in zip(share, share_results):
             for i, k in enumerate(chunk):
                 trained[k] = tuple(p[i] for p in params)
     return trained

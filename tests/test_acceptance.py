@@ -72,7 +72,7 @@ def test_criterion_2_diffusion_operator_properties():
             m = int(rng.integers(1, 9))
             pts = rng.normal(size=(n, m))
             p, _ = dmaps.gaussian_affinity(pts)
-            row_degrees = dmaps.diffusion_operator(p)   # p now holds P
+            _, row_degrees = dmaps.diffusion_operator(p)   # p now holds P
             vals, vecs = dmaps.spectral_decompose(p.copy(), row_degrees, min(5, n - 2))
             worst_row = max(worst_row, float(np.max(np.abs(p.sum(axis=1) - 1.0))))
             worst_lam0 = max(worst_lam0, abs(vals[0] - 1.0))

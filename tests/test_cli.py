@@ -9,6 +9,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -571,6 +572,73 @@ def test_a_killed_embed_of_another_input_keeps_the_old_digest(uninterrupted_run,
         assert err.startswith(f"error [{command}] ") and err.endswith("; rerun embed\n"), err
     meta = "embedding/meta.json"
     assert (tmp_path / "run" / meta).read_bytes() == uninterrupted_run["bytes"][meta]
+
+
+KILLED_TRAINER = """\
+import os, signal, sys, time
+from dmrom import rom_fnn
+from dmrom.cli import main
+
+report, parent, real = sys.argv[1], os.getpid(), rom_fnn._train_stack
+
+def stack(*args):
+    if os.getpid() == parent:
+        # die mid-training, once a worker has said it is training
+        deadline = time.monotonic() + 60
+        while not os.path.exists(report) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(parent, signal.SIGKILL)
+    with open(report + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(report + ".tmp", report)
+    time.sleep(60)
+    return real(*args)
+
+rom_fnn._train_stack = stack
+rom_fnn.os.sched_getaffinity = lambda pid: {0, 1}
+main(["train", "--config", sys.argv[2]])
+"""
+
+
+def process_alive(pid: int) -> bool:
+    """Whether pid runs: not gone, and not a zombie left for its new parent to reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+def test_a_killed_train_frees_the_lock_and_ends_its_workers(uninterrupted_run, tmp_path):
+    # train forks FNN workers; SIGKILL on train must not leave one holding the
+    # run's lock, or running on
+    cfg_path = clone_run(uninterrupted_run["cfg"], uninterrupted_run["out"], tmp_path / "run")
+    report = tmp_path / "worker.pid"
+    src = str(pathlib.Path(dmaps.__file__).resolve().parents[1])
+    # output to a file, not a pipe: a worker holds its parent's stdout and
+    # stderr, so reading a pipe to its end would wait for the worker too
+    with open(tmp_path / "train.log", "w") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", KILLED_TRAINER, str(report), cfg_path],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=log,
+            stderr=log,
+        )
+        assert proc.wait(timeout=120) == -signal.SIGKILL, (tmp_path / "train.log").read_text()
+    worker = int(report.read_text())
+    deadline = time.monotonic() + 1.0
+    with open(tmp_path / "run" / ".lock", "a") as fh:
+        while True:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                break
+            except BlockingIOError:
+                assert time.monotonic() < deadline, "the run's lock is still held"
+                time.sleep(0.01)
+        fcntl.flock(fh, fcntl.LOCK_UN)
+    while process_alive(worker):
+        assert time.monotonic() < deadline, f"worker {worker} outlived the killed train"
+        time.sleep(0.01)
 
 
 # ---------------------------------------------------------- stimulus input

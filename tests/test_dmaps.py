@@ -40,7 +40,7 @@ def all_coords(E):
 def normalized(pts, sigma):
     """(P, row degrees) of the points, from the two in-place steps."""
     w, _ = gaussian_affinity(pts, sigma=sigma)
-    return w, diffusion_operator(w)
+    return w, diffusion_operator(w)[1]
 
 
 # ---------------------------------------------------------------- affinities
@@ -243,7 +243,9 @@ def test_two_step_normalization_oracle():
     w_tilde = k @ w @ k
     k_tilde = np.diag(w_tilde.sum(axis=1) ** -1.0)
     p_oracle = k_tilde @ w_tilde
-    row_degrees = diffusion_operator(w)
+    kernel_degrees = w.sum(axis=1)
+    degrees, row_degrees = diffusion_operator(w)
+    assert np.array_equal(degrees, kernel_degrees)
     assert np.max(np.abs(w - p_oracle)) < 1e-14
     assert np.max(np.abs(row_degrees - w_tilde.sum(axis=1))) < 1e-15
 
@@ -289,7 +291,7 @@ def test_circle_spectrum_pairs_with_dense_oracle():
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     w, sigma = gaussian_affinity(pts, sigma="auto")
     assert sigma == pytest.approx(1.0, abs=1e-14)
-    row_degrees = diffusion_operator(w)
+    _, row_degrees = diffusion_operator(w)
     dense = np.sort(np.linalg.eigvals(w).real)[::-1][:5]
     vals, _ = spectral_decompose(w, row_degrees, k=4)
     # rotational harmonics come in eigenvalue pairs
@@ -390,17 +392,39 @@ def test_permutation_equivariance(seed):
     assert np.max(np.abs(E2.eigenvectors - E1.eigenvectors[perm])) < 1e-10
 
 
-def test_eigenbasis_with_a_count_of_n_or_more_is_the_full_solve():
-    s = dmaps.kernel(cloud(5, n=40), sigma=0.5)[0]
+def reordered_full_solve(s):
+    """Every eigenpair of s above the relative floor 1e-8, descending and sign-fixed."""
     vals, vecs = eigh(s)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))])[None, :]
     keep = (vals > 0) & (vals >= 1e-8 * vals[0])
+    return vals[keep], vecs[:, keep]
+
+
+def test_eigenbasis_with_a_count_of_n_or_more_is_the_full_solve():
+    s = dmaps.kernel(cloud(5, n=40), sigma=0.5)[0]
+    vals, vecs = reordered_full_solve(s)
     for count in (len(s), len(s) + 7):
         got_vals, got_vecs = dmaps.eigenbasis(s.copy(), 1e-8, count)
-        assert np.array_equal(got_vals, vals[keep])
-        assert np.array_equal(got_vecs, vecs[:, keep])
+        assert np.array_equal(got_vals, vals)
+        assert np.array_equal(got_vecs, vecs)
+
+
+def test_eigenbasis_above_the_crossover_is_the_full_solve_once_the_test_matrix_fills_n(
+    monkeypatch,
+):
+    n = dmaps.RANGE_FINDER_MIN_N
+    s = dmaps.kernel(cloud(5, n=n), sigma=0.5)[0]
+    vals, vecs = reordered_full_solve(s)
+    solved = []
+    monkeypatch.setattr(dmaps, "eigh", lambda a, **kw: solved.append(len(a)) or eigh(a, **kw))
+    for count in (n - dmaps.OVERSAMPLE, n):
+        got_vals, got_vecs = dmaps.eigenbasis(s.copy(), 1e-8, count)
+        assert solved == [n]
+        solved.clear()
+        assert np.array_equal(got_vals, vals)
+        assert np.array_equal(got_vecs, vecs)
 
 
 # --------------------------------------------------------------- coordinates
@@ -432,6 +456,9 @@ def test_bundle_roundtrip(tmp_path, strip_points, strip_embedding):
     back = load_embedding(tmp_path, "abc")
     assert np.array_equal(back.eigenvalues, E.eigenvalues)
     assert np.array_equal(back.eigenvectors, E.eigenvectors)
+    # the kernel's row sums, as the Nystrom extension used to rebuild them
+    want = dmaps.kernel(strip_points, sigma=back.sigma)[0].sum(axis=1)
+    assert np.array_equal(E.degrees, want) and np.array_equal(back.degrees, want)
     assert back.sigma == E.sigma
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["k"] == E.k
@@ -451,6 +478,13 @@ def test_bundle_refuses_unit_norm_columns(tmp_path, strip_embedding):
     vecs = strip_embedding.eigenvectors
     save_embedding(replace(strip_embedding, eigenvectors=vecs / np.sqrt(len(vecs))), tmp_path, "abc")
     with pytest.raises(ValueError, match=f"^{tmp_path}: psi_0 .*rerun embed$"):
+        load_embedding(tmp_path, "abc")
+
+
+def test_bundle_without_degrees_is_refused(tmp_path, strip_embedding):
+    save_embedding(strip_embedding, tmp_path, "abc")
+    (tmp_path / "degrees.csv").unlink()
+    with pytest.raises(ValueError, match=f"^{tmp_path}: no degrees.csv; rerun embed$"):
         load_embedding(tmp_path, "abc")
 
 

@@ -11,6 +11,7 @@ from conftest import floor_basis_fit
 from dmrom import dmaps
 from dmrom.dmaps import DiffusionEmbedding
 from dmrom.ingest import SynthConfig, generate_synthetic
+from dmrom.dmaps import OVERSAMPLE
 from dmrom.lifting import EIG_FLOOR, LEADING_PAIRS, gh_fit, gh_lift, loo_curve, nystrom_restrict
 
 
@@ -79,6 +80,13 @@ def test_restrict_builds_no_training_affinity(strip_points, strip_embedding, mon
     def refuse(*args, **kwargs):
         raise AssertionError("nystrom_restrict ran a diffusion-map step")
 
+    def cross_kernel_only(X, Y=None, sigma="auto"):
+        # the training degrees come from the embedding, not from the N x N kernel
+        assert Y is not None, "nystrom_restrict rebuilt the training kernel"
+        return kernel(X, Y, sigma)
+
+    kernel = dmaps.kernel
+    monkeypatch.setattr(dmaps, "kernel", cross_kernel_only)
     for step in ("gaussian_affinity", "diffusion_operator", "spectral_decompose"):
         monkeypatch.setattr(dmaps, step, refuse)
     got = nystrom_restrict(strip_embedding, strip_points, strip_points[:5], every)
@@ -90,6 +98,7 @@ def test_restrict_rejects_tiny_eigenvalues():
         eigenvalues=np.array([1.0, 1e-13]),
         eigenvectors=np.ones((3, 2)) / np.sqrt(3.0),
         sigma=1.0,
+        degrees=np.ones(3),
     )
     x = np.eye(3)
     with pytest.raises(ValueError, match="ill-posed"):
@@ -102,6 +111,7 @@ def test_restrict_checks_its_arguments_before_the_kernel_warns(strip_points, str
         eigenvalues=np.array([1.0, 1e-13]),
         eigenvectors=np.ones((3, 2)) / np.sqrt(3.0),
         sigma=1.0,
+        degrees=np.ones(3),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -149,14 +159,10 @@ def test_retained_spectrum_respects_floor(separated_cloud):
     assert np.all(np.diff(model.eigenvalues) <= 0)
 
 
-def reordered_basis(kernel, floor=EIG_FLOOR, count=None):
-    """The kernel's eigenpairs above the floor, descending and sign-fixed, from an eigh
-    made here: among the leading ``count`` by the same LAPACK call as gh_fit's, or all."""
-    n = len(kernel)
-    if count is None:
-        vals, vecs = eigh(kernel)
-    else:
-        vals, vecs = eigh(kernel, subset_by_index=[n - count, n - 1], driver="evr")
+def reordered_basis(kernel, floor=EIG_FLOOR):
+    """The kernel's eigenpairs above the floor, descending and sign-fixed, from a
+    full eigh made here."""
+    vals, vecs = eigh(kernel)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))])[None, :]
@@ -173,14 +179,22 @@ def assert_truncates(model, vals, vecs, x):
     assert np.array_equal(model.coeffs, coeffs[: model.d_gh])
 
 
+def leading_basis(kernel, count):
+    """The pairs `dmaps.eigenbasis` finds when asked for the leading ``count``, on a
+    copy of the kernel, in the C order gh_fit holds them in."""
+    vals, vecs = dmaps.eigenbasis(kernel.copy(), EIG_FLOOR, count)
+    return vals, np.ascontiguousarray(vecs)
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """The subset_by_index of each eigh call gh_fit makes (None: the full solve)."""
+    """The order of each matrix dmaps solves by eigh: N for the full solve, the
+    test-matrix width `LEADING_PAIRS` + `OVERSAMPLE` and up for the randomized one."""
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("subset_by_index"))
-        return eigh(*args, **kwargs)
+    def spy(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(dmaps, "eigh", spy)
     return calls
@@ -218,25 +232,54 @@ def test_loo_curve_is_inf_where_a_point_cannot_be_left_out():
     assert np.all(np.isfinite(curve[:2])) and curve[2] == np.inf
 
 
-def test_loo_rank_lies_inside_the_candidates_and_truncates_their_basis(noisy_ring):
-    # 300 points: the rank comes from the leading-subset solve, so the
-    # reference makes the same LAPACK call
+def test_loo_rank_lies_inside_the_candidates_and_truncates_their_basis(noisy_ring, eigh_calls):
+    # 300 points, below the crossover: the full solve makes every eigenpair
+    # above the floor a candidate, and the rank is the argmin over them all
     y, x, _ = noisy_ring
+    assert len(y) < dmaps.RANGE_FINDER_MIN_N
     model = gh_fit(y, x)
+    assert eigh_calls == [len(y)]
     candidates = floor_basis_fit(y, x)
-    assert 1 < model.d_gh < candidates.d_gh < LEADING_PAIRS < len(y)
-    vals, vecs = reordered_basis(dmaps.kernel(y)[0], count=LEADING_PAIRS)
-    assert len(vals) == candidates.d_gh
-    assert_truncates(model, vals, vecs, x)
+    assert 1 < model.d_gh < candidates.d_gh
+    assert_truncates(model, *reordered_basis(dmaps.kernel(y)[0]), x)
 
 
-def test_a_large_fit_solves_only_a_leading_subset(noisy_ring, eigh_calls):
-    y, x, _ = noisy_ring
-    assert len(y) >= 2 * LEADING_PAIRS
-    gh_fit(y, x)
-    assert eigh_calls == [[len(y) - LEADING_PAIRS, len(y) - 1]]
-    floor_basis_fit(y, x)
-    assert eigh_calls[1:] == [None]
+def circle_points(n, seed=1, jitter=0.3):
+    """n angles spread evenly round the unit circle, each moved by up to
+    ``jitter`` of a step, and their points."""
+    u = np.random.default_rng(seed).uniform(size=n)
+    ang = 2.0 * np.pi * (np.arange(n) + jitter * u) / n
+    return ang, np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def harmonics(ang, which):
+    """One channel per harmonic k of the angle: cos(k ang + k)."""
+    which = np.asarray(which)
+    return np.cos(np.outer(ang, which) + which)
+
+
+@pytest.fixture(scope="module")
+def noisy_circle():
+    """1000 points round a circle, at the crossover, and a noisy channel made of 70
+    harmonics: at gh_sigma 0.002 its leave-one-out curve falls until about rank
+    146, past the first subset; at 0.001 the kernel's spectrum decays too slowly
+    for the randomized solve's two power steps."""
+    ang, y = circle_points(dmaps.RANGE_FINDER_MIN_N)
+    x = harmonics(ang, np.arange(1, 71)).sum(axis=1, keepdims=True)
+    x += 0.1 * np.random.default_rng(1).normal(size=x.shape)
+    return y, x
+
+
+def test_a_large_fit_solves_only_a_leading_subset(noisy_circle, eigh_calls):
+    y, x = noisy_circle
+    model = gh_fit(y, x, gh_sigma=0.01)
+    assert eigh_calls == [LEADING_PAIRS + OVERSAMPLE]
+    assert model.d_gh < LEADING_PAIRS
+    kernel = dmaps.kernel(y, sigma=0.01)[0]
+    assert_truncates(model, *leading_basis(kernel, LEADING_PAIRS), x)
+    eigh_calls.clear()
+    floor_basis_fit(y, x, 0.01)
+    assert eigh_calls == [len(y)]
 
 
 def test_a_small_fit_solves_in_full_with_the_bits_of_the_full_reorder(
@@ -245,49 +288,84 @@ def test_a_small_fit_solves_in_full_with_the_bits_of_the_full_reorder(
     y, x = separated_cloud
     assert len(y) <= LEADING_PAIRS
     model = gh_fit(y, x, gh_sigma=0.5)
-    assert eigh_calls == [None]
+    assert eigh_calls == [len(y)]
     assert_truncates(model, *reordered_basis(dmaps.kernel(y, sigma=0.5)[0]), x)
 
 
-def test_a_loo_minimum_past_the_first_subset_doubles_it(eigh_calls):
-    # a noisy channel made of 70 harmonics on a finely sampled circle: the
-    # leave-one-out curve falls until about rank 141, past the first subset
-    rng = np.random.default_rng(1)
-    n = 300
-    ang = 2.0 * np.pi * (np.arange(n) + 0.3 * rng.uniform(size=n)) / n
-    y = np.column_stack([np.cos(ang), np.sin(ang)])
-    harmonics = np.arange(1, 71)
-    x = np.cos(np.outer(ang, harmonics) + harmonics).sum(axis=1, keepdims=True)
-    x += 0.1 * rng.normal(size=(n, 1))
+def test_the_randomized_pairs_are_the_leading_eigenpairs_and_repeat_their_bits(noisy_circle):
+    y, _ = noisy_circle
+    kernel = dmaps.kernel(y, sigma=0.01)[0]
+    before = kernel.copy()
+    vals, vecs = dmaps.eigenbasis(kernel, EIG_FLOOR, LEADING_PAIRS)
+    assert np.array_equal(kernel, before)   # left intact for a larger count
+    again = dmaps.eigenbasis(kernel, EIG_FLOOR, LEADING_PAIRS)
+    assert np.array_equal(again[0], vals) and np.array_equal(again[1], vecs)
+    full_vals, _ = reordered_basis(kernel)
+    assert 0 < len(vals) <= LEADING_PAIRS
+    assert np.max(np.abs(vals - full_vals[: len(vals)])) < 1e-9 * vals[0]
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(len(vals)))) < 1e-12
+    residuals = np.linalg.norm(kernel @ vecs - vecs * vals, axis=0)
+    assert np.max(residuals) <= dmaps.RESIDUAL_TOL * vals[0]
+
+
+def test_a_loo_minimum_past_the_first_subset_doubles_it(noisy_circle, eigh_calls):
+    y, x = noisy_circle
     model = gh_fit(y, x, gh_sigma=0.002)
-    assert eigh_calls == [[n - LEADING_PAIRS, n - 1], [n - 2 * LEADING_PAIRS, n - 1]]
+    assert eigh_calls == [LEADING_PAIRS + OVERSAMPLE, 2 * LEADING_PAIRS + OVERSAMPLE]
     candidates = floor_basis_fit(y, x, 0.002)
     curve = loo_curve(candidates.eigenvectors, x, candidates.coeffs)
     assert LEADING_PAIRS < model.d_gh == int(np.argmin(curve)) + 1 < 2 * LEADING_PAIRS
     assert model.loo_rms == pytest.approx(curve.min(), rel=1e-9)
     kernel = dmaps.kernel(y, sigma=0.002)[0]
-    assert_truncates(model, *reordered_basis(kernel, count=2 * LEADING_PAIRS), x)
+    assert_truncates(model, *leading_basis(kernel, 2 * LEADING_PAIRS), x)
+
+
+def test_a_pair_past_the_residual_tolerance_sends_the_fit_to_the_full_solve(
+    noisy_circle, eigh_calls
+):
+    y, x = noisy_circle
+    model = gh_fit(y, x, gh_sigma=0.001)
+    # the randomized solve, then the full one; its candidates reach past the
+    # first subset, and the rank is their argmin
+    assert eigh_calls == [LEADING_PAIRS + OVERSAMPLE, len(y)]
+    kernel = dmaps.kernel(y, sigma=0.001)[0]
+    vals, vecs = reordered_basis(kernel)
+    assert len(vals) > LEADING_PAIRS
+    assert_truncates(model, vals, vecs, x)
 
 
 def test_the_rank_is_the_argmin_of_the_first_subset_whose_minimum_lies_inside_it(eigh_calls):
-    # three noise-free harmonics on a finely sampled circle: the leave-one-out
-    # curve dips at rank 7, rises, and falls again past the first subset to far
-    # lower values; the rule keeps the inner minimum and solves no more pairs
-    n = 300
-    u = np.random.default_rng(1).uniform(size=n)
-    ang = 2.0 * np.pi * np.arange(n) / n + 0.3 * u / n
-    y = np.column_stack([np.cos(ang), np.sin(ang)])
-    harmonics = np.array([3, 70, 90])
-    x = np.cos(np.outer(ang, harmonics) + harmonics)
+    # three noise-free harmonics round a circle: the leave-one-out curve dips
+    # at rank 7, rises, and falls again past the first subset to far lower
+    # values; the rule keeps the inner minimum and solves no more pairs
+    ang, y = circle_points(dmaps.RANGE_FINDER_MIN_N)
+    x = harmonics(ang, [3, 70, 90])
     model = gh_fit(y, x, gh_sigma=0.002)
     assert model.d_gh == 7
-    assert eigh_calls == [[n - LEADING_PAIRS, n - 1]]
-    assert model.loo_rms == pytest.approx(0.5911, rel=1e-3)
+    assert eigh_calls == [LEADING_PAIRS + OVERSAMPLE]
+    assert model.loo_rms == pytest.approx(0.5814, rel=1e-3)
     candidates = floor_basis_fit(y, x, 0.002)
     curve = loo_curve(candidates.eigenvectors, x, candidates.coeffs)
     assert curve[model.d_gh - 1] == pytest.approx(model.loo_rms, rel=1e-9)
     assert int(np.argmin(curve)) + 1 > LEADING_PAIRS
     assert curve.min() < 1e-5 * model.loo_rms
+
+
+def test_below_the_crossover_the_rank_is_the_argmin_over_every_candidate(eigh_calls):
+    # three harmonics on 300 points, whose leading-subset solve kept the inner
+    # minimum at rank 7: the full solve's candidates reach past it, so the
+    # rank is the far lower minimum beyond
+    n = 300
+    u = np.random.default_rng(1).uniform(size=n)
+    ang = 2.0 * np.pi * np.arange(n) / n + 0.3 * u / n
+    y = np.column_stack([np.cos(ang), np.sin(ang)])
+    x = harmonics(ang, [3, 70, 90])
+    model = gh_fit(y, x, gh_sigma=0.002)
+    assert eigh_calls == [n]
+    candidates = floor_basis_fit(y, x, 0.002)
+    curve = loo_curve(candidates.eigenvectors, x, candidates.coeffs)
+    assert model.d_gh == int(np.argmin(curve)) + 1 == 273
+    assert_truncates(model, candidates.eigenvalues, candidates.eigenvectors, x)
 
 
 def test_loo_rank_does_not_amplify_rounding(noisy_ring):
