@@ -45,6 +45,9 @@ from .rom_fnn import TrainConfig
 
 LOCK_NAME = ".lock"
 DISCONNECTED_TOL = 1e-10   # lambda_1 this close to 1: the kernel graph has split
+# the faults of a stage that a bad config or input causes, which exit 2; an
+# input path that names a directory, or lies under a file, is one
+BAD_INPUT = (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +82,6 @@ class ParsimonySection:
             raise ValueError(f"parsimony.d must be >= 1, got {self.d!r}")
 
 
-@dataclass(frozen=True)
-class GhSection:
-    sigma: object = "auto"
-
-    def __post_init__(self):
-        _check_kernel_scale(self.sigma, "gh.sigma")
-
-
 # the longest file a contrast's name goes into, activity_<name>.csv.<pid>.tmp
 # while its report is written, must fit a file name's 255 bytes (NAME_MAX)
 # with a Linux pid of up to 7 digits
@@ -96,7 +91,6 @@ CONTRAST_NAME_BYTES = 255 - len("activity_.csv..tmp") - 7
 @dataclass(frozen=True)
 class GlmSection:
     contrasts: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    threshold: float = 0.001
 
     def __post_init__(self):
         # a contrast's name is part of its report's file name, activity_<name>.csv
@@ -114,21 +108,17 @@ class GlmSection:
             if size > CONTRAST_NAME_BYTES:
                 raise ValueError(f"glm.contrasts names must take at most "
                                  f"{CONTRAST_NAME_BYTES} bytes in UTF-8, got {size}")
-        if not 0 < self.threshold <= 1:
-            raise ValueError(f"glm.threshold must be in (0, 1], got {self.threshold!r}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One JSON run config: each top-level object is one of the section dataclasses.
 
-    The field annotations are the config schema (see `_typed`). ``fnn.seed`` and
-    ``synth.seed`` default to the top-level seed.
+    The field annotations are the config schema (see `_typed`).
     """
 
     input: str = None
     output_dir: str = None
-    seed: int = 0
     n_train: int = 280
     standardize: str = "full"   # or "train_only"
     epochs: tuple[tuple[str, int, int], ...] = ()   # (condition, start, end), half-open
@@ -136,7 +126,6 @@ class RunConfig:
     dmaps: DmapsSection = DmapsSection()
     parsimony: ParsimonySection = ParsimonySection()
     fnn: TrainConfig = TrainConfig()
-    gh: GhSection = GhSection()
     glm: GlmSection = GlmSection()
     synth: SynthConfig = None   # optional section
 
@@ -225,9 +214,9 @@ def _typed(hint, value, name: str):
 RETIRED_KEYS = {"fnn": {"learning_rate": rom_fnn.LEARNING_RATE}}
 
 
-def _build(cls, raw, name: str, seed: int):
-    """The dataclass cls from its JSON object, each field given read by `_typed`; a section
-    not given, or given null, reads as {}, and a `seed` not given takes the run seed."""
+def _build(cls, raw, name: str):
+    """The dataclass cls from its JSON object, each field given read by `_typed` and each
+    section given by `_build`; a field not given keeps its default."""
     if not isinstance(raw, dict):
         raise ValueError(f"config section {name!r} must be an object")
     hints = typing.get_type_hints(cls)
@@ -245,21 +234,15 @@ def _build(cls, raw, name: str, seed: int):
     for f in fields(cls):
         hint, given = hints[f.name], raw.get(f.name)
         key = f"{name}.{f.name}" if name else f.name
-        if f.name == "seed":
-            seed = built["seed"] = _typed(int, raw.get("seed", seed), key)
-            if seed < 0:
-                raise ValueError(f"{key} must be >= 0, got {seed}")
-        elif given is None and f.default is None:   # an optional field left unset
-            continue
-        elif is_dataclass(hint):
-            built[f.name] = _build(hint, {} if given is None else given, key, seed)
-        elif f.name in raw:
-            built[f.name] = _typed(hint, given, key)
+        if f.name not in raw or (given is None and (f.default is None or is_dataclass(hint))):
+            continue   # its default: not given, or null for an optional field or a section
+        read = _build if is_dataclass(hint) else _typed
+        built[f.name] = read(hint, given, key)
     return cls(**built)
 
 
-def load_config(path, seed_override: int = None) -> RunConfig:
-    """Parse and validate a JSON run config, applying the optional seed override."""
+def load_config(path) -> RunConfig:
+    """Parse and validate a JSON run config."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -270,9 +253,7 @@ def load_config(path, seed_override: int = None) -> RunConfig:
     unknown = ", ".join(sorted(set(data) - {f.name for f in fields(RunConfig)}))
     if unknown:
         raise ValueError(f"{path}: unknown config key(s): {unknown}")
-    if seed_override is not None:
-        data = {**data, "seed": seed_override}
-    return _build(RunConfig, data, "", 0)
+    return _build(RunConfig, data, "")
 
 
 def config_payload(cfg: RunConfig) -> dict:
@@ -400,13 +381,11 @@ def cmd_glm(cfg: RunConfig, paths: RunPaths) -> None:
         for name, vec in cfg.glm.contrasts.items():
             result = glm.contrast_tstat(fit, design, np.asarray(vec))
             out = os.path.join(paths.reports, f"activity_{name}.csv")
-            glm.write_activity_report(
-                out, fit, result, channels, cfg.conditions, threshold=cfg.glm.threshold
-            )
-            n_pass = int(np.sum(result.p_values < cfg.glm.threshold))
+            glm.write_activity_report(out, fit, result, channels, cfg.conditions)
+            n_pass = int(np.sum(result.p_values < glm.P_THRESHOLD))
             print(
                 f"glm: contrast {name!r}: {n_pass}/{len(channels)} channels pass "
-                f"p < {cfg.glm.threshold} -> {out}"
+                f"p < {glm.P_THRESHOLD} -> {out}"
             )
     _write_meta(cfg, paths)
 
@@ -501,7 +480,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
         coord_names = [f"y_{j}" for j in range(d)]
 
     with _stage("lifting"):
-        gh_model = lifting.gh_fit(coords_train, train_vals, gh_sigma=cfg.gh.sigma)
+        gh_model = lifting.gh_fit(coords_train, train_vals)
 
     with _stage("rom_fnn"):
         # models trained on another embedding, stimulus or fnn config are refused
@@ -573,7 +552,11 @@ def _run_lock(paths: RunPaths):
     the lock is held no writer is live, so the temp files of writers that were
     killed are removed first.
     """
-    os.makedirs(paths.root, exist_ok=True)
+    try:
+        os.makedirs(paths.root, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:   # a file is in the way
+        raise StageError("config", ValueError(
+            f"output_dir {paths.root!r} cannot be made a directory: {exc.strerror}")) from None
     with open(os.path.join(paths.root, LOCK_NAME), "a") as fh:
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -600,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "run":
             p.add_argument("--all", action="store_true", help="run every stage in order")
     return parser
@@ -609,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, seed_override=args.seed)
+        cfg = load_config(args.config)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
@@ -636,8 +618,8 @@ def main(argv=None) -> int:
         return 0
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)
-        return 2 if isinstance(exc.original, (ValueError, FileNotFoundError)) else 1
-    except (ValueError, FileNotFoundError) as exc:
+        return 2 if isinstance(exc.original, BAD_INPUT) else 1
+    except BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -18,6 +18,7 @@ from scipy import special
 from . import artifacts
 
 ZERO_VARIANCE_REL = 1e-28
+P_THRESHOLD = 0.001   # the uncorrected p below which a channel passes
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,8 @@ def write_activity_report(
     result: ContrastResult,
     channel_names: list[str],
     condition_names: list[str],
-    threshold: float = 0.001,
 ) -> None:
-    """CSV report: channel, beta per condition, t, p, pass at the uncorrected threshold."""
+    """CSV report: channel, beta per condition, t, p, and pass: p < `P_THRESHOLD`."""
     artifacts.write_rows(
         path,
         ["channel"] + [f"beta_{name}" for name in condition_names] + ["t", "p", "pass"],
@@ -134,7 +134,7 @@ def write_activity_report(
             + [
                 repr(float(result.t_values[i])),
                 repr(float(result.p_values[i])),
-                int(result.p_values[i] < threshold),
+                int(result.p_values[i] < P_THRESHOLD),
             ]
             for i, name in enumerate(channel_names)
         ),

@@ -122,6 +122,8 @@ class SynthConfig:
             raise ValueError(f"synth.n_times must be >= 2, got {self.n_times}")
         if self.noise < 0:
             raise ValueError(f"synth.noise must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"synth.seed must be >= 0, got {self.seed}")
         if self.dynamics not in ("linear_stable", "limit_cycle"):
             raise ValueError(
                 f"synth.dynamics must be 'linear_stable' or 'limit_cycle', got {self.dynamics!r}"

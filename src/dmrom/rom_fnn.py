@@ -110,7 +110,7 @@ class TrainConfig:
             raise ValueError(f"fnn.hidden_sizes must be >= 1, got {list(self.hidden_sizes)}")
         if any(v <= 0 for v in self.decay_values):
             raise ValueError(f"fnn.decay_values must be positive, got {list(self.decay_values)}")
-        for name, least in (("folds", 2), ("repeats", 1), ("max_epochs", 1)):
+        for name, least in (("folds", 2), ("repeats", 1), ("max_epochs", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"fnn.{name} must be >= {least}, got {getattr(self, name)}")
 

@@ -202,7 +202,6 @@ def synthetic_run(tmp_path_factory):
     cfg = {
         "input": str(base / "data" / "series.csv"),
         "output_dir": str(base / "run"),
-        "seed": 0,
         "n_train": 320,
         "dmaps": {"sigma": "auto", "k": 10},
         "parsimony": {"d": 5},
@@ -213,7 +212,6 @@ def synthetic_run(tmp_path_factory):
             "repeats": 2,
             "max_epochs": 2000,
         },
-        "gh": {"sigma": "auto"},
         "synth": {
             "q": 2,
             "ambient_dim": 50,

@@ -71,7 +71,6 @@ def pipeline_run(tmp_path_factory):
         base / "run.json",
         input=str(base / "data" / "series.csv"),
         output_dir=str(out),
-        seed=0,
         n_train=120,
         dmaps={"sigma": "auto", "k": 10},
         parsimony={"d": 5},
@@ -111,7 +110,7 @@ def test_meta_echoes_config_and_hash(pipeline_run):
     meta = json.loads((pipeline_run["out"] / "meta.json").read_text())
     cfg = load_config(pipeline_run["cfg"])
     assert meta["config_sha256"] == config_hash(cfg)
-    assert meta["config"]["seed"] == 0
+    assert meta["config"]["fnn"]["seed"] == meta["config"]["synth"]["seed"] == 0
     assert meta["config"]["n_train"] == 120
 
 
@@ -393,19 +392,6 @@ def test_forecast_fits_koopman_on_the_current_embedding(pipeline_run, tmp_path):
     assert old != (tmp_path / "ambient.csv").read_bytes()
 
 
-def test_forecast_refits_the_lift_under_the_current_gh_config(pipeline_run, tmp_path):
-    sigma = {"gh": {"sigma": 0.002}}
-    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "stale", **sigma)
-    assert main(["forecast", "--config", cfg_path]) == 0
-    fresh_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "fresh", **sigma)
-    assert main(["embed", "--config", fresh_path]) == 0
-    assert main(["forecast", "--config", fresh_path]) == 0
-    stale = tree_bytes(tmp_path / "stale" / "forecasts")
-    assert stale == tree_bytes(tmp_path / "fresh" / "forecasts")
-    old = tree_bytes(pipeline_run["out"] / "forecasts")
-    assert stale["fnn_gh_ambient.csv"] != old["fnn_gh_ambient.csv"]
-
-
 def test_forecast_prints_gh_sigma_and_rank(pipeline_run, tmp_path, capsys):
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
     assert main(["forecast", "--config", cfg_path]) == 0
@@ -476,6 +462,31 @@ def test_lock_of_a_killed_run_does_not_block(pipeline_run, tmp_path):
             holder.kill()   # SIGKILL: the holder gets no chance to clean up
     assert lock.exists()
     assert main(["forecast", "--config", cfg_path]) == 0
+
+
+@pytest.mark.parametrize("out, fault", [("afile", "File exists"),
+                                        ("afile/out", "Not a directory")],
+                         ids=["is_a_file", "under_a_file"])
+def test_an_output_dir_blocked_by_a_file_exits_2_naming_it(tmp_path, capsys, out, fault):
+    (tmp_path / "afile").write_text("kept\n")
+    out = tmp_path / out
+    cfg_path = write_config(tmp_path / "run.json", input="x.csv", output_dir=str(out))
+    assert main(["embed", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        f"error [config] output_dir {str(out)!r} cannot be made a directory: {fault}"
+    )
+    assert "Traceback" not in err and (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_an_input_that_is_a_directory_exits_2_under_ingest(tmp_path, capsys):
+    (tmp_path / "adir").mkdir()
+    cfg_path = write_config(tmp_path / "run.json", input=str(tmp_path / "adir"),
+                            output_dir=str(tmp_path / "out"))
+    assert main(["run", "--all", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest] ") and "Is a directory" in err
+    assert not (tmp_path / "out" / "embedding").exists()
 
 
 # runs `run --all`, and SIGKILLs itself after writing part of the temp file
@@ -852,7 +863,6 @@ def strip_run(tmp_path_factory):
         base / "embed.json",
         input=str(inp),
         output_dir=str(base / "run"),
-        seed=0,
         n_train=298,
         dmaps={"sigma": 0.1, "k": 6},
         parsimony={"d": 2},
@@ -995,11 +1005,12 @@ def test_invalid_json_config(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def test_seed_override(pipeline_run):
-    cfg = load_config(pipeline_run["cfg"], seed_override=5)
-    assert cfg.seed == 5
-    assert cfg.fnn.seed == 5   # network seed follows the run seed by default
-    assert config_hash(cfg) != config_hash(load_config(pipeline_run["cfg"]))
+def test_seed_override(pipeline_run, capsys):
+    # fnn.seed and synth.seed are each set only in their own section
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--seed", "5", "--config", pipeline_run["cfg"]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_embed_hash_follows_only_the_fields_embed_reads(pipeline_run, tmp_path):
@@ -1012,6 +1023,6 @@ def test_embed_hash_follows_only_the_fields_embed_reads(pipeline_run, tmp_path):
     for field in [{"input": "other.csv"}, {"n_train": 119}, {"standardize": "train_only"},
                   {"dmaps": {**raw["dmaps"], "k": 9}}, {"parsimony": {"d": 4}}]:
         assert changed(**field) != base, field
-    for field in [{"output_dir": "elsewhere"}, {"seed": 3}, {"fnn": {**raw["fnn"], "folds": 4}},
-                  {"gh": {"sigma": 0.5}}]:
+    for field in [{"output_dir": "elsewhere"}, {"fnn": {**raw["fnn"], "folds": 4, "seed": 3}},
+                  {"synth": {**raw["synth"], "seed": 3}}]:
         assert changed(**field) == base, field

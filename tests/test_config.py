@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from dmrom.cli import (
     DmapsSection,
-    GhSection,
     GlmSection,
     ParsimonySection,
     RunConfig,
@@ -28,7 +27,7 @@ from dmrom.ingest import SynthConfig
 from dmrom.rom_fnn import TrainConfig, training_digest
 
 MISSING = object()
-SECTIONS = ("dmaps", "parsimony", "fnn", "gh", "glm", "synth")
+SECTIONS = ("dmaps", "parsimony", "fnn", "glm", "synth")
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-12, max_value=1e12)
@@ -61,7 +60,6 @@ def run_configs(draw):
     return RunConfig(
         input=draw(names),
         output_dir=draw(names),
-        seed=draw(st.integers(0, 2**63)),
         # fnn.folds must stay below n_train
         n_train=draw(st.integers(folds + 1, 10**6)),
         standardize=draw(st.sampled_from(["full", "train_only"])),
@@ -80,11 +78,7 @@ def run_configs(draw):
             max_epochs=draw(st.integers(1, 10_000)),
             seed=draw(st.integers(0, 2**63)),
         ),
-        gh=GhSection(sigma=draw(st.just("auto") | positive)),
-        glm=GlmSection(
-            contrasts=draw(st.dictionaries(contrast_names, contrast)),
-            threshold=draw(st.floats(min_value=0, max_value=1, exclude_min=True)),
-        ),
+        glm=GlmSection(contrasts=draw(st.dictionaries(contrast_names, contrast))),
         synth=synth,
     )
 
@@ -116,13 +110,28 @@ def test_payload_round_trips_through_load_config(cfg):
 
 
 def test_defaults_come_from_the_section_dataclasses(tmp_path):
-    cfg = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out", "seed": 4}))
+    cfg = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out"}))
     assert cfg.dmaps == DmapsSection()
-    assert cfg.fnn == TrainConfig(seed=4)   # the network seed follows the run seed
+    assert cfg.fnn == TrainConfig() and cfg.fnn.seed == 0
     assert cfg.synth is None
-    cfg = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out", "seed": 4,
-                                      "synth": {}}))
-    assert cfg.synth == SynthConfig(seed=4)
+    cfg = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out", "synth": {}}))
+    assert cfg.synth == SynthConfig() and cfg.synth.seed == 0
+    # each section's seed is the one way to set it, and it sets no other
+    cfg = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out",
+                                      "fnn": {"seed": 4}, "synth": {}}))
+    assert (cfg.fnn, cfg.synth) == (TrainConfig(seed=4), SynthConfig())
+    cfg = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out",
+                                      "synth": {"seed": 4}}))
+    assert (cfg.fnn, cfg.synth) == (TrainConfig(), SynthConfig(seed=4))
+
+
+def test_each_section_checks_its_own_seed():
+    # a negative seed is refused where it is set, naming the field, not later
+    # inside numpy's generator
+    with pytest.raises(ValueError, match=re.escape("fnn.seed must be >= 0, got -1")):
+        TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match=re.escape("synth.seed must be >= 0, got -1")):
+        SynthConfig(seed=-1)
 
 
 def test_values_take_their_field_types(tmp_path):
@@ -205,9 +214,9 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
         row("doc12", {"drop_dead": True}, "unknown config key(s): drop_dead"),
         row("doc14", {"n_train": True}, "n_train must be an integer, got True"),
         row("doc15", {"synth": {"noise": "1"}}, "synth.noise must be a number, got '1'"),
-        row("doc16", {"gh": {"eig_floor": 1e-8}},
-            "unknown key(s) in config section 'gh': eig_floor"),
-        row("doc17", {"seed": 2.5}, "seed must be an integer, got 2.5"),
+        # the lift's kernel scale is always dmaps.kernel's "auto" rule
+        row("doc16", {"gh": {"eig_floor": 1e-8}}, "unknown config key(s): gh"),
+        row("doc17", {"synth": {"seed": 2.5}}, "seed must be an integer, got 2.5"),
         row("doc18", {"synth": {"n_times": 400.5}}, "synth.n_times must be an integer, got 400.5"),
         row("doc19", {"epochs": [["A", 0.5, 4]], "conditions": ["A"]},
             "epochs item[1] must be an integer, got 0.5"),
@@ -227,20 +236,24 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
             'dmaps.sigma must be "auto" or a positive number, got \'foo\''),
         row("doc27", {"dmaps": {"sigma": 0}},
             'dmaps.sigma must be "auto" or a positive number, got 0'),
-        row("doc28", {"gh": {"sigma": -3}}, 'gh.sigma must be "auto" or a positive number, got -3'),
-        row("doc29", {"gh": {"sigma": False}},
-            'gh.sigma must be "auto" or a positive number, got False'),
-        row("doc30", {"gh": {"sigma": float("inf")}},
-            'gh.sigma must be "auto" or a positive number, got inf'),
-        row("doc31", {"gh": {"sigma": 10**400}},
-            'gh.sigma must be "auto" or a positive number, got 1000'),
+        row("doc28", {"dmaps": {"sigma": -3}},
+            'dmaps.sigma must be "auto" or a positive number, got -3'),
+        row("doc29", {"dmaps": {"sigma": False}},
+            'dmaps.sigma must be "auto" or a positive number, got False'),
+        row("doc30", {"dmaps": {"sigma": float("inf")}},
+            'dmaps.sigma must be "auto" or a positive number, got inf'),
+        row("doc31", {"dmaps": {"sigma": 10**400}},
+            'dmaps.sigma must be "auto" or a positive number, got 1000'),
         row("doc32", {"synth": {"q": 7, "dynamics": "nope"}}, "synth.q must be 2 or 3, got 7"),
         row("doc33", {"synth": {"dynamics": "nope"}},
             "synth.dynamics must be 'linear_stable' or 'limit_cycle', got 'nope'"),
         row("doc34", {"input": 3}, "input must be a non-empty string, got 3"),
-        row("doc35", {"glm": {"threshold": -1}}, "glm.threshold must be in (0, 1], got -1.0"),
-        row("doc36", {"glm": {"threshold": 0}}, "glm.threshold must be in (0, 1], got 0.0"),
-        row("doc37", {"glm": {"threshold": 2}}, "glm.threshold must be in (0, 1], got 2.0"),
+        # the activity report's p threshold is the constant glm.P_THRESHOLD
+        row("doc35", {"glm": {"threshold": 0.001}},
+            "unknown key(s) in config section 'glm': threshold"),
+        # a seed is set only in its own section, fnn or synth
+        row("doc36", {"seed": 0}, "unknown config key(s): seed"),
+        row("doc37", {"gh": {"sigma": "auto"}}, "unknown config key(s): gh"),
         row("doc38", {"output_dir": 7}, "output_dir must be a non-empty string, got 7"),
         row("doc39", {"parsimony": {"d": 0}}, "parsimony.d must be >= 1, got 0"),
         row("doc40", {"parsimony": {"d": 31}}, "parsimony.d must be <= dmaps.k (30), got 31"),
@@ -261,10 +274,11 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
         row("doc49", {"glm": {"kernel": [1.0]}}, "unknown key(s) in config section 'glm': kernel"),
         row("doc50", {"glm": {"contrasts": {"c": [1, -(10**400)]}}},
             "glm.contrasts.c item must be a number within float range, got an integer of 401"),
-        row("doc51", {"seed": -1}, "seed must be >= 0, got -1"),
+        # each section checks its own seed, whatever the other one holds
+        row("doc51", {"fnn": {"seed": -1}, "synth": {"seed": 3}}, "seed must be >= 0, got -1"),
         row("doc52", {"fnn": {"seed": -1}}, "fnn.seed must be >= 0, got -1"),
         row("doc53", {"synth": {"seed": -7}}, "synth.seed must be >= 0, got -7"),
-        row("doc54", {"seed": -1, "fnn": {"seed": 3}}, "seed must be >= 0, got -1"),
+        row("doc54", {"fnn": {"seed": 3}, "synth": {"seed": -1}}, "seed must be >= 0, got -1"),
         row("doc55", {"fnn": {"seed": 2.5}}, "fnn.seed must be an integer, got 2.5"),
         row("doc56", {"fnn": {"hidden_sizes": []}}, "hidden_sizes must not be empty"),
         row("doc57", {"fnn": {"decay_values": []}}, "decay_values must not be empty"),
@@ -347,18 +361,16 @@ def test_every_field_refuses_a_value_of_the_wrong_kind(tmp_path, field, hint):
 # bundle digests, so a change that moves either one makes every one of them
 # stale, and train and forecast refuse them; the embed digest moves when a
 # field embed reads goes, as drop_dead and dmaps.alpha did, and config_hash,
-# which is only echoed in meta.json, when any field goes, as glm.kernel and
-# synth.frequency_scale did
+# which is only echoed in meta.json, when any field goes, as glm.kernel,
+# synth.frequency_scale, the top-level seed, the gh section and glm.threshold did
 QUICK_START = {
     "input": "data/series.csv",
     "output_dir": "runs/demo",
-    "seed": 0,
     "n_train": 320,
     "dmaps": {"sigma": "auto", "k": 10},
     "parsimony": {"d": 5},
     "fnn": {"hidden_sizes": [4, 8], "decay_values": [1e-8, 1e-6],
             "folds": 5, "repeats": 2, "max_epochs": 2000},
-    "gh": {"sigma": "auto"},
     "synth": {"q": 2, "ambient_dim": 50, "n_times": 400, "noise": 0.0,
               "seed": 0, "dynamics": "limit_cycle"},
 }
@@ -366,7 +378,7 @@ QUICK_START = {
 
 def test_quick_start_config_digests_are_pinned(tmp_path):
     cfg = load_config(dump(tmp_path, QUICK_START))
-    assert config_hash(cfg) == "2924d7fc3c2ce61d31b15e57ae86ba61482e51adfc435bb50ed16286d4b5e805"
+    assert config_hash(cfg) == "486212b46815cc6458d024995bb3426b42a5bc1272004a141ab8adefc39214ec"
     assert embed_hash(cfg) == "c96eddd2270c146d671de21f9ce68dbf382c465dc1cf4dbce1a72bbb902812ad"
     # the digest of its FNN bundles: that of the config with learning_rate
     # 0.2, the step every fit now takes, so those bundles stay valid
@@ -393,28 +405,28 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize(
-    "doc, args, message",
+    "doc, message",
     [
-        row("doc0-args0", {"glm": {"threshold": 10**400}}, [],
-            "glm.threshold must be a number within float range, got an integer of 401 digits"),
-        row("doc1-args1", {"seed": -1}, [], "seed must be >= 0, got -1"),
-        row("doc2-args2", {"seed": 3}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+        row("doc0-args0", {"synth": {"noise": 10**400}},
+            "synth.noise must be a number within float range, got an integer of 401 digits"),
+        row("doc1-args1", {"fnn": {"seed": -1}}, "fnn.seed must be >= 0, got -1"),
+        row("doc2-args2", {"synth": {"seed": -1}}, "synth.seed must be >= 0, got -1"),
         # json writes these as Infinity and NaN; a literal past float range,
         # such as 1e400, parses to inf as well
-        row("doc3-args3", {"glm": {"threshold": float("inf")}}, [],
-            "glm.threshold must be a finite number, got inf"),
-        row("doc4-args4", {"fnn": {"decay_values": [float("nan")]}}, [],
+        row("doc3-args3", {"synth": {"noise": float("inf")}},
+            "synth.noise must be a finite number, got inf"),
+        row("doc4-args4", {"fnn": {"decay_values": [float("nan")]}},
             "fnn.decay_values item must be a finite number, got nan"),
-        row("doc5-args5", {"synth": {"noise": float("nan")}}, [],
+        row("doc5-args5", {"synth": {"noise": float("nan")}},
             "synth.noise must be a finite number, got nan"),
         # the FNN stage would refuse it only after embed wrote the embedding
-        row("doc6-args6", {"n_train": 320, "fnn": {"folds": 320}}, [],
+        row("doc6-args6", {"n_train": 320, "fnn": {"folds": 320}},
             "fnn.folds must be < n_train (320), got 320"),
     ],
 )
-def test_out_of_range_numbers_exit_2_naming_the_field(tmp_path, capsys, doc, args, message):
+def test_out_of_range_numbers_exit_2_naming_the_field(tmp_path, capsys, doc, message):
     path = dump(tmp_path, {"input": "x.csv", "output_dir": str(tmp_path / "out"), **doc})
-    assert main(["embed", "--config", path, *args]) == 2
+    assert main(["embed", "--config", path]) == 2
     assert capsys.readouterr().err == f"error [config]: {message}\n"
     assert not (tmp_path / "out").exists()
 

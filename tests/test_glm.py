@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from dmrom.glm import (
+    P_THRESHOLD,
     build_design_matrix,
     contrast_tstat,
     fit_glm,
@@ -178,9 +179,9 @@ def test_activity_report_csv(tmp_path):
     fit = fit_glm(x, u)
     res = contrast_tstat(fit, u, np.array([1.0, -1.0]))
     out = tmp_path / "activity.csv"
-    write_activity_report(str(out), fit, res, ["a"], ["g1", "g2"], threshold=0.001)
+    write_activity_report(str(out), fit, res, ["a"], ["g1", "g2"])
     lines = out.read_text().splitlines()
     assert lines[0] == "channel,beta_g1,beta_g2,t,p,pass"
     fields = lines[1].split(",")
     assert fields[0] == "a"
-    assert fields[-1] in {"0", "1"}
+    assert fields[-1] == str(int(float(fields[-2]) < P_THRESHOLD))
