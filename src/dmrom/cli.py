@@ -9,17 +9,19 @@ Subcommands wire the stages together over a single JSON run config:
     forecast  fit the Koopman one-step matrix and channel pre-image and the
               GH lift, then closed-loop forecasts over the test horizon, plus
               the baseline, scored per channel into the comparison table
-    run --all everything above in order
+    run --all everything above in order, parsing the input once and handing
+              each stage what the one before it built, in memory
 
 Exit codes: 0 success, 2 validation errors (bad config/input), 1 runtime
 failures. Artifacts land in output_dir/{embedding,models,forecasts,reports};
 a meta.json, written when a command (or a stage of `run --all`) succeeds,
 echoes the config and its hash, and nothing written depends on wall-clock
-time, so repeated runs with one config, one BLAS thread count and one SIMD
-level of numpy's `exp` are byte-identical (the eigensolve's last bits can
-change with the count, the FNN models' with the SIMD level). `train` and
-`forecast` refuse an embedding that `embed` made from another input file or
-other config fields, and hand the FNN ROM (`rom_fnn`) the selected
+time, so repeated runs with one config and one SIMD level of numpy's `exp`
+are byte-identical (the FNN models' last bits can change with the SIMD
+level; importing dmrom runs OpenBLAS on one thread, so the BLAS thread
+count changes none). `train` and `forecast` run on their own read what
+`embed` wrote, and refuse an embedding that `embed` made from another input
+file or other config fields; they hand the FNN ROM (`rom_fnn`) the selected
 coordinates and the whole series' stimulus design.
 """
 
@@ -35,7 +37,7 @@ import shutil
 import sys
 import typing
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -342,10 +344,28 @@ def _design_matrix(cfg: RunConfig, n: int) -> np.ndarray:
 
 
 def _load_standardized(cfg: RunConfig):
-    """(values, channel names) of the input series, detrended and standardized."""
-    values, names = load_timeseries(cfg.input)
-    n_fit = cfg.n_train if cfg.standardize == "train_only" else None
-    return detrend_standardize(values, names, n_fit=n_fit), names
+    """(values, channel names) of the input series, detrended and standardized;
+    a fault is an [ingest] error."""
+    with _stage("ingest"):
+        values, names = load_timeseries(cfg.input)
+        n_fit = cfg.n_train if cfg.standardize == "train_only" else None
+        return detrend_standardize(values, names, n_fit=n_fit), names
+
+
+@dataclass(frozen=True)
+class Embedded:
+    """What `embed` built and wrote, as `run --all` hands it to `train` and `forecast`.
+
+    The eigenvectors are row-major, as `dmaps.load_embedding` reads them
+    back, so the coordinates and the restriction take the bits they take
+    from a reloaded embedding.
+    """
+
+    embedding: dmaps.DiffusionEmbedding
+    report: parsimony.ParsimonyReport
+    train: np.ndarray        # the standardized training block
+    test: np.ndarray         # the standardized test block
+    channels: list
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +378,11 @@ def cmd_synth(cfg: RunConfig) -> None:
             raise ValueError("config has no 'synth' section")
         values, names, truth = generate_synthetic(cfg.synth)
         out_dir = os.path.dirname(os.path.abspath(cfg.input))
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:   # a file is in the way
+            raise ValueError(f"input {cfg.input!r} cannot be written: its directory "
+                             f"cannot be made: {exc.strerror}") from None
         artifacts.write_matrix(cfg.input, values, names)
         truth_path = os.path.splitext(cfg.input)[0] + "_truth.json"
         artifacts.write_text(truth_path, truth.to_json() + "\n")
@@ -366,14 +390,15 @@ def cmd_synth(cfg: RunConfig) -> None:
     print(f"synth: ground truth in {truth_path}")
 
 
-def cmd_glm(cfg: RunConfig, paths: RunPaths) -> None:
+def cmd_glm(cfg: RunConfig, paths: RunPaths, series=None) -> None:
+    """Write one activity report per contrast. `series` is the (values, channel
+    names) `run --all` has standardized; without it the input is read."""
     with _stage("glm"):
         if not cfg.epochs:
             raise ValueError("glm requires 'epochs' and 'conditions' in the config")
         if not cfg.glm.contrasts:
             raise ValueError("glm requires at least one contrast in glm.contrasts")
-    with _stage("ingest"):
-        values, channels = _load_standardized(cfg)
+    values, channels = _load_standardized(cfg) if series is None else series
     with _stage("glm"):
         design = _design_matrix(cfg, len(values))
         fit = glm.fit_glm(values, design)
@@ -390,9 +415,11 @@ def cmd_glm(cfg: RunConfig, paths: RunPaths) -> None:
     _write_meta(cfg, paths)
 
 
-def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
+def cmd_embed(cfg: RunConfig, paths: RunPaths, series=None) -> Embedded:
+    """Embed the training block, select its coordinates and write the embedding;
+    returns what it wrote. `series` is as for `cmd_glm`."""
+    values, channels = _load_standardized(cfg) if series is None else series
     with _stage("ingest"):
-        values, channels = _load_standardized(cfg)
         if cfg.n_train >= len(values):
             raise ValueError(f"n_train must be < {len(values)} input rows, got {cfg.n_train}")
         # an epoch past the series end is refused before any file is written
@@ -422,11 +449,8 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths) -> None:
     print(f"embed: residuals er: {', '.join(f'{v:.4f}' for v in report.er)}")
     print(f"embed: selected coordinates: {', '.join(str(i) for i in report.selected)}")
     _write_meta(cfg, paths)
-
-
-def _read_ambient(paths: RunPaths, block: str):
-    """(values, channel names) of the standardized "train" or "test" block."""
-    return artifacts.read_matrix(os.path.join(paths.embedding, f"{block}_ambient.csv"))
+    eigenvectors = np.ascontiguousarray(embedding.eigenvectors)
+    return Embedded(replace(embedding, eigenvectors=eigenvectors), report, train, test, channels)
 
 
 def _write_forecast(paths: RunPaths, name: str, values, names) -> None:
@@ -434,24 +458,37 @@ def _write_forecast(paths: RunPaths, name: str, values, names) -> None:
 
 
 def _load_embedding_artifacts(cfg: RunConfig, paths: RunPaths):
-    """(embedding, parsimony report, selected training coordinates); an
-    embedding made from another input file or other config fields is refused."""
+    """(embedding, parsimony report) as `embed` wrote them; an embedding made
+    from another input file or other config fields is refused."""
     embedding = dmaps.load_embedding(paths.embedding, made_from(cfg))
-    report = parsimony.load_report(os.path.join(paths.embedding, "parsimony.json"))
-    return embedding, report, dmaps.coords_for(embedding, report.selected)
+    return embedding, parsimony.load_report(os.path.join(paths.embedding, "parsimony.json"))
 
 
-def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
+def _read_embedded(cfg: RunConfig, paths: RunPaths) -> Embedded:
+    """Everything `embed` wrote, read back (see `_load_embedding_artifacts`)."""
+    embedding, report = _load_embedding_artifacts(cfg, paths)
+    train, _ = artifacts.read_matrix(os.path.join(paths.embedding, "train_ambient.csv"))
+    test, channels = artifacts.read_matrix(os.path.join(paths.embedding, "test_ambient.csv"))
+    return Embedded(embedding, report, train, test, channels)
+
+
+def cmd_train(cfg: RunConfig, paths: RunPaths, method: str, embedded: Embedded = None) -> None:
     """Fit the FNN models, one per selected coordinate, and store them as one bundle.
 
-    `method` is always "fnn", passed by position: the Koopman operator is fit in
-    `forecast`, and the argument stays only because perfbench's tracer names
-    this stage's span after it, until that span is renamed (ROADMAP item 1).
+    `embedded` is what `run --all`'s `embed` returned; without it the
+    embedding is read from disk. `method` is always "fnn", passed by
+    position: the Koopman operator is fit in `forecast`, and the argument
+    stays only because perfbench's tracer names this stage's span after it,
+    until that span is renamed (ROADMAP item 1).
     """
     with _stage("train"):
-        _, _, coords_train = _load_embedding_artifacts(cfg, paths)
+        if embedded is None:
+            embedding, report = _load_embedding_artifacts(cfg, paths)
+            n_test = artifacts.count_rows(os.path.join(paths.embedding, "test_ambient.csv"))
+        else:
+            embedding, report, n_test = embedded.embedding, embedded.report, len(embedded.test)
+        coords_train = dmaps.coords_for(embedding, report.selected)
         # the design spans the test block too, so its epochs are checked against it
-        n_test = artifacts.count_rows(os.path.join(paths.embedding, "test_ambient.csv"))
         design = _design_matrix(cfg, cfg.n_train + n_test)
     with _stage("rom_fnn"):
         cells = rom_fnn.train_rom(coords_train, design, cfg.fnn, paths.models)
@@ -460,11 +497,15 @@ def cmd_train(cfg: RunConfig, paths: RunPaths, method: str) -> None:
     _write_meta(cfg, paths)
 
 
-def cmd_forecast(cfg: RunConfig, paths: RunPaths) -> None:
+def cmd_forecast(cfg: RunConfig, paths: RunPaths, embedded: Embedded = None) -> None:
+    """Forecast the test block with each ROM and the baseline, and score them.
+    `embedded` is as for `cmd_train`."""
     with _stage("forecast"):
-        embedding, report, coords_train = _load_embedding_artifacts(cfg, paths)
-        train_vals, _ = _read_ambient(paths, "train")
-        test_vals, test_names = _read_ambient(paths, "test")
+        if embedded is None:
+            embedded = _read_embedded(cfg, paths)
+        embedding, report = embedded.embedding, embedded.report
+        train_vals, test_vals, test_names = embedded.train, embedded.test, embedded.channels
+        coords_train = dmaps.coords_for(embedding, report.selected)
         h = test_vals.shape[0]
         if h == 0:
             raise ValueError("empty test set")
@@ -530,13 +571,14 @@ def cmd_run_all(cfg: RunConfig, paths: RunPaths) -> None:
         if cfg.synth is None:
             raise StageError("run", FileNotFoundError(f"input file not found: {cfg.input}"))
         cmd_synth(cfg)
+    series = _load_standardized(cfg)   # parsed once, for glm and embed
     if cfg.epochs and cfg.glm.contrasts:
-        cmd_glm(cfg, paths)
+        cmd_glm(cfg, paths, series)
     else:
         print("run: no epochs/contrasts configured, skipping glm")
-    cmd_embed(cfg, paths)
-    cmd_train(cfg, paths, "fnn")
-    cmd_forecast(cfg, paths)
+    embedded = cmd_embed(cfg, paths, series)
+    cmd_train(cfg, paths, "fnn", embedded=embedded)
+    cmd_forecast(cfg, paths, embedded=embedded)
 
 
 # ---------------------------------------------------------------------------

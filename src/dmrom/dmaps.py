@@ -27,15 +27,18 @@ from scipy.linalg import eigh, qr
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from . import artifacts
+from . import _one_blas_thread, artifacts
+
+_one_blas_thread()   # scipy.linalg has loaded scipy's OpenBLAS
 
 SIGN_CONVENTION = "max-abs-positive"
 PSI0_TOL = 1e-8   # a stored psi_0 farther than this from 1 is not unit-RMS
 
 # `eigenbasis`'s randomized solve: from this N on it replaces the full eigh.
-# On the N=2000 GH kernel of a noisy limit cycle (2 cores, OpenBLAS, 128
-# leading pairs) the full eigh takes 0.85 s and the randomized solve 0.30 s;
-# at N=1000 they take 0.18 and 0.22 s on 2 BLAS threads, 0.17 and 0.06 s on 1
+# On the GH kernel of a noisy limit cycle (OpenBLAS on one thread, 128
+# leading pairs) the full eigh takes 1.19 s and the randomized solve 0.19 s
+# at N=2000, 0.17 and 0.07 s at N=1000; the crossover lies lower, but no
+# benchmark input has N in [320, 1000) to place it
 RANGE_FINDER_MIN_N = 1000
 OVERSAMPLE = 64      # test-matrix columns beyond the pairs asked for
 POWER_STEPS = 2      # products with s, each re-orthonormalized, after the first

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import artifacts
+from . import _one_blas_thread, artifacts
+
+_one_blas_thread()   # scipy.special has loaded scipy's OpenBLAS
 
 ZERO_VARIANCE_REL = 1e-28
 P_THRESHOLD = 0.001   # the uncorrected p below which a channel passes

@@ -358,9 +358,10 @@ def _fork_worker(train, share):
     parent = os.getpid()
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
-        # Python 3.12 warns on a fork from a process with threads: here they are
-        # OpenBLAS's pool, which OpenBLAS's own fork handler rebuilds in the
-        # child, and the child takes no lock of the parent's Python threads
+        # Python 3.12 warns on a fork from a process with threads: here they can
+        # only be the idle workers of the OpenBLAS pools, which OpenBLAS shuts
+        # down before a fork and, on the one thread dmrom sets, never starts
+        # again; the child takes no lock of the parent's Python threads
         warnings.filterwarnings(
             "ignore", r".* is multi-threaded, use of fork\(\)", DeprecationWarning
         )

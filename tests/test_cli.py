@@ -169,6 +169,73 @@ def test_stage_isolation(pipeline_run):
     assert all(before[k] == after[k] for k in before)
 
 
+def test_run_all_parses_the_input_once_and_reads_back_no_embedding(
+    stimulus_run, tmp_path, monkeypatch
+):
+    # glm and embed both read the series; train and forecast take the embedding
+    # that embed built
+    raw = json.loads(pathlib.Path(stimulus_run["cfg"]).read_text())
+    cfg_path = write_config(tmp_path / "run.json", **{**raw, "output_dir": str(tmp_path / "run")})
+    calls = {"load_timeseries": 0, "load_embedding": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(cli, "load_timeseries")
+    counted(dmaps, "load_embedding")
+    assert main(["run", "--all", "--config", cfg_path]) == 0
+    assert calls == {"load_timeseries": 1, "load_embedding": 0}
+
+
+def test_embed_hands_on_what_train_and_forecast_read_back(pipeline_run, tmp_path):
+    # the same values in the same memory layout: BLAS sums a column-major array
+    # in another order than a row-major one, which moves the models' bits
+    raw = json.loads(pathlib.Path(pipeline_run["cfg"]).read_text())
+    cfg_path = write_config(tmp_path / "run.json", **{**raw, "output_dir": str(tmp_path / "run")})
+    cfg = load_config(cfg_path)
+    paths = cli.RunPaths(cfg.output_dir)
+    handed = cli.cmd_embed(cfg, paths)
+    read = cli._read_embedded(cfg, paths)
+    assert handed.report.selected == read.report.selected
+    assert handed.channels == read.channels and handed.embedding.sigma == read.embedding.sigma
+    for got, want in [
+        (handed.train, read.train),
+        (handed.test, read.test),
+        (handed.embedding.eigenvalues, read.embedding.eigenvalues),
+        (handed.embedding.eigenvectors, read.embedding.eigenvectors),
+        (handed.embedding.degrees, read.embedding.degrees),
+        (dmaps.coords_for(handed.embedding, handed.report.selected),
+         dmaps.coords_for(read.embedding, read.report.selected)),
+    ]:
+        assert np.array_equal(got, want)
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+            want.flags.c_contiguous, want.flags.f_contiguous)
+
+
+@pytest.mark.parametrize("run", ["pipeline_run", "stimulus_run"])
+def test_run_all_writes_the_tree_of_its_stages_run_one_by_one(request, tmp_path, run):
+    # run --all hands each stage what the one before it built; the stages run
+    # alone read it back from disk, and must write the same bytes
+    raw = json.loads(pathlib.Path(request.getfixturevalue(run)["cfg"]).read_text())
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "run.json", **{**raw, "output_dir": str(out)})
+    assert main(["run", "--all", "--config", cfg_path]) == 0
+    all_at_once = tree_bytes(out)
+    shutil.rmtree(out)
+    stages = (["glm"] if raw.get("epochs") else []) + ["embed", "train", "forecast"]
+    for stage in stages:
+        assert main([stage, "--config", cfg_path]) == 0, stage
+    one_by_one = tree_bytes(out)
+    assert one_by_one.keys() == all_at_once.keys()
+    assert [name for name in one_by_one if one_by_one[name] != all_at_once[name]] == []
+
+
 def test_nrw_reduced_then_lift_from_run_artifacts(pipeline_run):
     emb = pipeline_run["out"] / "embedding"
     embedding = load_run_embedding(pipeline_run["cfg"], emb)
@@ -487,6 +554,24 @@ def test_an_input_that_is_a_directory_exits_2_under_ingest(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error [ingest] ") and "Is a directory" in err
     assert not (tmp_path / "out" / "embedding").exists()
+
+
+@pytest.mark.parametrize("command", [["synth"], ["run", "--all"]], ids=["synth", "run"])
+@pytest.mark.parametrize("under, fault", [("afile", "File exists"),
+                                          ("afile/sub", "Not a directory")],
+                         ids=["under_a_file", "two_under_a_file"])
+def test_an_input_under_a_file_exits_2_under_synth_naming_it(tmp_path, capsys, command, under,
+                                                             fault):
+    (tmp_path / "afile").write_text("kept\n")
+    inp = str(tmp_path / under / "x.csv")
+    cfg_path = write_config(tmp_path / "run.json", input=inp, output_dir=str(tmp_path / "out"),
+                            synth={"ambient_dim": 3, "n_times": 20})
+    assert main([*command, "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        f"error [synth] input {inp!r} cannot be written: its directory cannot be made: {fault}"
+    )
+    assert "Traceback" not in err and (tmp_path / "afile").read_text() == "kept\n"
 
 
 # runs `run --all`, and SIGKILLs itself after writing part of the temp file
@@ -962,6 +1047,63 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+# prints {library path: thread count} of every OpenBLAS mapped into the process
+# once the module named by argv[1] is imported
+OPENBLAS_THREADS = """\
+import ctypes, importlib, json, sys
+importlib.import_module(sys.argv[1])
+with open("/proc/self/maps") as fh:
+    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+counts = {}
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            if get is not None:
+                counts[path] = get()
+print(json.dumps(counts))
+"""
+
+
+def src_env(**extra) -> dict:
+    """The environment of a child process that imports dmrom from this source tree."""
+    return {**os.environ, "PYTHONPATH": str(pathlib.Path(dmaps.__file__).resolve().parents[1]),
+            **extra}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc")
+@pytest.mark.parametrize("module", ["dmrom", "dmrom.cli"])
+def test_every_openblas_runs_on_one_thread_after_import(module):
+    # importing the package pins numpy's OpenBLAS, and dmrom.cli, which loads
+    # scipy's too, pins both; the environment asks for 2 threads
+    proc = subprocess.run([sys.executable, "-c", OPENBLAS_THREADS, module],
+                          env=src_env(OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, text=True, check=True)
+    counts = json.loads(proc.stdout)
+    if not counts:
+        pytest.skip("no OpenBLAS is loaded")
+    assert counts == dict.fromkeys(counts, 1)
+
+
+def test_run_all_writes_the_same_bytes_at_any_openblas_thread_count(pipeline_run, tmp_path):
+    # from about 160 training points on, OpenBLAS splits the GH lift's matrix
+    # products over its threads, which moves the lifted forecasts' last bits
+    raw = json.loads(pathlib.Path(pipeline_run["cfg"]).read_text())
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "run.json", **{
+        **raw, "input": str(tmp_path / "series.csv"), "output_dir": str(out), "n_train": 160,
+        "synth": {**raw["synth"], "ambient_dim": 50, "n_times": 200}})
+    trees = []
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "dmrom.cli", "run", "--all", "--config", cfg_path],
+                       env=src_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, check=True)
+        trees.append(tree_bytes(out))
+        shutil.rmtree(out)
+    assert trees[0].keys() == trees[1].keys()
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
 
 
 # ------------------------------------------------------------------ config
