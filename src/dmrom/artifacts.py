@@ -62,14 +62,6 @@ def write_matrix(path, arr, names) -> None:
         fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in arr)
 
 
-def count_rows(path) -> int:
-    """The number of data rows of a `write_matrix` file, without parsing them."""
-    with open(path, "rb") as fh:
-        if not fh.readline():
-            raise ValueError(f"{path}: empty file")
-        return sum(1 for _ in fh)
-
-
 def read_matrix(path):
     """Read a `write_matrix` file: (values, column names).
 

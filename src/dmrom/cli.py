@@ -5,10 +5,10 @@ Subcommands wire the stages together over a single JSON run config:
     synth     generate a seeded synthetic input series
     glm       per-channel regression against the stimulus design
     embed     detrend/split, spectral embedding, coordinate selection
-    train     fit the FNN ROMs on the training coordinates
-    forecast  fit the Koopman one-step matrix and channel pre-image and the
-              GH lift, then closed-loop forecasts over the test horizon, plus
-              the baseline, scored per channel into the comparison table
+    forecast  fit the ROMs on the training coordinates (the FNNs, the GH lift,
+              the Koopman one-step matrix and channel pre-image), then
+              closed-loop forecasts over the test horizon, plus the baseline,
+              scored per channel into the comparison table
     run --all everything above in order, parsing the input once and handing
               each stage what the one before it built, in memory
 
@@ -19,10 +19,10 @@ echoes the config and its hash, and nothing written depends on wall-clock
 time, so repeated runs with one config and one SIMD level of numpy's `exp`
 are byte-identical (the FNN models' last bits can change with the SIMD
 level; importing dmrom runs OpenBLAS on one thread, so the BLAS thread
-count changes none). `train` and `forecast` run on their own read what
-`embed` wrote, and refuse an embedding that `embed` made from another input
-file or other config fields; they hand the FNN ROM (`rom_fnn`) the selected
-coordinates and the whole series' stimulus design.
+count changes none). `forecast` run on its own reads what `embed` wrote,
+and refuses an embedding that `embed` made from another input file or other
+config fields; it hands the FNN ROM (`rom_fnn`) the selected coordinates and
+the whole series' stimulus design, and steps the models it trained.
 """
 
 from __future__ import annotations
@@ -334,7 +334,8 @@ class RunPaths:
 def _write_meta(cfg: RunConfig, paths: RunPaths) -> None:
     """Echo the config into meta.json; each command calls it last, so only a
     command that succeeded, or a stage of `run --all` that did, speaks for it."""
-    doc = {"config": config_payload(cfg), "config_sha256": config_hash(cfg)}
+    payload = config_payload(cfg)
+    doc = {"config": payload, "config_sha256": artifacts.json_sha256(payload).hexdigest()}
     artifacts.write_json(os.path.join(paths.root, "meta.json"), doc)
 
 
@@ -354,7 +355,7 @@ def _load_standardized(cfg: RunConfig):
 
 @dataclass(frozen=True)
 class Embedded:
-    """What `embed` built and wrote, as `run --all` hands it to `train` and `forecast`.
+    """What `embed` built and wrote, as `run --all` hands it to `forecast`.
 
     The eigenvectors are row-major, as `dmaps.load_embedding` reads them
     back, so the coordinates and the restriction take the bits they take
@@ -441,8 +442,8 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths, series=None) -> Embedded:
         artifacts.write_matrix(os.path.join(paths.embedding, "train_ambient.csv"), train, channels)
         artifacts.write_matrix(os.path.join(paths.embedding, "test_ambient.csv"), test, channels)
         # the bundle, with its made_from digest, goes last: a kill between the
-        # writes leaves the old digest, which train and forecast refuse when
-        # the input or the embed settings changed
+        # writes leaves the old digest, which forecast refuses when the input
+        # or the embed settings changed
         dmaps.save_embedding(embedding, paths.embedding, made_from(cfg))
     lam = ", ".join(f"{v:.6f}" for v in embedding.eigenvalues)
     print(f"embed: eigenvalues: {lam}")
@@ -457,75 +458,67 @@ def _write_forecast(paths: RunPaths, name: str, values, names) -> None:
     artifacts.write_matrix(os.path.join(paths.forecasts, f"{name}.csv"), values, names)
 
 
-def _load_embedding_artifacts(cfg: RunConfig, paths: RunPaths):
-    """(embedding, parsimony report) as `embed` wrote them; an embedding made
-    from another input file or other config fields is refused."""
-    embedding = dmaps.load_embedding(paths.embedding, made_from(cfg))
-    return embedding, parsimony.load_report(os.path.join(paths.embedding, "parsimony.json"))
-
-
 def _read_embedded(cfg: RunConfig, paths: RunPaths) -> Embedded:
-    """Everything `embed` wrote, read back (see `_load_embedding_artifacts`)."""
-    embedding, report = _load_embedding_artifacts(cfg, paths)
+    """Everything `embed` wrote, read back; an embedding made from another
+    input file or other config fields is refused."""
+    embedding = dmaps.load_embedding(paths.embedding, made_from(cfg))
+    report = parsimony.load_report(os.path.join(paths.embedding, "parsimony.json"))
     train, _ = artifacts.read_matrix(os.path.join(paths.embedding, "train_ambient.csv"))
     test, channels = artifacts.read_matrix(os.path.join(paths.embedding, "test_ambient.csv"))
     return Embedded(embedding, report, train, test, channels)
 
 
-def cmd_train(cfg: RunConfig, paths: RunPaths, method: str, embedded: Embedded = None) -> None:
-    """Fit the FNN models, one per selected coordinate, and store them as one bundle.
+def cmd_train(cfg: RunConfig, paths: RunPaths, method: str, coords_train, design) -> tuple:
+    """Fit the FNN models, one per selected coordinate, store them as one bundle
+    and return them; the first step of `cmd_forecast`.
 
-    `embedded` is what `run --all`'s `embed` returned; without it the
-    embedding is read from disk. `method` is always "fnn", passed by
-    position: the Koopman operator is fit in `forecast`, and the argument
-    stays only because perfbench's tracer names this stage's span after it,
-    until that span is renamed (ROADMAP item 1).
+    `method` is always "fnn", passed by position: the argument stays only
+    because perfbench's tracer names this step's span after it, until that
+    span is renamed (ROADMAP item 1).
     """
-    with _stage("train"):
-        if embedded is None:
-            embedding, report = _load_embedding_artifacts(cfg, paths)
-            n_test = artifacts.count_rows(os.path.join(paths.embedding, "test_ambient.csv"))
-        else:
-            embedding, report, n_test = embedded.embedding, embedded.report, len(embedded.test)
-        coords_train = dmaps.coords_for(embedding, report.selected)
-        # the design spans the test block too, so its epochs are checked against it
-        design = _design_matrix(cfg, cfg.n_train + n_test)
     with _stage("rom_fnn"):
-        cells = rom_fnn.train_rom(coords_train, design, cfg.fnn, paths.models)
+        models, cells = rom_fnn.train_rom(coords_train, design, cfg.fnn, paths.models)
     for j, (hidden, decay, score) in enumerate(cells, start=1):
         print(f"train: coordinate {j}: hidden={hidden}, decay={decay:g}, cv mse={score:.3e}")
-    _write_meta(cfg, paths)
+    return models
 
 
 def cmd_forecast(cfg: RunConfig, paths: RunPaths, embedded: Embedded = None) -> None:
-    """Forecast the test block with each ROM and the baseline, and score them.
-    `embedded` is as for `cmd_train`."""
+    """Fit the ROMs, forecast the test block with each and with the baseline,
+    and score them. `embedded` is what `run --all`'s `embed` returned;
+    without it the embedding is read from disk."""
     with _stage("forecast"):
         if embedded is None:
             embedded = _read_embedded(cfg, paths)
         embedding, report = embedded.embedding, embedded.report
         train_vals, test_vals, test_names = embedded.train, embedded.test, embedded.channels
         coords_train = dmaps.coords_for(embedding, report.selected)
-        h = test_vals.shape[0]
+        n, h = len(coords_train), test_vals.shape[0]
         if h == 0:
             raise ValueError("empty test set")
         d = len(report.selected)
-        design = _design_matrix(cfg, cfg.n_train + h)
+        # the design spans the test block too, so its epochs are checked against it
+        design = _design_matrix(cfg, n + h)
         init = coords_train[-1]
-        if os.path.exists(paths.forecasts):
-            shutil.rmtree(paths.forecasts)
+        # this stage's old outputs go first: a stage that fails leaves no
+        # models, forecasts or table that an earlier run made
+        for old in (paths.forecasts, paths.models):
+            if os.path.exists(old):
+                shutil.rmtree(old)
         os.makedirs(paths.forecasts)
         comparison = os.path.join(paths.reports, "comparison.csv")
-        if os.path.exists(comparison):   # it scored the forecasts just removed
+        if os.path.exists(comparison):
             os.remove(comparison)
         coord_names = [f"y_{j}" for j in range(d)]
+
+    models = cmd_train(cfg, paths, "fnn", coords_train, design)
 
     with _stage("lifting"):
         gh_model = lifting.gh_fit(coords_train, train_vals)
 
     with _stage("rom_fnn"):
-        # models trained on another embedding, stimulus or fnn config are refused
-        fnn_reduced = rom_fnn.forecast_rom(paths.models, coords_train, design, h, cfg.fnn)
+        # step s reads design row n - 1 + s, the stimulus at the state it steps from
+        fnn_reduced = rom_fnn.fnn_forecast(models, init, design[n - 1 : n - 1 + h], h)
         fnn_ambient = lifting.gh_lift(gh_model, fnn_reduced)
         _write_forecast(paths, "fnn_gh_reduced", fnn_reduced, coord_names)
         _write_forecast(paths, "fnn_gh_ambient", fnn_ambient, test_names)
@@ -576,9 +569,7 @@ def cmd_run_all(cfg: RunConfig, paths: RunPaths) -> None:
         cmd_glm(cfg, paths, series)
     else:
         print("run: no epochs/contrasts configured, skipping glm")
-    embedded = cmd_embed(cfg, paths, series)
-    cmd_train(cfg, paths, "fnn", embedded=embedded)
-    cmd_forecast(cfg, paths, embedded=embedded)
+    cmd_forecast(cfg, paths, cmd_embed(cfg, paths, series))
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("synth", "generate a synthetic input series"),
         ("glm", "per-channel stimulus regression report"),
         ("embed", "spectral embedding + coordinate selection"),
-        ("train", "fit forecasting models"),
-        ("forecast", "closed-loop test-horizon forecasts and their error table"),
+        ("forecast", "ROM fits, closed-loop test-horizon forecasts and their error table"),
         ("run", "full pipeline"),
     ]:
         p = sub.add_parser(name, help=help_text)
@@ -651,8 +641,6 @@ def main(argv=None) -> int:
                 cmd_glm(cfg, paths)
             elif args.command == "embed":
                 cmd_embed(cfg, paths)
-            elif args.command == "train":
-                cmd_train(cfg, paths, "fnn")
             elif args.command == "forecast":
                 cmd_forecast(cfg, paths)
             elif args.command == "run":

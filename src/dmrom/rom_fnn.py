@@ -23,12 +23,12 @@ back as inputs. The logistic function goes through numpy's vectorized
 `exp`, so the bits depend on the SIMD level numpy dispatches the float32
 and float64 `exp` to.
 
-`train_rom` and `forecast_rom` are the ROM as the pipeline runs it: they take
-the selected diffusion-map coordinates, which are O(1) at any training length
+`train_rom` is the ROM's training as the pipeline runs it: it takes the
+selected diffusion-map coordinates, which are O(1) at any training length
 because the eigenvectors have unit RMS, and the stimulus design of the whole
-series; they train and forecast on those coordinates as given, slice the
-training and forecast stimulus windows, and write or read `fnn.json` (the
-models and their `training_digest`) and `fnn_cv.csv`.
+series; it trains on those coordinates as given, slices the training
+stimulus window, writes `fnn_cv.csv` and `fnn.json` (the models), and returns
+the models, which `fnn_forecast` steps.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import os
 import pickle
 import signal
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -620,57 +620,14 @@ def fnn_forecast(models, init, stim_seq, h: int) -> np.ndarray:
     return out
 
 
-def training_digest(cfg: TrainConfig, train_coords, stim) -> str:
-    """sha256 of the canonical JSON of `cfg` and the step `LEARNING_RATE`, then of
-    the C-order bytes of the training coordinates and of the stimulus; an (n, 0)
-    stimulus adds none. The step is hashed as the `learning_rate` it was when it
-    was a config field, so bundles trained with that field at 0.2 keep their digest."""
-    h = artifacts.json_sha256({**asdict(cfg), "learning_rate": LEARNING_RATE})
-    for arr in (train_coords, stim):
-        h.update(np.asarray(arr, dtype=float).tobytes())
-    return h.hexdigest()
-
-
-_MODEL_KEYS = ("u", "w_out", "b_out", "target_index")
-
-
-def save_fnn_models(models, decays, path, trained_on: str) -> None:
-    """All models in one JSON bundle, in target order, beside their `training_digest`."""
+def save_fnn_models(models, decays, path) -> None:
+    """All models in one JSON bundle, in target order, each beside its decay."""
+    keys = ("u", "w_out", "b_out", "target_index", "hidden_size")
     entries = [
-        {key: np.asarray(getattr(m, key)).tolist() for key in (*_MODEL_KEYS, "hidden_size")}
-        | {"decay": decay}
+        {key: np.asarray(getattr(m, key)).tolist() for key in keys} | {"decay": decay}
         for m, decay in zip(models, decays)
     ]
-    artifacts.write_json(path, {"models": entries, "trained_on": trained_on})
-
-
-def load_fnn_models(path, trained_on: str) -> list:
-    """The models of a `save_fnn_models` bundle whose digest is `trained_on`.
-
-    Another digest, or an entry that is not a model (one without u
-    included), raises ValueError naming the path (and `models[i]`) and
-    saying to rerun train.
-    """
-    doc = artifacts.read_json(path, "model file", ("models", "trained_on"))
-    if doc["trained_on"] != trained_on:
-        raise ValueError(
-            f"{path}: the models were trained on other coordinates, stimulus or fnn "
-            "settings; rerun train"
-        )
-    if not isinstance(doc["models"], list):
-        raise ValueError(f"corrupt model file {path}: 'models' is not a list")
-    models = []
-    for i, entry in enumerate(doc["models"]):
-        try:
-            missing = [key for key in _MODEL_KEYS if key not in entry]
-            if missing:
-                raise ValueError(f"missing {missing[0]!r}")
-            models.append(FnnModel(**{key: entry[key] for key in _MODEL_KEYS}))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"corrupt model file {path}: models[{i}]: {exc}; rerun train"
-            ) from None
-    return models
+    artifacts.write_json(path, {"models": entries})
 
 
 def write_cv_report(records_by_target, path) -> None:
@@ -683,41 +640,20 @@ def write_cv_report(records_by_target, path) -> None:
     artifacts.write_rows(path, ["coord", "hidden", "decay", "repeat", "fold", "mse"], rows)
 
 
-def train_rom(train_coords, design, cfg: TrainConfig, models_dir) -> list:
+def train_rom(train_coords, design, cfg: TrainConfig, models_dir):
     """Train the FNN ROM of every coordinate and write `fnn_cv.csv`, then `fnn.json`.
 
     `train_coords` (n, d) are the selected diffusion-map coordinates of the
     training block and `design` the (N, p) stimulus design over the whole
     series, with p = 0 without a stimulus; its first n rows drive the
-    training. Returns each coordinate's winning (hidden, decay, mean CV mse).
+    training. Returns the models, in coordinate order, and each coordinate's
+    winning (hidden, decay, mean CV mse).
     """
     stim = design[: len(train_coords)]
     targets = range(1, train_coords.shape[1] + 1)
     models, records = zip(*fnn_train(train_coords, stim, targets, cfg))
     cells = [best_grid_cell(r) for r in records]
     os.makedirs(models_dir, exist_ok=True)
-    # the bundle goes last: a kill between the writes leaves the old bundle,
-    # which `forecast` refuses by its digest when the training inputs changed
     write_cv_report(dict(zip(targets, records)), os.path.join(models_dir, "fnn_cv.csv"))
-    save_fnn_models(
-        models,
-        [decay for _, decay, _ in cells],
-        os.path.join(models_dir, "fnn.json"),
-        training_digest(cfg, train_coords, stim),
-    )
-    return cells
-
-
-def forecast_rom(models_dir, train_coords, design, h: int, cfg: TrainConfig) -> np.ndarray:
-    """The (h, d) closed-loop forecast from the last training row.
-
-    The bundle in `models_dir` must have been trained on these coordinates,
-    this design's training rows and `cfg`, or ValueError names it. Step s
-    of the forecast reads design row n - 1 + s, the stimulus at the state
-    it steps from.
-    """
-    n = len(train_coords)
-    models = load_fnn_models(
-        os.path.join(models_dir, "fnn.json"), training_digest(cfg, train_coords, design[:n])
-    )
-    return fnn_forecast(models, train_coords[-1], design[n - 1 : n - 1 + h], h)
+    save_fnn_models(models, [decay for _, decay, _ in cells], os.path.join(models_dir, "fnn.json"))
+    return models, cells

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from dmrom import cli, dmaps, lifting, parsimony, rom_fnn
+from dmrom import artifacts, cli, dmaps, lifting, parsimony, rom_fnn
 from dmrom.artifacts import read_matrix, write_matrix
 from dmrom.cli import config_hash, embed_hash, load_config, made_from, main
 from dmrom.evaluate import comparison_table, write_comparison
@@ -114,6 +114,22 @@ def test_meta_echoes_config_and_hash(pipeline_run):
     assert meta["config"]["n_train"] == 120
 
 
+def test_a_meta_write_builds_the_config_payload_once_and_hashes_it(
+    pipeline_run, tmp_path, monkeypatch
+):
+    real, calls = cli.config_payload, []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "config_payload", counted)
+    cli._write_meta(load_config(pipeline_run["cfg"]), cli.RunPaths(str(tmp_path)))
+    assert len(calls) == 1
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["config_sha256"] == artifacts.json_sha256(meta["config"]).hexdigest()
+
+
 def test_the_bundles_keep_the_fixed_diffusion_time_and_bandwidth_fraction(pipeline_run):
     # perfbench's spectrum and parsimony checks read both keys
     emb = pipeline_run["out"] / "embedding"
@@ -125,9 +141,9 @@ def test_the_bundles_keep_the_fixed_diffusion_time_and_bandwidth_fraction(pipeli
 def assert_fnn_bundle(models, d):
     """models/ holds one bundle of d networks and one CV table covering them."""
     assert sorted(p.name for p in models.iterdir()) == ["fnn.json", "fnn_cv.csv"]
-    digest = json.loads((models / "fnn.json").read_text())["trained_on"]
-    bundle = rom_fnn.load_fnn_models(models / "fnn.json", digest)
-    assert [m.target_index for m in bundle] == list(range(1, d + 1))
+    doc = json.loads((models / "fnn.json").read_text())
+    assert sorted(doc) == ["models"]
+    assert [entry["target_index"] for entry in doc["models"]] == list(range(1, d + 1))
     with open(models / "fnn_cv.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert sorted({int(row["coord"]) for row in rows}) == list(range(1, d + 1))
@@ -161,8 +177,8 @@ def test_rerun_is_byte_identical(pipeline_run):
 def test_stage_isolation(pipeline_run):
     out = pipeline_run["out"]
     before = tree_bytes(out)
-    shutil.rmtree(out / "forecasts")
-    shutil.rmtree(out / "reports")
+    for sub in ("models", "forecasts", "reports"):
+        shutil.rmtree(out / sub)
     assert main(["forecast", "--config", pipeline_run["cfg"]]) == 0
     after = tree_bytes(out)
     assert before.keys() == after.keys()
@@ -172,8 +188,8 @@ def test_stage_isolation(pipeline_run):
 def test_run_all_parses_the_input_once_and_reads_back_no_embedding(
     stimulus_run, tmp_path, monkeypatch
 ):
-    # glm and embed both read the series; train and forecast take the embedding
-    # that embed built
+    # glm and embed both read the series; forecast takes the embedding that
+    # embed built
     raw = json.loads(pathlib.Path(stimulus_run["cfg"]).read_text())
     cfg_path = write_config(tmp_path / "run.json", **{**raw, "output_dir": str(tmp_path / "run")})
     calls = {"load_timeseries": 0, "load_embedding": 0}
@@ -228,7 +244,7 @@ def test_run_all_writes_the_tree_of_its_stages_run_one_by_one(request, tmp_path,
     assert main(["run", "--all", "--config", cfg_path]) == 0
     all_at_once = tree_bytes(out)
     shutil.rmtree(out)
-    stages = (["glm"] if raw.get("epochs") else []) + ["embed", "train", "forecast"]
+    stages = (["glm"] if raw.get("epochs") else []) + ["embed", "forecast"]
     for stage in stages:
         assert main([stage, "--config", cfg_path]) == 0, stage
     one_by_one = tree_bytes(out)
@@ -262,10 +278,10 @@ def test_nrw_reduced_then_lift_from_run_artifacts(pipeline_run):
 
 @pytest.fixture(scope="module")
 def smaller_d_run(pipeline_run, tmp_path_factory):
-    """The d=5 run copied, then embedded and trained again with d=3."""
+    """The d=5 run copied, then embedded and forecast again with d=3."""
     run = tmp_path_factory.mktemp("smaller_d") / "run"
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], run, parsimony={"d": 3})
-    for stage in (["embed"], ["train"]):
+    for stage in (["embed"], ["forecast"]):
         assert main([*stage, "--config", cfg_path]) == 0
     return {"cfg": cfg_path, "out": run}
 
@@ -302,64 +318,61 @@ def test_zero_horizon_is_a_validation_error(pipeline_run, tmp_path, capsys):
     assert "empty test set" in capsys.readouterr().err
 
 
-def test_corrupt_bundle_names_the_file(pipeline_run, tmp_path, capsys):
+@pytest.mark.parametrize("bundle", ["corrupt", "w1_b1_apart", "another_embedding"])
+def test_forecast_overwrites_the_models_it_finds(pipeline_run, smaller_d_run, tmp_path, bundle):
+    # no stage reads a bundle back, so forecast neither trusts nor refuses one
+    clone = tmp_path / "clone"
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone)
+    models = clone / "models"
+    if bundle == "corrupt":
+        (models / "fnn.json").write_text('{"models": [')
+    elif bundle == "w1_b1_apart":   # the layout before u = [w1' | b1]
+        doc = json.loads((models / "fnn.json").read_text())
+        for entry in doc["models"]:
+            u = np.array(entry.pop("u"))
+            entry["w1"], entry["b1"] = u[:, :-1].T.tolist(), u[:, -1].tolist()
+        (models / "fnn.json").write_text(json.dumps(doc))
+    else:   # the d=3 networks, trained on another selection
+        shutil.rmtree(models)
+        shutil.copytree(smaller_d_run["out"] / "models", models)
+    assert main(["forecast", "--config", cfg_path]) == 0
+    for sub in ("models", "forecasts", "reports"):
+        assert tree_bytes(clone / sub) == tree_bytes(pipeline_run["out"] / sub), sub
+
+
+def test_the_bundle_records_the_models_forecast_steps(pipeline_run, tmp_path, monkeypatch):
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
-    bad = tmp_path / "clone" / "models" / "fnn.json"
-    doc = json.loads(bad.read_text())
-    doc["models"][1] = {"bad": 1}
-    bad.write_text(json.dumps(doc))
-    rc = main(["forecast", "--config", cfg_path])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "[rom_fnn]" in err
-    assert "models/fnn.json: models[1]: missing 'u'; rerun train" in err
+    real, stepped = rom_fnn.fnn_forecast, []
+
+    def recorded(models, *args):
+        stepped.extend(models)
+        return real(models, *args)
+
+    monkeypatch.setattr(rom_fnn, "fnn_forecast", recorded)
+    assert main(["forecast", "--config", cfg_path]) == 0
+    entries = json.loads((tmp_path / "clone" / "models" / "fnn.json").read_text())["models"]
+    assert len(stepped) == len(entries) == 5
+    for model, entry in zip(stepped, entries):
+        assert (entry["target_index"], entry["hidden_size"]) == (
+            model.target_index, model.hidden_size)
+        assert entry["b_out"] == model.b_out
+        for key in ("u", "w_out"):
+            assert np.array_equal(np.array(entry[key]), getattr(model, key))
 
 
-def test_bundle_with_w1_and_b1_apart_is_refused(pipeline_run, tmp_path, capsys):
-    # the same networks with the input weights and hidden biases held apart,
-    # under the digest the current config and embedding give
-    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
-    bundle = tmp_path / "clone" / "models" / "fnn.json"
-    doc = json.loads(bundle.read_text())
-    for entry in doc["models"]:
-        u = np.array(entry.pop("u"))
-        entry["w1"], entry["b1"] = u[:, :-1].T.tolist(), u[:, -1].tolist()
-    bundle.write_text(json.dumps(doc))
-    assert main(["forecast", "--config", cfg_path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error [rom_fnn]")
-    assert "models/fnn.json: models[0]: missing 'u'; rerun train" in err
-
-
-@pytest.mark.parametrize(
-    "change", [{"dmaps": {"sigma": 40.0, "k": 10}}, {"parsimony": {"d": 3}}], ids=["sigma", "d"]
-)
-def test_forecast_refuses_models_trained_on_another_embedding(
-    pipeline_run, tmp_path, capsys, change
-):
-    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone", **change)
-    assert main(["embed", "--config", cfg_path]) == 0
-    capsys.readouterr()
-    assert main(["forecast", "--config", cfg_path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error [rom_fnn]")
-    assert "models/fnn.json" in err and "rerun train" in err
-
-
-@pytest.mark.parametrize("stage", [["train"], ["forecast"]])
-def test_a_stale_embedding_is_refused(pipeline_run, tmp_path, capsys, stage):
+def test_a_stale_embedding_is_refused(pipeline_run, tmp_path, capsys):
     clone = tmp_path / "clone"
     changed = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone, dmaps={"sigma": 40.0})
     before = tree_bytes(clone)
-    assert main([*stage, "--config", changed]) == 2
+    assert main(["forecast", "--config", changed]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error [{stage[0]}] {clone / 'embedding'}: ")
+    assert err.startswith(f"error [forecast] {clone / 'embedding'}: ")
     assert "rerun embed" in err
     assert tree_bytes(clone) == before   # meta.json too: it echoes only a finished command
     same = write_config(tmp_path / "same.json", **{
         **json.loads(pathlib.Path(pipeline_run["cfg"]).read_text()), "output_dir": str(clone)
     })
-    assert main([*stage, "--config", same]) == 0
+    assert main(["forecast", "--config", same]) == 0
 
 
 def test_a_unit_norm_embedding_is_refused(pipeline_run, tmp_path, capsys):
@@ -369,11 +382,10 @@ def test_a_unit_norm_embedding_is_refused(pipeline_run, tmp_path, capsys):
     vecs, names = read_matrix(vectors)
     write_matrix(vectors, vecs / np.sqrt(len(vecs)), names)   # unit-norm columns
     before = tree_bytes(clone)
-    for stage in (["train"], ["forecast"]):
-        assert main([*stage, "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error [{stage[0]}] {clone / 'embedding'}: psi_0 ")
-        assert "rerun embed" in err
+    assert main(["forecast", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [forecast] {clone / 'embedding'}: psi_0 ")
+    assert "rerun embed" in err
     assert tree_bytes(clone) == before
 
 
@@ -389,13 +401,12 @@ def test_an_embedding_of_another_input_file_is_refused(pipeline_run, tmp_path, c
     assert main(["synth", "--config", cfg_path]) == 0   # same path and config, other bytes
     capsys.readouterr()
     before = tree_bytes(clone)
-    for stage in (["train"], ["forecast"]):
-        assert main([*stage, "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error [{stage[0]}] {clone / 'embedding'}: ")
-        assert "rerun embed" in err
+    assert main(["forecast", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [forecast] {clone / 'embedding'}: ")
+    assert "rerun embed" in err
     assert tree_bytes(clone) == before
-    for stage in (["embed"], ["train"], ["forecast"]):
+    for stage in (["embed"], ["forecast"]):
         assert main([*stage, "--config", cfg_path]) == 0
 
 
@@ -408,10 +419,11 @@ def test_unchanged_re_embed_keeps_the_models_valid(pipeline_run, tmp_path):
     )
 
 
-def test_failed_training_leaves_the_old_bundle(pipeline_run, tmp_path, monkeypatch):
-    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], tmp_path / "clone")
-    models = tmp_path / "clone" / "models"
-    before = tree_bytes(models)
+def test_failed_training_leaves_no_models_forecasts_or_table(
+    pipeline_run, tmp_path, monkeypatch, capsys
+):
+    clone = tmp_path / "clone"
+    cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone)
     real, calls = rom_fnn._train_fits, []
 
     def diverging_final(fits, cfg):
@@ -422,18 +434,20 @@ def test_failed_training_leaves_the_old_bundle(pipeline_run, tmp_path, monkeypat
         return trained
 
     monkeypatch.setattr(rom_fnn, "_train_fits", diverging_final)
-    assert main(["train", "--config", cfg_path]) == 1
+    assert main(["forecast", "--config", cfg_path]) == 1
     assert calls == [15, 5]
-    assert tree_bytes(models) == before
+    assert capsys.readouterr().err.startswith("error [rom_fnn] final retraining diverged")
+    assert not (clone / "models" / "fnn.json").exists()
+    assert list((clone / "forecasts").iterdir()) == []
+    assert not (clone / "reports" / "comparison.csv").exists()
 
 
-def test_train_takes_no_method_option(pipeline_run, capsys):
-    # train fits the FNN models; the Koopman predictor is fit in forecast
-    for method in ("fnn", "koopman"):
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--method", method, "--config", pipeline_run["cfg"]])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: --method {method}" in capsys.readouterr().err
+def test_train_is_no_longer_a_command(pipeline_run, capsys):
+    # forecast fits the FNN models, beside the Koopman predictor and the GH lift
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", pipeline_run["cfg"]])
+    assert exc.value.code == 2
+    assert "invalid choice: 'train'" in capsys.readouterr().err
 
 
 def test_forecast_fits_koopman_on_the_current_embedding(pipeline_run, tmp_path):
@@ -441,7 +455,7 @@ def test_forecast_fits_koopman_on_the_current_embedding(pipeline_run, tmp_path):
     clone = tmp_path / "clone"
     dmaps_cfg = {"sigma": 3 * sigma, "k": 10}
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone, dmaps=dmaps_cfg)
-    for stage in (["embed"], ["train"], ["forecast"]):
+    for stage in (["embed"], ["forecast"]):
         assert main([*stage, "--config", cfg_path]) == 0
     emb = clone / "embedding"
     selected = parsimony.load_report(emb / "parsimony.json").selected
@@ -490,7 +504,7 @@ def test_a_run_failing_in_the_lifting_stage_echoes_the_stages_that_finished(
     # no table is left to score the forecasts the failed stage removed
     assert os.listdir(clone / "forecasts") == []
     assert not (clone / "reports" / "comparison.csv").exists()
-    # meta.json speaks for the embedding and models the finished stages wrote
+    # meta.json speaks for the embedding that the finished stages wrote
     assert json.loads((clone / "embedding" / "meta.json").read_text())["sigma"] == 40.0
     meta = json.loads((clone / "meta.json").read_text())
     assert meta["config_sha256"] == config_hash(load_config(cfg_path))
@@ -647,7 +661,7 @@ def test_a_killed_run_leaves_no_partial_artifact(uninterrupted_run, victim):
 def test_a_killed_embed_of_another_input_keeps_the_old_digest(uninterrupted_run, tmp_path, capsys):
     # embed writes the embedding's made_from digest last, so a kill while it
     # writes the ambient blocks of a new input leaves the old digest, and
-    # train and forecast refuse the old blocks instead of lifting through them
+    # forecast refuses the old blocks instead of lifting through them
     raw = json.loads(pathlib.Path(uninterrupted_run["cfg"]).read_text())
     cfg_path = clone_run(
         uninterrupted_run["cfg"], uninterrupted_run["out"], tmp_path / "run",
@@ -662,10 +676,9 @@ def test_a_killed_embed_of_another_input_keeps_the_old_digest(uninterrupted_run,
     )
     assert proc.returncode == -signal.SIGKILL
     capsys.readouterr()
-    for command in ("train", "forecast"):
-        assert main([command, "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error [{command}] ") and err.endswith("; rerun embed\n"), err
+    assert main(["forecast", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [forecast] ") and err.endswith("; rerun embed\n"), err
     meta = "embedding/meta.json"
     assert (tmp_path / "run" / meta).read_bytes() == uninterrupted_run["bytes"][meta]
 
@@ -692,7 +705,7 @@ def stack(*args):
 
 rom_fnn._train_stack = stack
 rom_fnn.os.sched_getaffinity = lambda pid: {0, 1}
-main(["train", "--config", sys.argv[2]])
+main(["forecast", "--config", sys.argv[2]])
 """
 
 
@@ -706,8 +719,8 @@ def process_alive(pid: int) -> bool:
 
 
 def test_a_killed_train_frees_the_lock_and_ends_its_workers(uninterrupted_run, tmp_path):
-    # train forks FNN workers; SIGKILL on train must not leave one holding the
-    # run's lock, or running on
+    # forecast trains the FNNs in forked workers; SIGKILL while it trains must
+    # not leave one holding the run's lock, or running on
     cfg_path = clone_run(uninterrupted_run["cfg"], uninterrupted_run["out"], tmp_path / "run")
     report = tmp_path / "worker.pid"
     src = str(pathlib.Path(dmaps.__file__).resolve().parents[1])
@@ -774,11 +787,10 @@ def test_stimulus_forecast_steps_from_the_last_training_row(stimulus_run):
     coords = dmaps.coords_for(load_run_embedding(stimulus_run["cfg"], emb), selected)
     n, h = cfg.n_train, 20
     design = build_design_matrix(list(cfg.epochs), n + h, list(cfg.conditions))
-    digest = rom_fnn.training_digest(cfg.fnn, coords, design[:n])
-    models = rom_fnn.load_fnn_models(models_dir / "fnn.json", digest)
+    entries = json.loads((models_dir / "fnn.json").read_text())["models"]
+    keys = ("u", "w_out", "b_out", "target_index")
+    models = [rom_fnn.FnnModel(**{key: entry[key] for key in keys}) for entry in entries]
     expected = rom_fnn.fnn_forecast(models, coords[-1], design[n - 1 : n - 1 + h], h)
-    reduced = rom_fnn.forecast_rom(models_dir, coords, design, h, cfg.fnn)
-    assert np.array_equal(reduced, expected)
     written = read_matrix(stimulus_run["out"] / "forecasts" / "fnn_gh_reduced.csv")[0]
     assert np.array_equal(written, expected)
 
@@ -795,26 +807,37 @@ def test_a_dmaps_alpha_key_exits_2_before_the_glm_stage(stimulus_run, tmp_path, 
     assert not (tmp_path / "run").exists()
 
 
-def test_forecast_refuses_models_trained_on_other_epochs(stimulus_run, tmp_path, capsys):
-    cfg_path = clone_run(stimulus_run["cfg"], stimulus_run["out"], tmp_path / "clone",
-                         epochs=alternating_epochs(140, 7))
-    assert main(["forecast", "--config", cfg_path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error [rom_fnn]")
-    assert "models/fnn.json" in err and "rerun train" in err
+def test_forecast_retrains_the_models_on_changed_epochs(stimulus_run, tmp_path):
+    # embed's digest does not bind the epochs, so a forecast after an epoch
+    # change reuses the embedding and trains on the new design
+    epochs = alternating_epochs(140, 7)
+    clone = tmp_path / "clone"
+    cfg_path = clone_run(stimulus_run["cfg"], stimulus_run["out"], clone, epochs=epochs)
+    assert main(["forecast", "--config", cfg_path]) == 0
+    raw = json.loads(pathlib.Path(cfg_path).read_text())
+    fresh = tmp_path / "fresh"
+    assert main(["run", "--all", "--config", write_config(
+        tmp_path / "fresh.json", **{**raw, "output_dir": str(fresh)})]) == 0
+    assert tree_bytes(clone / "models") != tree_bytes(stimulus_run["out"] / "models")
+    for sub in ("models", "forecasts"):
+        assert tree_bytes(clone / sub) == tree_bytes(fresh / sub), sub
+    comparison = "reports/comparison.csv"
+    assert (clone / comparison).read_bytes() == (fresh / comparison).read_bytes()
 
 
-def test_train_checks_the_epochs_against_the_whole_series(stimulus_run, tmp_path, capsys):
+def test_forecast_checks_the_epochs_against_the_whole_series(stimulus_run, tmp_path, capsys):
     epochs = alternating_epochs(140, 10)
     epochs[-1][2] = 141
-    cfg_path = clone_run(stimulus_run["cfg"], stimulus_run["out"], tmp_path / "clone",
-                         epochs=epochs)
-    assert main(["train", "--config", cfg_path]) == 2
-    assert capsys.readouterr().err.startswith("error [train]")
+    clone = tmp_path / "clone"
+    cfg_path = clone_run(stimulus_run["cfg"], stimulus_run["out"], clone, epochs=epochs)
+    before = tree_bytes(clone)
+    assert main(["forecast", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("error [forecast]")
+    assert tree_bytes(clone) == before   # refused before the old outputs are cleared
 
 
 def test_an_epoch_past_the_series_fails_in_the_ingest_stage(tmp_path, capsys):
-    # found by embed before it writes a file, not by train after it
+    # found by embed before it writes a file, not by forecast after it
     inp = tmp_path / "series.csv"
     rows = np.column_stack([np.cos(np.arange(400) / 7.0), np.sin(np.arange(400) / 5.0)])
     write_matrix(inp, rows, ["a", "b"])

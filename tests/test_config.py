@@ -7,7 +7,6 @@ import tempfile
 import typing
 from dataclasses import is_dataclass
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +23,7 @@ from dmrom.cli import (
     main,
 )
 from dmrom.ingest import SynthConfig
-from dmrom.rom_fnn import TrainConfig, training_digest
+from dmrom.rom_fnn import TrainConfig
 
 MISSING = object()
 SECTIONS = ("dmaps", "parsimony", "fnn", "glm", "synth")
@@ -357,10 +356,10 @@ def test_every_field_refuses_a_value_of_the_wrong_kind(tmp_path, field, hint):
         assert str(err.value).startswith(f"{field} must be"), str(err.value)
 
 
-# the README quick-start config; older run directories hold its embed and
-# bundle digests, so a change that moves either one makes every one of them
-# stale, and train and forecast refuse them; the embed digest moves when a
-# field embed reads goes, as drop_dead and dmaps.alpha did, and config_hash,
+# the README quick-start config; older run directories hold its embed
+# digest, so a change that moves it makes every one of them stale, and
+# forecast refuses them; it moves when a field embed reads goes, as
+# drop_dead and dmaps.alpha did, and config_hash,
 # which is only echoed in meta.json, when any field goes, as glm.kernel,
 # synth.frequency_scale, the top-level seed, the gh section and glm.threshold did
 QUICK_START = {
@@ -380,12 +379,6 @@ def test_quick_start_config_digests_are_pinned(tmp_path):
     cfg = load_config(dump(tmp_path, QUICK_START))
     assert config_hash(cfg) == "486212b46815cc6458d024995bb3426b42a5bc1272004a141ab8adefc39214ec"
     assert embed_hash(cfg) == "c96eddd2270c146d671de21f9ce68dbf382c465dc1cf4dbce1a72bbb902812ad"
-    # the digest of its FNN bundles: that of the config with learning_rate
-    # 0.2, the step every fit now takes, so those bundles stay valid
-    coords = np.arange(12.0).reshape(6, 2)
-    assert training_digest(cfg.fnn, coords, np.empty((6, 0))) == (
-        "164a8ae20b764e7baaedbbf19c223e6563d252ee3a5f7b36532d504bd0a8a7c9"
-    )
 
 
 @pytest.mark.parametrize(

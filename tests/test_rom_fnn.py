@@ -1,7 +1,6 @@
 """Tests for the feedforward one-step models: forward pass, gradients, CV, forecast."""
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -10,7 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,9 +31,7 @@ from dmrom.rom_fnn import (
     fnn_gradient,
     fnn_loss,
     fnn_train,
-    load_fnn_models,
     save_fnn_models,
-    training_digest,
     _train_stack,
     write_cv_report,
 )
@@ -939,83 +936,22 @@ def test_forecast_reports_divergence_step():
 # --------------------------------------------------------------- persistence
 
 
-def random_bundle(tmp_path):
+def test_model_roundtrip(tmp_path):
+    # the bundle records each network's u, w_out and b_out bit for bit, and
+    # the models it describes are FnnModels again
     models = [random_model(9, hidden=3), replace(random_model(10, hidden=5), target_index=2)]
     path = tmp_path / "fnn.json"
-    save_fnn_models(models, [1e-3, 1e-2], path, "abc")
-    return models, path
-
-
-def test_model_roundtrip(tmp_path):
-    models, path = random_bundle(tmp_path)
-    back = load_fnn_models(path, "abc")
-    assert [m.hidden_size for m in back] == [3, 5]
-    for model, loaded in zip(models, back):
+    save_fnn_models(models, [1e-3, 1e-2], path)
+    doc = json.loads(path.read_text())
+    assert sorted(doc) == ["models"]
+    assert [entry["decay"] for entry in doc["models"]] == [1e-3, 1e-2]
+    assert [entry["hidden_size"] for entry in doc["models"]] == [3, 5]
+    for model, entry in zip(models, doc["models"]):
+        loaded = FnnModel(**{key: entry[key] for key in ("u", "w_out", "b_out", "target_index")})
         assert np.array_equal(loaded.u, model.u)
         assert np.array_equal(loaded.w_out, model.w_out)
         assert loaded.b_out == model.b_out
         assert loaded.target_index == model.target_index
-    doc = json.loads(path.read_text())
-    assert [entry["decay"] for entry in doc["models"]] == [1e-3, 1e-2]
-
-
-def test_model_load_checks_the_training_digest(tmp_path):
-    _, path = random_bundle(tmp_path)
-    with pytest.raises(ValueError, match=r"fnn\.json.*rerun train"):
-        load_fnn_models(path, "abd")
-
-
-def test_model_load_rejects_missing_field(tmp_path):
-    _, path = random_bundle(tmp_path)
-    doc = json.loads(path.read_text())
-    del doc["models"][1]["b_out"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"fnn\.json: models\[1\]: missing 'b_out'"):
-        load_fnn_models(path, "abc")
-
-
-@pytest.mark.parametrize("entry", [[1.0], {"u": [[0.0, 1.0]], "w_out": [1.0, 2.0], "b_out": 0.0,
-                                          "target_index": 1}])
-def test_model_load_names_a_corrupt_entry(tmp_path, entry):
-    _, path = random_bundle(tmp_path)
-    doc = json.loads(path.read_text())
-    doc["models"][0] = entry
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"fnn\.json: models\[0\]"):
-        load_fnn_models(path, "abc")
-
-
-def test_training_digest_follows_every_input(monkeypatch):
-    coords = np.arange(12.0).reshape(6, 2)
-    stim = np.ones((6, 1))
-    cfg = TrainConfig()
-    base = training_digest(cfg, coords, stim)
-    assert training_digest(cfg, np.asfortranarray(coords), stim) == base
-    assert training_digest(cfg, coords + 1e-12, stim) != base
-    assert training_digest(cfg, coords, no_stim(6)) != base
-    assert training_digest(cfg, coords, 2 * stim) != base
-    assert training_digest(TrainConfig(seed=1), coords, stim) != base
-    # another step, such as the 0.05 that was once the learning_rate default,
-    # gives another digest, so bundles trained at it are refused
-    monkeypatch.setattr(rom_fnn, "LEARNING_RATE", 0.05)
-    assert training_digest(cfg, coords, stim) != base
-
-
-def test_bundles_of_runs_without_stimulus_keep_their_digest(tmp_path):
-    # the digest once hashed the config and the coordinates only when a run
-    # had no stimulus; an (n, 0) design adds no bytes, so those bundles load
-    n, h = 9, 4
-    coords = np.asfortranarray(np.random.default_rng(2).normal(size=(n, 2)))
-    cfg = TrainConfig(hidden_sizes=(3,), seed=4)
-    payload = {**asdict(cfg), "learning_rate": 0.2}   # the step, once a config field
-    old = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
-    old.update(np.ascontiguousarray(coords).tobytes())
-    assert training_digest(cfg, coords, no_stim(n)) == old.hexdigest()
-
-    models = [replace(random_model(30 + j, p=0), target_index=j) for j in (1, 2)]
-    save_fnn_models(models, [1e-3, 1e-3], tmp_path / "fnn.json", old.hexdigest())
-    got = rom_fnn.forecast_rom(tmp_path, coords, no_stim(n + h), h, cfg)
-    assert np.array_equal(got, fnn_forecast(models, coords[-1], no_stim(h), h))
 
 
 def test_cv_report_csv(tmp_path, zero_target_fit):
@@ -1042,24 +978,23 @@ def test_rom_trains_in_unit_rms_units_and_pins_only_the_training_window(tmp_path
     design = rng.integers(0, 2, size=(n + h, 1)).astype(float)
     cfg = TrainConfig(hidden_sizes=(2,), decay_values=(1e-3,), folds=2, repeats=1, max_epochs=50)
     models_dir = tmp_path / "models"
-    cells = rom_fnn.train_rom(coords, design, cfg, models_dir)
+    models, cells = rom_fnn.train_rom(coords, design, cfg, models_dir)
     assert sorted(os.listdir(models_dir)) == ["fnn.json", "fnn_cv.csv"]
 
     reference = fnn_train(coords, design[:n], [1, 2], cfg)
     assert cells == [best_grid_cell(records) for _, records in reference]
-    digest = training_digest(cfg, coords, design[:n])
-    for model, (ref, _) in zip(load_fnn_models(models_dir / "fnn.json", digest), reference):
-        for key in ("u", "w_out", "b_out"):
+    for model, (ref, _) in zip(models, reference, strict=True):
+        for key in ("u", "w_out", "b_out", "target_index"):
             assert np.array_equal(getattr(model, key), getattr(ref, key))
 
-    # the rows past the training block steer the forecast, not the digest
+    # the design rows past the training block do not reach the models; its
+    # training rows do
+    bundle = (models_dir / "fnn.json").read_bytes()
     later = design.copy()
     later[n:] = 1.0 - later[n:]
-    models = [m for m, _ in reference]
-    expected = fnn_forecast(models, coords[-1], later[n - 1 : n - 1 + h], h)
-    assert np.array_equal(rom_fnn.forecast_rom(models_dir, coords, later, h, cfg), expected)
     earlier = design.copy()
     earlier[0] = 1.0 - earlier[0]
-    for stim in (earlier, no_stim(n + h)):
-        with pytest.raises(ValueError, match="rerun train"):
-            rom_fnn.forecast_rom(models_dir, coords, stim, h, cfg)
+    for stim, same in ((later, True), (earlier, False), (no_stim(n + h), False)):
+        again = tmp_path / "again"
+        rom_fnn.train_rom(coords, stim, cfg, again)
+        assert ((again / "fnn.json").read_bytes() == bundle) is same
