@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import glob
 import hashlib
 import json
 import math
@@ -391,6 +392,12 @@ def cmd_synth(cfg: RunConfig) -> None:
     print(f"synth: ground truth in {truth_path}")
 
 
+def _remove_activity_reports(paths: RunPaths) -> None:
+    """Remove every activity report, so none outlives its contrast or the epochs."""
+    for old in glob.glob(os.path.join(glob.escape(paths.reports), "activity_*.csv")):
+        os.remove(old)
+
+
 def cmd_glm(cfg: RunConfig, paths: RunPaths, series=None) -> None:
     """Write one activity report per contrast. `series` is the (values, channel
     names) `run --all` has standardized; without it the input is read."""
@@ -402,6 +409,7 @@ def cmd_glm(cfg: RunConfig, paths: RunPaths, series=None) -> None:
     values, channels = _load_standardized(cfg) if series is None else series
     with _stage("glm"):
         design = _design_matrix(cfg, len(values))
+        _remove_activity_reports(paths)
         fit = glm.fit_glm(values, design)
         os.makedirs(paths.reports, exist_ok=True)
         for name, vec in cfg.glm.contrasts.items():
@@ -569,6 +577,7 @@ def cmd_run_all(cfg: RunConfig, paths: RunPaths) -> None:
         cmd_glm(cfg, paths, series)
     else:
         print("run: no epochs/contrasts configured, skipping glm")
+        _remove_activity_reports(paths)
     cmd_forecast(cfg, paths, cmd_embed(cfg, paths, series))
 
 

@@ -3,17 +3,18 @@
 Gaussian affinities W, the density normalization W~ = K^-1 W K^-1, the row
 normalization P = K~^-1 W~ and the symmetric conjugate S = K~^1/2 P K~^-1/2
 (same spectrum, stable symmetric solver) are written one after another into
-the same N x N array. Only the top k+1 eigenpairs of S are computed, by a
-Lanczos solve (ARPACK) from a fixed start vector, and mapped back to those of
-P, scaled to unit root-mean-square entry and sign-fixed; those eigenvectors
-are the diffusion coordinates, at diffusion time 0. The kernel's row sums K
-are kept beside them, so the Nystrom extension replays the normalization
-without rebuilding the kernel. The steps pass plain arrays, and the
-normalization and conjugation steps overwrite the array they are given.
+the same N x N array. Only the top k+1 eigenpairs of S are computed, by
+`eigenbasis`, and mapped back to those of P, scaled to unit root-mean-square
+entry and sign-fixed; those eigenvectors are the diffusion coordinates, at
+diffusion time 0. The kernel's row sums K are kept beside them, so the
+Nystrom extension replays the normalization without rebuilding the kernel.
+The steps pass plain arrays, and the normalization and conjugation steps
+overwrite the array they are given.
 
-`eigenbasis` solves the geometric-harmonics kernel of the lift: in full up to
-N = `RANGE_FINDER_MIN_N`, and above it for the leading pairs only, by a
-seeded randomized range finder whose residuals are checked.
+`eigenbasis` is the one eigensolver; it also solves the geometric-harmonics
+kernel of the lift. It solves in full up to N = `RANGE_FINDER_MIN_N`, and
+above it for the leading pairs only, by a seeded randomized range finder
+whose power steps stop once those pairs meet the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, qr
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import _one_blas_thread, artifacts
@@ -36,17 +36,26 @@ PSI0_TOL = 1e-8   # a stored psi_0 farther than this from 1 is not unit-RMS
 
 # `eigenbasis`'s randomized solve: from this N on it replaces the full eigh.
 # On the GH kernel of a noisy limit cycle (OpenBLAS on one thread, 128
-# leading pairs) the full eigh takes 1.19 s and the randomized solve 0.19 s
-# at N=2000, 0.17 and 0.07 s at N=1000; the crossover lies lower, but no
+# leading pairs) the full eigh takes 1.22 s and the randomized solve 0.16 s
+# at N=2000, 0.17 and 0.06 s at N=1000; the crossover lies lower, but no
 # benchmark input has N in [320, 1000) to place it
 RANGE_FINDER_MIN_N = 1000
-OVERSAMPLE = 64      # test-matrix columns beyond the pairs asked for
-POWER_STEPS = 2      # products with s, each re-orthonormalized, after the first
+# the test matrix has count + max(count // 2, MIN_OVERSAMPLE) columns: 192
+# for the lift's first 128 pairs and 31 for a diffusion map's 11
+MIN_OVERSAMPLE = 20
+# power steps a randomized solve may take before it goes to the full eigh;
+# noisy2000's S (11 pairs, 31 columns) meets `SPECTRUM_TOL` after 10, at
+# 16 ms a step, and a nearly split kernel graph never meets it
+MAX_POWER_STEPS = 16
 RANGE_SEED = 0       # the test matrix's generator seed, fresh on every call
-# a kept Ritz pair whose residual passes this fraction of the largest
-# eigenvalue sends the solve to the full eigh; on that N=2000 kernel the
-# worst of the 128 leading pairs is 1.3e-7
+# the lift's residual tolerance, a fraction of the largest eigenvalue; on
+# that N=2000 kernel the worst of the 128 leading pairs is 7.5e-7 after one
+# power step
 RESIDUAL_TOL = 1e-6
+# the diffusion map's: on noisy2000's S a Ritz residual r of a unit vector
+# gives max|P psi - lam psi| of about 4r on the unit-RMS psi, so this keeps
+# that eigen-residual near 1e-10, far below perfbench's 1e-8 bound
+SPECTRUM_TOL = 1e-10
 
 
 def _as_points(X) -> np.ndarray:
@@ -132,54 +141,54 @@ def _descending_signed(vals: np.ndarray, vecs: np.ndarray, count: int):
     return vals[order], vecs
 
 
-def _ritz_pairs(s: np.ndarray, width: int):
-    """Rayleigh-Ritz pairs of the symmetric s on a randomized range of ``width`` columns.
+def _kept(vals: np.ndarray, floor, count: int) -> int:
+    """How many of the ``count`` largest of the ascending vals to keep: all of them
+    without a floor, else those positive and at least ``floor`` times the largest."""
+    lead = vals[-count:]
+    if floor is None:
+        return len(lead)
+    return int(np.count_nonzero((lead > 0) & (lead >= floor * vals[-1])))
 
-    A Gaussian test matrix from a fresh generator seeded with `RANGE_SEED`
-    spans s's range after `POWER_STEPS` power steps, each re-orthonormalized
-    by QR (Halko, Martinsson & Tropp 2011, algorithm 4.4); ``eigh`` of s
-    projected on that basis Q gives the pairs. Returns the Ritz values
-    (ascending), the vectors and each pair's residual norm ||s v - lam v||,
-    which reuses the product s Q. s is left intact.
+
+def eigenbasis(s: np.ndarray, floor, count: int, tol: float = RESIDUAL_TOL):
+    """Leading eigenpairs of the symmetric matrix s, descending.
+
+    Without a ``floor`` (None), exactly the ``count`` largest, whatever their
+    sign; with one, those positive and at least ``floor`` times the largest
+    eigenvalue (see `_kept`). Eigenvectors are sign-fixed (see
+    `_descending_signed`). From N = `RANGE_FINDER_MIN_N` on, while the test
+    matrix (see `MIN_OVERSAMPLE`) has fewer than N columns, only the leading
+    ``count`` pairs are solved for, by a randomized range finder (Halko,
+    Martinsson & Tropp 2011, algorithm 4.4). s times a Gaussian test matrix
+    from a fresh generator seeded with `RANGE_SEED`, orthonormalized by QR,
+    is the first basis Q; each power step makes s Q, orthonormalized, the
+    next. ``eigh`` of Q' (s Q) gives the Ritz pairs, and once every kept
+    pair's residual ||s v - lam v||, which reuses s Q, is within ``tol``
+    times the largest Ritz value they are returned: the same bits on every
+    call. A solve still short of that after `MAX_POWER_STEPS` power steps,
+    or below that N, is made in full by ``eigh``; with a floor, every pair
+    above it is then kept. s is overwritten only when ``count`` is N or
+    more; below that a caller may ask again for more.
     """
-    basis = np.random.default_rng(RANGE_SEED).standard_normal((s.shape[0], width))
-    for _ in range(POWER_STEPS + 1):
-        basis = qr(s @ basis, mode="economic", overwrite_a=True, check_finite=False)[0]
-    s_basis = s @ basis
-    vals, rot = eigh(basis.T @ s_basis)
-    vecs = basis @ rot
-    resid = np.linalg.norm(s_basis @ rot - vecs * vals, axis=0)
-    return vals, vecs, resid
-
-
-def eigenbasis(s: np.ndarray, floor: float, count: int):
-    """Eigenpairs of the symmetric matrix s above a relative floor, descending.
-
-    Keeps the eigenvalues that are positive and at least ``floor`` times the
-    largest one, with sign-fixed eigenvectors (see `_descending_signed`).
-    From N = `RANGE_FINDER_MIN_N` on, while ``count`` + `OVERSAMPLE` < N,
-    only the leading ``count`` pairs are solved for, by a randomized range
-    finder (`_ritz_pairs`): the same bits on every call. If a kept pair's
-    residual ||s v - lam v|| passes `RESIDUAL_TOL` times the largest
-    eigenvalue, the full solve replaces it. Otherwise every eigenpair is
-    solved for by ``eigh`` and all those above the floor are kept. s is
-    overwritten only when ``count`` is N or more; below that a caller may
-    ask again for more.
-    """
-    n = s.shape[0]
+    n, width = s.shape[0], count + max(count // 2, MIN_OVERSAMPLE)
     try:
-        if n >= RANGE_FINDER_MIN_N and count + OVERSAMPLE < n:
-            vals, vecs, resid = _ritz_pairs(s, count + OVERSAMPLE)
-            # eigh's values ascend: the leading count pairs are the last ones
-            lead = vals[-count:]
-            kept = int(np.count_nonzero((lead > 0) & (lead >= floor * vals[-1])))
-            if kept and resid[-kept:].max() <= RESIDUAL_TOL * vals[-1]:
-                return _descending_signed(vals, vecs, kept)
+        if n >= RANGE_FINDER_MIN_N and width < n:
+            s_basis = s @ np.random.default_rng(RANGE_SEED).standard_normal((n, width))
+            for _ in range(MAX_POWER_STEPS + 1):
+                basis = qr(s_basis, mode="economic", overwrite_a=True, check_finite=False)[0]
+                s_basis = s @ basis
+                vals, rot = eigh(basis.T @ s_basis)
+                kept = _kept(vals, floor, count)
+                if not kept:
+                    break
+                vecs = basis @ rot[:, -kept:]
+                resid = np.linalg.norm(s_basis @ rot[:, -kept:] - vecs * vals[-kept:], axis=0)
+                if resid.max() <= tol * vals[-1]:
+                    return _descending_signed(vals[-kept:], vecs, kept)
         vals, vecs = eigh(s, overwrite_a=count >= n)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
-    kept = int(np.count_nonzero((vals > 0) & (vals >= floor * vals.max())))
-    return _descending_signed(vals, vecs, kept)
+    return _descending_signed(vals, vecs, _kept(vals, floor, n if floor is not None else count))
 
 
 @dataclass(frozen=True)
@@ -225,47 +234,24 @@ def diffusion_operator(w: np.ndarray):
     return degrees, row_degrees
 
 
-def _top_eigenpairs(s: np.ndarray, count: int):
-    """At least the top ``count`` eigenpairs of the symmetric s (see `spectral_decompose`).
-
-    ARPACK does not converge on a nearly split kernel graph, whose leading
-    eigenvalues crowd at 1; the dense spectrum then lets the caller see the
-    split.
-    """
-    n = s.shape[0]
-    if count < n - 1:
-        try:
-            return eigsh(s, k=count, which="LA", v0=np.ones(n), tol=0)
-        except ArpackNoConvergence:
-            pass
-    return eigh(s)
-
-
 def spectral_decompose(p: np.ndarray, row_degrees: np.ndarray, k: int):
     """Top k+1 right-eigenpairs (eigenvalues, eigenvectors) of p, descending.
 
     Overwrites p with its symmetric conjugate S = D^1/2 P D^-1/2 (D = row
-    degrees) so a symmetric eigensolver applies. The top k+1 eigenpairs of S
-    come from a Lanczos solve (``eigsh``, which="LA", tol=0) started from the
-    all-ones vector, so reruns give the same bits. (When that vector spans an
-    invariant subspace, as for uncoupled points, ARPACK restarts from its own
-    random vector, whose state carries over between calls in one process; the
-    eigenvalues still agree.) For k+1 >= N-1 a dense ``eigh`` solves S
-    instead: at that size it costs nothing, and ``eigsh`` would fall back to
-    it with a RuntimeWarning once k+1 >= N. A Lanczos solve that does not
-    converge falls back to the same dense solve. Eigenvectors are mapped back
-    by D^-1/2, scaled to unit root-mean-square entry (so psi_0 = 1), and
-    sign-fixed so the entry of largest absolute value is positive.
+    degrees) so a symmetric eigensolver applies; for k+1 = N the full solve
+    then takes it as workspace. `eigenbasis` solves for exactly the top k+1
+    pairs of S, with no positivity floor, since a Gaussian kernel's tail
+    eigenvalues can round below 0, and to a residual of `SPECTRUM_TOL` times
+    the largest eigenvalue. Eigenvectors are mapped back by D^-1/2, scaled to
+    unit root-mean-square entry (so psi_0 = 1), and sign-fixed so the entry
+    of largest absolute value is positive.
     """
     n = p.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
     d_sqrt = np.sqrt(row_degrees)
     np.multiply(p, d_sqrt[:, None] / d_sqrt[None, :], out=p)
-    try:
-        vals, vecs = _top_eigenpairs(p, k + 1)
-    except (np.linalg.LinAlgError, ArpackError) as exc:
-        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
+    vals, vecs = eigenbasis(p, None, k + 1, SPECTRUM_TOL)
     vecs /= d_sqrt[:, None]
     vecs /= np.sqrt(np.mean(vecs**2, axis=0))[None, :]
     return _descending_signed(vals, vecs, k + 1)

@@ -136,9 +136,9 @@ def gh_fit(Y_train, X_train, gh_sigma="auto") -> GhLiftModel:
     eigenpair above the floor is a candidate. From there on only the leading
     m are, m = `LEADING_PAIRS` at first. While all m pass the floor and the
     lowest value sits at the m-th, the curve may fall further past it, so m
-    doubles and the solve repeats; once m + `dmaps.OVERSAMPLE` reaches N the
-    solve is the full one. A curve that rises past an inner minimum and
-    falls again beyond m is not followed. The basis keeps only positive
+    doubles and the solve repeats; once the test matrix for m pairs would
+    have N columns the solve is the full one. A curve that rises past an
+    inner minimum and falls again beyond m is not followed. The basis keeps only positive
     eigenvalues, is never empty, and carries the expansion coefficients of
     every ambient channel.
     """

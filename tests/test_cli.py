@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from dmrom import artifacts, cli, dmaps, lifting, parsimony, rom_fnn
 from dmrom.artifacts import read_matrix, write_matrix
@@ -780,6 +779,23 @@ def test_stimulus_run_writes_the_activity_report(stimulus_run):
     ]
 
 
+def test_no_activity_report_outlives_its_contrast(stimulus_run, tmp_path):
+    # glm keeps only the reports of the config's contrasts, and run --all
+    # without epochs keeps none
+    raw = json.loads(pathlib.Path(stimulus_run["cfg"]).read_text())
+    reports = tmp_path / "run" / "reports"
+    for name, vec in (("A_gt_B", [1.0, -1.0]), ("B_gt_A", [-1.0, 1.0])):
+        cfg_path = write_config(tmp_path / f"{name}.json", **{
+            **raw, "output_dir": str(tmp_path / "run"), "glm": {"contrasts": {name: vec}}})
+        assert main(["glm", "--config", cfg_path]) == 0
+        assert [p.name for p in reports.glob("activity_*.csv")] == [f"activity_{name}.csv"]
+    plain = {k: v for k, v in raw.items() if k not in ("epochs", "conditions", "glm")}
+    cfg_path = write_config(tmp_path / "plain.json",
+                            **{**plain, "output_dir": str(tmp_path / "run")})
+    assert main(["run", "--all", "--config", cfg_path]) == 0
+    assert [p.name for p in reports.iterdir()] == ["comparison.csv"]
+
+
 def test_stimulus_forecast_steps_from_the_last_training_row(stimulus_run):
     cfg = load_config(stimulus_run["cfg"])
     emb, models_dir = stimulus_run["out"] / "embedding", stimulus_run["out"] / "models"
@@ -1039,29 +1055,35 @@ def test_disconnected_kernel_graph_fails_in_the_dmaps_stage(tmp_path, capsys):
     assert not (tmp_path / "run" / "embedding").exists()
 
 
-def test_a_lanczos_solve_that_does_not_converge_leaves_the_split_to_the_dmaps_check(
-    tmp_path, capsys, monkeypatch
-):
-    # 10 apart, the clusters are coupled by kernel weights near 3e-11, so
-    # lambda_1 lies within DISCONNECTED_TOL of 1 though the graph is connected.
-    # ARPACK does not converge on such a graph; the dense fallback's spectrum
-    # goes to the lambda_1 check
-    def no_convergence(s, k, **kwargs):
-        raise ArpackNoConvergence(
-            "ARPACK error -1: No convergence", np.empty(0), np.empty((len(s), 0))
-        )
-
-    monkeypatch.setattr(dmaps, "eigsh", no_convergence)
-    rc = main(["embed", "--config", two_clusters_config(tmp_path, 10.0)])
-    err = capsys.readouterr().err
-    assert rc == 2, err
-    assert "[dmaps]" in err and "disconnected" in err and "dmaps.sigma" in err
+def test_a_nearly_split_kernel_graph_exits_2_in_the_dmaps_stage(tmp_path, capsys):
+    # the decaying linear_stable trajectory crowds most points near the origin,
+    # so the auto kernel scale leaves the early, wide turns coupled by tiny
+    # weights: dozens of eigenvalues lie within DISCONNECTED_TOL of 1. The
+    # randomized solve cannot meet its tolerance, and the full solve's
+    # spectrum goes to the lambda_1 check
+    cfg_path = write_config(
+        tmp_path / "split.json",
+        input=str(tmp_path / "split.csv"),
+        output_dir=str(tmp_path / "run"),
+        n_train=2000,
+        dmaps={"k": 10},
+        synth={"dynamics": "linear_stable", "n_times": 2400},
+    )
+    assert main(["synth", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "dmrom.cli", "embed", "--config", cfg_path],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    first = proc.stderr.splitlines()[0]
+    assert first.startswith("error [dmaps] kernel graph is disconnected"), proc.stderr
     assert not (tmp_path / "run" / "embedding").exists()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # nor ARPACK: dmaps solves every spectrum with its own eigenbasis
     src = str(pathlib.Path(dmaps.__file__).resolve().parents[1])
-    code = "import sys, dmrom.cli; print(sorted(m for m in sys.modules if 'scipy.stats' in m))"
+    code = ("import sys, dmrom.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.sparse.linalg'))))")
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},

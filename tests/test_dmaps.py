@@ -22,9 +22,10 @@ from dmrom.dmaps import (
     save_embedding,
     spectral_decompose,
 )
+from dmrom.ingest import SynthConfig, detrend_standardize, generate_synthetic
 
 # the spectral and small-N tests draw no hypothesis examples, so a RuntimeWarning
-# (eigsh's own small-N fallback emits one) fails the same way on every run
+# fails the same way on every run
 STRICT = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -210,12 +211,10 @@ def test_in_place_chain_keeps_the_out_of_place_bits(cycle_dataset):
     p = w_tilde / k_tilde[:, None]
     d_sqrt = np.sqrt(k_tilde)
     s = p * (d_sqrt[:, None] / d_sqrt[None, :])
-    # the Lanczos call spectral_decompose makes, on the out-of-place S
-    vals, vecs = eigsh(s, k=11, which="LA", v0=np.ones(len(s)), tol=0)
+    # the solve spectral_decompose makes, on the out-of-place S
+    vals, vecs = dmaps.eigenbasis(s, None, 11, dmaps.SPECTRUM_TOL)
     vecs /= d_sqrt[:, None]
     vecs /= np.sqrt(np.mean(vecs**2, axis=0))[None, :]
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
     vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(11)])[None, :]
     E = build_embedding(x, sigma="auto", k=10)
     assert E.sigma == sigma
@@ -333,22 +332,14 @@ def dense_pairs(p, row_degrees, count):
 
 
 @STRICT
-@pytest.mark.parametrize("gap, lanczos", [(1, False), (2, False), (3, True)])
-def test_small_n_takes_the_dense_path_without_a_warning(monkeypatch, gap, lanczos):
-    # k + 1 >= n - 1 leaves ARPACK no room; eigsh would fall back with a RuntimeWarning
+@pytest.mark.parametrize("gap", [1, 2, 3])
+def test_small_n_takes_the_dense_path_without_a_warning(gap):
+    # up to k + 1 = n: the full solve of S, whose top k + 1 pairs are kept
     p, row_degrees = normalized(cloud(12, n=9, m=3), sigma=1.5)
     k = 9 - gap
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["k"])
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(dmaps, "eigsh", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals, vecs = spectral_decompose(p.copy(), row_degrees, k=k)
-    assert calls == ([k + 1] if lanczos else [])
     want_vals, want_vecs = dense_pairs(p, row_degrees, k + 1)
     assert vals.shape == (k + 1,) and vecs.shape == (9, k + 1)
     assert np.max(np.abs(vals - want_vals)) < 1e-12
@@ -371,6 +362,35 @@ def test_near_degenerate_pair_spans_the_dense_subspace():
         basis = vecs[:, cols]
         coef, *_ = np.linalg.lstsq(basis, want_vecs[:, cols], rcond=None)
         assert np.max(np.abs(basis @ coef - want_vecs[:, cols])) < 1e-9
+
+
+@STRICT
+def test_a_large_spectrum_meets_the_eigen_residual_bound_and_the_lanczos_eigenvalues(
+    monkeypatch,
+):
+    # a noisy limit cycle at the crossover, where the randomized solve answers
+    # without the full one; the bound is perfbench's spectrum check
+    cfg = SynthConfig(n_times=dmaps.RANGE_FINDER_MIN_N, noise=0.1, seed=3)
+    values, names, _ = generate_synthetic(cfg)
+    p, row_degrees = normalized(detrend_standardize(values, names), sigma="auto")
+    d_sqrt = np.sqrt(row_degrees)
+    want = np.sort(eigsh(p * (d_sqrt[:, None] / d_sqrt[None, :]), k=11, which="LA")[0])[::-1]
+    solved = []
+    monkeypatch.setattr(dmaps, "eigh", lambda a, **kw: solved.append(len(a)) or eigh(a, **kw))
+    vals, vecs = spectral_decompose(p.copy(), row_degrees, k=10)
+    assert solved and max(solved) < len(p)
+    assert np.max(np.abs(vecs[:, 0] - 1.0)) < 1e-12
+    assert np.max(np.abs(p @ vecs - vecs * vals[None, :])) < 1e-8
+    assert np.max(np.abs(vals - want)) < 1e-12
+
+
+@STRICT
+@pytest.mark.parametrize("n", [20, dmaps.RANGE_FINDER_MIN_N])
+def test_uncoupled_points_give_the_same_bits_on_every_call(n):
+    # P = I: every vector is an eigenvector, so only the solver picks the basis
+    first = spectral_decompose(np.eye(n), np.ones(n), k=4)
+    second = spectral_decompose(np.eye(n), np.ones(n), k=4)
+    assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
 
 
 @STRICT
@@ -419,7 +439,9 @@ def test_eigenbasis_above_the_crossover_is_the_full_solve_once_the_test_matrix_f
     vals, vecs = reordered_full_solve(s)
     solved = []
     monkeypatch.setattr(dmaps, "eigh", lambda a, **kw: solved.append(len(a)) or eigh(a, **kw))
-    for count in (n - dmaps.OVERSAMPLE, n):
+    # the fewest pairs whose test matrix has n columns, and all n
+    fewest = next(c for c in range(n) if c + max(c // 2, dmaps.MIN_OVERSAMPLE) >= n)
+    for count in (fewest, n):
         got_vals, got_vecs = dmaps.eigenbasis(s.copy(), 1e-8, count)
         assert solved == [n]
         solved.clear()

@@ -11,7 +11,6 @@ from conftest import floor_basis_fit
 from dmrom import dmaps
 from dmrom.dmaps import DiffusionEmbedding
 from dmrom.ingest import SynthConfig, generate_synthetic
-from dmrom.dmaps import OVERSAMPLE
 from dmrom.lifting import EIG_FLOOR, LEADING_PAIRS, gh_fit, gh_lift, loo_curve, nystrom_restrict
 
 
@@ -186,10 +185,22 @@ def leading_basis(kernel, count):
     return vals, np.ascontiguousarray(vecs)
 
 
+def width(count):
+    """The test-matrix width of `dmaps.eigenbasis`'s randomized solve for ``count`` pairs."""
+    return count + max(count // 2, dmaps.MIN_OVERSAMPLE)
+
+
+def solves(calls):
+    """The order of each solve among `eigh_calls`: every step of a randomized solve
+    takes an eigh of its test-matrix width, and the steps of one solve count once."""
+    return [n for i, n in enumerate(calls) if i == 0 or calls[i - 1] != n]
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """The order of each matrix dmaps solves by eigh: N for the full solve, the
-    test-matrix width `LEADING_PAIRS` + `OVERSAMPLE` and up for the randomized one."""
+    test-matrix width `width(LEADING_PAIRS)` and up for each step of the randomized
+    one."""
     calls = []
 
     def spy(a, *args, **kwargs):
@@ -262,8 +273,9 @@ def harmonics(ang, which):
 def noisy_circle():
     """1000 points round a circle, at the crossover, and a noisy channel made of 70
     harmonics: at gh_sigma 0.002 its leave-one-out curve falls until about rank
-    146, past the first subset; at 0.001 the kernel's spectrum decays too slowly
-    for the randomized solve's two power steps."""
+    146, past the first subset; at 0.0002 the kernel's spectrum decays too slowly
+    for the randomized solve to meet its tolerance within `dmaps.MAX_POWER_STEPS`
+    power steps."""
     ang, y = circle_points(dmaps.RANGE_FINDER_MIN_N)
     x = harmonics(ang, np.arange(1, 71)).sum(axis=1, keepdims=True)
     x += 0.1 * np.random.default_rng(1).normal(size=x.shape)
@@ -273,7 +285,7 @@ def noisy_circle():
 def test_a_large_fit_solves_only_a_leading_subset(noisy_circle, eigh_calls):
     y, x = noisy_circle
     model = gh_fit(y, x, gh_sigma=0.01)
-    assert eigh_calls == [LEADING_PAIRS + OVERSAMPLE]
+    assert solves(eigh_calls) == [width(LEADING_PAIRS)]
     assert model.d_gh < LEADING_PAIRS
     kernel = dmaps.kernel(y, sigma=0.01)[0]
     assert_truncates(model, *leading_basis(kernel, LEADING_PAIRS), x)
@@ -311,7 +323,7 @@ def test_the_randomized_pairs_are_the_leading_eigenpairs_and_repeat_their_bits(n
 def test_a_loo_minimum_past_the_first_subset_doubles_it(noisy_circle, eigh_calls):
     y, x = noisy_circle
     model = gh_fit(y, x, gh_sigma=0.002)
-    assert eigh_calls == [LEADING_PAIRS + OVERSAMPLE, 2 * LEADING_PAIRS + OVERSAMPLE]
+    assert solves(eigh_calls) == [width(LEADING_PAIRS), width(2 * LEADING_PAIRS)]
     candidates = floor_basis_fit(y, x, 0.002)
     curve = loo_curve(candidates.eigenvectors, x, candidates.coeffs)
     assert LEADING_PAIRS < model.d_gh == int(np.argmin(curve)) + 1 < 2 * LEADING_PAIRS
@@ -324,11 +336,11 @@ def test_a_pair_past_the_residual_tolerance_sends_the_fit_to_the_full_solve(
     noisy_circle, eigh_calls
 ):
     y, x = noisy_circle
-    model = gh_fit(y, x, gh_sigma=0.001)
-    # the randomized solve, then the full one; its candidates reach past the
-    # first subset, and the rank is their argmin
-    assert eigh_calls == [LEADING_PAIRS + OVERSAMPLE, len(y)]
-    kernel = dmaps.kernel(y, sigma=0.001)[0]
+    model = gh_fit(y, x, gh_sigma=0.0002)
+    # every step of the randomized solve, then the full one; its candidates
+    # reach past the first subset, and the rank is their argmin
+    assert eigh_calls == [width(LEADING_PAIRS)] * (dmaps.MAX_POWER_STEPS + 1) + [len(y)]
+    kernel = dmaps.kernel(y, sigma=0.0002)[0]
     vals, vecs = reordered_basis(kernel)
     assert len(vals) > LEADING_PAIRS
     assert_truncates(model, vals, vecs, x)
@@ -342,7 +354,7 @@ def test_the_rank_is_the_argmin_of_the_first_subset_whose_minimum_lies_inside_it
     x = harmonics(ang, [3, 70, 90])
     model = gh_fit(y, x, gh_sigma=0.002)
     assert model.d_gh == 7
-    assert eigh_calls == [LEADING_PAIRS + OVERSAMPLE]
+    assert solves(eigh_calls) == [width(LEADING_PAIRS)]
     assert model.loo_rms == pytest.approx(0.5814, rel=1e-3)
     candidates = floor_basis_fit(y, x, 0.002)
     curve = loo_curve(candidates.eigenvectors, x, candidates.coeffs)
