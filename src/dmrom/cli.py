@@ -274,8 +274,9 @@ EMBED_FIELDS = ("input", "n_train", "standardize", "dmaps", "parsimony")
 
 def embed_hash(cfg: RunConfig) -> str:
     """sha256 of the canonical JSON of the config fields in `EMBED_FIELDS`."""
-    payload = config_payload(cfg)
-    return artifacts.json_sha256({name: payload[name] for name in EMBED_FIELDS}).hexdigest()
+    values = (getattr(cfg, name) for name in EMBED_FIELDS)
+    payload = {name: asdict(v) if is_dataclass(v) else v for name, v in zip(EMBED_FIELDS, values)}
+    return artifacts.json_sha256(payload).hexdigest()
 
 
 def made_from(cfg: RunConfig) -> str:

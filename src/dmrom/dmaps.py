@@ -1,20 +1,21 @@
 """Diffusion maps: one in-place chain from points to the spectral embedding.
 
-Gaussian affinities W, the density normalization W~ = K^-1 W K^-1, the row
-normalization P = K~^-1 W~ and the symmetric conjugate S = K~^1/2 P K~^-1/2
-(same spectrum, stable symmetric solver) are written one after another into
-the same N x N array. Only the top k+1 eigenpairs of S are computed, by
-`eigenbasis`, and mapped back to those of P, scaled to unit root-mean-square
-entry and sign-fixed; those eigenvectors are the diffusion coordinates, at
-diffusion time 0. The kernel's row sums K are kept beside them, so the
-Nystrom extension replays the normalization without rebuilding the kernel.
-The steps pass plain arrays, and the normalization and conjugation steps
-overwrite the array they are given.
+Squared distances, Gaussian affinities W, the density normalization
+W~ = K^-1 W K^-1, the row normalization P = K~^-1 W~ and the symmetric
+conjugate S = K~^1/2 P K~^-1/2 (same spectrum, stable symmetric solver) are
+written one after another into the same N x N array. Only the top k+1
+eigenpairs of S are computed, by `eigenbasis`, and mapped back to those of
+P, scaled to unit root-mean-square entry and sign-fixed; those eigenvectors
+are the diffusion coordinates, at diffusion time 0. The kernel's row sums K
+are kept beside them, so the Nystrom extension replays the normalization
+without rebuilding the kernel. The steps pass plain arrays, and the
+normalization and conjugation steps overwrite the array they are given.
 
-`eigenbasis` is the one eigensolver; it also solves the geometric-harmonics
-kernel of the lift. It solves in full up to N = `RANGE_FINDER_MIN_N`, and
-above it for the leading pairs only, by a seeded randomized range finder
-whose power steps stop once those pairs meet the caller's tolerance.
+`eigenbasis`, on numpy's `eigh` and `qr`, is the one eigensolver; it also
+solves the geometric-harmonics kernel of the lift. It solves in full up to
+N = `RANGE_FINDER_MIN_N`, and above it for the leading pairs only, by a
+seeded randomized range finder whose power steps stop once those pairs meet
+the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, qr
-from scipy.spatial.distance import cdist, pdist, squareform
+from numpy.linalg import eigh, qr
 
-from . import _one_blas_thread, artifacts
-
-_one_blas_thread()   # scipy.linalg has loaded scipy's OpenBLAS
+from . import artifacts
 
 SIGN_CONVENTION = "max-abs-positive"
 PSI0_TOL = 1e-8   # a stored psi_0 farther than this from 1 is not unit-RMS
@@ -65,47 +63,56 @@ def _as_points(X) -> np.ndarray:
     return pts
 
 
-def _median_scale(d2: np.ndarray, fraction: float) -> float:
-    """Auto kernel scale from condensed squared distances: fraction x their median.
+def _sq_distances(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared distances |y_i - x_j|^2, len(y) x len(x), clipped at 0, in Gram form:
+    one BLAS product of the rows [-2 y_i, |y_i|^2, 1] and [x_j, 1, |x_j|^2], off
+    by a few ulps of |y_i|^2 + |x_j|^2, small for points about the origin as the
+    standardized series and the unit-RMS coordinates are. A training row as a
+    query gets its row of the symmetric kernel."""
+    yy, xx = (np.einsum("ij,ij->i", a, a)[:, None] for a in (y, x))
+    d2 = np.hstack([-2.0 * y, yy, np.ones_like(yy)]) @ np.hstack([x, np.ones_like(xx), xx]).T
+    return np.maximum(d2, 0.0, out=d2)
 
-    The median comes from one partition of a copy at n//2, so d2 keeps its
-    pdist order. For even n the lower middle value is the largest entry left
-    of n//2. These are the order statistics `np.median` averages, by the same
-    mean, so the scale keeps its bits without its two-index partition.
+
+def _median_scale(d2: np.ndarray, fraction: float) -> float:
+    """Auto kernel scale from the N x N squared distances: fraction x their median.
+
+    Sorted, d2 holds its N self-distances (0 to rounding), then each of its
+    P pairs twice: the median pair is the mean of the entries at N + P - 1
+    and N + P, the two that `np.median` of the off-diagonal entries averages.
     """
-    n = d2.size
-    if n == 0:
+    n = len(d2)
+    pairs = n * (n - 1) // 2
+    if pairs == 0:
         raise ValueError("need at least 2 points for the auto kernel scale")
-    part = np.partition(d2, n // 2)
-    mid = part[n // 2] if n % 2 else np.mean([part[: n // 2].max(), part[n // 2]])
-    sigma = fraction * float(mid)
-    if sigma <= 0:
+    part = np.partition(d2, n + pairs, axis=None)
+    mid = float(np.mean([part[: n + pairs].max(), part[n + pairs]]))
+    if mid <= d2.diagonal().max():   # repeated points lie a self-distance's rounding apart
         raise ValueError("degenerate point set: median pairwise distance is 0")
-    return sigma
+    return fraction * mid
 
 
 def kernel(X, Y=None, sigma="auto", fraction: float = 0.5):
     """Gaussian kernel exp(-d^2 / (2 sigma)) and its resolved scale.
 
-    Without ``Y``: the symmetric kernel among the rows of X, unit diagonal.
-    With ``Y``: the cross-kernel of the query rows Y against the rows of X,
-    shape (len(Y), len(X)); query rows that underflow to 0 everywhere are
-    out of kernel support, and one warning gives their count. The scale sits
-    under the exponent un-squared; ``sigma="auto"`` is ``fraction`` times the
-    median squared pairwise distance among the rows of X, taken from the
-    same distances the kernel uses.
+    Without ``Y``: the symmetric kernel among the rows of X, whose diagonal
+    is 1 to rounding. With ``Y``: the cross-kernel of the query rows Y
+    against the rows of X, shape (len(Y), len(X)); query rows that underflow
+    to 0 everywhere are out of kernel support, and one warning gives their
+    count. The scale sits under the exponent un-squared; ``sigma="auto"`` is
+    ``fraction`` times the median squared pairwise distance among the rows
+    of X, taken from the same distances the kernel uses (see `_sq_distances`).
     """
     x = _as_points(X)
     if not np.all(np.isfinite(x)):
         raise ValueError("points contain non-finite values")
     auto = sigma == "auto"
-    d2 = pdist(x, metric="sqeuclidean") if Y is None or auto else None
+    d2 = _sq_distances(x, x) if Y is None or auto else None
     sigma = _median_scale(d2, fraction) if auto else float(sigma)
     if sigma <= 0:
         raise ValueError(f"kernel scale must be positive, got {sigma}")
-    if Y is None:
-        w = d2   # the condensed upper triangle: each pair is exponentiated once
-    else:
+    w = d2
+    if Y is not None:
         y = _as_points(Y)
         if y.shape[1] != x.shape[1]:
             raise ValueError(
@@ -113,15 +120,10 @@ def kernel(X, Y=None, sigma="auto", fraction: float = 0.5):
             )
         if not np.all(np.isfinite(y)):
             raise ValueError("query points contain non-finite values")
-        w = cdist(y, x, metric="sqeuclidean")
-    # exp(-d^2 / (2 sigma)) in the distance buffer, in the out-of-place operand order
-    np.negative(w, out=w)
-    w /= 2.0 * sigma
+        w = _sq_distances(y, x)
+    w *= -0.5 / sigma   # exp(-d^2 / (2 sigma)) in the distance buffer
     np.exp(w, out=w)
-    if Y is None:
-        w = squareform(w)
-        np.fill_diagonal(w, 1.0)
-    else:
+    if Y is not None:
         dead = int(np.count_nonzero(~w.any(axis=1)))
         if dead:
             warnings.warn(f"{dead} query point(s) out of kernel support")
@@ -167,15 +169,14 @@ def eigenbasis(s: np.ndarray, floor, count: int, tol: float = RESIDUAL_TOL):
     times the largest Ritz value they are returned: the same bits on every
     call. A solve still short of that after `MAX_POWER_STEPS` power steps,
     or below that N, is made in full by ``eigh``; with a floor, every pair
-    above it is then kept. s is overwritten only when ``count`` is N or
-    more; below that a caller may ask again for more.
+    above it is then kept. s is left as it was for a caller to ask for more.
     """
     n, width = s.shape[0], count + max(count // 2, MIN_OVERSAMPLE)
     try:
         if n >= RANGE_FINDER_MIN_N and width < n:
             s_basis = s @ np.random.default_rng(RANGE_SEED).standard_normal((n, width))
             for _ in range(MAX_POWER_STEPS + 1):
-                basis = qr(s_basis, mode="economic", overwrite_a=True, check_finite=False)[0]
+                basis = qr(s_basis)[0]
                 s_basis = s @ basis
                 vals, rot = eigh(basis.T @ s_basis)
                 kept = _kept(vals, floor, count)
@@ -185,7 +186,7 @@ def eigenbasis(s: np.ndarray, floor, count: int, tol: float = RESIDUAL_TOL):
                 resid = np.linalg.norm(s_basis @ rot[:, -kept:] - vecs * vals[-kept:], axis=0)
                 if resid.max() <= tol * vals[-1]:
                     return _descending_signed(vals[-kept:], vecs, kept)
-        vals, vecs = eigh(s, overwrite_a=count >= n)
+        vals, vecs = eigh(s)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
     return _descending_signed(vals, vecs, _kept(vals, floor, n if floor is not None else count))
@@ -223,8 +224,8 @@ def diffusion_operator(w: np.ndarray):
     Density correction w~ = K^-1 w K^-1 (Coifman & Lafon's alpha = 1, whose
     coordinates do not depend on the sampling density), then row
     normalization P = K~^-1 w~. Returns the degrees K, the row sums of w,
-    and the row degrees K~ of w~. The unit diagonal of w keeps every degree
-    positive.
+    and the row degrees K~ of w~. The diagonal of w, 1 to rounding, keeps
+    every degree positive.
     """
     degrees = w.sum(axis=1)
     kinv = 1.0 / degrees
@@ -238,13 +239,12 @@ def spectral_decompose(p: np.ndarray, row_degrees: np.ndarray, k: int):
     """Top k+1 right-eigenpairs (eigenvalues, eigenvectors) of p, descending.
 
     Overwrites p with its symmetric conjugate S = D^1/2 P D^-1/2 (D = row
-    degrees) so a symmetric eigensolver applies; for k+1 = N the full solve
-    then takes it as workspace. `eigenbasis` solves for exactly the top k+1
-    pairs of S, with no positivity floor, since a Gaussian kernel's tail
-    eigenvalues can round below 0, and to a residual of `SPECTRUM_TOL` times
-    the largest eigenvalue. Eigenvectors are mapped back by D^-1/2, scaled to
-    unit root-mean-square entry (so psi_0 = 1), and sign-fixed so the entry
-    of largest absolute value is positive.
+    degrees) so a symmetric eigensolver applies. `eigenbasis` solves for
+    exactly the top k+1 pairs of S, with no positivity floor, since a
+    Gaussian kernel's tail eigenvalues can round below 0, and to a residual
+    of `SPECTRUM_TOL` times the largest eigenvalue. Eigenvectors are mapped
+    back by D^-1/2, scaled to unit root-mean-square entry (so psi_0 = 1),
+    and sign-fixed so the entry of largest absolute value is positive.
     """
     n = p.shape[0]
     if not 1 <= k < n:

@@ -10,14 +10,12 @@ voxel-cluster pipelines, not a numerical reproduction of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from . import _one_blas_thread, artifacts
-
-_one_blas_thread()   # scipy.special has loaded scipy's OpenBLAS
+from . import artifacts
 
 ZERO_VARIANCE_REL = 1e-28
 P_THRESHOLD = 0.001   # the uncorrected p below which a channel passes
@@ -91,6 +89,42 @@ def fit_glm(x: np.ndarray, u: np.ndarray) -> GlmFit:
     return GlmFit(betas=betas.T, residuals=residuals, dof=dof, sigma2=sigma2, scale=scale)
 
 
+def t_tail(t, dof: int) -> np.ndarray:
+    """Two-sided Student-t tail P(|T| >= |t|) on ``dof`` degrees of freedom, elementwise.
+
+    It is the regularized incomplete beta I_x(a, b) at a = dof/2, b = 1/2 and
+    x = dof / (dof + t^2); I_x(a, b) = 1 - I_{1-x}(b, a), and whichever side
+    has its x below (a+1)/(a+b+2) is summed by its continued fraction, by
+    Lentz's method (Press et al., Numerical Recipes, section 6.4). x and 1 - x
+    come from ln(t^2 / dof) through logs, so neither loses digits near 0 or
+    1. t = 0 gives 1, and a t whose square overflows, inf included, gives 0.
+    """
+    a0, b0 = dof / 2.0, 0.5
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # a nan t gives nan
+        r = np.log(np.square(np.asarray(t, dtype=float)) / dof)
+        log_x, log_y = -np.logaddexp(0.0, r), -np.logaddexp(0.0, -r)   # ln x, ln(1 - x)
+    # x^a (1 - x)^b / B(a, b), the same on both sides
+    front = np.exp(math.lgamma(a0 + b0) - math.lgamma(a0) - math.lgamma(b0)
+                   + a0 * log_x + b0 * log_y)
+    flip = np.exp(log_x) >= (a0 + 1.0) / (a0 + b0 + 2.0)
+    a, b, x = np.where(flip, b0, a0), np.where(flip, a0, b0), np.exp(np.where(flip, log_y, log_x))
+    f, c, d = np.ones_like(x), np.ones_like(x), np.zeros_like(x)
+    for j in range(1, 1000):   # dof from 1 to 1e7 takes at most 90 terms
+        m = j // 2
+        if j % 2:
+            dj = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            dj = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 / (1.0 + dj * d)
+        c = 1.0 + dj / c
+        delta = c * d
+        f *= delta
+        if not np.any(np.abs(delta - 1.0) > 1e-15):   # a nan t counts as converged
+            break
+    tail = front / (a * f)
+    return np.where(flip, 1.0 - tail, tail)
+
+
 def contrast_tstat(fit: GlmFit, u: np.ndarray, c) -> ContrastResult:
     """Two-sided t-test of the contrast c'beta per channel.
 
@@ -115,7 +149,7 @@ def contrast_tstat(fit: GlmFit, u: np.ndarray, c) -> ContrastResult:
     # exact fits: signed infinity for a real effect, 0 for no effect
     exact = zero_var & (effects != 0)
     t[exact] = np.sign(effects[exact]) * np.inf
-    p = np.where(np.isinf(t), 0.0, 2.0 * special.stdtr(fit.dof, -np.abs(t)))
+    p = t_tail(t, fit.dof)
     return ContrastResult(contrast=c, t_values=t, p_values=p)
 
 

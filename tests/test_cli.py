@@ -1079,21 +1079,6 @@ def test_a_nearly_split_kernel_graph_exits_2_in_the_dmaps_stage(tmp_path, capsys
     assert not (tmp_path / "run" / "embedding").exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # nor ARPACK: dmaps solves every spectrum with its own eigenbasis
-    src = str(pathlib.Path(dmaps.__file__).resolve().parents[1])
-    code = ("import sys, dmrom.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.sparse.linalg'))))")
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout.strip() == "[]"
-
-
 # prints {library path: thread count} of every OpenBLAS mapped into the process
 # once the module named by argv[1] is imported
 OPENBLAS_THREADS = """\
@@ -1119,11 +1104,56 @@ def src_env(**extra) -> dict:
             **extra}
 
 
+def test_cli_import_loads_no_scipy_module():
+    # numpy is the one numerical library: no scipy module, ARPACK or
+    # scipy.stats included, and so no second OpenBLAS
+    code = ("import sys, dmrom.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+# runs the command line in a process where importing scipy fails
+WITHOUT_SCIPY = """\
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from dmrom.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_run_all_needs_no_scipy(stimulus_run, tmp_path):
+    # the stimulus config runs every stage, glm included; a process that cannot
+    # import scipy writes the tree an in-suite run writes
+    raw = json.loads(pathlib.Path(stimulus_run["cfg"]).read_text())
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "run.json", **{**raw, "output_dir": str(out)})
+    assert main(["run", "--all", "--config", cfg_path]) == 0
+    in_suite = tree_bytes(out)
+    shutil.rmtree(out)
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, "run", "--all", "--config", cfg_path],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    without = tree_bytes(out)
+    assert without.keys() == in_suite.keys()
+    assert [name for name in without if without[name] != in_suite[name]] == []
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc")
 @pytest.mark.parametrize("module", ["dmrom", "dmrom.cli"])
 def test_every_openblas_runs_on_one_thread_after_import(module):
-    # importing the package pins numpy's OpenBLAS, and dmrom.cli, which loads
-    # scipy's too, pins both; the environment asks for 2 threads
+    # importing the package pins numpy's OpenBLAS, the only one dmrom.cli
+    # loads; the environment asks for 2 threads
     proc = subprocess.run([sys.executable, "-c", OPENBLAS_THREADS, module],
                           env=src_env(OPENBLAS_NUM_THREADS="2"),
                           capture_output=True, text=True, check=True)

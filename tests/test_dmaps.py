@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
+from scipy import linalg as scipy_linalg   # an independent oracle for numpy's eigh
 from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import cdist, pdist, squareform
 
@@ -110,50 +110,89 @@ def test_auto_sigma_rejects_degenerate_sets():
         dmaps.kernel(np.ones((1, 3)))
     with pytest.raises(ValueError, match="degenerate"):
         dmaps.kernel(np.ones((4, 3)))
+    # repeated rows whose Gram distances round to their self-distances, not to 0
+    rows = np.random.default_rng(0).normal(size=(50, 3)) * np.logspace(-3, 3, 50)[:, None]
+    for row in rows:
+        with pytest.raises(ValueError, match="degenerate"):
+            dmaps.kernel(np.tile(row, (5, 1)))
+
+
+@pytest.mark.parametrize("m", [1, 3, 9, 50])
+def test_gram_distances_match_pdist_and_cdist(m):
+    # the first-order rounding bound of the m + 2 term Gram product and of the
+    # m-term norms, plus that of scipy's own m-term sum, in ulps of
+    # |y_i|^2 + |x_j|^2: a near-duplicate pair keeps its distance only to that
+    # absolute bound, and clipping keeps it at or above 0
+    rng = np.random.default_rng(m)
+    x = rng.normal(size=(60, m)) + 3.0 * rng.normal(size=m)
+    x[30:40] = x[:10] + 1e-9 * rng.normal(size=(10, m))
+    y = np.vstack([x[:5] + 1e-12 * rng.normal(size=(5, m)), rng.normal(size=(7, m))])
+    for a, want in ((x, squareform(pdist(x, "sqeuclidean"))), (y, cdist(y, x, "sqeuclidean"))):
+        got = dmaps._sq_distances(a, x)
+        scale = np.sum(a**2, axis=1)[:, None] + np.sum(x**2, axis=1)[None, :]
+        assert np.all(np.abs(got - want) <= (2.5 * m + 2.0) * np.finfo(float).eps * scale)
+        assert np.all(got >= 0.0)
+
+
+def off_diagonal_median(d2):
+    """np.median of the off-diagonal entries of a square of squared distances."""
+    return float(np.median(d2[~np.eye(len(d2), dtype=bool)]))
 
 
 def test_auto_scale_kernel_runs_one_pdist(monkeypatch):
-    # repeated points tie their distances; the kernel is read off the
-    # condensed buffer after the median, so a reordered buffer moves its bits
+    # one Gram product gives the auto scale and the kernel; repeated points tie
+    # their distances, and the kernel is read off the distance buffer after the
+    # median, so a reordered buffer moves its bits
     pts = np.vstack([cloud(4, n=15, m=3), cloud(4, n=5, m=3)])
-    want = float(np.median(pdist(pts, metric="sqeuclidean"))) / 2.0
+    want = off_diagonal_median(dmaps._sq_distances(pts, pts)) / 2.0
+    # scipy's pdist, the oracle, gives the same median to rounding
+    assert want == pytest.approx(float(np.median(pdist(pts, "sqeuclidean"))) / 2.0, rel=1e-14)
     buffers = []
+    product = dmaps._sq_distances
 
-    def counted(*args, **kwargs):
-        d2 = pdist(*args, **kwargs)
+    def counted(y, x):
+        d2 = product(y, x)
         buffers.append(d2.copy())
         return d2
 
-    monkeypatch.setattr(dmaps, "pdist", counted)
+    monkeypatch.setattr(dmaps, "_sq_distances", counted)
     w, sigma = dmaps.kernel(pts)
     assert len(buffers) == 1
     assert sigma == want
     assert np.array_equal(w, gaussian_affinity(pts, sigma=want)[0])
-    in_pdist_order = np.exp(-squareform(buffers[0]) / (2.0 * want))
-    np.fill_diagonal(in_pdist_order, 1.0)
-    assert np.array_equal(w, in_pdist_order)
+    assert np.array_equal(w, np.exp(buffers[0] * (-0.5 / want)))
+
+
+def pair_square(values):
+    """The N x N square, zero diagonal, whose upper triangle holds the pair values row by row."""
+    n = int(round((1 + np.sqrt(1 + 8 * len(values))) / 2))
+    sq = np.zeros((n, n))
+    sq[np.triu_indices(n, 1)] = values
+    return sq + sq.T
 
 
 @settings(deadline=None, max_examples=200)
 @given(
-    st.lists(
-        st.one_of(
-            # values across many decades, and a few that tie
-            st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 300)),
-            st.sampled_from([0.25, 1.0, 3.0]),
-        ),
-        min_size=1,
-        max_size=60,
+    st.integers(2, 11).flatmap(
+        lambda n: st.lists(
+            st.one_of(
+                # values across many decades, and a few that tie
+                st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 300)),
+                st.sampled_from([0.25, 1.0, 3.0]),
+            ),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        )
     )
 )
 @example([2.5])
-@example([4.0, 1.0])
-@example([1.0, 1.0])
-@example([3.0, 1e-300, 1e300, 3.0])
+@example([4.0, 1.0, 2.0])
+@example([1.0, 1.0, 1.0])
+@example([3.0, 1e-300, 1e300, 3.0, 0.25, 1.0])
 def test_partition_median_has_the_bits_of_np_median(values):
-    d2 = np.array(values)
+    d2 = pair_square(values)
     before = d2.copy()
-    assert dmaps._median_scale(d2, 1.0).hex() == float(np.median(d2)).hex()
+    assert dmaps._median_scale(d2, 1.0).hex() == float(np.median(values)).hex()
     assert np.array_equal(d2, before)
 
 
@@ -168,7 +207,8 @@ def test_cross_kernel_matches_rows_of_the_full_kernel():
 
 def test_auto_scale_takes_the_fraction_of_the_median():
     pts = cloud(6, n=11, m=2)
-    med2 = float(np.median(pdist(pts, metric="sqeuclidean")))
+    med2 = off_diagonal_median(dmaps._sq_distances(pts, pts))
+    assert med2 == pytest.approx(float(np.median(pdist(pts, "sqeuclidean"))), rel=1e-14)
     assert dmaps.kernel(pts, fraction=1.0 / 9.0)[1] == pytest.approx(med2 / 9.0, rel=1e-15)
     assert dmaps.kernel(pts, fraction=0.5)[1] == dmaps.kernel(pts)[1] == med2 / 2.0
 
@@ -186,14 +226,12 @@ def test_only_a_cross_kernel_counts_queries_out_of_support():
 
 
 def reference_kernel(x, y=None, sigma=None):
-    """The out-of-place kernel expressions the in-place chain replaced."""
-    d2 = pdist(x, metric="sqeuclidean")
-    sigma = float(np.median(d2)) / 2.0 if sigma is None else sigma
+    """The out-of-place kernel expressions of the in-place chain."""
+    d2 = dmaps._sq_distances(x, x)
+    sigma = off_diagonal_median(d2) / 2.0 if sigma is None else sigma
     if y is not None:
-        return np.exp(-cdist(y, x, metric="sqeuclidean") / (2.0 * sigma)), sigma
-    w = np.exp(-squareform(d2) / (2.0 * sigma))
-    np.fill_diagonal(w, 1.0)
-    return w, sigma
+        d2 = dmaps._sq_distances(y, x)
+    return np.exp(d2 * (-0.5 / sigma)), sigma
 
 
 @STRICT
@@ -205,6 +243,11 @@ def test_in_place_chain_keeps_the_out_of_place_bits(cycle_dataset):
     assert got_sigma == sigma and np.array_equal(got_w, want_w)
     want_cross, _ = reference_kernel(x, y, sigma)
     assert np.array_equal(dmaps.kernel(x, y, sigma)[0], want_cross)
+    # scipy's distances, the oracle: the same scale and kernels to rounding
+    d2 = pdist(x, "sqeuclidean")
+    assert sigma == pytest.approx(float(np.median(d2)) / 2.0, rel=1e-14)
+    assert np.max(np.abs(want_w - np.exp(-squareform(d2) / (2.0 * sigma)))) < 1e-14
+    assert np.max(np.abs(want_cross - np.exp(-cdist(y, x, "sqeuclidean") / (2.0 * sigma)))) < 1e-14
     kinv = want_w.sum(axis=1) ** -1.0
     w_tilde = want_w * np.outer(kinv, kinv)
     k_tilde = w_tilde.sum(axis=1)
@@ -326,7 +369,7 @@ def test_k_range_validation():
 def dense_pairs(p, row_degrees, count):
     """Top eigenpairs of P from a full dense solve of S, unit-RMS columns, descending."""
     d_sqrt = np.sqrt(row_degrees)
-    vals, vecs = eigh(p * (d_sqrt[:, None] / d_sqrt[None, :]))
+    vals, vecs = scipy_linalg.eigh(p * (d_sqrt[:, None] / d_sqrt[None, :]))
     vecs = vecs[:, ::-1][:, :count] / d_sqrt[:, None]
     return vals[::-1][:count], vecs / np.sqrt(np.mean(vecs**2, axis=0))
 
@@ -376,7 +419,8 @@ def test_a_large_spectrum_meets_the_eigen_residual_bound_and_the_lanczos_eigenva
     d_sqrt = np.sqrt(row_degrees)
     want = np.sort(eigsh(p * (d_sqrt[:, None] / d_sqrt[None, :]), k=11, which="LA")[0])[::-1]
     solved = []
-    monkeypatch.setattr(dmaps, "eigh", lambda a, **kw: solved.append(len(a)) or eigh(a, **kw))
+    eigh = dmaps.eigh
+    monkeypatch.setattr(dmaps, "eigh", lambda a: solved.append(len(a)) or eigh(a))
     vals, vecs = spectral_decompose(p.copy(), row_degrees, k=10)
     assert solved and max(solved) < len(p)
     assert np.max(np.abs(vecs[:, 0] - 1.0)) < 1e-12
@@ -413,8 +457,9 @@ def test_permutation_equivariance(seed):
 
 
 def reordered_full_solve(s):
-    """Every eigenpair of s above the relative floor 1e-8, descending and sign-fixed."""
-    vals, vecs = eigh(s)
+    """Every eigenpair of s above the relative floor 1e-8, descending and sign-fixed,
+    from numpy's eigh."""
+    vals, vecs = np.linalg.eigh(s)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))])[None, :]
@@ -429,6 +474,9 @@ def test_eigenbasis_with_a_count_of_n_or_more_is_the_full_solve():
         got_vals, got_vecs = dmaps.eigenbasis(s.copy(), 1e-8, count)
         assert np.array_equal(got_vals, vals)
         assert np.array_equal(got_vecs, vecs)
+    # scipy's eigh, the oracle: the same eigenvalues to rounding
+    want = scipy_linalg.eigh(s, eigvals_only=True)[::-1][: len(vals)]
+    assert np.max(np.abs(vals - want)) < 1e-13 * vals[0]
 
 
 def test_eigenbasis_above_the_crossover_is_the_full_solve_once_the_test_matrix_fills_n(
@@ -438,7 +486,8 @@ def test_eigenbasis_above_the_crossover_is_the_full_solve_once_the_test_matrix_f
     s = dmaps.kernel(cloud(5, n=n), sigma=0.5)[0]
     vals, vecs = reordered_full_solve(s)
     solved = []
-    monkeypatch.setattr(dmaps, "eigh", lambda a, **kw: solved.append(len(a)) or eigh(a, **kw))
+    eigh = dmaps.eigh
+    monkeypatch.setattr(dmaps, "eigh", lambda a: solved.append(len(a)) or eigh(a))
     # the fewest pairs whose test matrix has n columns, and all n
     fewest = next(c for c in range(n) if c + max(c // 2, dmaps.MIN_OVERSAMPLE) >= n)
     for count in (fewest, n):

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from dmrom.glm import (
     P_THRESHOLD,
     build_design_matrix,
     contrast_tstat,
     fit_glm,
+    t_tail,
     write_activity_report,
 )
 
@@ -172,6 +173,33 @@ def test_contrast_p_consistent_with_t_cdf():
     expected = 2.0 * stats.t.sf(np.abs(res.t_values), fit.dof)
     assert np.max(np.abs(res.p_values - expected)) < 1e-8
     assert np.all((res.p_values >= 0) & (res.p_values <= 1))
+
+
+# 4318 is stim4000's: 4320 rows against two boxcar columns
+@pytest.mark.parametrize("dof", [1, 3, 5, 17, 300, 4318])
+def test_t_tail_matches_twice_stdtr(dof):
+    # t = 0, t whose square overflows, infinities, nan, and grids through the
+    # pass threshold; below the normal floats stdtr flushes to 0, and the
+    # tail must be below them too
+    t = np.concatenate([[0.0, 1e300, -1e300, np.inf, -np.inf, np.nan],
+                        np.linspace(-40.0, 40.0, 4001), np.geomspace(1e-3, 1e3, 601)])
+    want = 2.0 * special.stdtr(dof, -np.abs(t))
+    got = t_tail(t, dof)
+    tiny = np.finfo(float).tiny
+    normal = want >= tiny
+    assert np.all(np.abs(got[normal] - want[normal]) <= 1e-10 * want[normal])
+    assert np.all(got[want < tiny] < tiny)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got < P_THRESHOLD, want < P_THRESHOLD)
+
+
+def test_t_tail_at_one_dof_is_the_cauchy_tail():
+    # 2 atan(1/|t|) / pi, exact at every t; stdtr loses up to 4e-9 of it
+    # below |t| = 1e-6, where the tail is near 1
+    t = np.geomspace(1e-12, 1e12, 481)
+    want = 2.0 * np.arctan(1.0 / t) / np.pi
+    assert np.all(np.abs(t_tail(t, 1) - want) <= 1e-13 * want)
+    assert t_tail(np.array([0.0]), 1)[0] == 1.0
 
 
 def test_activity_report_csv(tmp_path):
