@@ -1104,9 +1104,9 @@ def src_env(**extra) -> dict:
             **extra}
 
 
-def test_cli_import_loads_no_scipy_module():
-    # numpy is the one numerical library: no scipy module, ARPACK or
-    # scipy.stats included, and so no second OpenBLAS
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # nor any other scipy module, ARPACK included: numpy is the one numerical
+    # library, and so no second OpenBLAS is loaded
     code = ("import sys, dmrom.cli; print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(),

@@ -4,6 +4,9 @@ import csv
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -116,6 +119,14 @@ def test_sigmoid_is_within_three_ulp_of_expit_and_silent_on_overflow():
     assert ulps.max() <= 3
     assert np.mean(ulps > 2) < 1e-4
     assert got[-2:].tolist() == [1.0, 0.0] and got[-9] == 0.5
+
+
+def test_rom_fnn_import_leaves_scipy_unloaded():
+    code = "import sys, dmrom.rom_fnn; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    src = str(pathlib.Path(rom_fnn.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------- gradients
