@@ -40,11 +40,6 @@ def remove_temps(directory) -> None:
         os.remove(path)
 
 
-def write_text(path, text: str) -> None:
-    with _replacing(path) as fh:
-        fh.write(text)
-
-
 def write_rows(path, header, rows) -> None:
     """CSV with a header row; rows may be any iterable of cell lists."""
     with _replacing(path) as fh:

@@ -123,7 +123,6 @@ class RunConfig:
     input: str = None
     output_dir: str = None
     n_train: int = 280
-    standardize: str = "full"   # or "train_only"
     epochs: tuple[tuple[str, int, int], ...] = ()   # (condition, start, end), half-open
     conditions: tuple[str, ...] = ()
     dmaps: DmapsSection = DmapsSection()
@@ -138,8 +137,6 @@ class RunConfig:
                 raise ValueError(f"config must set {name!r}")
         if self.n_train < 2:
             raise ValueError(f"n_train must be >= 2, got {self.n_train}")
-        if self.standardize not in ("full", "train_only"):
-            raise ValueError(f"standardize must be 'full' or 'train_only', got {self.standardize!r}")
         if self.epochs and not self.conditions:
             raise ValueError("epochs given without a conditions list")
         if len(set(self.conditions)) < len(self.conditions):
@@ -259,17 +256,8 @@ def load_config(path) -> RunConfig:
     return _build(RunConfig, data, "")
 
 
-def config_payload(cfg: RunConfig) -> dict:
-    """Plain-dict echo of the resolved config, used for meta.json and hashing."""
-    return asdict(cfg)
-
-
-def config_hash(cfg: RunConfig) -> str:
-    return artifacts.json_sha256(config_payload(cfg)).hexdigest()
-
-
 # the config fields `embed` reads
-EMBED_FIELDS = ("input", "n_train", "standardize", "dmaps", "parsimony")
+EMBED_FIELDS = ("input", "n_train", "dmaps", "parsimony")
 
 
 def embed_hash(cfg: RunConfig) -> str:
@@ -336,14 +324,9 @@ class RunPaths:
 def _write_meta(cfg: RunConfig, paths: RunPaths) -> None:
     """Echo the config into meta.json; each command calls it last, so only a
     command that succeeded, or a stage of `run --all` that did, speaks for it."""
-    payload = config_payload(cfg)
+    payload = asdict(cfg)
     doc = {"config": payload, "config_sha256": artifacts.json_sha256(payload).hexdigest()}
     artifacts.write_json(os.path.join(paths.root, "meta.json"), doc)
-
-
-def _design_matrix(cfg: RunConfig, n: int) -> np.ndarray:
-    """The (n, p) stimulus design; without epochs it has no columns."""
-    return glm.build_design_matrix(list(cfg.epochs), n, list(cfg.conditions))
 
 
 def _load_standardized(cfg: RunConfig):
@@ -351,8 +334,7 @@ def _load_standardized(cfg: RunConfig):
     a fault is an [ingest] error."""
     with _stage("ingest"):
         values, names = load_timeseries(cfg.input)
-        n_fit = cfg.n_train if cfg.standardize == "train_only" else None
-        return detrend_standardize(values, names, n_fit=n_fit), names
+        return detrend_standardize(values, names), names
 
 
 @dataclass(frozen=True)
@@ -388,7 +370,7 @@ def cmd_synth(cfg: RunConfig) -> None:
                              f"cannot be made: {exc.strerror}") from None
         artifacts.write_matrix(cfg.input, values, names)
         truth_path = os.path.splitext(cfg.input)[0] + "_truth.json"
-        artifacts.write_text(truth_path, truth.to_json() + "\n")
+        artifacts.write_json(truth_path, truth.document())
     print(f"synth: wrote {values.shape[0]} x {values.shape[1]} series to {cfg.input}")
     print(f"synth: ground truth in {truth_path}")
 
@@ -409,7 +391,7 @@ def cmd_glm(cfg: RunConfig, paths: RunPaths, series=None) -> None:
             raise ValueError("glm requires at least one contrast in glm.contrasts")
     values, channels = _load_standardized(cfg) if series is None else series
     with _stage("glm"):
-        design = _design_matrix(cfg, len(values))
+        design = glm.build_design_matrix(cfg.epochs, len(values), cfg.conditions)
         _remove_activity_reports(paths)
         fit = glm.fit_glm(values, design)
         os.makedirs(paths.reports, exist_ok=True)
@@ -433,7 +415,7 @@ def cmd_embed(cfg: RunConfig, paths: RunPaths, series=None) -> Embedded:
         if cfg.n_train >= len(values):
             raise ValueError(f"n_train must be < {len(values)} input rows, got {cfg.n_train}")
         # an epoch past the series end is refused before any file is written
-        _design_matrix(cfg, len(values))
+        glm.build_design_matrix(cfg.epochs, len(values), cfg.conditions)
         train, test = values[: cfg.n_train], values[cfg.n_train :]
     with _stage("dmaps"):
         embedding = dmaps.build_embedding(train, cfg.dmaps.sigma, cfg.dmaps.k)
@@ -507,7 +489,7 @@ def cmd_forecast(cfg: RunConfig, paths: RunPaths, embedded: Embedded = None) -> 
             raise ValueError("empty test set")
         d = len(report.selected)
         # the design spans the test block too, so its epochs are checked against it
-        design = _design_matrix(cfg, n + h)
+        design = glm.build_design_matrix(cfg.epochs, n + h, cfg.conditions)
         init = coords_train[-1]
         # this stage's old outputs go first: a stage that fails leaves no
         # models, forecasts or table that an earlier run made

@@ -8,7 +8,6 @@ test suite as ground-truth oracles.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -59,40 +58,27 @@ def load_timeseries(path) -> tuple[np.ndarray, list[str]]:
     return values, names
 
 
-def detrend_standardize(
-    values: np.ndarray,
-    names: list[str],
-    n_fit: int | None = None,
-) -> np.ndarray:
+def detrend_standardize(values: np.ndarray, names: list[str]) -> np.ndarray:
     """Remove the per-channel least-squares line and scale to unit sample std.
 
-    The line is fit against the time index 0..N-1 and the standard deviation
-    uses the N-1 denominator. A channel that is constant after detrending is
-    an error naming it (from ``names``, one per column).
-
-    Parameters
-    ----------
-    n_fit : int, optional
-        When given, the line fit and the scale are estimated from the leading
-        ``n_fit`` rows only and applied to the whole series (train-only
-        statistics). Default is full-series statistics.
+    The line (against the time index 0..N-1) and the scale (N-1 denominator)
+    are fitted on every row, test rows included, so the training block of a
+    split depends on the test rows; acceptance criterion 9 covers only the
+    stages after `embed`. Fewer than 2 rows is an error, and so is a channel
+    that is constant after detrending, named from ``names`` (one per column).
     """
     n = values.shape[0]
-    if n_fit is None:
-        n_fit = n
-    if not 2 <= n_fit <= n:
-        raise ValueError(f"n_fit must be in [2, {n}], got {n_fit}")
+    if n < 2:
+        raise ValueError(f"detrending needs at least 2 rows, got {n}")
 
     t = np.arange(n, dtype=float)
-    tf = t[:n_fit]
-    vf = values[:n_fit]
-    tc = tf - tf.mean()
-    slope = (tc @ vf) / (tc @ tc)
-    intercept = vf.mean(axis=0) - slope * tf.mean()
+    tc = t - t.mean()
+    slope = (tc @ values) / (tc @ tc)
+    intercept = values.mean(axis=0) - slope * t.mean()
     detrended = values - (intercept[None, :] + np.outer(t, slope))
 
-    sd = detrended[:n_fit].std(axis=0, ddof=1)
-    sd_orig = vf.std(axis=0, ddof=1)
+    sd = detrended.std(axis=0, ddof=1)
+    sd_orig = values.std(axis=0, ddof=1)
     dead = sd <= DEAD_CHANNEL_REL_TOL * np.maximum(sd_orig, 1e-300)
     if np.any(dead):
         dead_names = [names[i] for i in np.flatnonzero(dead)]
@@ -146,8 +132,9 @@ class SynthTruth:
         latent = np.atleast_2d(np.asarray(latent, dtype=float))
         return self.amplitude * np.cos(latent @ self.weights.T + self.phases[None, :])
 
-    def to_json(self) -> str:
-        doc = {
+    def document(self) -> dict:
+        """The JSON document `dmrom synth` writes beside the series."""
+        return {
             "dynamics": self.dynamics,
             "amplitude": self.amplitude,
             "params": self.params,
@@ -155,7 +142,6 @@ class SynthTruth:
             "weights": self.weights.tolist(),
             "phases": self.phases.tolist(),
         }
-        return json.dumps(doc, sort_keys=True)
 
 
 def _latent_linear_stable(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.ndarray, dict]:

@@ -51,9 +51,8 @@ def test_read_matrix_rejects_ragged_and_non_numeric_rows(tmp_path):
     [
         lambda p: artifacts.write_rows(p, ["x"], failing_rows()),
         lambda p: artifacts.write_json(p, {"a": [1.0] * 10_000, "b": object()}),
-        lambda p: artifacts.write_text(p, None),
     ],
-    ids=["rows", "json", "text"],
+    ids=["rows", "json"],
 )
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, write):
     path = tmp_path / "artifact"

@@ -10,15 +10,17 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from dmrom import artifacts, cli, dmaps, lifting, parsimony, rom_fnn
 from dmrom.artifacts import read_matrix, write_matrix
-from dmrom.cli import config_hash, embed_hash, load_config, made_from, main
+from dmrom.cli import embed_hash, load_config, made_from, main
 from dmrom.evaluate import comparison_table, write_comparison
 from dmrom.glm import build_design_matrix
+from dmrom.ingest import SynthConfig, generate_synthetic
 from dmrom.lifting import gh_fit, gh_lift, nystrom_restrict
 from dmrom.rom_koopman import fit_koopman_model, koopman_forecast
 
@@ -108,7 +110,7 @@ def test_run_all_layout(pipeline_run):
 def test_meta_echoes_config_and_hash(pipeline_run):
     meta = json.loads((pipeline_run["out"] / "meta.json").read_text())
     cfg = load_config(pipeline_run["cfg"])
-    assert meta["config_sha256"] == config_hash(cfg)
+    assert meta["config_sha256"] == artifacts.json_sha256(asdict(cfg)).hexdigest()
     assert meta["config"]["fnn"]["seed"] == meta["config"]["synth"]["seed"] == 0
     assert meta["config"]["n_train"] == 120
 
@@ -116,13 +118,13 @@ def test_meta_echoes_config_and_hash(pipeline_run):
 def test_a_meta_write_builds_the_config_payload_once_and_hashes_it(
     pipeline_run, tmp_path, monkeypatch
 ):
-    real, calls = cli.config_payload, []
+    real, calls = cli.asdict, []
 
     def counted(cfg):
         calls.append(cfg)
         return real(cfg)
 
-    monkeypatch.setattr(cli, "config_payload", counted)
+    monkeypatch.setattr(cli, "asdict", counted)
     cli._write_meta(load_config(pipeline_run["cfg"]), cli.RunPaths(str(tmp_path)))
     assert len(calls) == 1
     meta = json.loads((tmp_path / "meta.json").read_text())
@@ -506,7 +508,8 @@ def test_a_run_failing_in_the_lifting_stage_echoes_the_stages_that_finished(
     # meta.json speaks for the embedding that the finished stages wrote
     assert json.loads((clone / "embedding" / "meta.json").read_text())["sigma"] == 40.0
     meta = json.loads((clone / "meta.json").read_text())
-    assert meta["config_sha256"] == config_hash(load_config(cfg_path))
+    payload = asdict(load_config(cfg_path))
+    assert meta["config_sha256"] == artifacts.json_sha256(payload).hexdigest()
     assert meta["config"]["dmaps"]["sigma"] == 40.0
 
 
@@ -585,6 +588,23 @@ def test_an_input_under_a_file_exits_2_under_synth_naming_it(tmp_path, capsys, c
         f"error [synth] input {inp!r} cannot be written: its directory cannot be made: {fault}"
     )
     assert "Traceback" not in err and (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_synth_writes_the_ground_truth_as_a_json_document(tmp_path, capsys):
+    synth = {"ambient_dim": 6, "n_times": 40, "seed": 1}
+    cfg_path = write_config(tmp_path / "run.json", input=str(tmp_path / "x.csv"),
+                            output_dir=str(tmp_path / "out"), synth=synth)
+    assert main(["synth", "--config", cfg_path]) == 0
+    path = tmp_path / "x_truth.json"
+    assert f"synth: ground truth in {path}" in capsys.readouterr().out
+    # write_json's format: sorted keys, one-space indent, trailing newline
+    doc = json.loads(path.read_text())
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    *_, truth = generate_synthetic(SynthConfig(**synth))
+    assert np.array_equal(doc["latent"], truth.latent)
+    assert np.array_equal(doc["weights"], truth.weights)
+    assert np.array_equal(doc["phases"], truth.phases)
+    assert doc["dynamics"] == truth.dynamics and doc["amplitude"] == truth.amplitude
 
 
 # runs `run --all`, and SIGKILLs itself after writing part of the temp file
@@ -1237,8 +1257,8 @@ def test_embed_hash_follows_only_the_fields_embed_reads(pipeline_run, tmp_path):
     def changed(**overrides):
         return embed_hash(load_config(write_config(tmp_path / "c.json", **{**raw, **overrides})))
 
-    for field in [{"input": "other.csv"}, {"n_train": 119}, {"standardize": "train_only"},
-                  {"dmaps": {**raw["dmaps"], "k": 9}}, {"parsimony": {"d": 4}}]:
+    for field in [{"input": "other.csv"}, {"n_train": 119}, {"dmaps": {**raw["dmaps"], "k": 9}},
+                  {"parsimony": {"d": 4}}]:
         assert changed(**field) != base, field
     for field in [{"output_dir": "elsewhere"}, {"fnn": {**raw["fnn"], "folds": 4, "seed": 3}},
                   {"synth": {**raw["synth"], "seed": 3}}]:

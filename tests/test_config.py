@@ -5,19 +5,18 @@ import os
 import re
 import tempfile
 import typing
-from dataclasses import is_dataclass
+from dataclasses import asdict, is_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmrom.artifacts import json_sha256
 from dmrom.cli import (
     DmapsSection,
     GlmSection,
     ParsimonySection,
     RunConfig,
-    config_hash,
-    config_payload,
     embed_hash,
     load_config,
     main,
@@ -61,7 +60,6 @@ def run_configs(draw):
         output_dir=draw(names),
         # fnn.folds must stay below n_train
         n_train=draw(st.integers(folds + 1, 10**6)),
-        standardize=draw(st.sampled_from(["full", "train_only"])),
         epochs=tuple(epochs),
         conditions=tuple(conditions),
         dmaps=DmapsSection(sigma=draw(st.just("auto") | positive), k=k),
@@ -92,6 +90,11 @@ def row(label, *values):
     return pytest.param(*values, id=f"{label}-{values[-1]}")
 
 
+def config_sha256(cfg) -> str:
+    """The config hash meta.json records: of the canonical JSON of the whole config."""
+    return json_sha256(asdict(cfg)).hexdigest()
+
+
 def dump(directory, doc) -> str:
     path = os.path.join(directory, "run.json")
     with open(path, "w") as fh:
@@ -103,9 +106,9 @@ def dump(directory, doc) -> str:
 @given(run_configs())
 def test_payload_round_trips_through_load_config(cfg):
     with tempfile.TemporaryDirectory() as d:
-        back = load_config(dump(d, config_payload(cfg)))
+        back = load_config(dump(d, asdict(cfg)))
     assert back == cfg
-    assert config_hash(back) == config_hash(cfg)
+    assert config_sha256(back) == config_sha256(cfg)
 
 
 def test_defaults_come_from_the_section_dataclasses(tmp_path):
@@ -180,7 +183,7 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
                                         "fnn": {"learning_rate": 0.2, "folds": 3}}))
     plain = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out",
                                         "fnn": {"folds": 3}}))
-    assert fixed == plain and config_hash(fixed) == config_hash(plain)
+    assert fixed == plain and config_sha256(fixed) == config_sha256(plain)
 
 
 def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
@@ -200,7 +203,8 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
             "glm.contrasts must be an object, got [['a', [1]]]"),
         row("doc4", {"nrw": {"mode": "ambient"}}, "unknown config key(s): nrw"),
         row("doc5", {"epochs": [["A", 0, 2]]}, "epochs given without a conditions list"),
-        row("doc6", {"standardize": "x"}, "standardize must be 'full' or 'train_only', got 'x'"),
+        # detrending always fits on every row: no selector picks another rule
+        row("doc6", {"standardize": "full"}, "unknown config key(s): standardize"),
         row("doc7", {"epochs": [["A", 0]], "conditions": ["A"]},
             "epochs item must be a list of 3 values, got ['A', 0]"),
         row("doc8", {"epochs": [["A", 0, 5, 9]], "conditions": ["A"]},
@@ -359,8 +363,8 @@ def test_every_field_refuses_a_value_of_the_wrong_kind(tmp_path, field, hint):
 # the README quick-start config; older run directories hold its embed
 # digest, so a change that moves it makes every one of them stale, and
 # forecast refuses them; it moves when a field embed reads goes, as
-# drop_dead and dmaps.alpha did, and config_hash,
-# which is only echoed in meta.json, when any field goes, as glm.kernel,
+# drop_dead, dmaps.alpha and standardize did, and config_sha256, which is
+# only echoed in meta.json, when any field goes, as glm.kernel,
 # synth.frequency_scale, the top-level seed, the gh section and glm.threshold did
 QUICK_START = {
     "input": "data/series.csv",
@@ -377,8 +381,8 @@ QUICK_START = {
 
 def test_quick_start_config_digests_are_pinned(tmp_path):
     cfg = load_config(dump(tmp_path, QUICK_START))
-    assert config_hash(cfg) == "486212b46815cc6458d024995bb3426b42a5bc1272004a141ab8adefc39214ec"
-    assert embed_hash(cfg) == "c96eddd2270c146d671de21f9ce68dbf382c465dc1cf4dbce1a72bbb902812ad"
+    assert config_sha256(cfg) == "5ce06f3da18e490d1739e2c454db0284e743779674cd495f3ecf8feea493b5a3"
+    assert embed_hash(cfg) == "1ca0ef2a5abec430340a3eea10d4272b0744cb72141159064f6cff1013a33321"
 
 
 @pytest.mark.parametrize(

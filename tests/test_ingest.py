@@ -1,7 +1,5 @@
 """Loading, detrending, and the synthetic ground-truth generators."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,18 +119,6 @@ def test_detrend_idempotent():
     assert np.max(np.abs(twice - once)) < 1e-8
 
 
-def test_detrend_train_only_statistics():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(50, 2)).cumsum(axis=0)
-    out = detrend_standardize(x, ["a", "b"], n_fit=30)
-    # the leading block carries the fit, so only it is exactly standardized
-    head = out[:30]
-    assert np.max(np.abs(head.mean(axis=0))) < 1e-10
-    assert np.max(np.abs(head.std(axis=0, ddof=1) - 1.0)) < 1e-10
-    full = detrend_standardize(x, ["a", "b"])
-    assert not np.allclose(full, out)
-
-
 # ------------------------------------------------------------- synthetic
 
 def test_synth_dimension_validation():
@@ -167,15 +153,6 @@ def test_synth_noise_perturbs_but_preserves_latent():
     noisy, _, t1 = generate_synthetic(SynthConfig(q=2, ambient_dim=8, n_times=50, noise=0.1, seed=3))
     assert np.array_equal(t0.latent, t1.latent)
     assert not np.allclose(clean, noisy)
-
-
-def test_synth_truth_json_roundtrip():
-    *_, truth = generate_synthetic(SynthConfig(q=2, ambient_dim=6, n_times=40, noise=0.0, seed=1))
-    back = json.loads(truth.to_json())
-    assert np.array_equal(back["latent"], truth.latent)
-    assert np.array_equal(back["weights"], truth.weights)
-    assert np.array_equal(back["phases"], truth.phases)
-    assert back["dynamics"] == truth.dynamics
 
 
 def test_detrend_single_row_fragment_rejected():
