@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from . import artifacts, dmaps, evaluate, glm, lifting, parsimony, rom_fnn, rom_koopman
+from . import artifacts, dmaps, evaluate, glm, ingest, lifting, parsimony, rom_fnn, rom_koopman
 from .ingest import SynthConfig, detrend_standardize, generate_synthetic, load_timeseries
 from .rom_fnn import TrainConfig
 
@@ -210,8 +210,10 @@ def _typed(hint, value, name: str):
 
 # per section, the keys that became module constants, each with its constant: a
 # config may still give one at that value, which changes nothing, and any other
-# value is refused; perfbench's configs still set fnn.learning_rate 0.2
-RETIRED_KEYS = {"fnn": {"learning_rate": rom_fnn.LEARNING_RATE}}
+# value is refused; perfbench still sets both, fnn.learning_rate 0.2 in
+# workloads.SOLVER and synth.q 2 in selftest's synth config
+RETIRED_KEYS = {"fnn": {"learning_rate": rom_fnn.LEARNING_RATE},
+                "synth": {"q": ingest.LATENT_DIM}}
 
 
 def _build(cls, raw, name: str):
@@ -222,7 +224,7 @@ def _build(cls, raw, name: str):
     hints = typing.get_type_hints(cls)
     for key, fixed in RETIRED_KEYS.get(name, {}).items():
         if key in raw:
-            given = _typed(float, raw[key], f"{name}.{key}")
+            given = _typed(type(fixed), raw[key], f"{name}.{key}")
             if given != fixed:
                 raise ValueError(f"{name}.{key} is no longer a setting: it is fixed at {fixed}, "
                                  f"got {given!r}")

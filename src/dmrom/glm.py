@@ -98,6 +98,9 @@ def t_tail(t, dof: int) -> np.ndarray:
     Lentz's method (Press et al., Numerical Recipes, section 6.4). x and 1 - x
     come from ln(t^2 / dof) through logs, so neither loses digits near 0 or
     1. t = 0 gives 1, and a t whose square overflows, inf included, gives 0.
+    The relative error grows with dof, since lgamma(a + 1/2) - lgamma(a) cancels:
+    about 1.3e-11 at dof = 4318 and 2e-8 at dof = 1e7, worst near t = 1.73, where
+    the continued fraction switches sides.
     """
     a0, b0 = dof / 2.0, 0.5
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # a nan t gives nan

@@ -9,7 +9,7 @@ test suite as ground-truth oracles.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from . import artifacts
 
 DEAD_CHANNEL_REL_TOL = 1e-10
 FREQUENCY_SCALE = 1.5   # rms length of each synthetic channel's cosine frequency vector
+LATENT_DIM = 2          # the synthetic latent is planar
 
 
 def load_timeseries(path) -> tuple[np.ndarray, list[str]]:
@@ -90,7 +91,6 @@ def detrend_standardize(values: np.ndarray, names: list[str]) -> np.ndarray:
 class SynthConfig:
     """Configuration for a seeded synthetic dataset with known latent dynamics."""
 
-    q: int = 2
     ambient_dim: int = 50
     n_times: int = 400
     noise: float = 0.0
@@ -98,12 +98,8 @@ class SynthConfig:
     dynamics: str = "limit_cycle"  # or "linear_stable"
 
     def __post_init__(self):
-        if self.q not in (2, 3):
-            raise ValueError(f"synth.q must be 2 or 3, got {self.q}")
-        if self.ambient_dim < self.q:
-            raise ValueError(
-                f"synth.ambient_dim must be >= synth.q ({self.q}), got {self.ambient_dim}"
-            )
+        if self.ambient_dim < LATENT_DIM:
+            raise ValueError(f"synth.ambient_dim must be >= {LATENT_DIM}, got {self.ambient_dim}")
         if self.n_times < 2:
             raise ValueError(f"synth.n_times must be >= 2, got {self.n_times}")
         if self.noise < 0:
@@ -120,23 +116,21 @@ class SynthConfig:
 class SynthTruth:
     """Ground truth behind a synthetic dataset: latent path plus the embedding map."""
 
-    latent: np.ndarray          # N x q
-    weights: np.ndarray         # M x q cosine-feature frequencies
+    latent: np.ndarray          # N x LATENT_DIM
+    weights: np.ndarray         # M x LATENT_DIM cosine-feature frequencies
     phases: np.ndarray          # length M
-    amplitude: float
     dynamics: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def embed(self, latent: np.ndarray) -> np.ndarray:
         """Apply the fixed nonlinear embedding to a latent trajectory."""
         latent = np.atleast_2d(np.asarray(latent, dtype=float))
-        return self.amplitude * np.cos(latent @ self.weights.T + self.phases[None, :])
+        return np.cos(latent @ self.weights.T + self.phases[None, :])
 
     def document(self) -> dict:
         """The JSON document `dmrom synth` writes beside the series."""
         return {
             "dynamics": self.dynamics,
-            "amplitude": self.amplitude,
             "params": self.params,
             "latent": self.latent.tolist(),
             "weights": self.weights.tolist(),
@@ -151,41 +145,30 @@ def _latent_linear_stable(cfg: SynthConfig, rng: np.random.Generator) -> tuple[n
     rot = np.array(
         [[np.cos(omega), -np.sin(omega)], [np.sin(omega), np.cos(omega)]]
     )
-    if cfg.q == 2:
-        core = rho * rot
-    else:
-        core = np.zeros((3, 3))
-        core[:2, :2] = rho * rot
-        core[2, 2] = rng.uniform(0.9, 0.99)
-    basis, _ = np.linalg.qr(rng.normal(size=(cfg.q, cfg.q)))
-    a = basis @ core @ basis.T
-    z = np.empty((cfg.n_times, cfg.q))
-    z[0] = rng.normal(size=cfg.q)
+    basis, _ = np.linalg.qr(rng.normal(size=(LATENT_DIM, LATENT_DIM)))
+    a = basis @ (rho * rot) @ basis.T
+    z = np.empty((cfg.n_times, LATENT_DIM))
+    z[0] = rng.normal(size=LATENT_DIM)
     for i in range(cfg.n_times - 1):
         z[i + 1] = a @ z[i]
     return z, {"matrix": a.tolist(), "rho": float(rho), "omega": float(omega)}
 
 
 def _latent_limit_cycle(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
-    # Hopf-style planar cycle; started on r=1 exactly so the path is a closed curve
-    gamma = 0.1
+    # the unit circle, stepped by a fixed angle, so the path is a closed curve
     omega = 2 * np.pi / 40
     theta0 = rng.uniform(0, 2 * np.pi)
-    r = 1.0
-    z = np.empty((cfg.n_times, cfg.q))
+    z = np.empty((cfg.n_times, LATENT_DIM))
     theta = theta0
     for i in range(cfg.n_times):
-        z[i, 0] = r * np.cos(theta)
-        z[i, 1] = r * np.sin(theta)
-        if cfg.q == 3:
-            z[i, 2] = np.cos(2 * theta)
-        r = r + gamma * r * (1.0 - r * r)
+        z[i, 0] = np.cos(theta)
+        z[i, 1] = np.sin(theta)
         theta = theta + omega
-    return z, {"gamma": gamma, "omega": float(omega), "theta0": float(theta0)}
+    return z, {"omega": float(omega), "theta0": float(theta0)}
 
 
 def generate_synthetic(cfg: SynthConfig) -> tuple[np.ndarray, list[str], SynthTruth]:
-    """Generate an ambient series from a known q-dimensional dynamical system.
+    """Generate an ambient series from a known planar dynamical system.
 
     The latent trajectory is pushed through a fixed random-cosine-feature map
     into ``ambient_dim`` channels and i.i.d. Gaussian noise is added on top.
@@ -198,18 +181,12 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[np.ndarray, list[str], SynthTr
         latent, params = _latent_linear_stable(cfg, rng)
     else:
         latent, params = _latent_limit_cycle(cfg, rng)
-    weights = rng.normal(size=(cfg.ambient_dim, cfg.q)) * (
-        FREQUENCY_SCALE / np.sqrt(cfg.q)
+    weights = rng.normal(size=(cfg.ambient_dim, LATENT_DIM)) * (
+        FREQUENCY_SCALE / np.sqrt(LATENT_DIM)
     )
     phases = rng.uniform(0, 2 * np.pi, size=cfg.ambient_dim)
-    truth = SynthTruth(
-        latent=latent,
-        weights=weights,
-        phases=phases,
-        amplitude=1.0,
-        dynamics=cfg.dynamics,
-        params=params,
-    )
+    truth = SynthTruth(latent=latent, weights=weights, phases=phases, dynamics=cfg.dynamics,
+                       params=params)
     ambient = truth.embed(latent)
     if cfg.noise > 0:
         ambient = ambient + cfg.noise * rng.normal(size=ambient.shape)

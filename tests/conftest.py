@@ -36,7 +36,7 @@ def strip_embedding(strip_points):
 @pytest.fixture(scope="session")
 def cycle_dataset():
     """Noise-free planar limit cycle in 50 ambient channels, standardized and split."""
-    cfg = SynthConfig(q=2, ambient_dim=50, n_times=400, noise=0.0, seed=0)
+    cfg = SynthConfig(ambient_dim=50, n_times=400, noise=0.0, seed=0)
     values, names, truth = generate_synthetic(cfg)
     std = detrend_standardize(values, names)
     return {"series": values, "truth": truth, "train": std[:320], "test": std[320:]}

@@ -213,7 +213,6 @@ def synthetic_run(tmp_path_factory):
             "max_epochs": 2000,
         },
         "synth": {
-            "q": 2,
             "ambient_dim": 50,
             "n_times": 400,
             "noise": 0.0,

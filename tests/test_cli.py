@@ -83,7 +83,6 @@ def pipeline_run(tmp_path_factory):
             "max_epochs": 300,
         },
         synth={
-            "q": 2,
             "ambient_dim": 6,
             "n_times": 140,
             "noise": 0.0,
@@ -604,7 +603,17 @@ def test_synth_writes_the_ground_truth_as_a_json_document(tmp_path, capsys):
     assert np.array_equal(doc["latent"], truth.latent)
     assert np.array_equal(doc["weights"], truth.weights)
     assert np.array_equal(doc["phases"], truth.phases)
-    assert doc["dynamics"] == truth.dynamics and doc["amplitude"] == truth.amplitude
+    assert doc["dynamics"] == truth.dynamics and doc["params"] == truth.params
+    # every key names a part of the generator that runs, so a reintroduced one fails here
+    assert set(doc) == {"dynamics", "params", "latent", "weights", "phases"}
+    assert set(doc["params"]) == {"omega", "theta0"}
+    synth["dynamics"] = "linear_stable"
+    cfg_path = write_config(tmp_path / "run.json", input=str(tmp_path / "x.csv"),
+                            output_dir=str(tmp_path / "out"), synth=synth)
+    assert main(["synth", "--config", cfg_path]) == 0
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"dynamics", "params", "latent", "weights", "phases"}
+    assert set(doc["params"]) == {"matrix", "rho", "omega"}
 
 
 # runs `run --all`, and SIGKILLs itself after writing part of the temp file

@@ -46,8 +46,7 @@ def run_configs(draw):
     contrast = st.lists(finite, min_size=len(conditions), max_size=len(conditions)).map(tuple)
     synth = draw(st.none() | st.builds(
         SynthConfig,
-        q=st.sampled_from([2, 3]),
-        ambient_dim=st.integers(3, 100),
+        ambient_dim=st.integers(2, 100),
         n_times=st.integers(2, 10_000),
         noise=st.floats(min_value=0, max_value=10),
         seed=st.integers(0, 2**63),
@@ -184,6 +183,18 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
     plain = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out",
                                         "fnn": {"folds": 3}}))
     assert fixed == plain and config_sha256(fixed) == config_sha256(plain)
+    # nor is synth.q: the latent is always planar, ingest.LATENT_DIM = 2, and the
+    # retired key is read as the integer its constant is
+    fixed = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out",
+                                        "synth": {"q": 2, "seed": 3}}))
+    plain = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out",
+                                        "synth": {"seed": 3}}))
+    assert fixed == plain and config_sha256(fixed) == config_sha256(plain)
+    for q, message in [(3, "synth.q is no longer a setting: it is fixed at 2, got 3"),
+                       (2.5, "synth.q must be an integer, got 2.5")]:
+        path = dump(tmp_path, {"input": "x.csv", "output_dir": "out", "synth": {"q": q}})
+        assert main(["embed", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error [config]: {message}\n"
 
 
 def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
@@ -247,7 +258,8 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
             'dmaps.sigma must be "auto" or a positive number, got inf'),
         row("doc31", {"dmaps": {"sigma": 10**400}},
             'dmaps.sigma must be "auto" or a positive number, got 1000'),
-        row("doc32", {"synth": {"q": 7, "dynamics": "nope"}}, "synth.q must be 2 or 3, got 7"),
+        row("doc32", {"synth": {"q": 7, "dynamics": "nope"}},
+            "synth.q is no longer a setting: it is fixed at 2, got 7"),
         row("doc33", {"synth": {"dynamics": "nope"}},
             "synth.dynamics must be 'linear_stable' or 'limit_cycle', got 'nope'"),
         row("doc34", {"input": 3}, "input must be a non-empty string, got 3"),
@@ -307,8 +319,7 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
         row("doc68", {"fnn": {"folds": 1}}, "fnn.folds must be >= 2, got 1"),
         row("doc69", {"fnn": {"repeats": 0}}, "fnn.repeats must be >= 1, got 0"),
         row("doc70", {"fnn": {"max_epochs": 0}}, "fnn.max_epochs must be >= 1, got 0"),
-        row("doc71", {"synth": {"q": 3, "ambient_dim": 2}},
-            "synth.ambient_dim must be >= synth.q (3), got 2"),
+        row("doc71", {"synth": {"ambient_dim": 1}}, "synth.ambient_dim must be >= 2, got 1"),
         row("doc72", {"synth": {"n_times": 1}}, "synth.n_times must be >= 2, got 1"),
         row("doc73", {"synth": {"noise": -1}}, "synth.noise must be >= 0, got -1.0"),
         row("doc74", {"glm": {"contrasts": {"": []}}},
@@ -365,7 +376,8 @@ def test_every_field_refuses_a_value_of_the_wrong_kind(tmp_path, field, hint):
 # forecast refuses them; it moves when a field embed reads goes, as
 # drop_dead, dmaps.alpha and standardize did, and config_sha256, which is
 # only echoed in meta.json, when any field goes, as glm.kernel,
-# synth.frequency_scale, the top-level seed, the gh section and glm.threshold did
+# synth.frequency_scale, the top-level seed, the gh section, glm.threshold and
+# synth.q did
 QUICK_START = {
     "input": "data/series.csv",
     "output_dir": "runs/demo",
@@ -374,14 +386,14 @@ QUICK_START = {
     "parsimony": {"d": 5},
     "fnn": {"hidden_sizes": [4, 8], "decay_values": [1e-8, 1e-6],
             "folds": 5, "repeats": 2, "max_epochs": 2000},
-    "synth": {"q": 2, "ambient_dim": 50, "n_times": 400, "noise": 0.0,
+    "synth": {"ambient_dim": 50, "n_times": 400, "noise": 0.0,
               "seed": 0, "dynamics": "limit_cycle"},
 }
 
 
 def test_quick_start_config_digests_are_pinned(tmp_path):
     cfg = load_config(dump(tmp_path, QUICK_START))
-    assert config_sha256(cfg) == "5ce06f3da18e490d1739e2c454db0284e743779674cd495f3ecf8feea493b5a3"
+    assert config_sha256(cfg) == "24e70c04d072cd21cca0f1a1202da0c1e3563816bfd9e51c59e06d3db7d06846"
     assert embed_hash(cfg) == "1ca0ef2a5abec430340a3eea10d4272b0744cb72141159064f6cff1013a33321"
 
 

@@ -123,15 +123,13 @@ def test_detrend_idempotent():
 
 def test_synth_dimension_validation():
     with pytest.raises(ValueError):
-        SynthConfig(q=2, ambient_dim=1)
+        SynthConfig(ambient_dim=1)
     with pytest.raises(ValueError):
-        SynthConfig(q=4, ambient_dim=10)
-    with pytest.raises(ValueError):
-        SynthConfig(q=2, ambient_dim=10, noise=-0.1)
+        SynthConfig(ambient_dim=10, noise=-0.1)
 
 
 def test_synth_limit_cycle_closed_curve():
-    cfg = SynthConfig(q=2, ambient_dim=50, n_times=400, noise=0.0, seed=0)
+    cfg = SynthConfig(ambient_dim=50, n_times=400, noise=0.0, seed=0)
     values, _, truth = generate_synthetic(cfg)
     r2 = truth.latent[:, 0] ** 2 + truth.latent[:, 1] ** 2
     assert np.max(np.abs(r2 - 1.0)) < 1e-12
@@ -140,7 +138,7 @@ def test_synth_limit_cycle_closed_curve():
 
 
 def test_synth_seeded_determinism():
-    cfg = SynthConfig(q=3, ambient_dim=12, n_times=80, noise=0.05, seed=7)
+    cfg = SynthConfig(ambient_dim=12, n_times=80, noise=0.05, seed=7)
     a, names_a, ta = generate_synthetic(cfg)
     b, names_b, tb = generate_synthetic(cfg)
     assert np.array_equal(a, b) and names_a == names_b
@@ -149,8 +147,8 @@ def test_synth_seeded_determinism():
 
 
 def test_synth_noise_perturbs_but_preserves_latent():
-    clean, _, t0 = generate_synthetic(SynthConfig(q=2, ambient_dim=8, n_times=50, seed=3))
-    noisy, _, t1 = generate_synthetic(SynthConfig(q=2, ambient_dim=8, n_times=50, noise=0.1, seed=3))
+    clean, _, t0 = generate_synthetic(SynthConfig(ambient_dim=8, n_times=50, seed=3))
+    noisy, _, t1 = generate_synthetic(SynthConfig(ambient_dim=8, n_times=50, noise=0.1, seed=3))
     assert np.array_equal(t0.latent, t1.latent)
     assert not np.allclose(clean, noisy)
 

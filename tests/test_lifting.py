@@ -461,7 +461,7 @@ def test_lift_validation(separated_cloud):
 
 def test_lift_heldout_synthetic_latent():
     values, _, truth = generate_synthetic(
-        SynthConfig(q=2, ambient_dim=50, n_times=400, noise=0.0, seed=0)
+        SynthConfig(ambient_dim=50, n_times=400, noise=0.0, seed=0)
     )
     model = floor_basis_fit(truth.latent[:320], values[:320], 0.05, 1e-8)
     pred = gh_lift(model, truth.latent[320:])

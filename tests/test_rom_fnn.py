@@ -210,7 +210,7 @@ def test_zero_target_predicts_near_zero(zero_target_fit):
 def test_linear_latent_dynamics_cv_mse(monkeypatch):
     monkeypatch.setattr(rom_fnn, "LEARNING_RATE", 0.5)
     *_, truth = generate_synthetic(
-        SynthConfig(q=2, ambient_dim=6, n_times=120, noise=0.0, seed=5, dynamics="linear_stable")
+        SynthConfig(ambient_dim=6, n_times=120, noise=0.0, seed=5, dynamics="linear_stable")
     )
     lat = truth.latent[:100]
     lat = (lat - lat.mean(axis=0)) / lat.std(axis=0)
