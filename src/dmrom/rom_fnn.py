@@ -11,10 +11,10 @@ cross-validation over the one-step training pairs. Every fit is exactly
 `max_epochs` full-batch gradient steps of the fixed size `LEARNING_RATE`;
 the fits of all coordinates train together as stacked gradient descents in
 a hidden-major layout with the hidden bias folded into the input product,
-and the stacks are dealt to one share per CPU in
-`len(os.sched_getaffinity(0))` (`taskset` restricts them): this process
-trains one share and a forked worker process each other, since the short
-numpy calls of an epoch hold the GIL too often for threads to overlap. The
+and `workers.run` deals the stacks to one share per CPU (`taskset`
+restricts them): this process trains one share and a forked worker process
+each other, since the short numpy calls of an epoch hold the GIL too often
+for threads to overlap. The
 CV fits, which only rank the grid cells, train in float32; the final
 retrains, which make the models, in float64. Every model and CV record is
 the same bits at any worker count. Forecasts
@@ -33,16 +33,12 @@ the models, which `fnn_forecast` steps.
 
 from __future__ import annotations
 
-import ctypes
 import os
-import pickle
-import signal
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, workers
 
 
 @dataclass(frozen=True)
@@ -339,96 +335,25 @@ def _stacks(fits, parts: int):
     return stacks
 
 
-# prctl(PR_SET_PDEATHSIG, sig) has the kernel send sig to a worker when its parent dies
-_PR_SET_PDEATHSIG = 1
-_LIBC = ctypes.CDLL(None)
-_LIBC.prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
-_LIBC.prctl.restype = ctypes.c_int
-
-
-def _fork_worker(train, share):
-    """Fork a child that trains the stacks of `share` and pickles the list of their
-    results, or the exception that stopped it, into a pipe; returns (pid, read end).
-
-    The child is killed if its parent dies, and holds none of its parent's
-    descriptors above 2 but the pipe, so the run's lock goes with the parent.
-    It writes no file, prints nothing and leaves by `os._exit`, so it runs
-    none of the parent's exit handlers and flushes none of its buffers.
-    """
-    parent = os.getpid()
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12 warns on a fork from a process with threads: here they can
-        # only be the idle workers of the OpenBLAS pools, which OpenBLAS shuts
-        # down before a fork and, on the one thread dmrom sets, never starts
-        # again; the child takes no lock of the parent's Python threads
-        warnings.filterwarnings(
-            "ignore", r".* is multi-threaded, use of fork\(\)", DeprecationWarning
-        )
-        pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    try:
-        _LIBC.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-        if os.getppid() != parent:   # the parent died before the signal was set
-            os._exit(1)
-        os.closerange(3, write_fd)
-        os.closerange(write_fd + 1, os.sysconf("SC_OPEN_MAX"))
-        try:
-            payload = pickle.dumps([train(stack) for stack in share])
-        except BaseException as exc:   # the parent re-raises it; the child only exits
-            payload = pickle.dumps(exc)
-        with open(write_fd, "wb") as fh:
-            fh.write(payload)
-    finally:
-        os._exit(0)
-
-
-def _reap(pid: int, read_fd: int):
-    """The unpickled result of worker `pid`, read to its end, once the worker is reaped."""
-    try:
-        with open(read_fd, "rb") as fh:
-            payload = fh.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    # a worker that sent its result or exception exits with status 0
-    if status or not payload:
-        raise RuntimeError(f"FNN training worker {pid} ended without a result "
-                           f"(wait status {status})")
-    result = pickle.loads(payload)
-    if isinstance(result, BaseException):
-        raise result
-    return result
-
-
 def _train_fits(fits, cfg: TrainConfig):
     """Train independent fits, stacked by (hidden size, training-row count, dtype).
 
     Each fit is (hidden, decay, rng key, inputs, targets), and trains in the
     dtype of its inputs; a slice computes the same bits at any stack size
-    (see `_stacks`). With W = `len(os.sched_getaffinity(0))` CPUs (so
-    `taskset` restricts them), a pass that would have fewer than W stacks
-    cuts every group into at least W. The stacks are dealt to W shares,
-    largest block first, each onto the lightest share. This process trains
-    share 0 and a forked worker (`_fork_worker`) each other share, free of
-    the GIL; the workers are read and reaped in share order. The results
-    are the same bits at any worker count. An exception in a stack re-raises
-    here as itself, and a worker that dies without a result raises
-    RuntimeError naming its pid and wait status; the workers not yet reaped
-    are then killed and reaped first. Returns, per fit, its u, w_out, b_out
+    (see `_stacks`). With W = `workers.cpus()` CPUs (so `taskset` restricts
+    them), a pass that would have fewer than W stacks cuts every group into
+    at least W. `workers.run` deals the stacks to W shares, largest block
+    first, each onto the lightest share: this process trains share 0 and a
+    forked worker each other share, free of the GIL. The results are the
+    same bits at any worker count. An exception in a stack re-raises here as
+    itself, and a worker that dies without a result raises RuntimeError
+    naming its pid and wait status. Returns, per fit, its u, w_out, b_out
     and training loss, in float64.
     """
-    workers = len(os.sched_getaffinity(0))
+    cpus = workers.cpus()
     stacks = _stacks(fits, 1)
-    if len(stacks) < workers:
-        stacks = _stacks(fits, workers)
-    shares = [[] for _ in range(max(1, min(workers, len(stacks))))]
-    loads = [0] * len(shares)
-    for stack in sorted(stacks, key=lambda s: s[0], reverse=True):
-        lightest = loads.index(min(loads))
-        shares[lightest].append(stack)
-        loads[lightest] += stack[0]
+    if len(stacks) < cpus:
+        stacks = _stacks(fits, cpus)
 
     def train(stack):
         _, hidden, chunk = stack
@@ -438,23 +363,11 @@ def _train_fits(fits, cfg: TrainConfig):
         )
         return [np.asarray(p, np.float64) for p in params]
 
-    children = []
-    try:
-        for share in shares[1:]:
-            children.append(_fork_worker(train, share))
-        results = [[train(stack) for stack in shares[0]]]
-        while children:
-            results.append(_reap(*children.pop(0)))
-    finally:
-        for pid, read_fd in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_fd)
+    results = workers.run(train, stacks, "FNN training worker", [s[0] for s in stacks])
     trained = [None] * len(fits)
-    for share, share_results in zip(shares, results):
-        for (*_, chunk), params in zip(share, share_results):
-            for i, k in enumerate(chunk):
-                trained[k] = tuple(p[i] for p in params)
+    for (*_, chunk), params in zip(stacks, results):
+        for i, k in enumerate(chunk):
+            trained[k] = tuple(p[i] for p in params)
     return trained
 
 

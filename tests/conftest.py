@@ -1,9 +1,12 @@
-"""Shared fixtures: frozen synthetic datasets reused across test modules."""
+"""Shared fixtures and helpers: frozen synthetic datasets, and the fork spy and
+process checks of the tests that fork workers."""
+
+import os
 
 import numpy as np
 import pytest
 
-from dmrom import dmaps, lifting
+from dmrom import dmaps, lifting, workers
 from dmrom.ingest import SynthConfig, detrend_standardize, generate_synthetic
 
 STRIP_SEED = 42
@@ -122,3 +125,35 @@ def gradient_rel_error(analytic: dict, reference: dict) -> float:
         f = np.asarray(reference[name], dtype=float)
         worst = max(worst, float(np.max(np.abs(a - f) / np.maximum(np.abs(f), 1e-6))))
     return worst
+
+
+REAL_FORK = os.fork
+
+
+def fork_spy(monkeypatch):
+    """Record the pid of every worker `workers.run` forks, in this process."""
+    forks = []
+
+    def spy():
+        pid = REAL_FORK()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(workers.os, "fork", spy)
+    return forks
+
+
+def assert_no_child_left():
+    """Every worker is reaped: this process has no child, running or a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def process_alive(pid: int) -> bool:
+    """Whether pid runs: not gone, and not a zombie left for its new parent to reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False

@@ -14,6 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from conftest import process_alive
 
 from dmrom import artifacts, cli, dmaps, lifting, parsimony, rom_fnn
 from dmrom.artifacts import read_matrix, write_matrix
@@ -735,15 +736,6 @@ rom_fnn._train_stack = stack
 rom_fnn.os.sched_getaffinity = lambda pid: {0, 1}
 main(["forecast", "--config", sys.argv[2]])
 """
-
-
-def process_alive(pid: int) -> bool:
-    """Whether pid runs: not gone, and not a zombie left for its new parent to reap."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
-    except FileNotFoundError:
-        return False
 
 
 def test_a_killed_train_frees_the_lock_and_ends_its_workers(uninterrupted_run, tmp_path):
