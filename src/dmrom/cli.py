@@ -21,8 +21,9 @@ are byte-identical (the FNN models' last bits can change with the SIMD
 level; importing dmrom runs OpenBLAS on one thread, so the BLAS thread
 count changes none). `forecast` run on its own reads what `embed` wrote,
 and refuses an embedding that `embed` made from another input file or other
-config fields; it hands the FNN ROM (`rom_fnn`) the selected coordinates and
-the whole series' stimulus design, and steps the models it trained.
+config fields; it trains the FNN ROM (`rom_fnn`) on the selected coordinates
+and the stimulus design's training rows, and steps the models it trained over
+the design's forecast rows.
 """
 
 from __future__ import annotations
@@ -57,21 +58,18 @@ BAD_INPUT = (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryErro
 # run configuration
 
 
-def _check_kernel_scale(value, name: str) -> None:
-    """A kernel scale field takes "auto" or a positive finite number, kept as given
-    (an int stays an int, so the config hash does not move); a bool is not a number."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (value == "auto" or number and 0 < value <= sys.float_info.max):
-        raise ValueError(f'{name} must be "auto" or a positive number, got {value!r}')
-
-
 @dataclass(frozen=True)
 class DmapsSection:
     sigma: object = "auto"
     k: int = 30
 
     def __post_init__(self):
-        _check_kernel_scale(self.sigma, "dmaps.sigma")
+        # "auto" or a positive finite number, kept as given (an int stays an
+        # int, so the config hash does not move); a bool is not a number
+        sigma = self.sigma
+        number = isinstance(sigma, (int, float)) and not isinstance(sigma, bool)
+        if not (sigma == "auto" or number and 0 < sigma <= sys.float_info.max):
+            raise ValueError(f'dmaps.sigma must be "auto" or a positive number, got {sigma!r}')
         if self.k < 1:
             raise ValueError(f"dmaps.k must be >= 1, got {self.k}")
 
@@ -210,9 +208,10 @@ def _typed(hint, value, name: str):
 
 # per section, the keys that became module constants, each with its constant: a
 # config may still give one at that value, which changes nothing, and any other
-# value is refused; perfbench still sets both, fnn.learning_rate 0.2 in
-# workloads.SOLVER and synth.q 2 in selftest's synth config
-RETIRED_KEYS = {"fnn": {"learning_rate": rom_fnn.LEARNING_RATE},
+# value is refused; perfbench still sets all three, fnn.max_epochs 2000 and
+# fnn.learning_rate 0.2 in workloads.SOLVER and synth.q 2 in selftest's synth
+# config
+RETIRED_KEYS = {"fnn": {"max_epochs": rom_fnn.EPOCHS, "learning_rate": rom_fnn.LEARNING_RATE},
                 "synth": {"q": ingest.LATENT_DIM}}
 
 
@@ -462,15 +461,27 @@ def _read_embedded(cfg: RunConfig, paths: RunPaths) -> Embedded:
 
 
 def cmd_train(cfg: RunConfig, paths: RunPaths, method: str, coords_train, design) -> tuple:
-    """Fit the FNN models, one per selected coordinate, store them as one bundle
-    and return them; the first step of `cmd_forecast`.
+    """The FNN training step of `cmd_forecast`: fit one model per selected
+    coordinate, write the CV table `fnn_cv.csv`, then the bundle `fnn.json`,
+    and return the models, in coordinate order.
 
-    `method` is always "fnn", passed by position: the argument stays only
-    because perfbench's tracer names this step's span after it, until that
-    span is renamed (ROADMAP item 1).
+    `coords_train` (n, d) are the selected diffusion-map coordinates of the
+    training block, taken as given (the eigenvectors have unit RMS, so they
+    are O(1) at any n), and `design` the (N, p) stimulus design over the whole
+    series, p = 0 without a stimulus; its first n rows drive the training.
+    `method` is always "fnn", passed by position, because perfbench's tracer
+    names this step's span after it (ROADMAP item 1).
     """
     with _stage("rom_fnn"):
-        models, cells = rom_fnn.train_rom(coords_train, design, cfg.fnn, paths.models)
+        targets = range(1, coords_train.shape[1] + 1)
+        trained = rom_fnn.fnn_train(coords_train, design[: len(coords_train)], targets, cfg.fnn)
+        models, records = zip(*trained)
+        cells = [rom_fnn.best_grid_cell(r) for r in records]
+        os.makedirs(paths.models, exist_ok=True)
+        rom_fnn.write_cv_report(dict(zip(targets, records)),
+                                os.path.join(paths.models, "fnn_cv.csv"))
+        rom_fnn.save_fnn_models(models, [decay for _, decay, _ in cells],
+                                os.path.join(paths.models, "fnn.json"))
     for j, (hidden, decay, score) in enumerate(cells, start=1):
         print(f"train: coordinate {j}: hidden={hidden}, decay={decay:g}, cv mse={score:.3e}")
     return models

@@ -8,7 +8,7 @@ column appended, and its output weights and bias; the trainer, the bundle
 and the forecast all hold u in that one layout.
 Hidden size and weight decay are chosen by grid search under repeated k-fold
 cross-validation over the one-step training pairs. Every fit is exactly
-`max_epochs` full-batch gradient steps of the fixed size `LEARNING_RATE`;
+`EPOCHS` full-batch gradient steps of the fixed size `LEARNING_RATE`;
 the fits of all coordinates train together as stacked gradient descents in
 a hidden-major layout with the hidden bias folded into the input product,
 and `workers.run` deals the stacks to one share per CPU (`taskset`
@@ -22,18 +22,10 @@ step all trained networks closed-loop as one stacked layer, feeding outputs
 back as inputs. The logistic function goes through numpy's vectorized
 `exp`, so the bits depend on the SIMD level numpy dispatches the float32
 and float64 `exp` to.
-
-`train_rom` is the ROM's training as the pipeline runs it: it takes the
-selected diffusion-map coordinates, which are O(1) at any training length
-because the eigenvectors have unit RMS, and the stimulus design of the whole
-series; it trains on those coordinates as given, slices the training
-stimulus window, writes `fnn_cv.csv` and `fnn.json` (the models), and returns
-the models, which `fnn_forecast` steps.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +78,12 @@ class FnnModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Grid-search and optimization settings for FNN training."""
+    """The grid, the cross-validation design and the seed of FNN training."""
 
     hidden_sizes: tuple[int, ...] = (2, 4, 8, 16)
     decay_values: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)
     folds: int = 10
     repeats: int = 10
-    max_epochs: int = 2000
     seed: int = 0
 
     def __post_init__(self):
@@ -106,7 +97,7 @@ class TrainConfig:
             raise ValueError(f"fnn.hidden_sizes must be >= 1, got {list(self.hidden_sizes)}")
         if any(v <= 0 for v in self.decay_values):
             raise ValueError(f"fnn.decay_values must be positive, got {list(self.decay_values)}")
-        for name, least in (("folds", 2), ("repeats", 1), ("max_epochs", 1), ("seed", 0)):
+        for name, least in (("folds", 2), ("repeats", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"fnn.{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -224,15 +215,20 @@ CV_DTYPE = np.float32
 # fits every run; 0.2 is the step every config set while it was a knob
 LEARNING_RATE = 0.2
 
+# the gradient steps of every fit: the networks are small and chosen by the
+# cross-validated grid, so the step count is a solver detail, not a model
+# setting; 2000 is the count every config set while it was a knob
+EPOCHS = 2000
 
-def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
+
+def _train_stack(z, y, hidden, decays, rngs, epochs: int):
     """Full-batch gradient descent on a stack of independent fits.
 
     Slice i of `z` (b, n, dim) and `y` (b, n) is one fit with weight decay
     `decays[i]`, initialized uniformly from `rngs[i]` (w1 as (dim, H), b1,
     w_out, b_out in that order). The stack computes in the dtype of `z`:
     the parameters, decays, losses and epoch buffers all take it. Every fit
-    takes exactly `cfg.max_epochs` steps of size lr = `LEARNING_RATE`.
+    takes exactly `epochs` steps of size lr = `LEARNING_RATE`.
 
     The epoch runs hidden-major, with (b, H, n) activations. The inputs get
     a ones column, and each fit's u = [w1ᵀ | b1] is held negated as
@@ -284,14 +280,14 @@ def _train_stack(z, y, hidden, decays, rngs, cfg: TrainConfig):
     go_buf = np.empty((b, n), dtype)
     lr = LEARNING_RATE
     with np.errstate(over="ignore", invalid="ignore"):
-        # max_epochs steps, then one more forward pass for the loss of the
+        # `epochs` steps, then one more forward pass for the loss of the
         # parameters returned
-        for epoch in range(cfg.max_epochs + 1):
+        for epoch in range(epochs + 1):
             s = _sigmoid_of_negated(np.matmul(v, zt, out=act_buf))
             resid = np.matmul(w_out.transpose(0, 2, 1), s, out=out_buf)[:, 0, :]
             np.add(resid, b_out, out=resid)
             np.subtract(resid, y, out=resid)
-            if epoch == cfg.max_epochs:
+            if epoch == epochs:
                 break
             # go = 2 resid / n;  -da = ((go * w_out) * s) * (s - 1)
             go = np.multiply(resid, 2.0, out=go_buf)
@@ -335,14 +331,14 @@ def _stacks(fits, parts: int):
     return stacks
 
 
-def _train_fits(fits, cfg: TrainConfig):
+def _train_fits(fits, epochs: int):
     """Train independent fits, stacked by (hidden size, training-row count, dtype).
 
-    Each fit is (hidden, decay, rng key, inputs, targets), and trains in the
-    dtype of its inputs; a slice computes the same bits at any stack size
-    (see `_stacks`). With W = `workers.cpus()` CPUs (so `taskset` restricts
-    them), a pass that would have fewer than W stacks cuts every group into
-    at least W. `workers.run` deals the stacks to W shares, largest block
+    Each fit is (hidden, decay, rng key, inputs, targets), and takes `epochs`
+    steps in the dtype of its inputs; a slice computes the same bits at any
+    stack size (see `_stacks`). With W = `workers.cpus()` CPUs (so `taskset`
+    restricts them), a pass that would have fewer than W stacks cuts every
+    group into at least W. `workers.run` deals the stacks to W shares, largest block
     first, each onto the lightest share: this process trains share 0 and a
     forked worker each other share, free of the GIL. The results are the
     same bits at any worker count. An exception in a stack re-raises here as
@@ -359,7 +355,7 @@ def _train_fits(fits, cfg: TrainConfig):
         _, hidden, chunk = stack
         _, decays, keys, zs, ys = zip(*(fits[k] for k in chunk))
         params = _train_stack(
-            np.stack(zs), np.stack(ys), hidden, decays, [_fit_rng(*key) for key in keys], cfg
+            np.stack(zs), np.stack(ys), hidden, decays, [_fit_rng(*key) for key in keys], epochs
         )
         return [np.asarray(p, np.float64) for p in params]
 
@@ -383,6 +379,7 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
     targets : sequence of int
         1-based coordinates to predict one step ahead.
     cfg : TrainConfig
+        The grid, the CV design and the seed; every fit takes `EPOCHS` steps.
 
     Returns
     -------
@@ -428,7 +425,7 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
                 cv_fits.append((hidden, lam, (cfg.seed, t, gi, ri, fi), z, y))
                 held_out.append((t, ri, fi, val_idx))
     records = []
-    trained = _train_fits(cv_fits, cfg)
+    trained = _train_fits(cv_fits, EPOCHS)
     for (t, ri, fi, val_idx), (hidden, lam, *_), (*params, loss) in zip(
         held_out, cv_fits, trained
     ):
@@ -458,7 +455,7 @@ def fnn_train(train_coords, stim, targets, cfg: TrainConfig):
             (hidden, lam, (cfg.seed, t, grid.index((hidden, lam)), 999999), z_all, y_all[:, t - 1])
             for t, (hidden, lam) in zip(targets, winners)
         ],
-        cfg,
+        EPOCHS,
     )
     results = []
     for t, (hidden, lam), (*params, loss), target_records in zip(
@@ -552,21 +549,3 @@ def write_cv_report(records_by_target, path) -> None:
     )
     artifacts.write_rows(path, ["coord", "hidden", "decay", "repeat", "fold", "mse"], rows)
 
-
-def train_rom(train_coords, design, cfg: TrainConfig, models_dir):
-    """Train the FNN ROM of every coordinate and write `fnn_cv.csv`, then `fnn.json`.
-
-    `train_coords` (n, d) are the selected diffusion-map coordinates of the
-    training block and `design` the (N, p) stimulus design over the whole
-    series, with p = 0 without a stimulus; its first n rows drive the
-    training. Returns the models, in coordinate order, and each coordinate's
-    winning (hidden, decay, mean CV mse).
-    """
-    stim = design[: len(train_coords)]
-    targets = range(1, train_coords.shape[1] + 1)
-    models, records = zip(*fnn_train(train_coords, stim, targets, cfg))
-    cells = [best_grid_cell(r) for r in records]
-    os.makedirs(models_dir, exist_ok=True)
-    write_cv_report(dict(zip(targets, records)), os.path.join(models_dir, "fnn_cv.csv"))
-    save_fnn_models(models, [decay for _, decay, _ in cells], os.path.join(models_dir, "fnn.json"))
-    return models, cells

@@ -31,6 +31,8 @@ def cpus() -> int:
 def _fork_worker(task, share):
     """Fork a child that runs `task` on each item of `share` and pickles the list of
     the results, or the exception that stopped it, into a pipe; returns (pid, read end).
+    An exception that pickle cannot send is sent as a RuntimeError naming its
+    type and message.
 
     The child is killed if its parent dies, and holds none of its parent's
     descriptors above 2 but the pipe, so the run's lock goes with the parent.
@@ -60,7 +62,12 @@ def _fork_worker(task, share):
         try:
             payload = pickle.dumps([task(item) for item in share])
         except BaseException as exc:   # the parent re-raises it; the child only exits
-            payload = pickle.dumps(exc)
+            try:
+                payload = pickle.dumps(exc)
+                pickle.loads(payload)   # some pickle but cannot be rebuilt from their args
+            except Exception:   # one holding a lock, say: send its type and message
+                payload = pickle.dumps(RuntimeError(
+                    f"a worker raised {type(exc).__qualname__}, which pickle cannot send: {exc}"))
         with open(write_fd, "wb") as fh:
             fh.write(payload)
     finally:
@@ -91,10 +98,11 @@ def run(task, items, label: str, weights=None) -> list:
     first of equal loads. With equal weights that deals them round robin, so
     items[0] runs in this process. This process runs share 0 and a forked
     worker (`_fork_worker`) each other share; the workers are read and
-    reaped in share order. An exception in a task re-raises here as itself,
-    and a worker that ends without a result raises RuntimeError
-    "`label` <pid> ended without a result (wait status N)"; the workers not
-    yet reaped are then killed and reaped first.
+    reaped in share order. An exception in a task re-raises here as itself
+    (one pickle cannot send as a RuntimeError naming it), and a worker
+    that ends without a result raises RuntimeError "`label` <pid> ended
+    without a result (wait status N)"; the workers not yet reaped are then
+    killed and reaped first.
     """
     items = list(items)
     if weights is None:

@@ -210,7 +210,6 @@ def synthetic_run(tmp_path_factory):
             "decay_values": [1e-8, 1e-6],
             "folds": 5,
             "repeats": 2,
-            "max_epochs": 2000,
         },
         "synth": {
             "ambient_dim": 50,

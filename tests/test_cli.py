@@ -30,6 +30,19 @@ pytestmark = [
     pytest.mark.filterwarnings("error::RuntimeWarning"),
 ]
 
+# the gradient steps of every fit in this module's runs, in place of
+# rom_fnn.EPOCHS, to keep the suite fast; a child process whose run directory
+# a test compares with an in-process run sets the same (SHORT_TRAINING)
+TEST_EPOCHS = 300
+SHORT_TRAINING = f"from dmrom import rom_fnn\nrom_fnn.EPOCHS = {TEST_EPOCHS}\n"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def short_training():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rom_fnn, "EPOCHS", TEST_EPOCHS)
+        yield
+
 
 def write_config(path, **overrides) -> str:
     cfg = dict(overrides)
@@ -81,7 +94,6 @@ def pipeline_run(tmp_path_factory):
             "decay_values": [1e-4],
             "folds": 3,
             "repeats": 1,
-            "max_epochs": 300,
         },
         synth={
             "ambient_dim": 6,
@@ -361,6 +373,57 @@ def test_the_bundle_records_the_models_forecast_steps(pipeline_run, tmp_path, mo
             assert np.array_equal(np.array(entry[key]), getattr(model, key))
 
 
+def test_rom_trains_in_unit_rms_units_and_pins_only_the_training_window(
+    tmp_path, monkeypatch, capsys
+):
+    rng = np.random.default_rng(3)
+    n, h = 30, 5
+    coords = rng.normal(size=(n, 2))   # O(1), as unit-RMS eigenvectors give them
+    design = rng.integers(0, 2, size=(n + h, 1)).astype(float)
+    fnn = rom_fnn.TrainConfig(hidden_sizes=(2,), decay_values=(1e-3,), folds=2, repeats=1)
+    monkeypatch.setattr(rom_fnn, "EPOCHS", 50)
+
+    def train(stim, root):
+        cfg = cli.RunConfig(input="x.csv", output_dir=str(root), fnn=fnn)
+        return cli.cmd_train(cfg, cli.RunPaths(str(root)), "fnn", coords, stim)
+
+    written, real_replacing = [], artifacts._replacing
+
+    def replacing(path):
+        written.append(os.path.basename(path))
+        return real_replacing(path)
+
+    monkeypatch.setattr(artifacts, "_replacing", replacing)
+    models = train(design, tmp_path / "run")
+    models_dir = tmp_path / "run" / "models"
+    assert sorted(os.listdir(models_dir)) == ["fnn.json", "fnn_cv.csv"]
+    assert written == ["fnn_cv.csv", "fnn.json"]   # the CV table first, as the README says
+
+    reference = rom_fnn.fnn_train(coords, design[:n], [1, 2], fnn)
+    cells = [rom_fnn.best_grid_cell(records) for _, records in reference]
+    assert capsys.readouterr().out.splitlines() == [
+        f"train: coordinate {j}: hidden={hidden}, decay={decay:g}, cv mse={score:.3e}"
+        for j, (hidden, decay, score) in enumerate(cells, start=1)
+    ]
+    entries = json.loads((models_dir / "fnn.json").read_text())["models"]
+    assert [entry["decay"] for entry in entries] == [decay for _, decay, _ in cells]
+    for model, (ref, _) in zip(models, reference, strict=True):
+        for key in ("u", "w_out", "b_out", "target_index"):
+            assert np.array_equal(getattr(model, key), getattr(ref, key))
+
+    # the design rows past the training block do not reach the models; its
+    # training rows do
+    bundle = (models_dir / "fnn.json").read_bytes()
+    later = design.copy()
+    later[n:] = 1.0 - later[n:]
+    earlier = design.copy()
+    earlier[0] = 1.0 - earlier[0]
+    for stim, same in ((later, True), (earlier, False), (np.zeros((n + h, 0)), False)):
+        again = tmp_path / "again"
+        train(stim, again)
+        assert ((again / "models" / "fnn.json").read_bytes() == bundle) is same
+
+
 def test_a_stale_embedding_is_refused(pipeline_run, tmp_path, capsys):
     clone = tmp_path / "clone"
     changed = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone, dmaps={"sigma": 40.0})
@@ -427,9 +490,9 @@ def test_failed_training_leaves_no_models_forecasts_or_table(
     cfg_path = clone_run(pipeline_run["cfg"], pipeline_run["out"], clone)
     real, calls = rom_fnn._train_fits, []
 
-    def diverging_final(fits, cfg):
+    def diverging_final(fits, epochs):
         calls.append(len(fits))
-        trained = real(fits, cfg)
+        trained = real(fits, epochs)
         if len(calls) == 2:   # the final retraining, after the CV fits
             trained = [(*params, float("nan")) for *params, _ in trained]
         return trained
@@ -619,7 +682,7 @@ def test_synth_writes_the_ground_truth_as_a_json_document(tmp_path, capsys):
 
 # runs `run --all`, and SIGKILLs itself after writing part of the temp file
 # of the artifact named by argv[1]
-KILLED_WRITER = """\
+KILLED_WRITER = SHORT_TRAINING + """\
 import os, signal, sys
 from contextlib import contextmanager
 from dmrom import artifacts
@@ -714,7 +777,7 @@ def test_a_killed_embed_of_another_input_keeps_the_old_digest(uninterrupted_run,
 
 KILLED_TRAINER = """\
 import os, signal, sys, time
-from dmrom import rom_fnn
+from dmrom import rom_fnn, workers
 from dmrom.cli import main
 
 report, parent, real = sys.argv[1], os.getpid(), rom_fnn._train_stack
@@ -733,7 +796,7 @@ def stack(*args):
     return real(*args)
 
 rom_fnn._train_stack = stack
-rom_fnn.os.sched_getaffinity = lambda pid: {0, 1}
+workers.os.sched_getaffinity = lambda pid: {0, 1}
 main(["forecast", "--config", sys.argv[2]])
 """
 
@@ -1148,6 +1211,7 @@ class NoScipy:
 
 
 sys.meta_path.insert(0, NoScipy())
+""" + SHORT_TRAINING + """\
 from dmrom.cli import main
 sys.exit(main(sys.argv[1:]))
 """

@@ -71,7 +71,6 @@ def run_configs(draw):
             decay_values=tuple(draw(st.lists(positive, min_size=1, max_size=4, unique=True))),
             folds=folds,
             repeats=draw(st.integers(1, 20)),
-            max_epochs=draw(st.integers(1, 10_000)),
             seed=draw(st.integers(0, 2**63)),
         ),
         glm=GlmSection(contrasts=draw(st.dictionaries(contrast_names, contrast))),
@@ -165,7 +164,7 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
                            "koopman": {"svd_tol": 1e-10}})
     assert main(["embed", "--config", path]) == 2
     assert capsys.readouterr().err == f"error [config]: {path}: unknown config key(s): koopman\n"
-    # nor is fnn.tol: every FNN fit takes max_epochs steps
+    # nor is fnn.tol: every FNN fit takes rom_fnn.EPOCHS steps
     path = dump(tmp_path, {"input": "x.csv", "output_dir": "out", "fnn": {"tol": 1e-9}})
     assert main(["embed", "--config", path]) == 2
     assert capsys.readouterr().err == (
@@ -183,6 +182,19 @@ def test_a_koopman_section_is_no_longer_an_option(tmp_path, capsys):
     plain = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out",
                                         "fnn": {"folds": 3}}))
     assert fixed == plain and config_sha256(fixed) == config_sha256(plain)
+    # nor is fnn.max_epochs: every fit takes rom_fnn.EPOCHS = 2000 steps, and the
+    # retired key is read as the integer its constant is
+    for epochs in (2000, 2000.0):
+        fixed = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out",
+                                            "fnn": {"max_epochs": epochs, "folds": 3}}))
+        assert fixed == plain and config_sha256(fixed) == config_sha256(plain)
+    for epochs, message in [
+        (300, "fnn.max_epochs is no longer a setting: it is fixed at 2000, got 300"),
+        (2000.5, "fnn.max_epochs must be an integer, got 2000.5"),
+    ]:
+        path = dump(tmp_path, {"input": "x.csv", "output_dir": "out", "fnn": {"max_epochs": epochs}})
+        assert main(["embed", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error [config]: {message}\n"
     # nor is synth.q: the latent is always planar, ingest.LATENT_DIM = 2, and the
     # retired key is read as the integer its constant is
     fixed = load_config(dump(tmp_path, {"input": "x.csv", "output_dir": "out",
@@ -318,7 +330,8 @@ def test_an_nrw_section_is_an_unknown_key(tmp_path, capsys):
             "fnn.decay_values must be positive, got [0.0]"),
         row("doc68", {"fnn": {"folds": 1}}, "fnn.folds must be >= 2, got 1"),
         row("doc69", {"fnn": {"repeats": 0}}, "fnn.repeats must be >= 1, got 0"),
-        row("doc70", {"fnn": {"max_epochs": 0}}, "fnn.max_epochs must be >= 1, got 0"),
+        row("doc70", {"fnn": {"max_epochs": 0}},
+            "fnn.max_epochs is no longer a setting: it is fixed at 2000, got 0"),
         row("doc71", {"synth": {"ambient_dim": 1}}, "synth.ambient_dim must be >= 2, got 1"),
         row("doc72", {"synth": {"n_times": 1}}, "synth.n_times must be >= 2, got 1"),
         row("doc73", {"synth": {"noise": -1}}, "synth.noise must be >= 0, got -1.0"),
@@ -376,8 +389,8 @@ def test_every_field_refuses_a_value_of_the_wrong_kind(tmp_path, field, hint):
 # forecast refuses them; it moves when a field embed reads goes, as
 # drop_dead, dmaps.alpha and standardize did, and config_sha256, which is
 # only echoed in meta.json, when any field goes, as glm.kernel,
-# synth.frequency_scale, the top-level seed, the gh section, glm.threshold and
-# synth.q did
+# synth.frequency_scale, the top-level seed, the gh section, glm.threshold,
+# synth.q and fnn.max_epochs did
 QUICK_START = {
     "input": "data/series.csv",
     "output_dir": "runs/demo",
@@ -385,7 +398,7 @@ QUICK_START = {
     "dmaps": {"sigma": "auto", "k": 10},
     "parsimony": {"d": 5},
     "fnn": {"hidden_sizes": [4, 8], "decay_values": [1e-8, 1e-6],
-            "folds": 5, "repeats": 2, "max_epochs": 2000},
+            "folds": 5, "repeats": 2},
     "synth": {"ambient_dim": 50, "n_times": 400, "noise": 0.0,
               "seed": 0, "dynamics": "limit_cycle"},
 }
@@ -393,7 +406,7 @@ QUICK_START = {
 
 def test_quick_start_config_digests_are_pinned(tmp_path):
     cfg = load_config(dump(tmp_path, QUICK_START))
-    assert config_sha256(cfg) == "24e70c04d072cd21cca0f1a1202da0c1e3563816bfd9e51c59e06d3db7d06846"
+    assert config_sha256(cfg) == "e849d2094843c76bbc9ea9f10514ab711822082096c872ca52dd5471d1d78752"
     assert embed_hash(cfg) == "1ca0ef2a5abec430340a3eea10d4272b0744cb72141159064f6cff1013a33321"
 
 

@@ -193,7 +193,6 @@ def zero_target_fit():
         decay_values=(1e-4, 1e-2),
         folds=5,
         repeats=2,
-        max_epochs=2000,
         seed=0,
     )
     ((model, records),) = fnn_train(coords, no_stim(len(coords)), [2], cfg)
@@ -218,7 +217,6 @@ def test_linear_latent_dynamics_cv_mse(monkeypatch):
         decay_values=(1e-8, 1e-6),
         folds=5,
         repeats=2,
-        max_epochs=2000,
         seed=0,
     )
     ((_, records),) = fnn_train(lat, no_stim(len(lat)), [1], cfg)
@@ -262,11 +260,11 @@ def stack_spy(monkeypatch):
     """Record the (hidden size, fit count) of every stack that trains, on one
     CPU: every stack then trains in this process, where the spy sees it."""
     stacks = []
-    monkeypatch.setattr(rom_fnn.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0})
 
-    def spy(z, y, hidden, decays, rngs, cfg):
+    def spy(z, y, hidden, decays, rngs, epochs):
         stacks.append((hidden, len(z)))
-        return _train_stack(z, y, hidden, decays, rngs, cfg)
+        return _train_stack(z, y, hidden, decays, rngs, epochs)
 
     monkeypatch.setattr(rom_fnn, "_train_stack", spy)
     return stacks
@@ -291,8 +289,12 @@ def test_all_targets_train_as_their_one_target_calls(n, d, p, column_major, seed
     if column_major:
         coords = np.asfortranarray(coords)
     stim = rng.integers(0, 2, size=(n, p)).astype(float)
-    cfg = TrainConfig(**SMALL_GRID, max_epochs=30, seed=seed % 7)
-    assert_targets_train_as_alone(coords, stim, cfg)
+    cfg = TrainConfig(**SMALL_GRID, seed=seed % 7)
+    # hypothesis runs every example in one test call, so the constant is set
+    # per example, not by the function-scoped monkeypatch fixture
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rom_fnn, "EPOCHS", 30)
+        assert_targets_train_as_alone(coords, stim, cfg)
 
 
 def mixed_winner_coords():
@@ -304,7 +306,8 @@ def mixed_winner_coords():
 
 def test_final_retrains_of_different_hidden_sizes_train_as_alone(monkeypatch):
     coords = mixed_winner_coords()
-    cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
+    cfg = TrainConfig(**SMALL_GRID)
+    monkeypatch.setattr(rom_fnn, "EPOCHS", 40)
     stacks = stack_spy(monkeypatch)
     together = assert_targets_train_as_alone(coords, no_stim(len(coords)), cfg)
     assert [best_grid_cell(r)[0] for _, r in together] == [3, 3, 1]
@@ -315,7 +318,8 @@ def test_final_retrains_of_different_hidden_sizes_train_as_alone(monkeypatch):
 
 def test_byte_budget_splits_stacks_and_changes_no_bit(monkeypatch):
     coords = mixed_winner_coords()
-    cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
+    cfg = TrainConfig(**SMALL_GRID)
+    monkeypatch.setattr(rom_fnn, "EPOCHS", 40)
     stacks = stack_spy(monkeypatch)
     whole = fnn_train(coords, no_stim(len(coords)), [1, 2, 3], cfg)
     # 59 pairs in 3 folds train on 39, 39 and 40 rows: 3 targets x 2 decays x
@@ -338,9 +342,9 @@ def test_stack_cap_counts_the_itemsize_and_never_mixes_dtypes(monkeypatch):
     # float32 group splits at twice the fits, and each fit keeps its bits
     seen = []
 
-    def spy(z, y, hidden, decays, rngs, cfg):
+    def spy(z, y, hidden, decays, rngs, epochs):
         seen.append((z.dtype, y.dtype, len(z)))
-        return _train_stack(z, y, hidden, decays, rngs, cfg)
+        return _train_stack(z, y, hidden, decays, rngs, epochs)
 
     rng = np.random.default_rng(0)
     data = [(rng.normal(size=(30, 2)), rng.normal(size=30)) for _ in range(12)]
@@ -348,13 +352,12 @@ def test_stack_cap_counts_the_itemsize_and_never_mixes_dtypes(monkeypatch):
         dtype: [(2, 1e-4, (0, k), z.astype(dtype), y.astype(dtype)) for k, (z, y) in enumerate(data)]
         for dtype in (np.float64, np.float32)
     }
-    cfg = TrainConfig(max_epochs=20)
-    apart = {dtype: rom_fnn._train_fits(fits, cfg) for dtype, fits in groups.items()}
+    apart = {dtype: rom_fnn._train_fits(fits, 20) for dtype, fits in groups.items()}
     monkeypatch.setattr(rom_fnn, "_train_stack", spy)
     # one CPU: every stack trains in this process, where the spy sees it
-    monkeypatch.setattr(rom_fnn.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(rom_fnn, "STACK_BYTES", 8 * 30 * 2 * 3)
-    together = rom_fnn._train_fits(groups[np.float64] + groups[np.float32], cfg)
+    together = rom_fnn._train_fits(groups[np.float64] + groups[np.float32], 20)
     assert sorted((str(zd), str(yd), b) for zd, yd, b in seen) == (
         [("float32", "float32", 6)] * 2 + [("float64", "float64", 3)] * 4
     )
@@ -369,7 +372,8 @@ def test_float32_cv_records_keep_the_float64_winners(monkeypatch):
     # CV only ranks the grid cells: every float32 record lies closer to its
     # float64 recomputation than the float64 winner is to the runner-up
     coords = mixed_winner_coords()
-    cfg = TrainConfig(**SMALL_GRID, max_epochs=200)
+    cfg = TrainConfig(**SMALL_GRID)
+    monkeypatch.setattr(rom_fnn, "EPOCHS", 200)
     cv32 = fnn_train(coords, no_stim(len(coords)), [1, 2, 3], cfg)
     monkeypatch.setattr(rom_fnn, "CV_DTYPE", np.float64)
     cv64 = fnn_train(coords, no_stim(len(coords)), [1, 2, 3], cfg)
@@ -394,26 +398,28 @@ def train_on_cpus(monkeypatch, cpus, coords, cfg):
 
 
 def test_failing_stack_raises_from_fnn_train(monkeypatch):
-    def fail_on_three_units(z, y, hidden, decays, rngs, cfg):
+    def fail_on_three_units(z, y, hidden, decays, rngs, epochs):
         if hidden == 3:
             raise ValueError("stack of 3 hidden units failed")
-        return _train_stack(z, y, hidden, decays, rngs, cfg)
+        return _train_stack(z, y, hidden, decays, rngs, epochs)
 
     monkeypatch.setattr(rom_fnn, "_train_stack", fail_on_three_units)
     monkeypatch.setattr(rom_fnn, "STACK_BYTES", 8 * 40 * 3 * 2)
-    cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
+    monkeypatch.setattr(rom_fnn, "EPOCHS", 40)
+    cfg = TrainConfig(**SMALL_GRID)
     result = None
     with pytest.raises(ValueError, match="^stack of 3 hidden units failed$"):
         result, _ = train_on_cpus(monkeypatch, {0, 1}, mixed_winner_coords(), cfg)
     assert result is None
 
 
-def test_final_fit_uses_the_inputs_in_their_own_layout():
+def test_final_fit_uses_the_inputs_in_their_own_layout(monkeypatch):
     # the final retrain is a one-fit float64 stack of the training inputs as
     # given; the stack trains on a C-ordered copy with a ones column, so a
     # column-major input and its row-major copy give the same bits
     coords = np.asfortranarray(mixed_winner_coords())
-    cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
+    cfg = TrainConfig(**SMALL_GRID)
+    monkeypatch.setattr(rom_fnn, "EPOCHS", 40)
     trained = fnn_train(coords, no_stim(len(coords)), [1, 2, 3], cfg)
     for j, (model, records) in enumerate(trained, start=1):
         hidden, decay, _ = best_grid_cell(records)
@@ -421,7 +427,7 @@ def test_final_fit_uses_the_inputs_in_their_own_layout():
         for z in (coords[:-1], np.ascontiguousarray(coords[:-1])):
             u, w_out, b_out, _ = _train_stack(
                 z[None], coords[1:, j - 1][None], hidden, [decay],
-                [np.random.default_rng(np.random.SeedSequence((cfg.seed, j, gi, 999999)))], cfg,
+                [np.random.default_rng(np.random.SeedSequence((cfg.seed, j, gi, 999999)))], 40,
             )
             assert_same_model(model, FnnModel(u[0], w_out[0], b_out[0], target_index=j))
 
@@ -485,11 +491,10 @@ def test_stack_slices_equal_their_one_fit_stacks(b, n, dim, hidden, seed):
     z = rng.normal(size=(b, n, dim))
     y = rng.normal(size=(b, n))
     decays = rng.choice([1e-8, 1e-4, 1e-1, 100.0], size=b)
-    cfg = TrainConfig(max_epochs=200)
-    stack = _train_stack(z, y, hidden, decays, [np.random.default_rng(i) for i in range(b)], cfg)
+    stack = _train_stack(z, y, hidden, decays, [np.random.default_rng(i) for i in range(b)], 200)
     for i in range(b):
         alone = _train_stack(
-            z[i : i + 1], y[i : i + 1], hidden, decays[i : i + 1], [np.random.default_rng(i)], cfg
+            z[i : i + 1], y[i : i + 1], hidden, decays[i : i + 1], [np.random.default_rng(i)], 200
         )
         assert_same_fit((p[i] for p in stack), (p[0] for p in alone))
 
@@ -512,10 +517,9 @@ def test_one_fit_stack_matches_per_fit_reference(n, dim, hidden, decay):
     rng = np.random.default_rng(n + dim + hidden)
     z = rng.normal(size=(n, dim))
     y = rng.normal(size=n)
-    cfg = TrainConfig(max_epochs=40)
     params, loss = reference_fit(z, y, hidden, decay, np.random.default_rng(1), 40)
     got = [p[0] for p in _train_stack(
-        z[None], y[None], hidden, [decay], [np.random.default_rng(1)], cfg
+        z[None], y[None], hidden, [decay], [np.random.default_rng(1)], 40
     )]
     assert_same_fit(got, (*params, loss))
     # the returned loss is the training loss of the returned model
@@ -542,11 +546,10 @@ def test_one_fit_float32_stack_matches_per_fit_reference(n, dim, hidden, decay, 
     z = rng.normal(size=(n, dim)).astype(np.float32)
     y = rng.normal(size=n).astype(np.float32)
     monkeypatch.setattr(rom_fnn, "LEARNING_RATE", lr)
-    cfg = TrainConfig(max_epochs=40)
     with np.errstate(over="ignore", invalid="ignore"):
         params, loss = reference_fit(z, y, hidden, decay, np.random.default_rng(1), 40)
     got = [p[0] for p in _train_stack(
-        z[None], y[None], hidden, [decay], [np.random.default_rng(1)], cfg
+        z[None], y[None], hidden, [decay], [np.random.default_rng(1)], 40
     )]
     assert all(p.dtype == np.float32 for p in (*params, loss, *got))
     assert_same_fit(got, (*params, loss))
@@ -575,8 +578,7 @@ def test_one_epoch_steps_along_fnn_gradient(n, dim, hidden, decay, seed):
     u = np.column_stack([w1.T, b1])
     grad = fnn_gradient(FnnModel(u, w_out, b_out, target_index=1), z, no_stim(n), y, decay)
     want = (u - lr * grad["u"], w_out - lr * grad["w_out"], b_out - lr * grad["b_out"])
-    cfg = TrainConfig(max_epochs=1)
-    got = _train_stack(z[None], y[None], hidden, [decay], [np.random.default_rng(seed + 1)], cfg)
+    got = _train_stack(z[None], y[None], hidden, [decay], [np.random.default_rng(seed + 1)], 1)
     for g, w in zip(got, want):
         assert np.array_equal(g[0], w)
 
@@ -584,9 +586,8 @@ def test_one_epoch_steps_along_fnn_gradient(n, dim, hidden, decay, seed):
 def test_divergence_marks_every_cv_fold_and_fails_without_warnings(monkeypatch):
     coords = np.random.default_rng(0).normal(size=(30, 2))
     monkeypatch.setattr(rom_fnn, "LEARNING_RATE", 1e6)
-    cfg = TrainConfig(
-        hidden_sizes=(2, 3), decay_values=(1e-4,), folds=3, repeats=1, max_epochs=200,
-    )
+    monkeypatch.setattr(rom_fnn, "EPOCHS", 200)
+    cfg = TrainConfig(hidden_sizes=(2, 3), decay_values=(1e-4,), folds=3, repeats=1)
     seen = []
 
     def spy(records):
@@ -607,7 +608,7 @@ def test_divergence_marks_every_cv_fold_and_fails_without_warnings(monkeypatch):
 def test_overflowing_held_out_error_counts_as_diverged(monkeypatch):
     # a finite training loss, but output weights so large that the held-out
     # squared error overflows
-    def huge_fits(z, y, hidden, decays, rngs, cfg):
+    def huge_fits(z, y, hidden, decays, rngs, epochs):
         b, _, dim = z.shape
         return (
             np.zeros((b, hidden, dim + 1)),
@@ -630,9 +631,8 @@ def test_one_diverging_cell_is_skipped(monkeypatch):
     # lr * 2 * decay = 10 makes the decay term alone grow the weights ninefold a step
     coords = np.random.default_rng(1).uniform(-0.5, 0.5, size=(30, 2))
     monkeypatch.setattr(rom_fnn, "LEARNING_RATE", 0.05)
-    cfg = TrainConfig(
-        hidden_sizes=(2,), decay_values=(1e-4, 100.0), folds=3, repeats=1, max_epochs=400,
-    )
+    monkeypatch.setattr(rom_fnn, "EPOCHS", 400)
+    cfg = TrainConfig(hidden_sizes=(2,), decay_values=(1e-4, 100.0), folds=3, repeats=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ((model, records),) = fnn_train(coords, no_stim(len(coords)), [1], cfg)
@@ -818,34 +818,3 @@ def test_cv_report_csv(tmp_path, zero_target_fit):
     assert rows[1][1:] == [str(r["hidden"]), repr(r["decay"]), str(r["repeat"]),
                            str(r["fold"]), repr(r["mse"])]
 
-
-# ------------------------------------------------------------------ the ROM
-
-
-def test_rom_trains_in_unit_rms_units_and_pins_only_the_training_window(tmp_path):
-    rng = np.random.default_rng(3)
-    n, h = 30, 5
-    coords = rng.normal(size=(n, 2))   # O(1), as unit-RMS eigenvectors give them
-    design = rng.integers(0, 2, size=(n + h, 1)).astype(float)
-    cfg = TrainConfig(hidden_sizes=(2,), decay_values=(1e-3,), folds=2, repeats=1, max_epochs=50)
-    models_dir = tmp_path / "models"
-    models, cells = rom_fnn.train_rom(coords, design, cfg, models_dir)
-    assert sorted(os.listdir(models_dir)) == ["fnn.json", "fnn_cv.csv"]
-
-    reference = fnn_train(coords, design[:n], [1, 2], cfg)
-    assert cells == [best_grid_cell(records) for _, records in reference]
-    for model, (ref, _) in zip(models, reference, strict=True):
-        for key in ("u", "w_out", "b_out", "target_index"):
-            assert np.array_equal(getattr(model, key), getattr(ref, key))
-
-    # the design rows past the training block do not reach the models; its
-    # training rows do
-    bundle = (models_dir / "fnn.json").read_bytes()
-    later = design.copy()
-    later[n:] = 1.0 - later[n:]
-    earlier = design.copy()
-    earlier[0] = 1.0 - earlier[0]
-    for stim, same in ((later, True), (earlier, False), (no_stim(n + h), False)):
-        again = tmp_path / "again"
-        rom_fnn.train_rom(coords, stim, cfg, again)
-        assert ((again / "fnn.json").read_bytes() == bundle) is same

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 import time
 
 import numpy as np
@@ -23,7 +24,8 @@ from dmrom.rom_fnn import TrainConfig, _train_stack
 
 def test_worker_count_changes_no_bit(monkeypatch):
     coords = mixed_winner_coords()
-    cfg = TrainConfig(**SMALL_GRID, max_epochs=40)
+    cfg = TrainConfig(**SMALL_GRID)
+    monkeypatch.setattr(rom_fnn, "EPOCHS", 40)
     # several stacks per group, so both workers have stacks to take
     monkeypatch.setattr(rom_fnn, "STACK_BYTES", 8 * 40 * 3 * 2)
     alone, alone_forks = train_on_cpus(monkeypatch, {0}, coords, cfg)
@@ -50,10 +52,10 @@ def in_worker(action):
     """A `_train_stack` that runs `action` in a forked worker and trains as usual here."""
     parent = os.getpid()
 
-    def stack(z, y, hidden, decays, rngs, cfg):
+    def stack(z, y, hidden, decays, rngs, epochs):
         if os.getpid() != parent:
             action(z)
-        return _train_stack(z, y, hidden, decays, rngs, cfg)
+        return _train_stack(z, y, hidden, decays, rngs, epochs)
 
     return stack
 
@@ -62,9 +64,9 @@ def test_a_one_stack_pass_is_cut_for_every_worker(monkeypatch):
     # five fits make one stack; on two CPUs the pass cuts it into 3 + 2 fits:
     # this process trains the three and a worker the two, with the bits of
     # the one stack
-    fits, cfg = one_group_fits(), TrainConfig(max_epochs=20)
+    fits = one_group_fits()
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0})
-    whole = rom_fnn._train_fits(fits, cfg)
+    whole = rom_fnn._train_fits(fits, 20)
     shares = []
     real_fork_worker = workers._fork_worker
 
@@ -75,7 +77,7 @@ def test_a_one_stack_pass_is_cut_for_every_worker(monkeypatch):
     monkeypatch.setattr(workers, "_fork_worker", fork_worker)
     here = stack_spy(monkeypatch)
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
-    cut = rom_fnn._train_fits(fits, cfg)
+    cut = rom_fnn._train_fits(fits, 20)
     assert here == [(2, 3)]
     assert shares == [[2]]
     for got, want in zip(cut, whole, strict=True):
@@ -90,7 +92,7 @@ def test_a_worker_exception_re_raises_as_itself(monkeypatch):
     monkeypatch.setattr(rom_fnn, "_train_stack", in_worker(fail))
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(ValueError, match="^a stack of 2 fits failed in a worker$"):
-        rom_fnn._train_fits(one_group_fits(), TrainConfig(max_epochs=20))
+        rom_fnn._train_fits(one_group_fits(), 20)
     assert_no_child_left()
 
 
@@ -99,7 +101,7 @@ def test_a_worker_that_dies_without_a_result_raises_and_is_reaped(monkeypatch):
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
     forks = fork_spy(monkeypatch)
     with pytest.raises(RuntimeError) as caught:
-        rom_fnn._train_fits(one_group_fits(), TrainConfig(max_epochs=20))
+        rom_fnn._train_fits(one_group_fits(), 20)
     (pid,) = forks
     # wait status 3 << 8: exit code 3
     assert str(caught.value) == f"FNN training worker {pid} ended without a result (wait status 768)"
@@ -109,7 +111,7 @@ def test_a_worker_that_dies_without_a_result_raises_and_is_reaped(monkeypatch):
 def test_a_failing_share_here_kills_and_reaps_the_workers(monkeypatch):
     parent = os.getpid()
 
-    def stack(z, y, hidden, decays, rngs, cfg):
+    def stack(z, y, hidden, decays, rngs, epochs):
         if os.getpid() == parent:
             raise ValueError("this process's share failed")
         time.sleep(60)   # a worker left running would hold the test up
@@ -119,7 +121,7 @@ def test_a_failing_share_here_kills_and_reaps_the_workers(monkeypatch):
     forks = fork_spy(monkeypatch)
     started = time.monotonic()
     with pytest.raises(ValueError, match="^this process's share failed$"):
-        rom_fnn._train_fits(one_group_fits(), TrainConfig(max_epochs=20))
+        rom_fnn._train_fits(one_group_fits(), 20)
     assert len(forks) == 1
     assert time.monotonic() - started < 30
     assert_no_child_left()
@@ -141,6 +143,46 @@ def test_a_worker_holds_no_descriptor_of_its_parent_but_its_pipe(monkeypatch, tm
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
     with open(tmp_path / "held.lock", "a") as held, pytest.raises(ValueError) as caught:
         assert held.fileno() > 2
-        rom_fnn._train_fits(one_group_fits(), TrainConfig(max_epochs=20))
+        rom_fnn._train_fits(one_group_fits(), 20)
     (target,) = json.loads(str(caught.value))
     assert target.startswith("pipe:")
+
+
+class LockedError(Exception):
+    """An exception that holds a lock, so pickle cannot send it."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class TwoPartError(Exception):
+    """An exception that pickles, but whose two arguments pickle cannot rebuild it from."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} failed in {where}")
+
+
+@pytest.mark.parametrize("error, name", [
+    pytest.param(lambda item: LockedError(f"item {item} failed in a worker"), "LockedError",
+                 id="holds_a_lock"),
+    pytest.param(lambda item: TwoPartError(f"item {item}", "a worker"), "TwoPartError",
+                 id="cannot_be_rebuilt"),
+])
+def test_a_worker_exception_that_pickle_cannot_send_is_named(monkeypatch, error, name):
+    parent = os.getpid()
+
+    def task(item):
+        if os.getpid() != parent:
+            raise error(item)
+        return item
+
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = fork_spy(monkeypatch)
+    with pytest.raises(RuntimeError) as caught:
+        workers.run(task, [0, 1], "demo worker")
+    assert len(forks) == 1
+    assert str(caught.value) == (
+        f"a worker raised {name}, which pickle cannot send: item 1 failed in a worker"
+    )
+    assert_no_child_left()
